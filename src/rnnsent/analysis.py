@@ -12,10 +12,12 @@ from datetime import date, timedelta, timezone
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import CleanTweet, Vocabulary
 from .embedding import EmbeddingMatrix
 from .evaluation import FINE_CLASSES, classes_for
-from .model import AllTokensUnknownError, ModelConfig, Params, predict
+from .model import ModelConfig, Params, predict_many
 
 GRANULARITIES = ("month", "week", "day")
 
@@ -73,11 +75,12 @@ def classify_corpus(
         raise ValueError("cannot classify an empty corpus")
     classes = classes_for(model_cfg.num_classes)
     out: list[ClassifiedTweet] = []
-    for tweet in corpus:
-        try:
-            idx, probs = predict(params, model_cfg, emb, vocab, tweet.tokens)
+    probabilities, known = predict_many(params, model_cfg, emb, vocab, [tweet.tokens for tweet in corpus])
+    for tweet, probs, scored in zip(corpus, probabilities, known):
+        if scored:
+            idx = int(np.argmax(probs))
             out.append(ClassifiedTweet(tweet, classes[idx], float(probs[idx])))
-        except AllTokensUnknownError:
+        else:
             out.append(ClassifiedTweet(tweet, NEUTRAL, 0.0, oov=True))
     return out
 

@@ -157,7 +157,10 @@ def _write_manifest(
     outputs: list,
     seed: int | None,
     started: float,
+    results: dict | None = None,
 ) -> None:
+    """Write the run's manifest; `results` (optional) records figures of the
+    run itself, such as the embed epoch losses at full precision."""
     config = {
         key: _manifest_value(val) for key, val in sorted(vars(args).items()) if key != "func"
     }
@@ -170,6 +173,8 @@ def _write_manifest(
         "seed": seed,
         "duration_seconds": time.perf_counter() - started,
     }
+    if results is not None:
+        manifest["results"] = results
     with path.open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -259,6 +264,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         outputs=[output],
         seed=args.seed,
         started=started,
+        results={"epoch_losses": emb.epoch_losses},
     )
     losses = ", ".join(f"{loss:.4f}" for loss in emb.epoch_losses)
     print(f"trained {emb.vocab_size} x {emb.dim} embeddings; epoch losses: {losses}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .embedding import EmbeddingMatrix
-from .model import AllTokensUnknownError, ModelConfig, Params, predict
+from .model import ModelConfig, Params, predict_many
 
 # Canonical reporting order for sentiment labels, used everywhere a class list
 # is implied rather than passed explicitly.
@@ -187,21 +187,17 @@ def evaluate(
     if len(test) == 0:
         raise ValueError("cannot evaluate an empty test set")
     class_list = list(classes) if classes is not None else list(classes_for(model_cfg.num_classes))
-    golds: list[str] = []
-    preds: list[str] = []
-    oov = 0
-    for example in test:
-        tokens, gold = _example_fields(example)
+    fields = [_example_fields(example) for example in test]
+    golds = [gold for _, gold in fields]
+    for gold in golds:
         if gold not in class_list:
             raise ValueError(f"gold label {gold!r} is not in the class list {class_list}")
-        try:
-            idx, _ = predict(params, model_cfg, emb, vocab, tokens)
-            pred = class_list[idx]
-        except AllTokensUnknownError:
-            oov += 1
-            pred = next(c for c in class_list if c != gold)
-        golds.append(gold)
-        preds.append(pred)
+    probabilities, known = predict_many(params, model_cfg, emb, vocab, [tokens for tokens, _ in fields])
+    preds = [
+        class_list[int(np.argmax(probs))] if scored else next(c for c in class_list if c != gold)
+        for gold, probs, scored in zip(golds, probabilities, known)
+    ]
+    oov = int(np.sum(~known))
     cm = confusion_matrix(golds, preds, class_list)
     return cm, metrics_from_confusion(cm, oov_examples=oov)
 

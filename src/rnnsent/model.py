@@ -175,38 +175,258 @@ def init_params(config: ModelConfig, rng: RngState) -> Params:
     )
 
 
-@dataclass
-class ForwardTrace:
-    """Per-timestep activations cached for the backward pass.
+# ---------------------------------------------------------------------------
+# Minibatch kernel
+# ---------------------------------------------------------------------------
 
-    Backward-direction lists are in processing order: entry s holds the state
-    after consuming x_{T+1-s}, so the last entry aligns with input position 1.
+# Inference runs at most this many sequences through the kernel at once.
+INFER_CHUNK = 64
+# Each weight-gradient product covers at most this many (step, sequence)
+# rows, which bounds the error buffer of backward_batch.
+GRAD_ROWS = 256
+
+
+@dataclass
+class BatchTrace:
+    """Activations of one minibatch, kept for backward_batch.
+
+    Sequences are left-padded to a common length T, so every one ends at
+    column T-1; `valid` is 1.0 on real steps and 0.0 on padding, where the
+    state is held at exactly 0 (= h_0). The backward cell reads the reversed
+    sequences, padded the same way: at step t it reads column
+    `reverse[t]` of `inputs` (column T-1 holds each sequence's first token),
+    and `hidden_bwd` is in that processing order. The hidden states are None
+    in a trace run with keep_states=False.
     """
 
-    hidden_fwd: list[FloatArray]
-    pre_fwd: list[FloatArray]
-    hidden_bwd: list[FloatArray] | None
-    pre_bwd: list[FloatArray] | None
-    probabilities: FloatArray
-    dropout_mask: FloatArray | None
+    inputs: FloatArray              # (T, B, E)
+    valid: FloatArray               # (T, B, 1)
+    reverse: np.ndarray | None      # (T, B) column indices, bidirectional only
+    hidden_fwd: FloatArray | None   # (T, B, H)
+    hidden_bwd: FloatArray | None   # (T, B, H), bidirectional only
+    readout: FloatArray             # (B, R), dropout applied
+    probabilities: FloatArray       # (B, C)
+    dropout_masks: FloatArray | None  # (B, R)
+
+
+def pad_batch(sequences: Sequence[FloatArray]) -> tuple[FloatArray, np.ndarray]:
+    """Left-pad (L_i, E) sequences into a zero-filled (T, B, E) tensor with
+    T = max L_i; returns it with the lengths."""
+    lengths = np.array([len(seq) for seq in sequences])
+    steps = int(lengths.max())
+    inputs = np.zeros((steps, len(sequences), np.shape(sequences[0])[1]))
+    for b, seq in enumerate(sequences):
+        inputs[steps - len(seq) :, b] = seq
+    return inputs, lengths
+
+
+def _cell_inputs(inputs: FloatArray, order: np.ndarray | None, lo: int, hi: int) -> FloatArray:
+    """A cell's inputs at steps lo..hi-1: columns of `inputs`, read through
+    `order` (T, B) for the backward cell."""
+    if order is None:
+        return inputs[lo:hi]
+    return inputs[order[lo:hi], np.arange(inputs.shape[1])]
+
+
+def _run_cell(
+    arrays: dict[str, FloatArray],
+    prefix: str,
+    inputs: FloatArray,
+    order: np.ndarray | None,
+    valid: FloatArray,
+    states: FloatArray | None,
+) -> FloatArray:
+    """Run one cell over left-padded inputs from h_0 = 0 and return the final
+    (B, H) state; every state is also written to `states` when given."""
+    w_xh_t, w_hh_t, b_h = arrays[prefix + "w_xh"].T, arrays[prefix + "w_hh"].T, arrays[prefix + "b_h"]
+    h = np.zeros((inputs.shape[1], b_h.shape[0]))
+    for t in range(inputs.shape[0]):
+        x = _cell_inputs(inputs, order, t, t + 1)[0]
+        h = np.tanh(x @ w_xh_t + h @ w_hh_t + b_h) * valid[t]
+        if states is not None:
+            states[t] = h
+    return h
+
+
+def forward_batch(
+    arrays: dict[str, FloatArray],
+    config: ModelConfig,
+    inputs: FloatArray,
+    lengths: np.ndarray,
+    dropout_masks: FloatArray | None = None,
+    keep_states: bool = True,
+) -> BatchTrace:
+    """Run the classifier over a left-padded (T, B, E) batch (see pad_batch).
+
+    `dropout_masks` (B, R) multiplies the readout (train mode). With
+    keep_states=False only the running state is kept (inference); such a
+    trace cannot be passed to backward_batch.
+    """
+    steps, batch, _ = inputs.shape
+    start = steps - np.asarray(lengths)
+    column = np.arange(steps)[:, None]
+    valid = (column >= start).astype(np.float64)[:, :, None]
+
+    shape = (steps, batch, config.hidden_size)
+    hidden_fwd = np.empty(shape) if keep_states else None
+    prefix = "" if config.direction == STANDARD else "fwd."
+    readout = _run_cell(arrays, prefix, inputs, None, valid, hidden_fwd)
+    reverse = hidden_bwd = None
+    if config.direction == BIDIRECTIONAL:
+        # step j of reversed sequence b sits at column start_b + j and reads
+        # x_{L_b - j}, which the forward layout holds at column T-1-j
+        reverse = np.where(column >= start, start + steps - 1 - column, column)
+        hidden_bwd = np.empty(shape) if keep_states else None
+        readout = np.concatenate([readout, _run_cell(arrays, "bwd.", inputs, reverse, valid, hidden_bwd)], axis=1)
+
+    if dropout_masks is not None:
+        readout = readout * dropout_masks
+    w_hy = arrays["w_hy"]
+    if config.direction == STANDARD:
+        logits = readout @ w_hy.T + arrays["b_y"]
+    else:
+        # per-direction half products: a bidirectional net whose backward cell
+        # and backward readout columns are zero then reproduces the standard
+        # net's output bit for bit
+        h = config.hidden_size
+        logits = readout[:, :h] @ w_hy[:, :h].T + readout[:, h:] @ w_hy[:, h:].T + arrays["b_y"]
+    return BatchTrace(
+        inputs=inputs,
+        valid=valid,
+        reverse=reverse,
+        hidden_fwd=hidden_fwd,
+        hidden_bwd=hidden_bwd,
+        readout=readout,
+        probabilities=softmax(logits),
+        dropout_masks=dropout_masks,
+    )
+
+
+def _cell_backward(
+    w_hh: FloatArray,
+    states: FloatArray,
+    inputs: FloatArray,
+    order: np.ndarray | None,
+    valid: FloatArray,
+    d_last: FloatArray,
+    limit: int,
+) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """Backpropagate a (B, H) error on the final states through the last
+    `limit` columns; parameter gradients summed over the batch.
+
+    tanh'(a_t) is evaluated as 1 - h_t^2. Padded steps have valid = 0, so no
+    error reaches them: a sequence shorter than `limit` gets its full BPTT.
+    The weight gradients are products over batch and time, GRAD_ROWS
+    (step, sequence) rows at a time.
+    """
+    steps, batch, hidden = states.shape
+    lo = steps - limit
+    block = max(1, GRAD_ROWS // batch)
+    da = np.empty((min(block, limit), batch, hidden))
+    d_w_xh = np.zeros((hidden, inputs.shape[2]))
+    d_w_hh = np.zeros((hidden, hidden))
+    d_b_h = np.zeros(hidden)
+    dh = d_last
+    for hi in range(steps, lo, -block):
+        first = max(lo, hi - block)
+        for t in range(hi - 1, first - 1, -1):
+            h = states[t]
+            da[t - first] = dh * (1.0 - h * h) * valid[t]
+            if t > lo:
+                dh = da[t - first] @ w_hh
+        errors = da[: hi - first]
+        flat = errors.reshape(-1, hidden)
+        d_w_xh += flat.T @ _cell_inputs(inputs, order, first, hi).reshape(-1, inputs.shape[2])
+        # column t reads the state of column t-1 (h_0 = 0 before column 0)
+        d_w_hh += errors[1:].reshape(-1, hidden).T @ states[first : hi - 1].reshape(-1, hidden)
+        if first > 0:
+            d_w_hh += errors[0].T @ states[first - 1]
+        d_b_h += flat.sum(axis=0)
+    return d_w_xh, d_w_hh, d_b_h
+
+
+def backward_batch(
+    arrays: dict[str, FloatArray],
+    config: ModelConfig,
+    trace: BatchTrace,
+    targets: np.ndarray,
+    k: int | None = None,
+) -> dict[str, FloatArray]:
+    """Cross-entropy gradients summed over the batch, through every timestep
+    (k=None) or the last k columns, which are the last k steps of every
+    sequence."""
+    if trace.hidden_fwd is None:
+        raise ValueError("backward needs a trace run with keep_states=True")
+    steps = trace.inputs.shape[0]
+    limit = steps if k is None else min(k, steps)
+
+    # softmax + cross-entropy collapses to (p - onehot) at the logits
+    dlogits = trace.probabilities.copy()
+    dlogits[np.arange(len(targets)), targets] -= 1.0
+    dr = dlogits @ arrays["w_hy"]
+    if trace.dropout_masks is not None:
+        dr = dr * trace.dropout_masks
+
+    if config.direction == STANDARD:
+        cells = [("", trace.hidden_fwd, None, dr)]
+    else:
+        h = config.hidden_size
+        cells = [("fwd.", trace.hidden_fwd, None, dr[:, :h]), ("bwd.", trace.hidden_bwd, trace.reverse, dr[:, h:])]
+    grads = {}
+    for prefix, states, order, d_last in cells:
+        d_w_xh, d_w_hh, d_b_h = _cell_backward(
+            arrays[prefix + "w_hh"], states, trace.inputs, order, trace.valid, d_last, limit
+        )
+        grads.update({prefix + "w_xh": d_w_xh, prefix + "w_hh": d_w_hh, prefix + "b_h": d_b_h})
+    grads["w_hy"] = dlogits.T @ trace.readout
+    grads["b_y"] = dlogits.sum(axis=0)
+    return grads
+
+
+# ---------------------------------------------------------------------------
+# Single-sequence API: batch-of-1 calls into the kernel
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ForwardTrace:
+    """One sequence's activations: a batch-of-1 BatchTrace.
+
+    hidden_fwd[t] is the state after x_{t+1}. hidden_bwd is in processing
+    order: entry s holds the state after consuming x_{T-s}, so the last entry
+    aligns with input position 1.
+    """
+
+    batch: BatchTrace
 
     def __len__(self) -> int:
-        return len(self.hidden_fwd)
+        return self.batch.inputs.shape[0]
+
+    @property
+    def hidden_fwd(self) -> FloatArray:
+        return self.batch.hidden_fwd[:, 0]
+
+    @property
+    def hidden_bwd(self) -> FloatArray | None:
+        return None if self.batch.hidden_bwd is None else self.batch.hidden_bwd[:, 0]
+
+    @property
+    def probabilities(self) -> FloatArray:
+        return self.batch.probabilities[0]
+
+    @property
+    def dropout_mask(self) -> FloatArray | None:
+        return None if self.batch.dropout_masks is None else self.batch.dropout_masks[0]
 
 
-def _run_cell(cell: RnnCellParams, inputs: Sequence[FloatArray]) -> tuple[list[FloatArray], list[FloatArray]]:
-    hidden_size = cell.b_h.shape[0]
-    h = np.zeros(hidden_size)
-    hidden, pre = [], []
-    for x in inputs:
-        a = cell.w_xh @ x + cell.w_hh @ h + cell.b_h
-        h = np.tanh(a)
-        pre.append(a)
-        hidden.append(h)
-    return hidden, pre
+def _param_arrays(params: Params, config: ModelConfig) -> dict[str, FloatArray]:
+    kind = STANDARD if isinstance(params, RnnParams) else BIDIRECTIONAL
+    if kind != config.direction:
+        raise ValueError(f"config direction is {config.direction} but params are {kind}")
+    return as_param_dict(params)
 
 
-def _check_sequence(config: ModelConfig, sequence: Sequence[FloatArray]) -> list[FloatArray]:
+def _check_sequence(config: ModelConfig, sequence: Sequence[FloatArray]) -> FloatArray:
     if len(sequence) == 0:
         raise ValueError("cannot run the network on an empty sequence")
     seq = [np.asarray(x, dtype=np.float64) for x in sequence]
@@ -215,7 +435,7 @@ def _check_sequence(config: ModelConfig, sequence: Sequence[FloatArray]) -> list
             raise ValueError(
                 f"dimension mismatch at position {i}: expected ({config.embedding_dim},), got {x.shape}"
             )
-    return seq
+    return np.array(seq)
 
 
 def forward(
@@ -231,76 +451,13 @@ def forward(
     `rng` and applied to the readout vector; infer mode never applies a mask.
     """
     seq = _check_sequence(config, sequence)
-    if isinstance(params, RnnParams):
-        if config.direction != STANDARD:
-            raise ValueError("config direction is bidirectional but params are standard")
-        hidden_fwd, pre_fwd = _run_cell(RnnCellParams(params.w_xh, params.w_hh, params.b_h), seq)
-        hidden_bwd = pre_bwd = None
-        readout = hidden_fwd[-1]
-    else:
-        if config.direction != BIDIRECTIONAL:
-            raise ValueError("config direction is standard but params are bidirectional")
-        hidden_fwd, pre_fwd = _run_cell(params.forward_cell, seq)
-        hidden_bwd, pre_bwd = _run_cell(params.backward_cell, seq[::-1])
-        readout = np.concatenate([hidden_fwd[-1], hidden_bwd[-1]])
-
+    arrays = _param_arrays(params, config)
     mask = None
     if train and config.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("train-mode forward with dropout needs an RngState")
-        mask = dropout_mask(readout.shape[0], config.dropout_rate, rng)
-        readout = readout * mask
-
-    if isinstance(params, RnnParams):
-        logits = params.w_hy @ readout + params.b_y
-    else:
-        # per-direction half products: a bidirectional net whose backward cell
-        # and backward readout columns are zero then reproduces the standard
-        # net's output bit for bit
-        h = config.hidden_size
-        logits = params.w_hy[:, :h] @ readout[:h] + params.w_hy[:, h:] @ readout[h:] + params.b_y
-    probabilities = softmax(logits)
-    return ForwardTrace(
-        hidden_fwd=hidden_fwd,
-        pre_fwd=pre_fwd,
-        hidden_bwd=hidden_bwd,
-        pre_bwd=pre_bwd,
-        probabilities=probabilities,
-        dropout_mask=mask,
-    )
-
-
-def _cell_backward(
-    cell: RnnCellParams,
-    hidden: list[FloatArray],
-    inputs: Sequence[FloatArray],
-    d_last: FloatArray,
-    k: int | None,
-) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """Backpropagate an error on the final hidden state through the recurrence.
-
-    At most k timesteps receive parameter-gradient contributions (k=None means
-    all of them); tanh'(a_t) is evaluated as 1 - h_t^2.
-    """
-    steps = len(inputs)
-    limit = steps if k is None else min(k, steps)
-    d_w_xh = np.zeros_like(cell.w_xh)
-    d_w_hh = np.zeros_like(cell.w_hh)
-    d_b_h = np.zeros_like(cell.b_h)
-    zero_state = np.zeros_like(cell.b_h)
-
-    dh = d_last
-    for step in range(limit):
-        t = steps - 1 - step
-        h_t = hidden[t]
-        h_prev = hidden[t - 1] if t > 0 else zero_state
-        da = dh * (1.0 - h_t * h_t)
-        d_w_xh += np.outer(da, inputs[t])
-        d_w_hh += np.outer(da, h_prev)
-        d_b_h += da
-        if step + 1 < limit:
-            dh = cell.w_hh.T @ da
-    return d_w_xh, d_w_hh, d_b_h
+        mask = dropout_mask(config.readout_size, config.dropout_rate, rng)[None, :]
+    return ForwardTrace(forward_batch(arrays, config, seq[:, None, :], np.array([len(seq)]), mask))
 
 
 def _backward(
@@ -318,41 +475,7 @@ def _backward(
         raise ValueError("trace direction does not match the config")
     if not 0 <= target_class < config.num_classes:
         raise IndexError(f"target class {target_class} out of range for {config.num_classes} classes")
-
-    if config.direction == STANDARD:
-        readout = trace.hidden_fwd[-1]
-    else:
-        readout = np.concatenate([trace.hidden_fwd[-1], trace.hidden_bwd[-1]])
-    if trace.dropout_mask is not None:
-        readout = readout * trace.dropout_mask
-
-    # softmax + cross-entropy collapses to (p - onehot) at the logits
-    dlogits = trace.probabilities.copy()
-    dlogits[target_class] -= 1.0
-    d_w_hy = np.outer(dlogits, readout)
-    d_b_y = dlogits.copy()
-    dr = params.w_hy.T @ dlogits
-    if trace.dropout_mask is not None:
-        dr = dr * trace.dropout_mask
-
-    if isinstance(params, RnnParams):
-        cell = RnnCellParams(params.w_xh, params.w_hh, params.b_h)
-        d_w_xh, d_w_hh, d_b_h = _cell_backward(cell, trace.hidden_fwd, seq, dr, k)
-        return {"w_xh": d_w_xh, "w_hh": d_w_hh, "b_h": d_b_h, "w_hy": d_w_hy, "b_y": d_b_y}
-
-    h = config.hidden_size
-    df = _cell_backward(params.forward_cell, trace.hidden_fwd, seq, dr[:h], k)
-    db = _cell_backward(params.backward_cell, trace.hidden_bwd, seq[::-1], dr[h:], k)
-    return {
-        "fwd.w_xh": df[0],
-        "fwd.w_hh": df[1],
-        "fwd.b_h": df[2],
-        "bwd.w_xh": db[0],
-        "bwd.w_hh": db[1],
-        "bwd.b_h": db[2],
-        "w_hy": d_w_hy,
-        "b_y": d_b_y,
-    }
+    return backward_batch(_param_arrays(params, config), config, trace.batch, np.array([target_class]), k)
 
 
 def backward_full(
@@ -393,13 +516,56 @@ def backward_for_config(
     return backward_truncated(params, config, trace, sequence, target_class, k=config.bptt_k)
 
 
+def token_rows(vocab: Vocabulary, tokens: Sequence[str]) -> np.ndarray:
+    """Embedding-row indices of the in-vocabulary tokens, in order; OOV tokens skipped."""
+    return np.array([vocab.index(t) for t in tokens if t in vocab], dtype=np.int64)
+
+
 def embed_tokens(
     emb: EmbeddingMatrix,
     vocab: Vocabulary,
     tokens: Sequence[str],
 ) -> list[FloatArray]:
     """Embedding rows for the in-vocabulary tokens, in order; OOV tokens skipped."""
-    return [emb.input_vectors[vocab.index(t)] for t in tokens if t in vocab]
+    return list(emb.input_vectors[token_rows(vocab, tokens)])
+
+
+def _predict_chunk(
+    arrays: dict[str, FloatArray],
+    config: ModelConfig,
+    emb: EmbeddingMatrix,
+    vocab: Vocabulary,
+    token_lists: Sequence[Sequence[str]],
+) -> tuple[FloatArray, np.ndarray]:
+    sequences = [emb.input_vectors[token_rows(vocab, tokens)] for tokens in token_lists]
+    known = np.array([len(seq) > 0 for seq in sequences])
+    probabilities = np.zeros((len(sequences), config.num_classes))
+    if known.any():
+        inputs, lengths = pad_batch([seq for seq in sequences if len(seq)])
+        probabilities[known] = forward_batch(arrays, config, inputs, lengths, keep_states=False).probabilities
+    return probabilities, known
+
+
+def predict_many(
+    params: Params,
+    config: ModelConfig,
+    emb: EmbeddingMatrix,
+    vocab: Vocabulary,
+    token_lists: Sequence[Sequence[str]],
+) -> tuple[FloatArray, np.ndarray]:
+    """Class probabilities (N, C) of N token lists, and a boolean mask of the
+    lists with at least one in-vocabulary token (the other rows are 0).
+
+    Runs the kernel in inference mode on INFER_CHUNK lists at a time, so
+    memory is bounded by one chunk's padded inputs and running states.
+    """
+    arrays = _param_arrays(params, config)
+    probabilities = np.zeros((len(token_lists), config.num_classes))
+    known = np.zeros(len(token_lists), dtype=bool)
+    for lo in range(0, len(token_lists), INFER_CHUNK):
+        hi = lo + INFER_CHUNK
+        probabilities[lo:hi], known[lo:hi] = _predict_chunk(arrays, config, emb, vocab, token_lists[lo:hi])
+    return probabilities, known
 
 
 def predict(
@@ -414,11 +580,10 @@ def predict(
     Ties resolve to the lowest class index. Raises AllTokensUnknownError when
     no token can be embedded.
     """
-    seq = embed_tokens(emb, vocab, tokens)
-    if not seq:
+    probabilities, known = predict_many(params, config, emb, vocab, [tokens])
+    if not known[0]:
         raise AllTokensUnknownError(f"none of the {len(tokens)} tokens are in the vocabulary")
-    trace = forward(params, config, seq, train=False)
-    return int(np.argmax(trace.probabilities)), trace.probabilities
+    return int(np.argmax(probabilities[0])), probabilities[0]
 
 
 # ---------------------------------------------------------------------------

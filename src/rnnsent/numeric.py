@@ -58,13 +58,14 @@ def matvec(m: FloatArray, v: FloatArray) -> FloatArray:
 
 
 def softmax(v: FloatArray) -> FloatArray:
-    """Max-subtracted softmax; stable for large-magnitude inputs."""
+    """Max-subtracted softmax over the last axis (so a 2-D input is a batch
+    of rows); stable for large-magnitude inputs."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("softmax of an empty vector")
-    shifted = v - v.max()
+    shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(probs: FloatArray, target_class: int) -> float:

@@ -35,13 +35,14 @@ from .model import (
     ModelConfig,
     Params,
     as_param_dict,
-    backward_for_config,
-    embed_tokens,
-    forward,
+    backward_batch,
+    forward_batch,
     init_params,
+    pad_batch,
     params_from_dict,
+    token_rows,
 )
-from .numeric import RngState, clip_gradients, cross_entropy, sgd_step
+from .numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
 
 TASK_FINE = "fine_grained"
 TASK_BINARY = "binary"
@@ -322,28 +323,32 @@ def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
 ) -> tuple[Params, TrainReport]:
-    """Minibatch SGD: per epoch, shuffle, batch, average per-example BPTT
-    gradients, clip to clip_norm, take one step. Deterministic given the seed."""
+    """Minibatch SGD: per epoch, shuffle, batch, average the per-example BPTT
+    gradients (one batched kernel call per minibatch), clip to clip_norm, take
+    one step. Deterministic given the seed.
+
+    Raises ValueError naming the epoch and batch whose loss is not finite."""
     started = time.perf_counter()
     classes = _check_train_inputs(data, emb, vocab, model_cfg, train_cfg)
     class_index = {c: i for i, c in enumerate(classes)}
 
-    sequences: list[list[np.ndarray]] = []
-    targets: list[int] = []
+    # embedding-row indices, gathered into a padded batch at each step
+    rows: list[np.ndarray] = []
     for ex in data.train:
-        seq = embed_tokens(emb, vocab, ex.tokens)
-        if not seq:
+        row = token_rows(vocab, ex.tokens)
+        if not len(row):
             raise ValueError(
                 f"train example {ex.id!r} has no in-vocabulary tokens and cannot be embedded"
             )
-        sequences.append(seq)
-        targets.append(class_index[ex.label])
+        rows.append(row)
+    targets = np.array([class_index[ex.label] for ex in data.train])
 
     root = RngState(seed=train_cfg.seed)
     arrays = as_param_dict(init_params(model_cfg, root.child(0)))
-    needs_mask = model_cfg.dropout_rate > 0.0
+    rate = model_cfg.dropout_rate
+    k = None if model_cfg.bptt_mode == BPTT_FULL else model_cfg.bptt_k
 
-    n = len(sequences)
+    n = len(rows)
     epoch_losses: list[float] = []
     epoch_accuracies: list[float] = []
     best_loss = math.inf
@@ -351,31 +356,33 @@ def train(
 
     for epoch in range(train_cfg.epochs):
         order = root.child(1, epoch).generator().permutation(n)
-        params = params_from_dict(arrays, model_cfg.direction)
-        loss_sum = 0.0
+        losses: list[np.ndarray] = []
         correct = 0
-        for start in range(0, n, train_cfg.batch_size):
+        for number, start in enumerate(range(0, n, train_cfg.batch_size), start=1):
             batch = order[start : start + train_cfg.batch_size]
-            grad_sum: dict[str, np.ndarray] | None = None
-            for pos, i in enumerate(batch):
-                mask_rng = root.child(2, epoch, start + pos) if needs_mask else None
-                trace = forward(params, model_cfg, sequences[i], train=True, rng=mask_rng)
-                loss_sum += cross_entropy(trace.probabilities, targets[i])
-                if int(np.argmax(trace.probabilities)) == targets[i]:
-                    correct += 1
-                grads = backward_for_config(params, model_cfg, trace, sequences[i], targets[i])
-                if grad_sum is None:
-                    grad_sum = grads
-                else:
-                    for name in grad_sum:
-                        grad_sum[name] += grads[name]
-            mean = {name: g / len(batch) for name, g in grad_sum.items()}
+            masks = None
+            if rate > 0.0:
+                masks = np.stack(
+                    [dropout_mask(model_cfg.readout_size, rate, root.child(2, epoch, start + pos))
+                     for pos in range(len(batch))]
+                )
+            inputs, lengths = pad_batch([emb.input_vectors[rows[i]] for i in batch])
+            trace = forward_batch(arrays, model_cfg, inputs, lengths, masks)
+            y = targets[batch]
+            batch_losses = -np.log(np.maximum(trace.probabilities[np.arange(len(batch)), y], PROB_FLOOR))
+            if not np.isfinite(batch_losses.sum()):
+                raise ValueError(
+                    f"training diverged: epoch {epoch + 1}, batch {number} has mean loss {batch_losses.mean()}"
+                )
+            losses.append(batch_losses)
+            correct += int(np.sum(np.argmax(trace.probabilities, axis=1) == y))
+            grads = backward_batch(arrays, model_cfg, trace, y, k)
+            # free this batch's activations before the next batch allocates its own
+            del trace, inputs
+            mean = {name: g / len(batch) for name, g in grads.items()}
             arrays = sgd_step(arrays, clip_gradients(mean, train_cfg.clip_norm), train_cfg.learning_rate)
-            params = params_from_dict(arrays, model_cfg.direction)
 
-        epoch_loss = loss_sum / n
-        if not math.isfinite(epoch_loss):
-            raise ValueError(f"training diverged: epoch {epoch + 1} mean loss is {epoch_loss}")
+        epoch_loss = math.fsum(np.concatenate(losses)) / n
         epoch_losses.append(epoch_loss)
         epoch_accuracies.append(correct / n)
 

@@ -114,6 +114,21 @@ def test_embed_same_seed_byte_identical(pipeline, tmp_path):
     assert manifest["seed"] == 5
 
 
+def test_embed_manifest_records_full_precision_losses(pipeline, tmp_path, capsys):
+    pre = pipeline["pre"]
+    out = tmp_path / "e.txt"
+    assert main([
+        "embed", "--corpus", str(pre / "corpus.jsonl"), "--vocab", str(pre / "vocab.tsv"),
+        "--dim", "4", "--window", "2", "--negatives", "2", "--epochs", "3", "--subsample", "0",
+        "--seed", "5", "--output", str(out),
+    ]) == 0
+    printed = capsys.readouterr().out.rsplit("epoch losses: ", 1)[1].strip().split(", ")
+    recorded = json.loads((tmp_path / "e.txt.manifest.json").read_text())["results"]["epoch_losses"]
+    assert len(recorded) == len(printed) == 3
+    assert [f"{loss:.4f}" for loss in recorded] == printed
+    assert any(loss != float(text) for loss, text in zip(recorded, printed))  # more digits than stdout
+
+
 def test_neighbors_prints_ranked_pairs(pipeline, capsys):
     rc = main([
         "neighbors", "--embeddings", str(pipeline["emb"]), "--vocab",
