@@ -7,6 +7,7 @@ uniform in [-0.5/dim, 0.5/dim], output vectors at zero.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,6 +19,8 @@ from .numeric import FloatArray, RngState
 
 EMBEDDING_MAGIC = "SGNS-EMB"
 EMBEDDING_VERSION = "v1"
+# Pairs per scatter of a tweet's update into the vector tables (see _PairBatch)
+SCATTER_PAIRS = 128
 
 
 class EmbeddingFileError(ValueError):
@@ -70,17 +73,116 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.input_vectors.shape[1]
 
-    def vector(self, index: int) -> FloatArray:
-        return self.input_vectors[index]
+
+def _sampling_tables(counts: Sequence[int], subsample_threshold: float) -> tuple[FloatArray, FloatArray]:
+    """(noise CDF, keep probability) per vocabulary index.
+
+    Negatives follow the unigram distribution raised to the 0.75 power.
+    Frequent-word subsampling keeps a word of relative frequency f with
+    probability sqrt(t/f) when f exceeds the threshold t (t = 0: keep all).
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    total_tokens = counts.sum()
+    noise = counts**0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+    if subsample_threshold > 0 and total_tokens > 0:
+        rel = counts / total_tokens
+        with np.errstate(divide="ignore"):
+            keep_prob = np.minimum(1.0, np.sqrt(subsample_threshold / rel))
+    else:
+        keep_prob = np.ones(len(counts))
+    return noise_cdf, keep_prob
 
 
-def _sigmoid(x: FloatArray) -> FloatArray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+def _pair_positions(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) positions of every pair in a tweet of n tokens:
+    center position ascending, then context position ascending."""
+    pos = np.arange(n)
+    ctx = pos[:, None] + np.arange(-window, window + 1)
+    valid = (ctx >= 0) & (ctx < n) & (ctx != pos[:, None])
+    return np.broadcast_to(pos[:, None], ctx.shape)[valid], ctx[valid]
+
+
+def _draw_negatives(gen: np.random.Generator, noise_cdf: FloatArray, pairs: int, negatives: int) -> np.ndarray:
+    """A tweet's negatives in one draw, row p for pair p: the same stream as
+    `negatives` draws per pair in pair order.
+
+    The last word takes every draw above the second-to-last bound, so a CDF
+    whose sum rounds below 1 cannot yield an index past the vocabulary.
+    """
+    return np.searchsorted(noise_cdf[:-1], gen.random(pairs * negatives)).reshape(pairs, negatives)
+
+
+def _subtract_rows(table: FloatArray, rows: np.ndarray, weights: FloatArray | None, vecs: FloatArray) -> None:
+    """table[rows[p, j]] -= weights[p, j] * vecs[p] for every (p, j), repeated
+    rows summed: the rows' weights form a (unique rows x pairs) matrix W and
+    the update is one product W @ vecs. No weights means 1 everywhere."""
+    pairs = vecs.shape[0]
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    cells = inverse.reshape(-1) * pairs + np.arange(pairs).repeat(rows.shape[1])
+    w = np.bincount(cells, None if weights is None else weights.reshape(-1), minlength=len(uniq) * pairs)
+    table[uniq] -= w.reshape(len(uniq), pairs) @ vecs
+
+
+class _PairBatch:
+    """One SGD step over all (center, context) pairs of a tweet.
+
+    The (pairs, negatives + 1, dim) gather is the largest array of a step, so
+    it and the other per-pair arrays live in buffers sized once, to the
+    longest tweet's pair count, and are reused for every tweet.
+    """
+
+    def __init__(self, max_pairs: int, negatives: int, dim: int):
+        self.rows = np.empty((max_pairs, negatives + 1), dtype=np.intp)
+        self.out_rows = np.empty((max_pairs, negatives + 1, dim))
+        self.centers = np.empty((max_pairs, dim))
+        self.scores = np.empty((max_pairs, negatives + 1, 1))
+        self.d_centers = np.empty((max_pairs, 1, dim))
+
+    def update(
+        self,
+        in_vecs: FloatArray,
+        out_vecs: FloatArray,
+        centers: np.ndarray,
+        contexts: np.ndarray,
+        negs: np.ndarray,
+        lr: float,
+    ) -> float:
+        """Apply the summed gradient of every pair, each taken at the vectors
+        as they stand on entry; return the summed loss at those vectors.
+
+        A negative equal to its pair's context is skipped, not resampled: it
+        has coefficient 0 and no loss term.
+        """
+        p = len(centers)
+        rows = self.rows[:p]
+        rows[:, 0] = contexts
+        rows[:, 1:] = negs
+        # indices are vocabulary rows by construction; mode="clip" lets take
+        # write straight into the buffer (mode="raise" buffers `out`)
+        u = np.take(out_vecs, rows, axis=0, out=self.out_rows[:p], mode="clip")
+        v = np.take(in_vecs, centers, axis=0, out=self.centers[:p], mode="clip")
+        scores = np.matmul(u, v[:, :, None], out=self.scores[:p])[:, :, 0]
+        keep = negs != contexts[:, None]
+
+        # -log sigma(s_pos) - sum(log sigma(-s_neg)), computed stably
+        loss = np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:])[keep].sum()
+
+        # lr * (sigma(s) - label), with sigma(s) = (1 + tanh(s / 2)) / 2
+        coeff = np.tanh(0.5 * scores)
+        coeff += 1.0
+        coeff *= 0.5 * lr
+        coeff[:, 0] -= lr
+        coeff[:, 1:] *= keep
+        d_v = np.matmul(coeff[:, None, :], u, out=self.d_centers[:p])[:, 0]
+        # every step is already computed, so applying them in blocks of pairs
+        # changes nothing but the size of W, which grows with the square of a
+        # block's pair count
+        for lo in range(0, p, SCATTER_PAIRS):
+            hi = lo + SCATTER_PAIRS
+            _subtract_rows(out_vecs, rows[lo:hi], coeff[lo:hi], v[lo:hi])
+            _subtract_rows(in_vecs, centers[lo:hi, None], None, d_v[lo:hi])
+        return float(loss)
 
 
 def train_embeddings(
@@ -91,35 +193,26 @@ def train_embeddings(
 ) -> EmbeddingMatrix:
     """Train skip-gram/negative-sampling vectors over the clean corpus.
 
-    Deterministic for a fixed (corpus, vocab, params, rng). The mean
-    negative-sampling loss per epoch is recorded on the returned matrix as
-    ``epoch_losses``.
+    Each tweet is one update over all of its (center, context) pairs, every
+    pair's gradient taken at the vectors as they stand at the start of that
+    tweet. Deterministic for a fixed (corpus, vocab, params, rng). The mean
+    negative-sampling loss per pair of each epoch, taken at each tweet's
+    starting vectors, is recorded on the returned matrix as ``epoch_losses``.
     """
     unknown = {t for tweet in corpus for t in tweet.tokens if t not in vocab}
     if unknown:
         raise ValueError(f"corpus tokens missing from vocabulary: {sorted(unknown)[:5]}")
 
-    vocab_size = len(vocab)
     gen = rng.generator()
-    in_vecs = (gen.random((vocab_size, params.dim)) - 0.5) / params.dim
+    in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
     out_vecs = np.zeros_like(in_vecs)
     emb = EmbeddingMatrix(in_vecs, out_vecs)
-
-    counts = np.asarray(vocab.counts, dtype=np.float64)
-    total_tokens = counts.sum()
-    noise = counts**0.75
-    noise_cdf = np.cumsum(noise / noise.sum())
-
-    # Frequent-word subsampling: keep probability sqrt(t/f) for words whose
-    # relative frequency f exceeds the threshold t.
-    if params.subsample_threshold > 0 and total_tokens > 0:
-        rel = counts / total_tokens
-        with np.errstate(divide="ignore"):
-            keep_prob = np.minimum(1.0, np.sqrt(params.subsample_threshold / rel))
-    else:
-        keep_prob = np.ones(vocab_size)
+    noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
 
     sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in corpus]
+    longest = max((len(s) for s in sentences), default=0)
+    batch = _PairBatch(len(_pair_positions(longest, params.window)[0]), params.negative_samples, params.dim)
+    pairs_by_length: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     start_lr = params.learning_rate
     min_lr = start_lr * 1e-4
     total_steps = max(1, params.epochs * len(sentences))
@@ -134,50 +227,17 @@ def train_embeddings(
             if params.subsample_threshold > 0:
                 u = gen.random(len(idxs))
                 idxs = idxs[u < keep_prob[idxs]]
-            n = len(idxs)
-            for center_pos in range(n):
-                center = idxs[center_pos]
-                lo = max(0, center_pos - params.window)
-                hi = min(n, center_pos + params.window + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == center_pos:
-                        continue
-                    loss_sum += _train_pair(
-                        in_vecs, out_vecs, int(center), int(idxs[ctx_pos]),
-                        noise_cdf, params.negative_samples, lr, gen,
-                    )
-                    pair_count += 1
+            if len(idxs) not in pairs_by_length:
+                pairs_by_length[len(idxs)] = _pair_positions(len(idxs), params.window)
+            center_pos, context_pos = pairs_by_length[len(idxs)]
+            pairs = len(center_pos)
+            if pairs == 0:
+                continue
+            negs = _draw_negatives(gen, noise_cdf, pairs, params.negative_samples)
+            loss_sum += batch.update(in_vecs, out_vecs, idxs[center_pos], idxs[context_pos], negs, lr)
+            pair_count += pairs
         emb.epoch_losses.append(loss_sum / pair_count if pair_count else 0.0)
     return emb
-
-
-def _train_pair(
-    in_vecs: FloatArray,
-    out_vecs: FloatArray,
-    center: int,
-    context: int,
-    noise_cdf: FloatArray,
-    negatives: int,
-    lr: float,
-    gen: np.random.Generator,
-) -> float:
-    v = in_vecs[center]
-    neg = np.searchsorted(noise_cdf, gen.random(negatives))
-    neg = neg[neg != context]  # a drawn positive is skipped, not resampled
-    rows = np.concatenate(([context], neg))
-    labels = np.zeros(len(rows))
-    labels[0] = 1.0
-
-    u = out_vecs[rows]
-    scores = u @ v
-    sig = _sigmoid(scores)
-    coeff = (sig - labels) * lr
-    dv = coeff @ u
-    np.subtract.at(out_vecs, rows, np.outer(coeff, v))
-    in_vecs[center] = v - dv
-
-    # -log sigma(s_pos) - sum(log sigma(-s_neg)), computed stably
-    return float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
 
 
 def cosine_similarity(a: FloatArray, b: FloatArray) -> float:
@@ -228,11 +288,20 @@ def save_embeddings(emb: EmbeddingMatrix, vocab: Vocabulary, path: str | Path) -
     token in vocabulary-index order; 9 significant digits per value."""
     if emb.vocab_size != len(vocab):
         raise ValueError(f"embedding has {emb.vocab_size} rows but vocabulary has {len(vocab)}")
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{EMBEDDING_MAGIC} {EMBEDDING_VERSION} {emb.vocab_size} {emb.dim}\n")
-        for index, token in enumerate(vocab.tokens):
-            values = " ".join(f"{x:.9g}" for x in emb.input_vectors[index])
-            fh.write(f"{token} {values}\n")
+    path = Path(path)
+    # written beside the target and renamed over it, so a failed write leaves
+    # the previous file as it was and no partial file under the target's name
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("x", encoding="utf-8") as fh:
+            fh.write(f"{EMBEDDING_MAGIC} {EMBEDDING_VERSION} {emb.vocab_size} {emb.dim}\n")
+            for index, token in enumerate(vocab.tokens):
+                values = " ".join(f"{x:.9g}" for x in emb.input_vectors[index])
+                fh.write(f"{token} {values}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
@@ -274,4 +343,10 @@ def load_embeddings_with_tokens(path: str | Path) -> tuple[EmbeddingMatrix, tupl
                 vectors[i] = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise EmbeddingFileError(f"{path}: corrupt file: row {i} has a non-numeric value") from exc
+        for extra, line in enumerate(fh, start=vocab_size):
+            if line.strip():
+                raise EmbeddingFileError(f"{path}: corrupt file: row {extra} follows the {vocab_size} declared rows")
+    non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if len(non_finite):
+        raise EmbeddingFileError(f"{path}: corrupt file: row {non_finite[0]} has a non-finite value")
     return EmbeddingMatrix(vectors), tuple(tokens)

@@ -1,15 +1,20 @@
-"""Per-example reference RNN: explicit Python loops over timesteps.
+"""Reference implementations with explicit Python loops, kept as the oracles
+the batched code is tested against.
 
-This is the straightforward single-sequence implementation that the batched
-kernel in rnnsent.model replaced, kept as the oracle the kernel is tested
-against: forward, full and k-truncated BPTT, and a per-example SGD trainer.
-Parameters are the name -> array dicts of rnnsent.model.as_param_dict.
+RNN: the straightforward single-sequence implementation that the batched
+kernel in rnnsent.model replaced: forward, full and k-truncated BPTT, and a
+per-example SGD trainer. Parameters are the name -> array dicts of
+rnnsent.model.as_param_dict.
+
+SGNS: the per-pair skip-gram trainer that rnnsent.embedding's per-tweet
+update replaced, one SGD step per (center, context) pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from rnnsent.embedding import EmbeddingMatrix, _sampling_tables
 from rnnsent.model import BPTT_FULL, STANDARD, as_param_dict, init_params
 from rnnsent.numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
 
@@ -109,3 +114,77 @@ def train(sequences, targets, model_cfg, train_cfg):
             arrays = sgd_step(arrays, clip_gradients(mean, train_cfg.clip_norm), train_cfg.learning_rate)
         epoch_losses.append(loss_sum / n)
     return arrays, epoch_losses
+
+
+def sgns_pairs(n, window):
+    """(center, context) positions of a tweet of n tokens, in training order."""
+    return [
+        (center, ctx)
+        for center in range(n)
+        for ctx in range(max(0, center - window), min(n, center + window + 1))
+        if ctx != center
+    ]
+
+
+def sgns_negatives(gen, noise_cdf, negatives):
+    """One pair's negative samples."""
+    return np.searchsorted(noise_cdf, gen.random(negatives))
+
+
+def _sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def sgns_pair_gradient(in_vecs, out_vecs, center, context, neg, lr):
+    """(loss, output rows, their steps, the center's step) of one pair at the
+    given vectors; a negative equal to the context is skipped, not resampled."""
+    v = in_vecs[center]
+    neg = neg[neg != context]
+    rows = np.concatenate(([context], neg))
+    labels = np.zeros(len(rows))
+    labels[0] = 1.0
+    u = out_vecs[rows]
+    scores = u @ v
+    coeff = (_sigmoid(scores) - labels) * lr
+    # -log sigma(s_pos) - sum(log sigma(-s_neg)), computed stably
+    loss = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
+    return loss, rows, np.outer(coeff, v), coeff @ u
+
+
+def sgns_train(corpus, vocab, params, rng):
+    """Per-pair SGD with the stream of rnnsent.embedding.train_embeddings:
+    init, then per tweet the subsampling draw and, per pair in order, its
+    negatives. Returns the EmbeddingMatrix with its epoch losses."""
+    gen = rng.generator()
+    in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
+    out_vecs = np.zeros_like(in_vecs)
+    emb = EmbeddingMatrix(in_vecs, out_vecs)
+    noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
+    sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in corpus]
+    start_lr = params.learning_rate
+    total_steps = max(1, params.epochs * len(sentences))
+    step = 0
+    for _epoch in range(params.epochs):
+        loss_sum = 0.0
+        pair_count = 0
+        for idxs in sentences:
+            lr = max(start_lr * 1e-4, start_lr * (1.0 - step / total_steps))
+            step += 1
+            if params.subsample_threshold > 0:
+                idxs = idxs[gen.random(len(idxs)) < keep_prob[idxs]]
+            for center_pos, ctx_pos in sgns_pairs(len(idxs), params.window):
+                neg = sgns_negatives(gen, noise_cdf, params.negative_samples)
+                loss, rows, d_out, d_in = sgns_pair_gradient(
+                    in_vecs, out_vecs, idxs[center_pos], idxs[ctx_pos], neg, lr
+                )
+                np.subtract.at(out_vecs, rows, d_out)
+                in_vecs[idxs[center_pos]] -= d_in
+                loss_sum += loss
+                pair_count += 1
+        emb.epoch_losses.append(loss_sum / pair_count if pair_count else 0.0)
+    return emb

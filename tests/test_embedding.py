@@ -1,15 +1,24 @@
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 import synthdata
+from rnnsent import embedding
+from rnnsent.cli import main
 from rnnsent.corpus import CleanTweet, Vocabulary
 from rnnsent.embedding import (
     EmbeddingFileError,
     EmbeddingMatrix,
     EmbeddingParams,
     UnknownWordError,
+    _draw_negatives,
+    _pair_positions,
+    _PairBatch,
     cosine_similarity,
     load_embeddings,
     load_embeddings_with_tokens,
@@ -120,6 +129,78 @@ def test_subsampling_drops_update_volume():
     )
     assert not np.array_equal(plain.input_vectors, sub.input_vectors)
     assert np.all(np.isfinite(sub.input_vectors))
+
+
+# ---------------------------------------------------------------------------
+# Per-tweet update against the per-pair oracle
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    window=st.integers(1, 5),
+    negatives=st.integers(1, 5),
+    vocab_size=st.integers(1, 4),  # a tweet of up to 12 tokens repeats some
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 7, embedding.SCATTER_PAIRS]),  # pairs per scatter
+)
+@example(n=2, window=1, negatives=3, vocab_size=1, dim=2, seed=0, block=1)  # every negative is its context
+def test_tweet_update_is_sum_of_pair_gradients(n, window, negatives, vocab_size, dim, seed, block):
+    gen = np.random.default_rng(seed)
+    idxs = gen.integers(0, vocab_size, n)
+    in0 = gen.normal(size=(vocab_size, dim))
+    out0 = gen.normal(size=(vocab_size, dim))
+    noise = gen.random(vocab_size) + 0.1
+    noise_cdf = np.cumsum(noise / noise.sum())
+    lr = 0.05
+
+    center_pos, ctx_pos = _pair_positions(n, window)
+    assert list(zip(center_pos, ctx_pos)) == oracle.sgns_pairs(n, window)
+    pairs = len(center_pos)
+    centers, contexts = idxs[center_pos], idxs[ctx_pos]
+
+    negs = _draw_negatives(np.random.default_rng(seed), noise_cdf, pairs, negatives)
+    pair_gen = np.random.default_rng(seed)
+    expected_negs = [oracle.sgns_negatives(pair_gen, noise_cdf, negatives) for _ in range(pairs)]
+    assert np.array_equal(negs, np.array(expected_negs, dtype=np.intp).reshape(pairs, negatives))
+
+    d_in, d_out, expected_loss = np.zeros_like(in0), np.zeros_like(out0), 0.0
+    for c, o, neg in zip(centers, contexts, negs):
+        loss, rows, d_rows, d_center = oracle.sgns_pair_gradient(in0, out0, c, o, neg, lr)
+        np.add.at(d_out, rows, d_rows)
+        d_in[c] += d_center
+        expected_loss += loss
+
+    in_vecs, out_vecs = in0.copy(), out0.copy()
+    with mock.patch.object(embedding, "SCATTER_PAIRS", block):
+        loss = _PairBatch(pairs, negatives, dim).update(in_vecs, out_vecs, centers, contexts, negs, lr)
+    np.testing.assert_allclose(in_vecs, in0 - d_in, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out_vecs, out0 - d_out, rtol=0, atol=1e-12)
+    assert loss == pytest.approx(expected_loss, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "corpus_args, params, seed",
+    [
+        # criterion 08's corpus and settings
+        ({}, EmbeddingParams(dim=10, window=3, negative_samples=4, epochs=6, subsample_threshold=0.0), 13),
+        # test_loss_non_increasing_within_tolerance's
+        (
+            {"words_per_cluster": 6, "sentences": 120, "seed": 5},
+            EmbeddingParams(dim=12, window=3, negative_samples=4, epochs=5, subsample_threshold=0.0),
+            5,
+        ),
+    ],
+)
+def test_loss_curve_within_tolerance_of_per_pair_oracle(corpus_args, params, seed):
+    tweets, vocab = synthdata.two_cluster_corpus(**corpus_args)
+    batched = train_embeddings(tweets, vocab, params, RngState(seed=seed)).epoch_losses
+    per_pair = oracle.sgns_train(tweets, vocab, params, RngState(seed=seed)).epoch_losses
+    assert len(batched) == len(per_pair) == params.epochs
+    for epoch, (got, ref) in enumerate(zip(batched, per_pair)):
+        assert abs(got - ref) <= 0.05 * ref, f"epoch {epoch}: {got} vs per-pair {ref}"
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +359,49 @@ def test_load_non_numeric_value(tmp_path):
     path.write_text("SGNS-EMB v1 1 2\naa 1 oops\n")
     with pytest.raises(EmbeddingFileError, match="corrupt"):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_non_finite_value(tmp_path, value):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"SGNS-EMB v1 2 2\naa 1 2\nbb 3 {value}\n")
+    with pytest.raises(EmbeddingFileError, match=f"{path}: corrupt file: row 1 has a non-finite value"):
+        load_embeddings(path)
+    # the CLI maps the error to a usage failure
+    assert main(["neighbors", "--embeddings", str(path), "--vocab", str(path), "--word", "aa", "--k", "1"]) == 2
+
+
+def test_load_trailing_content(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("SGNS-EMB v1 2 2\naa 1 2\nbb 3 4\n\n  \ncc 5 6\n")
+    with pytest.raises(EmbeddingFileError, match=f"{path}: corrupt file: row 4 follows the 2 declared rows"):
+        load_embeddings(path)
+    assert main(["neighbors", "--embeddings", str(path), "--vocab", str(path), "--word", "aa", "--k", "1"]) == 2
+    # blank lines after the last row are not content
+    path.write_text("SGNS-EMB v1 2 2\naa 1 2\nbb 3 4\n\n")
+    assert load_embeddings_with_tokens(path)[1] == ("aa", "bb")
+
+
+class _FailingRows:
+    """Input vectors whose third row cannot be read, to fail a save midway."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+        self.shape = vectors.shape
+
+    def __getitem__(self, index):
+        if index == 2:
+            raise RuntimeError("write interrupted")
+        return self.vectors[index]
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    emb, vocab = _trained_small()
+    path = tmp_path / "emb.txt"
+    save_embeddings(emb, vocab, path)
+    before = path.read_bytes()
+    emb.input_vectors = _FailingRows(emb.input_vectors * 2.0)
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        save_embeddings(emb, vocab, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
