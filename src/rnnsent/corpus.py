@@ -15,17 +15,38 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 
 class TweetFormatError(ValueError):
     """Raised for malformed input files (bad record, duplicate id, bad vocab line)."""
+
+
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file that replaces `path` only once it is fully written.
+
+    It is written beside the target and renamed over it, so a failed write
+    leaves the previous file as it was and no partial file under the
+    target's name.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -393,15 +414,20 @@ def load_clean_corpus(path: str | Path) -> list[CleanTweet]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise TweetFormatError(f"line {line_no}: expected a JSON object")
             for field in ("id", "timestamp", "tokens"):
                 if field not in record:
                     raise TweetFormatError(f"line {line_no}: missing field {field!r}")
+            tokens = record["tokens"]
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise TweetFormatError(f"line {line_no}: 'tokens' must be a list of strings")
             _check_duplicate(str(record["id"]), line_no, seen)
             tweets.append(
                 CleanTweet(
                     id=str(record["id"]),
                     timestamp=parse_timestamp(str(record["timestamp"])),
-                    tokens=tuple(str(t) for t in record["tokens"]),
+                    tokens=tuple(tokens),
                 )
             )
     return tweets

@@ -7,14 +7,13 @@ uniform in [-0.5/dim, 0.5/dim], output vectors at zero.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary
+from .corpus import CleanTweet, Vocabulary, atomic_writer
 from .numeric import FloatArray, RngState
 
 EMBEDDING_MAGIC = "SGNS-EMB"
@@ -285,23 +284,15 @@ def nearest_neighbors(
 
 def save_embeddings(emb: EmbeddingMatrix, vocab: Vocabulary, path: str | Path) -> None:
     """Header "SGNS-EMB v1 <vocab> <dim>", then one "token v1 .. vd" line per
-    token in vocabulary-index order; 9 significant digits per value."""
+    token in vocabulary-index order; 9 significant digits per value. Written
+    atomically (see corpus.atomic_writer)."""
     if emb.vocab_size != len(vocab):
         raise ValueError(f"embedding has {emb.vocab_size} rows but vocabulary has {len(vocab)}")
-    path = Path(path)
-    # written beside the target and renamed over it, so a failed write leaves
-    # the previous file as it was and no partial file under the target's name
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        with tmp.open("x", encoding="utf-8") as fh:
-            fh.write(f"{EMBEDDING_MAGIC} {EMBEDDING_VERSION} {emb.vocab_size} {emb.dim}\n")
-            for index, token in enumerate(vocab.tokens):
-                values = " ".join(f"{x:.9g}" for x in emb.input_vectors[index])
-                fh.write(f"{token} {values}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_writer(path) as fh:
+        fh.write(f"{EMBEDDING_MAGIC} {EMBEDDING_VERSION} {emb.vocab_size} {emb.dim}\n")
+        for index, token in enumerate(vocab.tokens):
+            values = " ".join(f"{x:.9g}" for x in emb.input_vectors[index])
+            fh.write(f"{token} {values}\n")
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:

@@ -14,13 +14,14 @@ distribution is softmax(W_hy r + b_y).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, atomic_writer
 from .embedding import EmbeddingMatrix
 from .numeric import FloatArray, RngState, dropout_mask, softmax
 
@@ -181,9 +182,37 @@ def init_params(config: ModelConfig, rng: RngState) -> Params:
 
 # Inference runs at most this many sequences through the kernel at once.
 INFER_CHUNK = 64
-# Each weight-gradient product covers at most this many (step, sequence)
-# rows, which bounds the error buffer of backward_batch.
+# The input projection and each weight-gradient product cover at most this
+# many (step, sequence) rows (or one step, if a step has more), which bounds
+# the per-block buffers: forward_batch keeps a block's input projection in the
+# "block" buffer, and backward_batch its tanh slopes there (both ask for the
+# slopes' size, one step's rows more than a block) and its errors in "errors".
 GRAD_ROWS = 256
+
+
+class Workspace:
+    """Grow-only buffers that the kernel reuses from one call to the next.
+
+    A caller that runs many batches creates one and passes it to pad_batch
+    and forward_batch; backward_batch uses the trace's. Buffers are views of
+    the workspace, so a trace stays valid only until the next call on it. A
+    buffer that must grow gets a quarter more than asked, so that batches a
+    little longer than the longest so far do not reallocate it again.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, FloatArray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> FloatArray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size + size // 4)
+        return buffer[:size].reshape(shape)
+
+
+def _buffer(workspace: Workspace | None, name: str, shape: tuple[int, ...]) -> FloatArray:
+    return np.empty(shape) if workspace is None else workspace.take(name, shape)
 
 
 @dataclass
@@ -191,61 +220,109 @@ class BatchTrace:
     """Activations of one minibatch, kept for backward_batch.
 
     Sequences are left-padded to a common length T, so every one ends at
-    column T-1; `valid` is 1.0 on real steps and 0.0 on padding, where the
-    state is held at exactly 0 (= h_0). The backward cell reads the reversed
-    sequences, padded the same way: at step t it reads column
-    `reverse[t]` of `inputs` (column T-1 holds each sequence's first token),
-    and `hidden_bwd` is in that processing order. The hidden states are None
-    in a trace run with keep_states=False.
+    column T-1; the backward cell reads the reversed sequences, padded the
+    same way. Inside the kernel the batch is ordered by length, longest
+    first (`order`), so the sequences active at column t are the first
+    `active[t]` ones, and only those are computed. Their rows are packed
+    column after column: column t's rows start at `offsets[t]`, and row
+    (t, j) of cell c reads row `source[offsets[t] + j, c]` of `inputs`
+    flattened to (T*B, E).
+
+    Slot t of `states` (rows offsets[t]..offsets[t+1]) holds the state that
+    each row of column t starts from (0 for a sequence's first step), and
+    slot T the final states. Cell 0 is the forward cell, cell 1 the backward
+    one. `states` is None in a trace run with keep_states=False.
     """
 
-    inputs: FloatArray              # (T, B, E)
-    valid: FloatArray               # (T, B, 1)
-    reverse: np.ndarray | None      # (T, B) column indices, bidirectional only
-    hidden_fwd: FloatArray | None   # (T, B, H)
-    hidden_bwd: FloatArray | None   # (T, B, H), bidirectional only
-    readout: FloatArray             # (B, R), dropout applied
-    probabilities: FloatArray       # (B, C)
+    order: np.ndarray               # (B,) batch position of each sorted sequence
+    active: np.ndarray              # (T+1,) rows of each column; active[T] = B
+    offsets: np.ndarray             # (T+2,) packed row where each column starts
+    inputs: FloatArray              # (T, B, E) as passed in
+    source: np.ndarray              # (N, cells) packed row -> row of inputs
+    states: FloatArray | None       # (N+B, cells, H)
+    readout: FloatArray             # (B, R), caller's order, dropout applied
+    probabilities: FloatArray       # (B, C), caller's order
     dropout_masks: FloatArray | None  # (B, R)
+    workspace: Workspace | None
+
+    @property
+    def steps(self) -> int:
+        return len(self.active) - 1
+
+    def _hidden(self, cell: int) -> FloatArray | None:
+        """(T, B, H) states of one cell in the caller's order, 0 on padding."""
+        if self.states is None or cell >= self.states.shape[1]:
+            return None
+        steps, batch = self.steps, len(self.order)
+        hidden = np.zeros((steps, batch, self.states.shape[2]))
+        column, row = np.nonzero(np.arange(batch) < self.active[:steps, None])
+        hidden[column, self.order[row]] = self.states[self.offsets[column + 1] + row, cell]
+        return hidden
+
+    @property
+    def hidden_fwd(self) -> FloatArray | None:
+        return self._hidden(0)
+
+    @property
+    def hidden_bwd(self) -> FloatArray | None:
+        """In the backward cell's processing order (see BatchTrace)."""
+        return self._hidden(1)
 
 
-def pad_batch(sequences: Sequence[FloatArray]) -> tuple[FloatArray, np.ndarray]:
+def pad_batch(
+    sequences: Sequence[FloatArray], workspace: Workspace | None = None
+) -> tuple[FloatArray, np.ndarray]:
     """Left-pad (L_i, E) sequences into a zero-filled (T, B, E) tensor with
     T = max L_i; returns it with the lengths."""
     lengths = np.array([len(seq) for seq in sequences])
     steps = int(lengths.max())
-    inputs = np.zeros((steps, len(sequences), np.shape(sequences[0])[1]))
+    inputs = _buffer(workspace, "padded", (steps, len(sequences), np.shape(sequences[0])[1]))
+    inputs.fill(0.0)
     for b, seq in enumerate(sequences):
         inputs[steps - len(seq) :, b] = seq
     return inputs, lengths
 
 
-def _cell_inputs(inputs: FloatArray, order: np.ndarray | None, lo: int, hi: int) -> FloatArray:
-    """A cell's inputs at steps lo..hi-1: columns of `inputs`, read through
-    `order` (T, B) for the backward cell."""
-    if order is None:
-        return inputs[lo:hi]
-    return inputs[order[lo:hi], np.arange(inputs.shape[1])]
+def _cells(config: ModelConfig) -> tuple[str, ...]:
+    return ("",) if config.direction == STANDARD else ("fwd.", "bwd.")
 
 
-def _run_cell(
-    arrays: dict[str, FloatArray],
-    prefix: str,
-    inputs: FloatArray,
-    order: np.ndarray | None,
-    valid: FloatArray,
-    states: FloatArray | None,
+def _stacked(
+    arrays: dict[str, FloatArray], prefixes: tuple[str, ...], name: str, transpose: bool = False
 ) -> FloatArray:
-    """Run one cell over left-padded inputs from h_0 = 0 and return the final
-    (B, H) state; every state is also written to `states` when given."""
-    w_xh_t, w_hh_t, b_h = arrays[prefix + "w_xh"].T, arrays[prefix + "w_hh"].T, arrays[prefix + "b_h"]
-    h = np.zeros((inputs.shape[1], b_h.shape[0]))
-    for t in range(inputs.shape[0]):
-        x = _cell_inputs(inputs, order, t, t + 1)[0]
-        h = np.tanh(x @ w_xh_t + h @ w_hh_t + b_h) * valid[t]
-        if states is not None:
-            states[t] = h
-    return h
+    """One parameter of every cell as a contiguous (cells, ...) array, its
+    matrices transposed on request (BLAS runs faster on a contiguous copy
+    than on a transposed view)."""
+    return np.array([arrays[prefix + name].T if transpose else arrays[prefix + name] for prefix in prefixes])
+
+
+def _blocks(offsets: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
+    """Split columns lo..hi-1 into runs of whole columns of at most GRAD_ROWS
+    packed rows each (a longer column is a run of its own)."""
+    blocks, first = [], lo
+    for t in range(lo + 1, hi):
+        if offsets[t + 1] - offsets[first] > GRAD_ROWS:
+            blocks.append((first, t))
+            first = t
+    blocks.append((first, hi))
+    return blocks
+
+
+def _block_rows(batch: int) -> int:
+    """The most packed rows a block of _blocks can hold."""
+    return max(GRAD_ROWS, batch)
+
+
+def _gather(inputs: FloatArray, source: np.ndarray, out: FloatArray) -> FloatArray:
+    """The packed rows `source` (n, cells) of a (T, B, E) batch, into out[:n]."""
+    rows = out[: len(source)]
+    np.take(inputs.reshape(-1, inputs.shape[2]), source, axis=0, out=rows, mode="clip")
+    return rows
+
+
+def _by_cell(rows: FloatArray) -> FloatArray:
+    """(n, cells, X) rows as a (cells, n, X) stack of matrices (a view)."""
+    return rows.transpose(1, 0, 2)
 
 
 def forward_batch(
@@ -255,32 +332,78 @@ def forward_batch(
     lengths: np.ndarray,
     dropout_masks: FloatArray | None = None,
     keep_states: bool = True,
+    workspace: Workspace | None = None,
 ) -> BatchTrace:
     """Run the classifier over a left-padded (T, B, E) batch (see pad_batch).
 
     `dropout_masks` (B, R) multiplies the readout (train mode). With
     keep_states=False only the running state is kept (inference); such a
-    trace cannot be passed to backward_batch.
+    trace cannot be passed to backward_batch. Buffers come from `workspace`
+    when given (see Workspace), else they are allocated for this call.
     """
-    steps, batch, _ = inputs.shape
-    start = steps - np.asarray(lengths)
-    column = np.arange(steps)[:, None]
-    valid = (column >= start).astype(np.float64)[:, :, None]
+    steps, batch, emb_dim = inputs.shape
+    prefixes = _cells(config)
+    cells, hidden = len(prefixes), config.hidden_size
+    lengths = np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    start = steps - lengths[order]
+    column, row = np.nonzero(np.arange(steps)[:, None] >= start)
+    active = np.append(np.bincount(column, minlength=steps), batch)
+    offsets = np.concatenate(([0], np.cumsum(active)))
+    act, off = active.tolist(), offsets.tolist()
+    rows = off[steps]
 
-    shape = (steps, batch, config.hidden_size)
-    hidden_fwd = np.empty(shape) if keep_states else None
-    prefix = "" if config.direction == STANDARD else "fwd."
-    readout = _run_cell(arrays, prefix, inputs, None, valid, hidden_fwd)
-    reverse = hidden_bwd = None
-    if config.direction == BIDIRECTIONAL:
-        # step j of reversed sequence b sits at column start_b + j and reads
-        # x_{L_b - j}, which the forward layout holds at column T-1-j
-        reverse = np.where(column >= start, start + steps - 1 - column, column)
-        hidden_bwd = np.empty(shape) if keep_states else None
-        readout = np.concatenate([readout, _run_cell(arrays, "bwd.", inputs, reverse, valid, hidden_bwd)], axis=1)
+    # row (t, j) of the forward cell reads column t of sorted sequence j; step
+    # t of the reversed sequence reads x_{L-(t-start)}, which the forward
+    # layout holds at column start + T-1-t
+    source = np.empty((rows, cells), dtype=np.int64)
+    source[:, 0] = column * batch + order[row]
+    if cells == 2:
+        source[:, 1] = (start[row] + steps - 1 - column) * batch + order[row]
 
+    w_xh_t = _stacked(arrays, prefixes, "w_xh", transpose=True)
+    w_hh_t = _stacked(arrays, prefixes, "w_hh", transpose=True)
+    b_h = _stacked(arrays, prefixes, "b_h")
+    blocks = _blocks(off, 0, steps)
+    projection = _buffer(workspace, "block", (_block_rows(batch) + batch, cells, hidden))
+    block_inputs = _buffer(workspace, "block_inputs", (_block_rows(batch), cells, emb_dim))
+    if keep_states:
+        # sized for the padded batch, so that batches of the same shape never
+        # grow it; only the rows in use are ever touched
+        states = _buffer(workspace, "states", ((steps + 1) * batch, cells, hidden))[: rows + batch]
+
+        def slot(t: int) -> FloatArray:
+            return states[off[t] : off[t + 1]]
+    else:
+        states = None
+        running = _buffer(workspace, "running", (2, batch, cells, hidden))
+
+        def slot(t: int) -> FloatArray:
+            return running[t % 2, : act[t]]
+
+    slot(0).fill(0.0)
+    for lo, hi in blocks:
+        base = off[lo]
+        proj = projection[: off[hi] - base]
+        # the input projection of every step of the block, bias included
+        np.matmul(_by_cell(_gather(inputs, source[base : off[hi]], block_inputs)), w_xh_t, out=_by_cell(proj))
+        proj += b_h
+        for t in range(lo, hi):
+            n = act[t]
+            cur = slot(t + 1)
+            h = cur[:n]
+            np.matmul(_by_cell(slot(t)), w_hh_t, out=_by_cell(h))
+            h += proj[off[t] - base : off[t + 1] - base]
+            np.tanh(h, out=h)
+            if act[t + 1] > n:
+                # the sequences that start at column t+1 start from h_0 = 0
+                cur[n:].fill(0.0)
+
+    # the final states in the caller's order: [h_fwd ; h_bwd] per sequence
+    readout = np.empty((batch, cells * hidden))
+    readout[order] = slot(steps).reshape(batch, cells * hidden)
     if dropout_masks is not None:
-        readout = readout * dropout_masks
+        readout *= dropout_masks
     w_hy = arrays["w_hy"]
     if config.direction == STANDARD:
         logits = readout @ w_hy.T + arrays["b_y"]
@@ -288,61 +411,19 @@ def forward_batch(
         # per-direction half products: a bidirectional net whose backward cell
         # and backward readout columns are zero then reproduces the standard
         # net's output bit for bit
-        h = config.hidden_size
-        logits = readout[:, :h] @ w_hy[:, :h].T + readout[:, h:] @ w_hy[:, h:].T + arrays["b_y"]
+        logits = readout[:, :hidden] @ w_hy[:, :hidden].T + readout[:, hidden:] @ w_hy[:, hidden:].T + arrays["b_y"]
     return BatchTrace(
+        order=order,
+        active=active,
+        offsets=offsets,
         inputs=inputs,
-        valid=valid,
-        reverse=reverse,
-        hidden_fwd=hidden_fwd,
-        hidden_bwd=hidden_bwd,
+        source=source,
+        states=states,
         readout=readout,
         probabilities=softmax(logits),
         dropout_masks=dropout_masks,
+        workspace=workspace,
     )
-
-
-def _cell_backward(
-    w_hh: FloatArray,
-    states: FloatArray,
-    inputs: FloatArray,
-    order: np.ndarray | None,
-    valid: FloatArray,
-    d_last: FloatArray,
-    limit: int,
-) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """Backpropagate a (B, H) error on the final states through the last
-    `limit` columns; parameter gradients summed over the batch.
-
-    tanh'(a_t) is evaluated as 1 - h_t^2. Padded steps have valid = 0, so no
-    error reaches them: a sequence shorter than `limit` gets its full BPTT.
-    The weight gradients are products over batch and time, GRAD_ROWS
-    (step, sequence) rows at a time.
-    """
-    steps, batch, hidden = states.shape
-    lo = steps - limit
-    block = max(1, GRAD_ROWS // batch)
-    da = np.empty((min(block, limit), batch, hidden))
-    d_w_xh = np.zeros((hidden, inputs.shape[2]))
-    d_w_hh = np.zeros((hidden, hidden))
-    d_b_h = np.zeros(hidden)
-    dh = d_last
-    for hi in range(steps, lo, -block):
-        first = max(lo, hi - block)
-        for t in range(hi - 1, first - 1, -1):
-            h = states[t]
-            da[t - first] = dh * (1.0 - h * h) * valid[t]
-            if t > lo:
-                dh = da[t - first] @ w_hh
-        errors = da[: hi - first]
-        flat = errors.reshape(-1, hidden)
-        d_w_xh += flat.T @ _cell_inputs(inputs, order, first, hi).reshape(-1, inputs.shape[2])
-        # column t reads the state of column t-1 (h_0 = 0 before column 0)
-        d_w_hh += errors[1:].reshape(-1, hidden).T @ states[first : hi - 1].reshape(-1, hidden)
-        if first > 0:
-            d_w_hh += errors[0].T @ states[first - 1]
-        d_b_h += flat.sum(axis=0)
-    return d_w_xh, d_w_hh, d_b_h
 
 
 def backward_batch(
@@ -354,11 +435,19 @@ def backward_batch(
 ) -> dict[str, FloatArray]:
     """Cross-entropy gradients summed over the batch, through every timestep
     (k=None) or the last k columns, which are the last k steps of every
-    sequence."""
-    if trace.hidden_fwd is None:
+    sequence.
+
+    tanh'(a_t) is evaluated as 1 - h_t^2. Only active rows carry error, so a
+    sequence shorter than the window gets its full BPTT. The weight gradients
+    are products over batch and time, GRAD_ROWS packed rows at a time.
+    """
+    if trace.states is None:
         raise ValueError("backward needs a trace run with keep_states=True")
-    steps = trace.inputs.shape[0]
-    limit = steps if k is None else min(k, steps)
+    steps, batch = trace.steps, len(trace.order)
+    lo = steps - (steps if k is None else min(k, steps))
+    prefixes = _cells(config)
+    cells, hidden = len(prefixes), config.hidden_size
+    act, off, states = trace.active.tolist(), trace.offsets.tolist(), trace.states
 
     # softmax + cross-entropy collapses to (p - onehot) at the logits
     dlogits = trace.probabilities.copy()
@@ -367,17 +456,41 @@ def backward_batch(
     if trace.dropout_masks is not None:
         dr = dr * trace.dropout_masks
 
-    if config.direction == STANDARD:
-        cells = [("", trace.hidden_fwd, None, dr)]
-    else:
-        h = config.hidden_size
-        cells = [("fwd.", trace.hidden_fwd, None, dr[:, :h]), ("bwd.", trace.hidden_bwd, trace.reverse, dr[:, h:])]
+    w_hh = _stacked(arrays, prefixes, "w_hh")
+    d_w_xh = np.zeros((cells, hidden, config.embedding_dim))
+    d_w_hh = np.zeros((cells, hidden, hidden))
+    d_b_h = np.zeros((cells, hidden))
+    blocks = _blocks(off, lo, steps)
+    errors = _buffer(trace.workspace, "errors", (_block_rows(batch), cells, hidden))
+    block_inputs = _buffer(trace.workspace, "block_inputs", (_block_rows(batch), cells, config.embedding_dim))
+    slopes = _buffer(trace.workspace, "block", (_block_rows(batch) + batch, cells, hidden))
+    dh = _buffer(trace.workspace, "dh", (batch, cells, hidden))
+    dh[:] = dr[trace.order].reshape(batch, cells, hidden)
+    for first, hi in reversed(blocks):
+        base = off[first]
+        block = errors[: off[hi] - base]
+        # tanh'(a_t) = 1 - h_t^2 over the block's states (slots first+1..hi)
+        top = off[first + 1]
+        slope = slopes[: off[hi + 1] - top]
+        np.multiply(states[top : off[hi + 1]], states[top : off[hi + 1]], out=slope)
+        np.subtract(1.0, slope, out=slope)
+        for t in range(hi - 1, first - 1, -1):
+            da = block[off[t] - base : off[t + 1] - base]
+            # h_t is the first act[t] rows of slot t+1
+            row = off[t + 1] - top
+            np.multiply(slope[row : row + act[t]], dh[: act[t]], out=da)
+            if t > lo:
+                n = act[t - 1]
+                np.matmul(_by_cell(da[:n]), w_hh, out=_by_cell(dh[:n]))
+        by_cell = block.transpose(1, 2, 0)
+        d_w_xh += by_cell @ _by_cell(_gather(trace.inputs, trace.source[base : off[hi]], block_inputs))
+        # slot t holds the state that each row of column t started from
+        d_w_hh += by_cell @ _by_cell(states[base : off[hi]])
+        d_b_h += block.sum(axis=0)
+
     grads = {}
-    for prefix, states, order, d_last in cells:
-        d_w_xh, d_w_hh, d_b_h = _cell_backward(
-            arrays[prefix + "w_hh"], states, trace.inputs, order, trace.valid, d_last, limit
-        )
-        grads.update({prefix + "w_xh": d_w_xh, prefix + "w_hh": d_w_hh, prefix + "b_h": d_b_h})
+    for c, prefix in enumerate(prefixes):
+        grads.update({prefix + "w_xh": d_w_xh[c], prefix + "w_hh": d_w_hh[c], prefix + "b_h": d_b_h[c]})
     grads["w_hy"] = dlogits.T @ trace.readout
     grads["b_y"] = dlogits.sum(axis=0)
     return grads
@@ -400,7 +513,7 @@ class ForwardTrace:
     batch: BatchTrace
 
     def __len__(self) -> int:
-        return self.batch.inputs.shape[0]
+        return self.batch.steps
 
     @property
     def hidden_fwd(self) -> FloatArray:
@@ -471,7 +584,7 @@ def _backward(
     seq = _check_sequence(config, sequence)
     if len(trace) != len(seq):
         raise ValueError(f"trace covers {len(trace)} timesteps but the sequence has {len(seq)}")
-    if (trace.hidden_bwd is None) != (config.direction == STANDARD):
+    if (trace.batch.source.shape[1] == 1) != (config.direction == STANDARD):
         raise ValueError("trace direction does not match the config")
     if not 0 <= target_class < config.num_classes:
         raise IndexError(f"target class {target_class} out of range for {config.num_classes} classes")
@@ -530,22 +643,6 @@ def embed_tokens(
     return list(emb.input_vectors[token_rows(vocab, tokens)])
 
 
-def _predict_chunk(
-    arrays: dict[str, FloatArray],
-    config: ModelConfig,
-    emb: EmbeddingMatrix,
-    vocab: Vocabulary,
-    token_lists: Sequence[Sequence[str]],
-) -> tuple[FloatArray, np.ndarray]:
-    sequences = [emb.input_vectors[token_rows(vocab, tokens)] for tokens in token_lists]
-    known = np.array([len(seq) > 0 for seq in sequences])
-    probabilities = np.zeros((len(sequences), config.num_classes))
-    if known.any():
-        inputs, lengths = pad_batch([seq for seq in sequences if len(seq)])
-        probabilities[known] = forward_batch(arrays, config, inputs, lengths, keep_states=False).probabilities
-    return probabilities, known
-
-
 def predict_many(
     params: Params,
     config: ModelConfig,
@@ -556,15 +653,24 @@ def predict_many(
     """Class probabilities (N, C) of N token lists, and a boolean mask of the
     lists with at least one in-vocabulary token (the other rows are 0).
 
-    Runs the kernel in inference mode on INFER_CHUNK lists at a time, so
-    memory is bounded by one chunk's padded inputs and running states.
+    The lists with such a token are run longest first, INFER_CHUNK at a time,
+    so each chunk pads little; the kernel runs in inference mode on one
+    workspace, so memory is bounded by one chunk's padded inputs and running
+    states. The results are scattered back to the caller's order.
     """
     arrays = _param_arrays(params, config)
+    rows = [token_rows(vocab, tokens) for tokens in token_lists]
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    known = lengths > 0
     probabilities = np.zeros((len(token_lists), config.num_classes))
-    known = np.zeros(len(token_lists), dtype=bool)
-    for lo in range(0, len(token_lists), INFER_CHUNK):
-        hi = lo + INFER_CHUNK
-        probabilities[lo:hi], known[lo:hi] = _predict_chunk(arrays, config, emb, vocab, token_lists[lo:hi])
+    live = np.flatnonzero(known)
+    live = live[np.argsort(-lengths[live], kind="stable")]
+    workspace = Workspace()
+    for lo in range(0, len(live), INFER_CHUNK):
+        chunk = live[lo : lo + INFER_CHUNK]
+        inputs, chunk_lengths = pad_batch([emb.input_vectors[rows[i]] for i in chunk], workspace)
+        trace = forward_batch(arrays, config, inputs, chunk_lengths, keep_states=False, workspace=workspace)
+        probabilities[chunk] = trace.probabilities
     return probabilities, known
 
 
@@ -604,13 +710,14 @@ _CONFIG_FIELDS = (
 def save_model(params: Params, config: ModelConfig, path: str | Path) -> None:
     """Text format: "RNN-SENT v1" header, config block, then each parameter as
     a "param <name> <shape...>" line followed by row-major values at 17
-    significant digits (lossless for float64)."""
+    significant digits (lossless for float64). Written atomically (see
+    corpus.atomic_writer)."""
     arrays = as_param_dict(params)
     expected = param_shapes(config)
     for name, arr in arrays.items():
         if arr.shape != expected[name]:
             raise ValueError(f"parameter {name!r} has shape {arr.shape}, config implies {expected[name]}")
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         fh.write(f"direction {config.direction}\n")
         fh.write(f"hidden_size {config.hidden_size}\n")
@@ -659,6 +766,7 @@ def load_model(path: str | Path) -> tuple[Params, ModelConfig]:
 
         expected = param_shapes(config)
         arrays: dict[str, FloatArray] = {}
+        lines_read = 1 + len(_CONFIG_FIELDS)
         for name, shape in expected.items():
             head = fh.readline().split()
             if len(head) != 2 + len(shape) or head[0] != "param" or head[1] != name:
@@ -679,6 +787,12 @@ def load_model(path: str | Path) -> tuple[Params, ModelConfig]:
                     rows.append([float(x) for x in line])
                 except ValueError as exc:
                     raise ModelFileError(f"{path}: corrupt file: non-numeric value in {name!r}") from exc
+                if not np.isfinite(rows[-1]).all():
+                    raise ModelFileError(f"{path}: corrupt file: row {r} of {name!r} has a non-finite value")
+            lines_read += 1 + n_rows
             arr = np.array(rows)
             arrays[name] = arr if len(shape) == 2 else arr[0]
+        for line_no, line in enumerate(fh, start=lines_read + 1):
+            if line.strip():
+                raise ModelFileError(f"{path}: corrupt file: line {line_no} follows the last parameter row")
     return params_from_dict(arrays, config.direction), config

@@ -118,11 +118,13 @@ def global_norm(grads: GradientSet) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradients(grads: GradientSet, max_norm: float) -> GradientSet:
-    """Scale all gradients by max_norm/norm when the global L2 norm exceeds max_norm."""
+def clip_gradients(grads: GradientSet, max_norm: float, norm: float | None = None) -> GradientSet:
+    """Scale all gradients by max_norm/norm when the global L2 norm exceeds
+    max_norm. A caller that already has global_norm(grads) passes it as `norm`."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    norm = global_norm(grads)
+    if norm is None:
+        norm = global_norm(grads)
     if norm <= max_norm:
         return dict(grads)
     scale = max_norm / norm

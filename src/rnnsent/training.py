@@ -34,6 +34,7 @@ from .model import (
     STANDARD,
     ModelConfig,
     Params,
+    Workspace,
     as_param_dict,
     backward_batch,
     forward_batch,
@@ -42,7 +43,7 @@ from .model import (
     params_from_dict,
     token_rows,
 )
-from .numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
+from .numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, global_norm, sgd_step
 
 TASK_FINE = "fine_grained"
 TASK_BINARY = "binary"
@@ -327,7 +328,8 @@ def train(
     gradients (one batched kernel call per minibatch), clip to clip_norm, take
     one step. Deterministic given the seed.
 
-    Raises ValueError naming the epoch and batch whose loss is not finite."""
+    Raises ValueError naming the epoch and batch whose loss or gradient is
+    not finite."""
     started = time.perf_counter()
     classes = _check_train_inputs(data, emb, vocab, model_cfg, train_cfg)
     class_index = {c: i for i, c in enumerate(classes)}
@@ -349,6 +351,7 @@ def train(
     k = None if model_cfg.bptt_mode == BPTT_FULL else model_cfg.bptt_k
 
     n = len(rows)
+    workspace = Workspace()
     epoch_losses: list[float] = []
     epoch_accuracies: list[float] = []
     best_loss = math.inf
@@ -366,8 +369,8 @@ def train(
                     [dropout_mask(model_cfg.readout_size, rate, root.child(2, epoch, start + pos))
                      for pos in range(len(batch))]
                 )
-            inputs, lengths = pad_batch([emb.input_vectors[rows[i]] for i in batch])
-            trace = forward_batch(arrays, model_cfg, inputs, lengths, masks)
+            inputs, lengths = pad_batch([emb.input_vectors[rows[i]] for i in batch], workspace)
+            trace = forward_batch(arrays, model_cfg, inputs, lengths, masks, workspace=workspace)
             y = targets[batch]
             batch_losses = -np.log(np.maximum(trace.probabilities[np.arange(len(batch)), y], PROB_FLOOR))
             if not np.isfinite(batch_losses.sum()):
@@ -377,10 +380,15 @@ def train(
             losses.append(batch_losses)
             correct += int(np.sum(np.argmax(trace.probabilities, axis=1) == y))
             grads = backward_batch(arrays, model_cfg, trace, y, k)
-            # free this batch's activations before the next batch allocates its own
+            # the trace's arrays are views of the workspace, which the next batch overwrites
             del trace, inputs
             mean = {name: g / len(batch) for name, g in grads.items()}
-            arrays = sgd_step(arrays, clip_gradients(mean, train_cfg.clip_norm), train_cfg.learning_rate)
+            norm = global_norm(mean)
+            if not math.isfinite(norm):
+                raise ValueError(
+                    f"training diverged: epoch {epoch + 1}, batch {number} has gradient norm {norm}"
+                )
+            arrays = sgd_step(arrays, clip_gradients(mean, train_cfg.clip_norm, norm), train_cfg.learning_rate)
 
         epoch_loss = math.fsum(np.concatenate(losses)) / n
         epoch_losses.append(epoch_loss)
@@ -392,6 +400,7 @@ def train(
             if stall >= EARLY_STOP_PATIENCE:
                 break
 
+    del workspace  # free the training buffers before evaluation allocates its own
     final = params_from_dict(arrays, model_cfg.direction)
     cm, metrics = evaluate(final, model_cfg, emb, vocab, data.test, classes=classes)
     report = TrainReport(

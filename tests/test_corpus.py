@@ -351,3 +351,29 @@ def test_clean_corpus_round_trip(tmp_path):
     save_clean_corpus(clean, path)
     loaded = load_clean_corpus(path)
     assert loaded == clean
+
+
+def _embed_exit_code(corpus_path, tmp_path):
+    from rnnsent.cli import main
+
+    return main(["embed", "--corpus", str(corpus_path), "--vocab", str(tmp_path / "missing.tsv"),
+                 "--output", str(tmp_path / "emb.txt")])
+
+
+@pytest.mark.parametrize("record", ["7", '"text"', "null", '["t1", "2013-11-08T00:00:00+00:00"]'])
+def test_load_clean_corpus_rejects_non_object_line(tmp_path, record):
+    path = tmp_path / "clean.jsonl"
+    path.write_text('{"id": "t1", "timestamp": "2013-11-08T00:00:00+00:00", "tokens": ["bagyo"]}\n' + record + "\n")
+    with pytest.raises(TweetFormatError, match="line 2: expected a JSON object"):
+        load_clean_corpus(path)
+    # a usage failure, not an internal error
+    assert _embed_exit_code(path, tmp_path) == 2
+
+
+@pytest.mark.parametrize("tokens", ['"bagyo"', '["bagyo", 3]', '{"bagyo": 1}', "null", '[["bagyo"]]'])
+def test_load_clean_corpus_rejects_tokens_not_a_list_of_strings(tmp_path, tokens):
+    path = tmp_path / "clean.jsonl"
+    path.write_text('{"id": "t1", "timestamp": "2013-11-08T00:00:00+00:00", "tokens": ' + tokens + "}\n")
+    with pytest.raises(TweetFormatError, match="line 1: 'tokens' must be a list of strings"):
+        load_clean_corpus(path)
+    assert _embed_exit_code(path, tmp_path) == 2

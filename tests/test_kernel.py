@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 import synthdata
-from rnnsent import model
+from rnnsent import model, training
 from rnnsent.analysis import classify_corpus
 from rnnsent.corpus import CleanTweet
 from rnnsent.evaluation import FINE_CLASSES, evaluate
@@ -21,6 +21,7 @@ from rnnsent.model import (
     STANDARD,
     AllTokensUnknownError,
     ModelConfig,
+    Workspace,
     as_param_dict,
     backward_batch,
     backward_truncated,
@@ -29,6 +30,7 @@ from rnnsent.model import (
     init_params,
     pad_batch,
     predict,
+    predict_many,
 )
 from rnnsent.numeric import RngState, dropout_mask
 from rnnsent.training import TrainConfig, split, train
@@ -97,6 +99,125 @@ def test_batch_matches_per_example_oracle(case):
     assert grads.keys() == expected.keys()
     for name in expected:
         assert _max_diff(grads[name], expected[name]) <= TOLERANCE, name
+
+
+@st.composite
+def ordered_cases(draw):
+    """A batch whose lengths are sorted longest first, shortest first, or
+    all tied, or are a shuffled mix of repeated lengths."""
+    kind = draw(st.sampled_from(["descending", "ascending", "tied", "repeats"]))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=2, max_size=7))
+    if kind == "descending":
+        lengths = sorted(lengths, reverse=True)
+    elif kind == "ascending":
+        lengths = sorted(lengths)
+    elif kind == "tied":
+        lengths = [lengths[0]] * len(lengths)
+    else:
+        lengths = draw(st.permutations(lengths[: len(lengths) // 2 + 1] * 2))
+    return {
+        "lengths": lengths,
+        "direction": draw(st.sampled_from([STANDARD, BIDIRECTIONAL])),
+        "k": draw(st.one_of(st.none(), st.integers(1, max(lengths) + 1))),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordered_cases())
+@example({"lengths": [5, 5, 3, 3, 1], "direction": BIDIRECTIONAL, "k": 2, "seed": 3})
+@example({"lengths": [1, 2, 4, 8], "direction": BIDIRECTIONAL, "k": None, "seed": 4})
+@example({"lengths": [6, 6, 6], "direction": STANDARD, "k": 4, "seed": 5})
+def test_batch_matches_oracle_in_any_length_order(case):
+    config = ModelConfig(embedding_dim=3, hidden_size=4, dropout_rate=0.5, direction=case["direction"])
+    root = RngState(seed=case["seed"])
+    arrays = as_param_dict(init_params(config, root.child(0)))
+    gen = root.child(1).generator()
+    sequences = [gen.normal(scale=0.8, size=(n, 3)) for n in case["lengths"]]
+    targets = gen.integers(3, size=len(sequences))
+    masks = np.stack([dropout_mask(config.readout_size, 0.5, root.child(2, b)) for b in range(len(sequences))])
+
+    inputs, lengths = pad_batch(sequences)
+    trace = forward_batch(arrays, config, inputs, lengths, masks)
+    grads = backward_batch(arrays, config, trace, targets, case["k"])
+
+    steps = inputs.shape[0]
+    expected = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    for b, seq in enumerate(sequences):
+        hidden_fwd, hidden_bwd, readout, probs = oracle.forward(arrays, config, seq, masks[b])
+        # everything the kernel returns is in the caller's order
+        assert _max_diff(trace.probabilities[b], probs) <= TOLERANCE
+        assert _max_diff(trace.readout[b], readout) <= TOLERANCE
+        assert _max_diff(trace.hidden_fwd[steps - len(seq) :, b], hidden_fwd) <= TOLERANCE
+        assert not trace.hidden_fwd[: steps - len(seq), b].any()
+        if hidden_bwd is not None:
+            assert _max_diff(trace.hidden_bwd[steps - len(seq) :, b], hidden_bwd) <= TOLERANCE
+            assert not trace.hidden_bwd[: steps - len(seq), b].any()
+        for name, g in oracle.gradients(arrays, config, seq, targets[b], masks[b], case["k"])[1].items():
+            expected[name] += g
+    for name in expected:
+        assert _max_diff(grads[name], expected[name]) <= TOLERANCE, name
+
+
+def _batch_arrays(trace, grads):
+    arrays = {"probabilities": trace.probabilities, "readout": trace.readout,
+              "hidden_fwd": trace.hidden_fwd, "hidden_bwd": trace.hidden_bwd}
+    arrays.update(grads or {})
+    return arrays
+
+
+@pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])
+@pytest.mark.parametrize("keep_states", [True, False])
+def test_reused_workspace_matches_fresh_buffers(direction, keep_states):
+    config = ModelConfig(embedding_dim=3, hidden_size=5, dropout_rate=0.5, direction=direction)
+    arrays = as_param_dict(init_params(config, RngState(seed=30)))
+    gen = RngState(seed=31).generator()
+    # T grows, shrinks, grows past every earlier batch, then a short last batch
+    batches = [[4, 9, 2, 9], [3, 1, 2, 3], [17, 5, 11, 1, 8, 17], [2, 6]]
+    workspace = Workspace()
+    for number, batch_lengths in enumerate(batches):
+        sequences = [gen.normal(scale=0.8, size=(n, 3)) for n in batch_lengths]
+        targets = gen.integers(3, size=len(sequences))
+        masks = np.stack([dropout_mask(config.readout_size, 0.5, RngState(seed=40 + number * 10 + b))
+                          for b in range(len(sequences))])
+        results = []
+        for ws in (None, workspace):
+            inputs, lengths = pad_batch(sequences, ws)
+            trace = forward_batch(arrays, config, inputs, lengths, masks, keep_states=keep_states, workspace=ws)
+            grads = backward_batch(arrays, config, trace, targets, 3) if keep_states else None
+            results.append(_batch_arrays(trace, grads))
+        fresh, reused = results
+        assert fresh.keys() == reused.keys()
+        for name in fresh:
+            if fresh[name] is None:
+                assert reused[name] is None, name
+            else:
+                assert np.array_equal(fresh[name], reused[name]), (number, name)
+
+
+def test_predict_many_keeps_caller_order():
+    data, emb, vocab = _run_world(seed=75)
+    config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=BIDIRECTIONAL)
+    params = init_params(config, RngState(seed=76))
+    tweets = [ex.tweet for ex in data.train + data.test]
+    gen = RngState(seed=77).generator()
+    token_lists = []
+    for i in range(INFER_CHUNK + 40):
+        base = tweets[int(gen.integers(len(tweets)))].tokens
+        # unsorted lengths, with all-OOV lists interleaved
+        tokens = list(base) * int(gen.integers(1, 4)) if i % 5 else ["ghostword"] * int(gen.integers(1, 4))
+        token_lists.append(tokens[: int(gen.integers(1, len(tokens) + 1))])
+    lengths = [sum(t in vocab for t in tokens) for tokens in token_lists]
+    assert lengths != sorted(lengths) and lengths != sorted(lengths, reverse=True)
+
+    probabilities, known = predict_many(params, config, emb, vocab, token_lists)
+    assert list(known) == [n > 0 for n in lengths]
+    for tokens, probs, live in zip(token_lists, probabilities, known):
+        single = _predict_one(params, config, emb, vocab, tokens)
+        if not live:
+            assert single is None and not probs.any()
+            continue
+        assert _max_diff(probs, single[1]) <= TOLERANCE
 
 
 @pytest.mark.parametrize("k", [None, 2, 11])
@@ -186,6 +307,26 @@ def test_train_raises_at_first_nonfinite_batch():
     single = TrainConfig(batch_size=len(data.train), learning_rate=math.inf, epochs=3, seed=1)
     with pytest.raises(ValueError, match=r"diverged: epoch 2, batch 1 "):
         train(data, emb, vocab, model_cfg, single)
+
+
+def test_train_raises_at_first_nonfinite_gradient(monkeypatch):
+    data, emb, vocab = _run_world()
+    model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=6)
+    calls = []
+
+    def backward_with_nan(*args, **kwargs):
+        grads = backward_batch(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:
+            grads["w_hh"][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "backward_batch", backward_with_nan)
+    # 24 training examples in batches of 4: the third backward is epoch 1's third batch
+    cfg = TrainConfig(batch_size=4, epochs=2, seed=1)
+    with pytest.raises(ValueError, match=r"training diverged: epoch 1, batch 3 has gradient norm nan"):
+        train(data, emb, vocab, model_cfg, cfg)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

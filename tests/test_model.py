@@ -570,3 +570,58 @@ def test_load_non_numeric_value(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ModelFileError, match="non-numeric"):
         load_model(path)
+
+
+def _eval_exit_code(model_path, tmp_path):
+    from rnnsent.cli import main
+
+    missing = tmp_path / "missing"
+    return main(["eval", "--model", str(model_path), "--corpus", str(missing), "--annotations", str(missing),
+                 "--embeddings", str(missing), "--output", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_non_finite_value(tmp_path, value):
+    path = _saved_model(tmp_path)
+    lines = path.read_text().splitlines()
+    # the b_y block is last: its one row of values is the last line
+    lines[-1] = " ".join(lines[-1].split()[:-1] + [value])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFileError, match=f"{path}: corrupt file: row 0 of 'b_y' has a non-finite value"):
+        load_model(path)
+    # the CLI maps the error to a usage failure
+    assert _eval_exit_code(path, tmp_path) == 2
+
+
+def test_load_trailing_content(tmp_path):
+    path = _saved_model(tmp_path)
+    text = path.read_text()
+    last = len(text.splitlines())
+    path.write_text(text + "\n  \ngarbage here\n")
+    with pytest.raises(ModelFileError, match=f"{path}: corrupt file: line {last + 3} follows the last parameter row"):
+        load_model(path)
+    assert _eval_exit_code(path, tmp_path) == 2
+    # blank lines after the last row are not content
+    path.write_text(text + "\n\n")
+    load_model(path)
+
+
+class _FailingRows(np.ndarray):
+    """A parameter whose second row cannot be read, to fail a save midway."""
+
+    def __iter__(self):
+        yield self[0]
+        raise RuntimeError("write interrupted")
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    cfg = _config(hidden=2, emb=2, classes=2)
+    params = init_params(cfg, RngState(seed=903))
+    path = tmp_path / "model.txt"
+    save_model(params, cfg, path)
+    before = path.read_bytes()
+    params.w_hh = (params.w_hh * 2.0).view(_FailingRows)
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        save_model(params, cfg, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.txt"]
