@@ -40,9 +40,7 @@ from .evaluation import (
     false_negative_share,
 )
 from .model import (
-    BiRnnParams,
     ModelConfig,
-    RnnParams,
     backward_full,
     backward_truncated,
     forward,
@@ -92,9 +90,7 @@ __all__ = [
     "evaluate",
     "f1_scores",
     "false_negative_share",
-    "BiRnnParams",
     "ModelConfig",
-    "RnnParams",
     "backward_full",
     "backward_truncated",
     "forward",

@@ -14,10 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary
+from .corpus import CleanTweet, Vocabulary, atomic_writer
 from .embedding import EmbeddingMatrix
 from .evaluation import FINE_CLASSES, classes_for
-from .model import ModelConfig, Params, predict_many
+from .model import ModelConfig, predict_many
+from .numeric import FloatArray
 
 GRANULARITIES = ("month", "week", "day")
 
@@ -59,7 +60,7 @@ class TemporalBuckets:
 
 
 def classify_corpus(
-    params: Params,
+    params: dict[str, FloatArray],
     model_cfg: ModelConfig,
     emb: EmbeddingMatrix,
     vocab: Vocabulary,
@@ -158,7 +159,8 @@ def export_report(
     """JSON carries both structures losslessly; CSV is the bucket table with
     columns period,positive,negative,neutral (the distribution is its column
     sums)."""
-    path = Path(path)
+    if format not in ("json", "csv"):
+        raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
     if format == "json":
         payload = {
             "distribution": {
@@ -172,17 +174,15 @@ def export_report(
                 for b in buckets.buckets
             ],
         }
-        with path.open("w", encoding="utf-8") as fh:
+        with atomic_writer(path) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    elif format == "csv":
-        with path.open("w", encoding="utf-8", newline="") as fh:
+    else:
+        with atomic_writer(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["period", *FINE_CLASSES])
             for b in buckets.buckets:
                 writer.writerow([b.label] + [str(b.counts[c]) for c in FINE_CLASSES])
-    else:
-        raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
 
 
 def load_report(path: str | Path) -> tuple[SentimentDistribution, TemporalBuckets]:
@@ -215,7 +215,7 @@ def _label_to_date(label: str, granularity: str) -> date:
 
 def save_classified(classified: Sequence[ClassifiedTweet], path: str | Path) -> None:
     """Clean-corpus JSONL plus label, confidence, and oov fields per tweet."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for item in classified:
             record = {
                 "id": item.tweet.id,

@@ -30,6 +30,7 @@ from .analysis import (
 from .corpus import (
     PreprocessConfig,
     Vocabulary,
+    atomic_writer,
     filter_by_collection_window,
     load_clean_corpus,
     load_stopwords,
@@ -63,6 +64,7 @@ from .training import (
     TASK_BINARY,
     TASK_FINE,
     TrainConfig,
+    TrainingDivergedError,
     balance_classes,
     binary_subset,
     load_annotations,
@@ -175,7 +177,7 @@ def _write_manifest(
     }
     if results is not None:
         manifest["results"] = results
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -550,6 +552,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except TrainingDivergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,7 @@ import os
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -41,12 +41,29 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with tmp.open("x", encoding="utf-8") as fh:
+        # newline="" writes text untranslated, as the csv module requires
+        with tmp.open("x", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_header(
+    fh: TextIO, path: Path, magic: str, version: str, fields: int, error: type[ValueError], kind: str
+) -> list[str]:
+    """The `fields` words of an artifact's "<magic> <version> ..." first line.
+
+    Raises `error` naming `path` when the line is not `kind` (say, "a model
+    file") or its version is not `version`.
+    """
+    header = fh.readline().split()
+    if len(header) != fields or header[0] != magic:
+        raise error(f"{path}: not {kind} (expected {magic} header)")
+    if header[1] != version:
+        raise error(f"{path}: version mismatch: file is {header[1]!r}, reader supports {version!r}")
+    return header
 
 
 @dataclass(frozen=True)
@@ -71,19 +88,7 @@ class CorpusStats:
     vocab_size: int
 
     def to_dict(self) -> dict:
-        return {
-            "raw_count": self.raw_count,
-            "deduplicated_count": self.deduplicated_count,
-            "final_count": self.final_count,
-            "vocab_size": self.vocab_size,
-        }
-
-
-# Collection defaults: the keyword set used to gather the original corpus and
-# the wider of the two reported collection windows (end of January).
-DEFAULT_KEYWORDS = ("#YolandaPH", "#BangonPH", "#BangonPilipinas")
-DEFAULT_WINDOW_START = datetime(2013, 11, 1, tzinfo=timezone.utc)
-DEFAULT_WINDOW_END = datetime(2014, 1, 31, 23, 59, 59, 999999, tzinfo=timezone.utc)
+        return asdict(self)
 
 _USERNAME_RE = re.compile(r"@\w+")
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -393,7 +398,7 @@ def preprocess_corpus(
 
 
 def save_clean_corpus(tweets: Iterable[CleanTweet], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for tweet in tweets:
             record = {
                 "id": tweet.id,
@@ -435,7 +440,7 @@ def load_clean_corpus(path: str | Path) -> list[CleanTweet]:
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """Text format: token<TAB>index<TAB>count, one line per token, sorted by index."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for index, token in enumerate(vocab.tokens):
             fh.write(f"{token}\t{index}\t{vocab.counts[index]}\n")
 
@@ -463,4 +468,5 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
 
 def save_stats(stats: CorpusStats, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8")
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(stats.to_dict(), indent=2) + "\n")

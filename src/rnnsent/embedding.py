@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, atomic_writer
+from .corpus import CleanTweet, Vocabulary, atomic_writer, read_header
 from .numeric import FloatArray, RngState
 
 EMBEDDING_MAGIC = "SGNS-EMB"
@@ -308,13 +308,7 @@ def load_embeddings_with_tokens(path: str | Path) -> tuple[EmbeddingMatrix, tupl
     """
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != EMBEDDING_MAGIC:
-            raise EmbeddingFileError(f"{path}: not an embedding file (expected {EMBEDDING_MAGIC} header)")
-        if header[1] != EMBEDDING_VERSION:
-            raise EmbeddingFileError(
-                f"{path}: version mismatch: file is {header[1]!r}, reader supports {EMBEDDING_VERSION!r}"
-            )
+        header = read_header(fh, path, EMBEDDING_MAGIC, EMBEDDING_VERSION, 4, EmbeddingFileError, "an embedding file")
         try:
             vocab_size, dim = int(header[2]), int(header[3])
         except ValueError as exc:

@@ -8,15 +8,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, atomic_writer
 from .embedding import EmbeddingMatrix
-from .model import ModelConfig, Params, predict_many
+from .model import ModelConfig, predict_many
+from .numeric import FloatArray
 
 # Canonical reporting order for sentiment labels, used everywhere a class list
 # is implied rather than passed explicitly.
@@ -91,17 +92,7 @@ class Metrics:
     oov_examples: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "f1_macro": self.f1_macro,
-            "per_class": {
-                name: {"precision": s.precision, "recall": s.recall, "f1": s.f1}
-                for name, s in self.per_class.items()
-            },
-            "false_negative_share": self.false_negative_share,
-            "total": self.total,
-            "oov_examples": self.oov_examples,
-        }
+        return asdict(self)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -170,7 +161,7 @@ def _example_fields(example) -> tuple[Sequence[str], str]:
 
 
 def evaluate(
-    params: Params,
+    params: dict[str, FloatArray],
     model_cfg: ModelConfig,
     emb: EmbeddingMatrix,
     vocab: Vocabulary,
@@ -203,14 +194,14 @@ def evaluate(
 
 
 def save_metrics(metrics: Metrics, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def save_confusion(cm: ConfusionMatrix, path: str | Path) -> None:
     """CSV with a leading gold-label column and one predicted-label column per class."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["gold"] + list(cm.classes))
         for name, row in zip(cm.classes, cm.counts):

@@ -11,17 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    BIDIRECTIONAL,
-    STANDARD,
-    ModelConfig,
-    Params,
-    as_param_dict,
-    backward_full,
-    forward,
-    init_params,
-    params_from_dict,
-)
+from .model import BIDIRECTIONAL, STANDARD, ModelConfig, backward_full, forward, init_params
 from .numeric import FloatArray, RngState, cross_entropy
 
 EPSILON = 1e-5
@@ -29,26 +19,28 @@ ERROR_THRESHOLD = 1e-4
 _DENOM_FLOOR = 1e-4
 
 
-def loss_for(params: Params, config: ModelConfig, sequence, target: int) -> float:
+def loss_for(params: dict[str, FloatArray], config: ModelConfig, sequence, target: int) -> float:
     trace = forward(params, config, sequence, train=False)
     return cross_entropy(trace.probabilities, target)
 
 
 def numeric_gradients(
-    params: Params,
+    params: dict[str, FloatArray],
     config: ModelConfig,
     sequence,
     target: int,
     epsilon: float = EPSILON,
 ) -> dict[str, FloatArray]:
-    """Central-difference gradient of the cross-entropy loss, entry by entry."""
-    arrays = {name: arr.copy() for name, arr in as_param_dict(params).items()}
+    """Central-difference gradient of the cross-entropy loss, entry by entry.
+
+    Each entry is perturbed in place in a copy of `params`, so the caller's
+    arrays are never touched."""
+    perturbed = {name: arr.copy() for name, arr in params.items()}
     grads: dict[str, FloatArray] = {}
-    for name, arr in arrays.items():
+    for name, arr in perturbed.items():
         grad = np.zeros_like(arr)
         flat = arr.reshape(-1)
         flat_grad = grad.reshape(-1)
-        perturbed = params_from_dict(arrays, config.direction)
         for j in range(flat.size):
             original = flat[j]
             flat[j] = original + epsilon

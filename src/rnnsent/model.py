@@ -10,18 +10,22 @@ Bidirectional:  one pass over x_1..x_T, an independent pass over x_T..x_1,
 
 In train mode a single inverted-dropout mask is applied to r; the class
 distribution is softmax(W_hy r + b_y).
+
+Parameters and gradients are ordered name -> array dicts keyed by
+param_shapes(config); the standard net is the bidirectional net's one-cell
+case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, atomic_writer
+from .corpus import Vocabulary, atomic_writer, read_header
 from .embedding import EmbeddingMatrix
 from .numeric import FloatArray, RngState, dropout_mask, softmax
 
@@ -71,109 +75,54 @@ class ModelConfig:
         return self.hidden_size * (2 if self.direction == BIDIRECTIONAL else 1)
 
 
-@dataclass
-class RnnCellParams:
-    w_xh: FloatArray  # hidden x embedding_dim
-    w_hh: FloatArray  # hidden x hidden
-    b_h: FloatArray   # hidden
-
-
-@dataclass
-class RnnParams:
-    w_xh: FloatArray
-    w_hh: FloatArray
-    b_h: FloatArray
-    w_hy: FloatArray  # classes x hidden
-    b_y: FloatArray   # classes
-
-
-@dataclass
-class BiRnnParams:
-    forward_cell: RnnCellParams
-    backward_cell: RnnCellParams
-    w_hy: FloatArray  # classes x (2*hidden)
-    b_y: FloatArray
-
-
-Params = RnnParams | BiRnnParams
-
-
-def as_param_dict(params: Params) -> dict[str, FloatArray]:
-    """Flatten params into an ordered name -> array dict (gradients share the keys)."""
-    if isinstance(params, RnnParams):
-        return {
-            "w_xh": params.w_xh,
-            "w_hh": params.w_hh,
-            "b_h": params.b_h,
-            "w_hy": params.w_hy,
-            "b_y": params.b_y,
-        }
-    return {
-        "fwd.w_xh": params.forward_cell.w_xh,
-        "fwd.w_hh": params.forward_cell.w_hh,
-        "fwd.b_h": params.forward_cell.b_h,
-        "bwd.w_xh": params.backward_cell.w_xh,
-        "bwd.w_hh": params.backward_cell.w_hh,
-        "bwd.b_h": params.backward_cell.b_h,
-        "w_hy": params.w_hy,
-        "b_y": params.b_y,
-    }
-
-
-def params_from_dict(arrays: dict[str, FloatArray], direction: str) -> Params:
-    if direction == STANDARD:
-        return RnnParams(**{k: arrays[k] for k in ("w_xh", "w_hh", "b_h", "w_hy", "b_y")})
-    return BiRnnParams(
-        forward_cell=RnnCellParams(arrays["fwd.w_xh"], arrays["fwd.w_hh"], arrays["fwd.b_h"]),
-        backward_cell=RnnCellParams(arrays["bwd.w_xh"], arrays["bwd.w_hh"], arrays["bwd.b_h"]),
-        w_hy=arrays["w_hy"],
-        b_y=arrays["b_y"],
-    )
+def _cells(config: ModelConfig) -> tuple[str, ...]:
+    return ("",) if config.direction == STANDARD else ("fwd.", "bwd.")
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    h, e, c = config.hidden_size, config.embedding_dim, config.num_classes
-    cell = {"w_xh": (h, e), "w_hh": (h, h), "b_h": (h,)}
-    if config.direction == STANDARD:
-        return {**cell, "w_hy": (c, h), "b_y": (c,)}
-    shapes = {f"fwd.{k}": s for k, s in cell.items()}
-    shapes.update({f"bwd.{k}": s for k, s in cell.items()})
-    shapes.update({"w_hy": (c, 2 * h), "b_y": (c,)})
+    """The parameters' names and shapes, in the order that init_params draws,
+    save_model writes and every parameter or gradient dict follows: each
+    cell's w_xh, w_hh and b_h, then the readout's w_hy and b_y. The
+    bidirectional net's cells are prefixed "fwd." and "bwd."; the standard
+    net is its one-cell case, with unprefixed names."""
+    h, e = config.hidden_size, config.embedding_dim
+    shapes: dict[str, tuple[int, ...]] = {}
+    for prefix in _cells(config):
+        shapes.update({prefix + "w_xh": (h, e), prefix + "w_hh": (h, h), prefix + "b_h": (h,)})
+    shapes.update({"w_hy": (config.num_classes, config.readout_size), "b_y": (config.num_classes,)})
     return shapes
 
 
-def init_params(config: ModelConfig, rng: RngState) -> Params:
-    """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
+def init_params(config: ModelConfig, rng: RngState) -> dict[str, FloatArray]:
+    """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases,
+    drawn in param_shapes order."""
     gen = rng.generator()
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            s = np.sqrt(6.0 / (shape[0] + shape[1]))
+            params[name] = gen.uniform(-s, s, shape)
+        else:
+            params[name] = np.zeros(shape)
+    return params
 
-    def uniform(fan_in: int, fan_out: int, shape: tuple[int, ...]) -> FloatArray:
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        return gen.uniform(-s, s, shape)
 
-    h, e, c = config.hidden_size, config.embedding_dim, config.num_classes
-
-    def cell() -> RnnCellParams:
-        return RnnCellParams(
-            w_xh=uniform(e, h, (h, e)),
-            w_hh=uniform(h, h, (h, h)),
-            b_h=np.zeros(h),
+def _check_params(params: dict[str, FloatArray], config: ModelConfig) -> None:
+    """Raise ValueError unless `params` has exactly the names and shapes of
+    param_shapes(config)."""
+    expected = param_shapes(config)
+    if params.keys() != expected.keys():
+        other = BIDIRECTIONAL if config.direction == STANDARD else STANDARD
+        if params.keys() == param_shapes(replace(config, direction=other)).keys():
+            raise ValueError(f"config direction is {config.direction} but params are {other}")
+        missing = [name for name in expected if name not in params]
+        unexpected = [name for name in params if name not in expected]
+        raise ValueError(
+            f"params do not match the {config.direction} net: missing {missing}, unexpected {unexpected}"
         )
-
-    if config.direction == STANDARD:
-        base = cell()
-        return RnnParams(
-            w_xh=base.w_xh,
-            w_hh=base.w_hh,
-            b_h=base.b_h,
-            w_hy=uniform(h, c, (c, h)),
-            b_y=np.zeros(c),
-        )
-    return BiRnnParams(
-        forward_cell=cell(),
-        backward_cell=cell(),
-        w_hy=uniform(2 * h, c, (c, 2 * h)),
-        b_y=np.zeros(c),
-    )
+    for name, shape in expected.items():
+        if np.shape(params[name]) != shape:
+            raise ValueError(f"parameter {name!r} has shape {np.shape(params[name])}, config implies {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +232,13 @@ def pad_batch(
     return inputs, lengths
 
 
-def _cells(config: ModelConfig) -> tuple[str, ...]:
-    return ("",) if config.direction == STANDARD else ("fwd.", "bwd.")
-
-
 def _stacked(
-    arrays: dict[str, FloatArray], prefixes: tuple[str, ...], name: str, transpose: bool = False
+    params: dict[str, FloatArray], prefixes: tuple[str, ...], name: str, transpose: bool = False
 ) -> FloatArray:
     """One parameter of every cell as a contiguous (cells, ...) array, its
     matrices transposed on request (BLAS runs faster on a contiguous copy
     than on a transposed view)."""
-    return np.array([arrays[prefix + name].T if transpose else arrays[prefix + name] for prefix in prefixes])
+    return np.array([params[prefix + name].T if transpose else params[prefix + name] for prefix in prefixes])
 
 
 def _blocks(offsets: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
@@ -326,7 +271,7 @@ def _by_cell(rows: FloatArray) -> FloatArray:
 
 
 def forward_batch(
-    arrays: dict[str, FloatArray],
+    params: dict[str, FloatArray],
     config: ModelConfig,
     inputs: FloatArray,
     lengths: np.ndarray,
@@ -361,9 +306,9 @@ def forward_batch(
     if cells == 2:
         source[:, 1] = (start[row] + steps - 1 - column) * batch + order[row]
 
-    w_xh_t = _stacked(arrays, prefixes, "w_xh", transpose=True)
-    w_hh_t = _stacked(arrays, prefixes, "w_hh", transpose=True)
-    b_h = _stacked(arrays, prefixes, "b_h")
+    w_xh_t = _stacked(params, prefixes, "w_xh", transpose=True)
+    w_hh_t = _stacked(params, prefixes, "w_hh", transpose=True)
+    b_h = _stacked(params, prefixes, "b_h")
     blocks = _blocks(off, 0, steps)
     projection = _buffer(workspace, "block", (_block_rows(batch) + batch, cells, hidden))
     block_inputs = _buffer(workspace, "block_inputs", (_block_rows(batch), cells, emb_dim))
@@ -404,14 +349,14 @@ def forward_batch(
     readout[order] = slot(steps).reshape(batch, cells * hidden)
     if dropout_masks is not None:
         readout *= dropout_masks
-    w_hy = arrays["w_hy"]
+    w_hy = params["w_hy"]
     if config.direction == STANDARD:
-        logits = readout @ w_hy.T + arrays["b_y"]
+        logits = readout @ w_hy.T + params["b_y"]
     else:
         # per-direction half products: a bidirectional net whose backward cell
         # and backward readout columns are zero then reproduces the standard
         # net's output bit for bit
-        logits = readout[:, :hidden] @ w_hy[:, :hidden].T + readout[:, hidden:] @ w_hy[:, hidden:].T + arrays["b_y"]
+        logits = readout[:, :hidden] @ w_hy[:, :hidden].T + readout[:, hidden:] @ w_hy[:, hidden:].T + params["b_y"]
     return BatchTrace(
         order=order,
         active=active,
@@ -427,7 +372,7 @@ def forward_batch(
 
 
 def backward_batch(
-    arrays: dict[str, FloatArray],
+    params: dict[str, FloatArray],
     config: ModelConfig,
     trace: BatchTrace,
     targets: np.ndarray,
@@ -452,11 +397,11 @@ def backward_batch(
     # softmax + cross-entropy collapses to (p - onehot) at the logits
     dlogits = trace.probabilities.copy()
     dlogits[np.arange(len(targets)), targets] -= 1.0
-    dr = dlogits @ arrays["w_hy"]
+    dr = dlogits @ params["w_hy"]
     if trace.dropout_masks is not None:
         dr = dr * trace.dropout_masks
 
-    w_hh = _stacked(arrays, prefixes, "w_hh")
+    w_hh = _stacked(params, prefixes, "w_hh")
     d_w_xh = np.zeros((cells, hidden, config.embedding_dim))
     d_w_hh = np.zeros((cells, hidden, hidden))
     d_b_h = np.zeros((cells, hidden))
@@ -532,13 +477,6 @@ class ForwardTrace:
         return None if self.batch.dropout_masks is None else self.batch.dropout_masks[0]
 
 
-def _param_arrays(params: Params, config: ModelConfig) -> dict[str, FloatArray]:
-    kind = STANDARD if isinstance(params, RnnParams) else BIDIRECTIONAL
-    if kind != config.direction:
-        raise ValueError(f"config direction is {config.direction} but params are {kind}")
-    return as_param_dict(params)
-
-
 def _check_sequence(config: ModelConfig, sequence: Sequence[FloatArray]) -> FloatArray:
     if len(sequence) == 0:
         raise ValueError("cannot run the network on an empty sequence")
@@ -552,7 +490,7 @@ def _check_sequence(config: ModelConfig, sequence: Sequence[FloatArray]) -> Floa
 
 
 def forward(
-    params: Params,
+    params: dict[str, FloatArray],
     config: ModelConfig,
     sequence: Sequence[FloatArray],
     train: bool = False,
@@ -564,17 +502,17 @@ def forward(
     `rng` and applied to the readout vector; infer mode never applies a mask.
     """
     seq = _check_sequence(config, sequence)
-    arrays = _param_arrays(params, config)
+    _check_params(params, config)
     mask = None
     if train and config.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("train-mode forward with dropout needs an RngState")
         mask = dropout_mask(config.readout_size, config.dropout_rate, rng)[None, :]
-    return ForwardTrace(forward_batch(arrays, config, seq[:, None, :], np.array([len(seq)]), mask))
+    return ForwardTrace(forward_batch(params, config, seq[:, None, :], np.array([len(seq)]), mask))
 
 
 def _backward(
-    params: Params,
+    params: dict[str, FloatArray],
     config: ModelConfig,
     trace: ForwardTrace,
     sequence: Sequence[FloatArray],
@@ -588,11 +526,12 @@ def _backward(
         raise ValueError("trace direction does not match the config")
     if not 0 <= target_class < config.num_classes:
         raise IndexError(f"target class {target_class} out of range for {config.num_classes} classes")
-    return backward_batch(_param_arrays(params, config), config, trace.batch, np.array([target_class]), k)
+    _check_params(params, config)
+    return backward_batch(params, config, trace.batch, np.array([target_class]), k)
 
 
 def backward_full(
-    params: Params,
+    params: dict[str, FloatArray],
     config: ModelConfig,
     trace: ForwardTrace,
     sequence: Sequence[FloatArray],
@@ -603,7 +542,7 @@ def backward_full(
 
 
 def backward_truncated(
-    params: Params,
+    params: dict[str, FloatArray],
     config: ModelConfig,
     trace: ForwardTrace,
     sequence: Sequence[FloatArray],
@@ -616,35 +555,13 @@ def backward_truncated(
     return _backward(params, config, trace, sequence, target_class, k=k)
 
 
-def backward_for_config(
-    params: Params,
-    config: ModelConfig,
-    trace: ForwardTrace,
-    sequence: Sequence[FloatArray],
-    target_class: int,
-) -> dict[str, FloatArray]:
-    """Dispatch on config.bptt_mode."""
-    if config.bptt_mode == BPTT_FULL:
-        return backward_full(params, config, trace, sequence, target_class)
-    return backward_truncated(params, config, trace, sequence, target_class, k=config.bptt_k)
-
-
 def token_rows(vocab: Vocabulary, tokens: Sequence[str]) -> np.ndarray:
     """Embedding-row indices of the in-vocabulary tokens, in order; OOV tokens skipped."""
     return np.array([vocab.index(t) for t in tokens if t in vocab], dtype=np.int64)
 
 
-def embed_tokens(
-    emb: EmbeddingMatrix,
-    vocab: Vocabulary,
-    tokens: Sequence[str],
-) -> list[FloatArray]:
-    """Embedding rows for the in-vocabulary tokens, in order; OOV tokens skipped."""
-    return list(emb.input_vectors[token_rows(vocab, tokens)])
-
-
 def predict_many(
-    params: Params,
+    params: dict[str, FloatArray],
     config: ModelConfig,
     emb: EmbeddingMatrix,
     vocab: Vocabulary,
@@ -658,7 +575,7 @@ def predict_many(
     workspace, so memory is bounded by one chunk's padded inputs and running
     states. The results are scattered back to the caller's order.
     """
-    arrays = _param_arrays(params, config)
+    _check_params(params, config)
     rows = [token_rows(vocab, tokens) for tokens in token_lists]
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
     known = lengths > 0
@@ -669,13 +586,13 @@ def predict_many(
     for lo in range(0, len(live), INFER_CHUNK):
         chunk = live[lo : lo + INFER_CHUNK]
         inputs, chunk_lengths = pad_batch([emb.input_vectors[rows[i]] for i in chunk], workspace)
-        trace = forward_batch(arrays, config, inputs, chunk_lengths, keep_states=False, workspace=workspace)
+        trace = forward_batch(params, config, inputs, chunk_lengths, keep_states=False, workspace=workspace)
         probabilities[chunk] = trace.probabilities
     return probabilities, known
 
 
 def predict(
-    params: Params,
+    params: dict[str, FloatArray],
     config: ModelConfig,
     emb: EmbeddingMatrix,
     vocab: Vocabulary,
@@ -707,16 +624,12 @@ _CONFIG_FIELDS = (
 )
 
 
-def save_model(params: Params, config: ModelConfig, path: str | Path) -> None:
-    """Text format: "RNN-SENT v1" header, config block, then each parameter as
-    a "param <name> <shape...>" line followed by row-major values at 17
-    significant digits (lossless for float64). Written atomically (see
-    corpus.atomic_writer)."""
-    arrays = as_param_dict(params)
-    expected = param_shapes(config)
-    for name, arr in arrays.items():
-        if arr.shape != expected[name]:
-            raise ValueError(f"parameter {name!r} has shape {arr.shape}, config implies {expected[name]}")
+def save_model(params: dict[str, FloatArray], config: ModelConfig, path: str | Path) -> None:
+    """Text format: "RNN-SENT v1" header, config block, then each parameter,
+    in param_shapes order, as a "param <name> <shape...>" line followed by
+    row-major values at 17 significant digits (lossless for float64).
+    Written atomically (see corpus.atomic_writer)."""
+    _check_params(params, config)
     with atomic_writer(path) as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         fh.write(f"direction {config.direction}\n")
@@ -726,24 +639,19 @@ def save_model(params: Params, config: ModelConfig, path: str | Path) -> None:
         fh.write(f"dropout_rate {config.dropout_rate:.17g}\n")
         fh.write(f"bptt_mode {config.bptt_mode}\n")
         fh.write(f"bptt_k {config.bptt_k}\n")
-        for name, arr in arrays.items():
-            dims = " ".join(str(d) for d in arr.shape)
+        for name, shape in param_shapes(config).items():
+            arr = params[name]
+            dims = " ".join(str(d) for d in shape)
             fh.write(f"param {name} {dims}\n")
             rows = arr if arr.ndim == 2 else arr[None, :]
             for row in rows:
                 fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def load_model(path: str | Path) -> tuple[Params, ModelConfig]:
+def load_model(path: str | Path) -> tuple[dict[str, FloatArray], ModelConfig]:
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != MODEL_MAGIC:
-            raise ModelFileError(f"{path}: not a model file (expected {MODEL_MAGIC} header)")
-        if header[1] != MODEL_VERSION:
-            raise ModelFileError(
-                f"{path}: version mismatch: file is {header[1]!r}, reader supports {MODEL_VERSION!r}"
-            )
+        read_header(fh, path, MODEL_MAGIC, MODEL_VERSION, 2, ModelFileError, "a model file")
 
         raw: dict[str, str] = {}
         for field in _CONFIG_FIELDS:
@@ -765,7 +673,7 @@ def load_model(path: str | Path) -> tuple[Params, ModelConfig]:
             raise ModelFileError(f"{path}: invalid config: {exc}") from exc
 
         expected = param_shapes(config)
-        arrays: dict[str, FloatArray] = {}
+        params: dict[str, FloatArray] = {}
         lines_read = 1 + len(_CONFIG_FIELDS)
         for name, shape in expected.items():
             head = fh.readline().split()
@@ -791,8 +699,8 @@ def load_model(path: str | Path) -> tuple[Params, ModelConfig]:
                     raise ModelFileError(f"{path}: corrupt file: row {r} of {name!r} has a non-finite value")
             lines_read += 1 + n_rows
             arr = np.array(rows)
-            arrays[name] = arr if len(shape) == 2 else arr[0]
+            params[name] = arr if len(shape) == 2 else arr[0]
         for line_no, line in enumerate(fh, start=lines_read + 1):
             if line.strip():
                 raise ModelFileError(f"{path}: corrupt file: line {line_no} follows the last parameter row")
-    return params_from_dict(arrays, config.direction), config
+    return params, config

@@ -46,17 +46,6 @@ class RngState:
         return RngState((int(hi) << 32) | int(lo), self.algorithm)
 
 
-def matvec(m: FloatArray, v: FloatArray) -> FloatArray:
-    """Matrix-vector product m @ v with an explicit dimension check."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1:
-        raise ValueError(f"matvec expects a 2-D matrix and 1-D vector, got {m.ndim}-D and {v.ndim}-D")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {m.shape[0]}x{m.shape[1]}, vector has {v.shape[0]}")
-    return m @ v
-
-
 def softmax(v: FloatArray) -> FloatArray:
     """Max-subtracted softmax over the last axis (so a 2-D input is a batch
     of rows); stable for large-magnitude inputs."""
@@ -76,10 +65,6 @@ def cross_entropy(probs: FloatArray, target_class: int) -> float:
     return float(-np.log(max(probs[target_class], PROB_FLOOR)))
 
 
-def tanh_elementwise(v: FloatArray) -> FloatArray:
-    return np.tanh(np.asarray(v, dtype=np.float64))
-
-
 def dropout_mask(length: int, rate: float, rng: RngState) -> FloatArray:
     """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate).
 
@@ -94,10 +79,7 @@ def dropout_mask(length: int, rate: float, rng: RngState) -> FloatArray:
     return np.where(u < rate, 0.0, 1.0 / (1.0 - rate))
 
 
-GradientSet = dict  # name -> ndarray; shared shape vocabulary with the model params
-
-
-def sgd_step(params: GradientSet, grads: GradientSet, lr: float) -> GradientSet:
+def sgd_step(params: dict[str, FloatArray], grads: dict[str, FloatArray], lr: float) -> dict[str, FloatArray]:
     """One plain-SGD update p <- p - lr*g applied to every named array."""
     if params.keys() != grads.keys():
         raise ValueError(f"parameter/gradient name mismatch: {sorted(params)} vs {sorted(grads)}")
@@ -110,7 +92,7 @@ def sgd_step(params: GradientSet, grads: GradientSet, lr: float) -> GradientSet:
     return out
 
 
-def global_norm(grads: GradientSet) -> float:
+def global_norm(grads: dict[str, FloatArray]) -> float:
     """Global L2 norm over every entry of every array in the set."""
     total = 0.0
     for g in grads.values():
@@ -118,7 +100,7 @@ def global_norm(grads: GradientSet) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradients(grads: GradientSet, max_norm: float, norm: float | None = None) -> GradientSet:
+def clip_gradients(grads: dict[str, FloatArray], max_norm: float, norm: float | None = None) -> dict[str, FloatArray]:
     """Scale all gradients by max_norm/norm when the global L2 norm exceeds
     max_norm. A caller that already has global_norm(grads) passes it as `norm`."""
     if max_norm <= 0:

@@ -11,13 +11,13 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary
+from .corpus import CleanTweet, Vocabulary, atomic_writer
 from .embedding import EmbeddingMatrix
 from .evaluation import (
     BINARY_CLASSES,
@@ -33,17 +33,14 @@ from .model import (
     BPTT_TRUNCATED,
     STANDARD,
     ModelConfig,
-    Params,
     Workspace,
-    as_param_dict,
     backward_batch,
     forward_batch,
     init_params,
     pad_batch,
-    params_from_dict,
     token_rows,
 )
-from .numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, global_norm, sgd_step
+from .numeric import PROB_FLOOR, FloatArray, RngState, clip_gradients, dropout_mask, global_norm, sgd_step
 
 TASK_FINE = "fine_grained"
 TASK_BINARY = "binary"
@@ -52,6 +49,10 @@ TASK_BINARY = "binary"
 # than MIN_DELTA for PATIENCE consecutive epochs.
 EARLY_STOP_MIN_DELTA = 1e-5
 EARLY_STOP_PATIENCE = 5
+
+
+class TrainingDivergedError(ValueError):
+    """A minibatch's loss or gradient norm is not finite."""
 
 
 @dataclass(frozen=True)
@@ -117,16 +118,7 @@ class TrainConfig:
         return 2 if self.task == TASK_BINARY else 3
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "task": self.task,
-            "clip_norm": self.clip_norm,
-            "balance_per_class": self.balance_per_class,
-            "early_stop": self.early_stop,
-        }
+        return asdict(self)
 
 
 def load_annotations(path: str | Path, corpus: Sequence[CleanTweet]) -> list[LabeledTweet]:
@@ -267,21 +259,13 @@ class TrainReport:
                 "counts": [list(row) for row in self.test_confusion.counts],
             },
             "wall_seconds": self.wall_seconds,
-            "model_config": {
-                "embedding_dim": self.model_config.embedding_dim,
-                "hidden_size": self.model_config.hidden_size,
-                "num_classes": self.model_config.num_classes,
-                "dropout_rate": self.model_config.dropout_rate,
-                "direction": self.model_config.direction,
-                "bptt_mode": self.model_config.bptt_mode,
-                "bptt_k": self.model_config.bptt_k,
-            },
+            "model_config": asdict(self.model_config),
             "train_config": self.train_config.to_dict(),
         }
 
 
 def save_report(report: TrainReport, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -323,13 +307,13 @@ def train(
     vocab: Vocabulary,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-) -> tuple[Params, TrainReport]:
+) -> tuple[dict[str, FloatArray], TrainReport]:
     """Minibatch SGD: per epoch, shuffle, batch, average the per-example BPTT
     gradients (one batched kernel call per minibatch), clip to clip_norm, take
     one step. Deterministic given the seed.
 
-    Raises ValueError naming the epoch and batch whose loss or gradient is
-    not finite."""
+    Raises TrainingDivergedError naming the epoch and batch whose loss or
+    gradient is not finite."""
     started = time.perf_counter()
     classes = _check_train_inputs(data, emb, vocab, model_cfg, train_cfg)
     class_index = {c: i for i, c in enumerate(classes)}
@@ -346,7 +330,7 @@ def train(
     targets = np.array([class_index[ex.label] for ex in data.train])
 
     root = RngState(seed=train_cfg.seed)
-    arrays = as_param_dict(init_params(model_cfg, root.child(0)))
+    params = init_params(model_cfg, root.child(0))
     rate = model_cfg.dropout_rate
     k = None if model_cfg.bptt_mode == BPTT_FULL else model_cfg.bptt_k
 
@@ -370,25 +354,25 @@ def train(
                      for pos in range(len(batch))]
                 )
             inputs, lengths = pad_batch([emb.input_vectors[rows[i]] for i in batch], workspace)
-            trace = forward_batch(arrays, model_cfg, inputs, lengths, masks, workspace=workspace)
+            trace = forward_batch(params, model_cfg, inputs, lengths, masks, workspace=workspace)
             y = targets[batch]
             batch_losses = -np.log(np.maximum(trace.probabilities[np.arange(len(batch)), y], PROB_FLOOR))
             if not np.isfinite(batch_losses.sum()):
-                raise ValueError(
+                raise TrainingDivergedError(
                     f"training diverged: epoch {epoch + 1}, batch {number} has mean loss {batch_losses.mean()}"
                 )
             losses.append(batch_losses)
             correct += int(np.sum(np.argmax(trace.probabilities, axis=1) == y))
-            grads = backward_batch(arrays, model_cfg, trace, y, k)
+            grads = backward_batch(params, model_cfg, trace, y, k)
             # the trace's arrays are views of the workspace, which the next batch overwrites
             del trace, inputs
             mean = {name: g / len(batch) for name, g in grads.items()}
             norm = global_norm(mean)
             if not math.isfinite(norm):
-                raise ValueError(
+                raise TrainingDivergedError(
                     f"training diverged: epoch {epoch + 1}, batch {number} has gradient norm {norm}"
                 )
-            arrays = sgd_step(arrays, clip_gradients(mean, train_cfg.clip_norm, norm), train_cfg.learning_rate)
+            params = sgd_step(params, clip_gradients(mean, train_cfg.clip_norm, norm), train_cfg.learning_rate)
 
         epoch_loss = math.fsum(np.concatenate(losses)) / n
         epoch_losses.append(epoch_loss)
@@ -401,8 +385,7 @@ def train(
                 break
 
     del workspace  # free the training buffers before evaluation allocates its own
-    final = params_from_dict(arrays, model_cfg.direction)
-    cm, metrics = evaluate(final, model_cfg, emb, vocab, data.test, classes=classes)
+    cm, metrics = evaluate(params, model_cfg, emb, vocab, data.test, classes=classes)
     report = TrainReport(
         epoch_losses=epoch_losses,
         epoch_accuracies=epoch_accuracies,
@@ -412,7 +395,7 @@ def train(
         model_config=model_cfg,
         train_config=train_cfg,
     )
-    return final, report
+    return params, report
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +420,7 @@ class GridRow:
     f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "dropout": self.dropout,
-            "bptt_type": self.bptt_type,
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -480,11 +455,12 @@ class GridResult:
 
 
 def save_grid(result: GridResult, json_path: str | Path, table_path: str | Path | None = None) -> None:
-    with Path(json_path).open("w", encoding="utf-8") as fh:
+    with atomic_writer(json_path) as fh:
         json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if table_path is not None:
-        Path(table_path).write_text(result.format_table(), encoding="utf-8")
+        with atomic_writer(table_path) as fh:
+            fh.write(result.format_table())
 
 
 def run_grid(

@@ -4,7 +4,7 @@ the batched code is tested against.
 RNN: the straightforward single-sequence implementation that the batched
 kernel in rnnsent.model replaced: forward, full and k-truncated BPTT, and a
 per-example SGD trainer. Parameters are the name -> array dicts of
-rnnsent.model.as_param_dict.
+rnnsent.model.param_shapes.
 
 SGNS: the per-pair skip-gram trainer that rnnsent.embedding's per-tweet
 update replaced, one SGD step per (center, context) pair.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from rnnsent.embedding import EmbeddingMatrix, _sampling_tables
-from rnnsent.model import BPTT_FULL, STANDARD, as_param_dict, init_params
+from rnnsent.model import BPTT_FULL, STANDARD, init_params
 from rnnsent.numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
 
 
@@ -92,7 +92,7 @@ def train(sequences, targets, model_cfg, train_cfg):
     `pos` of the batch at `start` draws its dropout mask from
     root.child(2, epoch, start + pos). Returns (params dict, epoch mean losses)."""
     root = RngState(seed=train_cfg.seed)
-    arrays = as_param_dict(init_params(model_cfg, root.child(0)))
+    arrays = init_params(model_cfg, root.child(0))
     k = None if model_cfg.bptt_mode == BPTT_FULL else model_cfg.bptt_k
     n = len(sequences)
     epoch_losses = []

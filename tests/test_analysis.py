@@ -16,7 +16,7 @@ from rnnsent.analysis import (
     temporal_buckets,
 )
 from rnnsent.corpus import CleanTweet, load_clean_corpus
-from rnnsent.model import ModelConfig, param_shapes, params_from_dict
+from rnnsent.model import ModelConfig, param_shapes
 
 
 def _tweet(i, ts):
@@ -44,7 +44,7 @@ def _model_world():
     corpus, vocab = synthdata.corpus_and_vocab(examples)
     emb = synthdata.separable_embeddings(vocab, seed=80)
     cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=4)
-    params = params_from_dict({n: np.zeros(s) for n, s in param_shapes(cfg).items()}, cfg.direction)
+    params = {n: np.zeros(s) for n, s in param_shapes(cfg).items()}
     return corpus, vocab, emb, cfg, params
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -209,6 +210,19 @@ def test_train_warns_off_grid_and_zero_lr(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "off-grid" in err
     assert "learning rate 0" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_is_internal_failure(pipeline, tmp_path, capsys):
+    pre, ann, emb = pipeline["pre"], pipeline["ann"], pipeline["emb"]
+    rc = main([
+        "train", "--corpus", str(pre / "corpus.jsonl"), "--annotations", str(ann),
+        "--embeddings", str(emb), "--hidden", "4", "--epochs", "2", "--lr", "inf",
+        "--batch", "8", "--seed", "1", "--output", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    assert re.search(r"^error: training diverged: epoch 1, batch \d+ has ", capsys.readouterr().err, re.M)
+    assert not (tmp_path / "o" / "model.txt").exists()
 
 
 def test_eval_outputs_metrics(pipeline, tmp_path, capsys):

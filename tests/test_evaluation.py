@@ -23,7 +23,7 @@ from rnnsent.evaluation import (
     save_confusion,
     save_metrics,
 )
-from rnnsent.model import ModelConfig, param_shapes, params_from_dict
+from rnnsent.model import ModelConfig, param_shapes
 from rnnsent.numeric import RngState
 
 POS_NEG = ("positive", "negative")
@@ -229,7 +229,7 @@ def _world(num_classes=3, hidden=8, seed=30):
 
 
 def _zero_params(cfg):
-    return params_from_dict({n: np.zeros(s) for n, s in param_shapes(cfg).items()}, cfg.direction)
+    return {n: np.zeros(s) for n, s in param_shapes(cfg).items()}
 
 
 def test_evaluate_zero_weight_model_predicts_class_zero():
@@ -243,18 +243,18 @@ def test_evaluate_zero_weight_model_predicts_class_zero():
 
 
 def test_evaluate_overfit_training_set():
-    from rnnsent.model import as_param_dict, backward_full, embed_tokens, forward, init_params
+    from rnnsent.model import backward_full, forward, init_params, token_rows
     from rnnsent.numeric import sgd_step
 
     examples, vocab, emb, cfg = _world(hidden=12)
     params = init_params(cfg, RngState(seed=31))
-    seqs = [embed_tokens(emb, vocab, e.tokens) for e in examples]
+    seqs = [list(emb.input_vectors[token_rows(vocab, e.tokens)]) for e in examples]
     targets = [FINE_CLASSES.index(e.label) for e in examples]
     for _ in range(150):
         for seq, y in zip(seqs, targets):
             trace = forward(params, cfg, seq)
             grads = backward_full(params, cfg, trace, seq, y)
-            params = params_from_dict(sgd_step(as_param_dict(params), grads, 0.1), cfg.direction)
+            params = sgd_step(params, grads, 0.1)
     _, metrics = evaluate(params, cfg, emb, vocab, examples)
     assert metrics.accuracy >= 0.99
     assert metrics.oov_examples == 0

@@ -14,7 +14,6 @@ from rnnsent.model import (
     BIDIRECTIONAL,
     STANDARD,
     ModelConfig,
-    as_param_dict,
     backward_full,
     forward,
     init_params,
@@ -43,15 +42,15 @@ def test_numeric_matches_analytic(direction):
     analytic = backward_full(params, config, trace, sequence, 1)
     numeric = numeric_gradients(params, config, sequence, 1)
     errs = relative_errors(analytic, numeric)
-    assert set(errs) == set(as_param_dict(params))
+    assert set(errs) == set(params)
     assert max(errs.values()) < ERROR_THRESHOLD
 
 
 def test_numeric_gradients_do_not_mutate_params():
     config, params, sequence = _instance(STANDARD, 3)
-    before = {n: a.copy() for n, a in as_param_dict(params).items()}
+    before = {n: a.copy() for n, a in params.items()}
     numeric_gradients(params, config, sequence, 0)
-    for name, arr in as_param_dict(params).items():
+    for name, arr in params.items():
         assert np.array_equal(arr, before[name])
 
 

@@ -22,7 +22,6 @@ from rnnsent.model import (
     AllTokensUnknownError,
     ModelConfig,
     Workspace,
-    as_param_dict,
     backward_batch,
     backward_truncated,
     forward,
@@ -71,7 +70,7 @@ def test_batch_matches_per_example_oracle(case):
         dropout_rate=case["dropout"], direction=case["direction"],
     )
     root = RngState(seed=case["seed"])
-    arrays = as_param_dict(init_params(config, root.child(0)))
+    params = init_params(config, root.child(0))
     gen = root.child(1).generator()
     sequences = [gen.normal(scale=0.8, size=(n, config.embedding_dim)) for n in case["lengths"]]
     targets = gen.integers(config.num_classes, size=len(sequences))
@@ -80,14 +79,14 @@ def test_batch_matches_per_example_oracle(case):
         masks = np.stack([dropout_mask(config.readout_size, 0.5, root.child(2, b)) for b in range(len(sequences))])
 
     inputs, lengths = pad_batch(sequences)
-    trace = forward_batch(arrays, config, inputs, lengths, masks)
-    grads = backward_batch(arrays, config, trace, targets, case["k"])
+    trace = forward_batch(params, config, inputs, lengths, masks)
+    grads = backward_batch(params, config, trace, targets, case["k"])
 
     steps = inputs.shape[0]
-    expected = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    expected = {name: np.zeros_like(arr) for name, arr in params.items()}
     for b, seq in enumerate(sequences):
         mask = None if masks is None else masks[b]
-        probs, example_grads = oracle.gradients(arrays, config, seq, targets[b], mask, case["k"])
+        probs, example_grads = oracle.gradients(params, config, seq, targets[b], mask, case["k"])
         assert _max_diff(trace.probabilities[b], probs) <= TOLERANCE
         for name, g in example_grads.items():
             expected[name] += g
@@ -131,20 +130,20 @@ def ordered_cases(draw):
 def test_batch_matches_oracle_in_any_length_order(case):
     config = ModelConfig(embedding_dim=3, hidden_size=4, dropout_rate=0.5, direction=case["direction"])
     root = RngState(seed=case["seed"])
-    arrays = as_param_dict(init_params(config, root.child(0)))
+    params = init_params(config, root.child(0))
     gen = root.child(1).generator()
     sequences = [gen.normal(scale=0.8, size=(n, 3)) for n in case["lengths"]]
     targets = gen.integers(3, size=len(sequences))
     masks = np.stack([dropout_mask(config.readout_size, 0.5, root.child(2, b)) for b in range(len(sequences))])
 
     inputs, lengths = pad_batch(sequences)
-    trace = forward_batch(arrays, config, inputs, lengths, masks)
-    grads = backward_batch(arrays, config, trace, targets, case["k"])
+    trace = forward_batch(params, config, inputs, lengths, masks)
+    grads = backward_batch(params, config, trace, targets, case["k"])
 
     steps = inputs.shape[0]
-    expected = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    expected = {name: np.zeros_like(arr) for name, arr in params.items()}
     for b, seq in enumerate(sequences):
-        hidden_fwd, hidden_bwd, readout, probs = oracle.forward(arrays, config, seq, masks[b])
+        hidden_fwd, hidden_bwd, readout, probs = oracle.forward(params, config, seq, masks[b])
         # everything the kernel returns is in the caller's order
         assert _max_diff(trace.probabilities[b], probs) <= TOLERANCE
         assert _max_diff(trace.readout[b], readout) <= TOLERANCE
@@ -153,7 +152,7 @@ def test_batch_matches_oracle_in_any_length_order(case):
         if hidden_bwd is not None:
             assert _max_diff(trace.hidden_bwd[steps - len(seq) :, b], hidden_bwd) <= TOLERANCE
             assert not trace.hidden_bwd[: steps - len(seq), b].any()
-        for name, g in oracle.gradients(arrays, config, seq, targets[b], masks[b], case["k"])[1].items():
+        for name, g in oracle.gradients(params, config, seq, targets[b], masks[b], case["k"])[1].items():
             expected[name] += g
     for name in expected:
         assert _max_diff(grads[name], expected[name]) <= TOLERANCE, name
@@ -170,7 +169,7 @@ def _batch_arrays(trace, grads):
 @pytest.mark.parametrize("keep_states", [True, False])
 def test_reused_workspace_matches_fresh_buffers(direction, keep_states):
     config = ModelConfig(embedding_dim=3, hidden_size=5, dropout_rate=0.5, direction=direction)
-    arrays = as_param_dict(init_params(config, RngState(seed=30)))
+    params = init_params(config, RngState(seed=30))
     gen = RngState(seed=31).generator()
     # T grows, shrinks, grows past every earlier batch, then a short last batch
     batches = [[4, 9, 2, 9], [3, 1, 2, 3], [17, 5, 11, 1, 8, 17], [2, 6]]
@@ -183,8 +182,8 @@ def test_reused_workspace_matches_fresh_buffers(direction, keep_states):
         results = []
         for ws in (None, workspace):
             inputs, lengths = pad_batch(sequences, ws)
-            trace = forward_batch(arrays, config, inputs, lengths, masks, keep_states=keep_states, workspace=ws)
-            grads = backward_batch(arrays, config, trace, targets, 3) if keep_states else None
+            trace = forward_batch(params, config, inputs, lengths, masks, keep_states=keep_states, workspace=ws)
+            grads = backward_batch(params, config, trace, targets, 3) if keep_states else None
             results.append(_batch_arrays(trace, grads))
         fresh, reused = results
         assert fresh.keys() == reused.keys()
@@ -223,19 +222,19 @@ def test_predict_many_keeps_caller_order():
 @pytest.mark.parametrize("k", [None, 2, 11])
 def test_gradient_blocks_change_only_summation_order(monkeypatch, k):
     config = ModelConfig(embedding_dim=3, hidden_size=4, dropout_rate=0.5, direction=BIDIRECTIONAL)
-    arrays = as_param_dict(init_params(config, RngState(seed=23)))
+    params = init_params(config, RngState(seed=23))
     gen = RngState(seed=24).generator()
     sequences = [gen.normal(scale=0.8, size=(n, 3)) for n in (13, 4, 9)]
     targets = np.array([0, 2, 1])
     masks = np.stack([dropout_mask(config.readout_size, 0.5, RngState(seed=25 + b)) for b in range(3)])
     inputs, lengths = pad_batch(sequences)
-    trace = forward_batch(arrays, config, inputs, lengths, masks)
-    one_block = backward_batch(arrays, config, trace, targets, k)
+    trace = forward_batch(params, config, inputs, lengths, masks)
+    one_block = backward_batch(params, config, trace, targets, k)
     monkeypatch.setattr(model, "GRAD_ROWS", 7)  # blocks of 2 steps x 3 sequences
-    blocks = backward_batch(arrays, config, trace, targets, k)
-    expected = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    blocks = backward_batch(params, config, trace, targets, k)
+    expected = {name: np.zeros_like(arr) for name, arr in params.items()}
     for b, seq in enumerate(sequences):
-        for name, g in oracle.gradients(arrays, config, seq, targets[b], masks[b], k)[1].items():
+        for name, g in oracle.gradients(params, config, seq, targets[b], masks[b], k)[1].items():
             expected[name] += g
     for name in expected:
         assert _max_diff(blocks[name], one_block[name]) <= TOLERANCE, name
@@ -246,12 +245,11 @@ def test_gradient_blocks_change_only_summation_order(monkeypatch, k):
 def test_single_sequence_api_matches_oracle(direction):
     config = ModelConfig(embedding_dim=3, hidden_size=4, dropout_rate=0.5, direction=direction)
     params = init_params(config, RngState(seed=20))
-    arrays = as_param_dict(params)
     gen = RngState(seed=21).generator()
     seq = list(gen.normal(scale=0.8, size=(9, 3)))
     trace = forward(params, config, seq, train=True, rng=RngState(seed=22))
     got = backward_truncated(params, config, trace, seq, 1, k=4)
-    probs, expected = oracle.gradients(arrays, config, seq, 1, trace.dropout_mask, 4)
+    probs, expected = oracle.gradients(params, config, seq, 1, trace.dropout_mask, 4)
     assert _max_diff(trace.probabilities, probs) <= TOLERANCE
     for name in expected:
         assert _max_diff(got[name], expected[name]) <= TOLERANCE, name
@@ -286,12 +284,12 @@ def test_train_matches_per_example_trainer(direction, bptt_mode, k):
     params, report = train(data, emb, vocab, model_cfg, train_cfg)
 
     targets = [FINE_CLASSES.index(ex.label) for ex in data.train]
-    arrays, losses = oracle.train(sequences, targets, model_cfg, train_cfg)
+    expected, losses = oracle.train(sequences, targets, model_cfg, train_cfg)
     assert len(report.epoch_losses) == len(losses) == 3
     for got, want in zip(report.epoch_losses, losses):
         assert abs(got - want) <= 1e-9
-    for name, arr in as_param_dict(params).items():
-        assert _max_diff(arr, arrays[name]) <= 1e-9, name
+    for name, arr in params.items():
+        assert _max_diff(arr, expected[name]) <= 1e-9, name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -364,7 +362,6 @@ def test_classify_corpus_matches_per_tweet_predict(direction):
     params, config, emb, vocab, corpus = _inference_world(direction)
     classified = classify_corpus(params, config, emb, vocab, corpus)
     assert sum(c.oov for c in classified) == 3
-    arrays = as_param_dict(params)
     for item, tweet in zip(classified, corpus):
         single = _predict_one(params, config, emb, vocab, tweet.tokens)
         if single is None:
@@ -375,7 +372,7 @@ def test_classify_corpus_matches_per_tweet_predict(direction):
         assert item.label == FINE_CLASSES[idx]
         assert abs(item.confidence - probs[idx]) <= TOLERANCE
         seq = [emb.input_vectors[vocab.index(t)] for t in tweet.tokens if t in vocab]
-        assert abs(item.confidence - oracle.forward(arrays, config, seq)[3][idx]) <= TOLERANCE
+        assert abs(item.confidence - oracle.forward(params, config, seq)[3][idx]) <= TOLERANCE
 
 
 @pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])
@@ -401,9 +398,9 @@ def test_evaluate_all_oov_chunk():
 
 def test_inference_trace_cannot_be_backpropagated():
     config = ModelConfig(embedding_dim=2, hidden_size=3)
-    arrays = as_param_dict(init_params(config, RngState(seed=74)))
+    params = init_params(config, RngState(seed=74))
     inputs, lengths = pad_batch([np.ones((2, 2)), np.ones((1, 2))])
-    trace = forward_batch(arrays, config, inputs, lengths, keep_states=False)
+    trace = forward_batch(params, config, inputs, lengths, keep_states=False)
     assert trace.hidden_fwd is None
     with pytest.raises(ValueError, match="keep_states"):
-        backward_batch(arrays, config, trace, np.array([0, 1]))
+        backward_batch(params, config, trace, np.array([0, 1]))

@@ -8,23 +8,17 @@ from rnnsent.model import (
     BPTT_FULL,
     STANDARD,
     AllTokensUnknownError,
-    BiRnnParams,
     ModelConfig,
     ModelFileError,
-    RnnCellParams,
-    RnnParams,
-    as_param_dict,
-    backward_for_config,
     backward_full,
     backward_truncated,
-    embed_tokens,
     forward,
     init_params,
     load_model,
     param_shapes,
-    params_from_dict,
     predict,
     save_model,
+    token_rows,
 )
 from rnnsent.numeric import RngState, cross_entropy, global_norm, sgd_step
 
@@ -71,9 +65,9 @@ def test_readout_size():
 
 def test_init_params_deterministic():
     cfg = _config(BIDIRECTIONAL)
-    a = as_param_dict(init_params(cfg, RngState(seed=3)))
-    b = as_param_dict(init_params(cfg, RngState(seed=3)))
-    c = as_param_dict(init_params(cfg, RngState(seed=4)))
+    a = init_params(cfg, RngState(seed=3))
+    b = init_params(cfg, RngState(seed=3))
+    c = init_params(cfg, RngState(seed=4))
     for name in a:
         assert np.array_equal(a[name], b[name])
     assert not np.array_equal(a["w_hy"], c["w_hy"])
@@ -82,8 +76,7 @@ def test_init_params_deterministic():
 @pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])
 def test_init_params_shapes_bounds_and_zero_biases(direction):
     cfg = _config(direction, hidden=6, emb=4, classes=3)
-    params = init_params(cfg, RngState(seed=5))
-    arrays = as_param_dict(params)
+    arrays = init_params(cfg, RngState(seed=5))
     shapes = param_shapes(cfg)
     assert set(arrays) == set(shapes)
     fans = {
@@ -105,12 +98,18 @@ def test_init_params_shapes_bounds_and_zero_biases(direction):
             assert not np.array_equal(arr, np.zeros_like(arr))
 
 
-def test_params_dict_round_trip():
+def test_params_dict_round_trip(tmp_path):
+    # init_params, save_model and load_model all keep the param_shapes order
     for direction in (STANDARD, BIDIRECTIONAL):
-        params = init_params(_config(direction), RngState(seed=6))
-        rebuilt = params_from_dict(as_param_dict(params), direction)
-        for name, arr in as_param_dict(rebuilt).items():
-            assert arr is as_param_dict(params)[name]
+        cfg = _config(direction)
+        params = init_params(cfg, RngState(seed=6))
+        assert list(params) == list(param_shapes(cfg))
+        path = tmp_path / f"{direction}.txt"
+        save_model(dict(reversed(params.items())), cfg, path)
+        loaded, _ = load_model(path)
+        assert list(loaded) == list(params)
+        for name, arr in loaded.items():
+            assert np.array_equal(arr, params[name])
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +118,7 @@ def test_params_dict_round_trip():
 
 
 def _zero_params(cfg):
-    arrays = {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
-    return params_from_dict(arrays, cfg.direction)
+    return {name: np.zeros(shape) for name, shape in param_shapes(cfg).items()}
 
 
 def test_forward_zero_network_uniform():
@@ -132,13 +130,13 @@ def test_forward_zero_network_uniform():
 
 def test_forward_hand_traced_scalar_net():
     cfg = ModelConfig(embedding_dim=1, hidden_size=1, num_classes=2)
-    params = RnnParams(
-        w_xh=np.array([[1.0]]),
-        w_hh=np.array([[0.0]]),
-        b_h=np.array([0.0]),
-        w_hy=np.array([[1.0], [-1.0]]),
-        b_y=np.array([0.0, 0.0]),
-    )
+    params = {
+        "w_xh": np.array([[1.0]]),
+        "w_hh": np.array([[0.0]]),
+        "b_h": np.array([0.0]),
+        "w_hy": np.array([[1.0], [-1.0]]),
+        "b_y": np.array([0.0, 0.0]),
+    }
     trace = forward(params, cfg, [np.array([1.0])])
     t1 = np.tanh(1.0)
     assert trace.hidden_fwd[0][0] == pytest.approx(t1, abs=1e-15)
@@ -148,13 +146,13 @@ def test_forward_hand_traced_scalar_net():
 
 def test_forward_two_steps_uses_recurrence():
     cfg = ModelConfig(embedding_dim=1, hidden_size=1, num_classes=2)
-    params = RnnParams(
-        w_xh=np.array([[0.5]]),
-        w_hh=np.array([[0.7]]),
-        b_h=np.array([0.1]),
-        w_hy=np.array([[1.0], [0.0]]),
-        b_y=np.array([0.0, 0.0]),
-    )
+    params = {
+        "w_xh": np.array([[0.5]]),
+        "w_hh": np.array([[0.7]]),
+        "b_h": np.array([0.1]),
+        "w_hy": np.array([[1.0], [0.0]]),
+        "b_y": np.array([0.0, 0.0]),
+    }
     seq = [np.array([1.0]), np.array([-2.0])]
     h1 = np.tanh(0.5 * 1.0 + 0.1)
     h2 = np.tanh(0.5 * -2.0 + 0.7 * h1 + 0.1)
@@ -170,13 +168,17 @@ def test_forward_bidirectional_collapse_to_standard():
     std = init_params(std_cfg, RngState(seed=8))
     bi_cfg = _config(BIDIRECTIONAL, hidden=hidden, emb=emb)
     w_hy = np.zeros((3, 2 * hidden))
-    w_hy[:, :hidden] = std.w_hy
-    bi = BiRnnParams(
-        forward_cell=RnnCellParams(std.w_xh.copy(), std.w_hh.copy(), std.b_h.copy()),
-        backward_cell=RnnCellParams(np.zeros((hidden, emb)), np.zeros((hidden, hidden)), np.zeros(hidden)),
-        w_hy=w_hy,
-        b_y=std.b_y.copy(),
-    )
+    w_hy[:, :hidden] = std["w_hy"]
+    bi = {
+        "fwd.w_xh": std["w_xh"].copy(),
+        "fwd.w_hh": std["w_hh"].copy(),
+        "fwd.b_h": std["b_h"].copy(),
+        "bwd.w_xh": np.zeros((hidden, emb)),
+        "bwd.w_hh": np.zeros((hidden, hidden)),
+        "bwd.b_h": np.zeros(hidden),
+        "w_hy": w_hy,
+        "b_y": std["b_y"].copy(),
+    }
     seq = _random_sequence(std_cfg, 5, 9)
     p_std = forward(std, std_cfg, seq).probabilities
     p_bi = forward(bi, bi_cfg, seq).probabilities
@@ -230,7 +232,7 @@ def test_forward_dropout_applied_only_in_train_mode():
     # masked readout reproduces the probabilities exactly
     plain = forward(params, cfg, seq, train=False)
     masked = plain.hidden_fwd[-1] * expected_mask
-    assert np.allclose(trace.probabilities, softmax(params.w_hy @ masked + params.b_y), atol=1e-15)
+    assert np.allclose(trace.probabilities, softmax(params["w_hy"] @ masked + params["b_y"]), atol=1e-15)
     assert plain.dropout_mask is None
 
 
@@ -244,6 +246,12 @@ def test_forward_errors():
     bi_cfg = _config(BIDIRECTIONAL)
     with pytest.raises(ValueError, match="direction"):
         forward(params, bi_cfg, _random_sequence(bi_cfg, 2, 0))
+    missing = {name: arr for name, arr in params.items() if name != "b_y"}
+    with pytest.raises(ValueError, match=r"missing \['b_y'\]"):
+        forward(missing, cfg, _random_sequence(cfg, 2, 0))
+    wrong_shape = {**params, "w_hh": np.zeros((4, 5))}
+    with pytest.raises(ValueError, match="'w_hh' has shape"):
+        forward(wrong_shape, cfg, _random_sequence(cfg, 2, 0))
     drop_cfg = _config(dropout=0.5)
     drop_params = init_params(drop_cfg, RngState(seed=16))
     with pytest.raises(ValueError, match="RngState"):
@@ -267,7 +275,7 @@ def _fd_gradients(params, config, seq, target, mask_seed=None, eps=1e-5):
         return cross_entropy(trace.probabilities, target)
 
     grads = {}
-    for name, arr in as_param_dict(params).items():
+    for name, arr in params.items():
         g = np.zeros_like(arr)
         flat, gflat = arr.reshape(-1), g.reshape(-1)
         for i in range(flat.size):
@@ -338,11 +346,11 @@ def test_backward_gradient_vanishes_at_minimum():
     for _ in range(50):
         trace = forward(params, cfg, seq)
         grads = backward_full(params, cfg, trace, seq, target)
-        params = params_from_dict(sgd_step(as_param_dict(params), grads, 0.5), STANDARD)
+        params = sgd_step(params, grads, 0.5)
     trace = forward(params, cfg, seq)
     assert int(np.argmax(trace.probabilities)) == target
-    params.w_hy *= 200.0
-    params.b_y *= 200.0
+    params["w_hy"] *= 200.0
+    params["b_y"] *= 200.0
     trace = forward(params, cfg, seq)
     grads = backward_full(params, cfg, trace, seq, target)
     assert cross_entropy(trace.probabilities, target) < 1e-8
@@ -379,7 +387,7 @@ def test_truncated_k1_matches_hand_unrolled_standard():
     dlogits = trace.probabilities.copy()
     dlogits[target] -= 1.0
     h_last = trace.hidden_fwd[-1]
-    da = (params.w_hy.T @ dlogits) * (1.0 - h_last * h_last)
+    da = (params["w_hy"].T @ dlogits) * (1.0 - h_last * h_last)
     assert np.array_equal(got["w_hy"], np.outer(dlogits, h_last))
     assert np.array_equal(got["b_y"], dlogits)
     assert np.array_equal(got["w_xh"], np.outer(da, seq[-1]))
@@ -401,7 +409,7 @@ def test_truncated_k1_matches_hand_unrolled_bidirectional():
     h = cfg.hidden_size
     dlogits = trace.probabilities.copy()
     dlogits[target] -= 1.0
-    dr = params.w_hy.T @ dlogits
+    dr = params["w_hy"].T @ dlogits
     da_f = dr[:h] * (1.0 - trace.hidden_fwd[-1] * trace.hidden_fwd[-1])
     da_b = dr[h:] * (1.0 - trace.hidden_bwd[-1] * trace.hidden_bwd[-1])
     assert np.array_equal(got["fwd.w_xh"], np.outer(da_f, seq[-1]))
@@ -414,16 +422,16 @@ def test_truncated_k1_matches_hand_unrolled_bidirectional():
     assert np.array_equal(got["bwd.b_h"], da_b)
 
 
-def test_backward_for_config_dispatch():
+def test_backward_full_and_truncated_differ_below_sequence_length():
     seq_len = 6
     cfg_full = ModelConfig(embedding_dim=2, hidden_size=3, bptt_mode=BPTT_FULL)
     cfg_k2 = ModelConfig(embedding_dim=2, hidden_size=3, bptt_mode="truncated", bptt_k=2)
     params = init_params(cfg_full, RngState(seed=720))
     seq = _random_sequence(cfg_full, seq_len, 721)
     trace = forward(params, cfg_full, seq)
-    via_full = backward_for_config(params, cfg_full, trace, seq, 0)
+    via_full = backward_full(params, cfg_full, trace, seq, 0)
     assert all(np.array_equal(via_full[n], backward_full(params, cfg_full, trace, seq, 0)[n]) for n in via_full)
-    via_k2 = backward_for_config(params, cfg_k2, trace, seq, 0)
+    via_k2 = backward_truncated(params, cfg_k2, trace, seq, 0, k=cfg_k2.bptt_k)
     expect_k2 = backward_truncated(params, cfg_k2, trace, seq, 0, k=2)
     assert all(np.array_equal(via_k2[n], expect_k2[n]) for n in via_k2)
     assert not np.allclose(via_k2["w_hh"], via_full["w_hh"], atol=1e-12)
@@ -464,11 +472,11 @@ def test_predict_zero_weights_tie_breaks_to_class_zero():
 def test_predict_overfit_single_word():
     vocab, emb, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=800))
-    seq = embed_tokens(emb, vocab, ["goodword"])
+    seq = list(emb.input_vectors[token_rows(vocab, ["goodword"])])
     for _ in range(60):
         trace = forward(params, cfg, seq)
         grads = backward_full(params, cfg, trace, seq, 0)
-        params = params_from_dict(sgd_step(as_param_dict(params), grads, 0.5), STANDARD)
+        params = sgd_step(params, grads, 0.5)
     label, probs = predict(params, cfg, emb, vocab, ["goodword"])
     assert label == 0
     assert probs[0] > 0.9
@@ -487,7 +495,7 @@ def test_predict_all_unknown_raises():
     params = init_params(cfg, RngState(seed=802))
     with pytest.raises(AllTokensUnknownError):
         predict(params, cfg, emb, vocab, ["zzz", "qqq"])
-    assert embed_tokens(emb, vocab, ["zzz"]) == []
+    assert list(emb.input_vectors[token_rows(vocab, ["zzz"])]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +514,8 @@ def test_save_load_round_trip(tmp_path, direction):
     save_model(params, cfg, path)
     loaded, loaded_cfg = load_model(path)
     assert loaded_cfg == cfg
-    for name, arr in as_param_dict(params).items():
-        assert np.array_equal(as_param_dict(loaded)[name], arr)
+    for name, arr in params.items():
+        assert np.array_equal(loaded[name], arr)
     # resave is byte-identical
     path2 = tmp_path / "model2.txt"
     save_model(loaded, loaded_cfg, path2)
@@ -519,6 +527,12 @@ def test_save_rejects_shape_mismatch(tmp_path):
     params = init_params(_config(hidden=5), RngState(seed=901))
     with pytest.raises(ValueError, match="shape"):
         save_model(params, cfg, tmp_path / "bad.txt")
+    good = init_params(cfg, RngState(seed=901))
+    with pytest.raises(ValueError, match=r"'b_h' has shape \(5,\)"):
+        save_model({**good, "b_h": np.zeros(5)}, cfg, tmp_path / "bad.txt")
+    with pytest.raises(ValueError, match=r"missing \['w_hy'\]"):
+        save_model({name: arr for name, arr in good.items() if name != "w_hy"}, cfg, tmp_path / "bad.txt")
+    assert not any(tmp_path.iterdir())
 
 
 def _saved_model(tmp_path):
@@ -620,7 +634,7 @@ def test_failed_save_keeps_previous_file(tmp_path):
     path = tmp_path / "model.txt"
     save_model(params, cfg, path)
     before = path.read_bytes()
-    params.w_hh = (params.w_hh * 2.0).view(_FailingRows)
+    params["w_hh"] = (params["w_hh"] * 2.0).view(_FailingRows)
     with pytest.raises(RuntimeError, match="write interrupted"):
         save_model(params, cfg, path)
     assert path.read_bytes() == before

@@ -9,10 +9,8 @@ from rnnsent.numeric import (
     cross_entropy,
     dropout_mask,
     global_norm,
-    matvec,
     sgd_step,
     softmax,
-    tanh_elementwise,
 )
 
 
@@ -38,21 +36,6 @@ def test_rngstate_child_is_deterministic_and_decorrelated():
     assert len(streams) == 5
     # children do not replay the parent stream
     assert not np.array_equal(root.generator().random(4), root.child(0).generator().random(4))
-
-
-def test_matvec_matches_manual_loop():
-    gen = RngState(seed=0).generator()
-    for _ in range(20):
-        rows, cols = int(gen.integers(1, 7)), int(gen.integers(1, 7))
-        m = gen.normal(size=(rows, cols))
-        v = gen.normal(size=cols)
-        manual = np.array([sum(m[i, j] * v[j] for j in range(cols)) for i in range(rows)])
-        assert np.allclose(matvec(m, v), manual, atol=1e-12)
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matvec(np.ones((2, 3)), np.ones(4))
 
 
 def test_softmax_matches_definition_and_is_shift_invariant():
@@ -90,11 +73,6 @@ def test_cross_entropy_clamps_zero_probability():
     loss = cross_entropy(np.array([1.0, 0.0]), 1)
     assert loss == pytest.approx(-np.log(1e-12))
     assert np.isfinite(loss)
-
-
-def test_tanh_elementwise_matches_numpy():
-    v = RngState(seed=5).generator().normal(size=50)
-    assert np.array_equal(tanh_elementwise(v), np.tanh(v))
 
 
 def test_dropout_mask_values_and_rate_zero():

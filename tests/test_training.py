@@ -8,7 +8,7 @@ import pytest
 import synthdata
 from rnnsent.corpus import CleanTweet
 from rnnsent.evaluation import evaluate
-from rnnsent.model import ModelConfig, as_param_dict, init_params
+from rnnsent.model import ModelConfig, init_params
 from rnnsent.numeric import RngState
 from rnnsent.training import (
     EARLY_STOP_PATIENCE,
@@ -259,8 +259,8 @@ def test_train_zero_lr_is_a_fixpoint():
     cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=7, batch_size=4)
     params, report = train(ds, emb, vocab, model_cfg, cfg)
     init = init_params(model_cfg, RngState(seed=7).child(0))
-    for name, arr in as_param_dict(params).items():
-        assert np.array_equal(arr, as_param_dict(init)[name])
+    for name, arr in params.items():
+        assert np.array_equal(arr, init[name])
     assert report.epochs_run == 3
     assert len(set(report.epoch_losses)) == 1  # nothing moves
 
@@ -270,8 +270,8 @@ def test_train_same_seed_reproduces_bitwise():
     cfg = TrainConfig(learning_rate=0.05, epochs=4, seed=8, batch_size=4)
     p1, r1 = train(ds, emb, vocab, model_cfg, cfg)
     p2, r2 = train(ds, emb, vocab, model_cfg, cfg)
-    for name, arr in as_param_dict(p1).items():
-        assert np.array_equal(arr, as_param_dict(p2)[name])
+    for name, arr in p1.items():
+        assert np.array_equal(arr, p2[name])
     assert r1.epoch_losses == r2.epoch_losses
     assert r1.epoch_accuracies == r2.epoch_accuracies
     assert r1.test_metrics == r2.test_metrics
@@ -281,7 +281,7 @@ def test_train_seed_changes_trajectory():
     ds, emb, vocab, model_cfg = _training_world()
     p1, _ = train(ds, emb, vocab, model_cfg, TrainConfig(learning_rate=0.05, epochs=2, seed=1))
     p2, _ = train(ds, emb, vocab, model_cfg, TrainConfig(learning_rate=0.05, epochs=2, seed=2))
-    assert not np.array_equal(as_param_dict(p1)["w_hy"], as_param_dict(p2)["w_hy"])
+    assert not np.array_equal(p1["w_hy"], p2["w_hy"])
 
 
 def test_train_overfits_and_loss_drops():
@@ -358,8 +358,8 @@ def test_train_single_batch_and_batch_of_one():
     p_big, _ = train(ds, emb, vocab, model_cfg, big)
     p_small, _ = train(ds, emb, vocab, model_cfg, small)
     # different batching -> different trajectories, both finite
-    assert np.all(np.isfinite(as_param_dict(p_big)["w_hy"]))
-    assert not np.array_equal(as_param_dict(p_big)["w_hy"], as_param_dict(p_small)["w_hy"])
+    assert np.all(np.isfinite(p_big["w_hy"]))
+    assert not np.array_equal(p_big["w_hy"], p_small["w_hy"])
 
 
 def test_save_report(tmp_path):
