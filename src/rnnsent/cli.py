@@ -428,8 +428,13 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     vocab = load_vocabulary(args.vocab)
     if tokens != vocab.tokens:
         raise ValueError("embedding file and vocabulary list different tokens or a different order")
-    for token, similarity in nearest_neighbors(emb, vocab, args.word, args.k):
-        print(f"{token}\t{similarity:.6f}")
+    # every query is answered before anything prints, so a bad word leaves no partial output
+    answers = [(word, nearest_neighbors(emb, vocab, word, args.k)) for word in args.word]
+    for number, (word, neighbors) in enumerate(answers):
+        if len(answers) > 1:
+            print(f"# {word}" if number == 0 else f"\n# {word}")
+        for token, similarity in neighbors:
+            print(f"{token}\t{similarity:.6f}")
     return EXIT_OK
 
 
@@ -528,7 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("neighbors", help="nearest neighbors of a word by cosine similarity")
     p.add_argument("--embeddings", type=Path, required=True)
     p.add_argument("--vocab", type=Path, required=True)
-    p.add_argument("--word", required=True)
+    p.add_argument(
+        "--word", required=True, action="extend", nargs="+",
+        help="query word; give several to answer them all from one load, one block per word",
+    )
     p.add_argument("--k", type=_positive_int, default=5)
     p.set_defaults(func=cmd_neighbors)
 

@@ -408,7 +408,32 @@ def save_clean_corpus(tweets: Iterable[CleanTweet], path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _clean_record(line: str, line_no: int) -> CleanTweet:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise TweetFormatError(f"line {line_no}: expected a JSON object")
+    for field in ("id", "timestamp", "tokens"):
+        if field not in record:
+            raise TweetFormatError(f"line {line_no}: missing field {field!r}")
+    for field in ("id", "timestamp"):
+        if not isinstance(record[field], str):
+            raise TweetFormatError(f"line {line_no}: {field!r} must be a string, got {record[field]!r}")
+    tokens = record["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise TweetFormatError(f"line {line_no}: 'tokens' must be a list of strings")
+    try:
+        timestamp = parse_timestamp(record["timestamp"])
+    except ValueError as exc:
+        raise TweetFormatError(f"line {line_no}: bad timestamp {record['timestamp']!r}: {exc}") from exc
+    return CleanTweet(id=record["id"], timestamp=timestamp, tokens=tuple(tokens))
+
+
 def load_clean_corpus(path: str | Path) -> list[CleanTweet]:
+    """Read a clean corpus written by save_clean_corpus; a malformed record
+    raises TweetFormatError naming the file and line."""
     tweets = []
     seen: dict[str, int] = {}
     with Path(path).open(encoding="utf-8") as fh:
@@ -416,25 +441,10 @@ def load_clean_corpus(path: str | Path) -> list[CleanTweet]:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise TweetFormatError(f"line {line_no}: expected a JSON object")
-            for field in ("id", "timestamp", "tokens"):
-                if field not in record:
-                    raise TweetFormatError(f"line {line_no}: missing field {field!r}")
-            tokens = record["tokens"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise TweetFormatError(f"line {line_no}: 'tokens' must be a list of strings")
-            _check_duplicate(str(record["id"]), line_no, seen)
-            tweets.append(
-                CleanTweet(
-                    id=str(record["id"]),
-                    timestamp=parse_timestamp(str(record["timestamp"])),
-                    tokens=tuple(tokens),
-                )
-            )
+                tweets.append(_clean_record(line, line_no))
+                _check_duplicate(tweets[-1].id, line_no, seen)
+            except TweetFormatError as exc:
+                raise TweetFormatError(f"{path}: {exc}") from exc
     return tweets
 
 

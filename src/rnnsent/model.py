@@ -507,7 +507,7 @@ def forward(
     if train and config.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("train-mode forward with dropout needs an RngState")
-        mask = dropout_mask(config.readout_size, config.dropout_rate, rng)[None, :]
+        mask = dropout_mask((1, config.readout_size), config.dropout_rate, rng)
     return ForwardTrace(forward_batch(params, config, seq[:, None, :], np.array([len(seq)]), mask))
 
 

@@ -65,17 +65,18 @@ def cross_entropy(probs: FloatArray, target_class: int) -> float:
     return float(-np.log(max(probs[target_class], PROB_FLOOR)))
 
 
-def dropout_mask(length: int, rate: float, rng: RngState) -> FloatArray:
-    """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate).
+def dropout_mask(shape: int | tuple[int, ...], rate: float, rng: RngState) -> FloatArray:
+    """Inverted-dropout mask of `shape`: 0 with probability `rate`, else 1/(1-rate).
 
     Scaling at train time keeps the expectation at 1, so inference needs no
-    rescaling.
+    rescaling. The draws fill the array in row-major order from the start of
+    `rng`'s stream, so row 0 of a (1, R) mask equals the length-R mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return np.ones(length)
-    u = rng.generator().random(length)
+        return np.ones(shape)
+    u = rng.generator().random(shape)
     return np.where(u < rate, 0.0, 1.0 / (1.0 - rate))
 
 

@@ -310,7 +310,9 @@ def train(
 ) -> tuple[dict[str, FloatArray], TrainReport]:
     """Minibatch SGD: per epoch, shuffle, batch, average the per-example BPTT
     gradients (one batched kernel call per minibatch), clip to clip_norm, take
-    one step. Deterministic given the seed.
+    one step. Deterministic given the seed: the initial weights come from
+    root.child(0), epoch e's shuffle from root.child(1, e), and the batch at
+    offset `start` draws one (B, R) dropout mask from root.child(2, e, start).
 
     Raises TrainingDivergedError naming the epoch and batch whose loss or
     gradient is not finite."""
@@ -341,48 +343,49 @@ def train(
     best_loss = math.inf
     stall = 0
 
-    for epoch in range(train_cfg.epochs):
-        order = root.child(1, epoch).generator().permutation(n)
-        losses: list[np.ndarray] = []
-        correct = 0
-        for number, start in enumerate(range(0, n, train_cfg.batch_size), start=1):
-            batch = order[start : start + train_cfg.batch_size]
-            masks = None
-            if rate > 0.0:
-                masks = np.stack(
-                    [dropout_mask(model_cfg.readout_size, rate, root.child(2, epoch, start + pos))
-                     for pos in range(len(batch))]
-                )
-            inputs, lengths = pad_batch([emb.input_vectors[rows[i]] for i in batch], workspace)
-            trace = forward_batch(params, model_cfg, inputs, lengths, masks, workspace=workspace)
-            y = targets[batch]
-            batch_losses = -np.log(np.maximum(trace.probabilities[np.arange(len(batch)), y], PROB_FLOOR))
-            if not np.isfinite(batch_losses.sum()):
-                raise TrainingDivergedError(
-                    f"training diverged: epoch {epoch + 1}, batch {number} has mean loss {batch_losses.mean()}"
-                )
-            losses.append(batch_losses)
-            correct += int(np.sum(np.argmax(trace.probabilities, axis=1) == y))
-            grads = backward_batch(params, model_cfg, trace, y, k)
-            # the trace's arrays are views of the workspace, which the next batch overwrites
-            del trace, inputs
-            mean = {name: g / len(batch) for name, g in grads.items()}
-            norm = global_norm(mean)
-            if not math.isfinite(norm):
-                raise TrainingDivergedError(
-                    f"training diverged: epoch {epoch + 1}, batch {number} has gradient norm {norm}"
-                )
-            params = sgd_step(params, clip_gradients(mean, train_cfg.clip_norm, norm), train_cfg.learning_rate)
+    # a diverged step makes the next batch's products overflow or go NaN; the loss
+    # and gradient-norm checks below stop the run, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train_cfg.epochs):
+            order = root.child(1, epoch).generator().permutation(n)
+            losses: list[np.ndarray] = []
+            correct = 0
+            for number, start in enumerate(range(0, n, train_cfg.batch_size), start=1):
+                batch = order[start : start + train_cfg.batch_size]
+                # one (B, R) draw per minibatch; row pos is the mask of the batch's example pos
+                masks = None
+                if rate > 0.0:
+                    masks = dropout_mask((len(batch), model_cfg.readout_size), rate, root.child(2, epoch, start))
+                inputs, lengths = pad_batch([emb.input_vectors[rows[i]] for i in batch], workspace)
+                trace = forward_batch(params, model_cfg, inputs, lengths, masks, workspace=workspace)
+                y = targets[batch]
+                batch_losses = -np.log(np.maximum(trace.probabilities[np.arange(len(batch)), y], PROB_FLOOR))
+                if not np.isfinite(batch_losses.sum()):
+                    raise TrainingDivergedError(
+                        f"training diverged: epoch {epoch + 1}, batch {number} has mean loss {batch_losses.mean()}"
+                    )
+                losses.append(batch_losses)
+                correct += int(np.sum(np.argmax(trace.probabilities, axis=1) == y))
+                grads = backward_batch(params, model_cfg, trace, y, k)
+                # the trace's arrays are views of the workspace, which the next batch overwrites
+                del trace, inputs
+                mean = {name: g / len(batch) for name, g in grads.items()}
+                norm = global_norm(mean)
+                if not math.isfinite(norm):
+                    raise TrainingDivergedError(
+                        f"training diverged: epoch {epoch + 1}, batch {number} has gradient norm {norm}"
+                    )
+                params = sgd_step(params, clip_gradients(mean, train_cfg.clip_norm, norm), train_cfg.learning_rate)
 
-        epoch_loss = math.fsum(np.concatenate(losses)) / n
-        epoch_losses.append(epoch_loss)
-        epoch_accuracies.append(correct / n)
+            epoch_loss = math.fsum(np.concatenate(losses)) / n
+            epoch_losses.append(epoch_loss)
+            epoch_accuracies.append(correct / n)
 
-        if train_cfg.early_stop:
-            stall = stall + 1 if best_loss - epoch_loss < EARLY_STOP_MIN_DELTA else 0
-            best_loss = min(best_loss, epoch_loss)
-            if stall >= EARLY_STOP_PATIENCE:
-                break
+            if train_cfg.early_stop:
+                stall = stall + 1 if best_loss - epoch_loss < EARLY_STOP_MIN_DELTA else 0
+                best_loss = min(best_loss, epoch_loss)
+                if stall >= EARLY_STOP_PATIENCE:
+                    break
 
     del workspace  # free the training buffers before evaluation allocates its own
     cm, metrics = evaluate(params, model_cfg, emb, vocab, data.test, classes=classes)

@@ -88,9 +88,9 @@ def gradients(arrays, config, sequence, target, mask=None, k=None):
 
 def train(sequences, targets, model_cfg, train_cfg):
     """Per-example minibatch SGD with the stream layout of rnnsent.training.train:
-    init from root.child(0), shuffle from root.child(1, epoch), and example
-    `pos` of the batch at `start` draws its dropout mask from
-    root.child(2, epoch, start + pos). Returns (params dict, epoch mean losses)."""
+    init from root.child(0), shuffle from root.child(1, epoch), and the batch
+    at `start` draws one (B, R) dropout mask from root.child(2, epoch, start),
+    whose row `pos` masks example `pos`. Returns (params dict, epoch mean losses)."""
     root = RngState(seed=train_cfg.seed)
     arrays = init_params(model_cfg, root.child(0))
     k = None if model_cfg.bptt_mode == BPTT_FULL else model_cfg.bptt_k
@@ -101,12 +101,12 @@ def train(sequences, targets, model_cfg, train_cfg):
         loss_sum = 0.0
         for start in range(0, n, train_cfg.batch_size):
             batch = order[start : start + train_cfg.batch_size]
+            masks = [None] * len(batch)
+            if model_cfg.dropout_rate > 0.0:
+                rng = root.child(2, epoch, start)
+                masks = dropout_mask((len(batch), model_cfg.readout_size), model_cfg.dropout_rate, rng)
             grad_sum = None
-            for pos, i in enumerate(batch):
-                mask = None
-                if model_cfg.dropout_rate > 0.0:
-                    rng = root.child(2, epoch, start + pos)
-                    mask = dropout_mask(model_cfg.readout_size, model_cfg.dropout_rate, rng)
+            for i, mask in zip(batch, masks):
                 probs, grads = gradients(arrays, model_cfg, sequences[i], targets[i], mask, k)
                 loss_sum += -np.log(max(probs[targets[i]], PROB_FLOOR))
                 grad_sum = grads if grad_sum is None else {name: grad_sum[name] + g for name, g in grads.items()}

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -153,6 +154,31 @@ def test_neighbors_unknown_word_is_usage_error(pipeline, capsys):
     assert "zzzz" in capsys.readouterr().err
 
 
+def _neighbors(pipeline, *word_args):
+    return main(["neighbors", "--embeddings", str(pipeline["emb"]), "--vocab", str(pipeline["pre"] / "vocab.tsv"),
+                 "--k", "3", *word_args])
+
+
+def test_neighbors_several_words_one_block_each(pipeline, capsys):
+    words = ["tubig", "bagyo", "tubig"]
+    singles = []
+    for word in words:
+        assert _neighbors(pipeline, "--word", word) == 0
+        singles.append(capsys.readouterr().out)
+    expected = "\n".join(f"# {w}\n{out}" for w, out in zip(words, singles))
+    # --word repeated, and one --word taking several values
+    for word_args in (["--word", "tubig", "--word", "bagyo", "--word", "tubig"], ["--word", *words]):
+        assert _neighbors(pipeline, *word_args) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_neighbors_unknown_word_among_several_prints_nothing(pipeline, capsys):
+    assert _neighbors(pipeline, "--word", "bagyo", "zzzz", "tubig") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'zzzz'" in captured.err
+
+
 def test_neighbors_vocab_mismatch(pipeline, tmp_path, capsys):
     other = tmp_path / "other.tsv"
     other.write_text("alpha\t0\t9\nbeta\t1\t8\n")
@@ -223,6 +249,19 @@ def test_train_divergence_is_internal_failure(pipeline, tmp_path, capsys):
     assert rc == 1
     assert re.search(r"^error: training diverged: epoch 1, batch \d+ has ", capsys.readouterr().err, re.M)
     assert not (tmp_path / "o" / "model.txt").exists()
+
+
+def test_train_divergence_prints_no_numpy_warning(pipeline, tmp_path, capsys):
+    pre, ann, emb = pipeline["pre"], pipeline["ann"], pipeline["emb"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would surface as an internal error
+        rc = main([
+            "train", "--corpus", str(pre / "corpus.jsonl"), "--annotations", str(ann),
+            "--embeddings", str(emb), "--hidden", "4", "--epochs", "2", "--lr", "inf",
+            "--batch", "8", "--seed", "1", "--output", str(tmp_path / "o"),
+        ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: training diverged: epoch 1, batch 2 has mean loss nan\n"
 
 
 def test_eval_outputs_metrics(pipeline, tmp_path, capsys):

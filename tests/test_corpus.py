@@ -377,3 +377,21 @@ def test_load_clean_corpus_rejects_tokens_not_a_list_of_strings(tmp_path, tokens
     with pytest.raises(TweetFormatError, match="line 1: 'tokens' must be a list of strings"):
         load_clean_corpus(path)
     assert _embed_exit_code(path, tmp_path) == 2
+
+
+@pytest.mark.parametrize("field, value", [("id", [1, 2]), ("id", 7), ("timestamp", 1383868800), ("timestamp", None)])
+def test_load_clean_corpus_rejects_non_string_id_or_timestamp(tmp_path, field, value):
+    record = {"id": "t2", "timestamp": "2013-11-08T00:00:00+00:00", "tokens": ["baha"], field: value}
+    path = tmp_path / "clean.jsonl"
+    path.write_text('{"id": "t1", "timestamp": "2013-11-08T00:00:00+00:00", "tokens": ["bagyo"]}\n' + json.dumps(record) + "\n")
+    with pytest.raises(TweetFormatError) as info:
+        load_clean_corpus(path)
+    assert str(info.value).startswith(f"{path}: line 2: '{field}' must be a string")
+    assert _embed_exit_code(path, tmp_path) == 2
+
+
+def test_load_clean_corpus_bad_timestamp_names_file_and_line(tmp_path):
+    path = tmp_path / "clean.jsonl"
+    path.write_text('{"id": "t1", "timestamp": "not a time", "tokens": ["bagyo"]}\n')
+    with pytest.raises(TweetFormatError, match=r"clean\.jsonl: line 1: bad timestamp 'not a time'"):
+        load_clean_corpus(path)

@@ -89,6 +89,18 @@ def test_dropout_mask_deterministic_for_same_state():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])
+def test_dropout_mask_shapes(rate):
+    # a one-row matrix draw is the vector draw, bit for bit
+    assert np.array_equal(dropout_mask((1, 37), rate, RngState(seed=4))[0], dropout_mask(37, rate, RngState(seed=4)))
+    mask = dropout_mask((6, 37), rate, RngState(seed=5))
+    assert mask.shape == (6, 37)
+    assert set(np.unique(mask)) <= {0.0, 1.0 / (1.0 - rate)}
+    if rate == 0.0:
+        assert np.array_equal(mask, np.ones((6, 37)))
+        assert np.array_equal(dropout_mask(5, rate, RngState(seed=5)), np.ones(5))
+
+
 def test_dropout_mask_rejects_rate_one():
     with pytest.raises(ValueError):
         dropout_mask(4, 1.0, RngState(seed=0))
