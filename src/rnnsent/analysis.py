@@ -77,10 +77,12 @@ def classify_corpus(
     classes = classes_for(model_cfg.num_classes)
     out: list[ClassifiedTweet] = []
     probabilities, known = predict_many(params, model_cfg, emb, vocab, [tweet.tokens for tweet in corpus])
-    for tweet, probs, scored in zip(corpus, probabilities, known):
+    # argmax takes the first maximum, so ties go to the lowest class index
+    winners = probabilities.argmax(axis=1)
+    confidences = probabilities[np.arange(len(winners)), winners]
+    for tweet, idx, confidence, scored in zip(corpus, winners.tolist(), confidences.tolist(), known.tolist()):
         if scored:
-            idx = int(np.argmax(probs))
-            out.append(ClassifiedTweet(tweet, classes[idx], float(probs[idx])))
+            out.append(ClassifiedTweet(tweet, classes[idx], confidence))
         else:
             out.append(ClassifiedTweet(tweet, NEUTRAL, 0.0, oov=True))
     return out

@@ -249,11 +249,18 @@ def _record_to_tweet(record: Mapping, line: int) -> RawTweet:
     for field in ("id", "timestamp", "text"):
         if field not in record or record[field] is None or record[field] == "":
             raise TweetFormatError(f"line {line}: missing field {field!r}")
+    tweet_id, timestamp, text = record["id"], record["timestamp"], record["text"]
+    # raw Twitter dumps carry numeric ids; a bool is an int to Python but not an id
+    if not isinstance(tweet_id, (str, int)) or isinstance(tweet_id, bool):
+        raise TweetFormatError(f"line {line}: 'id' must be a string or an integer, got {tweet_id!r}")
+    for field, value in (("timestamp", timestamp), ("text", text)):
+        if not isinstance(value, str):
+            raise TweetFormatError(f"line {line}: {field!r} must be a string, got {value!r}")
     try:
-        ts = parse_timestamp(str(record["timestamp"]))
+        ts = parse_timestamp(timestamp)
     except ValueError as exc:
-        raise TweetFormatError(f"line {line}: bad timestamp {record['timestamp']!r}: {exc}") from exc
-    return RawTweet(id=str(record["id"]), timestamp=ts, text=str(record["text"]))
+        raise TweetFormatError(f"line {line}: bad timestamp {timestamp!r}: {exc}") from exc
+    return RawTweet(id=str(tweet_id), timestamp=ts, text=text)
 
 
 def load_tweets(path: str | Path, format: str | None = None) -> list[RawTweet]:
@@ -261,13 +268,21 @@ def load_tweets(path: str | Path, format: str | None = None) -> list[RawTweet]:
 
     `format` is "jsonl" or "csv"; when omitted it is inferred from the file
     extension. Records are returned in file order; duplicate ids are rejected.
+    A JSONL id is a string or an integer, and its timestamp and text are
+    strings. Every TweetFormatError names the file, and a bad record its line.
     """
     path = Path(path)
     if format is None:
         format = path.suffix.lstrip(".").lower()
     if format not in ("jsonl", "csv"):
-        raise TweetFormatError(f"unsupported corpus format {format!r} (use jsonl or csv)")
+        raise TweetFormatError(f"{path}: unsupported corpus format {format!r} (use jsonl or csv)")
+    try:
+        return _read_tweets(path, format)
+    except TweetFormatError as exc:
+        raise TweetFormatError(f"{path}: {exc}") from exc
 
+
+def _read_tweets(path: Path, format: str) -> list[RawTweet]:
     tweets: list[RawTweet] = []
     seen: dict[str, int] = {}
     if format == "jsonl":
@@ -287,7 +302,7 @@ def load_tweets(path: str | Path, format: str | None = None) -> list[RawTweet]:
         with path.open(encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"id", "timestamp", "text"} <= set(reader.fieldnames):
-                raise TweetFormatError(f"{path}: CSV header must contain id,timestamp,text")
+                raise TweetFormatError("CSV header must contain id,timestamp,text")
             for record in reader:
                 line_no = reader.line_num
                 tweets.append(_record_to_tweet(record, line_no))

@@ -184,9 +184,10 @@ def evaluate(
         if gold not in class_list:
             raise ValueError(f"gold label {gold!r} is not in the class list {class_list}")
     probabilities, known = predict_many(params, model_cfg, emb, vocab, [tokens for tokens, _ in fields])
+    # argmax takes the first maximum, so ties go to the lowest class index
     preds = [
-        class_list[int(np.argmax(probs))] if scored else next(c for c in class_list if c != gold)
-        for gold, probs, scored in zip(golds, probabilities, known)
+        class_list[idx] if scored else next(c for c in class_list if c != gold)
+        for gold, idx, scored in zip(golds, probabilities.argmax(axis=1).tolist(), known.tolist())
     ]
     oov = int(np.sum(~known))
     cm = confusion_matrix(golds, preds, class_list)

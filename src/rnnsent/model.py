@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -142,8 +143,8 @@ GRAD_ROWS = 256
 class Workspace:
     """Grow-only buffers that the kernel reuses from one call to the next.
 
-    A caller that runs many batches creates one and passes it to pad_batch
-    and forward_batch; backward_batch uses the trace's. Buffers are views of
+    A caller that runs many batches creates one and passes it to
+    forward_batch; backward_batch uses the trace's. Buffers are views of
     the workspace, so a trace stays valid only until the next call on it. A
     buffer that must grow gets a quarter more than asked, so that batches a
     little longer than the longest so far do not reallocate it again.
@@ -168,14 +169,14 @@ def _buffer(workspace: Workspace | None, name: str, shape: tuple[int, ...]) -> F
 class BatchTrace:
     """Activations of one minibatch, kept for backward_batch.
 
-    Sequences are left-padded to a common length T, so every one ends at
-    column T-1; the backward cell reads the reversed sequences, padded the
+    Sequences are aligned at their ends on T = max length columns, so
+    sequence b of length L_b starts at column T - L_b and every one ends at
+    column T-1; the backward cell reads the reversed sequences, aligned the
     same way. Inside the kernel the batch is ordered by length, longest
     first (`order`), so the sequences active at column t are the first
     `active[t]` ones, and only those are computed. Their rows are packed
     column after column: column t's rows start at `offsets[t]`, and row
-    (t, j) of cell c reads row `source[offsets[t] + j, c]` of `inputs`
-    flattened to (T*B, E).
+    (t, j) of cell c reads row `source[offsets[t] + j, c]` of `table`.
 
     Slot t of `states` (rows offsets[t]..offsets[t+1]) holds the state that
     each row of column t starts from (0 for a sequence's first step), and
@@ -186,8 +187,8 @@ class BatchTrace:
     order: np.ndarray               # (B,) batch position of each sorted sequence
     active: np.ndarray              # (T+1,) rows of each column; active[T] = B
     offsets: np.ndarray             # (T+2,) packed row where each column starts
-    inputs: FloatArray              # (T, B, E) as passed in
-    source: np.ndarray              # (N, cells) packed row -> row of inputs
+    table: FloatArray               # (V, E) as passed in
+    source: np.ndarray              # (N, cells) packed row -> row of table
     states: FloatArray | None       # (N+B, cells, H)
     readout: FloatArray             # (B, R), caller's order, dropout applied
     probabilities: FloatArray       # (B, C), caller's order
@@ -199,7 +200,7 @@ class BatchTrace:
         return len(self.active) - 1
 
     def _hidden(self, cell: int) -> FloatArray | None:
-        """(T, B, H) states of one cell in the caller's order, 0 on padding."""
+        """(T, B, H) states of one cell in the caller's order, 0 before a sequence starts."""
         if self.states is None or cell >= self.states.shape[1]:
             return None
         steps, batch = self.steps, len(self.order)
@@ -218,18 +219,12 @@ class BatchTrace:
         return self._hidden(1)
 
 
-def pad_batch(
-    sequences: Sequence[FloatArray], workspace: Workspace | None = None
-) -> tuple[FloatArray, np.ndarray]:
-    """Left-pad (L_i, E) sequences into a zero-filled (T, B, E) tensor with
-    T = max L_i; returns it with the lengths."""
+def pack_sequences(sequences: Sequence[FloatArray]) -> tuple[FloatArray, np.ndarray, np.ndarray, np.ndarray]:
+    """(L_i, E) sequences as forward_batch's (table, ids, starts, lengths):
+    the table is the sequences stacked, and the ids count its rows."""
     lengths = np.array([len(seq) for seq in sequences])
-    steps = int(lengths.max())
-    inputs = _buffer(workspace, "padded", (steps, len(sequences), np.shape(sequences[0])[1]))
-    inputs.fill(0.0)
-    for b, seq in enumerate(sequences):
-        inputs[steps - len(seq) :, b] = seq
-    return inputs, lengths
+    table = np.concatenate(sequences)
+    return table, np.arange(len(table)), np.cumsum(lengths) - lengths, lengths
 
 
 def _stacked(
@@ -258,10 +253,10 @@ def _block_rows(batch: int) -> int:
     return max(GRAD_ROWS, batch)
 
 
-def _gather(inputs: FloatArray, source: np.ndarray, out: FloatArray) -> FloatArray:
-    """The packed rows `source` (n, cells) of a (T, B, E) batch, into out[:n]."""
+def _gather(table: FloatArray, source: np.ndarray, out: FloatArray) -> FloatArray:
+    """The rows `source` (n, cells) of a (V, E) table, into out[:n]."""
     rows = out[: len(source)]
-    np.take(inputs.reshape(-1, inputs.shape[2]), source, axis=0, out=rows, mode="clip")
+    np.take(table, source, axis=0, out=rows, mode="clip")
     return rows
 
 
@@ -273,23 +268,27 @@ def _by_cell(rows: FloatArray) -> FloatArray:
 def forward_batch(
     params: dict[str, FloatArray],
     config: ModelConfig,
-    inputs: FloatArray,
+    table: FloatArray,
+    ids: np.ndarray,
+    starts: np.ndarray,
     lengths: np.ndarray,
     dropout_masks: FloatArray | None = None,
     keep_states: bool = True,
     workspace: Workspace | None = None,
 ) -> BatchTrace:
-    """Run the classifier over a left-padded (T, B, E) batch (see pad_batch).
+    """Run the classifier over B sequences of rows of a (V, E) table:
+    sequence b is table[ids[starts[b] : starts[b] + lengths[b]]] (see
+    pack_sequences for sequences held as arrays).
 
     `dropout_masks` (B, R) multiplies the readout (train mode). With
     keep_states=False only the running state is kept (inference); such a
     trace cannot be passed to backward_batch. Buffers come from `workspace`
     when given (see Workspace), else they are allocated for this call.
     """
-    steps, batch, emb_dim = inputs.shape
+    lengths = np.asarray(lengths)
+    steps, batch, emb_dim = int(lengths.max()), len(lengths), table.shape[1]
     prefixes = _cells(config)
     cells, hidden = len(prefixes), config.hidden_size
-    lengths = np.asarray(lengths)
     order = np.argsort(-lengths, kind="stable")
     start = steps - lengths[order]
     column, row = np.nonzero(np.arange(steps)[:, None] >= start)
@@ -298,13 +297,13 @@ def forward_batch(
     act, off = active.tolist(), offsets.tolist()
     rows = off[steps]
 
-    # row (t, j) of the forward cell reads column t of sorted sequence j; step
-    # t of the reversed sequence reads x_{L-(t-start)}, which the forward
-    # layout holds at column start + T-1-t
+    # row (t, j) of the forward cell is step t - start of sorted sequence j;
+    # the backward cell's step s reads x_{L-1-s}, at column T-1-t
     source = np.empty((rows, cells), dtype=np.int64)
-    source[:, 0] = column * batch + order[row]
+    first = np.asarray(starts)[order][row]
+    source[:, 0] = ids[first + column - start[row]]
     if cells == 2:
-        source[:, 1] = (start[row] + steps - 1 - column) * batch + order[row]
+        source[:, 1] = ids[first + steps - 1 - column]
 
     w_xh_t = _stacked(params, prefixes, "w_xh", transpose=True)
     w_hh_t = _stacked(params, prefixes, "w_hh", transpose=True)
@@ -313,7 +312,7 @@ def forward_batch(
     projection = _buffer(workspace, "block", (_block_rows(batch) + batch, cells, hidden))
     block_inputs = _buffer(workspace, "block_inputs", (_block_rows(batch), cells, emb_dim))
     if keep_states:
-        # sized for the padded batch, so that batches of the same shape never
+        # sized for B sequences of T steps, so that batches of the same shape never
         # grow it; only the rows in use are ever touched
         states = _buffer(workspace, "states", ((steps + 1) * batch, cells, hidden))[: rows + batch]
 
@@ -331,7 +330,7 @@ def forward_batch(
         base = off[lo]
         proj = projection[: off[hi] - base]
         # the input projection of every step of the block, bias included
-        np.matmul(_by_cell(_gather(inputs, source[base : off[hi]], block_inputs)), w_xh_t, out=_by_cell(proj))
+        np.matmul(_by_cell(_gather(table, source[base : off[hi]], block_inputs)), w_xh_t, out=_by_cell(proj))
         proj += b_h
         for t in range(lo, hi):
             n = act[t]
@@ -361,7 +360,7 @@ def forward_batch(
         order=order,
         active=active,
         offsets=offsets,
-        inputs=inputs,
+        table=table,
         source=source,
         states=states,
         readout=readout,
@@ -428,7 +427,7 @@ def backward_batch(
                 n = act[t - 1]
                 np.matmul(_by_cell(da[:n]), w_hh, out=_by_cell(dh[:n]))
         by_cell = block.transpose(1, 2, 0)
-        d_w_xh += by_cell @ _by_cell(_gather(trace.inputs, trace.source[base : off[hi]], block_inputs))
+        d_w_xh += by_cell @ _by_cell(_gather(trace.table, trace.source[base : off[hi]], block_inputs))
         # slot t holds the state that each row of column t started from
         d_w_hh += by_cell @ _by_cell(states[base : off[hi]])
         d_b_h += block.sum(axis=0)
@@ -508,7 +507,7 @@ def forward(
         if rng is None:
             raise ValueError("train-mode forward with dropout needs an RngState")
         mask = dropout_mask((1, config.readout_size), config.dropout_rate, rng)
-    return ForwardTrace(forward_batch(params, config, seq[:, None, :], np.array([len(seq)]), mask))
+    return ForwardTrace(forward_batch(params, config, *pack_sequences([seq]), mask))
 
 
 def _backward(
@@ -555,9 +554,18 @@ def backward_truncated(
     return _backward(params, config, trace, sequence, target_class, k=k)
 
 
-def token_rows(vocab: Vocabulary, tokens: Sequence[str]) -> np.ndarray:
-    """Embedding-row indices of the in-vocabulary tokens, in order; OOV tokens skipped."""
-    return np.array([vocab.index(t) for t in tokens if t in vocab], dtype=np.int64)
+def token_ids(
+    vocab: Vocabulary, token_lists: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """forward_batch's (ids, starts, lengths) for N token lists: the
+    embedding-row ids of each list's in-vocabulary tokens in order, OOV
+    tokens skipped, so a list with no such token has length 0."""
+    sizes = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    every = chain.from_iterable(token_lists)
+    ids = np.fromiter(map(vocab.token_to_index.get, every, repeat(-1)), dtype=np.int64, count=int(sizes.sum()))
+    known = ids >= 0
+    lengths = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[known], minlength=len(sizes))
+    return ids[known], np.cumsum(lengths) - lengths, lengths
 
 
 def predict_many(
@@ -571,13 +579,16 @@ def predict_many(
     lists with at least one in-vocabulary token (the other rows are 0).
 
     The lists with such a token are run longest first, INFER_CHUNK at a time,
-    so each chunk pads little; the kernel runs in inference mode on one
-    workspace, so memory is bounded by one chunk's padded inputs and running
-    states. The results are scattered back to the caller's order.
+    so each chunk holds lists of similar length; the kernel gathers their
+    embedding rows by id and runs in inference mode on one workspace, so
+    memory is bounded by one chunk's running states. The results are
+    scattered back to the caller's order.
     """
     _check_params(params, config)
-    rows = [token_rows(vocab, tokens) for tokens in token_lists]
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    # the kernel's gather clamps ids, so an id past the table must be caught here
+    if len(vocab) > emb.vocab_size:
+        raise ValueError(f"vocabulary has {len(vocab)} words but the embedding only {emb.vocab_size} rows")
+    ids, starts, lengths = token_ids(vocab, token_lists)
     known = lengths > 0
     probabilities = np.zeros((len(token_lists), config.num_classes))
     live = np.flatnonzero(known)
@@ -585,8 +596,10 @@ def predict_many(
     workspace = Workspace()
     for lo in range(0, len(live), INFER_CHUNK):
         chunk = live[lo : lo + INFER_CHUNK]
-        inputs, chunk_lengths = pad_batch([emb.input_vectors[rows[i]] for i in chunk], workspace)
-        trace = forward_batch(params, config, inputs, chunk_lengths, keep_states=False, workspace=workspace)
+        trace = forward_batch(
+            params, config, emb.input_vectors, ids, starts[chunk], lengths[chunk],
+            keep_states=False, workspace=workspace,
+        )
         probabilities[chunk] = trace.probabilities
     return probabilities, known
 
@@ -644,8 +657,9 @@ def save_model(params: dict[str, FloatArray], config: ModelConfig, path: str | P
             dims = " ".join(str(d) for d in shape)
             fh.write(f"param {name} {dims}\n")
             rows = arr if arr.ndim == 2 else arr[None, :]
+            template = " ".join(["%.17g"] * rows.shape[1]) + "\n"
             for row in rows:
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+                fh.write(template % tuple(row.tolist()))
 
 
 def load_model(path: str | Path) -> tuple[dict[str, FloatArray], ModelConfig]:

@@ -37,8 +37,7 @@ from .model import (
     backward_batch,
     forward_batch,
     init_params,
-    pad_batch,
-    token_rows,
+    token_ids,
 )
 from .numeric import PROB_FLOOR, FloatArray, RngState, clip_gradients, dropout_mask, global_norm, sgd_step
 
@@ -320,15 +319,11 @@ def train(
     classes = _check_train_inputs(data, emb, vocab, model_cfg, train_cfg)
     class_index = {c: i for i, c in enumerate(classes)}
 
-    # embedding-row indices, gathered into a padded batch at each step
-    rows: list[np.ndarray] = []
-    for ex in data.train:
-        row = token_rows(vocab, ex.tokens)
-        if not len(row):
-            raise ValueError(
-                f"train example {ex.id!r} has no in-vocabulary tokens and cannot be embedded"
-            )
-        rows.append(row)
+    # every example's embedding-row ids; the kernel gathers a batch's rows by id
+    ids, starts, lengths = token_ids(vocab, [ex.tokens for ex in data.train])
+    if not lengths.all():
+        ex = data.train[int(np.argmin(lengths))]
+        raise ValueError(f"train example {ex.id!r} has no in-vocabulary tokens and cannot be embedded")
     targets = np.array([class_index[ex.label] for ex in data.train])
 
     root = RngState(seed=train_cfg.seed)
@@ -336,7 +331,7 @@ def train(
     rate = model_cfg.dropout_rate
     k = None if model_cfg.bptt_mode == BPTT_FULL else model_cfg.bptt_k
 
-    n = len(rows)
+    n = len(lengths)
     workspace = Workspace()
     epoch_losses: list[float] = []
     epoch_accuracies: list[float] = []
@@ -356,8 +351,10 @@ def train(
                 masks = None
                 if rate > 0.0:
                     masks = dropout_mask((len(batch), model_cfg.readout_size), rate, root.child(2, epoch, start))
-                inputs, lengths = pad_batch([emb.input_vectors[rows[i]] for i in batch], workspace)
-                trace = forward_batch(params, model_cfg, inputs, lengths, masks, workspace=workspace)
+                trace = forward_batch(
+                    params, model_cfg, emb.input_vectors, ids, starts[batch], lengths[batch], masks,
+                    workspace=workspace,
+                )
                 y = targets[batch]
                 batch_losses = -np.log(np.maximum(trace.probabilities[np.arange(len(batch)), y], PROB_FLOOR))
                 if not np.isfinite(batch_losses.sum()):
@@ -368,7 +365,7 @@ def train(
                 correct += int(np.sum(np.argmax(trace.probabilities, axis=1) == y))
                 grads = backward_batch(params, model_cfg, trace, y, k)
                 # the trace's arrays are views of the workspace, which the next batch overwrites
-                del trace, inputs
+                del trace
                 mean = {name: g / len(batch) for name, g in grads.items()}
                 norm = global_norm(mean)
                 if not math.isfinite(norm):

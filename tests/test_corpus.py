@@ -103,6 +103,53 @@ def test_load_tweets_unknown_format(tmp_path):
         load_tweets(path)
 
 
+def test_load_tweets_accepts_integer_ids(tmp_path):
+    path = tmp_path / "raw.jsonl"
+    records = [
+        {"id": 398765432109876543, "timestamp": NOV9, "text": "numeric id"},
+        {"id": "t2", "timestamp": NOV9, "text": "string id"},
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    assert [t.id for t in load_tweets(path)] == ["398765432109876543", "t2"]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("id", [1, 2], r"line 2: 'id' must be a string or an integer, got \[1, 2\]"),
+        ("id", True, r"line 2: 'id' must be a string or an integer, got True"),
+        ("id", 1.5, r"line 2: 'id' must be a string or an integer, got 1.5"),
+        ("timestamp", 20131108, r"line 2: 'timestamp' must be a string, got 20131108"),
+        ("text", {"body": "x"}, r"line 2: 'text' must be a string, got \{'body': 'x'\}"),
+        ("text", 7, r"line 2: 'text' must be a string, got 7"),
+    ],
+)
+def test_load_tweets_rejects_wrong_field_types(tmp_path, field, value, message):
+    path = tmp_path / "raw.jsonl"
+    good = {"id": "t1", "timestamp": NOV9, "text": "ok"}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"id": "t2", field: value}) + "\n")
+    with pytest.raises(TweetFormatError, match=message):
+        load_tweets(path)
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("raw.jsonl", "{not json\n", "line 1: invalid JSON"),
+        ("raw.jsonl", '{"id": "t1"}\n', "line 1: missing field 'timestamp'"),
+        ("raw.csv", "id,text\nt1,x\n", "CSV header must contain id,timestamp,text"),
+        ("raw.csv", f"id,timestamp,text\nt1,{NOV9},x\nt1,{NOV9},y\n", "line 3: duplicate id 't1'"),
+        ("raw.xml", "<tweets/>", "unsupported corpus format 'xml'"),
+    ],
+)
+def test_load_tweets_errors_name_the_file(tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_text(content)
+    with pytest.raises(TweetFormatError) as info:
+        load_tweets(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # Collection-window filter
 # ---------------------------------------------------------------------------

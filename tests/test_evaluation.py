@@ -243,12 +243,13 @@ def test_evaluate_zero_weight_model_predicts_class_zero():
 
 
 def test_evaluate_overfit_training_set():
-    from rnnsent.model import backward_full, forward, init_params, token_rows
+    from rnnsent.model import backward_full, forward, init_params, token_ids
     from rnnsent.numeric import sgd_step
 
     examples, vocab, emb, cfg = _world(hidden=12)
     params = init_params(cfg, RngState(seed=31))
-    seqs = [list(emb.input_vectors[token_rows(vocab, e.tokens)]) for e in examples]
+    ids, starts, lengths = token_ids(vocab, [e.tokens for e in examples])
+    seqs = [list(emb.input_vectors[ids[s : s + n]]) for s, n in zip(starts, lengths)]
     targets = [FINE_CLASSES.index(e.label) for e in examples]
     for _ in range(150):
         for seq, y in zip(seqs, targets):

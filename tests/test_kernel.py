@@ -27,7 +27,7 @@ from rnnsent.model import (
     forward,
     forward_batch,
     init_params,
-    pad_batch,
+    pack_sequences,
     predict,
     predict_many,
 )
@@ -84,11 +84,11 @@ def test_batch_matches_per_example_oracle(case):
     if config.dropout_rate > 0.0:
         masks = np.stack([dropout_mask(config.readout_size, 0.5, root.child(2, b)) for b in range(len(sequences))])
 
-    inputs, lengths = pad_batch(sequences)
-    trace = forward_batch(params, config, inputs, lengths, masks)
+    table, ids, starts, lengths = pack_sequences(sequences)
+    trace = forward_batch(params, config, table, ids, starts, lengths, masks)
     grads = backward_batch(params, config, trace, targets, case["k"])
 
-    steps = inputs.shape[0]
+    steps = int(lengths.max())
     expected = {name: np.zeros_like(arr) for name, arr in params.items()}
     for b, seq in enumerate(sequences):
         mask = None if masks is None else masks[b]
@@ -144,11 +144,11 @@ def test_batch_matches_oracle_in_any_length_order(case):
     targets = gen.integers(3, size=len(sequences))
     masks = np.stack([dropout_mask(config.readout_size, 0.5, root.child(2, b)) for b in range(len(sequences))])
 
-    inputs, lengths = pad_batch(sequences)
-    trace = forward_batch(params, config, inputs, lengths, masks)
+    table, ids, starts, lengths = pack_sequences(sequences)
+    trace = forward_batch(params, config, table, ids, starts, lengths, masks)
     grads = backward_batch(params, config, trace, targets, case["k"])
 
-    steps = inputs.shape[0]
+    steps = int(lengths.max())
     expected = {name: np.zeros_like(arr) for name, arr in params.items()}
     for b, seq in enumerate(sequences):
         hidden_fwd, hidden_bwd, readout, probs = oracle.forward(params, config, seq, masks[b])
@@ -164,6 +164,70 @@ def test_batch_matches_oracle_in_any_length_order(case):
             expected[name] += g
     for name in expected:
         assert _max_diff(grads[name], expected[name]) <= TOLERANCE, name
+
+
+@st.composite
+def shared_id_cases(draw):
+    """Sequences of ids into a table of 1-4 rows, so that rows repeat inside
+    a sequence and across sequences; id `shared` is twice at the end of
+    sequence 0 and first in sequence 1. `layout` is the order in which the
+    sequences' ids are stored in the flat id array."""
+    rows = draw(st.integers(1, 4))
+    sequences = draw(st.lists(st.lists(st.integers(0, rows - 1), min_size=1, max_size=12), min_size=2, max_size=6))
+    shared = draw(st.integers(0, rows - 1))
+    sequences[0] = sequences[0] + [shared, shared]
+    sequences[1] = [shared] + sequences[1]
+    steps = max(len(seq) for seq in sequences)
+    return {
+        "rows": rows,
+        "sequences": sequences,
+        "layout": draw(st.permutations(range(len(sequences)))),
+        "direction": draw(st.sampled_from([STANDARD, BIDIRECTIONAL])),
+        # full BPTT, a one-step window, and a window shorter than the longest sequence
+        "k": draw(st.sampled_from([None, 1, draw(st.integers(2, steps - 1))])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_id_cases())
+@example({"rows": 1, "sequences": [[0, 0, 0], [0]], "layout": [1, 0], "direction": BIDIRECTIONAL,
+          "k": 2, "seed": 6})
+@example({"rows": 3, "sequences": [[2, 1, 1, 1], [1, 0], [0, 2, 2]], "layout": [2, 0, 1],
+          "direction": STANDARD, "k": None, "seed": 7})
+def test_batch_gathers_shared_and_repeated_ids(case):
+    config = ModelConfig(embedding_dim=3, hidden_size=4, dropout_rate=0.5, direction=case["direction"])
+    root = RngState(seed=case["seed"])
+    params = init_params(config, root.child(0))
+    gen = root.child(1).generator()
+    table = gen.normal(scale=0.8, size=(case["rows"], 3))
+    sequences = case["sequences"]
+    targets = gen.integers(3, size=len(sequences))
+    masks = np.stack([dropout_mask(config.readout_size, 0.5, root.child(2, b)) for b in range(len(sequences))])
+    layout = case["layout"]
+    ids = np.array([i for b in layout for i in sequences[b]])
+    starts = np.empty(len(sequences), dtype=np.int64)
+    starts[layout] = np.cumsum([0] + [len(sequences[b]) for b in layout])[:-1]
+    lengths = np.array([len(seq) for seq in sequences])
+
+    trace = forward_batch(params, config, table, ids, starts, lengths, masks)
+    grads = backward_batch(params, config, trace, targets, case["k"])
+
+    steps = int(lengths.max())
+    expected = {name: np.zeros_like(arr) for name, arr in params.items()}
+    for b, seq_ids in enumerate(sequences):
+        seq = table[seq_ids]
+        hidden_fwd, hidden_bwd, readout, probs = oracle.forward(params, config, seq, masks[b])
+        assert _max_diff(trace.probabilities[b], probs) <= TOLERANCE
+        assert _max_diff(trace.readout[b], readout) <= TOLERANCE
+        assert _max_diff(trace.hidden_fwd[steps - len(seq) :, b], hidden_fwd) <= TOLERANCE
+        if hidden_bwd is not None:
+            assert _max_diff(trace.hidden_bwd[steps - len(seq) :, b], hidden_bwd) <= TOLERANCE
+        for name, g in oracle.gradients(params, config, seq, targets[b], masks[b], case["k"])[1].items():
+            expected[name] += g
+    for name in expected:
+        scale = max(1.0, float(np.max(np.abs(expected[name]))))
+        assert _max_diff(grads[name], expected[name]) <= TOLERANCE * scale, name
 
 
 def _batch_arrays(trace, grads):
@@ -187,10 +251,10 @@ def test_reused_workspace_matches_fresh_buffers(direction, keep_states):
         targets = gen.integers(3, size=len(sequences))
         masks = np.stack([dropout_mask(config.readout_size, 0.5, RngState(seed=40 + number * 10 + b))
                           for b in range(len(sequences))])
+        packed = pack_sequences(sequences)
         results = []
         for ws in (None, workspace):
-            inputs, lengths = pad_batch(sequences, ws)
-            trace = forward_batch(params, config, inputs, lengths, masks, keep_states=keep_states, workspace=ws)
+            trace = forward_batch(params, config, *packed, masks, keep_states=keep_states, workspace=ws)
             grads = backward_batch(params, config, trace, targets, 3) if keep_states else None
             results.append(_batch_arrays(trace, grads))
         fresh, reused = results
@@ -227,6 +291,30 @@ def test_predict_many_keeps_caller_order():
         assert _max_diff(probs, single[1]) <= TOLERANCE
 
 
+@pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])
+def test_predict_many_skips_oov_tokens_inside_tweets(direction):
+    data, emb, vocab = _run_world(seed=78)
+    config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=direction)
+    params = init_params(config, RngState(seed=79))
+    tweets = [ex.tweet for ex in data.train + data.test]
+    gen = RngState(seed=80).generator()
+    token_lists = []
+    for i in range(INFER_CHUNK + 20):
+        tokens = list(tweets[i % len(tweets)].tokens)
+        # unknown words at the start, in the middle or at the end; every list keeps its known ones
+        for _ in range(int(gen.integers(1, 4))):
+            tokens.insert(int(gen.integers(len(tokens) + 1)), f"unseen{int(gen.integers(3))}")
+        token_lists.append(tokens)
+
+    probabilities, known = predict_many(params, config, emb, vocab, token_lists)
+    assert known.all()
+    for tokens, probs in zip(token_lists, probabilities):
+        assert any(t not in vocab for t in tokens)
+        assert _max_diff(probs, predict(params, config, emb, vocab, tokens)[1]) <= TOLERANCE
+        seq = [emb.input_vectors[vocab.index(t)] for t in tokens if t in vocab]
+        assert _max_diff(probs, oracle.forward(params, config, seq)[3]) <= TOLERANCE
+
+
 @pytest.mark.parametrize("k", [None, 2, 11])
 def test_gradient_blocks_change_only_summation_order(monkeypatch, k):
     config = ModelConfig(embedding_dim=3, hidden_size=4, dropout_rate=0.5, direction=BIDIRECTIONAL)
@@ -235,8 +323,7 @@ def test_gradient_blocks_change_only_summation_order(monkeypatch, k):
     sequences = [gen.normal(scale=0.8, size=(n, 3)) for n in (13, 4, 9)]
     targets = np.array([0, 2, 1])
     masks = np.stack([dropout_mask(config.readout_size, 0.5, RngState(seed=25 + b)) for b in range(3)])
-    inputs, lengths = pad_batch(sequences)
-    trace = forward_batch(params, config, inputs, lengths, masks)
+    trace = forward_batch(params, config, *pack_sequences(sequences), masks)
     one_block = backward_batch(params, config, trace, targets, k)
     monkeypatch.setattr(model, "GRAD_ROWS", 7)  # blocks of 2 steps x 3 sequences
     blocks = backward_batch(params, config, trace, targets, k)
@@ -306,9 +393,9 @@ def test_train_draws_one_mask_per_minibatch(monkeypatch):
     train_cfg = TrainConfig(batch_size=7, epochs=2, seed=5)
     seen = []
 
-    def recording_forward(params, config, inputs, lengths, masks=None, **kwargs):
+    def recording_forward(params, config, table, ids, starts, lengths, masks=None, **kwargs):
         seen.append(masks.copy())
-        return forward_batch(params, config, inputs, lengths, masks, **kwargs)
+        return forward_batch(params, config, table, ids, starts, lengths, masks, **kwargs)
 
     monkeypatch.setattr(training, "forward_batch", recording_forward)
     train(data, emb, vocab, model_cfg, train_cfg)
@@ -432,8 +519,8 @@ def test_evaluate_all_oov_chunk():
 def test_inference_trace_cannot_be_backpropagated():
     config = ModelConfig(embedding_dim=2, hidden_size=3)
     params = init_params(config, RngState(seed=74))
-    inputs, lengths = pad_batch([np.ones((2, 2)), np.ones((1, 2))])
-    trace = forward_batch(params, config, inputs, lengths, keep_states=False)
+    packed = pack_sequences([np.ones((2, 2)), np.ones((1, 2))])
+    trace = forward_batch(params, config, *packed, keep_states=False)
     assert trace.hidden_fwd is None
     with pytest.raises(ValueError, match="keep_states"):
         backward_batch(params, config, trace, np.array([0, 1]))

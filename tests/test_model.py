@@ -18,7 +18,7 @@ from rnnsent.model import (
     param_shapes,
     predict,
     save_model,
-    token_rows,
+    token_ids,
 )
 from rnnsent.numeric import RngState, cross_entropy, global_norm, sgd_step
 
@@ -462,6 +462,24 @@ def _tiny_world():
     return vocab, emb, cfg
 
 
+def test_token_ids_skip_unknown_tokens():
+    vocab, _, _ = _tiny_world()
+    ids, starts, lengths = token_ids(vocab, [["badword", "zzz", "goodword"], [], ["zzz"], ["goodword", "goodword"]])
+    assert ids.tolist() == [1, 0, 0, 0]
+    assert starts.tolist() == [0, 2, 2, 2]
+    assert lengths.tolist() == [2, 0, 0, 2]
+    ids, starts, lengths = token_ids(vocab, [])
+    assert ids.size == starts.size == lengths.size == 0
+
+
+def test_predict_rejects_vocabulary_past_the_embedding():
+    vocab, _, cfg = _tiny_world()
+    emb = EmbeddingMatrix(np.array([[1.0, 0.0]]))
+    params = init_params(cfg, RngState(seed=803))
+    with pytest.raises(ValueError, match="vocabulary has 2 words but the embedding only 1 rows"):
+        predict(params, cfg, emb, vocab, ["badword"])
+
+
 def test_predict_zero_weights_tie_breaks_to_class_zero():
     vocab, emb, cfg = _tiny_world()
     label, probs = predict(_zero_params(cfg), cfg, emb, vocab, ["goodword"])
@@ -472,7 +490,8 @@ def test_predict_zero_weights_tie_breaks_to_class_zero():
 def test_predict_overfit_single_word():
     vocab, emb, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=800))
-    seq = list(emb.input_vectors[token_rows(vocab, ["goodword"])])
+    ids, _, _ = token_ids(vocab, [["goodword"]])
+    seq = list(emb.input_vectors[ids])
     for _ in range(60):
         trace = forward(params, cfg, seq)
         grads = backward_full(params, cfg, trace, seq, 0)
@@ -495,7 +514,8 @@ def test_predict_all_unknown_raises():
     params = init_params(cfg, RngState(seed=802))
     with pytest.raises(AllTokensUnknownError):
         predict(params, cfg, emb, vocab, ["zzz", "qqq"])
-    assert list(emb.input_vectors[token_rows(vocab, ["zzz"])]) == []
+    ids, _, _ = token_ids(vocab, [["zzz"]])
+    assert list(emb.input_vectors[ids]) == []
 
 
 # ---------------------------------------------------------------------------
