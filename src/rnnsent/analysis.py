@@ -215,16 +215,19 @@ def _label_to_date(label: str, granularity: str) -> date:
     return date.fromisoformat(label)
 
 
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def save_classified(classified: Sequence[ClassifiedTweet], path: str | Path) -> None:
-    """Clean-corpus JSONL plus label, confidence, and oov fields per tweet."""
+    """Clean-corpus JSONL plus label, confidence, and oov fields per tweet, keys sorted."""
     with atomic_writer(path) as fh:
         for item in classified:
             record = {
                 "id": item.tweet.id,
                 "timestamp": item.tweet.timestamp.isoformat(),
-                "tokens": list(item.tweet.tokens),
+                "tokens": item.tweet.tokens,  # a tuple encodes as a JSON array
                 "label": item.label,
                 "confidence": item.confidence,
                 "oov": item.oov,
             }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(_encode_json(record) + "\n")

@@ -25,6 +25,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
+import numpy as np
+
 
 class TweetFormatError(ValueError):
     """Raised for malformed input files (bad record, duplicate id, bad vocab line)."""
@@ -64,6 +66,73 @@ def read_header(
     if header[1] != version:
         raise error(f"{path}: version mismatch: file is {header[1]!r}, reader supports {version!r}")
     return header
+
+
+@contextmanager
+def open_artifact(path: Path, error: type[ValueError]) -> Iterator[TextIO]:
+    """`path` opened as UTF-8 text; a byte that is not UTF-8 raises `error` naming `path`."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: corrupt file: not UTF-8 text: {exc}") from exc
+
+
+def read_rows(
+    fh: TextIO,
+    path: Path,
+    n_rows: int,
+    n_cols: int,
+    error: type[ValueError],
+    what: str = "",
+    tokens: list[str] | None = None,
+) -> np.ndarray:
+    """The next `n_rows` lines of `fh` as an (n_rows, n_cols) float64 array.
+
+    Whitespace separates values, as in str.split; numpy's C tokenizer parses
+    them, reading one line at a time. With `tokens` given, each line starts
+    with a token, which is appended to it. A missing or blank row, a row of
+    the wrong length, and a non-numeric or non-finite value raise `error`
+    naming `path` and the row; `what` follows the row number (say " of
+    'w_xh'"). `n_cols` must be at least 1.
+    """
+    where = f"{path}: corrupt file: row"
+    last = [0, ""]  # the row loadtxt read last: it fails on the row it reads
+
+    def check_length(r: int, line: str) -> None:
+        found = len(line.split())
+        if found != n_cols:
+            raise error(f"{where} {r}{what} has {found} values, expected {n_cols}")
+
+    def lines() -> Iterator[str]:
+        for r in range(n_rows):
+            line = fh.readline()
+            if not line:
+                raise error(f"{path}: corrupt file: expected {n_rows} rows{what}, found {r}")
+            if tokens is not None:
+                parts = line.split(None, 1)
+                tokens.extend(parts[:1])
+                line = parts[1] if len(parts) == 2 else ""
+            last[0], last[1] = r, line
+            # loadtxt skips blank lines, which would shift every later row up,
+            # and takes the row length from the first row
+            if r == 0 or not line or line.isspace():
+                check_length(r, line)
+            yield line
+
+    if n_rows == 0:
+        return np.empty((0, n_cols))
+    try:
+        values = np.loadtxt(lines(), dtype=np.float64, comments=None, ndmin=2)
+    except (error, UnicodeDecodeError):  # raised by lines(), and ValueErrors too
+        raise
+    except ValueError as exc:
+        check_length(*last)
+        raise error(f"{where} {last[0]}{what} has a non-numeric value") from exc
+    non_finite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(non_finite):
+        raise error(f"{where} {non_finite[0]}{what} has a non-finite value")
+    return values
 
 
 @dataclass(frozen=True)
@@ -423,21 +492,28 @@ def save_clean_corpus(tweets: Iterable[CleanTweet], path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def _clean_record(line: str, line_no: int) -> CleanTweet:
+_decode_json = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
+
+
+def _clean_record(text: str, line_no: int) -> CleanTweet:
+    """The tweet of one JSON object, `text`, which has no surrounding JSON whitespace."""
     try:
-        record = json.loads(line)
+        record, end = _decode_json(text)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
     except json.JSONDecodeError as exc:
         raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-    if not isinstance(record, dict):
+    if type(record) is not dict:
         raise TweetFormatError(f"line {line_no}: expected a JSON object")
     for field in ("id", "timestamp", "tokens"):
         if field not in record:
             raise TweetFormatError(f"line {line_no}: missing field {field!r}")
     for field in ("id", "timestamp"):
-        if not isinstance(record[field], str):
+        if type(record[field]) is not str:
             raise TweetFormatError(f"line {line_no}: {field!r} must be a string, got {record[field]!r}")
     tokens = record["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if type(tokens) is not list or not {str}.issuperset(map(type, tokens)):
         raise TweetFormatError(f"line {line_no}: 'tokens' must be a list of strings")
     try:
         timestamp = parse_timestamp(record["timestamp"])
@@ -451,12 +527,13 @@ def load_clean_corpus(path: str | Path) -> list[CleanTweet]:
     raises TweetFormatError naming the file and line."""
     tweets = []
     seen: dict[str, int] = {}
-    with Path(path).open(encoding="utf-8") as fh:
+    with open_artifact(Path(path), TweetFormatError) as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            text = line.strip(_JSON_SPACE)
+            if not text or text.isspace():
                 continue
             try:
-                tweets.append(_clean_record(line, line_no))
+                tweets.append(_clean_record(text, line_no))
                 _check_duplicate(tweets[-1].id, line_no, seen)
             except TweetFormatError as exc:
                 raise TweetFormatError(f"{path}: {exc}") from exc
@@ -471,25 +548,30 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
+    """Read a vocabulary written by save_vocabulary; a malformed line raises
+    TweetFormatError naming the file and line."""
     tokens: list[str] = []
     counts: list[int] = []
-    with Path(path).open(encoding="utf-8") as fh:
+    with open_artifact(Path(path), TweetFormatError) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
-                raise TweetFormatError(f"line {line_no}: expected token<TAB>index<TAB>count")
+                raise TweetFormatError(f"{path}: line {line_no}: expected token<TAB>index<TAB>count")
             token, index_s, count_s = parts
             try:
                 index, count = int(index_s), int(count_s)
             except ValueError as exc:
-                raise TweetFormatError(f"line {line_no}: non-integer index/count") from exc
+                raise TweetFormatError(f"{path}: line {line_no}: non-integer index/count") from exc
             if index != len(tokens):
-                raise TweetFormatError(f"line {line_no}: index {index} out of order (expected {len(tokens)})")
+                raise TweetFormatError(f"{path}: line {line_no}: index {index} out of order (expected {len(tokens)})")
             tokens.append(token)
             counts.append(count)
-    return Vocabulary(tokens, counts)
+    try:
+        return Vocabulary(tokens, counts)
+    except ValueError as exc:
+        raise TweetFormatError(f"{path}: {exc}") from exc
 
 
 def save_stats(stats: CorpusStats, path: str | Path) -> None:

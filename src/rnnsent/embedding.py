@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, atomic_writer, read_header
+from .corpus import CleanTweet, Vocabulary, atomic_writer, open_artifact, read_header, read_rows
 from .numeric import FloatArray, RngState
 
 EMBEDDING_MAGIC = "SGNS-EMB"
@@ -290,9 +290,9 @@ def save_embeddings(emb: EmbeddingMatrix, vocab: Vocabulary, path: str | Path) -
         raise ValueError(f"embedding has {emb.vocab_size} rows but vocabulary has {len(vocab)}")
     with atomic_writer(path) as fh:
         fh.write(f"{EMBEDDING_MAGIC} {EMBEDDING_VERSION} {emb.vocab_size} {emb.dim}\n")
-        for index, token in enumerate(vocab.tokens):
-            values = " ".join(f"{x:.9g}" for x in emb.input_vectors[index])
-            fh.write(f"{token} {values}\n")
+        template = "%s" + " %.9g" * emb.dim + "\n"
+        for token, row in zip(vocab.tokens, emb.input_vectors):
+            fh.write(template % (token, *row.tolist()))
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
@@ -307,31 +307,17 @@ def load_embeddings_with_tokens(path: str | Path) -> tuple[EmbeddingMatrix, tupl
     vectors (queries and classification use input vectors only).
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with open_artifact(path, EmbeddingFileError) as fh:
         header = read_header(fh, path, EMBEDDING_MAGIC, EMBEDDING_VERSION, 4, EmbeddingFileError, "an embedding file")
         try:
             vocab_size, dim = int(header[2]), int(header[3])
-        except ValueError as exc:
-            raise EmbeddingFileError(f"{path}: malformed header counts") from exc
-
+        except ValueError:
+            vocab_size = dim = -1
+        if vocab_size < 0 or dim < 1:
+            raise EmbeddingFileError(f"{path}: malformed header counts")
         tokens: list[str] = []
-        vectors = np.empty((vocab_size, dim))
-        for i in range(vocab_size):
-            line = fh.readline()
-            if not line:
-                raise EmbeddingFileError(f"{path}: corrupt file: expected {vocab_size} rows, found {i}")
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise EmbeddingFileError(f"{path}: corrupt file: row {i} has {len(parts) - 1} values, expected {dim}")
-            tokens.append(parts[0])
-            try:
-                vectors[i] = [float(x) for x in parts[1:]]
-            except ValueError as exc:
-                raise EmbeddingFileError(f"{path}: corrupt file: row {i} has a non-numeric value") from exc
+        vectors = read_rows(fh, path, vocab_size, dim, EmbeddingFileError, tokens=tokens)
         for extra, line in enumerate(fh, start=vocab_size):
             if line.strip():
                 raise EmbeddingFileError(f"{path}: corrupt file: row {extra} follows the {vocab_size} declared rows")
-    non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if len(non_finite):
-        raise EmbeddingFileError(f"{path}: corrupt file: row {non_finite[0]} has a non-finite value")
     return EmbeddingMatrix(vectors), tuple(tokens)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, atomic_writer, read_header
+from .corpus import Vocabulary, atomic_writer, open_artifact, read_header, read_rows
 from .embedding import EmbeddingMatrix
 from .numeric import FloatArray, RngState, dropout_mask, softmax
 
@@ -664,7 +664,7 @@ def save_model(params: dict[str, FloatArray], config: ModelConfig, path: str | P
 
 def load_model(path: str | Path) -> tuple[dict[str, FloatArray], ModelConfig]:
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with open_artifact(path, ModelFileError) as fh:
         read_header(fh, path, MODEL_MAGIC, MODEL_VERSION, 2, ModelFileError, "a model file")
 
         raw: dict[str, str] = {}
@@ -693,27 +693,17 @@ def load_model(path: str | Path) -> tuple[dict[str, FloatArray], ModelConfig]:
             head = fh.readline().split()
             if len(head) != 2 + len(shape) or head[0] != "param" or head[1] != name:
                 raise ModelFileError(f"{path}: corrupt file: expected 'param {name}' block")
-            file_shape = tuple(int(d) for d in head[2:])
+            try:
+                file_shape = tuple(int(d) for d in head[2:])
+            except ValueError as exc:
+                raise ModelFileError(f"{path}: corrupt file: expected 'param {name}' block") from exc
             if file_shape != shape:
                 raise ModelFileError(
                     f"{path}: shape inconsistency for {name!r}: file says {file_shape}, config implies {shape}"
                 )
-            n_rows = shape[0] if len(shape) == 2 else 1
-            n_cols = shape[1] if len(shape) == 2 else shape[0]
-            rows = []
-            for r in range(n_rows):
-                line = fh.readline().split()
-                if len(line) != n_cols:
-                    raise ModelFileError(f"{path}: corrupt file: bad row {r} of {name!r}")
-                try:
-                    rows.append([float(x) for x in line])
-                except ValueError as exc:
-                    raise ModelFileError(f"{path}: corrupt file: non-numeric value in {name!r}") from exc
-                if not np.isfinite(rows[-1]).all():
-                    raise ModelFileError(f"{path}: corrupt file: row {r} of {name!r} has a non-finite value")
+            n_rows, n_cols = shape if len(shape) == 2 else (1, shape[0])
+            params[name] = read_rows(fh, path, n_rows, n_cols, ModelFileError, f" of {name!r}").reshape(shape)
             lines_read += 1 + n_rows
-            arr = np.array(rows)
-            params[name] = arr if len(shape) == 2 else arr[0]
         for line_no, line in enumerate(fh, start=lines_read + 1):
             if line.strip():
                 raise ModelFileError(f"{path}: corrupt file: line {line_no} follows the last parameter row")

@@ -392,6 +392,31 @@ def test_load_vocabulary_rejects_out_of_order_index(tmp_path):
         load_vocabulary(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("storm\t0\t7\nwater 1 5\n", "line 2: expected token<TAB>index<TAB>count"),
+        ("storm\t0\t7\nwater\t1\tfive\n", "line 2: non-integer index/count"),
+        ("storm\t0\t7\nwater\t2\t5\n", "line 2: index 2 out of order (expected 1)"),
+        ("storm\t0\t7\nstorm\t1\t5\n", "duplicate tokens in vocabulary"),
+        ("storm\t0\t7\nw\xffter\t1\t5\n", "corrupt file: not UTF-8 text"),
+    ],
+)
+def test_load_vocabulary_errors_start_with_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "vocab.tsv"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(TweetFormatError) as info:
+        load_vocabulary(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+    # `neighbors` reads the vocabulary after a valid embedding file
+    emb_path = tmp_path / "emb.txt"
+    emb_path.write_text("SGNS-EMB v1 2 1\nstorm 1\nwater 2\n")
+    from rnnsent.cli import main
+
+    assert main(["neighbors", "--embeddings", str(emb_path), "--vocab", str(path), "--word", "storm", "--k", "1"]) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 def test_clean_corpus_round_trip(tmp_path):
     clean, _, _ = preprocess_corpus(_hand_trace_raw(), _default_config())
     path = tmp_path / "clean.jsonl"
@@ -441,4 +466,20 @@ def test_load_clean_corpus_bad_timestamp_names_file_and_line(tmp_path):
     path = tmp_path / "clean.jsonl"
     path.write_text('{"id": "t1", "timestamp": "not a time", "tokens": ["bagyo"]}\n')
     with pytest.raises(TweetFormatError, match=r"clean\.jsonl: line 1: bad timestamp 'not a time'"):
+        load_clean_corpus(path)
+
+
+def test_load_clean_corpus_reads_records_as_json_loads_does(tmp_path):
+    record = '{"id": "t1", "timestamp": "2013-11-08T00:00:00+00:00", "tokens": ["bagyo"]}'
+    path = tmp_path / "clean.jsonl"
+    # JSON whitespace around a record and whitespace-only lines are accepted
+    path.write_text(f" \t{record}\t \n\x0c\n\n")
+    assert load_clean_corpus(path) == [CleanTweet("t1", datetime(2013, 11, 8, tzinfo=timezone.utc), ("bagyo",))]
+    for trailing in (" x", " {}", "]"):
+        path.write_text(record + "\n" + record.replace("t1", "t2") + trailing + "\n")
+        with pytest.raises(TweetFormatError, match=r"clean\.jsonl: line 2: invalid JSON: Extra data"):
+            load_clean_corpus(path)
+
+    path.write_bytes(record.encode() + b"\n\xff\n")
+    with pytest.raises(TweetFormatError, match=r"clean\.jsonl: corrupt file: not UTF-8 text"):
         load_clean_corpus(path)
