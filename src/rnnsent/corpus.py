@@ -9,6 +9,13 @@ always produce identical outputs:
 Strip patterns themselves run in the order given by
 ``PreprocessConfig.strip_patterns`` (default: username, url, retweet_marker,
 hashtag_symbol_only, emoji, special_chars).
+
+Cleaning runs on blocks of CLEAN_BLOCK tweets: each tweet's newlines become
+spaces, the block's texts are joined by newlines and lowercased, and each
+strip rule runs once over the joined text before it is split back into
+tweets. A strip rule must therefore never match across whitespace, or it
+could join two tweets. Tokenizing is str.split, which splits on exactly the
+characters re's \\s matches, so no separate whitespace collapse is needed.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -69,10 +77,13 @@ def read_header(
 
 
 @contextmanager
-def open_artifact(path: Path, error: type[ValueError]) -> Iterator[TextIO]:
-    """`path` opened as UTF-8 text; a byte that is not UTF-8 raises `error` naming `path`."""
+def open_artifact(path: Path, error: type[ValueError], newline: str | None = None) -> Iterator[TextIO]:
+    """`path` opened as UTF-8 text; a byte that is not UTF-8 raises `error` naming `path`.
+
+    `newline` is passed to open ("" for the csv module).
+    """
     try:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: corrupt file: not UTF-8 text: {exc}") from exc
@@ -159,12 +170,23 @@ class CorpusStats:
     def to_dict(self) -> dict:
         return asdict(self)
 
+# The rules run on lowercased text. There the url rule matches what it
+# matched under re.IGNORECASE, where "ſ" (U+017F) matches "s"; without the
+# flag re searches for the rule's literal start instead of trying the rule
+# at every position. The retweet rule is \brt\b written to start with "rt",
+# for the same reason.
 _USERNAME_RE = re.compile(r"@\w+")
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-_RETWEET_RE = re.compile(r"\brt\b")  # applied after lowercasing
-_APOSTROPHE_RE = re.compile(r"['’]")
-_SPECIAL_RE = re.compile(r"[^\w\s]|_")
-_WS_RE = re.compile(r"\s+")
+_URL_RE = re.compile(r"(?:http[sſ]?://|www\.)\S+")
+_RETWEET_RE = re.compile(r"rt\b(?<!\wrt)")
+# Allowlist: ASCII (punctuation is handled by the special_chars rule) plus
+# any Unicode letter/digit/whitespace. Everything else (emoji, pictographs,
+# dingbats) is dropped.
+_EMOJI_RE = re.compile(r"[^\x00-\x7f\w\s]")
+_SPECIAL_RE = re.compile(r"[^\w\s]")
+
+# Tweets joined into one text per strip pass; a whole corpus in one text
+# would hold several copies of it in memory at once.
+CLEAN_BLOCK = 256
 
 
 def _strip_username(text: str) -> str:
@@ -185,15 +207,12 @@ def _strip_hashtag_symbol(text: str) -> str:
 
 
 def _strip_emoji(text: str) -> str:
-    # Allowlist: ASCII (punctuation is handled by the special_chars rule) plus
-    # any Unicode letter/digit/whitespace. Everything else (emoji, pictographs,
-    # dingbats) is dropped.
-    return "".join(ch for ch in text if ord(ch) < 128 or ch.isalnum() or ch.isspace())
+    return _EMOJI_RE.sub("", text)
 
 
 def _strip_special_chars(text: str) -> str:
-    # Apostrophes vanish (don't -> dont); other punctuation splits words.
-    text = _APOSTROPHE_RE.sub("", text)
+    # Apostrophes vanish (don't -> dont); other punctuation and "_" split words.
+    text = text.replace("'", "").replace("’", "").replace("_", " ")
     return _SPECIAL_RE.sub(" ", text)
 
 
@@ -345,37 +364,36 @@ def load_tweets(path: str | Path, format: str | None = None) -> list[RawTweet]:
         format = path.suffix.lstrip(".").lower()
     if format not in ("jsonl", "csv"):
         raise TweetFormatError(f"{path}: unsupported corpus format {format!r} (use jsonl or csv)")
-    try:
-        return _read_tweets(path, format)
-    except TweetFormatError as exc:
-        raise TweetFormatError(f"{path}: {exc}") from exc
+    with open_artifact(path, TweetFormatError, newline="" if format == "csv" else None) as fh:
+        try:
+            return _read_tweets(fh, format)
+        except TweetFormatError as exc:
+            raise TweetFormatError(f"{path}: {exc}") from exc
 
 
-def _read_tweets(path: Path, format: str) -> list[RawTweet]:
+def _read_tweets(fh: TextIO, format: str) -> list[RawTweet]:
     tweets: list[RawTweet] = []
     seen: dict[str, int] = {}
     if format == "jsonl":
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise TweetFormatError(f"line {line_no}: expected a JSON object")
-                tweets.append(_record_to_tweet(record, line_no))
-                _check_duplicate(tweets[-1].id, line_no, seen)
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise TweetFormatError(f"line {line_no}: expected a JSON object")
+            tweets.append(_record_to_tweet(record, line_no))
+            _check_duplicate(tweets[-1].id, line_no, seen)
     else:
-        with path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"id", "timestamp", "text"} <= set(reader.fieldnames):
-                raise TweetFormatError("CSV header must contain id,timestamp,text")
-            for record in reader:
-                line_no = reader.line_num
-                tweets.append(_record_to_tweet(record, line_no))
-                _check_duplicate(tweets[-1].id, line_no, seen)
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"id", "timestamp", "text"} <= set(reader.fieldnames):
+            raise TweetFormatError("CSV header must contain id,timestamp,text")
+        for record in reader:
+            line_no = reader.line_num
+            tweets.append(_record_to_tweet(record, line_no))
+            _check_duplicate(tweets[-1].id, line_no, seen)
     return tweets
 
 
@@ -415,24 +433,30 @@ def deduplicate(tweets: Sequence[RawTweet]) -> list[RawTweet]:
     seen: set[str] = set()
     kept = []
     for tweet in tweets:
-        key = _WS_RE.sub(" ", tweet.text.strip()).lower()
+        key = " ".join(tweet.text.split()).lower()
         if key not in seen:
             seen.add(key)
             kept.append(tweet)
     return kept
 
 
-def normalize_text(text: str, config: PreprocessConfig) -> str:
-    """Lowercase, apply the configured strip rules in order, collapse whitespace."""
-    text = text.lower()
+def _clean_block(texts: Sequence[str], config: PreprocessConfig) -> list[list[str]]:
+    """The tokens of each of `texts`: lowercased, stripped by the configured
+    rules in order, split on whitespace.
+
+    The texts are cleaned as one newline-joined text, so each rule runs once
+    per block; a newline inside a text becomes a space first, which no rule
+    tells apart from it.
+    """
+    text = "\n".join([t.replace("\n", " ") for t in texts]).lower()
     for name in config.strip_patterns:
         text = _STRIP_RULES[name](text)
-    return _WS_RE.sub(" ", text).strip()
+    return [line.split() for line in text.split("\n")]
 
 
-def tokenize(text: str) -> list[str]:
-    """Whitespace split of already-normalized text; never yields empty tokens."""
-    return text.split()
+def normalize_text(text: str, config: PreprocessConfig) -> str:
+    """Lowercase, apply the configured strip rules in order, collapse whitespace."""
+    return " ".join(_clean_block([text], config)[0])
 
 
 def preprocess_corpus(
@@ -447,23 +471,24 @@ def preprocess_corpus(
     """
     deduped = deduplicate(raw)
 
+    stopwords, min_length = config.stopwords, config.min_token_length
     filtered: list[tuple[RawTweet, list[str]]] = []
     counts: Counter[str] = Counter()
-    for tweet in deduped:
-        tokens = [
-            tok
-            for tok in tokenize(normalize_text(tweet.text, config))
-            if tok not in config.stopwords and len(tok) >= config.min_token_length
+    for lo in range(0, len(deduped), CLEAN_BLOCK):
+        block = deduped[lo : lo + CLEAN_BLOCK]
+        block_tokens = [
+            [tok for tok in tokens if tok not in stopwords and len(tok) >= min_length]
+            for tokens in _clean_block([t.text for t in block], config)
         ]
-        filtered.append((tweet, tokens))
-        counts.update(tokens)
+        filtered.extend(zip(block, block_tokens, strict=True))
+        counts.update(chain.from_iterable(block_tokens))
 
     surviving = {tok: n for tok, n in counts.items() if n >= config.min_global_frequency}
     vocab = Vocabulary.from_counts(surviving)
 
     clean: list[CleanTweet] = []
     for tweet, tokens in filtered:
-        kept = tuple(tok for tok in tokens if tok in surviving)
+        kept = tuple([tok for tok in tokens if tok in surviving])
         if kept:
             clean.append(CleanTweet(id=tweet.id, timestamp=tweet.timestamp, tokens=kept))
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, atomic_writer
+from .corpus import CleanTweet, Vocabulary, atomic_writer, open_artifact
 from .embedding import EmbeddingMatrix
 from .evaluation import (
     BINARY_CLASSES,
@@ -130,7 +130,7 @@ def load_annotations(path: str | Path, corpus: Sequence[CleanTweet]) -> list[Lab
     path = Path(path)
     labeled: list[LabeledTweet] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8", newline="") as fh:
+    with open_artifact(path, ValueError, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: annotation CSV must have an 'id,label' header")

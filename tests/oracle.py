@@ -8,12 +8,19 @@ rnnsent.model.param_shapes.
 
 SGNS: the per-pair skip-gram trainer that rnnsent.embedding's per-tweet
 update replaced, one SGD step per (center, context) pair.
+
+Cleaning: the per-tweet pipeline that rnnsent.corpus's block pass replaced,
+each strip rule and the whitespace collapse run on one tweet at a time.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+
 import numpy as np
 
+from rnnsent.corpus import CleanTweet, CorpusStats, Vocabulary
 from rnnsent.embedding import EmbeddingMatrix, _sampling_tables
 from rnnsent.model import BPTT_FULL, STANDARD, init_params
 from rnnsent.numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
@@ -188,3 +195,59 @@ def sgns_train(corpus, vocab, params, rng):
                 pair_count += 1
         emb.epoch_losses.append(loss_sum / pair_count if pair_count else 0.0)
     return emb
+
+
+_USERNAME_RE = re.compile(r"@\w+")
+_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_RETWEET_RE = re.compile(r"\brt\b")  # applied after lowercasing
+_APOSTROPHE_RE = re.compile(r"['’]")
+_SPECIAL_RE = re.compile(r"[^\w\s]|_")
+_WS_RE = re.compile(r"\s+")
+
+
+STRIP_RULES = {
+    "username": lambda text: _USERNAME_RE.sub(" ", text),
+    "url": lambda text: _URL_RE.sub(" ", text),
+    "retweet_marker": lambda text: _RETWEET_RE.sub(" ", text),
+    "hashtag_symbol_only": lambda text: text.replace("#", ""),
+    # allowlist: ASCII plus any Unicode letter, digit or whitespace
+    "emoji": lambda text: "".join(ch for ch in text if ord(ch) < 128 or ch.isalnum() or ch.isspace()),
+    "special_chars": lambda text: _SPECIAL_RE.sub(" ", _APOSTROPHE_RE.sub("", text)),
+}
+
+
+def normalize_text(text, config):
+    """Lowercase, apply the configured strip rules in order, collapse whitespace."""
+    text = text.lower()
+    for name in config.strip_patterns:
+        text = STRIP_RULES[name](text)
+    return _WS_RE.sub(" ", text).strip()
+
+
+def preprocess_corpus(raw, config):
+    """(clean tweets, Vocabulary, CorpusStats) of `raw`, one tweet at a time."""
+    seen, deduped = set(), []
+    for tweet in raw:
+        key = _WS_RE.sub(" ", tweet.text.strip()).lower()
+        if key not in seen:
+            seen.add(key)
+            deduped.append(tweet)
+
+    filtered, counts = [], Counter()
+    for tweet in deduped:
+        tokens = [
+            tok
+            for tok in normalize_text(tweet.text, config).split()
+            if tok not in config.stopwords and len(tok) >= config.min_token_length
+        ]
+        filtered.append((tweet, tokens))
+        counts.update(tokens)
+
+    surviving = {tok: n for tok, n in counts.items() if n >= config.min_global_frequency}
+    vocab = Vocabulary.from_counts(surviving)
+    clean = []
+    for tweet, tokens in filtered:
+        kept = tuple(tok for tok in tokens if tok in surviving)
+        if kept:
+            clean.append(CleanTweet(id=tweet.id, timestamp=tweet.timestamp, tokens=kept))
+    return clean, vocab, CorpusStats(len(raw), len(deduped), len(clean), len(vocab))

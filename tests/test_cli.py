@@ -88,6 +88,26 @@ def test_preprocess_date_window(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["raw.jsonl", "raw.csv", "annotations.csv"])
+def test_input_that_is_not_utf8_is_usage_error_naming_the_file(pipeline, tmp_path, capsys, name):
+    path = tmp_path / name
+    if name == "annotations.csv":  # one good row from the shared run, then a bad byte
+        good = "".join(pipeline["ann"].read_text(encoding="utf-8").splitlines(keepends=True)[:2])
+        argv = [
+            "train", "--corpus", str(pipeline["pre"] / "corpus.jsonl"), "--annotations", str(path),
+            "--embeddings", str(pipeline["emb"]), "--epochs", "1", "--output", str(tmp_path / "fit"),
+        ]
+    else:
+        good = {
+            "raw.jsonl": '{"id": "t1", "timestamp": "2013-11-09T08:00:00Z", "text": "bagyo"}\n',
+            "raw.csv": "id,timestamp,text\nt1,2013-11-09T08:00:00Z,bagyo\n",
+        }[name]
+        argv = ["preprocess", "--input", str(path), "--output-dir", str(tmp_path / "pre")]
+    path.write_bytes(good.encode() + b"t2,b\xffgyo\n")
+    assert main(argv) == 2
+    assert f"error: {path}: corrupt file: not UTF-8 text" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # embed / neighbors
 # ---------------------------------------------------------------------------

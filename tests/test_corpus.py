@@ -1,10 +1,18 @@
 import json
+import re
+import sys
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracle
 import synthdata
+from rnnsent import corpus
 from rnnsent.corpus import (
+    DEFAULT_STRIP_PATTERNS,
     CleanTweet,
     PreprocessConfig,
     RawTweet,
@@ -22,7 +30,6 @@ from rnnsent.corpus import (
     preprocess_corpus,
     save_clean_corpus,
     save_vocabulary,
-    tokenize,
 )
 
 
@@ -241,10 +248,106 @@ def test_normalize_text_rt_only_as_word():
     assert normalize_text("artwork", _plain_config()) == "artwork"
 
 
-def test_tokenize():
-    assert tokenize("pray for tacloban") == ["pray", "for", "tacloban"]
-    assert tokenize("  ") == []
-    assert tokenize("bangon pilipinas") == ["bangon", "pilipinas"]
+# the default rules leave lowercase letters and digits separated by single spaces
+_NORMALIZED = re.compile(r"(?:[^\W_]+(?: [^\W_]+)*)?")
+
+
+@given(st.text())
+@example("r't now")  # cleans to "rt now", which a second pass cleans to "now"
+def test_normalize_text_gives_lowercase_word_tokens(text):
+    got = normalize_text(text, _plain_config())
+    assert _NORMALIZED.fullmatch(got)
+    assert got == got.lower()
+
+
+def _every_char():
+    return "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+def _assert_same_text(got, want):
+    same = got == want  # outside the assert, which would diff million-character strings
+    if not same:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"first difference at {i}: {got[max(i - 5, 0):i + 5]!r} != {want[max(i - 5, 0):i + 5]!r}")
+
+
+def test_re_whitespace_is_str_isspace():
+    # tokenizing with str.split stands in for the old \s+ collapse
+    every = _every_char()
+    _assert_same_text(re.sub(r"\S", "", every), "".join(filter(str.isspace, every)))
+    words = re.sub(r"\s", "", every)
+    assert len(words.split()) == 1
+
+
+def test_emoji_rule_keeps_ascii_letters_digits_and_whitespace():
+    every = _every_char()
+    allowed = set(every[:128]) | set(filter(str.isalnum, every)) | set(filter(str.isspace, every))
+    _assert_same_text(corpus._strip_emoji(every), "".join(sorted(allowed)))
+
+
+def test_url_rule_spells_out_ignorecase_on_lowercased_text():
+    lowered = _every_char().lower()
+    for letter in "htpsw":
+        matched = set(re.findall(letter, lowered, re.IGNORECASE))
+        assert matched == ({"s", "ſ"} if letter == "s" else {letter})
+
+
+@pytest.mark.parametrize("name, joiner", [("retweet_marker", "rt"), ("special_chars", "")])
+def test_rewritten_rule_matches_per_tweet_rule_beside_every_char(name, joiner):
+    text = joiner.join(_every_char())
+    _assert_same_text(corpus._STRIP_RULES[name](text), oracle.STRIP_RULES[name](text))
+
+
+# Pieces that each probe a way the block pass could differ from cleaning one
+# tweet at a time: separators str.splitlines knows but the block split does
+# not, case mappings that depend on context (final sigma) or change length
+# (İ), characters the emoji and special_chars rules treat differently, and
+# rules that end at a tweet's end or would match across two tweets.
+_PIECES = [
+    "\n", "\r", "\r\n", "\x1c", "\x1d", "\x1e", "\x1f", " ", "\x85", "\u2028", "\t", "\xa0",
+    "ΟΔΟΣ", "Σ", "σ", "İ", "I", "e\u0301", "\u0301", "\u0489", "\U0001f62d", "\u2764\ufe0f", "\U0001f1f5\U0001f1ed",
+    "_", "'", "’", "rt", "RT", "Rt!", "(rt)", "rt:", "art", "rt_", "_rt", "ſ", "ß", "½",
+    "@", "@user", "@Yolanda_PH", "http://t.co/x", "HTTPS://T.CO/Y", "httpſ://z", "www.", "www.Site.ph",
+    "#", "#Bangon", "storm", "Storm", "the", "and", "ok", "a", "ab", "abc", "don't", "...", "!!", "123",
+]
+_tweet_text = st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=2)), max_size=12).map("".join)
+_configs = st.one_of(
+    st.just(DEFAULT_STRIP_PATTERNS),
+    st.permutations(DEFAULT_STRIP_PATTERNS).flatmap(lambda rules: st.integers(0, len(rules)).map(lambda n: tuple(rules[:n]))),
+).flatmap(
+    lambda rules: st.builds(
+        PreprocessConfig,
+        stopwords=st.just(frozenset({"the", "and"})),
+        min_token_length=st.integers(1, 3),
+        min_global_frequency=st.integers(1, 3),
+        strip_patterns=st.just(rules),
+    )
+)
+
+
+@given(
+    texts=st.lists(_tweet_text, max_size=30),
+    repeats=st.lists(st.tuples(st.integers(0, 29), st.sampled_from([str.upper, str.lower, lambda t: f" {t}\n"])), max_size=8),
+    config=_configs,
+    block=st.sampled_from([1, 7, corpus.CLEAN_BLOCK]),  # tweets per joined text
+)
+@example(
+    texts=[
+        "ΟΔΟΣ", "İstanbul\nRT: storm", "x\x1cy\x1dz\x1e\x1fw\x85v\rstorm", "cafe\u0301 \U0001f62d_ok storm",
+        "don’t rt! art storm", "storm http://t.co/x", "#Storm @end", "@only http://only", "",
+    ],
+    repeats=[(0, str.upper), (4, str.lower)],
+    config=PreprocessConfig(stopwords=frozenset(), min_global_frequency=1),
+    block=7,
+)
+def test_block_pass_matches_per_tweet_oracle(texts, repeats, config, block):
+    texts = texts + [change(texts[i % len(texts)]) for i, change in repeats if texts]
+    raw = [RawTweet(id=f"t{i}", timestamp=parse_timestamp(NOV9), text=text) for i, text in enumerate(texts)]
+    with mock.patch.object(corpus, "CLEAN_BLOCK", block):
+        got = preprocess_corpus(raw, config)
+    assert got == oracle.preprocess_corpus(raw, config)
+    for text in texts:
+        assert normalize_text(text, config) == oracle.normalize_text(text, config)
 
 
 # ---------------------------------------------------------------------------
