@@ -7,14 +7,16 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, atomic_writer
+from .corpus import CleanTweet, Vocabulary, _write_jsonl, atomic_writer
 from .embedding import EmbeddingMatrix
 from .evaluation import FINE_CLASSES, classes_for
 from .model import ModelConfig, predict_many
@@ -135,12 +137,11 @@ def temporal_buckets(
     if len(classified) == 0:
         raise ValueError("cannot bucket an empty classification")
 
+    pairs = Counter((item.tweet.timestamp.astimezone(timezone.utc).date(), item.label) for item in classified)
     tallies: dict[date, dict[str, int]] = {}
-    for item in classified:
-        day = item.tweet.timestamp.astimezone(timezone.utc).date()
-        start = _period_start(day, granularity)
-        bucket = tallies.setdefault(start, {c: 0 for c in FINE_CLASSES})
-        bucket[item.label] += 1
+    for (day, label), n in pairs.items():
+        bucket = tallies.setdefault(_period_start(day, granularity), {c: 0 for c in FINE_CLASSES})
+        bucket[label] += n
 
     first, last = min(tallies), max(tallies)
     buckets: list[TemporalBucket] = []
@@ -187,47 +188,28 @@ def export_report(
                 writer.writerow([b.label] + [str(b.counts[c]) for c in FINE_CLASSES])
 
 
-def load_report(path: str | Path) -> tuple[SentimentDistribution, TemporalBuckets]:
-    """Inverse of export_report's JSON form."""
-    with Path(path).open(encoding="utf-8") as fh:
-        payload = json.load(fh)
-    dist = SentimentDistribution(
-        counts={c: int(payload["distribution"]["counts"][c]) for c in FINE_CLASSES},
-        percentages={c: float(payload["distribution"]["percentages"][c]) for c in FINE_CLASSES},
-        total=int(payload["distribution"]["total"]),
-    )
-    granularity = payload["granularity"]
-    buckets = tuple(
-        TemporalBucket(
-            label=b["period"],
-            start=_label_to_date(b["period"], granularity),
-            counts={c: int(b[c]) for c in FINE_CLASSES},
+# JSONEncoder(sort_keys=True) writes a float with float.__repr__, also for a
+# numpy scalar (whose repr() reads "np.float64(...)"), and these three so
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _classified_lines(classified: list[ClassifiedTweet]) -> str:
+    # the bytes of JSONEncoder(sort_keys=True).encode(record), line by line
+    confidences = [float.__repr__(item.confidence) for item in classified]
+    return "".join([
+        '{"confidence": %s, "id": %s, "label": %s, "oov": %s, "timestamp": %s, "tokens": [%s]}\n'
+        % (
+            _JSON_NON_FINITE.get(confidence, confidence),
+            encode_basestring_ascii(item.tweet.id),
+            encode_basestring_ascii(item.label),
+            "true" if item.oov else "false",
+            encode_basestring_ascii(item.tweet.timestamp.isoformat()),
+            ", ".join(map(encode_basestring_ascii, item.tweet.tokens)),
         )
-        for b in payload["buckets"]
-    )
-    return dist, TemporalBuckets(granularity=granularity, buckets=buckets)
-
-
-def _label_to_date(label: str, granularity: str) -> date:
-    if granularity == "month":
-        year, month = label.split("-")
-        return date(int(year), int(month), 1)
-    return date.fromisoformat(label)
-
-
-_encode_json = json.JSONEncoder(sort_keys=True).encode
+        for item, confidence in zip(classified, confidences)
+    ])
 
 
 def save_classified(classified: Sequence[ClassifiedTweet], path: str | Path) -> None:
     """Clean-corpus JSONL plus label, confidence, and oov fields per tweet, keys sorted."""
-    with atomic_writer(path) as fh:
-        for item in classified:
-            record = {
-                "id": item.tweet.id,
-                "timestamp": item.tweet.timestamp.isoformat(),
-                "tokens": item.tweet.tokens,  # a tuple encodes as a JSON array
-                "label": item.label,
-                "confidence": item.confidence,
-                "oov": item.oov,
-            }
-            fh.write(_encode_json(record) + "\n")
+    _write_jsonl(path, classified, _classified_lines)

@@ -29,9 +29,10 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -242,8 +243,12 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One stopword per line; blank lines and lines starting with '#' ignored."""
-    return frozenset(_parse_stopwords(Path(path).read_text("utf-8")))
+    """One stopword per line; blank lines and lines starting with '#' ignored.
+
+    A byte that is not UTF-8 raises TweetFormatError naming the file.
+    """
+    with open_artifact(Path(path), TweetFormatError) as fh:
+        return frozenset(_parse_stopwords(fh.read()))
 
 
 def _parse_stopwords(text: str) -> Iterable[str]:
@@ -330,7 +335,20 @@ def parse_timestamp(value: str) -> datetime:
     """ISO-8601 timestamp; a trailing 'Z' and naive times are both read as UTC."""
     if value.endswith(("Z", "z")):
         value = value[:-1] + "+00:00"
-    return _ensure_utc(datetime.fromisoformat(value))
+    try:
+        return _ensure_utc(datetime.fromisoformat(value))
+    except OverflowError as exc:  # an offset that moves the time out of datetime's range
+        raise ValueError(str(exc)) from exc
+
+
+def _check_unicode(line: int, field: str, values: Iterable[str]) -> None:
+    """Reject a string holding a lone surrogate, which a \\uD800-\\uDFFF JSON
+    escape can decode to but no UTF-8 file can hold."""
+    for value in values:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise TweetFormatError(f"line {line}: {field!r} holds a lone surrogate: {value!r}") from None
 
 
 def _record_to_tweet(record: Mapping, line: int) -> RawTweet:
@@ -357,7 +375,8 @@ def load_tweets(path: str | Path, format: str | None = None) -> list[RawTweet]:
     `format` is "jsonl" or "csv"; when omitted it is inferred from the file
     extension. Records are returned in file order; duplicate ids are rejected.
     A JSONL id is a string or an integer, and its timestamp and text are
-    strings. Every TweetFormatError names the file, and a bad record its line.
+    strings, holding no lone surrogate. Every TweetFormatError names the
+    file, and a bad record its line.
     """
     path = Path(path)
     if format is None:
@@ -366,34 +385,23 @@ def load_tweets(path: str | Path, format: str | None = None) -> list[RawTweet]:
         raise TweetFormatError(f"{path}: unsupported corpus format {format!r} (use jsonl or csv)")
     with open_artifact(path, TweetFormatError, newline="" if format == "csv" else None) as fh:
         try:
-            return _read_tweets(fh, format)
+            if format == "jsonl":
+                return _read_jsonl(fh, _raw_tweet_block, _raw_tweet_line)
+            return _read_csv_tweets(fh)
         except TweetFormatError as exc:
             raise TweetFormatError(f"{path}: {exc}") from exc
 
 
-def _read_tweets(fh: TextIO, format: str) -> list[RawTweet]:
+def _read_csv_tweets(fh: TextIO) -> list[RawTweet]:
     tweets: list[RawTweet] = []
     seen: dict[str, int] = {}
-    if format == "jsonl":
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise TweetFormatError(f"line {line_no}: expected a JSON object")
-            tweets.append(_record_to_tweet(record, line_no))
-            _check_duplicate(tweets[-1].id, line_no, seen)
-    else:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"id", "timestamp", "text"} <= set(reader.fieldnames):
-            raise TweetFormatError("CSV header must contain id,timestamp,text")
-        for record in reader:
-            line_no = reader.line_num
-            tweets.append(_record_to_tweet(record, line_no))
-            _check_duplicate(tweets[-1].id, line_no, seen)
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None or not {"id", "timestamp", "text"} <= set(reader.fieldnames):
+        raise TweetFormatError("CSV header must contain id,timestamp,text")
+    for record in reader:
+        line_no = reader.line_num
+        tweets.append(_record_to_tweet(record, line_no))
+        _check_duplicate(tweets[-1].id, line_no, seen)
     return tweets
 
 
@@ -506,28 +514,164 @@ def preprocess_corpus(
 # ---------------------------------------------------------------------------
 
 
-def save_clean_corpus(tweets: Iterable[CleanTweet], path: str | Path) -> None:
-    with atomic_writer(path) as fh:
-        for tweet in tweets:
-            record = {
-                "id": tweet.id,
-                "timestamp": tweet.timestamp.isoformat(),
-                "tokens": list(tweet.tokens),
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
+# JSONL files are read and written JSONL_BLOCK lines at a time. A block
+# whose records are all well formed is decoded, checked and built in a few
+# passes of C-level calls (map, set, zip); on any anomaly the block is read
+# again one line at a time, which raises the error of its first bad line,
+# naming that line. The text file's own line iteration splits the lines, so
+# a line ends at "\n", "\r" or "\r\n" only; str.splitlines would also split
+# at characters such as U+2028, which the writers leave unescaped. Blocks
+# of 64 to 1024 lines read and write equally fast; a smaller block holds
+# fewer objects at once, and so less peak memory.
+JSONL_BLOCK = 128
 
 _decode_json = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
+# what json raises on a malformed line: JSONDecodeError, a plain ValueError
+# for an integer of over 4300 digits, RecursionError for deep nesting
+_JSON_ERRORS = (ValueError, RecursionError)
+# json's own C string escaper, the one json.dumps uses with ensure_ascii=False
+_escape = json.encoder.encode_basestring
 
 
-def _clean_record(text: str, line_no: int) -> CleanTweet:
-    """The tweet of one JSON object, `text`, which has no surrounding JSON whitespace."""
+def _read_jsonl(
+    fh: TextIO,
+    read_block: Callable[[list[str]], tuple[Sequence[str], list] | None],
+    read_line: Callable[[str, int], RawTweet | CleanTweet | None],
+) -> list:
+    """The records of the JSONL text `fh`, in file order; ids must be unique.
+
+    `read_block(lines)` gives a block's ids and records, or None when a line
+    is blank or any record is malformed. Such a block, or one holding a
+    duplicate id, is read again by `read_line(line, line_no)`, which gives
+    a line's record, or None for a blank line, or raises its TweetFormatError.
+    """
+    records: list = []
+    seen: dict[str, int] = {}  # id -> the line it was first read from
+    start = 1
+    while lines := list(islice(fh, JSONL_BLOCK)):
+        block = read_block(lines)
+        if block is not None and len(set(block[0])) == len(lines) and seen.keys().isdisjoint(block[0]):
+            seen.update(zip(block[0], range(start, start + len(lines))))
+            records.extend(block[1])
+        else:
+            for line_no, line in enumerate(lines, start):
+                record = read_line(line, line_no)
+                if record is not None:
+                    _check_duplicate(record.id, line_no, seen)
+                    records.append(record)
+        start += len(lines)
+    return records
+
+
+def _decode_block(lines: list[str], fields: tuple[str, ...]) -> list[tuple] | None:
+    """The `fields` of each line's JSON object, one tuple per field, or None
+    when a line is blank, is not one JSON object, or lacks a field."""
+    texts = list(map(str.strip, lines, repeat(_JSON_SPACE)))
+    try:
+        records, ends = zip(*map(_decode_json, texts))
+    except _JSON_ERRORS:
+        return None
+    if list(ends) != list(map(len, texts)) or not {dict}.issuperset(map(type, records)):
+        return None
+    try:
+        return list(zip(*map(itemgetter(*fields), records)))
+    except KeyError:
+        return None
+
+
+def _is_unicode(lines: list[str], strings: Iterable[str]) -> bool:
+    """False when one of `strings`, decoded from `lines`, holds a lone surrogate.
+
+    Only a \\uD800-\\uDFFF escape decodes to a surrogate, so the strings
+    are encoded only when the lines hold one.
+    """
+    text = "".join(lines)
+    if "\\ud" not in text and "\\uD" not in text:
+        return True
+    try:
+        "".join(strings).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _parsed_timestamps(stamps: Sequence[str]) -> list[datetime] | None:
+    """parse_timestamp of each of `stamps`, or None when one is not a timestamp."""
+    try:
+        if not any(map(methodcaller("endswith", ("Z", "z")), stamps)):
+            parsed = list(map(datetime.fromisoformat, stamps))
+            # as parse_timestamp gives them, when all are in UTC already
+            if {timezone.utc}.issuperset(map(attrgetter("tzinfo"), parsed)):
+                return parsed
+        return list(map(parse_timestamp, stamps))
+    except ValueError:
+        return None
+
+
+def _raw_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[RawTweet]] | None:
+    columns = _decode_block(lines, ("id", "timestamp", "text"))
+    if columns is None:
+        return None
+    ids, stamps, texts = columns
+    if not (
+        {str, int}.issuperset(map(type, ids))
+        and {str}.issuperset(map(type, stamps))
+        and {str}.issuperset(map(type, texts))
+        and "" not in ids
+        and "" not in stamps
+        and "" not in texts
+    ):
+        return None
+    ids = list(map(str, ids))
+    timestamps = _parsed_timestamps(stamps)
+    if timestamps is None or not _is_unicode(lines, chain(ids, texts)):
+        return None
+    return ids, list(map(RawTweet, ids, timestamps, texts))
+
+
+def _raw_tweet_line(line: str, line_no: int) -> RawTweet | None:
+    if not line.strip():
+        return None
+    try:
+        record = json.loads(line)
+    except _JSON_ERRORS as exc:
+        raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise TweetFormatError(f"line {line_no}: expected a JSON object")
+    tweet = _record_to_tweet(record, line_no)
+    _check_unicode(line_no, "id", [tweet.id])
+    _check_unicode(line_no, "text", [tweet.text])
+    return tweet
+
+
+def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[CleanTweet]] | None:
+    columns = _decode_block(lines, ("id", "timestamp", "tokens"))
+    if columns is None:
+        return None
+    ids, stamps, token_lists = columns
+    if not (
+        {str}.issuperset(map(type, ids))
+        and {str}.issuperset(map(type, stamps))
+        and {list}.issuperset(map(type, token_lists))
+        and {str}.issuperset(map(type, chain.from_iterable(token_lists)))
+    ):
+        return None
+    timestamps = _parsed_timestamps(stamps)
+    if timestamps is None or not _is_unicode(lines, chain(ids, chain.from_iterable(token_lists))):
+        return None
+    return ids, list(map(CleanTweet, ids, timestamps, map(tuple, token_lists)))
+
+
+def _clean_tweet_line(line: str, line_no: int) -> CleanTweet | None:
+    text = line.strip(_JSON_SPACE)
+    if not text or text.isspace():
+        return None
     try:
         record, end = _decode_json(text)
         if end != len(text):
             raise json.JSONDecodeError("Extra data", text, end)
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
     if type(record) is not dict:
         raise TweetFormatError(f"line {line_no}: expected a JSON object")
@@ -540,6 +684,8 @@ def _clean_record(text: str, line_no: int) -> CleanTweet:
     tokens = record["tokens"]
     if type(tokens) is not list or not {str}.issuperset(map(type, tokens)):
         raise TweetFormatError(f"line {line_no}: 'tokens' must be a list of strings")
+    _check_unicode(line_no, "id", [record["id"]])
+    _check_unicode(line_no, "tokens", tokens)
     try:
         timestamp = parse_timestamp(record["timestamp"])
     except ValueError as exc:
@@ -547,22 +693,36 @@ def _clean_record(text: str, line_no: int) -> CleanTweet:
     return CleanTweet(id=record["id"], timestamp=timestamp, tokens=tuple(tokens))
 
 
+def _write_jsonl(path: str | Path, records: Iterable, format_block: Callable[[list], str]) -> None:
+    """Write `records` atomically, one fh.write of format_block's text per block."""
+    records = iter(records)
+    with atomic_writer(path) as fh:
+        while block := list(islice(records, JSONL_BLOCK)):
+            fh.write(format_block(block))
+
+
+def _clean_tweet_lines(tweets: list[CleanTweet]) -> str:
+    # the bytes of json.dumps({"id": ..., "timestamp": ..., "tokens": [...]}, ensure_ascii=False)
+    return "".join([
+        '{"id": %s, "timestamp": %s, "tokens": [%s]}\n'
+        % (_escape(t.id), _escape(t.timestamp.isoformat()), ", ".join(map(_escape, t.tokens)))
+        for t in tweets
+    ])
+
+
+def save_clean_corpus(tweets: Iterable[CleanTweet], path: str | Path) -> None:
+    _write_jsonl(path, tweets, _clean_tweet_lines)
+
+
 def load_clean_corpus(path: str | Path) -> list[CleanTweet]:
-    """Read a clean corpus written by save_clean_corpus; a malformed record
-    raises TweetFormatError naming the file and line."""
-    tweets = []
-    seen: dict[str, int] = {}
+    """Read a clean corpus written by save_clean_corpus; a malformed record,
+    a duplicate id or a string holding a lone surrogate raises
+    TweetFormatError naming the file and line."""
     with open_artifact(Path(path), TweetFormatError) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip(_JSON_SPACE)
-            if not text or text.isspace():
-                continue
-            try:
-                tweets.append(_clean_record(text, line_no))
-                _check_duplicate(tweets[-1].id, line_no, seen)
-            except TweetFormatError as exc:
-                raise TweetFormatError(f"{path}: {exc}") from exc
-    return tweets
+        try:
+            return _read_jsonl(fh, _clean_tweet_block, _clean_tweet_line)
+        except TweetFormatError as exc:
+            raise TweetFormatError(f"{path}: {exc}") from exc
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:

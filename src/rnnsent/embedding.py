@@ -295,11 +295,6 @@ def save_embeddings(emb: EmbeddingMatrix, vocab: Vocabulary, path: str | Path) -
             fh.write(template % (token, *row.tolist()))
 
 
-def load_embeddings(path: str | Path) -> EmbeddingMatrix:
-    emb, _tokens = load_embeddings_with_tokens(path)
-    return emb
-
-
 def load_embeddings_with_tokens(path: str | Path) -> tuple[EmbeddingMatrix, tuple[str, ...]]:
     """Read an embedding file back; also returns the stored token order.
 

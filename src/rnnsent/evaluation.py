@@ -207,17 +207,3 @@ def save_confusion(cm: ConfusionMatrix, path: str | Path) -> None:
         writer.writerow(["gold"] + list(cm.classes))
         for name, row in zip(cm.classes, cm.counts):
             writer.writerow([name] + [str(c) for c in row])
-
-
-def load_confusion(path: str | Path) -> ConfusionMatrix:
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["gold"]:
-        raise ValueError(f"{path}: not a confusion-matrix CSV")
-    classes = tuple(rows[0][1:])
-    counts = []
-    for row in rows[1:]:
-        if len(row) != len(classes) + 1:
-            raise ValueError(f"{path}: malformed row {row!r}")
-        counts.append(tuple(int(c) for c in row[1:]))
-    return ConfusionMatrix(classes, tuple(counts))

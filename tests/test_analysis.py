@@ -10,7 +10,6 @@ from rnnsent.analysis import (
     SentimentDistribution,
     classify_corpus,
     export_report,
-    load_report,
     save_classified,
     sentiment_distribution,
     temporal_buckets,
@@ -219,9 +218,10 @@ def test_export_json_round_trip(tmp_path):
     buckets = temporal_buckets(classified, "month")
     path = tmp_path / "report.json"
     export_report(dist, buckets, path, format="json")
-    got_dist, got_buckets = load_report(path)
-    assert got_dist == dist
-    assert got_buckets == buckets
+    payload = json.loads(path.read_text())
+    assert payload["distribution"] == {"counts": dist.counts, "percentages": dist.percentages, "total": dist.total}
+    assert payload["granularity"] == buckets.granularity
+    assert payload["buckets"] == [{"period": b.label, **b.counts} for b in buckets.buckets]
 
 
 def test_export_json_percentages_one_decimal(tmp_path):

@@ -20,7 +20,6 @@ from rnnsent.embedding import (
     _pair_positions,
     _PairBatch,
     cosine_similarity,
-    load_embeddings,
     load_embeddings_with_tokens,
     nearest_neighbors,
     save_embeddings,
@@ -330,35 +329,35 @@ def test_load_wrong_magic(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("NOT-EMB v1 2 2\naa 1 2\nbb 3 4\n")
     with pytest.raises(EmbeddingFileError, match="SGNS-EMB"):
-        load_embeddings(path)
+        load_embeddings_with_tokens(path)
 
 
 def test_load_version_mismatch_names_both(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v9 2 2\naa 1 2\nbb 3 4\n")
     with pytest.raises(EmbeddingFileError, match="v9.*v1"):
-        load_embeddings(path)
+        load_embeddings_with_tokens(path)
 
 
 def test_load_truncated_file(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 3 2\naa 1 2\nbb 3 4\n")
     with pytest.raises(EmbeddingFileError, match="corrupt"):
-        load_embeddings(path)
+        load_embeddings_with_tokens(path)
 
 
 def test_load_wrong_value_count(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 1 3\naa 1 2\n")
     with pytest.raises(EmbeddingFileError, match="corrupt"):
-        load_embeddings(path)
+        load_embeddings_with_tokens(path)
 
 
 def test_load_non_numeric_value(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 1 2\naa 1 oops\n")
     with pytest.raises(EmbeddingFileError, match="corrupt"):
-        load_embeddings(path)
+        load_embeddings_with_tokens(path)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -366,7 +365,7 @@ def test_load_non_finite_value(tmp_path, value):
     path = tmp_path / "emb.txt"
     path.write_text(f"SGNS-EMB v1 2 2\naa 1 2\nbb 3 {value}\n")
     with pytest.raises(EmbeddingFileError, match=f"{path}: corrupt file: row 1 has a non-finite value"):
-        load_embeddings(path)
+        load_embeddings_with_tokens(path)
     # the CLI maps the error to a usage failure
     assert main(["neighbors", "--embeddings", str(path), "--vocab", str(path), "--word", "aa", "--k", "1"]) == 2
 
@@ -375,7 +374,7 @@ def test_load_trailing_content(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 2 2\naa 1 2\nbb 3 4\n\n  \ncc 5 6\n")
     with pytest.raises(EmbeddingFileError, match=f"{path}: corrupt file: row 4 follows the 2 declared rows"):
-        load_embeddings(path)
+        load_embeddings_with_tokens(path)
     assert main(["neighbors", "--embeddings", str(path), "--vocab", str(path), "--word", "aa", "--k", "1"]) == 2
     # blank lines after the last row are not content
     path.write_text("SGNS-EMB v1 2 2\naa 1 2\nbb 3 4\n\n")

@@ -1,0 +1,305 @@
+"""The block-wise JSONL reader and writer behind load_tweets, the clean
+corpus and classified.jsonl: byte equality with json.dumps, round trips at
+several block sizes, agreement with the line-by-line reader, and the errors
+the command line reports."""
+
+import json
+from datetime import datetime, timedelta, timezone
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rnnsent import corpus
+from rnnsent.analysis import ClassifiedTweet, save_classified
+from rnnsent.cli import main
+from rnnsent.corpus import (
+    CleanTweet,
+    TweetFormatError,
+    load_clean_corpus,
+    load_stopwords,
+    load_tweets,
+    save_clean_corpus,
+)
+
+NOV9 = "2013-11-09T08:00:00+00:00"
+BLOCKS = [1, 7, corpus.JSONL_BLOCK]
+
+# characters json escapes, characters str.splitlines splits on but a text
+# file's lines do not, and characters outside the Basic Multilingual Plane
+TRICKY = '"\\/\x00\x1f\x7f\r\n\t\u2028\u2029\x85\x1c\x1d\x1e\ufeff\U0001f600\U0010ffff'
+strings = st.text(st.one_of(st.sampled_from(TRICKY), st.characters(blacklist_categories=("Cs",))), max_size=8)
+utc_times = st.datetimes(timezones=st.just(timezone.utc))
+any_times = st.datetimes(timezones=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=8, minutes=30))]))
+confidences = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except TweetFormatError as exc:
+        return ("error", str(exc))
+
+
+# ---------------------------------------------------------------------------
+# Writers: the bytes json.dumps wrote before the block writer
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    records=st.lists(st.tuples(strings, any_times, st.lists(strings, max_size=4)), max_size=12),
+    block=st.sampled_from(BLOCKS),
+)
+def test_clean_corpus_bytes_equal_json_dumps(tmp_path_factory, records, block):
+    tweets = [CleanTweet(tid, ts, tuple(tokens)) for tid, ts, tokens in records]
+    path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
+    with mock.patch.object(corpus, "JSONL_BLOCK", block):
+        save_clean_corpus(tweets, path)
+    expected = "".join(
+        json.dumps({"id": t.id, "timestamp": t.timestamp.isoformat(), "tokens": list(t.tokens)}, ensure_ascii=False) + "\n"
+        for t in tweets
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(strings, any_times, st.lists(strings, max_size=4), strings, confidences, st.booleans(), st.booleans()),
+        max_size=12,
+    ),
+    block=st.sampled_from(BLOCKS),
+)
+@example(
+    records=[
+        ("t1", datetime(2013, 11, 9), [], "positive", 0.25, False, True),
+        ("t2", datetime(2013, 11, 9, tzinfo=timezone.utc), ["bagyo"], "neutral", float("nan"), True, False),
+        ("t3", datetime(2013, 11, 9, tzinfo=timezone.utc), ["bagyo"], "negative", float("-inf"), False, True),
+    ],
+    block=1,
+)
+def test_classified_bytes_equal_json_encoder(tmp_path_factory, records, block):
+    classified = [
+        # classify_corpus hands over Python floats; a numpy scalar must write the same
+        ClassifiedTweet(CleanTweet(tid, ts, tuple(tokens)), label, np.float64(conf) if as_numpy else conf, oov)
+        for tid, ts, tokens, label, conf, oov, as_numpy in records
+    ]
+    path = tmp_path_factory.mktemp("jsonl") / "classified.jsonl"
+    with mock.patch.object(corpus, "JSONL_BLOCK", block):
+        save_classified(classified, path)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    expected = "".join(
+        encode({
+            "id": c.tweet.id,
+            "timestamp": c.tweet.timestamp.isoformat(),
+            "tokens": c.tweet.tokens,
+            "label": c.label,
+            "confidence": c.confidence,
+            "oov": c.oov,
+        }) + "\n"
+        for c in classified
+    )
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# Round trips and agreement with the line-by-line reader
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    records=st.lists(st.tuples(strings, utc_times, st.lists(strings, max_size=4)), max_size=20, unique_by=lambda r: r[0]),
+    block=st.sampled_from(BLOCKS),
+)
+def test_clean_corpus_save_load_is_identity(tmp_path_factory, records, block):
+    tweets = [CleanTweet(tid, ts, tuple(tokens)) for tid, ts, tokens in records]
+    path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
+    with mock.patch.object(corpus, "JSONL_BLOCK", block):
+        save_clean_corpus(tweets, path)
+        assert load_clean_corpus(path) == tweets
+
+
+# lines that pass or fail each check of the two readers
+RAW_LINES = st.one_of(
+    st.builds(
+        lambda tid, ts, text: json.dumps({"id": tid, "timestamp": ts, "text": text}),
+        st.one_of(st.sampled_from(["t1", "t2", "1", "", "a\ud800", "\U0001f600"]), st.sampled_from([1, 2, True, None, 1.5])),
+        st.sampled_from([NOV9, "2013-11-09T08:00:00Z", "2013-11-09T08:00:00z", "2013-11-09T16:00:00+08:00",
+                         "2013-11-09T08:00:00", "2013-11-09", "yesterday", "", "0001-01-01T00:00:00+01:00", 20131109]),
+        st.sampled_from(["bagyo", "", "x\udc00", None, 7]),
+    ),
+    st.sampled_from(["", " ", "\x0c", "{not json", "[]", "7", '{"id": "t9"}',
+                     f'{{"id": "t8", "timestamp": "{NOV9}", "text": "a"}} {{"id": "t7"}}',
+                     f'  {{"id": "t6", "timestamp": "{NOV9}", "text": "b"}}\t']),
+)
+CLEAN_LINES = st.one_of(
+    st.builds(
+        lambda tid, ts, tokens: json.dumps({"id": tid, "timestamp": ts, "tokens": tokens}),
+        st.sampled_from(["t1", "t2", "", "a\ud800", 7]),
+        st.sampled_from([NOV9, "2013-11-09T08:00:00Z", "2013-11-09T16:00:00+08:00", "2013-11-09T08:00:00", "bad", None]),
+        st.sampled_from([["bagyo"], [], ["b\udfff"], ["\U0001f600"], "bagyo", ["bagyo", 3]]),
+    ),
+    st.sampled_from(["", " \t", "\x0c", "{not json", "null", '{"id": "t9", "tokens": []}',
+                     f'{{"id": "t8", "timestamp": "{NOV9}", "tokens": []}}]']),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(RAW_LINES, max_size=12), block=st.sampled_from([1, 3, corpus.JSONL_BLOCK]))
+def test_raw_block_reader_agrees_with_line_reader(tmp_path_factory, lines, block):
+    path = tmp_path_factory.mktemp("jsonl") / "raw.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(corpus, "JSONL_BLOCK", block):
+        got = _outcome(load_tweets, path)
+        with mock.patch.object(corpus, "_raw_tweet_block", lambda lines: None):
+            assert got == _outcome(load_tweets, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(CLEAN_LINES, max_size=12), block=st.sampled_from([1, 3, corpus.JSONL_BLOCK]))
+def test_clean_block_reader_agrees_with_line_reader(tmp_path_factory, lines, block):
+    path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(corpus, "JSONL_BLOCK", block):
+        got = _outcome(load_clean_corpus, path)
+        with mock.patch.object(corpus, "_clean_tweet_block", lambda lines: None):
+            assert got == _outcome(load_clean_corpus, path)
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary bytes: only the typed error, naming the file
+# ---------------------------------------------------------------------------
+
+# JSONL-ish bytes: record syntax, line ends and bytes that are not UTF-8 drawn often
+fuzz_bytes = st.lists(
+    st.one_of(
+        st.sampled_from([b"{", b"}", b'"id": ', b'"timestamp": ', b'"text": ', b'"tokens": ', b'"t1"', b'["a"]',
+                         f'"{NOV9}"'.encode(), b",", b"\n", b"\r", b"\r\n", b"\\ud800", b"\xff", b"\xe2\x80\xa8"]),
+        st.binary(max_size=4),
+    ),
+    max_size=30,
+).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=fuzz_bytes, reader=st.sampled_from(["raw.jsonl", "raw.csv", "corpus.jsonl"]))
+@example(content=b'{"id": "t1", "timestamp": "0001-01-01T00:00:00+01:00", "text": "x"}\n', reader="raw.jsonl")
+@example(content=b'{"id": ' + b"1" * 5000 + b"}\n", reader="raw.jsonl")
+@example(content=b"[" * 100_000, reader="corpus.jsonl")
+@example(content=b"id,timestamp,text\nt1,0001-01-01T00:00:00+01:00,x\n", reader="raw.csv")
+def test_arbitrary_bytes_fail_typed_naming_the_file(tmp_path_factory, content, reader):
+    path = tmp_path_factory.mktemp("fuzz") / reader
+    path.write_bytes(content)
+    load = load_clean_corpus if reader == "corpus.jsonl" else load_tweets
+    try:
+        load(path)
+    except TweetFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+
+
+# ---------------------------------------------------------------------------
+# Errors that name the file and line
+# ---------------------------------------------------------------------------
+
+
+def test_records_split_across_lines_are_rejected_at_the_first_line(tmp_path):
+    # as a JSON array this text parses to three objects from three lines
+    path = tmp_path / "raw.jsonl"
+    path.write_text(
+        f'{{"id": "a", "timestamp": "{NOV9}", "text": "x"}} {{"id": "b", "timestamp": "{NOV9}", "text": "y"}}\n'
+        f'{{"id": "c", "timestamp": "{NOV9}",\n'
+        '"text": "z"}\n'
+    )
+    with pytest.raises(TweetFormatError, match=f"^{path}: line 1: invalid JSON: Extra data"):
+        load_tweets(path)
+    clean = tmp_path / "corpus.jsonl"
+    clean.write_text(path.read_text().replace('"text": "x"', '"tokens": []').replace('"text": "y"', '"tokens": []'))
+    with pytest.raises(TweetFormatError, match=f"^{clean}: line 1: invalid JSON: Extra data"):
+        load_clean_corpus(clean)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_duplicate_id_across_blocks_names_both_lines(tmp_path, block):
+    path = tmp_path / "corpus.jsonl"
+    save_clean_corpus([CleanTweet(tid, datetime(2013, 11, 9, tzinfo=timezone.utc), ("bagyo",)) for tid in "abcb"], path)
+    with mock.patch.object(corpus, "JSONL_BLOCK", block):
+        with pytest.raises(TweetFormatError, match=f"^{path}: line 4: duplicate id 'b' \\(first seen on line 2\\)"):
+            load_clean_corpus(path)
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps({"id": tid, "timestamp": NOV9, "text": "x"}) + "\n" for tid in ["a", "b", "c", 2, "2"]))
+    with mock.patch.object(corpus, "JSONL_BLOCK", block):
+        with pytest.raises(TweetFormatError, match=f"^{raw}: line 5: duplicate id '2' \\(first seen on line 4\\)"):
+            load_tweets(raw)
+
+
+def _preprocess(path, tmp_path):
+    return main(["preprocess", "--input", str(path), "--output-dir", str(tmp_path / "pre")])
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"id": "a\ud800", "timestamp": NOV9, "text": "x"}, "line 2: 'id' holds a lone surrogate: 'a\\ud800'"),
+        ({"id": "t2", "timestamp": NOV9, "text": "x \udc00"}, "line 2: 'text' holds a lone surrogate: 'x \\udc00'"),
+    ],
+)
+def test_lone_surrogate_in_raw_tweet_names_file_and_line(tmp_path, capsys, record, message):
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps({"id": "t1", "timestamp": NOV9, "text": "ok \U0001f600"}) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(TweetFormatError) as info:
+        load_tweets(path)
+    assert str(info.value) == f"{path}: {message}"
+    # the command fails on reading, not on writing corpus.jsonl
+    assert _preprocess(path, tmp_path) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_surrogate_pairs_are_text(tmp_path):
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps({"id": "t\U0001f600", "timestamp": NOV9, "text": "ok \U0001f600"}) + "\n")
+    assert "\\ud83d\\ude00" in path.read_text()
+    assert [(t.id, t.text) for t in load_tweets(path)] == [("t\U0001f600", "ok \U0001f600")]
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"id": "a\\ud800", "timestamp": "%s", "tokens": ["baha"]}' % NOV9, "line 2: 'id' holds a lone surrogate: 'a\\ud800'"),
+        ('{"id": "t2", "timestamp": "%s", "tokens": ["baha", "b\\udfff"]}' % NOV9, "line 2: 'tokens' holds a lone surrogate: 'b\\udfff'"),
+    ],
+)
+def test_lone_surrogate_in_clean_corpus_names_file_and_line(tmp_path, capsys, record, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "t1", "timestamp": "%s", "tokens": ["bagyo"]}\n%s\n' % (NOV9, record))
+    with pytest.raises(TweetFormatError) as info:
+        load_clean_corpus(path)
+    assert str(info.value) == f"{path}: {message}"
+    assert main(["embed", "--corpus", str(path), "--vocab", str(tmp_path / "missing.tsv"),
+                 "--output", str(tmp_path / "emb.txt")]) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_timestamp_out_of_range_is_a_bad_timestamp(tmp_path, capsys):
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps({"id": "t1", "timestamp": "0001-01-01T00:00:00+01:00", "text": "x"}) + "\n")
+    message = "line 1: bad timestamp '0001-01-01T00:00:00+01:00': date value out of range"
+    with pytest.raises(TweetFormatError) as info:
+        load_tweets(path)
+    assert str(info.value) == f"{path}: {message}"
+    assert _preprocess(path, tmp_path) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_stopwords_that_are_not_utf8_name_the_file(tmp_path, capsys):
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_bytes(b"ang\n\xff\n")
+    with pytest.raises(TweetFormatError, match=f"^{stopwords}: corrupt file: not UTF-8 text"):
+        load_stopwords(stopwords)
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps({"id": "t1", "timestamp": NOV9, "text": "bagyo"}) + "\n")
+    assert main(["preprocess", "--input", str(raw), "--output-dir", str(tmp_path / "pre"), "--stopwords", str(stopwords)]) == 2
+    assert f"error: {stopwords}: corrupt file: not UTF-8 text" in capsys.readouterr().err
