@@ -1,8 +1,10 @@
 """Command-line entry point exposing the pipeline as subcommands.
 
-Every artifact-writing subcommand drops a RunManifest next to its outputs with
-the resolved configuration, tool version, seed, and wall-clock duration, so a
-run can be reproduced exactly from its manifest.
+Every artifact-writing subcommand declares its input flags, its output flag
+and its output names once, in SUBCOMMANDS. After such a subcommand succeeds,
+`main` writes a manifest next to its outputs with the resolved configuration,
+tool version, inputs, outputs, seed, and wall-clock duration, so a run can be
+reproduced exactly from its manifest.
 
 Exit codes: 0 success, 2 usage or input errors (bad flags, unreadable or
 malformed files, config mismatches), 1 internal failures (diverged training,
@@ -17,6 +19,7 @@ import sys
 import time
 from datetime import date, datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .analysis import (
@@ -31,6 +34,7 @@ from .corpus import (
     PreprocessConfig,
     Vocabulary,
     atomic_writer,
+    default_stopwords,
     filter_by_collection_window,
     load_clean_corpus,
     load_stopwords,
@@ -79,19 +83,31 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
-CORPUS_FILENAME = "corpus.jsonl"
-VOCAB_FILENAME = "vocab.tsv"
-STATS_FILENAME = "stats.json"
-MODEL_FILENAME = "model.txt"
-TRAIN_REPORT_FILENAME = "report.json"
-METRICS_FILENAME = "metrics.json"
-CONFUSION_FILENAME = "confusion.csv"
-GRID_JSON_FILENAME = "grid.json"
-GRID_TABLE_FILENAME = "grid.txt"
-CLASSIFIED_FILENAME = "classified.jsonl"
-REPORT_JSON_FILENAME = "report.json"
-REPORT_CSV_FILENAME = "report.csv"
 MANIFEST_FILENAME = "manifest.json"
+
+
+class Spec(NamedTuple):
+    """What an artifact-writing subcommand reads and writes.
+
+    `inputs` are the flags naming its input files, in manifest order. With
+    `names`, the `output` flag is a directory that receives those files and
+    the manifest; without, it names the one output file, and the manifest
+    goes beside it as `<output>.manifest.json`.
+    """
+
+    inputs: tuple[str, ...]
+    output: str = "output"
+    names: tuple[str, ...] = ()
+
+
+SUBCOMMANDS = {
+    "preprocess": Spec(("input", "stopwords"), "output_dir", ("corpus.jsonl", "vocab.tsv", "stats.json")),
+    "embed": Spec(("corpus", "vocab")),
+    "train": Spec(("corpus", "annotations", "embeddings"), names=("model.txt", "report.json")),
+    "grid": Spec(("corpus", "annotations", "embeddings"), names=("grid.json", "grid.txt")),
+    "eval": Spec(("model", "corpus", "annotations", "embeddings"), names=("metrics.json", "confusion.csv")),
+    "analyze": Spec(("model", "corpus", "embeddings"), names=("classified.jsonl", "report.json", "report.csv")),
+}
 
 _TASKS = {"fine": TASK_FINE, "binary": TASK_BINARY}
 _MODELS = {"standard": STANDARD, "bi": BIDIRECTIONAL}
@@ -151,41 +167,43 @@ def _manifest_value(value):
     return value
 
 
-def _write_manifest(
-    path: Path,
-    subcommand: str,
-    args: argparse.Namespace,
-    inputs: list,
-    outputs: list,
-    seed: int | None,
-    started: float,
-    results: dict | None = None,
-) -> None:
-    """Write the run's manifest; `results` (optional) records figures of the
-    run itself, such as the embed epoch losses at full precision."""
+def _outputs(args: argparse.Namespace) -> list[Path]:
+    """The files the subcommand writes, as its Spec names them; creates their directory."""
+    spec = SUBCOMMANDS[args.subcommand]
+    target = getattr(args, spec.output)
+    paths = [target / name for name in spec.names] if spec.names else [target]
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    return paths
+
+
+def _write_manifest(args: argparse.Namespace, started: float, results: dict | None = None) -> None:
+    """Write the manifest of a successful run of an artifact-writing subcommand.
+
+    The inputs, outputs and manifest path come from the subcommand's Spec, the
+    seed from its --seed flag if it has one; `results` (optional) records
+    figures of the run itself, such as the embed epoch losses at full precision.
+    """
+    spec = SUBCOMMANDS[args.subcommand]
+    target = getattr(args, spec.output)
+    inputs = [getattr(args, flag) for flag in spec.inputs]
     config = {
         key: _manifest_value(val) for key, val in sorted(vars(args).items()) if key != "func"
     }
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "version": __version__,
         "config": config,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "seed": seed,
+        "inputs": [str(p) for p in inputs if p is not None],
+        "outputs": [str(p) for p in _outputs(args)],
+        "seed": getattr(args, "seed", None),
         "duration_seconds": time.perf_counter() - started,
     }
     if results is not None:
         manifest["results"] = results
+    path = target / MANIFEST_FILENAME if spec.names else Path(f"{target}.manifest.json")
     with atomic_writer(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _outdir(args: argparse.Namespace) -> Path:
-    directory = Path(args.output)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
 
 
 def _load_embedding_bundle(path: Path):
@@ -195,12 +213,12 @@ def _load_embedding_bundle(path: Path):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands. One listed in SUBCOMMANDS returns the figures that its manifest
+# records under "results", or None; it raises on failure.
 # ---------------------------------------------------------------------------
 
 
-def cmd_preprocess(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_preprocess(args: argparse.Namespace) -> None:
     raw = load_tweets(args.input)
     keywords = [k.strip() for k in args.keywords.split(",") if k.strip()] if args.keywords else []
     window_start = args.from_date
@@ -214,37 +232,24 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
             start=window_start or datetime.min.replace(tzinfo=timezone.utc),
             end=window_end or datetime.max.replace(tzinfo=timezone.utc),
         )
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-    config = PreprocessConfig.default(
+    config = PreprocessConfig(
+        stopwords=load_stopwords(args.stopwords) if args.stopwords else default_stopwords(),
         min_token_length=args.min_len,
         min_global_frequency=args.min_freq,
-        **({"stopwords": stopwords} if stopwords is not None else {}),
     )
     clean, vocab, stats = preprocess_corpus(raw, config)
 
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_clean_corpus(clean, outdir / CORPUS_FILENAME)
-    save_vocabulary(vocab, outdir / VOCAB_FILENAME)
-    save_stats(stats, outdir / STATS_FILENAME)
-    _write_manifest(
-        outdir / MANIFEST_FILENAME,
-        "preprocess",
-        args,
-        inputs=[args.input] + ([args.stopwords] if args.stopwords else []),
-        outputs=[outdir / CORPUS_FILENAME, outdir / VOCAB_FILENAME, outdir / STATS_FILENAME],
-        seed=None,
-        started=started,
-    )
+    corpus_path, vocab_path, stats_path = _outputs(args)
+    save_clean_corpus(clean, corpus_path)
+    save_vocabulary(vocab, vocab_path)
+    save_stats(stats, stats_path)
     print(
         f"raw {stats.raw_count} -> deduplicated {stats.deduplicated_count} -> "
         f"final {stats.final_count} tweets; vocabulary {stats.vocab_size} words"
     )
-    return EXIT_OK
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_embed(args: argparse.Namespace) -> dict:
     clean = load_clean_corpus(args.corpus)
     vocab = load_vocabulary(args.vocab)
     params = EmbeddingParams(
@@ -255,22 +260,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
         subsample_threshold=args.subsample,
     )
     emb = train_embeddings(clean, vocab, params, RngState(seed=args.seed))
-    output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
+    [output] = _outputs(args)
     save_embeddings(emb, vocab, output)
-    _write_manifest(
-        Path(str(output) + ".manifest.json"),
-        "embed",
-        args,
-        inputs=[args.corpus, args.vocab],
-        outputs=[output],
-        seed=args.seed,
-        started=started,
-        results={"epoch_losses": emb.epoch_losses},
-    )
     losses = ", ".join(f"{loss:.4f}" for loss in emb.epoch_losses)
     print(f"trained {emb.vocab_size} x {emb.dim} embeddings; epoch losses: {losses}")
-    return EXIT_OK
+    return {"epoch_losses": emb.epoch_losses}
 
 
 def _prepare_dataset(args: argparse.Namespace, task: str):
@@ -287,8 +281,7 @@ def _prepare_dataset(args: argparse.Namespace, task: str):
     return clean, emb, vocab, data
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_train(args: argparse.Namespace) -> None:
     task = _TASKS[args.task]
     _, emb, vocab, data = _prepare_dataset(args, task)
     direction = _MODELS[args.model]
@@ -318,27 +311,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     params, report = train(data, emb, vocab, model_cfg, train_cfg)
 
-    outdir = _outdir(args)
-    save_model(params, model_cfg, outdir / MODEL_FILENAME)
-    save_report(report, outdir / TRAIN_REPORT_FILENAME)
-    _write_manifest(
-        outdir / MANIFEST_FILENAME,
-        "train",
-        args,
-        inputs=[args.corpus, args.annotations, args.embeddings],
-        outputs=[outdir / MODEL_FILENAME, outdir / TRAIN_REPORT_FILENAME],
-        seed=args.seed,
-        started=started,
-    )
+    model_path, report_path = _outputs(args)
+    save_model(params, model_cfg, model_path)
+    save_report(report, report_path)
     print(
         f"trained {args.model} model for {report.epochs_run} epochs; "
         f"test accuracy {report.test_metrics.accuracy:.4f}, macro F1 {report.test_metrics.f1_macro:.4f}"
     )
-    return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_eval(args: argparse.Namespace) -> None:
     params, model_cfg = load_model(args.model)
     clean = load_clean_corpus(args.corpus)
     emb, vocab = _load_embedding_bundle(args.embeddings)
@@ -351,25 +333,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("no evaluable examples: every annotation is outside the model's classes")
     cm, metrics = evaluate(params, model_cfg, emb, vocab, kept, classes=classes)
 
-    outdir = _outdir(args)
-    save_metrics(metrics, outdir / METRICS_FILENAME)
-    save_confusion(cm, outdir / CONFUSION_FILENAME)
-    _write_manifest(
-        outdir / MANIFEST_FILENAME,
-        "eval",
-        args,
-        inputs=[args.model, args.corpus, args.annotations, args.embeddings],
-        outputs=[outdir / METRICS_FILENAME, outdir / CONFUSION_FILENAME],
-        seed=None,
-        started=started,
-    )
+    metrics_path, confusion_path = _outputs(args)
+    save_metrics(metrics, metrics_path)
+    save_confusion(cm, confusion_path)
     print(f"accuracy {metrics.accuracy:.4f}")
     print(f"macro F1 {metrics.f1_macro:.4f}")
-    return EXIT_OK
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_grid(args: argparse.Namespace) -> None:
     task = _TASKS[args.task]
     _, emb, vocab, data = _prepare_dataset(args, task)
     base_cfg = TrainConfig(
@@ -381,23 +352,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     )
     result = run_grid(data, emb, vocab, task, base_cfg, hidden_size=args.hidden)
 
-    outdir = _outdir(args)
-    save_grid(result, outdir / GRID_JSON_FILENAME, outdir / GRID_TABLE_FILENAME)
-    _write_manifest(
-        outdir / MANIFEST_FILENAME,
-        "grid",
-        args,
-        inputs=[args.corpus, args.annotations, args.embeddings],
-        outputs=[outdir / GRID_JSON_FILENAME, outdir / GRID_TABLE_FILENAME],
-        seed=args.seed,
-        started=started,
-    )
+    save_grid(result, *_outputs(args))
     print(result.format_table(), end="")
-    return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_analyze(args: argparse.Namespace) -> None:
     params, model_cfg = load_model(args.model)
     clean = load_clean_corpus(args.corpus)
     emb, vocab = _load_embedding_bundle(args.embeddings)
@@ -405,22 +364,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     distribution = sentiment_distribution(classified)
     buckets = temporal_buckets(classified, args.granularity)
 
-    outdir = _outdir(args)
-    save_classified(classified, outdir / CLASSIFIED_FILENAME)
-    export_report(distribution, buckets, outdir / REPORT_JSON_FILENAME, format="json")
-    export_report(distribution, buckets, outdir / REPORT_CSV_FILENAME, format="csv")
-    _write_manifest(
-        outdir / MANIFEST_FILENAME,
-        "analyze",
-        args,
-        inputs=[args.model, args.corpus, args.embeddings],
-        outputs=[outdir / CLASSIFIED_FILENAME, outdir / REPORT_JSON_FILENAME, outdir / REPORT_CSV_FILENAME],
-        seed=None,
-        started=started,
-    )
+    classified_path, json_path, csv_path = _outputs(args)
+    save_classified(classified, classified_path)
+    export_report(distribution, buckets, json_path, format="json")
+    export_report(distribution, buckets, csv_path, format="csv")
     for label in ("positive", "negative", "neutral"):
         print(f"{label} {distribution.counts[label]} ({distribution.percentages[label]}%)")
-    return EXIT_OK
 
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
@@ -558,8 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        if args.subcommand not in SUBCOMMANDS:
+            return args.func(args)
+        _write_manifest(args, started, results=args.func(args))
+        return EXIT_OK
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

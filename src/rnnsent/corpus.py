@@ -252,7 +252,9 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 
 def _parse_stopwords(text: str) -> Iterable[str]:
-    for line in text.splitlines():
+    # read in text mode, so "\r\n" and "\r" are already "\n"; str.splitlines
+    # would also split at characters such as U+2028 and U+0085
+    for line in text.split("\n"):
         word = line.strip().lower()
         if word and not word.startswith("#"):
             yield word
@@ -369,18 +371,17 @@ def _record_to_tweet(record: Mapping, line: int) -> RawTweet:
     return RawTweet(id=str(tweet_id), timestamp=ts, text=text)
 
 
-def load_tweets(path: str | Path, format: str | None = None) -> list[RawTweet]:
+def load_tweets(path: str | Path) -> list[RawTweet]:
     """Read raw tweets from JSONL or CSV (header id,timestamp,text).
 
-    `format` is "jsonl" or "csv"; when omitted it is inferred from the file
-    extension. Records are returned in file order; duplicate ids are rejected.
+    The format is the file's extension, .jsonl or .csv. Records are returned
+    in file order; duplicate ids are rejected.
     A JSONL id is a string or an integer, and its timestamp and text are
     strings, holding no lone surrogate. Every TweetFormatError names the
     file, and a bad record its line.
     """
     path = Path(path)
-    if format is None:
-        format = path.suffix.lstrip(".").lower()
+    format = path.suffix.lstrip(".").lower()
     if format not in ("jsonl", "csv"):
         raise TweetFormatError(f"{path}: unsupported corpus format {format!r} (use jsonl or csv)")
     with open_artifact(path, TweetFormatError, newline="" if format == "csv" else None) as fh:

@@ -28,11 +28,6 @@ class RngState:
     """
 
     seed: int
-    algorithm: str = "pcg64"
-
-    def __post_init__(self) -> None:
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm: {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this state's stream."""
@@ -43,7 +38,7 @@ class RngState:
         """Derive a decorrelated state keyed by `keys` (deterministic)."""
         seq = np.random.SeedSequence(self.seed & _U64_MASK, spawn_key=tuple(keys))
         hi, lo = seq.generate_state(2)
-        return RngState((int(hi) << 32) | int(lo), self.algorithm)
+        return RngState((int(hi) << 32) | int(lo))
 
 
 def softmax(v: FloatArray) -> FloatArray:

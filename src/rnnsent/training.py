@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -239,7 +238,6 @@ class TrainReport:
     epoch_accuracies: list[float]
     test_metrics: Metrics
     test_confusion: ConfusionMatrix
-    wall_seconds: float
     model_config: ModelConfig
     train_config: TrainConfig
 
@@ -257,7 +255,6 @@ class TrainReport:
                 "classes": list(self.test_confusion.classes),
                 "counts": [list(row) for row in self.test_confusion.counts],
             },
-            "wall_seconds": self.wall_seconds,
             "model_config": asdict(self.model_config),
             "train_config": self.train_config.to_dict(),
         }
@@ -315,7 +312,6 @@ def train(
 
     Raises TrainingDivergedError naming the epoch and batch whose loss or
     gradient is not finite."""
-    started = time.perf_counter()
     classes = _check_train_inputs(data, emb, vocab, model_cfg, train_cfg)
     class_index = {c: i for i, c in enumerate(classes)}
 
@@ -391,7 +387,6 @@ def train(
         epoch_accuracies=epoch_accuracies,
         test_metrics=metrics,
         test_confusion=cm,
-        wall_seconds=time.perf_counter() - started,
         model_config=model_cfg,
         train_config=train_cfg,
     )
@@ -454,13 +449,12 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
 
-def save_grid(result: GridResult, json_path: str | Path, table_path: str | Path | None = None) -> None:
+def save_grid(result: GridResult, json_path: str | Path, table_path: str | Path) -> None:
     with atomic_writer(json_path) as fh:
         json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if table_path is not None:
-        with atomic_writer(table_path) as fh:
-            fh.write(result.format_table())
+    with atomic_writer(table_path) as fh:
+        fh.write(result.format_table())
 
 
 def run_grid(

@@ -33,7 +33,7 @@ def world():
         "cm": cm,
         "metrics": metrics,
         "classified": classified,
-        "report": TrainReport([0.5], [0.5], metrics, cm, 1.0, cfg, TrainConfig()),
+        "report": TrainReport([0.5], [0.5], metrics, cm, cfg, TrainConfig()),
         "grid": GridResult("fine_grained", (GridRow("Standard RNN", 64, 1.8e-3, None, "tBPTT", 0.5, 0.5),)),
     }
 
@@ -43,7 +43,10 @@ def _export(w, path, format):
 
 
 def _manifest(path):
-    _write_manifest(path, "train", argparse.Namespace(seed=1), [], [], 1, time.perf_counter())
+    args = argparse.Namespace(
+        subcommand="train", corpus=None, annotations=None, embeddings=None, seed=1, output=path.parent
+    )
+    _write_manifest(args, time.perf_counter())
 
 
 # case -> (the file that the interrupted write targets, a call that writes it into a directory)

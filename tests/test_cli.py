@@ -53,6 +53,23 @@ def test_preprocess_outputs_and_manifest(pipeline):
     assert "version" in manifest
 
 
+def test_preprocess_stopwords_file_replaces_default_list(pipeline, tmp_path):
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text("bagyo\n", encoding="utf-8")
+    out = tmp_path / "pre"
+    rc = main([
+        "preprocess", "--input", str(pipeline["raw"]), "--stopwords", str(stopwords),
+        "--min-freq", "1", "--output-dir", str(out),
+    ])
+    assert rc == 0
+    def tokens(pre):
+        return {line.split("\t")[0] for line in (pre / "vocab.tsv").read_text().splitlines()}
+
+    assert "bagyo" in tokens(pipeline["pre"]) and "bagyo" not in tokens(out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == [str(pipeline["raw"]), str(stopwords)]
+
+
 def test_preprocess_cleans_planted_noise(pipeline):
     clean = load_clean_corpus(pipeline["pre"] / "corpus.jsonl")
     examples = synthdata.synthetic_labeled(12, 90)
@@ -236,10 +253,7 @@ def test_train_same_seed_reproduces_artifacts(pipeline, tmp_path):
     assert main(base + ["--output", str(tmp_path / "r1")]) == 0
     assert main(base + ["--output", str(tmp_path / "r2")]) == 0
     assert (tmp_path / "r1" / "model.txt").read_bytes() == (tmp_path / "r2" / "model.txt").read_bytes()
-    r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
-    r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
-    del r1["wall_seconds"], r2["wall_seconds"]
-    assert r1 == r2
+    assert (tmp_path / "r1" / "report.json").read_bytes() == (tmp_path / "r2" / "report.json").read_bytes()
     # the shared-fixture run used the same seed, so its model matches too
     assert (tmp_path / "r1" / "model.txt").read_bytes() == (pipeline["fit"] / "model.txt").read_bytes()
 
@@ -380,3 +394,68 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("rnnsent ")
+
+
+# ---------------------------------------------------------------------------
+# manifests: what each artifact-writing subcommand reads and writes
+# ---------------------------------------------------------------------------
+
+
+def _manifest_case(case, p, out):
+    """(argv, inputs, output names under `out`, manifest name, seed) of one run."""
+    corpus, vocab, model = p["pre"] / "corpus.jsonl", p["pre"] / "vocab.tsv", p["fit"] / "model.txt"
+    dataset = ["--corpus", corpus, "--annotations", p["ann"], "--embeddings", p["emb"]]
+    net = ["--hidden", "4", "--epochs", "2", "--lr", "0.05", "--seed", "3"]
+    return {
+        "preprocess": (
+            ["preprocess", "--input", p["raw"], "--output-dir", out],
+            [p["raw"]], ["corpus.jsonl", "vocab.tsv", "stats.json"], "manifest.json", None,
+        ),
+        "embed": (
+            ["embed", "--corpus", corpus, "--vocab", vocab, "--dim", "4", "--epochs", "1",
+             "--seed", "5", "--output", out / "e.txt"],
+            [corpus, vocab], ["e.txt"], "e.txt.manifest.json", 5,
+        ),
+        "train": (
+            ["train", *dataset, *net, "--batch", "8", "--output", out],
+            [corpus, p["ann"], p["emb"]], ["model.txt", "report.json"], "manifest.json", 3,
+        ),
+        "grid": (
+            ["grid", *dataset, *net, "--output", out],
+            [corpus, p["ann"], p["emb"]], ["grid.json", "grid.txt"], "manifest.json", 3,
+        ),
+        "eval": (
+            ["eval", "--model", model, *dataset, "--output", out],
+            [model, corpus, p["ann"], p["emb"]], ["metrics.json", "confusion.csv"], "manifest.json", None,
+        ),
+        "analyze": (
+            ["analyze", "--model", model, "--corpus", corpus, "--embeddings", p["emb"], "--output", out],
+            [model, corpus, p["emb"]], ["classified.jsonl", "report.json", "report.csv"], "manifest.json", None,
+        ),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["preprocess", "embed", "train", "grid", "eval", "analyze"])
+def test_manifest_lists_inputs_outputs_and_seed(pipeline, tmp_path, case):
+    out = tmp_path / "out"
+    argv, inputs, outputs, manifest_name, seed = _manifest_case(case, pipeline, out)
+    assert main([str(a) for a in argv]) == 0
+    manifest = json.loads((out / manifest_name).read_text())
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["inputs"] == [str(path) for path in inputs]
+    assert manifest["outputs"] == [str(out / name) for name in outputs]
+    assert manifest["seed"] == seed
+    assert sorted(path.name for path in out.iterdir()) == sorted(outputs + [manifest_name])
+
+
+def test_failed_run_leaves_no_output_directory(pipeline, tmp_path, capsys):
+    ann = tmp_path / "annotations.csv"
+    ann.write_text("id,label\nnot-a-tweet,positive\n", encoding="utf-8")
+    out = tmp_path / "fit"
+    rc = main([
+        "train", "--corpus", str(pipeline["pre"] / "corpus.jsonl"), "--annotations", str(ann),
+        "--embeddings", str(pipeline["emb"]), "--epochs", "1", "--output", str(out),
+    ])
+    assert rc == 2
+    assert "does not exist in the corpus" in capsys.readouterr().err
+    assert not out.exists()

@@ -366,6 +366,13 @@ def test_load_stopwords_skips_blank_and_comment_lines(tmp_path):
     assert load_stopwords(path) == frozenset({"the", "ang"})
 
 
+def test_load_stopwords_splits_only_at_line_ends(tmp_path):
+    # str.splitlines would also split at U+2028, U+0085 and \x1c-\x1e
+    path = tmp_path / "stop.txt"
+    path.write_bytes("ab\u2028cd\r\nef\u0085gh\rij\x1ckl\x1emn\nop\n".encode("utf-8"))
+    assert load_stopwords(path) == frozenset({"ab\u2028cd", "ef\u0085gh", "ij\x1ckl\x1emn", "op"})
+
+
 def test_preprocess_config_validation():
     with pytest.raises(ValueError):
         PreprocessConfig(stopwords=frozenset(), min_token_length=0)
