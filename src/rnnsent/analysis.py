@@ -9,14 +9,15 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
-from datetime import date, timedelta, timezone
+from datetime import date, datetime, timezone
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, _write_jsonl, atomic_writer
+from .corpus import CleanTweet, Vocabulary, _in_utc, _isoformat_all, _write_jsonl, atomic_writer
 from .embedding import EmbeddingMatrix
 from .evaluation import FINE_CLASSES, classes_for
 from .model import ModelConfig, predict_many
@@ -76,45 +77,48 @@ def classify_corpus(
     """
     if len(corpus) == 0:
         raise ValueError("cannot classify an empty corpus")
-    classes = classes_for(model_cfg.num_classes)
-    out: list[ClassifiedTweet] = []
+    labels = (*classes_for(model_cfg.num_classes), NEUTRAL)  # the last is an unscored tweet's
     probabilities, known = predict_many(params, model_cfg, emb, vocab, [tweet.tokens for tweet in corpus])
     # argmax takes the first maximum, so ties go to the lowest class index
     winners = probabilities.argmax(axis=1)
-    confidences = probabilities[np.arange(len(winners)), winners]
-    for tweet, idx, confidence, scored in zip(corpus, winners.tolist(), confidences.tolist(), known.tolist()):
-        if scored:
-            out.append(ClassifiedTweet(tweet, classes[idx], confidence))
-        else:
-            out.append(ClassifiedTweet(tweet, NEUTRAL, 0.0, oov=True))
-    return out
+    label_index = np.where(known, winners, len(labels) - 1)
+    confidences = np.where(known, probabilities[np.arange(len(winners)), winners], 0.0)
+    return list(map(
+        ClassifiedTweet, corpus, map(labels.__getitem__, label_index.tolist()), confidences.tolist(), (~known).tolist()
+    ))
 
 
 def sentiment_distribution(classified: Sequence[ClassifiedTweet]) -> SentimentDistribution:
     if len(classified) == 0:
         raise ValueError("cannot summarize an empty classification")
-    counts = {c: 0 for c in FINE_CLASSES}
-    for item in classified:
-        counts[item.label] += 1
+    tally = Counter(map(attrgetter("label"), classified))
+    counts = {c: tally[c] for c in FINE_CLASSES}
     total = len(classified)
     percentages = {c: round(100.0 * counts[c] / total, 1) for c in FINE_CLASSES}
     return SentimentDistribution(counts=counts, percentages=percentages, total=total)
 
 
-def _period_start(day: date, granularity: str) -> date:
-    if granularity == "month":
-        return day.replace(day=1)
-    if granularity == "week":
-        return day - timedelta(days=day.weekday())
-    return day
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def _next_period(start: date, granularity: str) -> date:
+def _period_indices(days: np.ndarray, granularity: str) -> np.ndarray:
+    """The period of each proleptic Gregorian day ordinal in `days`, numbered
+    so that consecutive periods have consecutive numbers: months since
+    1970-01, weeks since the Monday of ordinal 1, or the day ordinal itself."""
     if granularity == "month":
-        return date(start.year + (start.month == 12), start.month % 12 + 1, 1)
+        return (days - _EPOCH_ORDINAL).astype("M8[D]").astype("M8[M]").astype(np.int64)
     if granularity == "week":
-        return start + timedelta(days=7)
-    return start + timedelta(days=1)
+        return (days - 1) // 7  # ordinal 1, 0001-01-01, is a Monday
+    return days
+
+
+def _period_start(period: int, granularity: str) -> date:
+    if granularity == "month":
+        year, month = divmod(period, 12)
+        return date(1970 + year, month + 1, 1)
+    if granularity == "week":
+        return date.fromordinal(7 * period + 1)
+    return date.fromordinal(period)
 
 
 def _period_label(start: date, granularity: str) -> str:
@@ -137,19 +141,23 @@ def temporal_buckets(
     if len(classified) == 0:
         raise ValueError("cannot bucket an empty classification")
 
-    pairs = Counter((item.tweet.timestamp.astimezone(timezone.utc).date(), item.label) for item in classified)
-    tallies: dict[date, dict[str, int]] = {}
-    for (day, label), n in pairs.items():
-        bucket = tallies.setdefault(_period_start(day, granularity), {c: 0 for c in FINE_CLASSES})
-        bucket[label] += n
-
-    first, last = min(tallies), max(tallies)
-    buckets: list[TemporalBucket] = []
-    cursor = first
-    while cursor <= last:
-        counts = tallies.get(cursor, {c: 0 for c in FINE_CLASSES})
-        buckets.append(TemporalBucket(_period_label(cursor, granularity), cursor, counts))
-        cursor = _next_period(cursor, granularity)
+    stamps = list(map(attrgetter("tweet.timestamp"), classified))
+    if _in_utc(stamps):
+        # the calendar day of a timestamp in UTC is its UTC day
+        days = np.fromiter(map(datetime.toordinal, stamps), np.int64, len(stamps))
+    else:
+        # astimezone reads a naive timestamp as local time
+        days = np.array([ts.astimezone(timezone.utc).toordinal() for ts in stamps], np.int64)
+    index = {c: i for i, c in enumerate(FINE_CLASSES)}
+    classes = np.fromiter(map(index.__getitem__, map(attrgetter("label"), classified)), np.int64, len(stamps))
+    periods = _period_indices(days, granularity)
+    first, last = int(periods.min()), int(periods.max())
+    # one row per period from the first to the last, one column per class
+    rows = np.bincount((periods - first) * len(FINE_CLASSES) + classes, minlength=(last - first + 1) * len(FINE_CLASSES))
+    buckets = []
+    for period, counts in enumerate(rows.reshape(-1, len(FINE_CLASSES)).tolist(), first):
+        start = _period_start(period, granularity)
+        buckets.append(TemporalBucket(_period_label(start, granularity), start, dict(zip(FINE_CLASSES, counts))))
     return TemporalBuckets(granularity=granularity, buckets=tuple(buckets))
 
 
@@ -194,19 +202,21 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _classified_lines(classified: list[ClassifiedTweet]) -> str:
-    # the bytes of JSONEncoder(sort_keys=True).encode(record), line by line
+    # the bytes of JSONEncoder(sort_keys=True).encode(record), line by line;
+    # isoformat's text (digits and "T:.+-") needs no escape
     confidences = [float.__repr__(item.confidence) for item in classified]
+    stamps = _isoformat_all(list(map(attrgetter("tweet.timestamp"), classified)))
     return "".join([
-        '{"confidence": %s, "id": %s, "label": %s, "oov": %s, "timestamp": %s, "tokens": [%s]}\n'
+        '{"confidence": %s, "id": %s, "label": %s, "oov": %s, "timestamp": "%s", "tokens": [%s]}\n'
         % (
             _JSON_NON_FINITE.get(confidence, confidence),
             encode_basestring_ascii(item.tweet.id),
             encode_basestring_ascii(item.label),
             "true" if item.oov else "false",
-            encode_basestring_ascii(item.tweet.timestamp.isoformat()),
+            stamp,
             ", ".join(map(encode_basestring_ascii, item.tweet.tokens)),
         )
-        for item, confidence in zip(classified, confidences)
+        for item, confidence, stamp in zip(classified, confidences, stamps)
     ])
 
 

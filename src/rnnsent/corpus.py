@@ -27,10 +27,10 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from importlib import resources
 from itertools import chain, islice, repeat
-from operator import attrgetter, itemgetter, methodcaller
+from operator import attrgetter, floordiv, itemgetter, methodcaller, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -276,10 +276,6 @@ class PreprocessConfig:
         if unknown:
             raise ValueError(f"unknown strip patterns: {unknown}")
 
-    @classmethod
-    def default(cls, **overrides) -> "PreprocessConfig":
-        return cls(stopwords=default_stopwords(), **overrides)
-
 
 class Vocabulary:
     """Dense 0-based token index with per-token corpus frequencies.
@@ -341,6 +337,37 @@ def parse_timestamp(value: str) -> datetime:
         return _ensure_utc(datetime.fromisoformat(value))
     except OverflowError as exc:  # an offset that moves the time out of datetime's range
         raise ValueError(str(exc)) from exc
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _in_utc(stamps: Iterable[datetime]) -> bool:
+    """True when every one of `stamps` is in UTC (none naive or at another offset)."""
+    return {timezone.utc}.issuperset(map(attrgetter("tzinfo"), stamps))
+
+
+def _isoformat_all(stamps: Sequence[datetime]) -> list[str]:
+    """datetime.isoformat of each of `stamps`.
+
+    When all are in UTC, they become one int64 column of microseconds since
+    the epoch, which numpy formats in one pass: to the second, or to the
+    microsecond where that is not 0, plus "+00:00", which is isoformat's text
+    for a UTC instant. The differences from the epoch are divided as
+    integers; the float of datetime.timestamp() can land an instant of about
+    1.4e15 microseconds one microsecond off. Any other block is formatted one
+    timestamp at a time.
+    """
+    if not _in_utc(stamps):
+        return list(map(datetime.isoformat, stamps))
+    micros = np.fromiter(map(floordiv, map(sub, stamps, repeat(_EPOCH)), repeat(_MICROSECOND)), np.int64, len(stamps))
+    instants = micros.view("M8[us]")
+    text = np.datetime_as_string(instants, unit="s")
+    fraction = micros % 1_000_000 != 0
+    if fraction.any():
+        text = np.where(fraction, np.datetime_as_string(instants, unit="us"), text)
+    return np.char.add(text, "+00:00").tolist()
 
 
 def _check_unicode(line: int, field: str, values: Iterable[str]) -> None:
@@ -603,7 +630,7 @@ def _parsed_timestamps(stamps: Sequence[str]) -> list[datetime] | None:
         if not any(map(methodcaller("endswith", ("Z", "z")), stamps)):
             parsed = list(map(datetime.fromisoformat, stamps))
             # as parse_timestamp gives them, when all are in UTC already
-            if {timezone.utc}.issuperset(map(attrgetter("tzinfo"), parsed)):
+            if _in_utc(parsed):
                 return parsed
         return list(map(parse_timestamp, stamps))
     except ValueError:
@@ -703,11 +730,12 @@ def _write_jsonl(path: str | Path, records: Iterable, format_block: Callable[[li
 
 
 def _clean_tweet_lines(tweets: list[CleanTweet]) -> str:
-    # the bytes of json.dumps({"id": ..., "timestamp": ..., "tokens": [...]}, ensure_ascii=False)
+    # the bytes of json.dumps({"id": ..., "timestamp": ..., "tokens": [...]}, ensure_ascii=False);
+    # isoformat's text (digits and "T:.+-") needs no escape
+    stamps = _isoformat_all(list(map(attrgetter("timestamp"), tweets)))
     return "".join([
-        '{"id": %s, "timestamp": %s, "tokens": [%s]}\n'
-        % (_escape(t.id), _escape(t.timestamp.isoformat()), ", ".join(map(_escape, t.tokens)))
-        for t in tweets
+        '{"id": %s, "timestamp": "%s", "tokens": [%s]}\n' % (_escape(t.id), stamp, ", ".join(map(_escape, t.tokens)))
+        for t, stamp in zip(tweets, stamps)
     ])
 
 

@@ -11,17 +11,24 @@ update replaced, one SGD step per (center, context) pair.
 
 Cleaning: the per-tweet pipeline that rnnsent.corpus's block pass replaced,
 each strip rule and the whitespace collapse run on one tweet at a time.
+
+Time buckets: the per-tweet tally that rnnsent.analysis's counting pass
+replaced, each tweet's UTC date taken with astimezone and each period
+stepped to the next one by one.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from datetime import date, timedelta, timezone
 
 import numpy as np
 
+from rnnsent.analysis import TemporalBucket, TemporalBuckets
 from rnnsent.corpus import CleanTweet, CorpusStats, Vocabulary
 from rnnsent.embedding import EmbeddingMatrix, _sampling_tables
+from rnnsent.evaluation import FINE_CLASSES
 from rnnsent.model import BPTT_FULL, STANDARD, init_params
 from rnnsent.numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
 
@@ -251,3 +258,38 @@ def preprocess_corpus(raw, config):
         if kept:
             clean.append(CleanTweet(id=tweet.id, timestamp=tweet.timestamp, tokens=kept))
     return clean, vocab, CorpusStats(len(raw), len(deduped), len(clean), len(vocab))
+
+
+def _period_start(day, granularity):
+    if granularity == "month":
+        return day.replace(day=1)
+    if granularity == "week":
+        return day - timedelta(days=day.weekday())
+    return day
+
+
+def _next_period(start, granularity):
+    if granularity == "month":
+        return date(start.year + (start.month == 12), start.month % 12 + 1, 1)
+    if granularity == "week":
+        return start + timedelta(days=7)
+    return start + timedelta(days=1)
+
+
+def temporal_buckets(classified, granularity):
+    """TemporalBuckets of `classified` by UTC month, Monday week or day,
+    contiguous from the first period to the last, one tweet at a time."""
+    pairs = Counter((item.tweet.timestamp.astimezone(timezone.utc).date(), item.label) for item in classified)
+    tallies = {}
+    for (day, label), n in pairs.items():
+        bucket = tallies.setdefault(_period_start(day, granularity), {c: 0 for c in FINE_CLASSES})
+        bucket[label] += n
+    buckets = []
+    cursor, last = min(tallies), max(tallies)
+    while True:
+        label = f"{cursor.year:04d}-{cursor.month:02d}" if granularity == "month" else cursor.isoformat()
+        buckets.append(TemporalBucket(label, cursor, tallies.get(cursor, {c: 0 for c in FINE_CLASSES})))
+        if cursor == last:  # the period after the last may be past what date holds
+            break
+        cursor = _next_period(cursor, granularity)
+    return TemporalBuckets(granularity=granularity, buckets=tuple(buckets))

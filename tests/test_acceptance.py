@@ -22,6 +22,7 @@ from rnnsent.corpus import (
     CleanTweet,
     PreprocessConfig,
     Vocabulary,
+    default_stopwords,
     load_tweets,
     preprocess_corpus,
 )
@@ -311,7 +312,7 @@ def test_criterion_07_preprocessing(tmp_path):
     failures = []
     raw_path = tmp_path / "trace.jsonl"
     _write_jsonl(raw_path, synthdata.HAND_TRACE_RAW)
-    clean, vocab, stats = preprocess_corpus(load_tweets(raw_path), PreprocessConfig.default())
+    clean, vocab, stats = preprocess_corpus(load_tweets(raw_path), PreprocessConfig(stopwords=default_stopwords()))
 
     _check(
         failures,
@@ -337,7 +338,7 @@ def test_criterion_07_preprocessing(tmp_path):
         again_path,
         [(t.id, t.timestamp.isoformat(), " ".join(t.tokens)) for t in clean],
     )
-    again, _, _ = preprocess_corpus(load_tweets(again_path), PreprocessConfig.default())
+    again, _, _ = preprocess_corpus(load_tweets(again_path), PreprocessConfig(stopwords=default_stopwords()))
     _check(
         failures,
         [(t.id, t.tokens) for t in again] == [(t.id, t.tokens) for t in clean],
@@ -353,7 +354,7 @@ def test_criterion_07_preprocessing(tmp_path):
         word = "fivetimes" if i < 5 else "fourtimes"
         rows.append((f"b{i}", "2013-11-09T08:00:00Z", f"{word} anchor xyz xy c{i}"))
     _write_jsonl(boundary_path, rows)
-    bclean, bvocab, _ = preprocess_corpus(load_tweets(boundary_path), PreprocessConfig.default())
+    bclean, bvocab, _ = preprocess_corpus(load_tweets(boundary_path), PreprocessConfig(stopwords=default_stopwords()))
     _check(failures, tuple(bvocab.tokens) == ("anchor", "xyz", "fivetimes"), f"vocab {bvocab.tokens}")
     _check(failures, bvocab.count("fivetimes") == 5, "five-occurrence token miscounted")
     _check(failures, "fourtimes" not in bvocab, "four-occurrence token survived the frequency rule")

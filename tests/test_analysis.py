@@ -3,9 +3,13 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 import synthdata
 from rnnsent.analysis import (
+    GRANULARITIES,
     ClassifiedTweet,
     SentimentDistribution,
     classify_corpus,
@@ -198,6 +202,43 @@ def test_buckets_day_granularity():
     spec = [("positive", "2013-11-09"), ("negative", "2013-11-11")]
     buckets = temporal_buckets(_classified(spec), "day")
     assert [b.label for b in buckets.buckets] == ["2013-11-09", "2013-11-10", "2013-11-11"]
+
+
+# each example's timestamps sit within a day of the month ends, a Monday or the
+# first or last days of one group, in UTC, at +08:30 or naive; half the
+# examples are all in UTC
+_EDGE_GROUPS = [
+    [datetime(2013, 11, 30), datetime(2013, 12, 31), datetime(2014, 1, 31), datetime(2013, 11, 11)],
+    [datetime(2016, 2, 29), datetime(2016, 3, 1)],
+    [datetime(1, 1, 3)],
+    [datetime(9999, 12, 29)],
+]
+_ZONES = [None, timezone.utc, timezone(timedelta(hours=8, minutes=30))]
+
+
+@st.composite
+def _bucket_spec(draw):
+    edges = draw(st.sampled_from(_EDGE_GROUPS))
+    zones = draw(st.sampled_from([[timezone.utc], _ZONES]))
+    stamp = st.builds(
+        lambda edge, minutes, zone: (edge + timedelta(minutes=minutes)).replace(tzinfo=zone),
+        st.sampled_from(edges), st.integers(-24 * 60, 24 * 60), st.sampled_from(zones),
+    )
+    return draw(st.lists(st.tuples(st.sampled_from(["positive", "negative", "neutral"]), stamp), min_size=1, max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_bucket_spec(), granularity=st.sampled_from(GRANULARITIES))
+def test_buckets_equal_per_tweet_reference(spec, granularity):
+    classified = [ClassifiedTweet(_tweet(i, ts), label, 0.9) for i, (label, ts) in enumerate(spec)]
+    assert temporal_buckets(classified, granularity) == oracle.temporal_buckets(classified, granularity)
+
+
+@pytest.mark.parametrize("granularity, label", [("month", "9999-12"), ("week", "9999-12-27"), ("day", "9999-12-31")])
+def test_buckets_reach_the_last_period_of_the_calendar(granularity, label):
+    # a loop that steps to the period after the last one cannot hold it in a date
+    buckets = temporal_buckets(_classified([("neutral", "9999-12-31T23:59:59")]), granularity)
+    assert [(b.label, b.counts) for b in buckets.buckets] == [(label, {"positive": 0, "negative": 0, "neutral": 1})]
 
 
 def test_buckets_errors():

@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -525,6 +525,44 @@ def test_load_vocabulary_errors_start_with_the_file(tmp_path, capsys, text, mess
 
     assert main(["neighbors", "--embeddings", str(emb_path), "--vocab", str(path), "--word", "storm", "--k", "1"]) == 2
     assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+# vocab.tsv-ish bytes: its separators, line ends, digits and bytes that are not UTF-8 drawn often
+vocab_bytes = st.lists(
+    st.one_of(
+        st.sampled_from([b"\t", b"\n", b"\r", b"\r\n", b"0", b"1", b"-1", b"storm", b" ", b"\xff", b"\xe2\x80\xa8"]),
+        st.binary(max_size=4),
+    ),
+    max_size=30,
+).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=vocab_bytes)
+@example(content=b"storm\t0\t" + b"1" * 5000 + b"\n")
+@example(content=b"storm\t0\t7\nstorm\t1\t5\n")
+def test_load_vocabulary_arbitrary_bytes_fail_typed_naming_the_file(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "vocab.tsv"
+    path.write_bytes(content)
+    try:
+        load_vocabulary(path)
+    except TweetFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+
+
+# a token is any text but the vocabulary file's field and line separators
+tokens = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), max_size=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(entries=st.lists(st.tuples(tokens, st.integers(min_value=0)), max_size=12, unique_by=lambda e: e[0]))
+def test_vocabulary_save_load_is_identity(tmp_path_factory, entries):
+    vocab = Vocabulary([t for t, _ in entries], [c for _, c in entries])
+    path = tmp_path_factory.mktemp("vocab") / "vocab.tsv"
+    save_vocabulary(vocab, path)
+    loaded = load_vocabulary(path)
+    assert loaded == vocab
+    assert loaded.token_to_index == vocab.token_to_index
 
 
 def test_clean_corpus_round_trip(tmp_path):

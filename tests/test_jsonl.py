@@ -47,12 +47,28 @@ def _outcome(load, *args):
 # Writers: the bytes json.dumps wrote before the block writer
 # ---------------------------------------------------------------------------
 
+# a block all in UTC is formatted from its microsecond column: whole seconds
+# and not, the first and last years datetime holds; a block of 6 of these is
+# followed by one with a naive and a +08:30 timestamp, formatted one
+# timestamp at a time
+UTC_STAMPS = [
+    datetime(2013, 11, 9, 8, tzinfo=timezone.utc),
+    datetime(2013, 11, 9, 8, 0, 0, 1, tzinfo=timezone.utc),
+    datetime(1, 1, 1, tzinfo=timezone.utc),
+    datetime(1, 1, 1, 0, 0, 0, 999_999, tzinfo=timezone.utc),
+    datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
+    datetime(9999, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone.utc),
+]
+MIXED_STAMPS = [datetime(2013, 11, 9, 8), datetime(2013, 11, 9, 8, 0, 0, 250, tzinfo=timezone(timedelta(hours=8, minutes=30)))]
+
 
 @settings(max_examples=40, deadline=None)
 @given(
     records=st.lists(st.tuples(strings, any_times, st.lists(strings, max_size=4)), max_size=12),
     block=st.sampled_from(BLOCKS),
 )
+@example(records=[(f"t{i}", ts, ["bagyo"]) for i, ts in enumerate(UTC_STAMPS)], block=corpus.JSONL_BLOCK)
+@example(records=[(f"t{i}", ts, ["bagyo"]) for i, ts in enumerate(UTC_STAMPS + MIXED_STAMPS)], block=6)
 def test_clean_corpus_bytes_equal_json_dumps(tmp_path_factory, records, block):
     tweets = [CleanTweet(tid, ts, tuple(tokens)) for tid, ts, tokens in records]
     path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
@@ -80,6 +96,14 @@ def test_clean_corpus_bytes_equal_json_dumps(tmp_path_factory, records, block):
         ("t3", datetime(2013, 11, 9, tzinfo=timezone.utc), ["bagyo"], "negative", float("-inf"), False, True),
     ],
     block=1,
+)
+@example(
+    records=[(f"t{i}", ts, ["bagyo"], "positive", 0.5, i % 2 == 0, False) for i, ts in enumerate(UTC_STAMPS)],
+    block=corpus.JSONL_BLOCK,
+)
+@example(
+    records=[(f"t{i}", ts, [], "neutral", 0.0, True, True) for i, ts in enumerate(UTC_STAMPS + MIXED_STAMPS)],
+    block=6,
 )
 def test_classified_bytes_equal_json_encoder(tmp_path_factory, records, block):
     classified = [

@@ -4,6 +4,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synthdata
 from rnnsent.corpus import CleanTweet
@@ -134,6 +136,32 @@ def test_load_annotations_requires_header(tmp_path):
     path.write_text("tweet,sentiment\nt0,positive\n")
     with pytest.raises(ValueError, match="header"):
         load_annotations(path, _corpus())
+
+
+# id,label CSV-ish bytes: header words, known ids and labels, quotes, line ends
+# and bytes that are not UTF-8 drawn often
+annotation_bytes = st.lists(
+    st.one_of(
+        st.sampled_from([b"id", b"label", b"id,label\n", b"t0", b"t1", b"positive", b"neutral", b",", b'"',
+                         b"\n", b"\r", b"\r\n", b"\x00", b"\xff", b"\xe2\x80\xa8"]),
+        st.binary(max_size=4),
+    ),
+    max_size=30,
+).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=annotation_bytes)
+@example(content=b"id,label\nt0\n")
+@example(content=b"id,label\nt0,positive,extra\n")
+@example(content=b'id,label\n"t0\n')
+def test_load_annotations_arbitrary_bytes_fail_typed_naming_the_file(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "annotations.csv"
+    path.write_bytes(content)
+    try:
+        load_annotations(path, _corpus())
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:")
 
 
 # ---------------------------------------------------------------------------
