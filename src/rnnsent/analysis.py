@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date, timezone
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, _in_utc, _isoformat_all, _write_jsonl, atomic_writer
+from .corpus import CleanTweet, Vocabulary, _isoformat_all, _write_jsonl, atomic_writer
 from .embedding import EmbeddingMatrix
 from .evaluation import FINE_CLASSES, classes_for
 from .model import ModelConfig, predict_many
@@ -77,22 +76,26 @@ def classify_corpus(
     """
     if len(corpus) == 0:
         raise ValueError("cannot classify an empty corpus")
-    labels = (*classes_for(model_cfg.num_classes), NEUTRAL)  # the last is an unscored tweet's
+    classes = classes_for(model_cfg.num_classes)
+    out: list[ClassifiedTweet] = []
     probabilities, known = predict_many(params, model_cfg, emb, vocab, [tweet.tokens for tweet in corpus])
     # argmax takes the first maximum, so ties go to the lowest class index
     winners = probabilities.argmax(axis=1)
-    label_index = np.where(known, winners, len(labels) - 1)
-    confidences = np.where(known, probabilities[np.arange(len(winners)), winners], 0.0)
-    return list(map(
-        ClassifiedTweet, corpus, map(labels.__getitem__, label_index.tolist()), confidences.tolist(), (~known).tolist()
-    ))
+    confidences = probabilities[np.arange(len(winners)), winners]
+    for tweet, idx, confidence, scored in zip(corpus, winners.tolist(), confidences.tolist(), known.tolist()):
+        if scored:
+            out.append(ClassifiedTweet(tweet, classes[idx], confidence))
+        else:
+            out.append(ClassifiedTweet(tweet, NEUTRAL, 0.0, oov=True))
+    return out
 
 
 def sentiment_distribution(classified: Sequence[ClassifiedTweet]) -> SentimentDistribution:
     if len(classified) == 0:
         raise ValueError("cannot summarize an empty classification")
-    tally = Counter(map(attrgetter("label"), classified))
-    counts = {c: tally[c] for c in FINE_CLASSES}
+    counts = {c: 0 for c in FINE_CLASSES}
+    for item in classified:
+        counts[item.label] += 1
     total = len(classified)
     percentages = {c: round(100.0 * counts[c] / total, 1) for c in FINE_CLASSES}
     return SentimentDistribution(counts=counts, percentages=percentages, total=total)
@@ -141,15 +144,12 @@ def temporal_buckets(
     if len(classified) == 0:
         raise ValueError("cannot bucket an empty classification")
 
-    stamps = list(map(attrgetter("tweet.timestamp"), classified))
-    if _in_utc(stamps):
-        # the calendar day of a timestamp in UTC is its UTC day
-        days = np.fromiter(map(datetime.toordinal, stamps), np.int64, len(stamps))
-    else:
-        # astimezone reads a naive timestamp as local time
-        days = np.array([ts.astimezone(timezone.utc).toordinal() for ts in stamps], np.int64)
+    # astimezone reads a naive timestamp as local time
+    days = np.fromiter(
+        (item.tweet.timestamp.astimezone(timezone.utc).toordinal() for item in classified), np.int64, len(classified)
+    )
     index = {c: i for i, c in enumerate(FINE_CLASSES)}
-    classes = np.fromiter(map(index.__getitem__, map(attrgetter("label"), classified)), np.int64, len(stamps))
+    classes = np.fromiter(map(index.__getitem__, map(attrgetter("label"), classified)), np.int64, len(classified))
     periods = _period_indices(days, granularity)
     first, last = int(periods.min()), int(periods.max())
     # one row per period from the first to the last, one column per class

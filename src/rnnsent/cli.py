@@ -14,9 +14,7 @@ failed gradient check, unexpected exceptions).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import shutil
 import sys
 import time
 from datetime import date, datetime, timezone
@@ -375,9 +373,9 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
-    emb, vocab = _load_embedding_bundle(args.embeddings)
-    # queries use the embedding file's token order; --vocab only checks it
-    if args.vocab is not None and load_vocabulary(args.vocab).tokens != vocab.tokens:
+    emb, tokens = load_embeddings_with_tokens(args.embeddings)
+    vocab = load_vocabulary(args.vocab)
+    if tokens != vocab.tokens:
         raise ValueError("embedding file and vocabulary list different tokens or a different order")
     # every query is answered before anything prints, so a bad word leaves no partial output
     answers = [(word, nearest_neighbors(emb, vocab, word, args.k)) for word in args.word]
@@ -408,19 +406,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse builds a HelpFormatter, which reads the terminal width, for each
-    # add_argument call; one width read serves the parser and its subparsers
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="rnnsent",
         description="Tweet sentiment classification with from-scratch recurrent networks.",
-        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(
-        dest="subcommand", required=True,
-        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter),
-    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("preprocess", help="clean a raw tweet corpus and build the vocabulary")
     p.add_argument("--input", type=Path, required=True, help="raw corpus (JSONL or CSV with id,timestamp,text)")
@@ -490,10 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("neighbors", help="nearest neighbors of a word by cosine similarity")
     p.add_argument("--embeddings", type=Path, required=True)
-    p.add_argument(
-        "--vocab", type=Path, default=None,
-        help="vocabulary TSV to check: exit 2 unless it lists the embedding file's tokens in order (default: no check)",
-    )
+    p.add_argument("--vocab", type=Path, required=True)
     p.add_argument(
         "--word", required=True, action="extend", nargs="+",
         help="query word; give several to answer them all from one load, one block per word",

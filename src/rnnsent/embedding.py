@@ -315,4 +315,8 @@ def load_embeddings_with_tokens(path: str | Path) -> tuple[EmbeddingMatrix, tupl
         for extra, line in enumerate(fh, start=vocab_size):
             if line.strip():
                 raise EmbeddingFileError(f"{path}: corrupt file: row {extra} follows the {vocab_size} declared rows")
+    if len(set(tokens)) < len(tokens):
+        first: dict[str, int] = {}
+        row, token = next((r, t) for r, t in enumerate(tokens) if first.setdefault(t, r) != r)
+        raise EmbeddingFileError(f"{path}: corrupt file: row {row} repeats the token {token!r} of row {first[token]}")
     return EmbeddingMatrix(vectors), tuple(tokens)

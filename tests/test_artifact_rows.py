@@ -203,6 +203,17 @@ def test_malformed_first_embedding_row_is_named(tmp_path):
         load_embeddings_with_tokens(path)
 
 
+def test_repeated_embedding_token_names_file_and_rows(tmp_path, capsys):
+    # each token names one row, so a second row for a token is a corrupt file, not a vocabulary error
+    path = tmp_path / "emb.txt"
+    path.write_text("SGNS-EMB v1 3 2\naa 1 2\nbb 3 4\naa 5 6\n")
+    message = f"{path}: corrupt file: row 2 repeats the token 'aa' of row 0"
+    with pytest.raises(EmbeddingFileError, match=message):
+        load_embeddings_with_tokens(path)
+    assert _neighbors_exit(path) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

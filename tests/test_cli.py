@@ -226,14 +226,6 @@ def test_neighbors_vocab_mismatch(pipeline, tmp_path, capsys):
     assert "different tokens" in capsys.readouterr().err
 
 
-def test_neighbors_vocab_is_optional(pipeline, capsys):
-    args = ["neighbors", "--embeddings", str(pipeline["emb"]), "--word", "bagyo", "tubig", "--k", "3"]
-    assert main(args) == 0
-    without = capsys.readouterr().out
-    assert main(args + ["--vocab", str(pipeline["pre"] / "vocab.tsv")]) == 0
-    assert capsys.readouterr().out == without != ""
-
-
 def test_neighbors_reordered_vocab_is_usage_error(pipeline, tmp_path, capsys):
     # the first two tokens swapped, each line keeping its index and count
     rows = [line.split("\t") for line in (pipeline["pre"] / "vocab.tsv").read_text().splitlines(keepends=True)]
@@ -246,15 +238,6 @@ def test_neighbors_reordered_vocab_is_usage_error(pipeline, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "different tokens or a different order" in captured.err
-
-
-@pytest.mark.parametrize("columns, fits", [(60, True), (200, False)])
-def test_help_wraps_to_columns(monkeypatch, capsys, columns, fits):
-    monkeypatch.setenv("COLUMNS", str(columns))
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--help"])
-    assert exc.value.code == 0
-    assert (max(map(len, capsys.readouterr().out.splitlines())) <= 60) is fits
 
 
 # ---------------------------------------------------------------------------
