@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from datetime import date, timezone
+from datetime import date
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, _isoformat_all, _write_jsonl, atomic_writer
+from .corpus import CleanTweet, Vocabulary, _ensure_utc, _isoformat_all, _write_jsonl, atomic_writer
 from .embedding import EmbeddingMatrix
 from .evaluation import FINE_CLASSES, classes_for
 from .model import ModelConfig, predict_many
@@ -134,7 +134,8 @@ def temporal_buckets(
     classified: Sequence[ClassifiedTweet],
     granularity: str = "month",
 ) -> TemporalBuckets:
-    """Group by UTC calendar period (month, ISO week starting Monday, or day).
+    """Group by UTC calendar period (month, ISO week starting Monday, or day);
+    a naive timestamp is read as UTC, as parse_timestamp reads one.
 
     Buckets are chronological and contiguous: periods inside the observed span
     with no tweets are emitted with zero counts.
@@ -144,10 +145,7 @@ def temporal_buckets(
     if len(classified) == 0:
         raise ValueError("cannot bucket an empty classification")
 
-    # astimezone reads a naive timestamp as local time
-    days = np.fromiter(
-        (item.tweet.timestamp.astimezone(timezone.utc).toordinal() for item in classified), np.int64, len(classified)
-    )
+    days = np.fromiter((_ensure_utc(item.tweet.timestamp).toordinal() for item in classified), np.int64, len(classified))
     index = {c: i for i, c in enumerate(FINE_CLASSES)}
     classes = np.fromiter(map(index.__getitem__, map(attrgetter("label"), classified)), np.int64, len(classified))
     periods = _period_indices(days, granularity)

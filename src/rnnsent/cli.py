@@ -278,12 +278,12 @@ def _prepare_dataset(args: argparse.Namespace, task: str):
     if args.balance_per_class is not None:
         labeled = balance_classes(labeled, args.balance_per_class, root.child(10))
     data = split(labeled, ratio=args.split_ratio, rng=root.child(11), stratified=args.split == "stratified")
-    return clean, emb, vocab, data
+    return emb, vocab, data
 
 
 def cmd_train(args: argparse.Namespace) -> None:
     task = _TASKS[args.task]
-    _, emb, vocab, data = _prepare_dataset(args, task)
+    emb, vocab, data = _prepare_dataset(args, task)
     direction = _MODELS[args.model]
     if (direction, args.bptt) not in ((STANDARD, BPTT_TRUNCATED), (BIDIRECTIONAL, BPTT_FULL)):
         _warn(
@@ -306,8 +306,6 @@ def cmd_train(args: argparse.Namespace) -> None:
         learning_rate=args.lr,
         epochs=args.epochs,
         seed=args.seed,
-        task=task,
-        balance_per_class=args.balance_per_class,
     )
     params, report = train(data, emb, vocab, model_cfg, train_cfg)
 
@@ -342,14 +340,8 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 def cmd_grid(args: argparse.Namespace) -> None:
     task = _TASKS[args.task]
-    _, emb, vocab, data = _prepare_dataset(args, task)
-    base_cfg = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        task=task,
-        balance_per_class=args.balance_per_class,
-    )
+    emb, vocab, data = _prepare_dataset(args, task)
+    base_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     result = run_grid(data, emb, vocab, task, base_cfg, hidden_size=args.hidden)
 
     save_grid(result, *_outputs(args))

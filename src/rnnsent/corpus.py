@@ -6,9 +6,8 @@ always produce identical outputs:
     dedup -> lowercase -> strip patterns -> tokenize -> stopword filter
     -> min-length filter -> global-frequency filter -> drop empty tweets
 
-Strip patterns themselves run in the order given by
-``PreprocessConfig.strip_patterns`` (default: username, url, retweet_marker,
-hashtag_symbol_only, emoji, special_chars).
+Strip patterns themselves run in the fixed order of ``_STRIP_RULES``:
+username, url, retweet_marker, hashtag_symbol_only, emoji, special_chars.
 
 Cleaning runs on blocks of CLEAN_BLOCK tweets: each tweet's newlines become
 spaces, the block's texts are joined by newlines and lowercased, and each
@@ -217,6 +216,7 @@ def _strip_special_chars(text: str) -> str:
     return _SPECIAL_RE.sub(" ", text)
 
 
+# The strip rules, applied in this order
 _STRIP_RULES = {
     "username": _strip_username,
     "url": _strip_url,
@@ -225,15 +225,6 @@ _STRIP_RULES = {
     "emoji": _strip_emoji,
     "special_chars": _strip_special_chars,
 }
-
-DEFAULT_STRIP_PATTERNS = (
-    "username",
-    "url",
-    "retweet_marker",
-    "hashtag_symbol_only",
-    "emoji",
-    "special_chars",
-)
 
 
 def default_stopwords() -> frozenset[str]:
@@ -265,16 +256,12 @@ class PreprocessConfig:
     stopwords: frozenset[str]
     min_token_length: int = 3
     min_global_frequency: int = 5
-    strip_patterns: tuple[str, ...] = DEFAULT_STRIP_PATTERNS
 
     def __post_init__(self) -> None:
         if self.min_token_length < 1:
             raise ValueError(f"min_token_length must be >= 1, got {self.min_token_length}")
         if self.min_global_frequency < 1:
             raise ValueError(f"min_global_frequency must be >= 1, got {self.min_global_frequency}")
-        unknown = [p for p in self.strip_patterns if p not in _STRIP_RULES]
-        if unknown:
-            raise ValueError(f"unknown strip patterns: {unknown}")
 
 
 class Vocabulary:
@@ -476,23 +463,23 @@ def deduplicate(tweets: Sequence[RawTweet]) -> list[RawTweet]:
     return kept
 
 
-def _clean_block(texts: Sequence[str], config: PreprocessConfig) -> list[list[str]]:
-    """The tokens of each of `texts`: lowercased, stripped by the configured
-    rules in order, split on whitespace.
+def _clean_block(texts: Sequence[str]) -> list[list[str]]:
+    """The tokens of each of `texts`: lowercased, stripped by each of
+    _STRIP_RULES in order, split on whitespace.
 
     The texts are cleaned as one newline-joined text, so each rule runs once
     per block; a newline inside a text becomes a space first, which no rule
     tells apart from it.
     """
     text = "\n".join([t.replace("\n", " ") for t in texts]).lower()
-    for name in config.strip_patterns:
-        text = _STRIP_RULES[name](text)
+    for rule in _STRIP_RULES.values():
+        text = rule(text)
     return [line.split() for line in text.split("\n")]
 
 
-def normalize_text(text: str, config: PreprocessConfig) -> str:
-    """Lowercase, apply the configured strip rules in order, collapse whitespace."""
-    return " ".join(_clean_block([text], config)[0])
+def normalize_text(text: str) -> str:
+    """Lowercase, apply the strip rules in order, collapse whitespace."""
+    return " ".join(_clean_block([text])[0])
 
 
 def preprocess_corpus(
@@ -514,7 +501,7 @@ def preprocess_corpus(
         block = deduped[lo : lo + CLEAN_BLOCK]
         block_tokens = [
             [tok for tok in tokens if tok not in stopwords and len(tok) >= min_length]
-            for tokens in _clean_block([t.text for t in block], config)
+            for tokens in _clean_block([t.text for t in block])
         ]
         filtered.extend(zip(block, block_tokens, strict=True))
         counts.update(chain.from_iterable(block_tokens))

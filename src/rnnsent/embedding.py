@@ -20,6 +20,8 @@ EMBEDDING_MAGIC = "SGNS-EMB"
 EMBEDDING_VERSION = "v1"
 # Pairs per scatter of a tweet's update into the vector tables (see _PairBatch)
 SCATTER_PAIRS = 128
+# SGD learning rate at the first tweet; it decays linearly to 1e-4 of this
+LEARNING_RATE = 0.025
 
 
 class EmbeddingFileError(ValueError):
@@ -36,14 +38,11 @@ class EmbeddingParams:
     window: int = 5
     negative_samples: int = 5
     epochs: int = 5
-    learning_rate: float = 0.025
     subsample_threshold: float = 1e-3  # 0 disables frequent-word subsampling
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.window < 1 or self.negative_samples < 1 or self.epochs < 1:
             raise ValueError("dim, window, negative_samples and epochs must all be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.subsample_threshold < 0:
             raise ValueError("subsample_threshold must be >= 0")
 
@@ -212,8 +211,7 @@ def train_embeddings(
     longest = max((len(s) for s in sentences), default=0)
     batch = _PairBatch(len(_pair_positions(longest, params.window)[0]), params.negative_samples, params.dim)
     pairs_by_length: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    start_lr = params.learning_rate
-    min_lr = start_lr * 1e-4
+    min_lr = LEARNING_RATE * 1e-4
     total_steps = max(1, params.epochs * len(sentences))
     step = 0
 
@@ -221,7 +219,7 @@ def train_embeddings(
         loss_sum = 0.0
         pair_count = 0
         for idxs in sentences:
-            lr = max(min_lr, start_lr * (1.0 - step / total_steps))
+            lr = max(min_lr, LEARNING_RATE * (1.0 - step / total_steps))
             step += 1
             if params.subsample_threshold > 0:
                 u = gen.random(len(idxs))

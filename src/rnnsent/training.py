@@ -43,10 +43,8 @@ from .numeric import PROB_FLOOR, FloatArray, RngState, clip_gradients, dropout_m
 TASK_FINE = "fine_grained"
 TASK_BINARY = "binary"
 
-# Early stopping (opt-in): stop once the best epoch loss has improved by less
-# than MIN_DELTA for PATIENCE consecutive epochs.
-EARLY_STOP_MIN_DELTA = 1e-5
-EARLY_STOP_PATIENCE = 5
+# Each minibatch's mean gradient is rescaled to this global L2 norm when above it
+CLIP_NORM = 5.0
 
 
 class TrainingDivergedError(ValueError):
@@ -92,10 +90,6 @@ class TrainConfig:
     learning_rate: float = 1.8e-3
     epochs: int = 30
     seed: int = 0
-    task: str = TASK_FINE
-    clip_norm: float = 5.0
-    balance_per_class: int | None = None
-    early_stop: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -104,16 +98,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate cannot be negative, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.task not in (TASK_FINE, TASK_BINARY):
-            raise ValueError(f"task must be {TASK_FINE!r} or {TASK_BINARY!r}")
-        if self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.balance_per_class is not None and self.balance_per_class < 1:
-            raise ValueError(f"balance_per_class must be >= 1, got {self.balance_per_class}")
-
-    @property
-    def num_classes(self) -> int:
-        return 2 if self.task == TASK_BINARY else 3
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -271,13 +255,7 @@ def _check_train_inputs(
     emb: EmbeddingMatrix,
     vocab: Vocabulary,
     model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
 ) -> tuple[str, ...]:
-    if model_cfg.num_classes != train_cfg.num_classes:
-        raise ValueError(
-            f"config mismatch: task {train_cfg.task!r} implies {train_cfg.num_classes} classes "
-            f"but the model has {model_cfg.num_classes}"
-        )
     if emb.dim != model_cfg.embedding_dim:
         raise ValueError(
             f"config mismatch: embeddings have dim {emb.dim}, model expects {model_cfg.embedding_dim}"
@@ -305,14 +283,14 @@ def train(
     train_cfg: TrainConfig,
 ) -> tuple[dict[str, FloatArray], TrainReport]:
     """Minibatch SGD: per epoch, shuffle, batch, average the per-example BPTT
-    gradients (one batched kernel call per minibatch), clip to clip_norm, take
+    gradients (one batched kernel call per minibatch), clip to CLIP_NORM, take
     one step. Deterministic given the seed: the initial weights come from
     root.child(0), epoch e's shuffle from root.child(1, e), and the batch at
     offset `start` draws one (B, R) dropout mask from root.child(2, e, start).
 
     Raises TrainingDivergedError naming the epoch and batch whose loss or
     gradient is not finite."""
-    classes = _check_train_inputs(data, emb, vocab, model_cfg, train_cfg)
+    classes = _check_train_inputs(data, emb, vocab, model_cfg)
     class_index = {c: i for i, c in enumerate(classes)}
 
     # every example's embedding-row ids; the kernel gathers a batch's rows by id
@@ -331,8 +309,6 @@ def train(
     workspace = Workspace()
     epoch_losses: list[float] = []
     epoch_accuracies: list[float] = []
-    best_loss = math.inf
-    stall = 0
 
     # a diverged step makes the next batch's products overflow or go NaN; the loss
     # and gradient-norm checks below stop the run, so numpy need not warn first
@@ -368,17 +344,10 @@ def train(
                     raise TrainingDivergedError(
                         f"training diverged: epoch {epoch + 1}, batch {number} has gradient norm {norm}"
                     )
-                params = sgd_step(params, clip_gradients(mean, train_cfg.clip_norm, norm), train_cfg.learning_rate)
+                params = sgd_step(params, clip_gradients(mean, CLIP_NORM, norm), train_cfg.learning_rate)
 
-            epoch_loss = math.fsum(np.concatenate(losses)) / n
-            epoch_losses.append(epoch_loss)
+            epoch_losses.append(math.fsum(np.concatenate(losses)) / n)
             epoch_accuracies.append(correct / n)
-
-            if train_cfg.early_stop:
-                stall = stall + 1 if best_loss - epoch_loss < EARLY_STOP_MIN_DELTA else 0
-                best_loss = min(best_loss, epoch_loss)
-                if stall >= EARLY_STOP_PATIENCE:
-                    break
 
     del workspace  # free the training buffers before evaluation allocates its own
     cm, metrics = evaluate(params, model_cfg, emb, vocab, data.test, classes=classes)
@@ -490,7 +459,7 @@ def run_grid(
                     bptt_mode=bptt_mode,
                     bptt_k=50,
                 )
-                cell_cfg = replace(base_cfg, batch_size=batch_size, task=task)
+                cell_cfg = replace(base_cfg, batch_size=batch_size)
                 _, report = train(data, emb, vocab, model_cfg, cell_cfg)
                 rows.append(
                     GridRow(

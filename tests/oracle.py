@@ -13,8 +13,8 @@ Cleaning: the per-tweet pipeline that rnnsent.corpus's block pass replaced,
 each strip rule and the whitespace collapse run on one tweet at a time.
 
 Time buckets: the per-tweet tally that rnnsent.analysis's counting pass
-replaced, each tweet's UTC date taken with astimezone and each period
-stepped to the next one by one.
+replaced, each tweet's UTC date taken with astimezone, a naive timestamp
+read as UTC, and each period stepped to the next one by one.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ import numpy as np
 
 from rnnsent.analysis import TemporalBucket, TemporalBuckets
 from rnnsent.corpus import CleanTweet, CorpusStats, Vocabulary
-from rnnsent.embedding import EmbeddingMatrix, _sampling_tables
+from rnnsent.embedding import LEARNING_RATE, EmbeddingMatrix, _sampling_tables
 from rnnsent.evaluation import FINE_CLASSES
 from rnnsent.model import BPTT_FULL, STANDARD, init_params
 from rnnsent.numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
+from rnnsent.training import CLIP_NORM
 
 
 def run_cell(arrays, prefix, inputs):
@@ -125,7 +126,7 @@ def train(sequences, targets, model_cfg, train_cfg):
                 loss_sum += -np.log(max(probs[targets[i]], PROB_FLOOR))
                 grad_sum = grads if grad_sum is None else {name: grad_sum[name] + g for name, g in grads.items()}
             mean = {name: g / len(batch) for name, g in grad_sum.items()}
-            arrays = sgd_step(arrays, clip_gradients(mean, train_cfg.clip_norm), train_cfg.learning_rate)
+            arrays = sgd_step(arrays, clip_gradients(mean, CLIP_NORM), train_cfg.learning_rate)
         epoch_losses.append(loss_sum / n)
     return arrays, epoch_losses
 
@@ -180,7 +181,7 @@ def sgns_train(corpus, vocab, params, rng):
     emb = EmbeddingMatrix(in_vecs, out_vecs)
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
     sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in corpus]
-    start_lr = params.learning_rate
+    start_lr = LEARNING_RATE
     total_steps = max(1, params.epochs * len(sentences))
     step = 0
     for _epoch in range(params.epochs):
@@ -212,6 +213,7 @@ _SPECIAL_RE = re.compile(r"[^\w\s]|_")
 _WS_RE = re.compile(r"\s+")
 
 
+# in the order rnnsent.corpus applies them
 STRIP_RULES = {
     "username": lambda text: _USERNAME_RE.sub(" ", text),
     "url": lambda text: _URL_RE.sub(" ", text),
@@ -223,16 +225,17 @@ STRIP_RULES = {
 }
 
 
-def normalize_text(text, config):
-    """Lowercase, apply the configured strip rules in order, collapse whitespace."""
+def normalize_text(text, rules=tuple(STRIP_RULES)):
+    """Lowercase, apply the named strip rules in the order given, collapse whitespace."""
     text = text.lower()
-    for name in config.strip_patterns:
+    for name in rules:
         text = STRIP_RULES[name](text)
     return _WS_RE.sub(" ", text).strip()
 
 
-def preprocess_corpus(raw, config):
-    """(clean tweets, Vocabulary, CorpusStats) of `raw`, one tweet at a time."""
+def preprocess_corpus(raw, config, rules=tuple(STRIP_RULES)):
+    """(clean tweets, Vocabulary, CorpusStats) of `raw`, one tweet at a time,
+    stripped by the named rules in the order given."""
     seen, deduped = set(), []
     for tweet in raw:
         key = _WS_RE.sub(" ", tweet.text.strip()).lower()
@@ -244,7 +247,7 @@ def preprocess_corpus(raw, config):
     for tweet in deduped:
         tokens = [
             tok
-            for tok in normalize_text(tweet.text, config).split()
+            for tok in normalize_text(tweet.text, rules).split()
             if tok not in config.stopwords and len(tok) >= config.min_token_length
         ]
         filtered.append((tweet, tokens))
@@ -276,10 +279,15 @@ def _next_period(start, granularity):
     return start + timedelta(days=1)
 
 
+def _utc(stamp):
+    """`stamp` in UTC; a naive one is read as UTC, not as local time."""
+    return stamp.replace(tzinfo=timezone.utc) if stamp.tzinfo is None else stamp.astimezone(timezone.utc)
+
+
 def temporal_buckets(classified, granularity):
     """TemporalBuckets of `classified` by UTC month, Monday week or day,
     contiguous from the first period to the last, one tweet at a time."""
-    pairs = Counter((item.tweet.timestamp.astimezone(timezone.utc).date(), item.label) for item in classified)
+    pairs = Counter((_utc(item.tweet.timestamp).date(), item.label) for item in classified)
     tallies = {}
     for (day, label), n in pairs.items():
         bucket = tallies.setdefault(_period_start(day, granularity), {c: 0 for c in FINE_CLASSES})

@@ -157,7 +157,7 @@ def test_criterion_03_overfit_oracle():
     _check(failures, len(data.train) == 30, f"expected 30 training examples, got {len(data.train)}")
 
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=16)
-    train_cfg = TrainConfig(epochs=500, seed=0, task=TASK_FINE)
+    train_cfg = TrainConfig(epochs=500, seed=0)
     _, report = train(data, emb, vocab, model_cfg, train_cfg)
     elapsed = time.perf_counter() - started
 
@@ -192,7 +192,7 @@ def test_criterion_04_separable_generalization(separable_world):
         _check(failures, n == 1040, f"stratified split broke balance for {cls}: {n}")
 
     fine_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=64, dropout_rate=0.5)
-    fine_train = TrainConfig(batch_size=64, learning_rate=1.8e-3, epochs=30, seed=0, task=TASK_FINE)
+    fine_train = TrainConfig(batch_size=64, learning_rate=1.8e-3, epochs=30, seed=0)
     _, fine_report = train(data, emb, vocab, fine_cfg, fine_train)
     acc = fine_report.test_metrics.accuracy
     _check(failures, acc >= 0.95, f"fine-grained test accuracy {acc:.4f} < 0.95")
@@ -206,7 +206,7 @@ def test_criterion_04_separable_generalization(separable_world):
         direction=BIDIRECTIONAL,
         bptt_mode=BPTT_FULL,
     )
-    bin_train = TrainConfig(batch_size=64, learning_rate=1.8e-3, epochs=30, seed=0, task=TASK_BINARY)
+    bin_train = TrainConfig(batch_size=64, learning_rate=1.8e-3, epochs=30, seed=0)
     _, bin_report = train(bin_data, emb, vocab, bin_cfg, bin_train)
     bacc = bin_report.test_metrics.accuracy
     _check(failures, bacc >= 0.95, f"binary test accuracy {bacc:.4f} < 0.95")
@@ -229,8 +229,8 @@ def test_criterion_05_grid_structure(separable_world):
         GRID_COLUMNS == ("Model", "Batch Size", "Learning Rate", "Drop Out", "BPTT Type", "ACC", "F1 Score"),
         f"unexpected column set {GRID_COLUMNS}",
     )
+    base = TrainConfig(epochs=3, seed=0)
     for task in (TASK_FINE, TASK_BINARY):
-        base = TrainConfig(epochs=3, seed=0, task=task)
         result = run_grid(data, emb, vocab, task, base, hidden_size=64)
         rows = result.rows
         _check(failures, len(rows) == 8, f"{task}: {len(rows)} rows, expected 8")

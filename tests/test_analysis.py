@@ -1,4 +1,5 @@
 import json
+import time
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -18,7 +19,7 @@ from rnnsent.analysis import (
     sentiment_distribution,
     temporal_buckets,
 )
-from rnnsent.corpus import CleanTweet, load_clean_corpus
+from rnnsent.corpus import CleanTweet, load_clean_corpus, save_clean_corpus
 from rnnsent.model import ModelConfig, param_shapes
 
 
@@ -232,6 +233,30 @@ def _bucket_spec(draw):
 def test_buckets_equal_per_tweet_reference(spec, granularity):
     classified = [ClassifiedTweet(_tweet(i, ts), label, 0.9) for i, (label, ts) in enumerate(spec)]
     assert temporal_buckets(classified, granularity) == oracle.temporal_buckets(classified, granularity)
+
+
+@pytest.fixture
+def local_time_utc_plus_8(monkeypatch):
+    """The process's local time zone at UTC+8 (the POSIX TZ "PHT-8", which
+    needs no tz database), restored afterwards."""
+    with monkeypatch.context() as m:
+        m.setenv("TZ", "PHT-8")
+        time.tzset()
+        yield
+    time.tzset()
+
+
+def test_buckets_read_naive_timestamp_as_utc_in_any_local_zone(local_time_utc_plus_8, tmp_path):
+    # 03:00 naive is 03:00 UTC, as parse_timestamp and a save-load round trip read it,
+    # not 03:00 local time, which is 19:00 UTC on the day before
+    naive = CleanTweet(id="t0", timestamp=datetime(2013, 11, 8, 3), tokens=("tok",))
+    path = tmp_path / "corpus.jsonl"
+    save_clean_corpus([naive], path)
+    for tweet in (naive, *load_clean_corpus(path)):
+        classified = [ClassifiedTweet(tweet, "positive", 0.9)]
+        buckets = temporal_buckets(classified, "day")
+        assert [b.label for b in buckets.buckets] == ["2013-11-08"]
+        assert buckets == oracle.temporal_buckets(classified, "day")
 
 
 @pytest.mark.parametrize("granularity, label", [("month", "9999-12"), ("week", "9999-12-27"), ("day", "9999-12-31")])

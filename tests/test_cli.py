@@ -257,6 +257,21 @@ def test_train_outputs(pipeline):
     assert manifest["seed"] == 3
 
 
+def test_train_report_records_the_train_flags_only(pipeline, tmp_path):
+    pre, ann, emb = pipeline["pre"], pipeline["ann"], pipeline["emb"]
+    out = tmp_path / "binary"
+    assert main([
+        "train", "--corpus", str(pre / "corpus.jsonl"), "--annotations", str(ann),
+        "--embeddings", str(emb), "--hidden", "4", "--batch", "5", "--lr", "0.03",
+        "--epochs", "2", "--seed", "9", "--task", "binary", "--balance-per-class", "10",
+        "--output", str(out),
+    ]) == 0
+    report = json.loads((out / "report.json").read_text())
+    # the task and the balancing are recorded by the manifest and the model's classes
+    assert report["train_config"] == {"batch_size": 5, "epochs": 2, "learning_rate": 0.03, "seed": 9}
+    assert report["model_config"]["num_classes"] == 2
+
+
 def test_train_same_seed_reproduces_artifacts(pipeline, tmp_path):
     pre, ann, emb = pipeline["pre"], pipeline["ann"], pipeline["emb"]
     base = [

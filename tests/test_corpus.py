@@ -12,7 +12,6 @@ import oracle
 import synthdata
 from rnnsent import corpus
 from rnnsent.corpus import (
-    DEFAULT_STRIP_PATTERNS,
     CleanTweet,
     PreprocessConfig,
     RawTweet,
@@ -219,33 +218,29 @@ def test_deduplicate_empty_and_distinct():
     assert deduplicate(tweets) == tweets
 
 
-def _plain_config():
-    return PreprocessConfig(stopwords=frozenset())
-
-
 def test_normalize_text_strips_all_noise_classes():
-    got = normalize_text("@juan RT Pray for Tacloban!! http://t.co/xy #YolandaPH", _plain_config())
+    got = normalize_text("@juan RT Pray for Tacloban!! http://t.co/xy #YolandaPH")
     assert got == "pray for tacloban yolandaph"
 
 
 def test_normalize_text_trivial_cases():
-    assert normalize_text("", _plain_config()) == ""
-    assert normalize_text("hello", _plain_config()) == "hello"
+    assert normalize_text("") == ""
+    assert normalize_text("hello") == "hello"
 
 
 def test_normalize_text_apostrophe_underscore_emoji():
-    got = normalize_text("don't STOP_now... ok? \U0001f62d", _plain_config())
+    got = normalize_text("don't STOP_now... ok? \U0001f62d")
     assert got == "dont stop now ok"
 
 
 def test_normalize_text_keeps_hashtag_word():
-    assert normalize_text("#BangonPilipinas", _plain_config()) == "bangonpilipinas"
+    assert normalize_text("#BangonPilipinas") == "bangonpilipinas"
 
 
 def test_normalize_text_rt_only_as_word():
     # "rt" is removed as a standalone token, not inside words
-    assert normalize_text("RT start", _plain_config()) == "start"
-    assert normalize_text("artwork", _plain_config()) == "artwork"
+    assert normalize_text("RT start") == "start"
+    assert normalize_text("artwork") == "artwork"
 
 
 # the default rules leave lowercase letters and digits separated by single spaces
@@ -255,7 +250,7 @@ _NORMALIZED = re.compile(r"(?:[^\W_]+(?: [^\W_]+)*)?")
 @given(st.text())
 @example("r't now")  # cleans to "rt now", which a second pass cleans to "now"
 def test_normalize_text_gives_lowercase_word_tokens(text):
-    got = normalize_text(text, _plain_config())
+    got = normalize_text(text)
     assert _NORMALIZED.fullmatch(got)
     assert got == got.lower()
 
@@ -311,17 +306,16 @@ _PIECES = [
     "#", "#Bangon", "storm", "Storm", "the", "and", "ok", "a", "ab", "abc", "don't", "...", "!!", "123",
 ]
 _tweet_text = st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=2)), max_size=12).map("".join)
-_configs = st.one_of(
-    st.just(DEFAULT_STRIP_PATTERNS),
-    st.permutations(DEFAULT_STRIP_PATTERNS).flatmap(lambda rules: st.integers(0, len(rules)).map(lambda n: tuple(rules[:n]))),
-).flatmap(
-    lambda rules: st.builds(
-        PreprocessConfig,
-        stopwords=st.just(frozenset({"the", "and"})),
-        min_token_length=st.integers(1, 3),
-        min_global_frequency=st.integers(1, 3),
-        strip_patterns=st.just(rules),
-    )
+# the rule names in their fixed order, or a prefix of some permutation of them
+_rules = st.one_of(
+    st.just(tuple(corpus._STRIP_RULES)),
+    st.permutations(tuple(corpus._STRIP_RULES)).flatmap(lambda rules: st.integers(0, len(rules)).map(lambda n: tuple(rules[:n]))),
+)
+_configs = st.builds(
+    PreprocessConfig,
+    stopwords=st.just(frozenset({"the", "and"})),
+    min_token_length=st.integers(1, 3),
+    min_global_frequency=st.integers(1, 3),
 )
 
 
@@ -329,6 +323,7 @@ _configs = st.one_of(
     texts=st.lists(_tweet_text, max_size=30),
     repeats=st.lists(st.tuples(st.integers(0, 29), st.sampled_from([str.upper, str.lower, lambda t: f" {t}\n"])), max_size=8),
     config=_configs,
+    rules=_rules,
     block=st.sampled_from([1, 7, corpus.CLEAN_BLOCK]),  # tweets per joined text
 )
 @example(
@@ -338,16 +333,19 @@ _configs = st.one_of(
     ],
     repeats=[(0, str.upper), (4, str.lower)],
     config=PreprocessConfig(stopwords=frozenset(), min_global_frequency=1),
+    rules=tuple(corpus._STRIP_RULES),
     block=7,
 )
-def test_block_pass_matches_per_tweet_oracle(texts, repeats, config, block):
+def test_block_pass_matches_per_tweet_oracle(texts, repeats, config, rules, block):
     texts = texts + [change(texts[i % len(texts)]) for i, change in repeats if texts]
     raw = [RawTweet(id=f"t{i}", timestamp=parse_timestamp(NOV9), text=text) for i, text in enumerate(texts)]
-    with mock.patch.object(corpus, "CLEAN_BLOCK", block):
+    # the drawn rules, in the drawn order, stand in for the fixed table
+    drawn = {name: corpus._STRIP_RULES[name] for name in rules}
+    with mock.patch.object(corpus, "CLEAN_BLOCK", block), mock.patch.dict(corpus._STRIP_RULES, drawn, clear=True):
         got = preprocess_corpus(raw, config)
-    assert got == oracle.preprocess_corpus(raw, config)
-    for text in texts:
-        assert normalize_text(text, config) == oracle.normalize_text(text, config)
+        normalized = [normalize_text(text) for text in texts]
+    assert got == oracle.preprocess_corpus(raw, config, rules)
+    assert normalized == [oracle.normalize_text(text, rules) for text in texts]
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +376,6 @@ def test_preprocess_config_validation():
         PreprocessConfig(stopwords=frozenset(), min_token_length=0)
     with pytest.raises(ValueError):
         PreprocessConfig(stopwords=frozenset(), min_global_frequency=0)
-    with pytest.raises(ValueError):
-        PreprocessConfig(stopwords=frozenset(), strip_patterns=("username", "nope"))
 
 
 # ---------------------------------------------------------------------------

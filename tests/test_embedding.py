@@ -56,8 +56,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         EmbeddingParams(epochs=0)
     with pytest.raises(ValueError):
-        EmbeddingParams(learning_rate=0.0)
-    with pytest.raises(ValueError):
         EmbeddingParams(subsample_threshold=-1e-3)
 
 
