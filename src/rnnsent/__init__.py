@@ -8,7 +8,6 @@ with hand-derived BPTT, evaluate it, and apply it across the corpus over time.
 __version__ = "0.1.0"
 
 from .analysis import (
-    ClassifiedTweet,
     SentimentDistribution,
     TemporalBuckets,
     classify_corpus,
@@ -46,7 +45,6 @@ from .model import (
     forward,
     init_params,
     load_model,
-    predict,
     save_model,
 )
 from .numeric import RngState
@@ -66,7 +64,6 @@ from .training import (
 
 __all__ = [
     "__version__",
-    "ClassifiedTweet",
     "SentimentDistribution",
     "TemporalBuckets",
     "classify_corpus",
@@ -96,7 +93,6 @@ __all__ = [
     "forward",
     "init_params",
     "load_model",
-    "predict",
     "save_model",
     "RngState",
     "DatasetSplit",

@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass
 from datetime import date
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -25,14 +24,6 @@ from .numeric import FloatArray
 GRANULARITIES = ("month", "week", "day")
 
 NEUTRAL = "neutral"
-
-
-@dataclass(frozen=True)
-class ClassifiedTweet:
-    tweet: CleanTweet
-    label: str
-    confidence: float
-    oov: bool = False
 
 
 @dataclass(frozen=True)
@@ -67,36 +58,32 @@ def classify_corpus(
     emb: EmbeddingMatrix,
     vocab: Vocabulary,
     corpus: Sequence[CleanTweet],
-) -> list[ClassifiedTweet]:
-    """Predict every tweet; confidence is the winning probability.
+) -> tuple[np.ndarray, FloatArray, np.ndarray]:
+    """Predict every tweet: (labels, confidences, oov), three columns in
+    corpus order. A label is an index into FINE_CLASSES, and a confidence is
+    the winning probability.
 
     A tweet with no in-vocabulary token cannot be scored: it is kept, labeled
-    neutral with confidence 0.0, and flagged oov so downstream consumers can
-    exclude it.
+    neutral with confidence 0.0, and flagged in the oov mask so downstream
+    consumers can exclude it.
     """
     if len(corpus) == 0:
         raise ValueError("cannot classify an empty corpus")
-    classes = classes_for(model_cfg.num_classes)
-    out: list[ClassifiedTweet] = []
     probabilities, known = predict_many(params, model_cfg, emb, vocab, [tweet.tokens for tweet in corpus])
     # argmax takes the first maximum, so ties go to the lowest class index
     winners = probabilities.argmax(axis=1)
-    confidences = probabilities[np.arange(len(winners)), winners]
-    for tweet, idx, confidence, scored in zip(corpus, winners.tolist(), confidences.tolist(), known.tolist()):
-        if scored:
-            out.append(ClassifiedTweet(tweet, classes[idx], confidence))
-        else:
-            out.append(ClassifiedTweet(tweet, NEUTRAL, 0.0, oov=True))
-    return out
+    fine = np.array([FINE_CLASSES.index(c) for c in classes_for(model_cfg.num_classes)])
+    labels = np.where(known, fine[winners], FINE_CLASSES.index(NEUTRAL))
+    confidences = np.where(known, probabilities[np.arange(len(winners)), winners], 0.0)
+    return labels, confidences, ~known
 
 
-def sentiment_distribution(classified: Sequence[ClassifiedTweet]) -> SentimentDistribution:
-    if len(classified) == 0:
+def sentiment_distribution(labels: np.ndarray) -> SentimentDistribution:
+    """Counts and percentages of `labels`, indices into FINE_CLASSES."""
+    if len(labels) == 0:
         raise ValueError("cannot summarize an empty classification")
-    counts = {c: 0 for c in FINE_CLASSES}
-    for item in classified:
-        counts[item.label] += 1
-    total = len(classified)
+    counts = dict(zip(FINE_CLASSES, np.bincount(labels, minlength=len(FINE_CLASSES)).tolist()))
+    total = len(labels)
     percentages = {c: round(100.0 * counts[c] / total, 1) for c in FINE_CLASSES}
     return SentimentDistribution(counts=counts, percentages=percentages, total=total)
 
@@ -131,27 +118,28 @@ def _period_label(start: date, granularity: str) -> str:
 
 
 def temporal_buckets(
-    classified: Sequence[ClassifiedTweet],
+    corpus: Sequence[CleanTweet],
+    labels: np.ndarray,
     granularity: str = "month",
 ) -> TemporalBuckets:
-    """Group by UTC calendar period (month, ISO week starting Monday, or day);
-    a naive timestamp is read as UTC, as parse_timestamp reads one.
+    """Group each tweet of `corpus`, counted under its class in `labels`
+    (indices into FINE_CLASSES), by UTC calendar period (month, ISO week
+    starting Monday, or day); a naive timestamp is read as UTC, as
+    parse_timestamp reads one.
 
     Buckets are chronological and contiguous: periods inside the observed span
     with no tweets are emitted with zero counts.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {list(GRANULARITIES)}, got {granularity!r}")
-    if len(classified) == 0:
+    if len(corpus) == 0:
         raise ValueError("cannot bucket an empty classification")
 
-    days = np.fromiter((_ensure_utc(item.tweet.timestamp).toordinal() for item in classified), np.int64, len(classified))
-    index = {c: i for i, c in enumerate(FINE_CLASSES)}
-    classes = np.fromiter(map(index.__getitem__, map(attrgetter("label"), classified)), np.int64, len(classified))
+    days = np.fromiter((_ensure_utc(tweet.timestamp).toordinal() for tweet in corpus), np.int64, len(corpus))
     periods = _period_indices(days, granularity)
     first, last = int(periods.min()), int(periods.max())
     # one row per period from the first to the last, one column per class
-    rows = np.bincount((periods - first) * len(FINE_CLASSES) + classes, minlength=(last - first + 1) * len(FINE_CLASSES))
+    rows = np.bincount((periods - first) * len(FINE_CLASSES) + labels, minlength=(last - first + 1) * len(FINE_CLASSES))
     buckets = []
     for period, counts in enumerate(rows.reshape(-1, len(FINE_CLASSES)).tolist(), first):
         start = _period_start(period, granularity)
@@ -199,25 +187,35 @@ def export_report(
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _classified_lines(classified: list[ClassifiedTweet]) -> str:
+def _classified_lines(rows: list[tuple[CleanTweet, str, str, str]]) -> str:
     # the bytes of JSONEncoder(sort_keys=True).encode(record), line by line;
     # isoformat's text (digits and "T:.+-") needs no escape
-    confidences = [float.__repr__(item.confidence) for item in classified]
-    stamps = _isoformat_all(list(map(attrgetter("tweet.timestamp"), classified)))
+    stamps = _isoformat_all([row[0].timestamp for row in rows])
     return "".join([
         '{"confidence": %s, "id": %s, "label": %s, "oov": %s, "timestamp": "%s", "tokens": [%s]}\n'
         % (
-            _JSON_NON_FINITE.get(confidence, confidence),
-            encode_basestring_ascii(item.tweet.id),
-            encode_basestring_ascii(item.label),
-            "true" if item.oov else "false",
+            confidence,
+            encode_basestring_ascii(tweet.id),
+            label,
+            oov,
             stamp,
-            ", ".join(map(encode_basestring_ascii, item.tweet.tokens)),
+            ", ".join(map(encode_basestring_ascii, tweet.tokens)),
         )
-        for item, confidence, stamp in zip(classified, confidences, stamps)
+        for (tweet, label, confidence, oov), stamp in zip(rows, stamps)
     ])
 
 
-def save_classified(classified: Sequence[ClassifiedTweet], path: str | Path) -> None:
-    """Clean-corpus JSONL plus label, confidence, and oov fields per tweet, keys sorted."""
-    _write_jsonl(path, classified, _classified_lines)
+def save_classified(
+    corpus: Sequence[CleanTweet],
+    labels: np.ndarray,
+    confidences: FloatArray,
+    oov: np.ndarray,
+    path: str | Path,
+) -> None:
+    """Clean-corpus JSONL plus label, confidence, and oov fields per tweet,
+    keys sorted; the three columns are classify_corpus's."""
+    names = [encode_basestring_ascii(c) for c in FINE_CLASSES]
+    label_text = map(names.__getitem__, labels.tolist())
+    confidence_text = (_JSON_NON_FINITE.get(r, r) for r in map(float.__repr__, confidences.tolist()))
+    oov_text = map(("false", "true").__getitem__, oov.tolist())
+    _write_jsonl(path, zip(corpus, label_text, confidence_text, oov_text, strict=True), _classified_lines)

@@ -313,7 +313,7 @@ def cmd_train(args: argparse.Namespace) -> None:
     save_model(params, model_cfg, model_path)
     save_report(report, report_path)
     print(
-        f"trained {args.model} model for {report.epochs_run} epochs; "
+        f"trained {args.model} model for {len(report.epoch_losses)} epochs; "
         f"test accuracy {report.test_metrics.accuracy:.4f}, macro F1 {report.test_metrics.f1_macro:.4f}"
     )
 
@@ -352,12 +352,12 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     params, model_cfg = load_model(args.model)
     clean = load_clean_corpus(args.corpus)
     emb, vocab = _load_embedding_bundle(args.embeddings)
-    classified = classify_corpus(params, model_cfg, emb, vocab, clean)
-    distribution = sentiment_distribution(classified)
-    buckets = temporal_buckets(classified, args.granularity)
+    labels, confidences, oov = classify_corpus(params, model_cfg, emb, vocab, clean)
+    distribution = sentiment_distribution(labels)
+    buckets = temporal_buckets(clean, labels, args.granularity)
 
     classified_path, json_path, csv_path = _outputs(args)
-    save_classified(classified, classified_path)
+    save_classified(clean, labels, confidences, oov, classified_path)
     export_report(distribution, buckets, json_path, format="json")
     export_report(distribution, buckets, csv_path, format="csv")
     for label in ("positive", "negative", "neutral"):

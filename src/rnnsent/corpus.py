@@ -477,11 +477,6 @@ def _clean_block(texts: Sequence[str]) -> list[list[str]]:
     return [line.split() for line in text.split("\n")]
 
 
-def normalize_text(text: str) -> str:
-    """Lowercase, apply the strip rules in order, collapse whitespace."""
-    return " ".join(_clean_block([text])[0])
-
-
 def preprocess_corpus(
     raw: Sequence[RawTweet],
     config: PreprocessConfig,

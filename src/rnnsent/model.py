@@ -43,10 +43,6 @@ class ModelFileError(ValueError):
     """Bad magic/version, malformed lines, or shape inconsistencies in a model file."""
 
 
-class AllTokensUnknownError(ValueError):
-    """Every token of the input was out-of-vocabulary; nothing can be embedded."""
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     embedding_dim: int
@@ -602,24 +598,6 @@ def predict_many(
         )
         probabilities[chunk] = trace.probabilities
     return probabilities, known
-
-
-def predict(
-    params: dict[str, FloatArray],
-    config: ModelConfig,
-    emb: EmbeddingMatrix,
-    vocab: Vocabulary,
-    tokens: Sequence[str],
-) -> tuple[int, FloatArray]:
-    """Classify a token list: (argmax class index, class probabilities).
-
-    Ties resolve to the lowest class index. Raises AllTokensUnknownError when
-    no token can be embedded.
-    """
-    probabilities, known = predict_many(params, config, emb, vocab, [tokens])
-    if not known[0]:
-        raise AllTokensUnknownError(f"none of the {len(tokens)} tokens are in the vocabulary")
-    return int(np.argmax(probabilities[0])), probabilities[0]
 
 
 # ---------------------------------------------------------------------------

@@ -225,13 +225,8 @@ class TrainReport:
     model_config: ModelConfig
     train_config: TrainConfig
 
-    @property
-    def epochs_run(self) -> int:
-        return len(self.epoch_losses)
-
     def to_dict(self) -> dict:
         return {
-            "epochs_run": self.epochs_run,
             "epoch_losses": self.epoch_losses,
             "epoch_accuracies": self.epoch_accuracies,
             "test_metrics": self.test_metrics.to_dict(),

@@ -25,7 +25,7 @@ from datetime import date, timedelta, timezone
 
 import numpy as np
 
-from rnnsent.analysis import TemporalBucket, TemporalBuckets
+from rnnsent.analysis import SentimentDistribution, TemporalBucket, TemporalBuckets
 from rnnsent.corpus import CleanTweet, CorpusStats, Vocabulary
 from rnnsent.embedding import LEARNING_RATE, EmbeddingMatrix, _sampling_tables
 from rnnsent.evaluation import FINE_CLASSES
@@ -284,10 +284,20 @@ def _utc(stamp):
     return stamp.replace(tzinfo=timezone.utc) if stamp.tzinfo is None else stamp.astimezone(timezone.utc)
 
 
-def temporal_buckets(classified, granularity):
-    """TemporalBuckets of `classified` by UTC month, Monday week or day,
+def sentiment_distribution(labels):
+    """SentimentDistribution of `labels` (indices into FINE_CLASSES), one tweet at a time."""
+    counts = {c: 0 for c in FINE_CLASSES}
+    for label in labels:
+        counts[FINE_CLASSES[label]] += 1
+    percentages = {c: round(100.0 * counts[c] / len(labels), 1) for c in FINE_CLASSES}
+    return SentimentDistribution(counts=counts, percentages=percentages, total=len(labels))
+
+
+def temporal_buckets(corpus, labels, granularity):
+    """TemporalBuckets of `corpus`, each tweet counted under its class in
+    `labels` (indices into FINE_CLASSES), by UTC month, Monday week or day,
     contiguous from the first period to the last, one tweet at a time."""
-    pairs = Counter((_utc(item.tweet.timestamp).date(), item.label) for item in classified)
+    pairs = Counter((_utc(t.timestamp).date(), FINE_CLASSES[label]) for t, label in zip(corpus, labels, strict=True))
     tallies = {}
     for (day, label), n in pairs.items():
         bucket = tallies.setdefault(_period_start(day, granularity), {c: 0 for c in FINE_CLASSES})

@@ -63,7 +63,7 @@ from rnnsent.training import (
     split,
     train,
 )
-from rnnsent.analysis import ClassifiedTweet, sentiment_distribution, temporal_buckets
+from rnnsent.analysis import sentiment_distribution, temporal_buckets
 
 
 def _check(failures, ok, message):
@@ -468,16 +468,13 @@ def test_criterion_10_analysis_consistency():
         ("positive", "2014-01-02"), ("negative", "2014-01-10"), ("negative", "2014-01-15"),
         ("neutral", "2014-01-30"),
     ]
-    classified = [
-        ClassifiedTweet(
-            CleanTweet(id=f"t{i}", timestamp=datetime.fromisoformat(ts).replace(tzinfo=timezone.utc), tokens=("tok",)),
-            label,
-            0.9,
-        )
-        for i, (label, ts) in enumerate(spec)
+    corpus = [
+        CleanTweet(id=f"t{i}", timestamp=datetime.fromisoformat(ts).replace(tzinfo=timezone.utc), tokens=("tok",))
+        for i, (_, ts) in enumerate(spec)
     ]
-    dist = sentiment_distribution(classified)
-    buckets = temporal_buckets(classified, "month")
+    labels = np.array([FINE_CLASSES.index(label) for label, _ in spec])
+    dist = sentiment_distribution(labels)
+    buckets = temporal_buckets(corpus, labels, "month")
     _check(failures, len(buckets.buckets) == 3, f"{len(buckets.buckets)} buckets, expected 3")
     for label in FINE_CLASSES:
         total = sum(b.counts[label] for b in buckets.buckets)

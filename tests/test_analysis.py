@@ -11,7 +11,6 @@ import oracle
 import synthdata
 from rnnsent.analysis import (
     GRANULARITIES,
-    ClassifiedTweet,
     SentimentDistribution,
     classify_corpus,
     export_report,
@@ -20,22 +19,28 @@ from rnnsent.analysis import (
     temporal_buckets,
 )
 from rnnsent.corpus import CleanTweet, load_clean_corpus, save_clean_corpus
-from rnnsent.model import ModelConfig, param_shapes
+from rnnsent.evaluation import FINE_CLASSES
+from rnnsent.model import ModelConfig, init_params, param_shapes, predict_many
+from rnnsent.numeric import RngState
 
 
 def _tweet(i, ts):
     return CleanTweet(id=f"t{i}", timestamp=ts, tokens=("tok",))
 
 
+def _labels(names):
+    return np.array([FINE_CLASSES.index(name) for name in names], dtype=np.int64)
+
+
 def _classified(spec):
-    """spec: list of (label, iso timestamp)"""
-    out = []
-    for i, (label, ts) in enumerate(spec):
+    """spec: list of (label, iso timestamp) -> (corpus, label column)"""
+    corpus = []
+    for i, (_, ts) in enumerate(spec):
         stamp = datetime.fromisoformat(ts)
         if stamp.tzinfo is None:
             stamp = stamp.replace(tzinfo=timezone.utc)
-        out.append(ClassifiedTweet(_tweet(i, stamp), label, 0.9))
-    return out
+        corpus.append(_tweet(i, stamp))
+    return corpus, _labels([label for label, _ in spec])
 
 
 # ---------------------------------------------------------------------------
@@ -54,35 +59,30 @@ def _model_world():
 
 def test_classify_corpus_covers_every_tweet():
     corpus, vocab, emb, cfg, params = _model_world()
-    classified = classify_corpus(params, cfg, emb, vocab, corpus)
-    assert len(classified) == len(corpus)
-    assert [c.tweet.id for c in classified] == [t.id for t in corpus]
+    labels, confidences, oov = classify_corpus(params, cfg, emb, vocab, corpus)
+    assert len(labels) == len(confidences) == len(oov) == len(corpus)
     # zero-weight model: uniform probabilities, class 0 by tie-break
-    for c in classified:
-        assert c.label == "positive"
-        assert c.confidence == pytest.approx(1 / 3, abs=1e-12)
-        assert not c.oov
+    for label, confidence, flagged in zip(labels, confidences, oov):
+        assert FINE_CLASSES[label] == "positive"
+        assert confidence == pytest.approx(1 / 3, abs=1e-12)
+        assert not flagged
 
 
 def test_classify_corpus_flags_oov_as_neutral():
     corpus, vocab, emb, cfg, params = _model_world()
     ghost = CleanTweet(id="ghost", timestamp=corpus[0].timestamp, tokens=("zzzz", "qqqq"))
-    classified = classify_corpus(params, cfg, emb, vocab, corpus + [ghost])
-    flagged = classified[-1]
-    assert flagged.label == "neutral"
-    assert flagged.confidence == 0.0
-    assert flagged.oov
+    labels, confidences, oov = classify_corpus(params, cfg, emb, vocab, corpus + [ghost])
+    assert FINE_CLASSES[labels[-1]] == "neutral"
+    assert confidences[-1] == 0.0
+    assert oov[-1]
 
 
 def test_classify_corpus_deterministic():
     corpus, vocab, emb, cfg, _ = _model_world()
-    from rnnsent.model import init_params
-    from rnnsent.numeric import RngState
-
     params = init_params(cfg, RngState(seed=81))
     a = classify_corpus(params, cfg, emb, vocab, corpus)
     b = classify_corpus(params, cfg, emb, vocab, corpus)
-    assert [(c.label, c.confidence) for c in a] == [(c.label, c.confidence) for c in b]
+    assert list(zip(a[0].tolist(), a[1].tolist())) == list(zip(b[0].tolist(), b[1].tolist()))
 
 
 def test_classify_corpus_rejects_empty():
@@ -97,7 +97,7 @@ def test_classify_corpus_rejects_empty():
 
 
 def test_distribution_all_positive():
-    d = sentiment_distribution(_classified([("positive", "2013-11-09")] * 10))
+    d = sentiment_distribution(_labels(["positive"] * 10))
     assert d.counts == {"positive": 10, "negative": 0, "neutral": 0}
     assert d.percentages == {"positive": 100.0, "negative": 0.0, "neutral": 0.0}
     assert d.total == 10
@@ -107,14 +107,14 @@ def test_distribution_two_three_five():
     spec = [("positive", "2013-11-09")] * 2 + [("negative", "2013-11-09")] * 3 + [
         ("neutral", "2013-11-09")
     ] * 5
-    d = sentiment_distribution(_classified(spec))
+    d = sentiment_distribution(_classified(spec)[1])
     assert d.counts == {"positive": 2, "negative": 3, "neutral": 5}
     assert d.percentages == {"positive": 20.0, "negative": 30.0, "neutral": 50.0}
 
 
 def test_distribution_one_decimal_rounding():
     spec = [("positive", "2013-11-09")] * 1 + [("negative", "2013-11-09")] * 2
-    d = sentiment_distribution(_classified(spec))
+    d = sentiment_distribution(_classified(spec)[1])
     assert d.percentages == {"positive": 33.3, "negative": 66.7, "neutral": 0.0}
     assert abs(sum(d.percentages.values()) - 100.0) <= 0.1
 
@@ -144,7 +144,7 @@ NINE_TWEETS = [
 
 
 def test_buckets_three_months_hand_tally():
-    buckets = temporal_buckets(_classified(NINE_TWEETS), "month")
+    buckets = temporal_buckets(*_classified(NINE_TWEETS), "month")
     assert buckets.granularity == "month"
     assert [b.label for b in buckets.buckets] == ["2013-11", "2013-12", "2014-01"]
     assert [b.start for b in buckets.buckets] == [date(2013, 11, 1), date(2013, 12, 1), date(2014, 1, 1)]
@@ -154,46 +154,40 @@ def test_buckets_three_months_hand_tally():
 
 
 def test_bucket_column_sums_equal_distribution():
-    classified = _classified(NINE_TWEETS)
-    d = sentiment_distribution(classified)
-    buckets = temporal_buckets(classified, "month")
+    corpus, labels = _classified(NINE_TWEETS)
+    d = sentiment_distribution(labels)
+    buckets = temporal_buckets(corpus, labels, "month")
     for label in ("positive", "negative", "neutral"):
         assert sum(b.counts[label] for b in buckets.buckets) == d.counts[label]
-    assert sum(sum(b.counts.values()) for b in buckets.buckets) == len(classified)
+    assert sum(sum(b.counts.values()) for b in buckets.buckets) == len(corpus)
 
 
 def test_buckets_single_month_matches_distribution():
     spec = [("positive", "2013-11-01"), ("neutral", "2013-11-30")]
-    classified = _classified(spec)
-    buckets = temporal_buckets(classified, "month")
+    corpus, labels = _classified(spec)
+    buckets = temporal_buckets(corpus, labels, "month")
     assert len(buckets.buckets) == 1
-    assert buckets.buckets[0].counts == sentiment_distribution(classified).counts
+    assert buckets.buckets[0].counts == sentiment_distribution(labels).counts
 
 
 def test_buckets_interior_gap_zero_filled():
     spec = [("positive", "2013-11-09"), ("negative", "2014-01-15")]
-    buckets = temporal_buckets(_classified(spec), "month")
+    buckets = temporal_buckets(*_classified(spec), "month")
     assert [b.label for b in buckets.buckets] == ["2013-11", "2013-12", "2014-01"]
     assert buckets.buckets[1].counts == {"positive": 0, "negative": 0, "neutral": 0}
 
 
 def test_buckets_use_utc_calendar():
     # 07:00+08:00 on Dec 1 is still Nov 30 in UTC
-    classified = [
-        ClassifiedTweet(
-            _tweet(0, datetime(2013, 12, 1, 7, 0, tzinfo=timezone(timedelta(hours=8)))),
-            "positive",
-            0.9,
-        )
-    ]
-    buckets = temporal_buckets(classified, "month")
+    corpus = [_tweet(0, datetime(2013, 12, 1, 7, 0, tzinfo=timezone(timedelta(hours=8))))]
+    buckets = temporal_buckets(corpus, _labels(["positive"]), "month")
     assert [b.label for b in buckets.buckets] == ["2013-11"]
 
 
 def test_buckets_week_starts_monday():
     # Nov 13 2013 is a Wednesday; its ISO week starts Monday Nov 11
     spec = [("positive", "2013-11-13"), ("negative", "2013-11-25")]
-    buckets = temporal_buckets(_classified(spec), "week")
+    buckets = temporal_buckets(*_classified(spec), "week")
     assert [b.label for b in buckets.buckets] == ["2013-11-11", "2013-11-18", "2013-11-25"]
     assert [b.start.weekday() for b in buckets.buckets] == [0, 0, 0]
     assert buckets.buckets[1].counts == {"positive": 0, "negative": 0, "neutral": 0}
@@ -201,7 +195,7 @@ def test_buckets_week_starts_monday():
 
 def test_buckets_day_granularity():
     spec = [("positive", "2013-11-09"), ("negative", "2013-11-11")]
-    buckets = temporal_buckets(_classified(spec), "day")
+    buckets = temporal_buckets(*_classified(spec), "day")
     assert [b.label for b in buckets.buckets] == ["2013-11-09", "2013-11-10", "2013-11-11"]
 
 
@@ -231,8 +225,9 @@ def _bucket_spec(draw):
 @settings(max_examples=200, deadline=None)
 @given(spec=_bucket_spec(), granularity=st.sampled_from(GRANULARITIES))
 def test_buckets_equal_per_tweet_reference(spec, granularity):
-    classified = [ClassifiedTweet(_tweet(i, ts), label, 0.9) for i, (label, ts) in enumerate(spec)]
-    assert temporal_buckets(classified, granularity) == oracle.temporal_buckets(classified, granularity)
+    corpus = [_tweet(i, ts) for i, (_, ts) in enumerate(spec)]
+    labels = _labels([label for label, _ in spec])
+    assert temporal_buckets(corpus, labels, granularity) == oracle.temporal_buckets(corpus, labels, granularity)
 
 
 @pytest.fixture
@@ -253,24 +248,24 @@ def test_buckets_read_naive_timestamp_as_utc_in_any_local_zone(local_time_utc_pl
     path = tmp_path / "corpus.jsonl"
     save_clean_corpus([naive], path)
     for tweet in (naive, *load_clean_corpus(path)):
-        classified = [ClassifiedTweet(tweet, "positive", 0.9)]
-        buckets = temporal_buckets(classified, "day")
+        labels = _labels(["positive"])
+        buckets = temporal_buckets([tweet], labels, "day")
         assert [b.label for b in buckets.buckets] == ["2013-11-08"]
-        assert buckets == oracle.temporal_buckets(classified, "day")
+        assert buckets == oracle.temporal_buckets([tweet], labels, "day")
 
 
 @pytest.mark.parametrize("granularity, label", [("month", "9999-12"), ("week", "9999-12-27"), ("day", "9999-12-31")])
 def test_buckets_reach_the_last_period_of_the_calendar(granularity, label):
     # a loop that steps to the period after the last one cannot hold it in a date
-    buckets = temporal_buckets(_classified([("neutral", "9999-12-31T23:59:59")]), granularity)
+    buckets = temporal_buckets(*_classified([("neutral", "9999-12-31T23:59:59")]), granularity)
     assert [(b.label, b.counts) for b in buckets.buckets] == [(label, {"positive": 0, "negative": 0, "neutral": 1})]
 
 
 def test_buckets_errors():
     with pytest.raises(ValueError, match="granularity"):
-        temporal_buckets(_classified([("positive", "2013-11-09")]), "fortnight")
+        temporal_buckets(*_classified([("positive", "2013-11-09")]), "fortnight")
     with pytest.raises(ValueError, match="empty"):
-        temporal_buckets([], "month")
+        temporal_buckets(*_classified([]), "month")
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +274,9 @@ def test_buckets_errors():
 
 
 def test_export_json_round_trip(tmp_path):
-    classified = _classified(NINE_TWEETS)
-    dist = sentiment_distribution(classified)
-    buckets = temporal_buckets(classified, "month")
+    corpus, labels = _classified(NINE_TWEETS)
+    dist = sentiment_distribution(labels)
+    buckets = temporal_buckets(corpus, labels, "month")
     path = tmp_path / "report.json"
     export_report(dist, buckets, path, format="json")
     payload = json.loads(path.read_text())
@@ -291,9 +286,9 @@ def test_export_json_round_trip(tmp_path):
 
 
 def test_export_json_percentages_one_decimal(tmp_path):
-    classified = _classified([("positive", "2013-11-09")] + [("negative", "2013-11-09")] * 2)
+    corpus, labels = _classified([("positive", "2013-11-09")] + [("negative", "2013-11-09")] * 2)
     path = tmp_path / "report.json"
-    export_report(sentiment_distribution(classified), temporal_buckets(classified, "month"), path)
+    export_report(sentiment_distribution(labels), temporal_buckets(corpus, labels, "month"), path)
     payload = json.loads(path.read_text())
     assert payload["distribution"]["percentages"] == {
         "positive": 33.3,
@@ -304,9 +299,9 @@ def test_export_json_percentages_one_decimal(tmp_path):
 
 
 def test_export_csv_exact_rows(tmp_path):
-    classified = _classified(NINE_TWEETS)
+    corpus, labels = _classified(NINE_TWEETS)
     path = tmp_path / "report.csv"
-    export_report(sentiment_distribution(classified), temporal_buckets(classified, "month"), path, format="csv")
+    export_report(sentiment_distribution(labels), temporal_buckets(corpus, labels, "month"), path, format="csv")
     lines = path.read_text().splitlines()
     assert lines == [
         "period,positive,negative,neutral",
@@ -317,22 +312,96 @@ def test_export_csv_exact_rows(tmp_path):
 
 
 def test_export_unknown_format(tmp_path):
-    classified = _classified([("positive", "2013-11-09")])
-    dist = sentiment_distribution(classified)
-    buckets = temporal_buckets(classified, "month")
+    corpus, labels = _classified([("positive", "2013-11-09")])
+    dist = sentiment_distribution(labels)
+    buckets = temporal_buckets(corpus, labels, "month")
     with pytest.raises(ValueError, match="format"):
         export_report(dist, buckets, tmp_path / "x.xml", format="xml")
 
 
 def test_save_classified_jsonl(tmp_path):
     corpus, vocab, emb, cfg, params = _model_world()
-    classified = classify_corpus(params, cfg, emb, vocab, corpus[:3])
+    columns = classify_corpus(params, cfg, emb, vocab, corpus[:3])
     path = tmp_path / "classified.jsonl"
-    save_classified(classified, path)
+    save_classified(corpus[:3], *columns, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     first = json.loads(lines[0])
     assert set(first) == {"id", "timestamp", "tokens", "label", "confidence", "oov"}
     assert first["label"] == "positive"
     # records stay loadable as a clean corpus (extra fields ignored)
-    assert [t.id for t in load_clean_corpus(path)] == [c.tweet.id for c in classified]
+    assert [t.id for t in load_clean_corpus(path)] == [t.id for t in corpus[:3]]
+
+
+# ---------------------------------------------------------------------------
+# The classified columns against the per-tweet references
+# ---------------------------------------------------------------------------
+
+GHOST = ("zzzz", "qqqq")  # no token in the synthetic vocabulary
+POSITIVE, NEGATIVE, NEUTRAL = range(3)  # indices into FINE_CLASSES
+
+
+@st.composite
+def _columns(draw):
+    """A corpus of the synthetic world's tweets, some made wholly out of
+    vocabulary, with UTC, naive and +08:30 timestamps; random three-class
+    columns beside it, neutral with confidence 0.0 on its OOV rows; and a
+    seed for a two-class model."""
+    n = draw(st.integers(1, 24))
+    oov = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    stamps = draw(st.lists(
+        st.datetimes(
+            min_value=datetime(2013, 10, 25), max_value=datetime(2014, 2, 5),
+            timezones=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=8, minutes=30))]),
+        ),
+        min_size=n, max_size=n,
+    ))
+    labels = np.array([NEUTRAL if o else draw(st.integers(0, 2)) for o in oov], dtype=np.int64)
+    scores = st.floats(allow_nan=True, allow_infinity=True)
+    confidences = np.array([0.0 if o else draw(scores) for o in oov])
+    return stamps, labels, confidences, oov, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_columns())
+def test_columns_equal_per_tweet_reference(tmp_path_factory, drawn):
+    stamps, labels, confidences, oov, seed, binary_columns = drawn
+    world, vocab, emb, _, _ = _model_world()
+    corpus = [
+        CleanTweet(f"t{i}", stamp, GHOST if o else world[i % len(world)].tokens)
+        for i, (stamp, o) in enumerate(zip(stamps, oov))
+    ]
+
+    # a two-class model scores positive or negative, and neutral only where it cannot score
+    cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=4, num_classes=2)
+    params = init_params(cfg, RngState(seed=seed))
+    binary = classify_corpus(params, cfg, emb, vocab, corpus)
+    binary_labels, binary_confidences, binary_oov = binary
+    assert np.array_equal(binary_oov, oov)
+    assert set(binary_labels[~oov].tolist()) <= {POSITIVE, NEGATIVE}
+    assert (binary_labels[oov] == NEUTRAL).all() and (binary_confidences[oov] == 0.0).all()
+    probabilities, _ = predict_many(params, cfg, emb, vocab, [t.tokens for t in corpus])
+    winners = probabilities.argmax(axis=1)
+    assert binary_labels[~oov].tolist() == [(POSITIVE, NEGATIVE)[i] for i in winners[~oov]]
+
+    if binary_columns:
+        labels, confidences, oov = binary
+    assert sentiment_distribution(labels) == oracle.sentiment_distribution(labels)
+    for granularity in GRANULARITIES:
+        assert temporal_buckets(corpus, labels, granularity) == oracle.temporal_buckets(corpus, labels, granularity)
+
+    path = tmp_path_factory.mktemp("classified") / "classified.jsonl"
+    save_classified(corpus, labels, confidences, oov, path)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    expected = "".join(
+        encode({
+            "id": tweet.id,
+            "timestamp": tweet.timestamp.isoformat(),
+            "tokens": tweet.tokens,
+            "label": FINE_CLASSES[label],
+            "confidence": confidence,
+            "oov": flagged,
+        }) + "\n"
+        for tweet, label, confidence, flagged in zip(corpus, labels.tolist(), confidences.tolist(), oov.tolist())
+    )
+    assert path.read_bytes() == expected.encode("ascii")

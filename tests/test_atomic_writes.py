@@ -26,20 +26,22 @@ def world():
     cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=3)
     params = init_params(cfg, RngState(seed=7))
     cm, metrics = evaluate(params, cfg, emb, vocab, examples)
-    classified = classify_corpus(params, cfg, emb, vocab, corpus)
+    labels, confidences, oov = classify_corpus(params, cfg, emb, vocab, corpus)
     return {
         "corpus": corpus,
         "vocab": vocab,
         "cm": cm,
         "metrics": metrics,
-        "classified": classified,
+        "labels": labels,
+        "confidences": confidences,
+        "oov": oov,
         "report": TrainReport([0.5], [0.5], metrics, cm, cfg, TrainConfig()),
         "grid": GridResult("fine_grained", (GridRow("Standard RNN", 64, 1.8e-3, None, "tBPTT", 0.5, 0.5),)),
     }
 
 
 def _export(w, path, format):
-    export_report(sentiment_distribution(w["classified"]), temporal_buckets(w["classified"]), path, format=format)
+    export_report(sentiment_distribution(w["labels"]), temporal_buckets(w["corpus"], w["labels"]), path, format=format)
 
 
 def _manifest(path):
@@ -61,7 +63,10 @@ WRITERS = {
     "save_confusion": ("confusion.csv", lambda w, d: save_confusion(w["cm"], d / "confusion.csv")),
     "export_report-json": ("report.json", lambda w, d: _export(w, d / "report.json", "json")),
     "export_report-csv": ("report.csv", lambda w, d: _export(w, d / "report.csv", "csv")),
-    "save_classified": ("classified.jsonl", lambda w, d: save_classified(w["classified"], d / "classified.jsonl")),
+    "save_classified": (
+        "classified.jsonl",
+        lambda w, d: save_classified(w["corpus"], w["labels"], w["confidences"], w["oov"], d / "classified.jsonl"),
+    ),
     "manifest": ("manifest.json", lambda w, d: _manifest(d / "manifest.json")),
 }
 

@@ -24,7 +24,6 @@ from rnnsent.corpus import (
     load_stopwords,
     load_tweets,
     load_vocabulary,
-    normalize_text,
     parse_timestamp,
     preprocess_corpus,
     save_clean_corpus,
@@ -219,28 +218,28 @@ def test_deduplicate_empty_and_distinct():
 
 
 def test_normalize_text_strips_all_noise_classes():
-    got = normalize_text("@juan RT Pray for Tacloban!! http://t.co/xy #YolandaPH")
-    assert got == "pray for tacloban yolandaph"
+    got = corpus._clean_block(["@juan RT Pray for Tacloban!! http://t.co/xy #YolandaPH"])
+    assert got == [["pray", "for", "tacloban", "yolandaph"]]
 
 
 def test_normalize_text_trivial_cases():
-    assert normalize_text("") == ""
-    assert normalize_text("hello") == "hello"
+    assert corpus._clean_block([""]) == [[]]
+    assert corpus._clean_block(["hello"]) == [["hello"]]
 
 
 def test_normalize_text_apostrophe_underscore_emoji():
-    got = normalize_text("don't STOP_now... ok? \U0001f62d")
-    assert got == "dont stop now ok"
+    got = corpus._clean_block(["don't STOP_now... ok? \U0001f62d"])
+    assert got == [["dont", "stop", "now", "ok"]]
 
 
 def test_normalize_text_keeps_hashtag_word():
-    assert normalize_text("#BangonPilipinas") == "bangonpilipinas"
+    assert corpus._clean_block(["#BangonPilipinas"]) == [["bangonpilipinas"]]
 
 
 def test_normalize_text_rt_only_as_word():
     # "rt" is removed as a standalone token, not inside words
-    assert normalize_text("RT start") == "start"
-    assert normalize_text("artwork") == "artwork"
+    assert corpus._clean_block(["RT start"]) == [["start"]]
+    assert corpus._clean_block(["artwork"]) == [["artwork"]]
 
 
 # the default rules leave lowercase letters and digits separated by single spaces
@@ -250,7 +249,7 @@ _NORMALIZED = re.compile(r"(?:[^\W_]+(?: [^\W_]+)*)?")
 @given(st.text())
 @example("r't now")  # cleans to "rt now", which a second pass cleans to "now"
 def test_normalize_text_gives_lowercase_word_tokens(text):
-    got = normalize_text(text)
+    got = " ".join(corpus._clean_block([text])[0])
     assert _NORMALIZED.fullmatch(got)
     assert got == got.lower()
 
@@ -343,7 +342,7 @@ def test_block_pass_matches_per_tweet_oracle(texts, repeats, config, rules, bloc
     drawn = {name: corpus._STRIP_RULES[name] for name in rules}
     with mock.patch.object(corpus, "CLEAN_BLOCK", block), mock.patch.dict(corpus._STRIP_RULES, drawn, clear=True):
         got = preprocess_corpus(raw, config)
-        normalized = [normalize_text(text) for text in texts]
+        normalized = [" ".join(corpus._clean_block([text])[0]) for text in texts]
     assert got == oracle.preprocess_corpus(raw, config, rules)
     assert normalized == [oracle.normalize_text(text, rules) for text in texts]
 

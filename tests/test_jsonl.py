@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rnnsent import corpus
-from rnnsent.analysis import ClassifiedTweet, save_classified
+from rnnsent.analysis import save_classified
 from rnnsent.cli import main
 from rnnsent.corpus import (
     CleanTweet,
@@ -23,6 +23,7 @@ from rnnsent.corpus import (
     load_tweets,
     save_clean_corpus,
 )
+from rnnsent.evaluation import FINE_CLASSES
 
 NOV9 = "2013-11-09T08:00:00+00:00"
 BLOCKS = [1, 7, corpus.JSONL_BLOCK]
@@ -84,7 +85,10 @@ def test_clean_corpus_bytes_equal_json_dumps(tmp_path_factory, records, block):
 @settings(max_examples=40, deadline=None)
 @given(
     records=st.lists(
-        st.tuples(strings, any_times, st.lists(strings, max_size=4), strings, confidences, st.booleans(), st.booleans()),
+        st.tuples(
+            strings, any_times, st.lists(strings, max_size=4), st.sampled_from(FINE_CLASSES), confidences,
+            st.booleans(), st.booleans(),
+        ),
         max_size=12,
     ),
     block=st.sampled_from(BLOCKS),
@@ -106,25 +110,25 @@ def test_clean_corpus_bytes_equal_json_dumps(tmp_path_factory, records, block):
     block=6,
 )
 def test_classified_bytes_equal_json_encoder(tmp_path_factory, records, block):
-    classified = [
-        # classify_corpus hands over Python floats; a numpy scalar must write the same
-        ClassifiedTweet(CleanTweet(tid, ts, tuple(tokens)), label, np.float64(conf) if as_numpy else conf, oov)
-        for tid, ts, tokens, label, conf, oov, as_numpy in records
-    ]
+    tweets = [CleanTweet(tid, ts, tuple(tokens)) for tid, ts, tokens, *_ in records]
+    labels = np.array([FINE_CLASSES.index(r[3]) for r in records], dtype=np.int64)
+    confidences = np.array([r[4] for r in records], dtype=np.float64)
+    oov = np.array([r[5] for r in records], dtype=bool)
     path = tmp_path_factory.mktemp("jsonl") / "classified.jsonl"
     with mock.patch.object(corpus, "JSONL_BLOCK", block):
-        save_classified(classified, path)
+        save_classified(tweets, labels, confidences, oov, path)
     encode = json.JSONEncoder(sort_keys=True).encode
     expected = "".join(
         encode({
-            "id": c.tweet.id,
-            "timestamp": c.tweet.timestamp.isoformat(),
-            "tokens": c.tweet.tokens,
-            "label": c.label,
-            "confidence": c.confidence,
-            "oov": c.oov,
+            "id": tweet.id,
+            "timestamp": tweet.timestamp.isoformat(),
+            "tokens": tweet.tokens,
+            "label": label,
+            # a numpy scalar writes as the Python float does
+            "confidence": np.float64(conf) if as_numpy else conf,
+            "oov": flagged,
         }) + "\n"
-        for c in classified
+        for tweet, (_, _, _, label, conf, flagged, as_numpy) in zip(tweets, records)
     )
     assert path.read_bytes() == expected.encode("ascii")
 

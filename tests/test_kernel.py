@@ -19,7 +19,6 @@ from rnnsent.model import (
     BPTT_TRUNCATED,
     INFER_CHUNK,
     STANDARD,
-    AllTokensUnknownError,
     ModelConfig,
     Workspace,
     backward_batch,
@@ -28,7 +27,6 @@ from rnnsent.model import (
     forward_batch,
     init_params,
     pack_sequences,
-    predict,
     predict_many,
 )
 from rnnsent.numeric import RngState, dropout_mask
@@ -310,7 +308,7 @@ def test_predict_many_skips_oov_tokens_inside_tweets(direction):
     assert known.all()
     for tokens, probs in zip(token_lists, probabilities):
         assert any(t not in vocab for t in tokens)
-        assert _max_diff(probs, predict(params, config, emb, vocab, tokens)[1]) <= TOLERANCE
+        assert _max_diff(probs, _predict_one(params, config, emb, vocab, tokens)[1]) <= TOLERANCE
         seq = [emb.input_vectors[vocab.index(t)] for t in tokens if t in vocab]
         assert _max_diff(probs, oracle.forward(params, config, seq)[3]) <= TOLERANCE
 
@@ -471,28 +469,28 @@ def _inference_world(direction):
 
 
 def _predict_one(params, config, emb, vocab, tokens):
-    try:
-        return predict(params, config, emb, vocab, tokens)
-    except AllTokensUnknownError:
-        return None
+    """(argmax class index, probabilities) of one token list on its own, or
+    None when none of its tokens is in the vocabulary."""
+    probabilities, known = predict_many(params, config, emb, vocab, [tokens])
+    return (int(np.argmax(probabilities[0])), probabilities[0]) if known[0] else None
 
 
 @pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])
 def test_classify_corpus_matches_per_tweet_predict(direction):
     params, config, emb, vocab, corpus = _inference_world(direction)
-    classified = classify_corpus(params, config, emb, vocab, corpus)
-    assert sum(c.oov for c in classified) == 3
-    for item, tweet in zip(classified, corpus):
+    labels, confidences, oov = classify_corpus(params, config, emb, vocab, corpus)
+    assert sum(oov) == 3
+    for label, confidence, flagged, tweet in zip(labels, confidences, oov, corpus, strict=True):
         single = _predict_one(params, config, emb, vocab, tweet.tokens)
         if single is None:
-            assert item.oov and item.label == "neutral" and item.confidence == 0.0
+            assert flagged and FINE_CLASSES[label] == "neutral" and confidence == 0.0
             continue
         idx, probs = single
-        assert not item.oov
-        assert item.label == FINE_CLASSES[idx]
-        assert abs(item.confidence - probs[idx]) <= TOLERANCE
+        assert not flagged
+        assert FINE_CLASSES[label] == FINE_CLASSES[idx]
+        assert abs(confidence - probs[idx]) <= TOLERANCE
         seq = [emb.input_vectors[vocab.index(t)] for t in tweet.tokens if t in vocab]
-        assert abs(item.confidence - oracle.forward(params, config, seq)[3][idx]) <= TOLERANCE
+        assert abs(confidence - oracle.forward(params, config, seq)[3][idx]) <= TOLERANCE
 
 
 @pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])

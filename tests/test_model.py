@@ -7,7 +7,6 @@ from rnnsent.model import (
     BIDIRECTIONAL,
     BPTT_FULL,
     STANDARD,
-    AllTokensUnknownError,
     ModelConfig,
     ModelFileError,
     backward_full,
@@ -16,7 +15,7 @@ from rnnsent.model import (
     init_params,
     load_model,
     param_shapes,
-    predict,
+    predict_many,
     save_model,
     token_ids,
 )
@@ -477,13 +476,13 @@ def test_predict_rejects_vocabulary_past_the_embedding():
     emb = EmbeddingMatrix(np.array([[1.0, 0.0]]))
     params = init_params(cfg, RngState(seed=803))
     with pytest.raises(ValueError, match="vocabulary has 2 words but the embedding only 1 rows"):
-        predict(params, cfg, emb, vocab, ["badword"])
+        predict_many(params, cfg, emb, vocab, [["badword"]])
 
 
 def test_predict_zero_weights_tie_breaks_to_class_zero():
     vocab, emb, cfg = _tiny_world()
-    label, probs = predict(_zero_params(cfg), cfg, emb, vocab, ["goodword"])
-    assert label == 0
+    probs = predict_many(_zero_params(cfg), cfg, emb, vocab, [["goodword"]])[0][0]
+    assert np.argmax(probs) == 0
     assert np.all(probs == 1.0 / 3.0)
 
 
@@ -496,24 +495,26 @@ def test_predict_overfit_single_word():
         trace = forward(params, cfg, seq)
         grads = backward_full(params, cfg, trace, seq, 0)
         params = sgd_step(params, grads, 0.5)
-    label, probs = predict(params, cfg, emb, vocab, ["goodword"])
-    assert label == 0
+    probs = predict_many(params, cfg, emb, vocab, [["goodword"]])[0][0]
+    assert np.argmax(probs) == 0
     assert probs[0] > 0.9
 
 
 def test_predict_skips_unknown_tokens():
     vocab, emb, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=801))
-    _, probs_known = predict(params, cfg, emb, vocab, ["goodword"])
-    _, probs_mixed = predict(params, cfg, emb, vocab, ["zzz", "goodword", "qqq"])
+    probs_known, _ = predict_many(params, cfg, emb, vocab, [["goodword"]])
+    probs_mixed, known = predict_many(params, cfg, emb, vocab, [["zzz", "goodword", "qqq"]])
+    assert known[0]
     assert np.array_equal(probs_known, probs_mixed)
 
 
-def test_predict_all_unknown_raises():
+def test_predict_all_unknown_is_flagged():
     vocab, emb, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=802))
-    with pytest.raises(AllTokensUnknownError):
-        predict(params, cfg, emb, vocab, ["zzz", "qqq"])
+    probabilities, known = predict_many(params, cfg, emb, vocab, [["zzz", "qqq"]])
+    assert not known[0]
+    assert not probabilities[0].any()
     ids, _, _ = token_ids(vocab, [["zzz"]])
     assert list(emb.input_vectors[ids]) == []
 
