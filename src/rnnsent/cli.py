@@ -259,7 +259,10 @@ def cmd_embed(args: argparse.Namespace) -> dict:
         epochs=args.epochs,
         subsample_threshold=args.subsample,
     )
-    emb = train_embeddings(clean, vocab, params, RngState(seed=args.seed))
+    try:
+        emb = train_embeddings(clean, vocab, params, RngState(seed=args.seed))
+    except ValueError as exc:  # the vocabulary does not cover the corpus, or holds no counts
+        raise ValueError(f"{args.vocab}: {exc}") from exc
     [output] = _outputs(args)
     save_embeddings(emb, vocab, output)
     losses = ", ".join(f"{loss:.4f}" for loss in emb.epoch_losses)

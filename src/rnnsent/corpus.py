@@ -760,6 +760,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
                 index, count = int(index_s), int(count_s)
             except ValueError as exc:
                 raise TweetFormatError(f"{path}: line {line_no}: non-integer index/count") from exc
+            if count < 0:
+                raise TweetFormatError(f"{path}: line {line_no}: negative count {count}")
             if index != len(tokens):
                 raise TweetFormatError(f"{path}: line {line_no}: index {index} out of order (expected {len(tokens)})")
             tokens.append(token)

@@ -8,8 +8,9 @@ uniform in [-0.5/dim, 0.5/dim], output vectors at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,8 +19,12 @@ from .numeric import FloatArray, RngState
 
 EMBEDDING_MAGIC = "SGNS-EMB"
 EMBEDDING_VERSION = "v1"
-# Pairs per scatter of a tweet's update into the vector tables (see _PairBatch)
+# Pairs per scatter of a tweet's update into the vector tables (see _Block)
 SCATTER_PAIRS = 128
+# Pairs a plan holds before it takes no further tweet (see _Planner); it
+# bounds the plan's arrays, the largest of which are the scatter cells and
+# the (pairs, negatives + 1) rows
+PLAN_PAIRS = 1024
 # SGD learning rate at the first tweet; it decays linearly to 1e-4 of this
 LEARNING_RATE = 0.025
 
@@ -72,115 +77,240 @@ class EmbeddingMatrix:
         return self.input_vectors.shape[1]
 
 
-def _sampling_tables(counts: Sequence[int], subsample_threshold: float) -> tuple[FloatArray, FloatArray]:
-    """(noise CDF, keep probability) per vocabulary index.
+def _sampling_tables(counts: Sequence[int], subsample_threshold: float) -> tuple[FloatArray, FloatArray | None]:
+    """(noise CDF, keep probability) per vocabulary index, from counts that
+    are >= 0 and not all 0.
 
     Negatives follow the unigram distribution raised to the 0.75 power.
     Frequent-word subsampling keeps a word of relative frequency f with
-    probability sqrt(t/f) when f exceeds the threshold t (t = 0: keep all).
+    probability sqrt(t/f) when f exceeds the threshold t; t = 0 keeps every
+    word, and the keep probability is None.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    total_tokens = counts.sum()
     noise = counts**0.75
     noise_cdf = np.cumsum(noise / noise.sum())
-    if subsample_threshold > 0 and total_tokens > 0:
-        rel = counts / total_tokens
-        with np.errstate(divide="ignore"):
-            keep_prob = np.minimum(1.0, np.sqrt(subsample_threshold / rel))
-    else:
-        keep_prob = np.ones(len(counts))
-    return noise_cdf, keep_prob
+    if subsample_threshold == 0:
+        return noise_cdf, None
+    with np.errstate(divide="ignore"):
+        return noise_cdf, np.minimum(1.0, np.sqrt(subsample_threshold / (counts / counts.sum())))
 
 
-def _pair_positions(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """(center, context) positions of every pair in a tweet of n tokens:
-    center position ascending, then context position ascending."""
-    pos = np.arange(n)
-    ctx = pos[:, None] + np.arange(-window, window + 1)
-    valid = (ctx >= 0) & (ctx < n) & (ctx != pos[:, None])
-    return np.broadcast_to(pos[:, None], ctx.shape)[valid], ctx[valid]
+class _Block(NamedTuple):
+    """Pairs [lo, hi) of a step, scattered together. For each table the
+    update is `bincount(cells, weights)` as a (len(rows), hi - lo) matrix
+    times the block's (hi - lo, dim) vectors, subtracted from `rows`."""
+
+    lo: int
+    hi: int
+    out_rows: np.ndarray  # sorted unique output rows: contexts and negatives
+    out_cells: np.ndarray  # one cell per entry of the step's rows[lo:hi]
+    in_rows: np.ndarray  # sorted unique input rows: the centers
+    in_cells: np.ndarray  # one cell per pair
 
 
-def _draw_negatives(gen: np.random.Generator, noise_cdf: FloatArray, pairs: int, negatives: int) -> np.ndarray:
-    """A tweet's negatives in one draw, row p for pair p: the same stream as
-    `negatives` draws per pair in pair order.
+class _Step(NamedTuple):
+    """One tweet's SGD step over all of its (center, context) pairs, with
+    everything that does not depend on the vectors drawn and indexed."""
 
-    The last word takes every draw above the second-to-last bound, so a CDF
-    whose sum rounds below 1 cannot yield an index past the vocabulary.
-    """
-    return np.searchsorted(noise_cdf[:-1], gen.random(pairs * negatives)).reshape(pairs, negatives)
-
-
-def _subtract_rows(table: FloatArray, rows: np.ndarray, weights: FloatArray | None, vecs: FloatArray) -> None:
-    """table[rows[p, j]] -= weights[p, j] * vecs[p] for every (p, j), repeated
-    rows summed: the rows' weights form a (unique rows x pairs) matrix W and
-    the update is one product W @ vecs. No weights means 1 everywhere."""
-    pairs = vecs.shape[0]
-    uniq, inverse = np.unique(rows, return_inverse=True)
-    cells = inverse.reshape(-1) * pairs + np.arange(pairs).repeat(rows.shape[1])
-    w = np.bincount(cells, None if weights is None else weights.reshape(-1), minlength=len(uniq) * pairs)
-    table[uniq] -= w.reshape(len(uniq), pairs) @ vecs
+    tweet: int  # index in the corpus, which sets the learning rate
+    centers: np.ndarray  # (pairs,)
+    rows: np.ndarray  # (pairs, negatives + 1): the context, then the negatives
+    keep: np.ndarray  # (pairs, negatives): False where a negative is its context
+    blocks: list[_Block]  # SCATTER_PAIRS pairs each, the last one shorter
 
 
-class _PairBatch:
-    """One SGD step over all (center, context) pairs of a tweet.
+class _Workspace(NamedTuple):
+    """Buffers of a step's vector work, sized once to the longest tweet's
+    pair count and reused by every step; the (pairs, negatives + 1, dim)
+    gather is the largest array of a step."""
 
-    The (pairs, negatives + 1, dim) gather is the largest array of a step, so
-    it and the other per-pair arrays live in buffers sized once, to the
-    longest tweet's pair count, and are reused for every tweet.
-    """
+    out_rows: FloatArray
+    centers: FloatArray
+    scores: FloatArray
+    d_centers: FloatArray
 
-    def __init__(self, max_pairs: int, negatives: int, dim: int):
-        self.rows = np.empty((max_pairs, negatives + 1), dtype=np.intp)
-        self.out_rows = np.empty((max_pairs, negatives + 1, dim))
-        self.centers = np.empty((max_pairs, dim))
-        self.scores = np.empty((max_pairs, negatives + 1, 1))
-        self.d_centers = np.empty((max_pairs, 1, dim))
+    @classmethod
+    def sized(cls, max_pairs: int, negatives: int, dim: int) -> "_Workspace":
+        return cls(
+            np.empty((max_pairs, negatives + 1, dim)),
+            np.empty((max_pairs, dim)),
+            np.empty((max_pairs, negatives + 1, 1)),
+            np.empty((max_pairs, 1, dim)),
+        )
 
-    def update(
+
+def _scatter_cells(
+    rows: np.ndarray, block: np.ndarray, slot: np.ndarray, size: np.ndarray, vocab_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a (pairs, width) row array whose pair p sits in `block[p]` at
+    `slot[p]`, from one unique pass over (block, row) keys: every block's
+    sorted unique rows, concatenated; where each block's rows start, plus the
+    end; and each entry's bincount cell, its row's place among its block's
+    rows times the block's size plus its pair's slot."""
+    uniq, cells = np.unique(rows + (block * vocab_size)[:, None], return_inverse=True)
+    starts = np.searchsorted(uniq, np.arange(block[-1] + 2) * vocab_size)
+    cells = cells.reshape(rows.shape)
+    cells -= starts[block][:, None]
+    cells *= size[block][:, None]
+    cells += slot[:, None]
+    return uniq % vocab_size, starts, cells.reshape(-1)
+
+
+class _Planner:
+    """Cuts a corpus, held as one flat id array and per-tweet offsets, into
+    plans: the steps of whole tweets, up to PLAN_PAIRS pairs a plan."""
+
+    def __init__(
         self,
-        in_vecs: FloatArray,
-        out_vecs: FloatArray,
-        centers: np.ndarray,
-        contexts: np.ndarray,
-        negs: np.ndarray,
-        lr: float,
-    ) -> float:
-        """Apply the summed gradient of every pair, each taken at the vectors
-        as they stand on entry; return the summed loss at those vectors.
+        ids: np.ndarray,
+        offsets: list[int],
+        noise_cdf: FloatArray,
+        keep_prob: FloatArray | None,
+        window: int,
+        negatives: int,
+        vocab_size: int,
+    ):
+        self.ids, self.offsets, self.keep_prob = ids, offsets, keep_prob
+        self.negatives, self.vocab_size = negatives, vocab_size
+        # context offsets from a center, ascending
+        self.shifts = np.r_[-window:0, 1 : window + 1]
+        longest = max(b - a for a, b in zip(offsets, offsets[1:])) if len(offsets) > 1 else 0
+        # a tweet's n-th token adds min(n - 1, window) pairs as a center and
+        # as many as a context
+        self.pair_counts = [0, *np.cumsum(2 * np.minimum(np.arange(longest), window)).tolist()]
+        # a draw's negative is the first word whose CDF bound is >= the draw;
+        # the last word takes every draw above the second-to-last bound, so a
+        # CDF whose sum rounds below 1 cannot yield an index past the vocabulary
+        self.bounds = np.append(noise_cdf[:-1], np.inf)
+        # the first such word for each multiple of 1 / slots, where a search
+        # for a draw may start (see _negatives)
+        self.slots = 4 * len(noise_cdf)
+        self.slot_start = np.searchsorted(noise_cdf[:-1], np.arange(self.slots + 1) / self.slots)
 
-        A negative equal to its pair's context is skipped, not resampled: it
-        has coefficient 0 and no loss term.
+    def _negatives(self, draws: FloatArray) -> np.ndarray:
+        """np.searchsorted(noise_cdf[:-1], draws), at a fraction of its cost
+        on unsorted draws: each search starts at the first word at or above
+        the multiple of 1 / slots one below the draw's own, which no rounding
+        of draw * slots can put past its answer, then steps on, one masked
+        pass per step, while the bound is below the draw. With 4 slots per
+        word, few slots hold more than one bound, so few passes run."""
+        found = self.slot_start[np.maximum((draws * self.slots).astype(np.intp) - 1, 0)]
+        late = np.flatnonzero(self.bounds[found] < draws)
+        while len(late):
+            found[late] += 1
+            late = late[self.bounds[found[late]] < draws[late]]
+        return found
+
+    def plan(self, gen: np.random.Generator, start: int) -> tuple[list[_Step], int]:
+        """The steps of the tweets from `start` until they hold PLAN_PAIRS
+        pairs or the corpus ends (tweets without pairs have none), and the
+        index of the first tweet left for the next plan.
+
+        Per tweet in order it draws what one tweet at a time would: with
+        subsampling, one uniform per token, keeping a token whose uniform is
+        below its keep probability; then pairs x negatives uniforms, pair
+        by pair, none for a tweet without pairs. Pairs, negatives, the keep
+        mask and the scatter cells are then built in passes over the plan.
         """
-        p = len(centers)
-        rows = self.rows[:p]
-        rows[:, 0] = contexts
-        rows[:, 1:] = negs
-        # indices are vocabulary rows by construction; mode="clip" lets take
-        # write straight into the buffer (mode="raise" buffers `out`)
-        u = np.take(out_vecs, rows, axis=0, out=self.out_rows[:p], mode="clip")
-        v = np.take(in_vecs, centers, axis=0, out=self.centers[:p], mode="clip")
-        scores = np.matmul(u, v[:, :, None], out=self.scores[:p])[:, :, 0]
-        keep = negs != contexts[:, None]
+        offsets, negatives = self.offsets, self.negatives
+        kept: list[np.ndarray] = []
+        lengths: list[int] = []
+        draws: list[np.ndarray] = []
+        end, total = start, 0
+        while end < len(offsets) - 1 and total < PLAN_PAIRS:
+            lo, hi = offsets[end], offsets[end + 1]
+            n = hi - lo
+            if self.keep_prob is not None:
+                kept.append(gen.random(n) < self.keep_prob[self.ids[lo:hi]])
+                n = int(np.count_nonzero(kept[-1]))
+            if self.pair_counts[n]:
+                draws.append(gen.random(self.pair_counts[n] * negatives))
+            lengths.append(n)
+            total += self.pair_counts[n]
+            end += 1
+        if not total:
+            return [], end
 
-        # -log sigma(s_pos) - sum(log sigma(-s_neg)), computed stably
-        loss = np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:])[keep].sum()
+        tokens = self.ids[offsets[start] : offsets[end]]
+        if kept:
+            tokens = tokens[np.concatenate(kept)]
+        sizes = np.array(lengths)
+        # every (center, context) pair: center ascending, then context ascending
+        place = np.arange(len(tokens)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        context = place[:, None] + self.shifts
+        valid = (context >= 0) & (context < np.repeat(sizes, sizes)[:, None])
+        flat = np.arange(len(tokens))[:, None]
+        centers = tokens[np.broadcast_to(flat, valid.shape)[valid]]
+        rows = np.empty((total, negatives + 1), dtype=np.intp)
+        rows[:, 0] = tokens[(flat + self.shifts)[valid]]
+        rows[:, 1:] = self._negatives(np.concatenate(draws)).reshape(total, negatives)
+        keep = rows[:, 1:] != rows[:, :1]
 
-        # lr * (sigma(s) - label), with sigma(s) = (1 + tanh(s / 2)) / 2
-        coeff = np.tanh(0.5 * scores)
-        coeff += 1.0
-        coeff *= 0.5 * lr
-        coeff[:, 0] -= lr
-        coeff[:, 1:] *= keep
-        d_v = np.matmul(coeff[:, None, :], u, out=self.d_centers[:p])[:, 0]
-        # every step is already computed, so applying them in blocks of pairs
-        # changes nothing but the size of W, which grows with the square of a
-        # block's pair count
-        for lo in range(0, p, SCATTER_PAIRS):
-            hi = lo + SCATTER_PAIRS
-            _subtract_rows(out_vecs, rows[lo:hi], coeff[lo:hi], v[lo:hi])
-            _subtract_rows(in_vecs, centers[lo:hi, None], None, d_v[lo:hi])
-        return float(loss)
+        pairs = np.array([self.pair_counts[n] for n in lengths])
+        first = np.cumsum(pairs) - pairs
+        slot = np.arange(total) - np.repeat(first, pairs)
+        opens = slot % SCATTER_PAIRS == 0
+        slot %= SCATTER_PAIRS
+        block = np.cumsum(opens) - 1
+        block_lo = np.flatnonzero(opens)
+        size = np.diff(block_lo, append=total)
+        out_rows, out_starts, out_cells = _scatter_cells(rows, block, slot, size, self.vocab_size)
+        in_rows, in_starts, in_cells = _scatter_cells(centers[:, None], block, slot, size, self.vocab_size)
+        out_starts, in_starts = out_starts.tolist(), in_starts.tolist()
+
+        width = negatives + 1
+        steps = []
+        j = 0
+        for tweet, a, p in zip(range(start, end), first.tolist(), pairs.tolist()):
+            if not p:
+                continue
+            blocks = []
+            for lo in range(0, p, SCATTER_PAIRS):
+                hi = min(lo + SCATTER_PAIRS, p)
+                blocks.append(_Block(
+                    lo, hi,
+                    out_rows[out_starts[j] : out_starts[j + 1]], out_cells[(a + lo) * width : (a + hi) * width],
+                    in_rows[in_starts[j] : in_starts[j + 1]], in_cells[a + lo : a + hi],
+                ))
+                j += 1
+            steps.append(_Step(tweet, centers[a : a + p], rows[a : a + p], keep[a : a + p], blocks))
+        return steps, end
+
+
+def _apply_step(step: _Step, in_vecs: FloatArray, out_vecs: FloatArray, lr: float, work: _Workspace) -> float:
+    """Apply the summed gradient of every pair of a step, each taken at the
+    vectors as they stand on entry; return the summed loss at those vectors.
+
+    A negative equal to its pair's context is skipped, not resampled: it has
+    coefficient 0 and no loss term.
+    """
+    p = len(step.centers)
+    # indices are vocabulary rows by construction; mode="clip" lets take
+    # write straight into the buffer (mode="raise" buffers `out`)
+    u = out_vecs.take(step.rows, axis=0, out=work.out_rows[:p], mode="clip")
+    v = in_vecs.take(step.centers, axis=0, out=work.centers[:p], mode="clip")
+    scores = np.matmul(u, v[:, :, None], out=work.scores[:p])[:, :, 0]
+
+    # -log sigma(s_pos) - sum(log sigma(-s_neg)), computed stably
+    loss = np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:])[step.keep].sum()
+
+    # lr * (sigma(s) - label), with sigma(s) = (1 + tanh(s / 2)) / 2
+    coeff = np.tanh(0.5 * scores)
+    coeff += 1.0
+    coeff *= 0.5 * lr
+    coeff[:, 0] -= lr
+    coeff[:, 1:] *= step.keep
+    d_v = np.matmul(coeff[:, None, :], u, out=work.d_centers[:p])[:, 0]
+    # every pair's step is already computed, so scattering in blocks changes
+    # nothing but the size of each block's matrix, which grows with the
+    # square of its pair count
+    for b in step.blocks:
+        pairs = b.hi - b.lo
+        w = np.bincount(b.out_cells, coeff[b.lo : b.hi].reshape(-1), minlength=len(b.out_rows) * pairs)
+        out_vecs[b.out_rows] -= w.reshape(len(b.out_rows), pairs) @ v[b.lo : b.hi]
+        w = np.bincount(b.in_cells, None, minlength=len(b.in_rows) * pairs)
+        in_vecs[b.in_rows] -= w.reshape(len(b.in_rows), pairs) @ d_v[b.lo : b.hi]
+    return float(loss)
 
 
 def train_embeddings(
@@ -196,10 +326,18 @@ def train_embeddings(
     tweet. Deterministic for a fixed (corpus, vocab, params, rng). The mean
     negative-sampling loss per pair of each epoch, taken at each tweet's
     starting vectors, is recorded on the returned matrix as ``epoch_losses``.
+
+    The tweets are planned PLAN_PAIRS pairs at a time (see _Planner), so the
+    per-tweet loop does only the work that reads the vectors.
     """
-    unknown = {t for tweet in corpus for t in tweet.tokens if t not in vocab}
-    if unknown:
+    sizes = [len(tweet.tokens) for tweet in corpus]
+    every = chain.from_iterable(tweet.tokens for tweet in corpus)
+    ids = np.fromiter(map(vocab.token_to_index.get, every, repeat(-1)), dtype=np.intp, count=sum(sizes))
+    if (ids < 0).any():
+        unknown = {t for tweet in corpus for t in tweet.tokens if t not in vocab}
         raise ValueError(f"corpus tokens missing from vocabulary: {sorted(unknown)[:5]}")
+    if min(vocab.counts, default=0) < 0 or not any(vocab.counts):
+        raise ValueError("vocabulary counts must be >= 0, and not all 0: negatives are drawn by count")
 
     gen = rng.generator()
     in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
@@ -207,32 +345,29 @@ def train_embeddings(
     emb = EmbeddingMatrix(in_vecs, out_vecs)
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
 
-    sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in corpus]
-    longest = max((len(s) for s in sentences), default=0)
-    batch = _PairBatch(len(_pair_positions(longest, params.window)[0]), params.negative_samples, params.dim)
-    pairs_by_length: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    planner = _Planner(
+        ids,
+        [0, *accumulate(sizes)],
+        noise_cdf,
+        keep_prob,
+        params.window,
+        params.negative_samples,
+        len(vocab),
+    )
+    work = _Workspace.sized(planner.pair_counts[-1], params.negative_samples, params.dim)
     min_lr = LEARNING_RATE * 1e-4
-    total_steps = max(1, params.epochs * len(sentences))
-    step = 0
+    total_steps = max(1, params.epochs * len(corpus))
 
-    for _epoch in range(params.epochs):
+    for epoch in range(params.epochs):
         loss_sum = 0.0
         pair_count = 0
-        for idxs in sentences:
-            lr = max(min_lr, LEARNING_RATE * (1.0 - step / total_steps))
-            step += 1
-            if params.subsample_threshold > 0:
-                u = gen.random(len(idxs))
-                idxs = idxs[u < keep_prob[idxs]]
-            if len(idxs) not in pairs_by_length:
-                pairs_by_length[len(idxs)] = _pair_positions(len(idxs), params.window)
-            center_pos, context_pos = pairs_by_length[len(idxs)]
-            pairs = len(center_pos)
-            if pairs == 0:
-                continue
-            negs = _draw_negatives(gen, noise_cdf, pairs, params.negative_samples)
-            loss_sum += batch.update(in_vecs, out_vecs, idxs[center_pos], idxs[context_pos], negs, lr)
-            pair_count += pairs
+        start = 0
+        while start < len(corpus):
+            steps, start = planner.plan(gen, start)
+            for step in steps:
+                lr = max(min_lr, LEARNING_RATE * (1.0 - (epoch * len(corpus) + step.tweet) / total_steps))
+                loss_sum += _apply_step(step, in_vecs, out_vecs, lr, work)
+                pair_count += len(step.centers)
         emb.epoch_losses.append(loss_sum / pair_count if pair_count else 0.0)
     return emb
 

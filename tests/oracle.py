@@ -7,7 +7,9 @@ per-example SGD trainer. Parameters are the name -> array dicts of
 rnnsent.model.param_shapes.
 
 SGNS: the per-pair skip-gram trainer that rnnsent.embedding's per-tweet
-update replaced, one SGD step per (center, context) pair.
+update replaced, one SGD step per (center, context) pair; and the per-tweet
+trainer that its plans replaced, which draws, pairs, negative-samples and
+scatters one tweet at a time with the same stream and arithmetic.
 
 Cleaning: the per-tweet pipeline that rnnsent.corpus's block pass replaced,
 each strip rule and the whitespace collapse run on one tweet at a time.
@@ -27,6 +29,7 @@ import numpy as np
 
 from rnnsent.analysis import SentimentDistribution, TemporalBucket, TemporalBuckets
 from rnnsent.corpus import CleanTweet, CorpusStats, Vocabulary
+from rnnsent import embedding
 from rnnsent.embedding import LEARNING_RATE, EmbeddingMatrix, _sampling_tables
 from rnnsent.evaluation import FINE_CLASSES
 from rnnsent.model import BPTT_FULL, STANDARD, init_params
@@ -201,6 +204,98 @@ def sgns_train(corpus, vocab, params, rng):
                 in_vecs[idxs[center_pos]] -= d_in
                 loss_sum += loss
                 pair_count += 1
+        emb.epoch_losses.append(loss_sum / pair_count if pair_count else 0.0)
+    return emb
+
+
+def sgns_subtract_rows(table, rows, weights, vecs):
+    """table[rows[p, j]] -= weights[p, j] * vecs[p] for every (p, j), repeated
+    rows summed: the rows' weights form a (unique rows x pairs) matrix W and
+    the update is one product W @ vecs. No weights means 1 everywhere."""
+    pairs = vecs.shape[0]
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    cells = inverse.reshape(-1) * pairs + np.arange(pairs).repeat(rows.shape[1])
+    w = np.bincount(cells, None if weights is None else weights.reshape(-1), minlength=len(uniq) * pairs)
+    table[uniq] -= w.reshape(len(uniq), pairs) @ vecs
+
+
+class SgnsPairBatch:
+    """One SGD step over all (center, context) pairs of a tweet, in buffers
+    sized to the longest tweet's pair count."""
+
+    def __init__(self, max_pairs, negatives, dim):
+        self.rows = np.empty((max_pairs, negatives + 1), dtype=np.intp)
+        self.out_rows = np.empty((max_pairs, negatives + 1, dim))
+        self.centers = np.empty((max_pairs, dim))
+        self.scores = np.empty((max_pairs, negatives + 1, 1))
+        self.d_centers = np.empty((max_pairs, 1, dim))
+
+    def update(self, in_vecs, out_vecs, centers, contexts, negs, lr):
+        """Apply the summed gradient of every pair at the vectors as they
+        stand on entry, scattered SCATTER_PAIRS pairs at a time; return the
+        summed loss at those vectors."""
+        p = len(centers)
+        rows = self.rows[:p]
+        rows[:, 0] = contexts
+        rows[:, 1:] = negs
+        u = np.take(out_vecs, rows, axis=0, out=self.out_rows[:p], mode="clip")
+        v = np.take(in_vecs, centers, axis=0, out=self.centers[:p], mode="clip")
+        scores = np.matmul(u, v[:, :, None], out=self.scores[:p])[:, :, 0]
+        keep = negs != contexts[:, None]
+        loss = np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:])[keep].sum()
+        coeff = np.tanh(0.5 * scores)
+        coeff += 1.0
+        coeff *= 0.5 * lr
+        coeff[:, 0] -= lr
+        coeff[:, 1:] *= keep
+        d_v = np.matmul(coeff[:, None, :], u, out=self.d_centers[:p])[:, 0]
+        block = embedding.SCATTER_PAIRS
+        for lo in range(0, p, block):
+            hi = lo + block
+            sgns_subtract_rows(out_vecs, rows[lo:hi], coeff[lo:hi], v[lo:hi])
+            sgns_subtract_rows(in_vecs, centers[lo:hi, None], None, d_v[lo:hi])
+        return float(loss)
+
+
+def sgns_pair_positions(n, window):
+    """(center, context) position arrays of sgns_pairs(n, window)."""
+    pos = np.arange(n)
+    ctx = pos[:, None] + np.arange(-window, window + 1)
+    valid = (ctx >= 0) & (ctx < n) & (ctx != pos[:, None])
+    return np.broadcast_to(pos[:, None], ctx.shape)[valid], ctx[valid]
+
+
+def sgns_train_per_tweet(corpus, vocab, params, rng):
+    """The per-tweet trainer that rnnsent.embedding's plans replaced: per
+    tweet, its subsampling draw, its pairs, one draw of all its negatives and
+    one SgnsPairBatch update. Same stream, same arithmetic."""
+    gen = rng.generator()
+    in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
+    out_vecs = np.zeros_like(in_vecs)
+    emb = EmbeddingMatrix(in_vecs, out_vecs)
+    noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
+    sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in corpus]
+    longest = max((len(s) for s in sentences), default=0)
+    batch = SgnsPairBatch(len(sgns_pair_positions(longest, params.window)[0]), params.negative_samples, params.dim)
+    min_lr = LEARNING_RATE * 1e-4
+    total_steps = max(1, params.epochs * len(sentences))
+    step = 0
+    for _epoch in range(params.epochs):
+        loss_sum = 0.0
+        pair_count = 0
+        for idxs in sentences:
+            lr = max(min_lr, LEARNING_RATE * (1.0 - step / total_steps))
+            step += 1
+            if params.subsample_threshold > 0:
+                idxs = idxs[gen.random(len(idxs)) < keep_prob[idxs]]
+            center_pos, context_pos = sgns_pair_positions(len(idxs), params.window)
+            pairs = len(center_pos)
+            if pairs == 0:
+                continue
+            draws = gen.random(pairs * params.negative_samples)
+            negs = np.searchsorted(noise_cdf[:-1], draws).reshape(pairs, params.negative_samples)
+            loss_sum += batch.update(in_vecs, out_vecs, idxs[center_pos], idxs[context_pos], negs, lr)
+            pair_count += pairs
         emb.epoch_losses.append(loss_sum / pair_count if pair_count else 0.0)
     return emb
 

@@ -139,6 +139,23 @@ def test_embed_rejects_dim_zero(pipeline, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("count, message", [("-3", "line 1: negative count -3"), ("0", "not all 0")])
+def test_embed_rejects_vocabulary_counts_without_noise_distribution(pipeline, tmp_path, capsys, count, message):
+    # every count set to `count`: a negative one fails reading, all zeros fail before any draw
+    lines = (pipeline["pre"] / "vocab.tsv").read_text().splitlines()
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("".join(line.rsplit("\t", 1)[0] + f"\t{count}\n" for line in lines))
+    out = tmp_path / "e.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        rc = main(["embed", "--corpus", str(pipeline["pre"] / "corpus.jsonl"), "--vocab", str(vocab),
+                   "--dim", "4", "--epochs", "1", "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {vocab}: " in err and message in err
+    assert not out.exists()
+
+
 def test_embed_same_seed_byte_identical(pipeline, tmp_path):
     pre = pipeline["pre"]
     base = [

@@ -503,6 +503,7 @@ def test_load_vocabulary_rejects_out_of_order_index(tmp_path):
         ("storm\t0\t7\nwater 1 5\n", "line 2: expected token<TAB>index<TAB>count"),
         ("storm\t0\t7\nwater\t1\tfive\n", "line 2: non-integer index/count"),
         ("storm\t0\t7\nwater\t2\t5\n", "line 2: index 2 out of order (expected 1)"),
+        ("storm\t0\t7\nwater\t1\t-3\n", "line 2: negative count -3"),
         ("storm\t0\t7\nstorm\t1\t5\n", "duplicate tokens in vocabulary"),
         ("storm\t0\t7\nw\xffter\t1\t5\n", "corrupt file: not UTF-8 text"),
     ],

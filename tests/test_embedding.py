@@ -16,9 +16,9 @@ from rnnsent.embedding import (
     EmbeddingMatrix,
     EmbeddingParams,
     UnknownWordError,
-    _draw_negatives,
-    _pair_positions,
-    _PairBatch,
+    _apply_step,
+    _Planner,
+    _Workspace,
     cosine_similarity,
     load_embeddings_with_tokens,
     nearest_neighbors,
@@ -71,6 +71,13 @@ def test_train_rejects_unknown_token():
     bad = tweets + [_tweet(9, ["mystery"])]
     with pytest.raises(ValueError, match="mystery"):
         train_embeddings(bad, vocab, SMALL_PARAMS, RngState(seed=0))
+
+
+@pytest.mark.parametrize("counts", [[0, 0], [3, -1]])
+def test_train_rejects_counts_with_no_noise_distribution(counts):
+    tweets = [_tweet(0, ["aa", "bb"])]
+    with pytest.raises(ValueError, match="not all 0"):
+        train_embeddings(tweets, Vocabulary(["aa", "bb"], counts), SMALL_PARAMS, RngState(seed=0))
 
 
 def test_one_word_corpus_has_no_updates():
@@ -153,15 +160,25 @@ def test_tweet_update_is_sum_of_pair_gradients(n, window, negatives, vocab_size,
     noise_cdf = np.cumsum(noise / noise.sum())
     lr = 0.05
 
-    center_pos, ctx_pos = _pair_positions(n, window)
-    assert list(zip(center_pos, ctx_pos)) == oracle.sgns_pairs(n, window)
-    pairs = len(center_pos)
-    centers, contexts = idxs[center_pos], idxs[ctx_pos]
-
-    negs = _draw_negatives(np.random.default_rng(seed), noise_cdf, pairs, negatives)
+    planner = _Planner(idxs, [0, n], noise_cdf, None, window, negatives, vocab_size)
+    with mock.patch.object(embedding, "SCATTER_PAIRS", block):
+        steps, end = planner.plan(np.random.default_rng(seed), 0)
+    assert end == 1
+    pair_pos = oracle.sgns_pairs(n, window)
+    pairs = len(pair_pos)
+    assert len(steps) == (pairs > 0)
+    centers = np.array([idxs[c] for c, _ in pair_pos], dtype=np.intp)
+    contexts = np.array([idxs[o] for _, o in pair_pos], dtype=np.intp)
     pair_gen = np.random.default_rng(seed)
-    expected_negs = [oracle.sgns_negatives(pair_gen, noise_cdf, negatives) for _ in range(pairs)]
-    assert np.array_equal(negs, np.array(expected_negs, dtype=np.intp).reshape(pairs, negatives))
+    negs = np.array(
+        [oracle.sgns_negatives(pair_gen, noise_cdf, negatives) for _ in range(pairs)], dtype=np.intp
+    ).reshape(pairs, negatives)
+    for step in steps:
+        assert np.array_equal(step.centers, centers)
+        assert np.array_equal(step.rows[:, 0], contexts)
+        assert np.array_equal(step.rows[:, 1:], negs)
+        assert np.array_equal(step.keep, negs != contexts[:, None])
+        assert [(b.lo, b.hi) for b in step.blocks] == [(lo, min(lo + block, pairs)) for lo in range(0, pairs, block)]
 
     d_in, d_out, expected_loss = np.zeros_like(in0), np.zeros_like(out0), 0.0
     for c, o, neg in zip(centers, contexts, negs):
@@ -171,11 +188,62 @@ def test_tweet_update_is_sum_of_pair_gradients(n, window, negatives, vocab_size,
         expected_loss += loss
 
     in_vecs, out_vecs = in0.copy(), out0.copy()
-    with mock.patch.object(embedding, "SCATTER_PAIRS", block):
-        loss = _PairBatch(pairs, negatives, dim).update(in_vecs, out_vecs, centers, contexts, negs, lr)
+    work = _Workspace.sized(pairs, negatives, dim)
+    loss = sum(_apply_step(step, in_vecs, out_vecs, lr, work) for step in steps)
     np.testing.assert_allclose(in_vecs, in0 - d_in, rtol=0, atol=1e-12)
     np.testing.assert_allclose(out_vecs, out0 - d_out, rtol=0, atol=1e-12)
     assert loss == pytest.approx(expected_loss, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 50), min_size=1, max_size=40).filter(any),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_negatives_equal_searchsorted_on_the_noise_cdf(counts, seed):
+    noise_cdf, _ = embedding._sampling_tables(counts, 0.0)
+    planner = _Planner(np.zeros(0, dtype=np.intp), [0], noise_cdf, None, 1, 1, len(counts))
+    gen = np.random.default_rng(seed)
+    # uniform draws, the bounds themselves and their neighbours, and the ends of [0, 1)
+    draws = np.concatenate([
+        gen.random(500), noise_cdf, np.nextafter(noise_cdf, 0.0), np.nextafter(noise_cdf, 1.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    draws = draws[draws < 1.0]
+    assert np.array_equal(planner._negatives(draws), np.searchsorted(noise_cdf[:-1], draws))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    vocab_size=st.integers(1, 6),
+    window=st.integers(1, 5),
+    negatives=st.integers(1, 5),
+    dim=st.sampled_from([1, 3, 16]),
+    epochs=st.integers(1, 2),
+    subsample=st.sampled_from([0.0, 0.05, 0.3]),
+    block=st.sampled_from([1, 7, 128]),  # pairs per scatter
+    budget=st.sampled_from([1, 9, 64, embedding.PLAN_PAIRS]),  # pairs per plan
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_training_is_bit_identical_to_per_tweet_oracle(
+    data, vocab_size, window, negatives, dim, epochs, subsample, block, budget, seed
+):
+    words = [f"w{i}" for i in range(vocab_size)]
+    lists = data.draw(st.lists(st.lists(st.sampled_from(words), max_size=24), max_size=10), label="tweets")
+    extra = data.draw(st.lists(st.integers(0, 3), min_size=vocab_size, max_size=vocab_size), label="extra counts")
+    counts = [sum(toks.count(w) for toks in lists) + e for w, e in zip(words, extra)]
+    counts[0] += not any(counts)
+    tweets = [_tweet(i, toks) for i, toks in enumerate(lists)]
+    vocab = Vocabulary(words, counts)
+    params = EmbeddingParams(dim=dim, window=window, negative_samples=negatives, epochs=epochs,
+                             subsample_threshold=subsample)
+    with mock.patch.object(embedding, "SCATTER_PAIRS", block), mock.patch.object(embedding, "PLAN_PAIRS", budget):
+        got = train_embeddings(tweets, vocab, params, RngState(seed=seed))
+        ref = oracle.sgns_train_per_tweet(tweets, vocab, params, RngState(seed=seed))
+    assert np.array_equal(got.input_vectors, ref.input_vectors)
+    assert np.array_equal(got.output_vectors, ref.output_vectors)
+    assert got.epoch_losses == ref.epoch_losses
 
 
 @pytest.mark.parametrize(
