@@ -40,9 +40,6 @@ from .evaluation import (
 )
 from .model import (
     ModelConfig,
-    backward_full,
-    backward_truncated,
-    forward,
     init_params,
     load_model,
     save_model,
@@ -88,9 +85,6 @@ __all__ = [
     "f1_scores",
     "false_negative_share",
     "ModelConfig",
-    "backward_full",
-    "backward_truncated",
-    "forward",
     "init_params",
     "load_model",
     "save_model",

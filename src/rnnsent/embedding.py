@@ -368,6 +368,8 @@ def train_embeddings(
                 lr = max(min_lr, LEARNING_RATE * (1.0 - (epoch * len(corpus) + step.tweet) / total_steps))
                 loss_sum += _apply_step(step, in_vecs, out_vecs, lr, work)
                 pair_count += len(step.centers)
+            # drop this plan before the next one is built, so only one is held
+            steps = step = None
         emb.epoch_losses.append(loss_sum / pair_count if pair_count else 0.0)
     return emb
 

@@ -441,37 +441,6 @@ def backward_batch(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ForwardTrace:
-    """One sequence's activations: a batch-of-1 BatchTrace.
-
-    hidden_fwd[t] is the state after x_{t+1}. hidden_bwd is in processing
-    order: entry s holds the state after consuming x_{T-s}, so the last entry
-    aligns with input position 1.
-    """
-
-    batch: BatchTrace
-
-    def __len__(self) -> int:
-        return self.batch.steps
-
-    @property
-    def hidden_fwd(self) -> FloatArray:
-        return self.batch.hidden_fwd[:, 0]
-
-    @property
-    def hidden_bwd(self) -> FloatArray | None:
-        return None if self.batch.hidden_bwd is None else self.batch.hidden_bwd[:, 0]
-
-    @property
-    def probabilities(self) -> FloatArray:
-        return self.batch.probabilities[0]
-
-    @property
-    def dropout_mask(self) -> FloatArray | None:
-        return None if self.batch.dropout_masks is None else self.batch.dropout_masks[0]
-
-
 def _check_sequence(config: ModelConfig, sequence: Sequence[FloatArray]) -> FloatArray:
     if len(sequence) == 0:
         raise ValueError("cannot run the network on an empty sequence")
@@ -490,11 +459,12 @@ def forward(
     sequence: Sequence[FloatArray],
     train: bool = False,
     rng: RngState | None = None,
-) -> ForwardTrace:
-    """Run the classifier over one embedded sequence.
+) -> BatchTrace:
+    """Run the classifier over one embedded sequence: the trace of a batch of
+    one, which backward_full and backward_truncated take.
 
-    In train mode with dropout_rate > 0 an inverted-dropout mask is drawn from
-    `rng` and applied to the readout vector; infer mode never applies a mask.
+    In train mode with dropout_rate > 0 a (1, R) inverted-dropout mask is
+    drawn from `rng` and applied to the readout; infer mode never applies one.
     """
     seq = _check_sequence(config, sequence)
     _check_params(params, config)
@@ -503,32 +473,34 @@ def forward(
         if rng is None:
             raise ValueError("train-mode forward with dropout needs an RngState")
         mask = dropout_mask((1, config.readout_size), config.dropout_rate, rng)
-    return ForwardTrace(forward_batch(params, config, *pack_sequences([seq]), mask))
+    return forward_batch(params, config, *pack_sequences([seq]), mask)
 
 
 def _backward(
     params: dict[str, FloatArray],
     config: ModelConfig,
-    trace: ForwardTrace,
+    trace: BatchTrace,
     sequence: Sequence[FloatArray],
     target_class: int,
     k: int | None,
 ) -> dict[str, FloatArray]:
     seq = _check_sequence(config, sequence)
-    if len(trace) != len(seq):
-        raise ValueError(f"trace covers {len(trace)} timesteps but the sequence has {len(seq)}")
-    if (trace.batch.source.shape[1] == 1) != (config.direction == STANDARD):
+    if len(trace.order) != 1:
+        raise ValueError(f"trace covers {len(trace.order)} sequences, not one")
+    if trace.steps != len(seq):
+        raise ValueError(f"trace covers {trace.steps} timesteps but the sequence has {len(seq)}")
+    if (trace.source.shape[1] == 1) != (config.direction == STANDARD):
         raise ValueError("trace direction does not match the config")
     if not 0 <= target_class < config.num_classes:
         raise IndexError(f"target class {target_class} out of range for {config.num_classes} classes")
     _check_params(params, config)
-    return backward_batch(params, config, trace.batch, np.array([target_class]), k)
+    return backward_batch(params, config, trace, np.array([target_class]), k)
 
 
 def backward_full(
     params: dict[str, FloatArray],
     config: ModelConfig,
-    trace: ForwardTrace,
+    trace: BatchTrace,
     sequence: Sequence[FloatArray],
     target_class: int,
 ) -> dict[str, FloatArray]:
@@ -539,7 +511,7 @@ def backward_full(
 def backward_truncated(
     params: dict[str, FloatArray],
     config: ModelConfig,
-    trace: ForwardTrace,
+    trace: BatchTrace,
     sequence: Sequence[FloatArray],
     target_class: int,
     k: int = 50,

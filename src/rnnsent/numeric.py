@@ -52,12 +52,13 @@ def softmax(v: FloatArray) -> FloatArray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: FloatArray, target_class: int) -> float:
-    """-log(probs[target_class]) with the probability clamped to >= 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= target_class < probs.shape[0]:
-        raise IndexError(f"target class {target_class} out of range for {probs.shape[0]} classes")
-    return float(-np.log(max(probs[target_class], PROB_FLOOR)))
+def cross_entropy(probs: FloatArray, targets: np.ndarray) -> FloatArray:
+    """Per-example loss of a batch of (B, C) class probabilities:
+    -log(probs[i, targets[i]]), each probability clamped to >= PROB_FLOOR."""
+    targets = np.asarray(targets)
+    if np.any((targets < 0) | (targets >= probs.shape[1])):
+        raise IndexError(f"target classes {targets.tolist()} out of range for {probs.shape[1]} classes")
+    return -np.log(np.maximum(probs[np.arange(len(targets)), targets], PROB_FLOOR))
 
 
 def dropout_mask(shape: int | tuple[int, ...], rate: float, rng: RngState) -> FloatArray:

@@ -38,7 +38,7 @@ from .model import (
     init_params,
     token_ids,
 )
-from .numeric import PROB_FLOOR, FloatArray, RngState, clip_gradients, dropout_mask, global_norm, sgd_step
+from .numeric import FloatArray, RngState, clip_gradients, cross_entropy, dropout_mask, global_norm, sgd_step
 
 TASK_FINE = "fine_grained"
 TASK_BINARY = "binary"
@@ -323,7 +323,7 @@ def train(
                     workspace=workspace,
                 )
                 y = targets[batch]
-                batch_losses = -np.log(np.maximum(trace.probabilities[np.arange(len(batch)), y], PROB_FLOOR))
+                batch_losses = cross_entropy(trace.probabilities, y)
                 if not np.isfinite(batch_losses.sum()):
                     raise TrainingDivergedError(
                         f"training diverged: epoch {epoch + 1}, batch {number} has mean loss {batch_losses.mean()}"

@@ -342,8 +342,8 @@ def test_single_sequence_api_matches_oracle(direction):
     seq = list(gen.normal(scale=0.8, size=(9, 3)))
     trace = forward(params, config, seq, train=True, rng=RngState(seed=22))
     got = backward_truncated(params, config, trace, seq, 1, k=4)
-    probs, expected = oracle.gradients(params, config, seq, 1, trace.dropout_mask, 4)
-    assert _max_diff(trace.probabilities, probs) <= TOLERANCE
+    probs, expected = oracle.gradients(params, config, seq, 1, trace.dropout_masks[0], 4)
+    assert _max_diff(trace.probabilities[0], probs) <= TOLERANCE
     for name in expected:
         assert _max_diff(got[name], expected[name]) <= TOLERANCE, name
 

@@ -12,8 +12,10 @@ from rnnsent.model import (
     backward_full,
     backward_truncated,
     forward,
+    forward_batch,
     init_params,
     load_model,
+    pack_sequences,
     param_shapes,
     predict_many,
     save_model,
@@ -124,7 +126,7 @@ def test_forward_zero_network_uniform():
     for direction in (STANDARD, BIDIRECTIONAL):
         cfg = _config(direction, hidden=2, emb=2, classes=3)
         trace = forward(_zero_params(cfg), cfg, _random_sequence(cfg, 4, 7))
-        assert np.all(trace.probabilities == 1.0 / 3.0)
+        assert np.all(trace.probabilities[0] == 1.0 / 3.0)
 
 
 def test_forward_hand_traced_scalar_net():
@@ -138,9 +140,9 @@ def test_forward_hand_traced_scalar_net():
     }
     trace = forward(params, cfg, [np.array([1.0])])
     t1 = np.tanh(1.0)
-    assert trace.hidden_fwd[0][0] == pytest.approx(t1, abs=1e-15)
+    assert trace.hidden_fwd[0, 0, 0] == pytest.approx(t1, abs=1e-15)
     expected = np.exp([t1, -t1]) / np.exp([t1, -t1]).sum()
-    assert np.allclose(trace.probabilities, expected, atol=1e-12)
+    assert np.allclose(trace.probabilities[0], expected, atol=1e-12)
 
 
 def test_forward_two_steps_uses_recurrence():
@@ -156,9 +158,9 @@ def test_forward_two_steps_uses_recurrence():
     h1 = np.tanh(0.5 * 1.0 + 0.1)
     h2 = np.tanh(0.5 * -2.0 + 0.7 * h1 + 0.1)
     trace = forward(params, cfg, seq)
-    assert trace.hidden_fwd[0][0] == pytest.approx(h1, abs=1e-15)
-    assert trace.hidden_fwd[1][0] == pytest.approx(h2, abs=1e-15)
-    assert len(trace) == 2
+    assert trace.hidden_fwd[0, 0, 0] == pytest.approx(h1, abs=1e-15)
+    assert trace.hidden_fwd[1, 0, 0] == pytest.approx(h2, abs=1e-15)
+    assert trace.steps == 2
 
 
 def test_forward_bidirectional_collapse_to_standard():
@@ -179,8 +181,8 @@ def test_forward_bidirectional_collapse_to_standard():
         "b_y": std["b_y"].copy(),
     }
     seq = _random_sequence(std_cfg, 5, 9)
-    p_std = forward(std, std_cfg, seq).probabilities
-    p_bi = forward(bi, bi_cfg, seq).probabilities
+    p_std = forward(std, std_cfg, seq).probabilities[0]
+    p_bi = forward(bi, bi_cfg, seq).probabilities[0]
     assert np.array_equal(p_std, p_bi)
 
 
@@ -190,9 +192,9 @@ def test_forward_probabilities_valid_and_trace_lengths():
         params = init_params(cfg, RngState(seed=10))
         for length in (1, 3, 7):
             trace = forward(params, cfg, _random_sequence(cfg, length, length))
-            assert len(trace) == length
-            assert abs(trace.probabilities.sum() - 1.0) < 1e-9
-            assert np.all(trace.probabilities > 0)
+            assert trace.steps == length
+            assert abs(trace.probabilities[0].sum() - 1.0) < 1e-9
+            assert np.all(trace.probabilities[0] > 0)
             if direction == STANDARD:
                 assert trace.hidden_bwd is None
             else:
@@ -203,8 +205,8 @@ def test_forward_order_sensitivity():
     cfg = _config(hidden=3, emb=2)
     params = init_params(cfg, RngState(seed=11))
     seq = _random_sequence(cfg, 2, 12)
-    p_fwd = forward(params, cfg, seq).probabilities
-    p_rev = forward(params, cfg, seq[::-1]).probabilities
+    p_fwd = forward(params, cfg, seq).probabilities[0]
+    p_rev = forward(params, cfg, seq[::-1]).probabilities[0]
     assert not np.allclose(p_fwd, p_rev, atol=1e-9)
 
 
@@ -212,8 +214,8 @@ def test_forward_dropout_off_train_equals_infer():
     cfg = _config(dropout=0.0)
     params = init_params(cfg, RngState(seed=13))
     seq = _random_sequence(cfg, 4, 13)
-    p_train = forward(params, cfg, seq, train=True, rng=RngState(seed=1)).probabilities
-    p_infer = forward(params, cfg, seq, train=False).probabilities
+    p_train = forward(params, cfg, seq, train=True, rng=RngState(seed=1)).probabilities[0]
+    p_infer = forward(params, cfg, seq, train=False).probabilities[0]
     assert np.array_equal(p_train, p_infer)
 
 
@@ -225,14 +227,14 @@ def test_forward_dropout_applied_only_in_train_mode():
     seq = _random_sequence(cfg, 3, 14)
     mask_rng = RngState(seed=99)
     trace = forward(params, cfg, seq, train=True, rng=mask_rng)
-    assert trace.dropout_mask is not None
+    assert trace.dropout_masks is not None
     expected_mask = dropout_mask(cfg.readout_size, 0.5, RngState(seed=99))
-    assert np.array_equal(trace.dropout_mask, expected_mask)
+    assert np.array_equal(trace.dropout_masks[0], expected_mask)
     # masked readout reproduces the probabilities exactly
     plain = forward(params, cfg, seq, train=False)
-    masked = plain.hidden_fwd[-1] * expected_mask
-    assert np.allclose(trace.probabilities, softmax(params["w_hy"] @ masked + params["b_y"]), atol=1e-15)
-    assert plain.dropout_mask is None
+    masked = plain.hidden_fwd[-1, 0] * expected_mask
+    assert np.allclose(trace.probabilities[0], softmax(params["w_hy"] @ masked + params["b_y"]), atol=1e-15)
+    assert plain.dropout_masks is None
 
 
 def test_forward_errors():
@@ -271,7 +273,7 @@ def _fd_gradients(params, config, seq, target, mask_seed=None, eps=1e-5):
             trace = forward(params, config, seq, train=False)
         else:
             trace = forward(params, config, seq, train=True, rng=RngState(seed=mask_seed))
-        return cross_entropy(trace.probabilities, target)
+        return cross_entropy(trace.probabilities, [target])[0]
 
     grads = {}
     for name, arr in params.items():
@@ -318,7 +320,7 @@ def test_backward_honors_dropout_mask():
     params = init_params(cfg, RngState(seed=300))
     seq = _random_sequence(cfg, 4, 301)
     trace = forward(params, cfg, seq, train=True, rng=RngState(seed=302))
-    assert np.any(trace.dropout_mask == 0.0)
+    assert np.any(trace.dropout_masks[0] == 0.0)
     analytic = backward_full(params, cfg, trace, seq, 1)
     numeric = _fd_gradients(params, cfg, seq, 1, mask_seed=302)
     assert _max_relative_error(analytic, numeric) < 1e-4
@@ -332,7 +334,7 @@ def test_backward_b_y_is_probs_minus_onehot():
     grads = backward_full(params, cfg, trace, seq, 2)
     onehot = np.zeros(3)
     onehot[2] = 1.0
-    assert np.array_equal(grads["b_y"], trace.probabilities - onehot)
+    assert np.array_equal(grads["b_y"], trace.probabilities[0] - onehot)
 
 
 def test_backward_gradient_vanishes_at_minimum():
@@ -347,12 +349,12 @@ def test_backward_gradient_vanishes_at_minimum():
         grads = backward_full(params, cfg, trace, seq, target)
         params = sgd_step(params, grads, 0.5)
     trace = forward(params, cfg, seq)
-    assert int(np.argmax(trace.probabilities)) == target
+    assert int(np.argmax(trace.probabilities[0])) == target
     params["w_hy"] *= 200.0
     params["b_y"] *= 200.0
     trace = forward(params, cfg, seq)
     grads = backward_full(params, cfg, trace, seq, target)
-    assert cross_entropy(trace.probabilities, target) < 1e-8
+    assert cross_entropy(trace.probabilities, [target])[0] < 1e-8
     assert global_norm(grads) < 1e-8
 
 
@@ -383,14 +385,14 @@ def test_truncated_k1_matches_hand_unrolled_standard():
     trace = forward(params, cfg, seq)
     got = backward_truncated(params, cfg, trace, seq, target, k=1)
 
-    dlogits = trace.probabilities.copy()
+    dlogits = trace.probabilities[0].copy()
     dlogits[target] -= 1.0
-    h_last = trace.hidden_fwd[-1]
+    h_last = trace.hidden_fwd[-1, 0]
     da = (params["w_hy"].T @ dlogits) * (1.0 - h_last * h_last)
     assert np.array_equal(got["w_hy"], np.outer(dlogits, h_last))
     assert np.array_equal(got["b_y"], dlogits)
     assert np.array_equal(got["w_xh"], np.outer(da, seq[-1]))
-    assert np.array_equal(got["w_hh"], np.outer(da, trace.hidden_fwd[-2]))
+    assert np.array_equal(got["w_hh"], np.outer(da, trace.hidden_fwd[-2, 0]))
     assert np.array_equal(got["b_h"], da)
     # and it genuinely differs from the full gradient on a T=3 sequence
     full = backward_full(params, cfg, trace, seq, target)
@@ -406,18 +408,18 @@ def test_truncated_k1_matches_hand_unrolled_bidirectional():
     got = backward_truncated(params, cfg, trace, seq, target, k=1)
 
     h = cfg.hidden_size
-    dlogits = trace.probabilities.copy()
+    dlogits = trace.probabilities[0].copy()
     dlogits[target] -= 1.0
     dr = params["w_hy"].T @ dlogits
-    da_f = dr[:h] * (1.0 - trace.hidden_fwd[-1] * trace.hidden_fwd[-1])
-    da_b = dr[h:] * (1.0 - trace.hidden_bwd[-1] * trace.hidden_bwd[-1])
+    da_f = dr[:h] * (1.0 - trace.hidden_fwd[-1, 0] * trace.hidden_fwd[-1, 0])
+    da_b = dr[h:] * (1.0 - trace.hidden_bwd[-1, 0] * trace.hidden_bwd[-1, 0])
     assert np.array_equal(got["fwd.w_xh"], np.outer(da_f, seq[-1]))
-    assert np.array_equal(got["fwd.w_hh"], np.outer(da_f, trace.hidden_fwd[-2]))
+    assert np.array_equal(got["fwd.w_hh"], np.outer(da_f, trace.hidden_fwd[-2, 0]))
     assert np.array_equal(got["fwd.b_h"], da_f)
     # the backward cell's last processed input is x_1, previous state is the
     # one it produced after consuming x_2
     assert np.array_equal(got["bwd.w_xh"], np.outer(da_b, seq[0]))
-    assert np.array_equal(got["bwd.w_hh"], np.outer(da_b, trace.hidden_bwd[-2]))
+    assert np.array_equal(got["bwd.w_hh"], np.outer(da_b, trace.hidden_bwd[-2, 0]))
     assert np.array_equal(got["bwd.b_h"], da_b)
 
 
@@ -447,6 +449,9 @@ def test_backward_errors():
         backward_full(params, cfg, trace, seq, 3)
     with pytest.raises(ValueError):
         backward_truncated(params, cfg, trace, seq, 0, k=0)
+    pair = forward_batch(params, cfg, *pack_sequences([np.array(seq), np.array(seq)]))
+    with pytest.raises(ValueError, match="2 sequences"):
+        backward_full(params, cfg, pair, seq, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,16 @@ def test_softmax_empty_rejected():
 
 
 def test_cross_entropy_is_negative_log_probability():
-    probs = np.array([0.2, 0.5, 0.3])
-    assert cross_entropy(probs, 1) == pytest.approx(-np.log(0.5), abs=1e-12)
+    probs = np.array([[0.2, 0.5, 0.3], [0.1, 0.1, 0.8]])
+    assert cross_entropy(probs, [1, 2]) == pytest.approx(-np.log([0.5, 0.8]), abs=1e-12)
     with pytest.raises(IndexError):
-        cross_entropy(probs, 3)
+        cross_entropy(probs, [1, 3])
+    with pytest.raises(IndexError):
+        cross_entropy(probs, [-1, 0])
 
 
 def test_cross_entropy_clamps_zero_probability():
-    loss = cross_entropy(np.array([1.0, 0.0]), 1)
+    loss = cross_entropy(np.array([[1.0, 0.0]]), [1])[0]
     assert loss == pytest.approx(-np.log(1e-12))
     assert np.isfinite(loss)
 
