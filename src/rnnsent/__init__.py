@@ -48,7 +48,6 @@ from .numeric import RngState
 from .training import (
     DatasetSplit,
     GridResult,
-    LabeledTweet,
     TrainConfig,
     TrainReport,
     balance_classes,
@@ -91,7 +90,6 @@ __all__ = [
     "RngState",
     "DatasetSplit",
     "GridResult",
-    "LabeledTweet",
     "TrainConfig",
     "TrainReport",
     "balance_classes",

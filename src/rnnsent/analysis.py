@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import CleanTweet, Vocabulary, _ensure_utc, _isoformat_all, _write_jsonl, atomic_writer
 from .embedding import EmbeddingMatrix
-from .evaluation import FINE_CLASSES, classes_for
+from .evaluation import FINE_CLASSES
 from .model import ModelConfig, predict_many
 from .numeric import FloatArray
 
@@ -60,8 +60,9 @@ def classify_corpus(
     corpus: Sequence[CleanTweet],
 ) -> tuple[np.ndarray, FloatArray, np.ndarray]:
     """Predict every tweet: (labels, confidences, oov), three columns in
-    corpus order. A label is an index into FINE_CLASSES, and a confidence is
-    the winning probability.
+    corpus order. A label is an index into FINE_CLASSES, whose first
+    num_classes entries are the model's classes, and a confidence is the
+    winning probability.
 
     A tweet with no in-vocabulary token cannot be scored: it is kept, labeled
     neutral with confidence 0.0, and flagged in the oov mask so downstream
@@ -72,8 +73,7 @@ def classify_corpus(
     probabilities, known = predict_many(params, model_cfg, emb, vocab, [tweet.tokens for tweet in corpus])
     # argmax takes the first maximum, so ties go to the lowest class index
     winners = probabilities.argmax(axis=1)
-    fine = np.array([FINE_CLASSES.index(c) for c in classes_for(model_cfg.num_classes)])
-    labels = np.where(known, fine[winners], FINE_CLASSES.index(NEUTRAL))
+    labels = np.where(known, winners, FINE_CLASSES.index(NEUTRAL))
     confidences = np.where(known, probabilities[np.arange(len(winners)), winners], 0.0)
     return labels, confidences, ~known
 

@@ -274,13 +274,13 @@ def _prepare_dataset(args: argparse.Namespace, task: str):
     """Shared by train and grid: load, join, optionally balance, then split."""
     clean = load_clean_corpus(args.corpus)
     emb, vocab = _load_embedding_bundle(args.embeddings)
-    labeled = load_annotations(args.annotations, clean)
+    tweets, labels = load_annotations(args.annotations, clean)
     if task == TASK_BINARY:
-        labeled = binary_subset(labeled)
+        tweets, labels = binary_subset(tweets, labels)
     root = RngState(seed=args.seed)
     if args.balance_per_class is not None:
-        labeled = balance_classes(labeled, args.balance_per_class, root.child(10))
-    data = split(labeled, ratio=args.split_ratio, rng=root.child(11), stratified=args.split == "stratified")
+        tweets, labels = balance_classes(tweets, labels, args.balance_per_class, root.child(10))
+    data = split(tweets, labels, ratio=args.split_ratio, rng=root.child(11), stratified=args.split == "stratified")
     return emb, vocab, data
 
 
@@ -325,14 +325,15 @@ def cmd_eval(args: argparse.Namespace) -> None:
     params, model_cfg = load_model(args.model)
     clean = load_clean_corpus(args.corpus)
     emb, vocab = _load_embedding_bundle(args.embeddings)
-    labeled = load_annotations(args.annotations, clean)
-    classes = classes_for(model_cfg.num_classes)
-    kept = [ex for ex in labeled if ex.label in classes]
-    if len(kept) < len(labeled):
-        _warn(f"dropping {len(labeled) - len(kept)} examples with labels outside {list(classes)}")
-    if not kept:
+    tweets, labels = load_annotations(args.annotations, clean)
+    # the model's classes are the first num_classes of FINE_CLASSES
+    kept = labels < model_cfg.num_classes
+    dropped = len(labels) - int(kept.sum())
+    if dropped:
+        _warn(f"dropping {dropped} examples with labels outside {list(classes_for(model_cfg.num_classes))}")
+    if not kept.any():
         raise ValueError("no evaluable examples: every annotation is outside the model's classes")
-    cm, metrics = evaluate(params, model_cfg, emb, vocab, kept, classes=classes)
+    cm, metrics = evaluate(params, model_cfg, emb, vocab, [t for t, k in zip(tweets, kept) if k], labels[kept])
 
     metrics_path, confusion_path = _outputs(args)
     save_metrics(metrics, metrics_path)

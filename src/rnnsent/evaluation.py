@@ -20,9 +20,11 @@ from .model import ModelConfig, predict_many
 from .numeric import FloatArray
 
 # Canonical reporting order for sentiment labels, used everywhere a class list
-# is implied rather than passed explicitly.
+# is implied rather than passed explicitly. A label is an index into
+# FINE_CLASSES; the binary classes are its first two, so a task with C classes
+# keeps the labels below C and needs no second numbering.
 FINE_CLASSES = ("positive", "negative", "neutral")
-BINARY_CLASSES = ("positive", "negative")
+BINARY_CLASSES = FINE_CLASSES[:2]
 
 
 def classes_for(num_classes: int) -> tuple[str, ...]:
@@ -58,21 +60,21 @@ class ConfusionMatrix:
 
 
 def confusion_matrix(
-    golds: Sequence[str],
-    preds: Sequence[str],
+    golds: Sequence[int],
+    preds: Sequence[int],
     classes: Sequence[str],
 ) -> ConfusionMatrix:
+    """Count gold/predicted pairs, each label an index into `classes`."""
+    golds, preds = np.asarray(golds, dtype=np.int64), np.asarray(preds, dtype=np.int64)
     if len(golds) != len(preds):
         raise ValueError(f"length mismatch: {len(golds)} gold labels vs {len(preds)} predictions")
-    index = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros((len(index), len(index)), dtype=np.int64)
-    for g, p in zip(golds, preds):
-        if g not in index:
-            raise ValueError(f"unknown gold label {g!r}; classes are {list(classes)}")
-        if p not in index:
-            raise ValueError(f"unknown predicted label {p!r}; classes are {list(classes)}")
-        counts[index[g], index[p]] += 1
-    return ConfusionMatrix(tuple(classes), tuple(tuple(int(c) for c in row) for row in counts))
+    n = len(classes)
+    for kind, column in (("gold", golds), ("predicted", preds)):
+        unknown = column[(column < 0) | (column >= n)]
+        if len(unknown):
+            raise ValueError(f"unknown {kind} label {unknown[0]}; classes are indices 0..{n - 1} of {list(classes)}")
+    counts = np.bincount(golds * n + preds, minlength=n * n).reshape(n, n)
+    return ConfusionMatrix(tuple(classes), tuple(map(tuple, counts.tolist())))
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,12 @@ def f1_scores(cm: ConfusionMatrix) -> tuple[list[float], float]:
     return per_class, float(np.mean(per_class))
 
 
-def false_negative_share(cm: ConfusionMatrix, negative_label: str = "negative") -> float:
-    """Fraction of all examples wrongly predicted as negative_label."""
-    if negative_label not in cm.classes:
-        raise ValueError(f"unknown label {negative_label!r}; classes are {list(cm.classes)}")
+def false_negative_share(cm: ConfusionMatrix) -> float:
+    """Fraction of all examples wrongly predicted as negative."""
+    if "negative" not in cm.classes:
+        raise ValueError(f"no 'negative' class; classes are {list(cm.classes)}")
     arr = cm.as_array()
-    j = cm.classes.index(negative_label)
+    j = cm.classes.index("negative")
     wrong_into_negative = float(arr[:, j].sum() - arr[j, j])
     return _ratio(wrong_into_negative, float(arr.sum()))
 
@@ -153,45 +155,33 @@ def metrics_from_confusion(cm: ConfusionMatrix, oov_examples: int = 0) -> Metric
     )
 
 
-def _example_fields(example) -> tuple[Sequence[str], str]:
-    if hasattr(example, "tokens") and hasattr(example, "label"):
-        return example.tokens, example.label
-    tokens, label = example
-    return tokens, label
-
-
 def evaluate(
     params: dict[str, FloatArray],
     model_cfg: ModelConfig,
     emb: EmbeddingMatrix,
     vocab: Vocabulary,
-    test: Sequence,
-    classes: Sequence[str] | None = None,
+    tweets: Sequence,
+    golds: Sequence[int],
 ) -> tuple[ConfusionMatrix, Metrics]:
-    """Score labeled examples (anything with .tokens/.label, or (tokens, label) pairs).
+    """Score tweets (anything with .tokens) against their gold labels, indices
+    into the model's classes, FINE_CLASSES[:num_classes].
 
     An example whose tokens are all out-of-vocabulary cannot be classified; it
     is charged as an error by recording a prediction of the first class that
-    differs from its gold label, and counted in Metrics.oov_examples. This
-    keeps Metrics an exact function of the returned confusion matrix.
+    differs from its gold label (negative for a positive gold, positive
+    otherwise), and counted in Metrics.oov_examples. This keeps Metrics an
+    exact function of the returned confusion matrix.
     """
-    if len(test) == 0:
+    if len(tweets) == 0:
         raise ValueError("cannot evaluate an empty test set")
-    class_list = list(classes) if classes is not None else list(classes_for(model_cfg.num_classes))
-    fields = [_example_fields(example) for example in test]
-    golds = [gold for _, gold in fields]
-    for gold in golds:
-        if gold not in class_list:
-            raise ValueError(f"gold label {gold!r} is not in the class list {class_list}")
-    probabilities, known = predict_many(params, model_cfg, emb, vocab, [tokens for tokens, _ in fields])
+    if len(golds) != len(tweets):
+        raise ValueError(f"length mismatch: {len(tweets)} tweets vs {len(golds)} gold labels")
+    golds = np.asarray(golds, dtype=np.int64)
+    probabilities, known = predict_many(params, model_cfg, emb, vocab, [tweet.tokens for tweet in tweets])
     # argmax takes the first maximum, so ties go to the lowest class index
-    preds = [
-        class_list[idx] if scored else next(c for c in class_list if c != gold)
-        for gold, idx, scored in zip(golds, probabilities.argmax(axis=1).tolist(), known.tolist())
-    ]
-    oov = int(np.sum(~known))
-    cm = confusion_matrix(golds, preds, class_list)
-    return cm, metrics_from_confusion(cm, oov_examples=oov)
+    preds = np.where(known, probabilities.argmax(axis=1), golds == 0)
+    cm = confusion_matrix(golds, preds, classes_for(model_cfg.num_classes))
+    return cm, metrics_from_confusion(cm, oov_examples=int(np.sum(~known)))
 
 
 def save_metrics(metrics: Metrics, path: str | Path) -> None:

@@ -108,8 +108,9 @@ class GradCheckReport:
 
 def run_gradcheck(
     trials: int = 25,
-    max_hidden: int = 8,
-    max_seq_len: int = 12,
+    *,
+    max_hidden: int,
+    max_seq_len: int,
     seed: int = 0,
     corrupt: bool = False,
 ) -> GradCheckReport:

@@ -51,34 +51,21 @@ class TrainingDivergedError(ValueError):
     """A minibatch's loss or gradient norm is not finite."""
 
 
-@dataclass(frozen=True)
-class LabeledTweet:
-    tweet: CleanTweet
-    label: str
-
-    def __post_init__(self) -> None:
-        if self.label not in FINE_CLASSES:
-            raise ValueError(f"unknown label {self.label!r}; expected one of {list(FINE_CLASSES)}")
-        if len(self.tweet.tokens) == 0:
-            raise ValueError(f"tweet {self.tweet.id!r} has no tokens")
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return self.tweet.tokens
-
-    @property
-    def id(self) -> str:
-        return self.tweet.id
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetSplit:
-    train: tuple[LabeledTweet, ...]
-    test: tuple[LabeledTweet, ...]
+    """Train and test tweets, each side with its label column of indices into
+    FINE_CLASSES."""
+
+    train: tuple[CleanTweet, ...]
+    train_labels: np.ndarray
+    test: tuple[CleanTweet, ...]
+    test_labels: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.train or not self.test:
             raise ValueError("both sides of a split must be nonempty")
+        if len(self.train_labels) != len(self.train) or len(self.test_labels) != len(self.test):
+            raise ValueError("each side of a split needs one label per tweet")
         overlap = {t.id for t in self.train} & {t.id for t in self.test}
         if overlap:
             raise ValueError(f"train/test leakage: ids {sorted(overlap)[:5]} appear on both sides")
@@ -103,15 +90,17 @@ class TrainConfig:
         return asdict(self)
 
 
-def load_annotations(path: str | Path, corpus: Sequence[CleanTweet]) -> list[LabeledTweet]:
-    """Join an id,label CSV against the clean corpus.
+def load_annotations(path: str | Path, corpus: Sequence[CleanTweet]) -> tuple[list[CleanTweet], np.ndarray]:
+    """Join an id,label CSV against the clean corpus: the annotated tweets in
+    file order, and their labels as an int64 column of indices into FINE_CLASSES.
 
-    Rejects labels outside the three classes, ids absent from the corpus, and
-    ids annotated twice.
+    Rejects labels outside the three classes, ids absent from the corpus, ids
+    annotated twice, and tweets without tokens.
     """
     by_id = {t.id: t for t in corpus}
     path = Path(path)
-    labeled: list[LabeledTweet] = []
+    tweets: list[CleanTweet] = []
+    labels: list[int] = []
     seen: set[str] = set()
     with open_artifact(path, ValueError, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -127,51 +116,51 @@ def load_annotations(path: str | Path, corpus: Sequence[CleanTweet]) -> list[Lab
                 raise ValueError(f"{path}:{line}: id {tweet_id!r} does not exist in the corpus")
             if tweet_id in seen:
                 raise ValueError(f"{path}:{line}: id {tweet_id!r} is annotated more than once")
+            if not by_id[tweet_id].tokens:
+                raise ValueError(f"{path}:{line}: tweet {tweet_id!r} has no tokens")
             seen.add(tweet_id)
-            labeled.append(LabeledTweet(tweet=by_id[tweet_id], label=label))
-    return labeled
+            tweets.append(by_id[tweet_id])
+            labels.append(FINE_CLASSES.index(label))
+    return tweets, np.array(labels, dtype=np.int64)
 
 
-def _indices_by_class(data: Sequence[LabeledTweet]) -> dict[str, list[int]]:
-    by_class: dict[str, list[int]] = {}
-    for i, ex in enumerate(data):
-        by_class.setdefault(ex.label, []).append(i)
-    return by_class
+def _take(
+    tweets: Sequence[CleanTweet], labels: np.ndarray, rows: np.ndarray
+) -> tuple[tuple[CleanTweet, ...], np.ndarray]:
+    return tuple(tweets[i] for i in rows), labels[rows]
 
 
 def balance_classes(
-    data: Sequence[LabeledTweet],
+    tweets: Sequence[CleanTweet],
+    labels: np.ndarray,
     per_class: int,
     rng: RngState,
-) -> list[LabeledTweet]:
+) -> tuple[tuple[CleanTweet, ...], np.ndarray]:
     """Uniform sample without replacement of per_class examples from every class
     present in the data, returned in the original corpus order."""
-    by_class = _indices_by_class(data)
     gen = rng.generator()
-    selected: list[int] = []
-    for label in FINE_CLASSES:
-        if label not in by_class:
+    keep = np.zeros(len(labels), dtype=bool)
+    for j, name in enumerate(FINE_CLASSES):
+        rows = np.flatnonzero(labels == j)
+        if len(rows) == 0:
             continue
-        idxs = by_class[label]
-        if len(idxs) < per_class:
-            raise ValueError(
-                f"class {label!r} has only {len(idxs)} examples, cannot sample {per_class}"
-            )
-        picks = gen.choice(len(idxs), size=per_class, replace=False)
-        selected.extend(idxs[i] for i in picks)
-    selected.sort()
-    return [data[i] for i in selected]
+        if len(rows) < per_class:
+            raise ValueError(f"class {name!r} has only {len(rows)} examples, cannot sample {per_class}")
+        keep[rows[gen.choice(len(rows), size=per_class, replace=False)]] = True
+    return _take(tweets, labels, np.flatnonzero(keep))
 
 
-def binary_subset(data: Sequence[LabeledTweet]) -> list[LabeledTweet]:
+def binary_subset(tweets: Sequence[CleanTweet], labels: np.ndarray) -> tuple[tuple[CleanTweet, ...], np.ndarray]:
     """Positive and negative examples only; neutral dropped."""
-    return [ex for ex in data if ex.label in BINARY_CLASSES]
+    return _take(tweets, labels, np.flatnonzero(labels < len(BINARY_CLASSES)))
 
 
 def split(
-    data: Sequence[LabeledTweet],
+    tweets: Sequence[CleanTweet],
+    labels: np.ndarray,
     ratio: float = 0.8,
-    rng: RngState | None = None,
+    *,
+    rng: RngState,
     stratified: bool = True,
 ) -> DatasetSplit:
     """Shuffled train/test partition; floor(ratio*n) to train per stratum.
@@ -182,38 +171,27 @@ def split(
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
-    if len(data) < 2:
+    if len(tweets) < 2:
         raise ValueError("need at least 2 examples to split")
-    if rng is None:
-        rng = RngState(seed=0)
     gen = rng.generator()
 
-    def cut(idxs: list[int], stratum: str) -> tuple[list[int], list[int]]:
-        n_train = math.floor(ratio * len(idxs))
-        if n_train == 0 or n_train == len(idxs):
+    def cut(rows: np.ndarray, stratum: str) -> tuple[np.ndarray, np.ndarray]:
+        n_train = math.floor(ratio * len(rows))
+        if n_train == 0 or n_train == len(rows):
             raise ValueError(
-                f"degenerate split: {stratum} with {len(idxs)} examples at ratio {ratio} "
+                f"degenerate split: {stratum} with {len(rows)} examples at ratio {ratio} "
                 "leaves one side empty"
             )
-        perm = gen.permutation(len(idxs))
-        return [idxs[i] for i in perm[:n_train]], [idxs[i] for i in perm[n_train:]]
+        perm = gen.permutation(len(rows))
+        return rows[perm[:n_train]], rows[perm[n_train:]]
 
-    train_idx: list[int] = []
-    test_idx: list[int] = []
     if stratified:
-        by_class = _indices_by_class(data)
-        for label in FINE_CLASSES:
-            if label not in by_class:
-                continue
-            tr, te = cut(by_class[label], f"class {label!r}")
-            train_idx.extend(tr)
-            test_idx.extend(te)
+        strata = [(np.flatnonzero(labels == j), f"class {name!r}") for j, name in enumerate(FINE_CLASSES)]
     else:
-        train_idx, test_idx = cut(list(range(len(data))), "the dataset")
-    return DatasetSplit(
-        train=tuple(data[i] for i in sorted(train_idx)),
-        test=tuple(data[i] for i in sorted(test_idx)),
-    )
+        strata = [(np.arange(len(tweets)), "the dataset")]
+    sides = [cut(rows, stratum) for rows, stratum in strata if len(rows)]
+    train_rows, test_rows = (np.sort(np.concatenate(side)) for side in zip(*sides))
+    return DatasetSplit(*_take(tweets, labels, train_rows), *_take(tweets, labels, test_rows))
 
 
 @dataclass
@@ -250,7 +228,7 @@ def _check_train_inputs(
     emb: EmbeddingMatrix,
     vocab: Vocabulary,
     model_cfg: ModelConfig,
-) -> tuple[str, ...]:
+) -> None:
     if emb.dim != model_cfg.embedding_dim:
         raise ValueError(
             f"config mismatch: embeddings have dim {emb.dim}, model expects {model_cfg.embedding_dim}"
@@ -259,15 +237,15 @@ def _check_train_inputs(
         raise ValueError(
             f"config mismatch: embedding matrix covers {emb.vocab_size} words, vocabulary has {len(vocab)}"
         )
-    classes = classes_for(model_cfg.num_classes)
-    for side_name, side in (("train", data.train), ("test", data.test)):
-        for ex in side:
-            if ex.label not in classes:
-                raise ValueError(
-                    f"config mismatch: {side_name} example {ex.id!r} has label {ex.label!r}, "
-                    f"task classes are {list(classes)}"
-                )
-    return classes
+    num_classes = model_cfg.num_classes
+    for side_name, side, labels in (("train", data.train, data.train_labels), ("test", data.test, data.test_labels)):
+        bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(
+                f"config mismatch: {side_name} example {side[i].id!r} has label {labels[i]}, "
+                f"task classes are 0..{num_classes - 1}: {list(classes_for(num_classes))}"
+            )
 
 
 def train(
@@ -285,15 +263,13 @@ def train(
 
     Raises TrainingDivergedError naming the epoch and batch whose loss or
     gradient is not finite."""
-    classes = _check_train_inputs(data, emb, vocab, model_cfg)
-    class_index = {c: i for i, c in enumerate(classes)}
+    _check_train_inputs(data, emb, vocab, model_cfg)
 
     # every example's embedding-row ids; the kernel gathers a batch's rows by id
     ids, starts, lengths = token_ids(vocab, [ex.tokens for ex in data.train])
     if not lengths.all():
         ex = data.train[int(np.argmin(lengths))]
         raise ValueError(f"train example {ex.id!r} has no in-vocabulary tokens and cannot be embedded")
-    targets = np.array([class_index[ex.label] for ex in data.train])
 
     root = RngState(seed=train_cfg.seed)
     params = init_params(model_cfg, root.child(0))
@@ -322,7 +298,7 @@ def train(
                     params, model_cfg, emb.input_vectors, ids, starts[batch], lengths[batch], masks,
                     workspace=workspace,
                 )
-                y = targets[batch]
+                y = data.train_labels[batch]
                 batch_losses = cross_entropy(trace.probabilities, y)
                 if not np.isfinite(batch_losses.sum()):
                     raise TrainingDivergedError(
@@ -345,7 +321,7 @@ def train(
             epoch_accuracies.append(correct / n)
 
     del workspace  # free the training buffers before evaluation allocates its own
-    cm, metrics = evaluate(params, model_cfg, emb, vocab, data.test, classes=classes)
+    cm, metrics = evaluate(params, model_cfg, emb, vocab, data.test, data.test_labels)
     report = TrainReport(
         epoch_losses=epoch_losses,
         epoch_accuracies=epoch_accuracies,
@@ -435,10 +411,7 @@ def run_grid(
     For the binary task, neutral examples are dropped from both sides first.
     """
     if task == TASK_BINARY:
-        data = DatasetSplit(
-            train=tuple(binary_subset(data.train)),
-            test=tuple(binary_subset(data.test)),
-        )
+        data = DatasetSplit(*binary_subset(data.train, data.train_labels), *binary_subset(data.test, data.test_labels))
     num_classes = 2 if task == TASK_BINARY else 3
 
     rows: list[GridRow] = []

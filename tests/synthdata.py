@@ -14,8 +14,8 @@ import numpy as np
 
 from rnnsent.corpus import CleanTweet, Vocabulary
 from rnnsent.embedding import EmbeddingMatrix
+from rnnsent.evaluation import FINE_CLASSES
 from rnnsent.numeric import RngState
-from rnnsent.training import LabeledTweet
 
 CLASS_WORDS = {
     "positive": ("salamat", "masaya", "ligtas", "tulong", "mabuti", "pagasa"),
@@ -25,13 +25,14 @@ CLASS_WORDS = {
 FILLER_WORDS = ("bagyo", "yolanda", "tacloban", "leyte", "gamit", "tubig")
 
 
-def synthetic_labeled(n_per_class: int, seed: int) -> list[LabeledTweet]:
+def synthetic_labeled(n_per_class: int, seed: int) -> tuple[list[CleanTweet], np.ndarray]:
     """Class-indicative tweets: 4-6 class keywords plus 2-3 shared fillers,
-    timestamps cycling over Nov 2013 - Jan 2014."""
+    timestamps cycling over Nov 2013 - Jan 2014; and their labels, indices
+    into FINE_CLASSES (n_per_class of each, in class order)."""
     gen = RngState(seed=seed).generator()
-    out: list[LabeledTweet] = []
+    out: list[CleanTweet] = []
     i = 0
-    for label in ("positive", "negative", "neutral"):
+    for label in FINE_CLASSES:
         words = CLASS_WORDS[label]
         for _ in range(n_per_class):
             k = int(gen.integers(4, 7))
@@ -40,14 +41,13 @@ def synthetic_labeled(n_per_class: int, seed: int) -> list[LabeledTweet]:
             tokens = [tokens[j] for j in gen.permutation(len(tokens))]
             month = (11, 12, 1)[i % 3]
             ts = datetime(2014 if month == 1 else 2013, month, 1 + i % 28, 10, 0, tzinfo=timezone.utc)
-            out.append(LabeledTweet(CleanTweet(id=f"s{i:05d}", timestamp=ts, tokens=tuple(tokens)), label))
+            out.append(CleanTweet(id=f"s{i:05d}", timestamp=ts, tokens=tuple(tokens)))
             i += 1
-    return out
+    return out, np.repeat(np.arange(len(FINE_CLASSES)), n_per_class)
 
 
-def corpus_and_vocab(examples: list[LabeledTweet]) -> tuple[list[CleanTweet], Vocabulary]:
-    counts = Counter(t for ex in examples for t in ex.tweet.tokens)
-    return [ex.tweet for ex in examples], Vocabulary.from_counts(counts)
+def vocabulary_of(tweets: list[CleanTweet]) -> Vocabulary:
+    return Vocabulary.from_counts(Counter(t for tweet in tweets for t in tweet.tokens))
 
 
 def separable_embeddings(
@@ -98,22 +98,22 @@ def write_raw_corpus(
     examples exactly: noise (retweet marker, mentions, hashtag, url, emoji) is
     stripped by preprocessing and a unique low-frequency marker token defeats
     text-level deduplication without surviving the frequency filter."""
-    examples = synthetic_labeled(n_per_class, seed)
+    tweets, labels = synthetic_labeled(n_per_class, seed)
     raw_path = directory / "raw.jsonl"
     ann_path = directory / "annotations.csv"
     with raw_path.open("w", encoding="utf-8") as fh:
-        for i, ex in enumerate(examples):
+        for i, tweet in enumerate(tweets):
             text = (
-                f"RT @user{i % 9}: " + " ".join(ex.tweet.tokens)
+                f"RT @user{i % 9}: " + " ".join(tweet.tokens)
                 + f" marker{i} #tag{i} \U0001f64f http://t.co/x{i}"
             )
-            record = {"id": ex.tweet.id, "timestamp": ex.tweet.timestamp.isoformat(), "text": text}
+            record = {"id": tweet.id, "timestamp": tweet.timestamp.isoformat(), "text": text}
             fh.write(json.dumps(record) + "\n")
     with ann_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "label"])
-        for ex in examples:
-            writer.writerow([ex.tweet.id, ex.label])
+        for tweet, label in zip(tweets, labels):
+            writer.writerow([tweet.id, FINE_CLASSES[label]])
     return raw_path, ann_path
 
 

@@ -80,11 +80,11 @@ def _verdict(label, failures):
 def separable_world():
     """3,900 class-indicative tweets (1,300 per class), planted embeddings,
     80/20 stratified split. Shared by the generalization and grid criteria."""
-    labeled = synthdata.synthetic_labeled(1300, seed=41)
-    _, vocab = synthdata.corpus_and_vocab(labeled)
+    tweets, labels = synthdata.synthetic_labeled(1300, seed=41)
+    vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=41)
-    data = split(labeled, ratio=0.8, rng=RngState(seed=41).child(11))
-    return labeled, vocab, emb, data
+    data = split(tweets, labels, ratio=0.8, rng=RngState(seed=41).child(11))
+    return (tweets, labels), vocab, emb, data
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +150,10 @@ def test_criterion_02_truncation_equivalence():
 def test_criterion_03_overfit_oracle():
     failures = []
     started = time.perf_counter()
-    labeled = synthdata.synthetic_labeled(12, seed=40)
-    _, vocab = synthdata.corpus_and_vocab(labeled)
+    tweets, labels = synthdata.synthetic_labeled(12, seed=40)
+    vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=40)
-    data = split(labeled, ratio=5 / 6, rng=RngState(seed=40).child(11))
+    data = split(tweets, labels, ratio=5 / 6, rng=RngState(seed=40).child(11))
     _check(failures, len(data.train) == 30, f"expected 30 training examples, got {len(data.train)}")
 
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=16)
@@ -181,14 +181,14 @@ def test_criterion_03_overfit_oracle():
 def test_criterion_04_separable_generalization(separable_world):
     failures = []
     started = time.perf_counter()
-    labeled, vocab, emb, data = separable_world
+    (tweets, labels), vocab, emb, data = separable_world
 
-    for cls in FINE_CLASSES:
-        n = sum(ex.label == cls for ex in labeled)
+    for j, cls in enumerate(FINE_CLASSES):
+        n = int(np.sum(labels == j))
         _check(failures, n == 1300, f"{cls}: {n} examples, expected 1300")
     _check(failures, (len(data.train), len(data.test)) == (3120, 780), "80/20 split sizes wrong")
-    for cls in FINE_CLASSES:
-        n = sum(ex.label == cls for ex in data.train)
+    for j, cls in enumerate(FINE_CLASSES):
+        n = int(np.sum(data.train_labels == j))
         _check(failures, n == 1040, f"stratified split broke balance for {cls}: {n}")
 
     fine_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=64, dropout_rate=0.5)
@@ -197,7 +197,7 @@ def test_criterion_04_separable_generalization(separable_world):
     acc = fine_report.test_metrics.accuracy
     _check(failures, acc >= 0.95, f"fine-grained test accuracy {acc:.4f} < 0.95")
 
-    bin_data = split(binary_subset(labeled), ratio=0.8, rng=RngState(seed=41).child(12))
+    bin_data = split(*binary_subset(tweets, labels), ratio=0.8, rng=RngState(seed=41).child(12))
     bin_cfg = ModelConfig(
         embedding_dim=emb.dim,
         hidden_size=64,
@@ -267,7 +267,7 @@ def _recount(golds, preds, classes):
     n = len(golds)
     acc = sum(g == p for g, p in zip(golds, preds)) / n
     f1s = []
-    for c in classes:
+    for c in range(len(classes)):
         tp = sum(g == c and p == c for g, p in zip(golds, preds))
         pred_c = sum(p == c for p in preds)
         gold_c = sum(g == c for g in golds)
@@ -283,8 +283,8 @@ def test_criterion_06_metric_oracles():
     for trial in range(100):
         classes = FINE_CLASSES if gen.integers(2) else BINARY_CLASSES
         n = int(gen.integers(1, 50))
-        golds = [classes[i] for i in gen.integers(len(classes), size=n)]
-        preds = [classes[i] for i in gen.integers(len(classes), size=n)]
+        golds = gen.integers(len(classes), size=n).tolist()
+        preds = gen.integers(len(classes), size=n).tolist()
         cm = confusion_matrix(golds, preds, classes)
         want_acc, want_f1s, want_macro = _recount(golds, preds, classes)
         got_f1s, got_macro = f1_scores(cm)

@@ -49,8 +49,8 @@ def _classified(spec):
 
 
 def _model_world():
-    examples = synthdata.synthetic_labeled(4, seed=80)
-    corpus, vocab = synthdata.corpus_and_vocab(examples)
+    corpus, _ = synthdata.synthetic_labeled(4, seed=80)
+    vocab = synthdata.vocabulary_of(corpus)
     emb = synthdata.separable_embeddings(vocab, seed=80)
     cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=4)
     params = {n: np.zeros(s) for n, s in param_shapes(cfg).items()}

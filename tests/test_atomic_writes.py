@@ -20,12 +20,12 @@ PREVIOUS = "previous contents\n"
 
 @pytest.fixture(scope="module")
 def world():
-    examples = synthdata.synthetic_labeled(2, seed=7)
-    corpus, vocab = synthdata.corpus_and_vocab(examples)
+    corpus, golds = synthdata.synthetic_labeled(2, seed=7)
+    vocab = synthdata.vocabulary_of(corpus)
     emb = synthdata.separable_embeddings(vocab, seed=7)
     cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=3)
     params = init_params(cfg, RngState(seed=7))
-    cm, metrics = evaluate(params, cfg, emb, vocab, examples)
+    cm, metrics = evaluate(params, cfg, emb, vocab, corpus, golds)
     labels, confidences, oov = classify_corpus(params, cfg, emb, vocab, corpus)
     return {
         "corpus": corpus,

@@ -72,9 +72,9 @@ def test_preprocess_stopwords_file_replaces_default_list(pipeline, tmp_path):
 
 def test_preprocess_cleans_planted_noise(pipeline):
     clean = load_clean_corpus(pipeline["pre"] / "corpus.jsonl")
-    examples = synthdata.synthetic_labeled(12, 90)
-    assert [t.id for t in clean] == [ex.tweet.id for ex in examples]
-    assert [t.tokens for t in clean] == [ex.tweet.tokens for ex in examples]
+    tweets, _ = synthdata.synthetic_labeled(12, 90)
+    assert [t.id for t in clean] == [t.id for t in tweets]
+    assert [t.tokens for t in clean] == [t.tokens for t in tweets]
 
 
 def test_preprocess_rejects_min_freq_zero(tmp_path, capsys):
@@ -366,6 +366,39 @@ def test_eval_outputs_metrics(pipeline, tmp_path, capsys):
     assert rc == 0
     assert (out / "metrics.json").read_bytes() == (tmp_path / "scores2" / "metrics.json").read_bytes()
     assert (out / "confusion.csv").read_bytes() == (tmp_path / "scores2" / "confusion.csv").read_bytes()
+
+
+def test_eval_binary_model_drops_neutral_annotations(pipeline, tmp_path, capsys):
+    pre, ann, emb = pipeline["pre"], pipeline["ann"], pipeline["emb"]
+    assert main([
+        "train", "--corpus", str(pre / "corpus.jsonl"), "--annotations", str(ann),
+        "--embeddings", str(emb), "--hidden", "4", "--epochs", "1", "--seed", "4",
+        "--task", "binary", "--output", str(tmp_path / "fit"),
+    ]) == 0
+    capsys.readouterr()
+    out = tmp_path / "scores"
+    assert main([
+        "eval", "--model", str(tmp_path / "fit" / "model.txt"), "--corpus", str(pre / "corpus.jsonl"),
+        "--annotations", str(ann), "--embeddings", str(emb), "--output", str(out),
+    ]) == 0
+    assert "warning: dropping 12 examples with labels outside ['positive', 'negative']" in capsys.readouterr().err
+    assert json.loads((out / "metrics.json").read_text())["total"] == 24
+    assert (out / "confusion.csv").read_text().splitlines()[0] == "gold,positive,negative"
+
+
+def test_train_annotated_tweet_without_tokens_is_usage_error_naming_the_line(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    empty = '{"id": "t9", "timestamp": "2013-11-09T08:00:00+00:00", "tokens": []}\n'
+    corpus.write_text((pipeline["pre"] / "corpus.jsonl").read_text(encoding="utf-8") + empty, encoding="utf-8")
+    ann = tmp_path / "annotations.csv"
+    head = "".join(pipeline["ann"].read_text(encoding="utf-8").splitlines(keepends=True)[:3])
+    ann.write_text(head + "t9,negative\n", encoding="utf-8")
+    rc = main([
+        "train", "--corpus", str(corpus), "--annotations", str(ann), "--embeddings", str(pipeline["emb"]),
+        "--epochs", "1", "--output", str(tmp_path / "fit"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {ann}:4: tweet 't9' has no tokens\n"
 
 
 def test_eval_dimension_mismatch_is_usage_error(pipeline, tmp_path, capsys):

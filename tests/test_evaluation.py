@@ -1,11 +1,12 @@
 import csv
 import json
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 import synthdata
-from rnnsent.corpus import Vocabulary
+from rnnsent.corpus import CleanTweet, Vocabulary
 from rnnsent.embedding import EmbeddingMatrix
 from rnnsent.evaluation import (
     BINARY_CLASSES,
@@ -27,6 +28,7 @@ from rnnsent.model import ModelConfig, param_shapes
 from rnnsent.numeric import RngState
 
 POS_NEG = ("positive", "negative")
+POS, NEG, NEU = range(3)  # label indices into FINE_CLASSES
 
 
 def _cm(counts, classes=POS_NEG):
@@ -46,19 +48,19 @@ def test_classes_for():
 
 
 def test_confusion_matrix_diagonal_and_antidiagonal():
-    golds = ["positive", "negative"]
+    golds = [POS, NEG]
     assert confusion_matrix(golds, golds, POS_NEG).counts == ((1, 0), (0, 1))
     assert confusion_matrix(golds, golds[::-1], POS_NEG).counts == ((0, 1), (1, 0))
 
 
 def test_confusion_matrix_hand_tally():
     pairs = [
-        ("positive", "positive"),
-        ("positive", "negative"),
-        ("negative", "negative"),
-        ("negative", "negative"),
-        ("neutral", "positive"),
-        ("neutral", "neutral"),
+        (POS, POS),
+        (POS, NEG),
+        (NEG, NEG),
+        (NEG, NEG),
+        (NEU, POS),
+        (NEU, NEU),
     ]
     cm = confusion_matrix([g for g, _ in pairs], [p for _, p in pairs], FINE_CLASSES)
     assert cm.counts == ((1, 1, 0), (0, 2, 0), (1, 0, 1))
@@ -67,11 +69,13 @@ def test_confusion_matrix_hand_tally():
 
 def test_confusion_matrix_errors():
     with pytest.raises(ValueError, match="length mismatch"):
-        confusion_matrix(["positive"], [], POS_NEG)
+        confusion_matrix([POS], [], POS_NEG)
     with pytest.raises(ValueError, match="unknown gold"):
-        confusion_matrix(["meh"], ["positive"], POS_NEG)
+        confusion_matrix([NEU], [POS], POS_NEG)
+    with pytest.raises(ValueError, match="unknown gold"):
+        confusion_matrix([-1], [POS], POS_NEG)
     with pytest.raises(ValueError, match="unknown predicted"):
-        confusion_matrix(["positive"], ["meh"], POS_NEG)
+        confusion_matrix([POS], [NEU], POS_NEG)
 
 
 def test_confusion_matrix_type_validation():
@@ -102,8 +106,8 @@ def test_accuracy_empty_matrix_rejected():
 
 def test_accuracy_random_coin_flip_near_half():
     gen = RngState(seed=21).generator()
-    golds = ["positive"] * 5000 + ["negative"] * 5000
-    preds = [POS_NEG[i] for i in gen.integers(2, size=10000)]
+    golds = [POS] * 5000 + [NEG] * 5000
+    preds = gen.integers(2, size=10000).tolist()
     acc = accuracy(confusion_matrix(golds, preds, POS_NEG))
     assert 0.48 <= acc <= 0.52
 
@@ -143,7 +147,7 @@ def _recount(golds, preds, classes):
     n = len(golds)
     acc = sum(g == p for g, p in zip(golds, preds)) / n
     f1s = []
-    for c in classes:
+    for c in range(len(classes)):
         tp = sum(g == c and p == c for g, p in zip(golds, preds))
         pred_c = sum(p == c for p in preds)
         gold_c = sum(g == c for g in golds)
@@ -158,8 +162,8 @@ def test_metrics_match_brute_force_recount_exactly():
     for _ in range(100):
         classes = FINE_CLASSES if gen.integers(2) else POS_NEG
         n = int(gen.integers(1, 50))
-        golds = [classes[i] for i in gen.integers(len(classes), size=n)]
-        preds = [classes[i] for i in gen.integers(len(classes), size=n)]
+        golds = gen.integers(len(classes), size=n).tolist()
+        preds = gen.integers(len(classes), size=n).tolist()
         cm = confusion_matrix(golds, preds, classes)
         want_acc, want_f1s, want_macro = _recount(golds, preds, classes)
         got_f1s, got_macro = f1_scores(cm)
@@ -192,9 +196,9 @@ def test_false_negative_share_hand_values():
     assert false_negative_share(_cm([[8, 0], [0, 10]])) == 0.0
 
 
-def test_false_negative_share_unknown_label():
-    with pytest.raises(ValueError, match="unknown label"):
-        false_negative_share(_cm([[1, 0], [0, 1]]), negative_label="meh")
+def test_false_negative_share_needs_a_negative_class():
+    with pytest.raises(ValueError, match="no 'negative' class"):
+        false_negative_share(_cm([[1, 0], [0, 1]], ("yes", "no")))
 
 
 def test_false_negative_share_bounded_by_error_rate():
@@ -210,8 +214,8 @@ def test_false_negative_share_bounded_by_error_rate():
 def test_matrix_total_is_example_count():
     gen = RngState(seed=25).generator()
     n = 37
-    golds = [FINE_CLASSES[i] for i in gen.integers(3, size=n)]
-    preds = [FINE_CLASSES[i] for i in gen.integers(3, size=n)]
+    golds = gen.integers(3, size=n).tolist()
+    preds = gen.integers(3, size=n).tolist()
     assert confusion_matrix(golds, preds, FINE_CLASSES).total == n
 
 
@@ -221,11 +225,11 @@ def test_matrix_total_is_example_count():
 
 
 def _world(num_classes=3, hidden=8, seed=30):
-    examples = synthdata.synthetic_labeled(6, seed=seed)
-    corpus, vocab = synthdata.corpus_and_vocab(examples)
+    tweets, golds = synthdata.synthetic_labeled(6, seed=seed)
+    vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=seed)
     cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=hidden, num_classes=num_classes)
-    return examples, vocab, emb, cfg
+    return (tweets, golds), vocab, emb, cfg
 
 
 def _zero_params(cfg):
@@ -233,12 +237,12 @@ def _zero_params(cfg):
 
 
 def test_evaluate_zero_weight_model_predicts_class_zero():
-    examples, vocab, emb, cfg = _world()
-    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, examples)
+    (tweets, golds), vocab, emb, cfg = _world()
+    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, tweets, golds)
     # every prediction lands in column 0 ("positive") by tie-break
     arr = cm.as_array()
-    assert arr[:, 0].sum() == len(examples)
-    share_class0 = sum(1 for e in examples if e.label == "positive") / len(examples)
+    assert arr[:, 0].sum() == len(tweets)
+    share_class0 = sum(1 for g in golds if g == POS) / len(tweets)
     assert metrics.accuracy == share_class0 == 1 / 3
 
 
@@ -246,53 +250,71 @@ def test_evaluate_overfit_training_set():
     from rnnsent.model import backward_full, forward, init_params, token_ids
     from rnnsent.numeric import sgd_step
 
-    examples, vocab, emb, cfg = _world(hidden=12)
+    (tweets, golds), vocab, emb, cfg = _world(hidden=12)
     params = init_params(cfg, RngState(seed=31))
-    ids, starts, lengths = token_ids(vocab, [e.tokens for e in examples])
+    ids, starts, lengths = token_ids(vocab, [t.tokens for t in tweets])
     seqs = [list(emb.input_vectors[ids[s : s + n]]) for s, n in zip(starts, lengths)]
-    targets = [FINE_CLASSES.index(e.label) for e in examples]
+    targets = golds.tolist()
     for _ in range(150):
         for seq, y in zip(seqs, targets):
             trace = forward(params, cfg, seq)
             grads = backward_full(params, cfg, trace, seq, y)
             params = sgd_step(params, grads, 0.1)
-    _, metrics = evaluate(params, cfg, emb, vocab, examples)
+    _, metrics = evaluate(params, cfg, emb, vocab, tweets, golds)
     assert metrics.accuracy >= 0.99
     assert metrics.oov_examples == 0
 
 
 def test_evaluate_metrics_are_function_of_matrix():
-    examples, vocab, emb, cfg = _world()
-    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, examples)
+    (tweets, golds), vocab, emb, cfg = _world()
+    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, tweets, golds)
     assert metrics_from_confusion(cm, oov_examples=metrics.oov_examples) == metrics
 
 
+def _tweet(i, *tokens):
+    return CleanTweet(id=f"x{i}", timestamp=datetime(2013, 11, 9, tzinfo=timezone.utc), tokens=tokens)
+
+
 def test_evaluate_oov_examples_counted_as_errors():
-    examples, vocab, emb, cfg = _world()
-    with_oov = list(examples) + [(("unseenzzz",), "positive"), (("ghostqqq",), "negative")]
-    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, with_oov)
-    assert metrics.oov_examples == 2
-    assert cm.total == len(with_oov)
-    arr = cm.as_array()
-    # the OOV positive example is charged to the first non-gold class
-    assert arr[0, 1] >= 1
-    # accuracy still matches the matrix
-    assert metrics.accuracy == np.trace(arr) / arr.sum()
+    for num_classes in (3, 2):
+        (tweets, golds), vocab, emb, cfg = _world(num_classes=num_classes)
+        keep = golds < num_classes
+        tweets, golds = [t for t, k in zip(tweets, keep) if k], golds[keep]
+        # zero weights predict class 0 for every in-vocabulary tweet
+        scored = confusion_matrix(golds, [POS] * len(golds), classes_for(num_classes)).as_array()
+        ghosts = [POS, NEG, NEU][:num_classes]
+        with_oov = tweets + [_tweet(i, "unseenzzz", "ghostqqq") for i in range(len(ghosts))]
+        cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, with_oov, [*golds, *ghosts])
+        assert metrics.oov_examples == len(ghosts)
+        assert cm.total == len(with_oov)
+        arr = cm.as_array()
+        # an OOV example is charged to the first non-gold class: gold positive to the
+        # negative column, gold negative and gold neutral to the positive column
+        charged = np.zeros_like(arr)
+        charged[POS, NEG] = 1
+        charged[NEG, POS] = 1
+        if num_classes == 3:
+            charged[NEU, POS] = 1
+        assert np.array_equal(arr - scored, charged), num_classes
+        # accuracy still matches the matrix
+        assert metrics.accuracy == np.trace(arr) / arr.sum()
 
 
-def test_evaluate_accepts_token_label_pairs():
+def test_evaluate_scores_hand_built_tweets():
     _, vocab, emb, cfg = _world()
-    pairs = [(("salamat", "masaya"), "positive"), (("wasak",), "negative")]
-    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, pairs)
+    tweets = [_tweet(0, "salamat", "masaya"), _tweet(1, "wasak")]
+    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, tweets, [POS, NEG])
     assert cm.total == 2
 
 
 def test_evaluate_rejects_empty_and_unknown_gold():
     _, vocab, emb, cfg = _world()
     with pytest.raises(ValueError, match="empty"):
-        evaluate(_zero_params(cfg), cfg, emb, vocab, [])
+        evaluate(_zero_params(cfg), cfg, emb, vocab, [], [])
     with pytest.raises(ValueError, match="gold label"):
-        evaluate(_zero_params(cfg), cfg, emb, vocab, [(("salamat",), "meh")])
+        evaluate(_zero_params(cfg), cfg, emb, vocab, [_tweet(0, "salamat")], [3])
+    with pytest.raises(ValueError, match="length mismatch"):
+        evaluate(_zero_params(cfg), cfg, emb, vocab, [_tweet(0, "salamat")], [POS, NEG])
 
 
 # ---------------------------------------------------------------------------

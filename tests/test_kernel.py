@@ -268,7 +268,7 @@ def test_predict_many_keeps_caller_order():
     data, emb, vocab = _run_world(seed=75)
     config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=BIDIRECTIONAL)
     params = init_params(config, RngState(seed=76))
-    tweets = [ex.tweet for ex in data.train + data.test]
+    tweets = data.train + data.test
     gen = RngState(seed=77).generator()
     token_lists = []
     for i in range(INFER_CHUNK + 40):
@@ -294,7 +294,7 @@ def test_predict_many_skips_oov_tokens_inside_tweets(direction):
     data, emb, vocab = _run_world(seed=78)
     config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=direction)
     params = init_params(config, RngState(seed=79))
-    tweets = [ex.tweet for ex in data.train + data.test]
+    tweets = data.train + data.test
     gen = RngState(seed=80).generator()
     token_lists = []
     for i in range(INFER_CHUNK + 20):
@@ -354,10 +354,10 @@ def test_single_sequence_api_matches_oracle(direction):
 
 
 def _run_world(seed=70):
-    labeled = synthdata.synthetic_labeled(10, seed=seed)
-    _, vocab = synthdata.corpus_and_vocab(labeled)
+    tweets, labels = synthdata.synthetic_labeled(10, seed=seed)
+    vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=seed)
-    return split(labeled, ratio=0.8, rng=RngState(seed=seed)), emb, vocab
+    return split(tweets, labels, ratio=0.8, rng=RngState(seed=seed)), emb, vocab
 
 
 @pytest.mark.parametrize(
@@ -376,7 +376,7 @@ def test_train_matches_per_example_trainer(direction, bptt_mode, k):
     train_cfg = TrainConfig(batch_size=7, learning_rate=0.1, epochs=3, seed=5)
     params, report = train(data, emb, vocab, model_cfg, train_cfg)
 
-    targets = [FINE_CLASSES.index(ex.label) for ex in data.train]
+    targets = data.train_labels.tolist()
     expected, losses = oracle.train(sequences, targets, model_cfg, train_cfg)
     assert len(report.epoch_losses) == len(losses) == 3
     for got, want in zip(report.epoch_losses, losses):
@@ -454,7 +454,7 @@ def _inference_world(direction):
     data, emb, vocab = _run_world(seed=71)
     config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=direction)
     params = init_params(config, RngState(seed=72))
-    tweets = [ex.tweet for ex in data.train + data.test]
+    tweets = data.train + data.test
     gen = RngState(seed=73).generator()
     corpus = []
     for i in range(2 * INFER_CHUNK + 9):
@@ -496,20 +496,21 @@ def test_classify_corpus_matches_per_tweet_predict(direction):
 @pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])
 def test_evaluate_matches_per_tweet_predict(direction):
     params, config, emb, vocab, corpus = _inference_world(direction)
-    golds = [FINE_CLASSES[i % 3] for i in range(len(corpus))]
-    cm, metrics = evaluate(params, config, emb, vocab, [(t.tokens, g) for t, g in zip(corpus, golds)])
+    golds = [i % 3 for i in range(len(corpus))]
+    cm, metrics = evaluate(params, config, emb, vocab, corpus, golds)
     counts = np.zeros((3, 3), dtype=np.int64)
     for tweet, gold in zip(corpus, golds):
         single = _predict_one(params, config, emb, vocab, tweet.tokens)
-        pred = FINE_CLASSES[single[0]] if single else next(c for c in FINE_CLASSES if c != gold)
-        counts[FINE_CLASSES.index(gold), FINE_CLASSES.index(pred)] += 1
+        pred = single[0] if single else next(c for c in range(3) if c != gold)
+        counts[gold, pred] += 1
     assert np.array_equal(cm.as_array(), counts)
     assert metrics.oov_examples == 3
 
 
 def test_evaluate_all_oov_chunk():
-    params, config, emb, vocab, _ = _inference_world(STANDARD)
-    cm, metrics = evaluate(params, config, emb, vocab, [(("zzzz",), "negative")] * (INFER_CHUNK + 1))
+    params, config, emb, vocab, corpus = _inference_world(STANDARD)
+    ghost = CleanTweet(id="ghost", timestamp=corpus[0].timestamp, tokens=("zzzz",))
+    cm, metrics = evaluate(params, config, emb, vocab, [ghost] * (INFER_CHUNK + 1), [1] * (INFER_CHUNK + 1))
     assert metrics.oov_examples == INFER_CHUNK + 1
     assert metrics.accuracy == 0.0
 

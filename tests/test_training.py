@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import synthdata
 from rnnsent.corpus import CleanTweet
-from rnnsent.evaluation import evaluate
+from rnnsent.evaluation import FINE_CLASSES, evaluate
 from rnnsent.model import ModelConfig, init_params
 from rnnsent.numeric import RngState
 from rnnsent.training import (
@@ -19,7 +19,6 @@ from rnnsent.training import (
     DatasetSplit,
     GridResult,
     GridRow,
-    LabeledTweet,
     TrainConfig,
     balance_classes,
     binary_subset,
@@ -34,18 +33,18 @@ from rnnsent.training import (
 TS = datetime(2013, 11, 9, tzinfo=timezone.utc)
 
 
-def _lt(i, label, tokens=("tok",)):
-    return LabeledTweet(CleanTweet(id=f"t{i}", timestamp=TS, tokens=tuple(tokens)), label)
+def _tweet(i, tokens=("tok",)):
+    return CleanTweet(id=f"t{i}", timestamp=TS, tokens=tuple(tokens))
 
 
 def _many(counts):
-    out = []
-    i = 0
-    for label, n in counts.items():
-        for _ in range(n):
-            out.append(_lt(i, label))
-            i += 1
-    return out
+    """(tweets, labels) with counts[name] examples of each class, in dict order."""
+    labels = np.array([FINE_CLASSES.index(name) for name, n in counts.items() for _ in range(n)], dtype=np.int64)
+    return [_tweet(i) for i in range(len(labels))], labels
+
+
+def _count(labels, name):
+    return int(np.sum(labels == FINE_CLASSES.index(name)))
 
 
 # ---------------------------------------------------------------------------
@@ -53,22 +52,16 @@ def _many(counts):
 # ---------------------------------------------------------------------------
 
 
-def test_labeled_tweet_validation():
-    with pytest.raises(ValueError, match="unknown label"):
-        _lt(0, "angry")
-    with pytest.raises(ValueError, match="no tokens"):
-        LabeledTweet(CleanTweet(id="t0", timestamp=TS, tokens=()), "positive")
-    ex = _lt(1, "positive", ("aa", "bb"))
-    assert ex.tokens == ("aa", "bb") and ex.id == "t1"
-
-
 def test_dataset_split_validation():
-    a, b = _lt(0, "positive"), _lt(1, "negative")
+    a, b = _tweet(0), _tweet(1)
+    one, two = np.array([0]), np.array([1, 0])
     with pytest.raises(ValueError, match="nonempty"):
-        DatasetSplit(train=(), test=(a,))
+        DatasetSplit(train=(), train_labels=one[:0], test=(a,), test_labels=one)
     with pytest.raises(ValueError, match="leakage"):
-        DatasetSplit(train=(a,), test=(a, b))
-    DatasetSplit(train=(a,), test=(b,))
+        DatasetSplit(train=(a,), train_labels=one, test=(a, b), test_labels=two)
+    with pytest.raises(ValueError, match="one label per tweet"):
+        DatasetSplit(train=(a,), train_labels=two, test=(b,), test_labels=one)
+    DatasetSplit(train=(a,), train_labels=one, test=(b,), test_labels=one)
 
 
 def test_train_config_validation():
@@ -93,12 +86,13 @@ def _corpus(n=4):
 def test_load_annotations_joins_by_id(tmp_path):
     path = tmp_path / "ann.csv"
     path.write_text("id,label\nt0,positive\nt2,neutral\nt1,negative\n")
-    labeled = load_annotations(path, _corpus())
-    assert [(x.id, x.label) for x in labeled] == [
+    tweets, labels = load_annotations(path, _corpus())
+    assert [(t.id, FINE_CLASSES[label]) for t, label in zip(tweets, labels)] == [
         ("t0", "positive"),
         ("t2", "neutral"),
         ("t1", "negative"),
     ]
+    assert labels.dtype == np.int64
 
 
 def test_load_annotations_unknown_label(tmp_path):
@@ -120,6 +114,15 @@ def test_load_annotations_duplicate_id(tmp_path):
     path.write_text("id,label\nt0,positive\nt0,negative\n")
     with pytest.raises(ValueError, match="more than once"):
         load_annotations(path, _corpus())
+
+
+def test_load_annotations_tweet_without_tokens_names_file_and_line(tmp_path):
+    path = tmp_path / "ann.csv"
+    path.write_text("id,label\nt0,positive\nt9,negative\n")
+    corpus = _corpus() + [CleanTweet(id="t9", timestamp=TS, tokens=())]
+    with pytest.raises(ValueError) as exc:
+        load_annotations(path, corpus)
+    assert str(exc.value) == f"{path}:3: tweet 't9' has no tokens"
 
 
 def test_load_annotations_requires_header(tmp_path):
@@ -161,21 +164,21 @@ def test_load_annotations_arbitrary_bytes_fail_typed_naming_the_file(tmp_path_fa
 
 
 def test_balance_classes_exact_counts_and_order():
-    data = _many({"positive": 5, "negative": 5, "neutral": 5})
-    balanced = balance_classes(data, 2, RngState(seed=40))
+    tweets, labels = _many({"positive": 5, "negative": 5, "neutral": 5})
+    balanced, balanced_labels = balance_classes(tweets, labels, 2, RngState(seed=40))
     assert len(balanced) == 6
     for label in ("positive", "negative", "neutral"):
-        assert sum(1 for x in balanced if x.label == label) == 2
+        assert _count(balanced_labels, label) == 2
     ids = [x.id for x in balanced]
     assert ids == sorted(ids, key=lambda s: int(s[1:]))  # original corpus order
-    assert set(ids) <= {x.id for x in data}
+    assert set(ids) <= {x.id for x in tweets}
 
 
 def test_balance_classes_deterministic():
     data = _many({"positive": 30, "negative": 30, "neutral": 30})
-    a = balance_classes(data, 10, RngState(seed=41))
-    b = balance_classes(data, 10, RngState(seed=41))
-    c = balance_classes(data, 10, RngState(seed=42))
+    a, _ = balance_classes(*data, 10, RngState(seed=41))
+    b, _ = balance_classes(*data, 10, RngState(seed=41))
+    c, _ = balance_classes(*data, 10, RngState(seed=42))
     assert [x.id for x in a] == [x.id for x in b]
     assert [x.id for x in a] != [x.id for x in c]
 
@@ -183,23 +186,23 @@ def test_balance_classes_deterministic():
 def test_balance_classes_insufficient_names_class():
     data = _many({"positive": 10, "negative": 4, "neutral": 10})
     with pytest.raises(ValueError, match="negative"):
-        balance_classes(data, 10, RngState(seed=43))
+        balance_classes(*data, 10, RngState(seed=43))
 
 
 def test_balance_classes_binary_data():
     data = _many({"positive": 6, "negative": 6})
-    balanced = balance_classes(data, 3, RngState(seed=44))
+    balanced, balanced_labels = balance_classes(*data, 3, RngState(seed=44))
     assert len(balanced) == 6
-    assert all(x.label in ("positive", "negative") for x in balanced)
+    assert all(FINE_CLASSES[label] in ("positive", "negative") for label in balanced_labels)
 
 
 def test_binary_subset():
     data = _many({"positive": 10, "negative": 10, "neutral": 10})
-    sub = binary_subset(data)
+    sub, sub_labels = binary_subset(*data)
     assert len(sub) == 20
-    assert all(x.label != "neutral" for x in sub)
-    assert sum(1 for x in sub if x.label == "positive") == 10
-    assert binary_subset(_many({"neutral": 5})) == []
+    assert _count(sub_labels, "neutral") == 0
+    assert _count(sub_labels, "positive") == 10
+    assert binary_subset(*_many({"neutral": 5}))[0] == ()
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +212,17 @@ def test_binary_subset():
 
 def test_split_ten_at_eighty():
     data = _many({"positive": 10})
-    ds = split(data, ratio=0.8, rng=RngState(seed=50))
+    ds = split(*data, ratio=0.8, rng=RngState(seed=50))
     assert len(ds.train) == 8 and len(ds.test) == 2
 
 
 def test_split_paper_counts():
     data = _many({"positive": 1300, "negative": 1300, "neutral": 1300})
-    ds = split(data, ratio=0.8, rng=RngState(seed=51))
+    ds = split(*data, ratio=0.8, rng=RngState(seed=51))
     assert len(ds.train) == 3120 and len(ds.test) == 780
     for label in ("positive", "negative", "neutral"):
-        assert sum(1 for x in ds.train if x.label == label) == 1040
-        assert sum(1 for x in ds.test if x.label == label) == 260
+        assert _count(ds.train_labels, label) == 1040
+        assert _count(ds.test_labels, label) == 260
     assert {x.id for x in ds.train} & {x.id for x in ds.test} == set()
 
 
@@ -227,36 +230,36 @@ def test_split_stratified_formula_on_uneven_classes():
     gen = RngState(seed=52).generator()
     sizes = {label: int(gen.integers(5, 40)) for label in ("positive", "negative", "neutral")}
     data = _many(sizes)
-    ds = split(data, ratio=0.7, rng=RngState(seed=53))
+    ds = split(*data, ratio=0.7, rng=RngState(seed=53))
     for label, n in sizes.items():
         want_train = math.floor(0.7 * n)
-        assert sum(1 for x in ds.train if x.label == label) == want_train
-        assert sum(1 for x in ds.test if x.label == label) == n - want_train
+        assert _count(ds.train_labels, label) == want_train
+        assert _count(ds.test_labels, label) == n - want_train
 
 
 def test_split_deterministic_and_seed_sensitive():
     data = _many({"positive": 20, "negative": 20})
-    a = split(data, rng=RngState(seed=54))
-    b = split(data, rng=RngState(seed=54))
-    c = split(data, rng=RngState(seed=55))
+    a = split(*data, rng=RngState(seed=54))
+    b = split(*data, rng=RngState(seed=54))
+    c = split(*data, rng=RngState(seed=55))
     assert [x.id for x in a.train] == [x.id for x in b.train]
     assert [x.id for x in a.train] != [x.id for x in c.train]
 
 
 def test_split_global_mode():
     data = _many({"positive": 7, "negative": 3})
-    ds = split(data, ratio=0.8, rng=RngState(seed=56), stratified=False)
+    ds = split(*data, ratio=0.8, rng=RngState(seed=56), stratified=False)
     assert len(ds.train) == 8 and len(ds.test) == 2
 
 
 def test_split_errors():
-    data = _many({"positive": 10})
+    tweets, labels = _many({"positive": 10})
     with pytest.raises(ValueError, match="ratio"):
-        split(data, ratio=1.0)
+        split(tweets, labels, ratio=1.0, rng=RngState(seed=57))
     with pytest.raises(ValueError, match="at least 2"):
-        split(data[:1])
+        split(tweets[:1], labels[:1], rng=RngState(seed=57))
     with pytest.raises(ValueError, match="degenerate"):
-        split(_many({"positive": 10, "negative": 1}), ratio=0.8, rng=RngState(seed=57))
+        split(*_many({"positive": 10, "negative": 1}), ratio=0.8, rng=RngState(seed=57))
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +268,10 @@ def test_split_errors():
 
 
 def _training_world(n_per_class=3, seed=60, hidden=8):
-    examples = synthdata.synthetic_labeled(n_per_class, seed=seed)
-    _, vocab = synthdata.corpus_and_vocab(examples)
+    tweets, labels = synthdata.synthetic_labeled(n_per_class, seed=seed)
+    vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=seed)
-    ds = split(examples, ratio=2 / 3, rng=RngState(seed=seed))
+    ds = split(tweets, labels, ratio=2 / 3, rng=RngState(seed=seed))
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=hidden)
     return ds, emb, vocab, model_cfg
 
@@ -310,7 +313,7 @@ def test_train_overfits_and_loss_drops():
     assert report.epoch_losses[-1] < report.epoch_losses[0]
     assert report.epoch_accuracies[-1] >= 0.99
     # report's test metrics equal a fresh evaluation of the returned params
-    cm, metrics = evaluate(params, model_cfg, emb, vocab, ds.test)
+    cm, metrics = evaluate(params, model_cfg, emb, vocab, ds.test, ds.test_labels)
     assert metrics == report.test_metrics
     assert cm == report.test_confusion
 
@@ -345,18 +348,15 @@ def test_train_binary_task_rejects_neutral_examples():
     with pytest.raises(ValueError, match="config mismatch"):
         train(ds, emb, vocab, model_cfg, TrainConfig(epochs=1))
     # after dropping neutral it trains
-    binary = DatasetSplit(
-        train=tuple(binary_subset(ds.train)),
-        test=tuple(binary_subset(ds.test)),
-    )
+    binary = DatasetSplit(*binary_subset(ds.train, ds.train_labels), *binary_subset(ds.test, ds.test_labels))
     params, report = train(binary, emb, vocab, model_cfg, TrainConfig(epochs=1))
     assert report.test_confusion.classes == ("positive", "negative")
 
 
 def test_train_rejects_unembeddable_example():
     ds, emb, vocab, model_cfg = _training_world()
-    ghost = LabeledTweet(CleanTweet(id="ghost", timestamp=TS, tokens=("zzzz",)), "positive")
-    bad = DatasetSplit(train=ds.train + (ghost,), test=ds.test)
+    ghost = CleanTweet(id="ghost", timestamp=TS, tokens=("zzzz",))
+    bad = DatasetSplit(ds.train + (ghost,), np.append(ds.train_labels, 0), ds.test, ds.test_labels)
     with pytest.raises(ValueError, match="ghost"):
         train(bad, emb, vocab, model_cfg, TrainConfig(epochs=1))
 
@@ -391,10 +391,10 @@ def test_save_report(tmp_path):
 
 
 def _grid_world():
-    examples = synthdata.synthetic_labeled(6, seed=70)
-    _, vocab = synthdata.corpus_and_vocab(examples)
+    tweets, labels = synthdata.synthetic_labeled(6, seed=70)
+    vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=70)
-    ds = split(examples, ratio=2 / 3, rng=RngState(seed=70))
+    ds = split(tweets, labels, ratio=2 / 3, rng=RngState(seed=70))
     return ds, emb, vocab
 
 
