@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, _ensure_utc, _isoformat_all, _write_jsonl, atomic_writer
+from .corpus import CleanTweet, _ensure_utc, _isoformat_all, _write_jsonl, atomic_writer
 from .embedding import EmbeddingMatrix
 from .evaluation import FINE_CLASSES
 from .model import ModelConfig, predict_many
@@ -56,7 +56,6 @@ def classify_corpus(
     params: dict[str, FloatArray],
     model_cfg: ModelConfig,
     emb: EmbeddingMatrix,
-    vocab: Vocabulary,
     corpus: Sequence[CleanTweet],
 ) -> tuple[np.ndarray, FloatArray, np.ndarray]:
     """Predict every tweet: (labels, confidences, oov), three columns in
@@ -70,7 +69,7 @@ def classify_corpus(
     """
     if len(corpus) == 0:
         raise ValueError("cannot classify an empty corpus")
-    probabilities, known = predict_many(params, model_cfg, emb, vocab, [tweet.tokens for tweet in corpus])
+    probabilities, known = predict_many(params, model_cfg, emb, [tweet.tokens for tweet in corpus])
     # argmax takes the first maximum, so ties go to the lowest class index
     winners = probabilities.argmax(axis=1)
     labels = np.where(known, winners, FINE_CLASSES.index(NEUTRAL))

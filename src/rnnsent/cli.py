@@ -32,7 +32,6 @@ from .analysis import (
 )
 from .corpus import (
     PreprocessConfig,
-    Vocabulary,
     atomic_writer,
     default_stopwords,
     filter_by_collection_window,
@@ -47,7 +46,7 @@ from .corpus import (
 )
 from .embedding import (
     EmbeddingParams,
-    load_embeddings_with_tokens,
+    load_embeddings,
     nearest_neighbors,
     save_embeddings,
     train_embeddings,
@@ -60,6 +59,7 @@ from .model import (
     BPTT_TRUNCATED,
     STANDARD,
     ModelConfig,
+    check_embedding_dim,
     load_model,
     save_model,
 )
@@ -206,12 +206,6 @@ def _write_manifest(args: argparse.Namespace, started: float, results: dict | No
         fh.write("\n")
 
 
-def _load_embedding_bundle(path: Path):
-    """Embedding matrix plus the Vocabulary implied by its token order."""
-    emb, tokens = load_embeddings_with_tokens(path)
-    return emb, Vocabulary(tokens=tokens)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands. One listed in SUBCOMMANDS returns the figures that its manifest
 # records under "results", or None; it raises on failure.
@@ -264,7 +258,7 @@ def cmd_embed(args: argparse.Namespace) -> dict:
     except ValueError as exc:  # the vocabulary does not cover the corpus, or holds no counts
         raise ValueError(f"{args.vocab}: {exc}") from exc
     [output] = _outputs(args)
-    save_embeddings(emb, vocab, output)
+    save_embeddings(emb, output)
     losses = ", ".join(f"{loss:.4f}" for loss in emb.epoch_losses)
     print(f"trained {emb.vocab_size} x {emb.dim} embeddings; epoch losses: {losses}")
     return {"epoch_losses": emb.epoch_losses}
@@ -273,7 +267,7 @@ def cmd_embed(args: argparse.Namespace) -> dict:
 def _prepare_dataset(args: argparse.Namespace, task: str):
     """Shared by train and grid: load, join, optionally balance, then split."""
     clean = load_clean_corpus(args.corpus)
-    emb, vocab = _load_embedding_bundle(args.embeddings)
+    emb = load_embeddings(args.embeddings)
     tweets, labels = load_annotations(args.annotations, clean)
     if task == TASK_BINARY:
         tweets, labels = binary_subset(tweets, labels)
@@ -281,12 +275,24 @@ def _prepare_dataset(args: argparse.Namespace, task: str):
     if args.balance_per_class is not None:
         tweets, labels = balance_classes(tweets, labels, args.balance_per_class, root.child(10))
     data = split(tweets, labels, ratio=args.split_ratio, rng=root.child(11), stratified=args.split == "stratified")
-    return emb, vocab, data
+    return emb, data
+
+
+def _load_classifier(args: argparse.Namespace):
+    """Shared by eval and analyze: the model, and the embeddings it is run on,
+    whose dimension must be the model's input size."""
+    params, model_cfg = load_model(args.model)
+    emb = load_embeddings(args.embeddings)
+    try:
+        check_embedding_dim(emb, model_cfg)
+    except ValueError as exc:
+        raise ValueError(f"{args.embeddings} does not fit the model {args.model}: {exc}") from exc
+    return params, model_cfg, emb
 
 
 def cmd_train(args: argparse.Namespace) -> None:
     task = _TASKS[args.task]
-    emb, vocab, data = _prepare_dataset(args, task)
+    emb, data = _prepare_dataset(args, task)
     direction = _MODELS[args.model]
     if (direction, args.bptt) not in ((STANDARD, BPTT_TRUNCATED), (BIDIRECTIONAL, BPTT_FULL)):
         _warn(
@@ -310,7 +316,7 @@ def cmd_train(args: argparse.Namespace) -> None:
         epochs=args.epochs,
         seed=args.seed,
     )
-    params, report = train(data, emb, vocab, model_cfg, train_cfg)
+    params, report = train(data, emb, model_cfg, train_cfg)
 
     model_path, report_path = _outputs(args)
     save_model(params, model_cfg, model_path)
@@ -322,9 +328,8 @@ def cmd_train(args: argparse.Namespace) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
-    params, model_cfg = load_model(args.model)
+    params, model_cfg, emb = _load_classifier(args)
     clean = load_clean_corpus(args.corpus)
-    emb, vocab = _load_embedding_bundle(args.embeddings)
     tweets, labels = load_annotations(args.annotations, clean)
     # the model's classes are the first num_classes of FINE_CLASSES
     kept = labels < model_cfg.num_classes
@@ -333,7 +338,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
         _warn(f"dropping {dropped} examples with labels outside {list(classes_for(model_cfg.num_classes))}")
     if not kept.any():
         raise ValueError("no evaluable examples: every annotation is outside the model's classes")
-    cm, metrics = evaluate(params, model_cfg, emb, vocab, [t for t, k in zip(tweets, kept) if k], labels[kept])
+    cm, metrics = evaluate(params, model_cfg, emb, [t for t, k in zip(tweets, kept) if k], labels[kept])
 
     metrics_path, confusion_path = _outputs(args)
     save_metrics(metrics, metrics_path)
@@ -344,19 +349,18 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 def cmd_grid(args: argparse.Namespace) -> None:
     task = _TASKS[args.task]
-    emb, vocab, data = _prepare_dataset(args, task)
+    emb, data = _prepare_dataset(args, task)
     base_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
-    result = run_grid(data, emb, vocab, task, base_cfg, hidden_size=args.hidden)
+    result = run_grid(data, emb, task, base_cfg, hidden_size=args.hidden)
 
     save_grid(result, *_outputs(args))
     print(result.format_table(), end="")
 
 
 def cmd_analyze(args: argparse.Namespace) -> None:
-    params, model_cfg = load_model(args.model)
+    params, model_cfg, emb = _load_classifier(args)
     clean = load_clean_corpus(args.corpus)
-    emb, vocab = _load_embedding_bundle(args.embeddings)
-    labels, confidences, oov = classify_corpus(params, model_cfg, emb, vocab, clean)
+    labels, confidences, oov = classify_corpus(params, model_cfg, emb, clean)
     distribution = sentiment_distribution(labels)
     buckets = temporal_buckets(clean, labels, args.granularity)
 
@@ -369,12 +373,11 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
-    emb, tokens = load_embeddings_with_tokens(args.embeddings)
-    vocab = load_vocabulary(args.vocab)
-    if tokens != vocab.tokens:
+    emb = load_embeddings(args.embeddings)
+    if emb.vocab.tokens != load_vocabulary(args.vocab).tokens:
         raise ValueError("embedding file and vocabulary list different tokens or a different order")
     # every query is answered before anything prints, so a bad word leaves no partial output
-    answers = [(word, nearest_neighbors(emb, vocab, word, args.k)) for word in args.word]
+    answers = [(word, nearest_neighbors(emb, word, args.k)) for word in args.word]
     for number, (word, neighbors) in enumerate(answers):
         if len(answers) > 1:
             print(f"# {word}" if number == 0 else f"\n# {word}")

@@ -273,11 +273,9 @@ class Vocabulary:
 
     def __init__(self, tokens: Sequence[str], counts: Sequence[int] | None = None):
         self.tokens: tuple[str, ...] = tuple(tokens)
-        if counts is None:
-            counts = [0] * len(self.tokens)
-        if len(counts) != len(self.tokens):
+        self.counts: tuple[int, ...] = (0,) * len(self.tokens) if counts is None else tuple(map(int, counts))
+        if len(self.counts) != len(self.tokens):
             raise ValueError("tokens and counts must have equal length")
-        self.counts: tuple[int, ...] = tuple(int(c) for c in counts)
         self.token_to_index: dict[str, int] = {t: i for i, t in enumerate(self.tokens)}
         if len(self.token_to_index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
@@ -308,6 +306,21 @@ class Vocabulary:
 
     def count(self, token: str) -> int:
         return self.counts[self.token_to_index[token]]
+
+
+def token_ids(
+    vocab: Vocabulary, token_lists: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, starts, lengths) for N token lists: the vocabulary index of each
+    list's in-vocabulary tokens in order, OOV tokens skipped, so a list with
+    no such token has length 0; list i's ids are ids[starts[i] : starts[i] +
+    lengths[i]]."""
+    sizes = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    every = chain.from_iterable(token_lists)
+    ids = np.fromiter(map(vocab.token_to_index.get, every, repeat(-1)), dtype=np.int64, count=int(sizes.sum()))
+    known = ids >= 0
+    lengths = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[known], minlength=len(sizes))
+    return ids[known], np.cumsum(lengths) - lengths, lengths
 
 
 def _ensure_utc(dt: datetime) -> datetime:
@@ -764,6 +777,9 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
                 raise TweetFormatError(f"{path}: line {line_no}: negative count {count}")
             if index != len(tokens):
                 raise TweetFormatError(f"{path}: line {line_no}: index {index} out of order (expected {len(tokens)})")
+            # an embedding file separates a token from its values by whitespace
+            if token.split() != [token]:
+                raise TweetFormatError(f"{path}: line {line_no}: token {token!r} is empty or holds whitespace")
             tokens.append(token)
             counts.append(count)
     try:

@@ -8,13 +8,12 @@ uniform in [-0.5/dim, 0.5/dim], output vectors at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, atomic_writer, open_artifact, read_header, read_rows
+from .corpus import CleanTweet, Vocabulary, atomic_writer, open_artifact, read_header, read_rows, token_ids
 from .numeric import FloatArray, RngState
 
 EMBEDDING_MAGIC = "SGNS-EMB"
@@ -53,17 +52,21 @@ class EmbeddingParams:
 
 
 class EmbeddingMatrix:
-    """Input and output vector tables, one row per vocabulary index."""
+    """A vocabulary's input and output vector tables: row i is the vector of
+    the vocabulary's token i."""
 
-    def __init__(self, input_vectors: FloatArray, output_vectors: FloatArray | None = None):
+    def __init__(self, vocab: Vocabulary, input_vectors: FloatArray, output_vectors: FloatArray | None = None):
         input_vectors = np.asarray(input_vectors, dtype=np.float64)
         if input_vectors.ndim != 2:
             raise ValueError("input_vectors must be a 2-D array")
+        if len(vocab) != input_vectors.shape[0]:
+            raise ValueError(f"embedding has {input_vectors.shape[0]} rows but vocabulary has {len(vocab)}")
         if output_vectors is None:
             output_vectors = np.zeros_like(input_vectors)
         output_vectors = np.asarray(output_vectors, dtype=np.float64)
         if output_vectors.shape != input_vectors.shape:
             raise ValueError("input and output vector tables must share a shape")
+        self.vocab = vocab
         self.input_vectors = input_vectors
         self.output_vectors = output_vectors
         self.epoch_losses: list[float] = []
@@ -323,17 +326,18 @@ def train_embeddings(
 
     Each tweet is one update over all of its (center, context) pairs, every
     pair's gradient taken at the vectors as they stand at the start of that
-    tweet. Deterministic for a fixed (corpus, vocab, params, rng). The mean
-    negative-sampling loss per pair of each epoch, taken at each tweet's
-    starting vectors, is recorded on the returned matrix as ``epoch_losses``.
+    tweet. Deterministic for a fixed (corpus, vocab, params, rng). The
+    returned matrix carries `vocab`; the mean negative-sampling loss per pair
+    of each epoch, taken at each tweet's starting vectors, is recorded on it
+    as ``epoch_losses``.
 
     The tweets are planned PLAN_PAIRS pairs at a time (see _Planner), so the
     per-tweet loop does only the work that reads the vectors.
     """
-    sizes = [len(tweet.tokens) for tweet in corpus]
-    every = chain.from_iterable(tweet.tokens for tweet in corpus)
-    ids = np.fromiter(map(vocab.token_to_index.get, every, repeat(-1)), dtype=np.intp, count=sum(sizes))
-    if (ids < 0).any():
+    token_lists = [tweet.tokens for tweet in corpus]
+    ids, _, lengths = token_ids(vocab, token_lists)
+    # token_ids skips the tokens the vocabulary lacks
+    if len(ids) < sum(map(len, token_lists)):
         unknown = {t for tweet in corpus for t in tweet.tokens if t not in vocab}
         raise ValueError(f"corpus tokens missing from vocabulary: {sorted(unknown)[:5]}")
     if min(vocab.counts, default=0) < 0 or not any(vocab.counts):
@@ -342,12 +346,12 @@ def train_embeddings(
     gen = rng.generator()
     in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
     out_vecs = np.zeros_like(in_vecs)
-    emb = EmbeddingMatrix(in_vecs, out_vecs)
+    emb = EmbeddingMatrix(vocab, in_vecs, out_vecs)
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
 
     planner = _Planner(
         ids,
-        [0, *accumulate(sizes)],
+        [0, *np.cumsum(lengths).tolist()],
         noise_cdf,
         keep_prob,
         params.window,
@@ -385,22 +389,17 @@ def cosine_similarity(a: FloatArray, b: FloatArray) -> float:
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
-def nearest_neighbors(
-    emb: EmbeddingMatrix,
-    vocab: Vocabulary,
-    word: str,
-    k: int,
-) -> list[tuple[str, float]]:
-    """Top-k words by cosine similarity over input vectors, query excluded.
+def nearest_neighbors(emb: EmbeddingMatrix, word: str, k: int) -> list[tuple[str, float]]:
+    """Top-k words of the embedding's vocabulary by cosine similarity over
+    input vectors, query excluded.
 
     Descending similarity; exact ties broken by vocabulary index.
     """
+    vocab = emb.vocab
     if word not in vocab:
         raise UnknownWordError(f"word {word!r} is not in the vocabulary")
     if not 1 <= k < len(vocab):
         raise ValueError(f"k must be in [1, {len(vocab) - 1}], got {k}")
-    if emb.vocab_size != len(vocab):
-        raise ValueError(f"embedding has {emb.vocab_size} rows but vocabulary has {len(vocab)}")
 
     query_idx = vocab.index(word)
     q = emb.input_vectors[query_idx]
@@ -417,21 +416,20 @@ def nearest_neighbors(
     return [(vocab.token(int(i)), float(sims[i])) for i in order]
 
 
-def save_embeddings(emb: EmbeddingMatrix, vocab: Vocabulary, path: str | Path) -> None:
+def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     """Header "SGNS-EMB v1 <vocab> <dim>", then one "token v1 .. vd" line per
     token in vocabulary-index order; 9 significant digits per value. Written
     atomically (see corpus.atomic_writer)."""
-    if emb.vocab_size != len(vocab):
-        raise ValueError(f"embedding has {emb.vocab_size} rows but vocabulary has {len(vocab)}")
     with atomic_writer(path) as fh:
         fh.write(f"{EMBEDDING_MAGIC} {EMBEDDING_VERSION} {emb.vocab_size} {emb.dim}\n")
         template = "%s" + " %.9g" * emb.dim + "\n"
-        for token, row in zip(vocab.tokens, emb.input_vectors):
+        for token, row in zip(emb.vocab.tokens, emb.input_vectors):
             fh.write(template % (token, *row.tolist()))
 
 
-def load_embeddings_with_tokens(path: str | Path) -> tuple[EmbeddingMatrix, tuple[str, ...]]:
-    """Read an embedding file back; also returns the stored token order.
+def load_embeddings(path: str | Path) -> EmbeddingMatrix:
+    """Read an embedding file back, with a vocabulary of the stored tokens in
+    their stored order; it has no counts, which the file does not store.
 
     Only input vectors are stored, so the loaded matrix has zero output
     vectors (queries and classification use input vectors only).
@@ -454,4 +452,4 @@ def load_embeddings_with_tokens(path: str | Path) -> tuple[EmbeddingMatrix, tupl
         first: dict[str, int] = {}
         row, token = next((r, t) for r, t in enumerate(tokens) if first.setdefault(t, r) != r)
         raise EmbeddingFileError(f"{path}: corrupt file: row {row} repeats the token {token!r} of row {first[token]}")
-    return EmbeddingMatrix(vectors), tuple(tokens)
+    return EmbeddingMatrix(Vocabulary(tokens), vectors)

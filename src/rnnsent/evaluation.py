@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, atomic_writer
+from .corpus import atomic_writer
 from .embedding import EmbeddingMatrix
 from .model import ModelConfig, predict_many
 from .numeric import FloatArray
@@ -159,7 +159,6 @@ def evaluate(
     params: dict[str, FloatArray],
     model_cfg: ModelConfig,
     emb: EmbeddingMatrix,
-    vocab: Vocabulary,
     tweets: Sequence,
     golds: Sequence[int],
 ) -> tuple[ConfusionMatrix, Metrics]:
@@ -177,7 +176,7 @@ def evaluate(
     if len(golds) != len(tweets):
         raise ValueError(f"length mismatch: {len(tweets)} tweets vs {len(golds)} gold labels")
     golds = np.asarray(golds, dtype=np.int64)
-    probabilities, known = predict_many(params, model_cfg, emb, vocab, [tweet.tokens for tweet in tweets])
+    probabilities, known = predict_many(params, model_cfg, emb, [tweet.tokens for tweet in tweets])
     # argmax takes the first maximum, so ties go to the lowest class index
     preds = np.where(known, probabilities.argmax(axis=1), golds == 0)
     cm = confusion_matrix(golds, preds, classes_for(model_cfg.num_classes))

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, atomic_writer, open_artifact, read_header, read_rows
+from .corpus import atomic_writer, open_artifact, read_header, read_rows, token_ids
 from .embedding import EmbeddingMatrix
 from .numeric import FloatArray, RngState, dropout_mask, softmax
 
@@ -522,29 +521,21 @@ def backward_truncated(
     return _backward(params, config, trace, sequence, target_class, k=k)
 
 
-def token_ids(
-    vocab: Vocabulary, token_lists: Sequence[Sequence[str]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """forward_batch's (ids, starts, lengths) for N token lists: the
-    embedding-row ids of each list's in-vocabulary tokens in order, OOV
-    tokens skipped, so a list with no such token has length 0."""
-    sizes = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
-    every = chain.from_iterable(token_lists)
-    ids = np.fromiter(map(vocab.token_to_index.get, every, repeat(-1)), dtype=np.int64, count=int(sizes.sum()))
-    known = ids >= 0
-    lengths = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[known], minlength=len(sizes))
-    return ids[known], np.cumsum(lengths) - lengths, lengths
+def check_embedding_dim(emb: EmbeddingMatrix, config: ModelConfig) -> None:
+    """Raise ValueError unless the embedding's vectors have the model's input size."""
+    if emb.dim != config.embedding_dim:
+        raise ValueError(f"config mismatch: embeddings have dim {emb.dim}, model expects {config.embedding_dim}")
 
 
 def predict_many(
     params: dict[str, FloatArray],
     config: ModelConfig,
     emb: EmbeddingMatrix,
-    vocab: Vocabulary,
     token_lists: Sequence[Sequence[str]],
 ) -> tuple[FloatArray, np.ndarray]:
     """Class probabilities (N, C) of N token lists, and a boolean mask of the
-    lists with at least one in-vocabulary token (the other rows are 0).
+    lists with at least one token in the embedding's vocabulary (the other
+    rows are 0).
 
     The lists with such a token are run longest first, INFER_CHUNK at a time,
     so each chunk holds lists of similar length; the kernel gathers their
@@ -553,10 +544,8 @@ def predict_many(
     scattered back to the caller's order.
     """
     _check_params(params, config)
-    # the kernel's gather clamps ids, so an id past the table must be caught here
-    if len(vocab) > emb.vocab_size:
-        raise ValueError(f"vocabulary has {len(vocab)} words but the embedding only {emb.vocab_size} rows")
-    ids, starts, lengths = token_ids(vocab, token_lists)
+    check_embedding_dim(emb, config)
+    ids, starts, lengths = token_ids(emb.vocab, token_lists)
     known = lengths > 0
     probabilities = np.zeros((len(token_lists), config.num_classes))
     live = np.flatnonzero(known)

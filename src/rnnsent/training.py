@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, atomic_writer, open_artifact
+from .corpus import CleanTweet, atomic_writer, open_artifact, token_ids
 from .embedding import EmbeddingMatrix
 from .evaluation import (
     BINARY_CLASSES,
@@ -34,9 +34,9 @@ from .model import (
     ModelConfig,
     Workspace,
     backward_batch,
+    check_embedding_dim,
     forward_batch,
     init_params,
-    token_ids,
 )
 from .numeric import FloatArray, RngState, clip_gradients, cross_entropy, dropout_mask, global_norm, sgd_step
 
@@ -223,21 +223,7 @@ def save_report(report: TrainReport, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _check_train_inputs(
-    data: DatasetSplit,
-    emb: EmbeddingMatrix,
-    vocab: Vocabulary,
-    model_cfg: ModelConfig,
-) -> None:
-    if emb.dim != model_cfg.embedding_dim:
-        raise ValueError(
-            f"config mismatch: embeddings have dim {emb.dim}, model expects {model_cfg.embedding_dim}"
-        )
-    if emb.vocab_size != len(vocab):
-        raise ValueError(
-            f"config mismatch: embedding matrix covers {emb.vocab_size} words, vocabulary has {len(vocab)}"
-        )
-    num_classes = model_cfg.num_classes
+def _check_labels(data: DatasetSplit, num_classes: int) -> None:
     for side_name, side, labels in (("train", data.train, data.train_labels), ("test", data.test, data.test_labels)):
         bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
         if len(bad):
@@ -251,7 +237,6 @@ def _check_train_inputs(
 def train(
     data: DatasetSplit,
     emb: EmbeddingMatrix,
-    vocab: Vocabulary,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
 ) -> tuple[dict[str, FloatArray], TrainReport]:
@@ -263,10 +248,11 @@ def train(
 
     Raises TrainingDivergedError naming the epoch and batch whose loss or
     gradient is not finite."""
-    _check_train_inputs(data, emb, vocab, model_cfg)
+    check_embedding_dim(emb, model_cfg)
+    _check_labels(data, model_cfg.num_classes)
 
     # every example's embedding-row ids; the kernel gathers a batch's rows by id
-    ids, starts, lengths = token_ids(vocab, [ex.tokens for ex in data.train])
+    ids, starts, lengths = token_ids(emb.vocab, [ex.tokens for ex in data.train])
     if not lengths.all():
         ex = data.train[int(np.argmin(lengths))]
         raise ValueError(f"train example {ex.id!r} has no in-vocabulary tokens and cannot be embedded")
@@ -321,7 +307,7 @@ def train(
             epoch_accuracies.append(correct / n)
 
     del workspace  # free the training buffers before evaluation allocates its own
-    cm, metrics = evaluate(params, model_cfg, emb, vocab, data.test, data.test_labels)
+    cm, metrics = evaluate(params, model_cfg, emb, data.test, data.test_labels)
     report = TrainReport(
         epoch_losses=epoch_losses,
         epoch_accuracies=epoch_accuracies,
@@ -400,7 +386,6 @@ def save_grid(result: GridResult, json_path: str | Path, table_path: str | Path)
 def run_grid(
     data: DatasetSplit,
     emb: EmbeddingMatrix,
-    vocab: Vocabulary,
     task: str,
     base_cfg: TrainConfig,
     hidden_size: int = 64,
@@ -428,7 +413,7 @@ def run_grid(
                     bptt_k=50,
                 )
                 cell_cfg = replace(base_cfg, batch_size=batch_size)
-                _, report = train(data, emb, vocab, model_cfg, cell_cfg)
+                _, report = train(data, emb, model_cfg, cell_cfg)
                 rows.append(
                     GridRow(
                         model=MODEL_NAMES[direction],

@@ -181,7 +181,7 @@ def sgns_train(corpus, vocab, params, rng):
     gen = rng.generator()
     in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
     out_vecs = np.zeros_like(in_vecs)
-    emb = EmbeddingMatrix(in_vecs, out_vecs)
+    emb = EmbeddingMatrix(vocab, in_vecs, out_vecs)
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
     sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in corpus]
     start_lr = LEARNING_RATE
@@ -272,7 +272,7 @@ def sgns_train_per_tweet(corpus, vocab, params, rng):
     gen = rng.generator()
     in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
     out_vecs = np.zeros_like(in_vecs)
-    emb = EmbeddingMatrix(in_vecs, out_vecs)
+    emb = EmbeddingMatrix(vocab, in_vecs, out_vecs)
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
     sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in corpus]
     longest = max((len(s) for s in sentences), default=0)

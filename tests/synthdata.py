@@ -65,7 +65,7 @@ def separable_embeddings(
         for w in words:
             if w in vocab:
                 vectors[vocab.index(w), c * block : (c + 1) * block] += scale
-    return EmbeddingMatrix(vectors)
+    return EmbeddingMatrix(vocab, vectors)
 
 
 def two_cluster_corpus(

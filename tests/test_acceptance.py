@@ -84,7 +84,7 @@ def separable_world():
     vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=41)
     data = split(tweets, labels, ratio=0.8, rng=RngState(seed=41).child(11))
-    return (tweets, labels), vocab, emb, data
+    return (tweets, labels), emb, data
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_criterion_03_overfit_oracle():
 
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=16)
     train_cfg = TrainConfig(epochs=500, seed=0)
-    _, report = train(data, emb, vocab, model_cfg, train_cfg)
+    _, report = train(data, emb, model_cfg, train_cfg)
     elapsed = time.perf_counter() - started
 
     _check(failures, len(report.epoch_losses) == 500, "expected 500 epochs")
@@ -181,7 +181,7 @@ def test_criterion_03_overfit_oracle():
 def test_criterion_04_separable_generalization(separable_world):
     failures = []
     started = time.perf_counter()
-    (tweets, labels), vocab, emb, data = separable_world
+    (tweets, labels), emb, data = separable_world
 
     for j, cls in enumerate(FINE_CLASSES):
         n = int(np.sum(labels == j))
@@ -193,7 +193,7 @@ def test_criterion_04_separable_generalization(separable_world):
 
     fine_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=64, dropout_rate=0.5)
     fine_train = TrainConfig(batch_size=64, learning_rate=1.8e-3, epochs=30, seed=0)
-    _, fine_report = train(data, emb, vocab, fine_cfg, fine_train)
+    _, fine_report = train(data, emb, fine_cfg, fine_train)
     acc = fine_report.test_metrics.accuracy
     _check(failures, acc >= 0.95, f"fine-grained test accuracy {acc:.4f} < 0.95")
 
@@ -207,7 +207,7 @@ def test_criterion_04_separable_generalization(separable_world):
         bptt_mode=BPTT_FULL,
     )
     bin_train = TrainConfig(batch_size=64, learning_rate=1.8e-3, epochs=30, seed=0)
-    _, bin_report = train(bin_data, emb, vocab, bin_cfg, bin_train)
+    _, bin_report = train(bin_data, emb, bin_cfg, bin_train)
     bacc = bin_report.test_metrics.accuracy
     _check(failures, bacc >= 0.95, f"binary test accuracy {bacc:.4f} < 0.95")
 
@@ -223,7 +223,7 @@ def test_criterion_04_separable_generalization(separable_world):
 
 def test_criterion_05_grid_structure(separable_world):
     failures = []
-    _, vocab, emb, data = separable_world
+    _, emb, data = separable_world
     _check(
         failures,
         GRID_COLUMNS == ("Model", "Batch Size", "Learning Rate", "Drop Out", "BPTT Type", "ACC", "F1 Score"),
@@ -231,7 +231,7 @@ def test_criterion_05_grid_structure(separable_world):
     )
     base = TrainConfig(epochs=3, seed=0)
     for task in (TASK_FINE, TASK_BINARY):
-        result = run_grid(data, emb, vocab, task, base, hidden_size=64)
+        result = run_grid(data, emb, task, base, hidden_size=64)
         rows = result.rows
         _check(failures, len(rows) == 8, f"{task}: {len(rows)} rows, expected 8")
         _check(
@@ -375,16 +375,16 @@ def test_criterion_08_embedding_sanity():
     params = EmbeddingParams(dim=10, window=3, negative_samples=4, epochs=6, subsample_threshold=0.0)
     emb = train_embeddings(tweets, vocab, params, RngState(seed=13))
     for word in vocab.tokens:
-        top, _ = nearest_neighbors(emb, vocab, word, 1)[0]
+        top, _ = nearest_neighbors(emb, word, 1)[0]
         _check(failures, top[:3] == word[:3], f"{word}: top neighbor {top} is cross-cluster")
 
     # ranked neighbors equal a brute-force scan on a 1,000-word vocabulary
     gen = RngState(seed=14).generator()
     big_vocab = Vocabulary([f"w{i:04d}" for i in range(1000)])
-    big = EmbeddingMatrix(gen.normal(size=(1000, 8)))
+    big = EmbeddingMatrix(big_vocab, gen.normal(size=(1000, 8)))
     for word in ("w0000", "w0421", "w0999"):
         for k in (1, 10, 999):
-            got = nearest_neighbors(big, big_vocab, word, k)
+            got = nearest_neighbors(big, word, k)
             query = big.input_vectors[big_vocab.index(word)]
             scored = [
                 (tok, cosine_similarity(query, big.input_vectors[i]), i)

@@ -54,12 +54,12 @@ def _model_world():
     emb = synthdata.separable_embeddings(vocab, seed=80)
     cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=4)
     params = {n: np.zeros(s) for n, s in param_shapes(cfg).items()}
-    return corpus, vocab, emb, cfg, params
+    return corpus, emb, cfg, params
 
 
 def test_classify_corpus_covers_every_tweet():
-    corpus, vocab, emb, cfg, params = _model_world()
-    labels, confidences, oov = classify_corpus(params, cfg, emb, vocab, corpus)
+    corpus, emb, cfg, params = _model_world()
+    labels, confidences, oov = classify_corpus(params, cfg, emb, corpus)
     assert len(labels) == len(confidences) == len(oov) == len(corpus)
     # zero-weight model: uniform probabilities, class 0 by tie-break
     for label, confidence, flagged in zip(labels, confidences, oov):
@@ -69,26 +69,26 @@ def test_classify_corpus_covers_every_tweet():
 
 
 def test_classify_corpus_flags_oov_as_neutral():
-    corpus, vocab, emb, cfg, params = _model_world()
+    corpus, emb, cfg, params = _model_world()
     ghost = CleanTweet(id="ghost", timestamp=corpus[0].timestamp, tokens=("zzzz", "qqqq"))
-    labels, confidences, oov = classify_corpus(params, cfg, emb, vocab, corpus + [ghost])
+    labels, confidences, oov = classify_corpus(params, cfg, emb, corpus + [ghost])
     assert FINE_CLASSES[labels[-1]] == "neutral"
     assert confidences[-1] == 0.0
     assert oov[-1]
 
 
 def test_classify_corpus_deterministic():
-    corpus, vocab, emb, cfg, _ = _model_world()
+    corpus, emb, cfg, _ = _model_world()
     params = init_params(cfg, RngState(seed=81))
-    a = classify_corpus(params, cfg, emb, vocab, corpus)
-    b = classify_corpus(params, cfg, emb, vocab, corpus)
+    a = classify_corpus(params, cfg, emb, corpus)
+    b = classify_corpus(params, cfg, emb, corpus)
     assert list(zip(a[0].tolist(), a[1].tolist())) == list(zip(b[0].tolist(), b[1].tolist()))
 
 
 def test_classify_corpus_rejects_empty():
-    _, vocab, emb, cfg, params = _model_world()
+    _, emb, cfg, params = _model_world()
     with pytest.raises(ValueError, match="empty"):
-        classify_corpus(params, cfg, emb, vocab, [])
+        classify_corpus(params, cfg, emb, [])
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +320,8 @@ def test_export_unknown_format(tmp_path):
 
 
 def test_save_classified_jsonl(tmp_path):
-    corpus, vocab, emb, cfg, params = _model_world()
-    columns = classify_corpus(params, cfg, emb, vocab, corpus[:3])
+    corpus, emb, cfg, params = _model_world()
+    columns = classify_corpus(params, cfg, emb, corpus[:3])
     path = tmp_path / "classified.jsonl"
     save_classified(corpus[:3], *columns, path)
     lines = path.read_text().splitlines()
@@ -366,7 +366,7 @@ def _columns(draw):
 @given(drawn=_columns())
 def test_columns_equal_per_tweet_reference(tmp_path_factory, drawn):
     stamps, labels, confidences, oov, seed, binary_columns = drawn
-    world, vocab, emb, _, _ = _model_world()
+    world, emb, _, _ = _model_world()
     corpus = [
         CleanTweet(f"t{i}", stamp, GHOST if o else world[i % len(world)].tokens)
         for i, (stamp, o) in enumerate(zip(stamps, oov))
@@ -375,12 +375,12 @@ def test_columns_equal_per_tweet_reference(tmp_path_factory, drawn):
     # a two-class model scores positive or negative, and neutral only where it cannot score
     cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=4, num_classes=2)
     params = init_params(cfg, RngState(seed=seed))
-    binary = classify_corpus(params, cfg, emb, vocab, corpus)
+    binary = classify_corpus(params, cfg, emb, corpus)
     binary_labels, binary_confidences, binary_oov = binary
     assert np.array_equal(binary_oov, oov)
     assert set(binary_labels[~oov].tolist()) <= {POSITIVE, NEGATIVE}
     assert (binary_labels[oov] == NEUTRAL).all() and (binary_confidences[oov] == 0.0).all()
-    probabilities, _ = predict_many(params, cfg, emb, vocab, [t.tokens for t in corpus])
+    probabilities, _ = predict_many(params, cfg, emb, [t.tokens for t in corpus])
     winners = probabilities.argmax(axis=1)
     assert binary_labels[~oov].tolist() == [(POSITIVE, NEGATIVE)[i] for i in winners[~oov]]
 

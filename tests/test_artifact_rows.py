@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rnnsent.cli import main
 from rnnsent.corpus import Vocabulary
-from rnnsent.embedding import EmbeddingFileError, EmbeddingMatrix, load_embeddings_with_tokens, save_embeddings
+from rnnsent.embedding import EmbeddingFileError, EmbeddingMatrix, load_embeddings, save_embeddings
 from rnnsent.model import (
     BIDIRECTIONAL,
     STANDARD,
@@ -27,7 +27,7 @@ tokens = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max
 
 
 def _save_embeddings(matrix, words, path):
-    save_embeddings(EmbeddingMatrix(matrix), Vocabulary(words), path)
+    save_embeddings(EmbeddingMatrix(Vocabulary(words), matrix), path)
 
 
 def _neighbors_exit(path):
@@ -54,14 +54,14 @@ def test_embedding_round_trip_matches_float_of_written_text(tmp_path_factory, da
     path = tmp_path_factory.mktemp("emb") / "emb.txt"
     _save_embeddings(matrix, words, path)
 
-    emb, loaded_words = load_embeddings_with_tokens(path)
+    emb = load_embeddings(path)
     # 9 significant digits are written; the reader parses them as float() does, bit for bit
     expected = np.array([[float(f"{x:.9g}") for x in row] for row in matrix]).reshape(rows, dim)
     assert emb.input_vectors.tobytes() == expected.tobytes()
-    assert loaded_words == tuple(words)
+    assert emb.vocab.tokens == tuple(words)
     # the written text is a fixed point: saving what was loaded gives the same bytes
     again = path.with_name("again.txt")
-    _save_embeddings(emb.input_vectors, words, again)
+    save_embeddings(emb, again)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -117,12 +117,12 @@ def test_corrupted_embedding_file_fails_typed_or_changes_one_value(tmp_path_fact
     _save_embeddings(matrix, ["aa", "bb", "cc"], path)
     path.write_bytes(_corrupt(path.read_bytes(), *edit))
     try:
-        emb, words = load_embeddings_with_tokens(path)
+        emb = load_embeddings(path)
     except EmbeddingFileError:
         return
     # a byte edit that parses changes one value or one token; it never shifts rows
     assert emb.input_vectors.shape == matrix.shape
-    assert np.count_nonzero(emb.input_vectors != matrix) + sum(a != b for a, b in zip(words, ["aa", "bb", "cc"])) <= 1
+    assert np.count_nonzero(emb.input_vectors != matrix) + sum(a != b for a, b in zip(emb.vocab.tokens, ["aa", "bb", "cc"])) <= 1
 
 
 @settings(max_examples=400, deadline=None)
@@ -161,8 +161,8 @@ def _model_lines(tmp_path):
 def test_separators_tabs_and_runs_of_spaces_are_accepted(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 3 2\naa\t1\t2\nbb   3  4  \n  cc \t 5\t\t6\n")
-    emb, words = load_embeddings_with_tokens(path)
-    assert words == ("aa", "bb", "cc")
+    emb = load_embeddings(path)
+    assert emb.vocab.tokens == ("aa", "bb", "cc")
     assert emb.input_vectors.tolist() == [[1, 2], [3, 4], [5, 6]]
 
     path, lines = _model_lines(tmp_path)
@@ -190,7 +190,7 @@ def test_malformed_embedding_row_names_file_and_row(tmp_path, capsys, row, messa
     lines[2] = row
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(EmbeddingFileError, match=f"{path}: corrupt file: {message}"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
     assert _neighbors_exit(path) == 2
     assert f"{path}: corrupt file: {message}" in capsys.readouterr().err
 
@@ -200,7 +200,7 @@ def test_malformed_first_embedding_row_is_named(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 3 2\naa 1 2 7\nbb 3 4\ncc 5 6\n")
     with pytest.raises(EmbeddingFileError, match=f"{path}: corrupt file: row 0 has 3 values, expected 2"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
 
 
 def test_repeated_embedding_token_names_file_and_rows(tmp_path, capsys):
@@ -209,7 +209,7 @@ def test_repeated_embedding_token_names_file_and_rows(tmp_path, capsys):
     path.write_text("SGNS-EMB v1 3 2\naa 1 2\nbb 3 4\naa 5 6\n")
     message = f"{path}: corrupt file: row 2 repeats the token 'aa' of row 0"
     with pytest.raises(EmbeddingFileError, match=message):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
     assert _neighbors_exit(path) == 2
     assert message in capsys.readouterr().err
 
@@ -240,7 +240,7 @@ def test_missing_rows_are_counted(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 3 2\naa 1 2\n")
     with pytest.raises(EmbeddingFileError, match=f"{path}: corrupt file: expected 3 rows, found 1"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
     path, lines = _model_lines(tmp_path)
     path.write_text("\n".join(lines[: lines.index("param w_hh 3 3") + 2]) + "\n")
     with pytest.raises(ModelFileError, match=f"{path}: corrupt file: expected 3 rows of 'w_hh', found 1"):
@@ -252,14 +252,14 @@ def test_embedding_header_counts_are_checked(tmp_path, counts):
     path = tmp_path / "emb.txt"
     path.write_text(f"SGNS-EMB v1 {counts}\n")
     with pytest.raises(EmbeddingFileError, match=f"{path}: malformed header counts"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
 
 
 def test_bytes_that_are_not_utf8_name_the_file(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes(EMBEDDING_TEXT.encode().replace(b"bb", b"b\xff"))
     with pytest.raises(EmbeddingFileError, match=f"{path}: corrupt file: not UTF-8 text"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
     path, lines = _model_lines(tmp_path)
     path.write_bytes(path.read_bytes().replace(b"param w_hh", b"param w_h\xc3"))
     with pytest.raises(ModelFileError, match=f"{path}: corrupt file: not UTF-8 text"):

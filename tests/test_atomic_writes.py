@@ -25,8 +25,8 @@ def world():
     emb = synthdata.separable_embeddings(vocab, seed=7)
     cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=3)
     params = init_params(cfg, RngState(seed=7))
-    cm, metrics = evaluate(params, cfg, emb, vocab, corpus, golds)
-    labels, confidences, oov = classify_corpus(params, cfg, emb, vocab, corpus)
+    cm, metrics = evaluate(params, cfg, emb, corpus, golds)
+    labels, confidences, oov = classify_corpus(params, cfg, emb, corpus)
     return {
         "corpus": corpus,
         "vocab": vocab,

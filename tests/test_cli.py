@@ -368,6 +368,27 @@ def test_eval_outputs_metrics(pipeline, tmp_path, capsys):
     assert (out / "confusion.csv").read_bytes() == (tmp_path / "scores2" / "confusion.csv").read_bytes()
 
 
+@pytest.mark.parametrize("subcommand", ["eval", "analyze"])
+def test_embeddings_of_another_dimension_name_both_files(pipeline, tmp_path, capsys, subcommand):
+    pre, model = pipeline["pre"], pipeline["fit"] / "model.txt"
+    other = tmp_path / "emb4.txt"
+    assert main([
+        "embed", "--corpus", str(pre / "corpus.jsonl"), "--vocab", str(pre / "vocab.tsv"),
+        "--dim", "4", "--epochs", "1", "--output", str(other),
+    ]) == 0
+    capsys.readouterr()
+    annotations = ["--annotations", str(pipeline["ann"])] if subcommand == "eval" else []
+    rc = main([
+        subcommand, "--model", str(model), "--corpus", str(pre / "corpus.jsonl"), *annotations,
+        "--embeddings", str(other), "--output", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {other} does not fit the model {model}: config mismatch: embeddings have dim 4, model expects 6\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_binary_model_drops_neutral_annotations(pipeline, tmp_path, capsys):
     pre, ann, emb = pipeline["pre"], pipeline["ann"], pipeline["emb"]
     assert main([

@@ -505,6 +505,9 @@ def test_load_vocabulary_rejects_out_of_order_index(tmp_path):
         ("storm\t0\t7\nwater\t2\t5\n", "line 2: index 2 out of order (expected 1)"),
         ("storm\t0\t7\nwater\t1\t-3\n", "line 2: negative count -3"),
         ("storm\t0\t7\nstorm\t1\t5\n", "duplicate tokens in vocabulary"),
+        # an embedding file separates a token from its values by whitespace
+        ("storm\t0\t7\ntwo words\t1\t3\n", "line 2: token 'two words' is empty or holds whitespace"),
+        ("storm\t0\t7\n\t1\t3\n", "line 2: token '' is empty or holds whitespace"),
         ("storm\t0\t7\nw\xffter\t1\t5\n", "corrupt file: not UTF-8 text"),
     ],
 )
@@ -546,8 +549,9 @@ def test_load_vocabulary_arbitrary_bytes_fail_typed_naming_the_file(tmp_path_fac
         assert str(exc).startswith(f"{path}: ")
 
 
-# a token is any text but the vocabulary file's field and line separators
-tokens = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), max_size=6)
+# a token is any nonempty text without whitespace, which separates the fields of a
+# vocabulary file and a token from its values in an embedding file
+tokens = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(lambda t: t.split() == [t])
 
 
 @settings(max_examples=50, deadline=None)

@@ -20,7 +20,7 @@ from rnnsent.embedding import (
     _Planner,
     _Workspace,
     cosine_similarity,
-    load_embeddings_with_tokens,
+    load_embeddings,
     nearest_neighbors,
     save_embeddings,
     train_embeddings,
@@ -60,10 +60,18 @@ def test_params_validation():
 
 
 def test_matrix_shape_checks():
-    with pytest.raises(ValueError):
-        EmbeddingMatrix(np.zeros(4))
-    with pytest.raises(ValueError):
-        EmbeddingMatrix(np.zeros((2, 3)), np.zeros((2, 4)))
+    two, three = Vocabulary(["aa", "bb"]), Vocabulary(["aa", "bb", "cc"])
+    cases = [
+        (two, np.zeros(4), None, "2-D"),
+        (two, np.zeros((2, 3)), np.zeros((2, 4)), "share a shape"),
+        # a vocabulary past the rows, whose ids the kernel's gather would clamp
+        (three, np.eye(2), None, "2 rows but vocabulary has 3"),
+        # a vocabulary short of the rows, whose last rows no token would name
+        (two, np.eye(3), None, "3 rows but vocabulary has 2"),
+    ]
+    for vocab, input_vectors, output_vectors, message in cases:
+        with pytest.raises(ValueError, match=message):
+            EmbeddingMatrix(vocab, input_vectors, output_vectors)
 
 
 def test_train_rejects_unknown_token():
@@ -294,10 +302,10 @@ def test_cosine_similarity_errors():
 # ---------------------------------------------------------------------------
 
 
-def _brute_force_neighbors(emb, vocab, word, k):
-    query = emb.input_vectors[vocab.index(word)]
+def _brute_force_neighbors(emb, word, k):
+    query = emb.input_vectors[emb.vocab.index(word)]
     scored = []
-    for i, token in enumerate(vocab.tokens):
+    for i, token in enumerate(emb.vocab.tokens):
         if token == word:
             continue
         scored.append((token, cosine_similarity(query, emb.input_vectors[i]), i))
@@ -306,19 +314,18 @@ def _brute_force_neighbors(emb, vocab, word, k):
 
 
 def test_nearest_neighbors_two_word_vocab():
-    vocab = Vocabulary(["left", "right"])
-    emb = EmbeddingMatrix(np.array([[1.0, 0.0], [0.9, 0.1]]))
-    assert nearest_neighbors(emb, vocab, "left", 1)[0][0] == "right"
+    emb = EmbeddingMatrix(Vocabulary(["left", "right"]), np.array([[1.0, 0.0], [0.9, 0.1]]))
+    assert nearest_neighbors(emb, "left", 1)[0][0] == "right"
 
 
 def test_nearest_neighbors_matches_brute_force_random():
     gen = RngState(seed=7).generator()
     vocab = Vocabulary([f"w{i:03d}" for i in range(60)])
-    emb = EmbeddingMatrix(gen.normal(size=(60, 10)))
+    emb = EmbeddingMatrix(vocab, gen.normal(size=(60, 10)))
     for word in ("w000", "w017", "w059"):
         for k in (1, 5, 59):
-            got = nearest_neighbors(emb, vocab, word, k)
-            expected = _brute_force_neighbors(emb, vocab, word, k)
+            got = nearest_neighbors(emb, word, k)
+            expected = _brute_force_neighbors(emb, word, k)
             assert [t for t, _ in got] == [t for t, _ in expected]
             assert np.allclose([s for _, s in got], [s for _, s in expected], atol=1e-12)
 
@@ -331,7 +338,7 @@ def test_nearest_neighbors_tie_broken_by_index():
         [2.0, 0.0],   # exact duplicate: tie with bbb, higher index loses
         [0.0, 1.0],
     ])
-    got = nearest_neighbors(EmbeddingMatrix(vecs), vocab, "query", 3)
+    got = nearest_neighbors(EmbeddingMatrix(vocab, vecs), "query", 3)
     assert [t for t, _ in got] == ["bbb", "aaa", "ccc"]
     assert got[0][1] == got[1][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -341,21 +348,18 @@ def test_nearest_neighbors_planted_clusters():
     params = EmbeddingParams(dim=10, window=3, negative_samples=4, epochs=6, subsample_threshold=0.0)
     emb = train_embeddings(tweets, vocab, params, RngState(seed=8))
     for word in vocab.tokens:
-        top, _ = nearest_neighbors(emb, vocab, word, 1)[0]
+        top, _ = nearest_neighbors(emb, word, 1)[0]
         assert top[:3] == word[:3], f"{word} -> {top}"
 
 
 def test_nearest_neighbors_errors():
-    vocab = Vocabulary(["aa", "bb", "cc"])
-    emb = EmbeddingMatrix(np.eye(3))
+    emb = EmbeddingMatrix(Vocabulary(["aa", "bb", "cc"]), np.eye(3))
     with pytest.raises(UnknownWordError):
-        nearest_neighbors(emb, vocab, "dd", 1)
+        nearest_neighbors(emb, "dd", 1)
     with pytest.raises(ValueError):
-        nearest_neighbors(emb, vocab, "aa", 0)
+        nearest_neighbors(emb, "aa", 0)
     with pytest.raises(ValueError):
-        nearest_neighbors(emb, vocab, "aa", 3)
-    with pytest.raises(ValueError):
-        nearest_neighbors(EmbeddingMatrix(np.eye(2)), vocab, "aa", 1)
+        nearest_neighbors(emb, "aa", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -366,64 +370,70 @@ def test_nearest_neighbors_errors():
 def _trained_small():
     lists = [["aa", "bb", "cc"], ["cc", "dd"], ["dd", "aa"]] * 5
     tweets, vocab = _corpus_of(lists)
-    return train_embeddings(tweets, vocab, SMALL_PARAMS, RngState(seed=9)), vocab
+    return train_embeddings(tweets, vocab, SMALL_PARAMS, RngState(seed=9))
 
 
 def test_save_load_round_trip(tmp_path):
-    emb, vocab = _trained_small()
+    emb = _trained_small()
     path = tmp_path / "emb.txt"
-    save_embeddings(emb, vocab, path)
-    loaded, tokens = load_embeddings_with_tokens(path)
-    assert tokens == vocab.tokens
+    save_embeddings(emb, path)
+    loaded = load_embeddings(path)
+    assert loaded.vocab.tokens == emb.vocab.tokens
     assert loaded.vocab_size == emb.vocab_size and loaded.dim == emb.dim
     # stored precision is 9 significant digits
     expected = np.array([[float(f"{x:.9g}") for x in row] for row in emb.input_vectors])
     assert np.array_equal(loaded.input_vectors, expected)
     # second save of the loaded matrix is byte-identical
     path2 = tmp_path / "emb2.txt"
-    save_embeddings(loaded, Vocabulary(tokens), path2)
+    save_embeddings(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_save_rejects_row_count_mismatch(tmp_path):
-    emb, vocab = _trained_small()
-    with pytest.raises(ValueError):
-        save_embeddings(emb, Vocabulary(vocab.tokens[:-1]), tmp_path / "bad.txt")
+    emb = _trained_small()
+    # a vocabulary short of the rows is refused where it meets the matrix,
+    # so no file with rows that no token names is written
+    with pytest.raises(ValueError, match="rows but vocabulary has"):
+        save_embeddings(
+            EmbeddingMatrix(Vocabulary(emb.vocab.tokens[:-1]), emb.input_vectors, emb.output_vectors),
+            tmp_path / "bad.txt",
+        )
+    assert not (tmp_path / "bad.txt").exists()
 
 
 def test_load_wrong_magic(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("NOT-EMB v1 2 2\naa 1 2\nbb 3 4\n")
     with pytest.raises(EmbeddingFileError, match="SGNS-EMB"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
 
 
 def test_load_version_mismatch_names_both(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v9 2 2\naa 1 2\nbb 3 4\n")
     with pytest.raises(EmbeddingFileError, match="v9.*v1"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
 
 
 def test_load_truncated_file(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 3 2\naa 1 2\nbb 3 4\n")
     with pytest.raises(EmbeddingFileError, match="corrupt"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
 
 
 def test_load_wrong_value_count(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 1 3\naa 1 2\n")
     with pytest.raises(EmbeddingFileError, match="corrupt"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
 
 
 def test_load_non_numeric_value(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 1 2\naa 1 oops\n")
     with pytest.raises(EmbeddingFileError, match="corrupt"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -431,7 +441,7 @@ def test_load_non_finite_value(tmp_path, value):
     path = tmp_path / "emb.txt"
     path.write_text(f"SGNS-EMB v1 2 2\naa 1 2\nbb 3 {value}\n")
     with pytest.raises(EmbeddingFileError, match=f"{path}: corrupt file: row 1 has a non-finite value"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
     # the CLI maps the error to a usage failure
     assert main(["neighbors", "--embeddings", str(path), "--vocab", str(path), "--word", "aa", "--k", "1"]) == 2
 
@@ -440,11 +450,11 @@ def test_load_trailing_content(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 2 2\naa 1 2\nbb 3 4\n\n  \ncc 5 6\n")
     with pytest.raises(EmbeddingFileError, match=f"{path}: corrupt file: row 4 follows the 2 declared rows"):
-        load_embeddings_with_tokens(path)
+        load_embeddings(path)
     assert main(["neighbors", "--embeddings", str(path), "--vocab", str(path), "--word", "aa", "--k", "1"]) == 2
     # blank lines after the last row are not content
     path.write_text("SGNS-EMB v1 2 2\naa 1 2\nbb 3 4\n\n")
-    assert load_embeddings_with_tokens(path)[1] == ("aa", "bb")
+    assert load_embeddings(path).vocab.tokens == ("aa", "bb")
 
 
 class _FailingRows:
@@ -461,12 +471,12 @@ class _FailingRows:
 
 
 def test_failed_save_keeps_previous_file(tmp_path):
-    emb, vocab = _trained_small()
+    emb = _trained_small()
     path = tmp_path / "emb.txt"
-    save_embeddings(emb, vocab, path)
+    save_embeddings(emb, path)
     before = path.read_bytes()
     emb.input_vectors = _FailingRows(emb.input_vectors * 2.0)
     with pytest.raises(RuntimeError, match="write interrupted"):
-        save_embeddings(emb, vocab, path)
+        save_embeddings(emb, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]

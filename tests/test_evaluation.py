@@ -229,7 +229,7 @@ def _world(num_classes=3, hidden=8, seed=30):
     vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=seed)
     cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=hidden, num_classes=num_classes)
-    return (tweets, golds), vocab, emb, cfg
+    return (tweets, golds), emb, cfg
 
 
 def _zero_params(cfg):
@@ -237,8 +237,8 @@ def _zero_params(cfg):
 
 
 def test_evaluate_zero_weight_model_predicts_class_zero():
-    (tweets, golds), vocab, emb, cfg = _world()
-    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, tweets, golds)
+    (tweets, golds), emb, cfg = _world()
+    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, tweets, golds)
     # every prediction lands in column 0 ("positive") by tie-break
     arr = cm.as_array()
     assert arr[:, 0].sum() == len(tweets)
@@ -247,12 +247,13 @@ def test_evaluate_zero_weight_model_predicts_class_zero():
 
 
 def test_evaluate_overfit_training_set():
-    from rnnsent.model import backward_full, forward, init_params, token_ids
+    from rnnsent.corpus import token_ids
+    from rnnsent.model import backward_full, forward, init_params
     from rnnsent.numeric import sgd_step
 
-    (tweets, golds), vocab, emb, cfg = _world(hidden=12)
+    (tweets, golds), emb, cfg = _world(hidden=12)
     params = init_params(cfg, RngState(seed=31))
-    ids, starts, lengths = token_ids(vocab, [t.tokens for t in tweets])
+    ids, starts, lengths = token_ids(emb.vocab, [t.tokens for t in tweets])
     seqs = [list(emb.input_vectors[ids[s : s + n]]) for s, n in zip(starts, lengths)]
     targets = golds.tolist()
     for _ in range(150):
@@ -260,14 +261,14 @@ def test_evaluate_overfit_training_set():
             trace = forward(params, cfg, seq)
             grads = backward_full(params, cfg, trace, seq, y)
             params = sgd_step(params, grads, 0.1)
-    _, metrics = evaluate(params, cfg, emb, vocab, tweets, golds)
+    _, metrics = evaluate(params, cfg, emb, tweets, golds)
     assert metrics.accuracy >= 0.99
     assert metrics.oov_examples == 0
 
 
 def test_evaluate_metrics_are_function_of_matrix():
-    (tweets, golds), vocab, emb, cfg = _world()
-    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, tweets, golds)
+    (tweets, golds), emb, cfg = _world()
+    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, tweets, golds)
     assert metrics_from_confusion(cm, oov_examples=metrics.oov_examples) == metrics
 
 
@@ -277,14 +278,14 @@ def _tweet(i, *tokens):
 
 def test_evaluate_oov_examples_counted_as_errors():
     for num_classes in (3, 2):
-        (tweets, golds), vocab, emb, cfg = _world(num_classes=num_classes)
+        (tweets, golds), emb, cfg = _world(num_classes=num_classes)
         keep = golds < num_classes
         tweets, golds = [t for t, k in zip(tweets, keep) if k], golds[keep]
         # zero weights predict class 0 for every in-vocabulary tweet
         scored = confusion_matrix(golds, [POS] * len(golds), classes_for(num_classes)).as_array()
         ghosts = [POS, NEG, NEU][:num_classes]
         with_oov = tweets + [_tweet(i, "unseenzzz", "ghostqqq") for i in range(len(ghosts))]
-        cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, with_oov, [*golds, *ghosts])
+        cm, metrics = evaluate(_zero_params(cfg), cfg, emb, with_oov, [*golds, *ghosts])
         assert metrics.oov_examples == len(ghosts)
         assert cm.total == len(with_oov)
         arr = cm.as_array()
@@ -301,20 +302,20 @@ def test_evaluate_oov_examples_counted_as_errors():
 
 
 def test_evaluate_scores_hand_built_tweets():
-    _, vocab, emb, cfg = _world()
+    _, emb, cfg = _world()
     tweets = [_tweet(0, "salamat", "masaya"), _tweet(1, "wasak")]
-    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, vocab, tweets, [POS, NEG])
+    cm, metrics = evaluate(_zero_params(cfg), cfg, emb, tweets, [POS, NEG])
     assert cm.total == 2
 
 
 def test_evaluate_rejects_empty_and_unknown_gold():
-    _, vocab, emb, cfg = _world()
+    _, emb, cfg = _world()
     with pytest.raises(ValueError, match="empty"):
-        evaluate(_zero_params(cfg), cfg, emb, vocab, [], [])
+        evaluate(_zero_params(cfg), cfg, emb, [], [])
     with pytest.raises(ValueError, match="gold label"):
-        evaluate(_zero_params(cfg), cfg, emb, vocab, [_tweet(0, "salamat")], [3])
+        evaluate(_zero_params(cfg), cfg, emb, [_tweet(0, "salamat")], [3])
     with pytest.raises(ValueError, match="length mismatch"):
-        evaluate(_zero_params(cfg), cfg, emb, vocab, [_tweet(0, "salamat")], [POS, NEG])
+        evaluate(_zero_params(cfg), cfg, emb, [_tweet(0, "salamat")], [POS, NEG])
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ def test_reused_workspace_matches_fresh_buffers(direction, keep_states):
 
 
 def test_predict_many_keeps_caller_order():
-    data, emb, vocab = _run_world(seed=75)
+    data, emb = _run_world(seed=75)
     config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=BIDIRECTIONAL)
     params = init_params(config, RngState(seed=76))
     tweets = data.train + data.test
@@ -276,13 +276,13 @@ def test_predict_many_keeps_caller_order():
         # unsorted lengths, with all-OOV lists interleaved
         tokens = list(base) * int(gen.integers(1, 4)) if i % 5 else ["ghostword"] * int(gen.integers(1, 4))
         token_lists.append(tokens[: int(gen.integers(1, len(tokens) + 1))])
-    lengths = [sum(t in vocab for t in tokens) for tokens in token_lists]
+    lengths = [sum(t in emb.vocab for t in tokens) for tokens in token_lists]
     assert lengths != sorted(lengths) and lengths != sorted(lengths, reverse=True)
 
-    probabilities, known = predict_many(params, config, emb, vocab, token_lists)
+    probabilities, known = predict_many(params, config, emb, token_lists)
     assert list(known) == [n > 0 for n in lengths]
     for tokens, probs, live in zip(token_lists, probabilities, known):
-        single = _predict_one(params, config, emb, vocab, tokens)
+        single = _predict_one(params, config, emb, tokens)
         if not live:
             assert single is None and not probs.any()
             continue
@@ -291,7 +291,7 @@ def test_predict_many_keeps_caller_order():
 
 @pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])
 def test_predict_many_skips_oov_tokens_inside_tweets(direction):
-    data, emb, vocab = _run_world(seed=78)
+    data, emb = _run_world(seed=78)
     config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=direction)
     params = init_params(config, RngState(seed=79))
     tweets = data.train + data.test
@@ -304,12 +304,12 @@ def test_predict_many_skips_oov_tokens_inside_tweets(direction):
             tokens.insert(int(gen.integers(len(tokens) + 1)), f"unseen{int(gen.integers(3))}")
         token_lists.append(tokens)
 
-    probabilities, known = predict_many(params, config, emb, vocab, token_lists)
+    probabilities, known = predict_many(params, config, emb, token_lists)
     assert known.all()
     for tokens, probs in zip(token_lists, probabilities):
-        assert any(t not in vocab for t in tokens)
-        assert _max_diff(probs, _predict_one(params, config, emb, vocab, tokens)[1]) <= TOLERANCE
-        seq = [emb.input_vectors[vocab.index(t)] for t in tokens if t in vocab]
+        assert any(t not in emb.vocab for t in tokens)
+        assert _max_diff(probs, _predict_one(params, config, emb, tokens)[1]) <= TOLERANCE
+        seq = [emb.input_vectors[emb.vocab.index(t)] for t in tokens if t in emb.vocab]
         assert _max_diff(probs, oracle.forward(params, config, seq)[3]) <= TOLERANCE
 
 
@@ -357,7 +357,7 @@ def _run_world(seed=70):
     tweets, labels = synthdata.synthetic_labeled(10, seed=seed)
     vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=seed)
-    return split(tweets, labels, ratio=0.8, rng=RngState(seed=seed)), emb, vocab
+    return split(tweets, labels, ratio=0.8, rng=RngState(seed=seed)), emb
 
 
 @pytest.mark.parametrize(
@@ -365,8 +365,8 @@ def _run_world(seed=70):
     [(BIDIRECTIONAL, BPTT_FULL, 50), (STANDARD, BPTT_TRUNCATED, 4)],
 )
 def test_train_matches_per_example_trainer(direction, bptt_mode, k):
-    data, emb, vocab = _run_world()
-    sequences = [np.array([emb.input_vectors[vocab.index(t)] for t in ex.tokens]) for ex in data.train]
+    data, emb = _run_world()
+    sequences = [np.array([emb.input_vectors[emb.vocab.index(t)] for t in ex.tokens]) for ex in data.train]
     if bptt_mode == BPTT_TRUNCATED:
         assert k < max(len(s) for s in sequences)  # the window cuts
     model_cfg = ModelConfig(
@@ -374,7 +374,7 @@ def test_train_matches_per_example_trainer(direction, bptt_mode, k):
         direction=direction, bptt_mode=bptt_mode, bptt_k=k,
     )
     train_cfg = TrainConfig(batch_size=7, learning_rate=0.1, epochs=3, seed=5)
-    params, report = train(data, emb, vocab, model_cfg, train_cfg)
+    params, report = train(data, emb, model_cfg, train_cfg)
 
     targets = data.train_labels.tolist()
     expected, losses = oracle.train(sequences, targets, model_cfg, train_cfg)
@@ -386,7 +386,7 @@ def test_train_matches_per_example_trainer(direction, bptt_mode, k):
 
 
 def test_train_draws_one_mask_per_minibatch(monkeypatch):
-    data, emb, vocab = _run_world()
+    data, emb = _run_world()
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=6, dropout_rate=0.5, direction=BIDIRECTIONAL)
     train_cfg = TrainConfig(batch_size=7, epochs=2, seed=5)
     seen = []
@@ -396,7 +396,7 @@ def test_train_draws_one_mask_per_minibatch(monkeypatch):
         return forward_batch(params, config, table, ids, starts, lengths, masks, **kwargs)
 
     monkeypatch.setattr(training, "forward_batch", recording_forward)
-    train(data, emb, vocab, model_cfg, train_cfg)
+    train(data, emb, model_cfg, train_cfg)
     n = len(data.train)
     assert n % 7  # the last batch of an epoch is short
     root = RngState(seed=5)
@@ -412,21 +412,21 @@ def test_train_draws_one_mask_per_minibatch(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_raises_at_first_nonfinite_batch():
-    data, emb, vocab = _run_world()
+    data, emb = _run_world()
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=6)
     # batch 1 runs on the finite initial parameters; its infinite step makes
     # every later loss NaN, so batch 2 of epoch 1 is the first bad one
     cfg = TrainConfig(batch_size=8, learning_rate=math.inf, epochs=3, seed=1)
     with pytest.raises(ValueError, match=r"diverged: epoch 1, batch 2 "):
-        train(data, emb, vocab, model_cfg, cfg)
+        train(data, emb, model_cfg, cfg)
     # with one batch per epoch the first bad batch is epoch 2's only one
     single = TrainConfig(batch_size=len(data.train), learning_rate=math.inf, epochs=3, seed=1)
     with pytest.raises(ValueError, match=r"diverged: epoch 2, batch 1 "):
-        train(data, emb, vocab, model_cfg, single)
+        train(data, emb, model_cfg, single)
 
 
 def test_train_raises_at_first_nonfinite_gradient(monkeypatch):
-    data, emb, vocab = _run_world()
+    data, emb = _run_world()
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=6)
     calls = []
 
@@ -441,7 +441,7 @@ def test_train_raises_at_first_nonfinite_gradient(monkeypatch):
     # 24 training examples in batches of 4: the third backward is epoch 1's third batch
     cfg = TrainConfig(batch_size=4, epochs=2, seed=1)
     with pytest.raises(ValueError, match=r"training diverged: epoch 1, batch 3 has gradient norm nan"):
-        train(data, emb, vocab, model_cfg, cfg)
+        train(data, emb, model_cfg, cfg)
     assert len(calls) == 3
 
 
@@ -451,7 +451,7 @@ def test_train_raises_at_first_nonfinite_gradient(monkeypatch):
 
 
 def _inference_world(direction):
-    data, emb, vocab = _run_world(seed=71)
+    data, emb = _run_world(seed=71)
     config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=direction)
     params = init_params(config, RngState(seed=72))
     tweets = data.train + data.test
@@ -465,23 +465,23 @@ def _inference_world(direction):
         if i in (INFER_CHUNK - 1, INFER_CHUNK, 2 * INFER_CHUNK + 4):
             tokens = ["ghostword", "zzzz"]  # nothing in vocabulary, on both sides of a chunk boundary
         corpus.append(CleanTweet(id=f"c{i}", timestamp=base.timestamp, tokens=tuple(tokens)))
-    return params, config, emb, vocab, corpus
+    return params, config, emb, corpus
 
 
-def _predict_one(params, config, emb, vocab, tokens):
+def _predict_one(params, config, emb, tokens):
     """(argmax class index, probabilities) of one token list on its own, or
     None when none of its tokens is in the vocabulary."""
-    probabilities, known = predict_many(params, config, emb, vocab, [tokens])
+    probabilities, known = predict_many(params, config, emb, [tokens])
     return (int(np.argmax(probabilities[0])), probabilities[0]) if known[0] else None
 
 
 @pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])
 def test_classify_corpus_matches_per_tweet_predict(direction):
-    params, config, emb, vocab, corpus = _inference_world(direction)
-    labels, confidences, oov = classify_corpus(params, config, emb, vocab, corpus)
+    params, config, emb, corpus = _inference_world(direction)
+    labels, confidences, oov = classify_corpus(params, config, emb, corpus)
     assert sum(oov) == 3
     for label, confidence, flagged, tweet in zip(labels, confidences, oov, corpus, strict=True):
-        single = _predict_one(params, config, emb, vocab, tweet.tokens)
+        single = _predict_one(params, config, emb, tweet.tokens)
         if single is None:
             assert flagged and FINE_CLASSES[label] == "neutral" and confidence == 0.0
             continue
@@ -489,18 +489,18 @@ def test_classify_corpus_matches_per_tweet_predict(direction):
         assert not flagged
         assert FINE_CLASSES[label] == FINE_CLASSES[idx]
         assert abs(confidence - probs[idx]) <= TOLERANCE
-        seq = [emb.input_vectors[vocab.index(t)] for t in tweet.tokens if t in vocab]
+        seq = [emb.input_vectors[emb.vocab.index(t)] for t in tweet.tokens if t in emb.vocab]
         assert abs(confidence - oracle.forward(params, config, seq)[3][idx]) <= TOLERANCE
 
 
 @pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])
 def test_evaluate_matches_per_tweet_predict(direction):
-    params, config, emb, vocab, corpus = _inference_world(direction)
+    params, config, emb, corpus = _inference_world(direction)
     golds = [i % 3 for i in range(len(corpus))]
-    cm, metrics = evaluate(params, config, emb, vocab, corpus, golds)
+    cm, metrics = evaluate(params, config, emb, corpus, golds)
     counts = np.zeros((3, 3), dtype=np.int64)
     for tweet, gold in zip(corpus, golds):
-        single = _predict_one(params, config, emb, vocab, tweet.tokens)
+        single = _predict_one(params, config, emb, tweet.tokens)
         pred = single[0] if single else next(c for c in range(3) if c != gold)
         counts[gold, pred] += 1
     assert np.array_equal(cm.as_array(), counts)
@@ -508,9 +508,9 @@ def test_evaluate_matches_per_tweet_predict(direction):
 
 
 def test_evaluate_all_oov_chunk():
-    params, config, emb, vocab, corpus = _inference_world(STANDARD)
+    params, config, emb, corpus = _inference_world(STANDARD)
     ghost = CleanTweet(id="ghost", timestamp=corpus[0].timestamp, tokens=("zzzz",))
-    cm, metrics = evaluate(params, config, emb, vocab, [ghost] * (INFER_CHUNK + 1), [1] * (INFER_CHUNK + 1))
+    cm, metrics = evaluate(params, config, emb, [ghost] * (INFER_CHUNK + 1), [1] * (INFER_CHUNK + 1))
     assert metrics.oov_examples == INFER_CHUNK + 1
     assert metrics.accuracy == 0.0
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rnnsent.corpus import Vocabulary
+from rnnsent.corpus import Vocabulary, token_ids
 from rnnsent.embedding import EmbeddingMatrix
 from rnnsent.model import (
     BIDIRECTIONAL,
@@ -19,7 +19,6 @@ from rnnsent.model import (
     param_shapes,
     predict_many,
     save_model,
-    token_ids,
 )
 from rnnsent.numeric import RngState, cross_entropy, global_norm, sgd_step
 
@@ -460,67 +459,66 @@ def test_backward_errors():
 
 
 def _tiny_world():
-    vocab = Vocabulary(["goodword", "badword"])
-    emb = EmbeddingMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    emb = EmbeddingMatrix(Vocabulary(["goodword", "badword"]), np.array([[1.0, 0.0], [0.0, 1.0]]))
     cfg = _config(hidden=4, emb=2, classes=3)
-    return vocab, emb, cfg
+    return emb, cfg
 
 
 def test_token_ids_skip_unknown_tokens():
-    vocab, _, _ = _tiny_world()
-    ids, starts, lengths = token_ids(vocab, [["badword", "zzz", "goodword"], [], ["zzz"], ["goodword", "goodword"]])
+    emb, _ = _tiny_world()
+    ids, starts, lengths = token_ids(emb.vocab, [["badword", "zzz", "goodword"], [], ["zzz"], ["goodword", "goodword"]])
     assert ids.tolist() == [1, 0, 0, 0]
     assert starts.tolist() == [0, 2, 2, 2]
     assert lengths.tolist() == [2, 0, 0, 2]
-    ids, starts, lengths = token_ids(vocab, [])
+    ids, starts, lengths = token_ids(emb.vocab, [])
     assert ids.size == starts.size == lengths.size == 0
 
 
 def test_predict_rejects_vocabulary_past_the_embedding():
-    vocab, _, cfg = _tiny_world()
-    emb = EmbeddingMatrix(np.array([[1.0, 0.0]]))
+    _, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=803))
-    with pytest.raises(ValueError, match="vocabulary has 2 words but the embedding only 1 rows"):
-        predict_many(params, cfg, emb, vocab, [["badword"]])
+    with pytest.raises(ValueError, match="embedding has 1 rows but vocabulary has 2"):
+        emb = EmbeddingMatrix(Vocabulary(["goodword", "badword"]), np.array([[1.0, 0.0]]))
+        predict_many(params, cfg, emb, [["badword"]])
 
 
 def test_predict_zero_weights_tie_breaks_to_class_zero():
-    vocab, emb, cfg = _tiny_world()
-    probs = predict_many(_zero_params(cfg), cfg, emb, vocab, [["goodword"]])[0][0]
+    emb, cfg = _tiny_world()
+    probs = predict_many(_zero_params(cfg), cfg, emb, [["goodword"]])[0][0]
     assert np.argmax(probs) == 0
     assert np.all(probs == 1.0 / 3.0)
 
 
 def test_predict_overfit_single_word():
-    vocab, emb, cfg = _tiny_world()
+    emb, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=800))
-    ids, _, _ = token_ids(vocab, [["goodword"]])
+    ids, _, _ = token_ids(emb.vocab, [["goodword"]])
     seq = list(emb.input_vectors[ids])
     for _ in range(60):
         trace = forward(params, cfg, seq)
         grads = backward_full(params, cfg, trace, seq, 0)
         params = sgd_step(params, grads, 0.5)
-    probs = predict_many(params, cfg, emb, vocab, [["goodword"]])[0][0]
+    probs = predict_many(params, cfg, emb, [["goodword"]])[0][0]
     assert np.argmax(probs) == 0
     assert probs[0] > 0.9
 
 
 def test_predict_skips_unknown_tokens():
-    vocab, emb, cfg = _tiny_world()
+    emb, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=801))
-    probs_known, _ = predict_many(params, cfg, emb, vocab, [["goodword"]])
-    probs_mixed, known = predict_many(params, cfg, emb, vocab, [["zzz", "goodword", "qqq"]])
+    probs_known, _ = predict_many(params, cfg, emb, [["goodword"]])
+    probs_mixed, known = predict_many(params, cfg, emb, [["zzz", "goodword", "qqq"]])
     assert known[0]
     assert np.array_equal(probs_known, probs_mixed)
 
 
 def test_predict_all_unknown_is_flagged():
-    vocab, emb, cfg = _tiny_world()
+    emb, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=802))
-    probabilities, known = predict_many(params, cfg, emb, vocab, [["zzz", "qqq"]])
+    probabilities, known = predict_many(params, cfg, emb, [["zzz", "qqq"]])
     assert not known[0]
     assert not probabilities[0].any()
-    ids, _, _ = token_ids(vocab, [["zzz"]])
+    ids, _, _ = token_ids(emb.vocab, [["zzz"]])
     assert list(emb.input_vectors[ids]) == []
 
 

@@ -273,13 +273,13 @@ def _training_world(n_per_class=3, seed=60, hidden=8):
     emb = synthdata.separable_embeddings(vocab, seed=seed)
     ds = split(tweets, labels, ratio=2 / 3, rng=RngState(seed=seed))
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=hidden)
-    return ds, emb, vocab, model_cfg
+    return ds, emb, model_cfg
 
 
 def test_train_zero_lr_is_a_fixpoint():
-    ds, emb, vocab, model_cfg = _training_world()
+    ds, emb, model_cfg = _training_world()
     cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=7, batch_size=4)
-    params, report = train(ds, emb, vocab, model_cfg, cfg)
+    params, report = train(ds, emb, model_cfg, cfg)
     init = init_params(model_cfg, RngState(seed=7).child(0))
     for name, arr in params.items():
         assert np.array_equal(arr, init[name])
@@ -288,10 +288,10 @@ def test_train_zero_lr_is_a_fixpoint():
 
 
 def test_train_same_seed_reproduces_bitwise():
-    ds, emb, vocab, model_cfg = _training_world()
+    ds, emb, model_cfg = _training_world()
     cfg = TrainConfig(learning_rate=0.05, epochs=4, seed=8, batch_size=4)
-    p1, r1 = train(ds, emb, vocab, model_cfg, cfg)
-    p2, r2 = train(ds, emb, vocab, model_cfg, cfg)
+    p1, r1 = train(ds, emb, model_cfg, cfg)
+    p2, r2 = train(ds, emb, model_cfg, cfg)
     for name, arr in p1.items():
         assert np.array_equal(arr, p2[name])
     assert r1.epoch_losses == r2.epoch_losses
@@ -300,81 +300,76 @@ def test_train_same_seed_reproduces_bitwise():
 
 
 def test_train_seed_changes_trajectory():
-    ds, emb, vocab, model_cfg = _training_world()
-    p1, _ = train(ds, emb, vocab, model_cfg, TrainConfig(learning_rate=0.05, epochs=2, seed=1))
-    p2, _ = train(ds, emb, vocab, model_cfg, TrainConfig(learning_rate=0.05, epochs=2, seed=2))
+    ds, emb, model_cfg = _training_world()
+    p1, _ = train(ds, emb, model_cfg, TrainConfig(learning_rate=0.05, epochs=2, seed=1))
+    p2, _ = train(ds, emb, model_cfg, TrainConfig(learning_rate=0.05, epochs=2, seed=2))
     assert not np.array_equal(p1["w_hy"], p2["w_hy"])
 
 
 def test_train_overfits_and_loss_drops():
-    ds, emb, vocab, model_cfg = _training_world(hidden=12)
+    ds, emb, model_cfg = _training_world(hidden=12)
     cfg = TrainConfig(learning_rate=0.1, epochs=60, seed=9, batch_size=6)
-    params, report = train(ds, emb, vocab, model_cfg, cfg)
+    params, report = train(ds, emb, model_cfg, cfg)
     assert report.epoch_losses[-1] < report.epoch_losses[0]
     assert report.epoch_accuracies[-1] >= 0.99
     # report's test metrics equal a fresh evaluation of the returned params
-    cm, metrics = evaluate(params, model_cfg, emb, vocab, ds.test, ds.test_labels)
+    cm, metrics = evaluate(params, model_cfg, emb, ds.test, ds.test_labels)
     assert metrics == report.test_metrics
     assert cm == report.test_confusion
 
 
 def test_train_with_dropout_and_truncation_runs():
-    ds, emb, vocab, _ = _training_world()
+    ds, emb, _ = _training_world()
     model_cfg = ModelConfig(
         embedding_dim=emb.dim, hidden_size=6, dropout_rate=0.5,
         bptt_mode="truncated", bptt_k=2,
     )
     cfg = TrainConfig(learning_rate=0.05, epochs=3, seed=10, batch_size=2)
-    params, report = train(ds, emb, vocab, model_cfg, cfg)
+    params, report = train(ds, emb, model_cfg, cfg)
     assert len(report.epoch_losses) == 3
     assert all(math.isfinite(x) for x in report.epoch_losses)
 
 
 def test_train_config_mismatch_errors():
-    ds, emb, vocab, model_cfg = _training_world()
+    ds, emb, _ = _training_world()
     bad_dim = ModelConfig(embedding_dim=emb.dim + 1, hidden_size=4)
     with pytest.raises(ValueError, match="config mismatch"):
-        train(ds, emb, vocab, bad_dim, TrainConfig(epochs=1))
-    from rnnsent.corpus import Vocabulary
-
-    small_vocab = Vocabulary(vocab.tokens[:3])
-    with pytest.raises(ValueError, match="config mismatch"):
-        train(ds, emb, small_vocab, model_cfg, TrainConfig(epochs=1))
+        train(ds, emb, bad_dim, TrainConfig(epochs=1))
 
 
 def test_train_binary_task_rejects_neutral_examples():
-    ds, emb, vocab, _ = _training_world()
+    ds, emb, _ = _training_world()
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=4, num_classes=2)
     with pytest.raises(ValueError, match="config mismatch"):
-        train(ds, emb, vocab, model_cfg, TrainConfig(epochs=1))
+        train(ds, emb, model_cfg, TrainConfig(epochs=1))
     # after dropping neutral it trains
     binary = DatasetSplit(*binary_subset(ds.train, ds.train_labels), *binary_subset(ds.test, ds.test_labels))
-    params, report = train(binary, emb, vocab, model_cfg, TrainConfig(epochs=1))
+    params, report = train(binary, emb, model_cfg, TrainConfig(epochs=1))
     assert report.test_confusion.classes == ("positive", "negative")
 
 
 def test_train_rejects_unembeddable_example():
-    ds, emb, vocab, model_cfg = _training_world()
+    ds, emb, model_cfg = _training_world()
     ghost = CleanTweet(id="ghost", timestamp=TS, tokens=("zzzz",))
     bad = DatasetSplit(ds.train + (ghost,), np.append(ds.train_labels, 0), ds.test, ds.test_labels)
     with pytest.raises(ValueError, match="ghost"):
-        train(bad, emb, vocab, model_cfg, TrainConfig(epochs=1))
+        train(bad, emb, model_cfg, TrainConfig(epochs=1))
 
 
 def test_train_single_batch_and_batch_of_one():
-    ds, emb, vocab, model_cfg = _training_world()
+    ds, emb, model_cfg = _training_world()
     big = TrainConfig(learning_rate=0.05, epochs=2, seed=12, batch_size=1000)
     small = TrainConfig(learning_rate=0.05, epochs=2, seed=12, batch_size=1)
-    p_big, _ = train(ds, emb, vocab, model_cfg, big)
-    p_small, _ = train(ds, emb, vocab, model_cfg, small)
+    p_big, _ = train(ds, emb, model_cfg, big)
+    p_small, _ = train(ds, emb, model_cfg, small)
     # different batching -> different trajectories, both finite
     assert np.all(np.isfinite(p_big["w_hy"]))
     assert not np.array_equal(p_big["w_hy"], p_small["w_hy"])
 
 
 def test_save_report(tmp_path):
-    ds, emb, vocab, model_cfg = _training_world()
-    _, report = train(ds, emb, vocab, model_cfg, TrainConfig(epochs=2, seed=13))
+    ds, emb, model_cfg = _training_world()
+    _, report = train(ds, emb, model_cfg, TrainConfig(epochs=2, seed=13))
     path = tmp_path / "report.json"
     save_report(report, path)
     data = json.loads(path.read_text())
@@ -395,13 +390,13 @@ def _grid_world():
     vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=70)
     ds = split(tweets, labels, ratio=2 / 3, rng=RngState(seed=70))
-    return ds, emb, vocab
+    return ds, emb
 
 
 def test_run_grid_fine_structure():
-    ds, emb, vocab = _grid_world()
+    ds, emb = _grid_world()
     base = TrainConfig(epochs=2, seed=71, learning_rate=1.8e-3)
-    result = run_grid(ds, emb, vocab, TASK_FINE, base, hidden_size=4)
+    result = run_grid(ds, emb, TASK_FINE, base, hidden_size=4)
     assert result.task == TASK_FINE
     assert len(result.rows) == 8
     assert [r.model for r in result.rows] == ["Standard RNN"] * 4 + ["Bidirectional RNN"] * 4
@@ -413,9 +408,9 @@ def test_run_grid_fine_structure():
 
 
 def test_run_grid_binary_drops_neutral():
-    ds, emb, vocab = _grid_world()
+    ds, emb = _grid_world()
     base = TrainConfig(epochs=1, seed=72)
-    result = run_grid(ds, emb, vocab, TASK_BINARY, base, hidden_size=4)
+    result = run_grid(ds, emb, TASK_BINARY, base, hidden_size=4)
     assert result.task == TASK_BINARY
     assert len(result.rows) == 8
 
