@@ -19,7 +19,7 @@ import sys
 import time
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .analysis import (
@@ -46,6 +46,7 @@ from .corpus import (
 )
 from .embedding import (
     EmbeddingParams,
+    embedding_twin,
     load_embeddings,
     nearest_neighbors,
     save_embeddings,
@@ -91,18 +92,20 @@ class Spec(NamedTuple):
 
     `inputs` are the flags naming its input files, in manifest order. With
     `names`, the `output` flag is a directory that receives those files and
-    the manifest; without, it names the one output file, and the manifest
-    goes beside it as `<output>.manifest.json`.
+    the manifest; without, it names the output file, and the manifest goes
+    beside it as `<output>.manifest.json`. `twin`, if given, names the file
+    that the writer of that output file writes beside it.
     """
 
     inputs: tuple[str, ...]
     output: str = "output"
     names: tuple[str, ...] = ()
+    twin: Callable[[Path], Path] | None = None
 
 
 SUBCOMMANDS = {
     "preprocess": Spec(("input", "stopwords"), "output_dir", ("corpus.jsonl", "vocab.tsv", "stats.json")),
-    "embed": Spec(("corpus", "vocab")),
+    "embed": Spec(("corpus", "vocab"), twin=embedding_twin),
     "train": Spec(("corpus", "annotations", "embeddings"), names=("model.txt", "report.json")),
     "grid": Spec(("corpus", "annotations", "embeddings"), names=("grid.json", "grid.txt")),
     "eval": Spec(("model", "corpus", "annotations", "embeddings"), names=("metrics.json", "confusion.csv")),
@@ -172,6 +175,8 @@ def _outputs(args: argparse.Namespace) -> list[Path]:
     spec = SUBCOMMANDS[args.subcommand]
     target = getattr(args, spec.output)
     paths = [target / name for name in spec.names] if spec.names else [target]
+    if spec.twin is not None:
+        paths.append(spec.twin(target))
     paths[0].parent.mkdir(parents=True, exist_ok=True)
     return paths
 
@@ -257,7 +262,7 @@ def cmd_embed(args: argparse.Namespace) -> dict:
         emb = train_embeddings(clean, vocab, params, RngState(seed=args.seed))
     except ValueError as exc:  # the vocabulary does not cover the corpus, or holds no counts
         raise ValueError(f"{args.vocab}: {exc}") from exc
-    [output] = _outputs(args)
+    output, _ = _outputs(args)
     save_embeddings(emb, output)
     losses = ", ".join(f"{loss:.4f}" for loss in emb.epoch_losses)
     print(f"trained {emb.vocab_size} x {emb.dim} embeddings; epoch losses: {losses}")

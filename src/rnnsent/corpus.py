@@ -31,7 +31,7 @@ from importlib import resources
 from itertools import chain, islice, repeat
 from operator import attrgetter, floordiv, itemgetter, methodcaller, sub
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -41,8 +41,9 @@ class TweetFormatError(ValueError):
 
 
 @contextmanager
-def atomic_writer(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text file that replaces `path` only once it is fully written.
+def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A UTF-8 text file, or with `binary` a binary one, that replaces `path`
+    only once it is fully written.
 
     It is written beside the target and renamed over it, so a failed write
     leaves the previous file as it was and no partial file under the
@@ -52,7 +53,7 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         # newline="" writes text untranslated, as the csv module requires
-        with tmp.open("x", encoding="utf-8", newline="") as fh:
+        with tmp.open("xb") if binary else tmp.open("x", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -749,8 +750,20 @@ def load_clean_corpus(path: str | Path) -> list[CleanTweet]:
             raise TweetFormatError(f"{path}: {exc}") from exc
 
 
+def _check_tokens(tokens: Iterable[str], path: str | Path) -> None:
+    """Raise ValueError naming `path` and the first token that is empty or
+    holds whitespace: the vocabulary and embedding files separate a token from
+    its fields by whitespace, so their readers refuse such a token."""
+    bad = next((token for token in tokens if token.split() != [token]), None)
+    if bad is not None:
+        raise ValueError(f"{path}: cannot store the token {bad!r}: it is empty or holds whitespace")
+
+
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Text format: token<TAB>index<TAB>count, one line per token, sorted by index."""
+    """Text format: token<TAB>index<TAB>count, one line per token, sorted by
+    index. A token that is empty or holds whitespace raises ValueError before
+    anything is written."""
+    _check_tokens(vocab.tokens, path)
     with atomic_writer(path) as fh:
         for index, token in enumerate(vocab.tokens):
             fh.write(f"{token}\t{index}\t{vocab.counts[index]}\n")

@@ -7,13 +7,17 @@ uniform in [-0.5/dim, 0.5/dim], output vectors at zero.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, atomic_writer, open_artifact, read_header, read_rows, token_ids
+from .corpus import CleanTweet, Vocabulary, _check_tokens, atomic_writer, open_artifact, read_header, read_rows, token_ids
 from .numeric import FloatArray, RngState
 
 EMBEDDING_MAGIC = "SGNS-EMB"
@@ -26,6 +30,14 @@ SCATTER_PAIRS = 128
 PLAN_PAIRS = 1024
 # SGD learning rate at the first tweet; it decays linearly to 1e-4 of this
 LEARNING_RATE = 0.025
+# Rows that save_embeddings formats, writes and parses back at a time; it
+# bounds the save's transient memory, about 0.7 MiB at dim 100
+SAVE_ROWS = 64
+# The first bytes of an embedding file's binary twin, and the header they
+# open: magic, the text's sha256, the payload's sha256, rows, columns (see
+# save_embeddings)
+TWIN_MAGIC = b"SGNS-EMB f64 v1\n"
+_TWIN_HEADER = struct.Struct("<16s32s32sQQ")
 
 
 class EmbeddingFileError(ValueError):
@@ -62,7 +74,8 @@ class EmbeddingMatrix:
         if len(vocab) != input_vectors.shape[0]:
             raise ValueError(f"embedding has {input_vectors.shape[0]} rows but vocabulary has {len(vocab)}")
         if output_vectors is None:
-            output_vectors = np.zeros_like(input_vectors)
+            # np.zeros, unlike zeros_like, can leave a table no caller writes untouched in memory
+            output_vectors = np.zeros(input_vectors.shape)
         output_vectors = np.asarray(output_vectors, dtype=np.float64)
         if output_vectors.shape != input_vectors.shape:
             raise ValueError("input and output vector tables must share a shape")
@@ -416,15 +429,93 @@ def nearest_neighbors(emb: EmbeddingMatrix, word: str, k: int) -> list[tuple[str
     return [(vocab.token(int(i)), float(sims[i])) for i in order]
 
 
+def embedding_twin(path: str | Path) -> Path:
+    """The binary twin that save_embeddings writes beside the embedding file `path`."""
+    return Path(f"{path}.f64")
+
+
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     """Header "SGNS-EMB v1 <vocab> <dim>", then one "token v1 .. vd" line per
-    token in vocabulary-index order; 9 significant digits per value. Written
-    atomically (see corpus.atomic_writer)."""
-    with atomic_writer(path) as fh:
-        fh.write(f"{EMBEDDING_MAGIC} {EMBEDDING_VERSION} {emb.vocab_size} {emb.dim}\n")
-        template = "%s" + " %.9g" * emb.dim + "\n"
-        for token, row in zip(emb.vocab.tokens, emb.input_vectors):
-            fh.write(template % (token, *row.tolist()))
+    token in vocabulary-index order; 9 significant digits per value.
+
+    Beside it goes its binary twin, embedding_twin(path): a header that
+    _TWIN_HEADER packs from TWIN_MAGIC, the sha256 of the text's bytes, the
+    sha256 of the payload, and the row and column counts; then the payload,
+    the vectors as little-endian float64 row by row, then each token and a
+    newline in UTF-8. The twin's vectors are what the text reader returns for
+    the text: each block of SAVE_ROWS lines is parsed back with
+    corpus.read_rows as it is written. The text stays the file of record;
+    load_embeddings takes the twin only when both digests match.
+
+    A token that is empty or holds whitespace, a non-finite value or a
+    matrix with no columns would give a text its own reader refuses, so it
+    raises ValueError naming `path`, and nothing is written. Both files are
+    written atomically (see corpus.atomic_writer).
+    """
+    path, tokens = Path(path), emb.vocab.tokens
+    _check_tokens(tokens, path)
+    if emb.dim < 1:
+        raise ValueError(f"{path}: cannot store an embedding with no columns")
+    text_digest, payload_digest = hashlib.sha256(), hashlib.sha256()
+    template = "%s" + " %.9g" * emb.dim + "\n"
+    rows = iter(emb.input_vectors)
+    with atomic_writer(path, binary=True) as fh, atomic_writer(embedding_twin(path), binary=True) as twin:
+        # the twin's header is written last, once its digests are known
+        twin.write(bytes(_TWIN_HEADER.size))
+        text = f"{EMBEDDING_MAGIC} {EMBEDDING_VERSION} {emb.vocab_size} {emb.dim}\n".encode()
+        fh.write(text)
+        text_digest.update(text)
+        for start in range(0, len(tokens), SAVE_ROWS):
+            names = tokens[start : start + SAVE_ROWS]
+            block = np.array([next(rows) for _ in names], dtype=np.float64)
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                r = int(np.argmin(finite))
+                raise ValueError(f"{path}: cannot store row {start + r} ({names[r]!r}): it has a non-finite value")
+            lines = "".join([template % (token, *values) for token, values in zip(names, block.tolist())])
+            text = lines.encode()
+            fh.write(text)
+            text_digest.update(text)
+            block = read_rows(io.StringIO(lines), path, len(names), emb.dim, EmbeddingFileError, tokens=[])
+            data = block.astype("<f8", copy=False)
+            twin.write(data)
+            payload_digest.update(data)
+        data = "".join([token + "\n" for token in tokens]).encode()
+        twin.write(data)
+        payload_digest.update(data)
+        twin.seek(0)
+        twin.write(_TWIN_HEADER.pack(TWIN_MAGIC, text_digest.digest(), payload_digest.digest(), emb.vocab_size, emb.dim))
+
+
+def _file_sha256(path: Path) -> bytes:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _load_twin(path: Path) -> EmbeddingMatrix | None:
+    """The matrix in `path`'s twin (see save_embeddings), or None when there
+    is no twin or it is not whole and of `path`'s exact bytes."""
+    try:
+        with embedding_twin(path).open("rb") as fh:
+            magic, text_digest, payload_digest, rows, cols = _TWIN_HEADER.unpack(fh.read(_TWIN_HEADER.size))
+            size = rows * cols * 8
+            if magic != TWIN_MAGIC or cols < 1 or size > os.fstat(fh.fileno()).st_size - _TWIN_HEADER.size:
+                return None
+            vectors = np.empty((rows, cols), dtype="<f8")
+            if fh.readinto(vectors) != size:
+                return None
+            tail = fh.read()
+        digest = hashlib.sha256(vectors)
+        digest.update(tail)
+        *tokens, rest = tail.decode("utf-8").split("\n")
+        if digest.digest() != payload_digest or rest or len(tokens) != rows or _file_sha256(path) != text_digest:
+            return None
+        return EmbeddingMatrix(Vocabulary(tokens), vectors)
+    except (OSError, struct.error, ValueError):
+        return None
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
@@ -433,8 +524,16 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
 
     Only input vectors are stored, so the loaded matrix has zero output
     vectors (queries and classification use input vectors only).
+
+    When the twin that save_embeddings wrote beside `path` records the sha256
+    of `path`'s bytes and of its own payload, the tokens and vectors come from
+    it and no decimal text is parsed. Any other twin is ignored: the result
+    and every error are those of the text.
     """
     path = Path(path)
+    emb = _load_twin(path)
+    if emb is not None:
+        return emb
     with open_artifact(path, EmbeddingFileError) as fh:
         header = read_header(fh, path, EMBEDDING_MAGIC, EMBEDDING_VERSION, 4, EmbeddingFileError, "an embedding file")
         try:

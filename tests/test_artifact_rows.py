@@ -1,14 +1,19 @@
 """The numeric row reader shared by the embedding and model files: round
-trips, single-byte corruption, and the errors the command line reports."""
+trips, the embedding file's binary twin, single-byte corruption, and the
+errors the command line reports."""
+
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rnnsent import embedding
 from rnnsent.cli import main
 from rnnsent.corpus import Vocabulary
-from rnnsent.embedding import EmbeddingFileError, EmbeddingMatrix, load_embeddings, save_embeddings
+from rnnsent.embedding import EmbeddingFileError, EmbeddingMatrix, embedding_twin, load_embeddings, save_embeddings
 from rnnsent.model import (
     BIDIRECTIONAL,
     STANDARD,
@@ -91,6 +96,108 @@ def test_model_round_trip_is_bit_exact(tmp_path_factory, data, direction, hidden
 
 
 # ---------------------------------------------------------------------------
+# The embedding file's binary twin: a cache of the text reader's result
+# ---------------------------------------------------------------------------
+
+
+def _load_from_twin(path):
+    """load_embeddings(path), failing if it parses any decimal text."""
+    with mock.patch.object(embedding, "read_rows", side_effect=AssertionError("the text was parsed")):
+        return load_embeddings(path)
+
+
+def _load_parsing_text(path):
+    """load_embeddings(path), failing unless it parses the text."""
+    with mock.patch.object(embedding, "read_rows", wraps=embedding.read_rows) as parse:
+        emb = load_embeddings(path)
+    assert parse.called
+    return emb
+
+
+def _load_text_only(path):
+    """What the text reader returns for path's bytes, with no twin beside them."""
+    copy = path.with_name("text-only.txt")
+    copy.write_bytes(path.read_bytes())
+    return load_embeddings(copy)
+
+
+def _same(a, b):
+    return a.input_vectors.shape == b.input_vectors.shape and a.input_vectors.tobytes() == b.input_vectors.tobytes() and a.vocab.tokens == b.vocab.tokens
+
+
+# values that %.9g prints in e-notation, signed zeros, a subnormal and the ends of the float range
+e_notation = st.sampled_from([1e-300, -2.5e-7, 1.23456789e20, 6.02214076e23, 1e16, -0.0, 0.0, 5e-324, -1.7976931348623157e308])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 5), st.integers(1, 4)),
+    flat=st.lists(st.one_of(finite, e_notation), min_size=20, max_size=20),
+    words=st.lists(tokens, min_size=5, max_size=5, unique=True),
+)
+@example(shape=(1, 4), flat=[-0.0, 1e-300, 1.23456789e20, 5e-324] * 5, words=["aa", "bb", "cc", "dd", "ee"])
+@example(shape=(5, 1), flat=[-2.5e-7, -0.0, 6.02214076e23, 1e16, 0.1] * 4, words=["aa", "bb", "cc", "dd", "ee"])
+@example(shape=(1, 1), flat=[-0.0] * 20, words=["aa", "bb", "cc", "dd", "ee"])
+def test_twin_holds_what_the_text_reader_returns(tmp_path_factory, shape, flat, words):
+    rows, dim = shape
+    path = tmp_path_factory.mktemp("twin") / "emb.txt"
+    _save_embeddings(np.array(flat[: rows * dim]).reshape(rows, dim), words[:rows], path)
+    via_twin = _load_from_twin(path)
+    # tobytes tells -0.0 from 0.0
+    assert _same(via_twin, _load_text_only(path))
+    assert via_twin.vocab.tokens == tuple(words[:rows])
+
+
+def test_twin_of_other_text_is_ignored(tmp_path):
+    path, other = tmp_path / "emb.txt", tmp_path / "other.txt"
+    _save_embeddings(np.array([[0.5, -1.25], [3e-7, 12345.0], [-0.0, 7.75e12]]), ["aa", "bb", "cc"], path)
+    text = path.read_bytes()
+    # one byte edited: the text's values, not the twin's
+    path.write_bytes(text.replace(b"12345", b"12346"))
+    emb = _load_parsing_text(path)
+    assert emb.input_vectors[1, 1] == 12346.0
+    assert _same(emb, _load_text_only(path))
+    # another embedding's whole text
+    _save_embeddings(np.array([[1.0], [2.0]]), ["xx", "yy"], other)
+    path.write_bytes(other.read_bytes())
+    assert _same(_load_parsing_text(path), _load_text_only(other))
+    # a text of the bytes the twin was written for is read from the twin again
+    path.write_bytes(text)
+    assert _same(_load_from_twin(path), _load_text_only(path))
+
+
+def _flip(data: bytes, position: int) -> bytes:
+    return data[:position] + bytes([data[position] ^ 1]) + data[position + 1:]
+
+
+# the twin's header: 16 bytes of magic, the text's and the payload's sha256, then rows and columns
+# as little-endian uint64 at 80 and 88; the payload, which starts at 96, holds a 3 x 2 matrix
+TWIN_DAMAGE = {
+    "truncated": lambda twin: twin[:-1],
+    "truncated to part of its header": lambda twin: twin[:50],
+    "empty": lambda twin: b"",
+    "longer": lambda twin: twin + b"\n",
+    "bad magic": lambda twin: b"X" + twin[1:],
+    "rows and columns swapped": lambda twin: twin[:80] + struct.pack("<QQ", 2, 3) + twin[96:],
+    "one column": lambda twin: twin[:80] + struct.pack("<QQ", 3, 1) + twin[96:],
+    "no columns": lambda twin: twin[:80] + struct.pack("<QQ", 0, 0) + twin[96:],
+    "text digest flipped": lambda twin: _flip(twin, 16),
+    "payload digest flipped": lambda twin: _flip(twin, 48),
+    "vector byte flipped": lambda twin: _flip(twin, 100),
+    "token byte flipped": lambda twin: _flip(twin, len(twin) - 2),
+}
+
+
+@pytest.mark.parametrize("damage", list(TWIN_DAMAGE))
+def test_damaged_twin_falls_back_to_the_text(tmp_path, damage):
+    path = tmp_path / "emb.txt"
+    _save_embeddings(np.array([[0.5, -1.25], [3e-7, 12345.0], [-0.0, 7.75e12]]), ["aa", "bb", "cc"], path)
+    twin = embedding_twin(path)
+    twin.write_bytes(TWIN_DAMAGE[damage](twin.read_bytes()))
+    assert _same(_load_parsing_text(path), _load_text_only(path))
+
+
+# ---------------------------------------------------------------------------
 # Single-byte corruption: a typed error, or at most the one edited value
 # ---------------------------------------------------------------------------
 
@@ -158,6 +265,7 @@ def _model_lines(tmp_path):
     return path, path.read_text().splitlines()
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_separators_tabs_and_runs_of_spaces_are_accepted(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 3 2\naa\t1\t2\nbb   3  4  \n  cc \t 5\t\t6\n")
@@ -172,6 +280,7 @@ def test_separators_tabs_and_runs_of_spaces_are_accepted(tmp_path):
     assert all(np.array_equal(loaded[name], expected[name]) for name in expected)
 
 
+@pytest.mark.usefixtures("stale_twin")
 @pytest.mark.parametrize(
     "row, message",
     [
@@ -195,6 +304,7 @@ def test_malformed_embedding_row_names_file_and_row(tmp_path, capsys, row, messa
     assert f"{path}: corrupt file: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_malformed_first_embedding_row_is_named(tmp_path):
     # loadtxt takes the row length from the first row, so that row is checked on its own
     path = tmp_path / "emb.txt"
@@ -203,6 +313,7 @@ def test_malformed_first_embedding_row_is_named(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_repeated_embedding_token_names_file_and_rows(tmp_path, capsys):
     # each token names one row, so a second row for a token is a corrupt file, not a vocabulary error
     path = tmp_path / "emb.txt"
@@ -236,6 +347,7 @@ def test_malformed_model_row_names_file_parameter_and_row(tmp_path, capsys, edit
     assert f"{path}: corrupt file: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_missing_rows_are_counted(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 3 2\naa 1 2\n")
@@ -247,6 +359,7 @@ def test_missing_rows_are_counted(tmp_path):
         load_model(path)
 
 
+@pytest.mark.usefixtures("stale_twin")
 @pytest.mark.parametrize("counts", ["-1 2", "3 0", "3 x"])
 def test_embedding_header_counts_are_checked(tmp_path, counts):
     path = tmp_path / "emb.txt"
@@ -255,6 +368,7 @@ def test_embedding_header_counts_are_checked(tmp_path, counts):
         load_embeddings(path)
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_bytes_that_are_not_utf8_name_the_file(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes(EMBEDDING_TEXT.encode().replace(b"bb", b"b\xff"))

@@ -514,7 +514,8 @@ def _manifest_case(case, p, out):
         "embed": (
             ["embed", "--corpus", corpus, "--vocab", vocab, "--dim", "4", "--epochs", "1",
              "--seed", "5", "--output", out / "e.txt"],
-            [corpus, vocab], ["e.txt"], "e.txt.manifest.json", 5,
+            # the embedding file and its binary twin
+            [corpus, vocab], ["e.txt", "e.txt.f64"], "e.txt.manifest.json", 5,
         ),
         "train": (
             ["train", *dataset, *net, "--batch", "8", "--output", out],

@@ -490,6 +490,15 @@ def test_vocabulary_round_trip(tmp_path):
     assert load_vocabulary(path) == vocab
 
 
+@pytest.mark.parametrize("token", ["", "two words", "tab\there", "line\nend", "nbsp\u00a0"])
+def test_save_vocabulary_refuses_a_token_its_reader_refuses(tmp_path, token):
+    path = tmp_path / "vocab.tsv"
+    with pytest.raises(ValueError) as info:
+        save_vocabulary(Vocabulary(["storm", token], [7, 5]), path)
+    assert str(info.value) == f"{path}: cannot store the token {token!r}: it is empty or holds whitespace"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_vocabulary_rejects_out_of_order_index(tmp_path):
     path = tmp_path / "vocab.tsv"
     path.write_text("storm\t0\t7\nwater\t2\t5\n")

@@ -20,6 +20,7 @@ from rnnsent.embedding import (
     _Planner,
     _Workspace,
     cosine_similarity,
+    embedding_twin,
     load_embeddings,
     nearest_neighbors,
     save_embeddings,
@@ -401,6 +402,7 @@ def test_save_rejects_row_count_mismatch(tmp_path):
     assert not (tmp_path / "bad.txt").exists()
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_load_wrong_magic(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("NOT-EMB v1 2 2\naa 1 2\nbb 3 4\n")
@@ -408,6 +410,7 @@ def test_load_wrong_magic(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_load_version_mismatch_names_both(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v9 2 2\naa 1 2\nbb 3 4\n")
@@ -415,6 +418,7 @@ def test_load_version_mismatch_names_both(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_load_truncated_file(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 3 2\naa 1 2\nbb 3 4\n")
@@ -422,6 +426,7 @@ def test_load_truncated_file(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_load_wrong_value_count(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 1 3\naa 1 2\n")
@@ -429,6 +434,7 @@ def test_load_wrong_value_count(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_load_non_numeric_value(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 1 2\naa 1 oops\n")
@@ -436,6 +442,7 @@ def test_load_non_numeric_value(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.usefixtures("stale_twin")
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_non_finite_value(tmp_path, value):
     path = tmp_path / "emb.txt"
@@ -446,6 +453,7 @@ def test_load_non_finite_value(tmp_path, value):
     assert main(["neighbors", "--embeddings", str(path), "--vocab", str(path), "--word", "aa", "--k", "1"]) == 2
 
 
+@pytest.mark.usefixtures("stale_twin")
 def test_load_trailing_content(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("SGNS-EMB v1 2 2\naa 1 2\nbb 3 4\n\n  \ncc 5 6\n")
@@ -474,9 +482,49 @@ def test_failed_save_keeps_previous_file(tmp_path):
     emb = _trained_small()
     path = tmp_path / "emb.txt"
     save_embeddings(emb, path)
-    before = path.read_bytes()
+    before, twin_before = path.read_bytes(), embedding_twin(path).read_bytes()
     emb.input_vectors = _FailingRows(emb.input_vectors * 2.0)
     with pytest.raises(RuntimeError, match="write interrupted"):
         save_embeddings(emb, path)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+    # no temp file is left, and the twin beside the previous text is its own or one the reader finds stale
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "emb.txt.f64"]
+    assert embedding_twin(path).read_bytes() == twin_before or embedding._load_twin(path) is None
+
+
+@pytest.mark.parametrize("token", ["", "two words", "tab\there", "line\nend", "nbsp\u00a0"])
+def test_save_refuses_a_token_its_reader_refuses(tmp_path, token):
+    path = tmp_path / "emb.txt"
+    with pytest.raises(ValueError) as info:
+        save_embeddings(EmbeddingMatrix(Vocabulary(["aa", token]), np.ones((2, 2))), path)
+    assert str(info.value) == f"{path}: cannot store the token {token!r}: it is empty or holds whitespace"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_refuses_a_non_finite_value(tmp_path, value):
+    # the bad row is in the second block, after the first has been written and parsed back
+    row = embedding.SAVE_ROWS + 3
+    words = [f"w{i}" for i in range(row + 2)]
+    matrix = np.ones((len(words), 2))
+    matrix[row, 1] = value
+    path = tmp_path / "emb.txt"
+    with pytest.raises(ValueError) as info:
+        save_embeddings(EmbeddingMatrix(Vocabulary(words), matrix), path)
+    assert str(info.value) == f"{path}: cannot store row {row} ('w{row}'): it has a non-finite value"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_refuses_a_matrix_with_no_columns(tmp_path):
+    path = tmp_path / "emb.txt"
+    with pytest.raises(ValueError, match=f"{path}: cannot store an embedding with no columns"):
+        save_embeddings(EmbeddingMatrix(Vocabulary(["aa"]), np.empty((1, 0))), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_same_seed_writes_the_same_twin(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_embeddings(_trained_small(), a)
+    save_embeddings(_trained_small(), b)
+    assert a.read_bytes() == b.read_bytes()
+    assert embedding_twin(a).read_bytes() == embedding_twin(b).read_bytes()
