@@ -379,8 +379,14 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
     emb = load_embeddings(args.embeddings)
-    if emb.vocab.tokens != load_vocabulary(args.vocab).tokens:
-        raise ValueError("embedding file and vocabulary list different tokens or a different order")
+    emb_tokens, vocab_tokens = emb.vocab.tokens, load_vocabulary(args.vocab).tokens
+    if emb_tokens != vocab_tokens:
+        row = next((r for r, (a, b) in enumerate(zip(emb_tokens, vocab_tokens)) if a != b), None)
+        where = (
+            f"{args.embeddings} holds {len(emb_tokens)} tokens, {args.vocab} {len(vocab_tokens)}" if row is None
+            else f"index {row} is {emb_tokens[row]!r} in {args.embeddings} and {vocab_tokens[row]!r} in {args.vocab}"
+        )
+        raise ValueError(f"embedding file and vocabulary list different tokens or a different order: {where}")
     # every query is answered before anything prints, so a bad word leaves no partial output
     answers = [(word, nearest_neighbors(emb, word, args.k)) for word in args.word]
     for number, (word, neighbors) in enumerate(answers):

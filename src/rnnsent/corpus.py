@@ -771,10 +771,52 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a vocabulary written by save_vocabulary; a malformed line raises
-    TweetFormatError naming the file and line."""
+    TweetFormatError naming the file and line.
+
+    The file is read once and all of its rows are checked at once. Only a
+    file that fails a check, or holds a blank line, which is skipped, is
+    read again line by line, which names its first bad line.
+    """
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            vocab = _vocabulary_block(fh.read())
+    except UnicodeDecodeError:
+        vocab = None
+    return vocab if vocab is not None else _vocabulary_lines(path)
+
+
+def _vocabulary_block(text: str) -> Vocabulary | None:
+    """The vocabulary in the text of a vocab.tsv, or None when a line is
+    blank or malformed or a token repeats."""
+    # each line end becomes a field of its own, so a file of n well-formed lines
+    # splits into token, index, count, "\n", token, ..., count: 4n - 1 fields
+    fields = text.removesuffix("\n").replace("\n", "\t\n\t").split("\t")
+    n = (len(fields) + 1) // 4
+    if len(fields) != 4 * n - 1 or fields[3::4] != ["\n"] * (n - 1):
+        return None
+    tokens = fields[0::4]
+    try:
+        if list(map(int, fields[1::4])) != list(range(n)):
+            return None
+        counts = list(map(int, fields[2::4]))
+    except ValueError:
+        return None
+    # every token is nonempty and free of whitespace exactly when they split back whole
+    if min(counts) < 0 or " ".join(tokens).split() != tokens:
+        return None
+    try:
+        return Vocabulary(tokens, counts)
+    except ValueError:  # a token repeats
+        return None
+
+
+def _vocabulary_lines(path: Path) -> Vocabulary:
+    """load_vocabulary one line at a time, raising at the first bad line."""
     tokens: list[str] = []
     counts: list[int] = []
-    with open_artifact(Path(path), TweetFormatError) as fh:
+    first: dict[str, int] = {}  # token -> the line it was first read from
+    with open_artifact(path, TweetFormatError) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -793,12 +835,13 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
             # an embedding file separates a token from its values by whitespace
             if token.split() != [token]:
                 raise TweetFormatError(f"{path}: line {line_no}: token {token!r} is empty or holds whitespace")
+            if first.setdefault(token, line_no) != line_no:
+                raise TweetFormatError(
+                    f"{path}: duplicate tokens in vocabulary: line {line_no} repeats the token {token!r} of line {first[token]}"
+                )
             tokens.append(token)
             counts.append(count)
-    try:
-        return Vocabulary(tokens, counts)
-    except ValueError as exc:
-        raise TweetFormatError(f"{path}: {exc}") from exc
+    return Vocabulary(tokens, counts)
 
 
 def save_stats(stats: CorpusStats, path: str | Path) -> None:

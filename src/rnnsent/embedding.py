@@ -7,7 +7,6 @@ uniform in [-0.5/dim, 0.5/dim], output vectors at zero.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
 import struct
@@ -425,7 +424,7 @@ def nearest_neighbors(emb: EmbeddingMatrix, word: str, k: int) -> list[tuple[str
     sims[norms == 0.0] = -np.inf
     sims[query_idx] = -np.inf
 
-    order = np.lexsort((np.arange(len(sims)), -sims))[:k]
+    order = np.argsort(-sims, kind="stable")[:k]
     return [(vocab.token(int(i)), float(sims[i])) for i in order]
 
 
@@ -456,7 +455,7 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     _check_tokens(tokens, path)
     if emb.dim < 1:
         raise ValueError(f"{path}: cannot store an embedding with no columns")
-    text_digest, payload_digest = hashlib.sha256(), hashlib.sha256()
+    text_digest, payload_digest = _sha256(), _sha256()
     template = "%s" + " %.9g" * emb.dim + "\n"
     rows = iter(emb.input_vectors)
     with atomic_writer(path, binary=True) as fh, atomic_writer(embedding_twin(path), binary=True) as twin:
@@ -487,8 +486,16 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
         twin.write(_TWIN_HEADER.pack(TWIN_MAGIC, text_digest.digest(), payload_digest.digest(), emb.vocab_size, emb.dim))
 
 
+def _sha256(data: bytes | np.ndarray = b""):
+    """hashlib.sha256(data). hashlib is imported on first use, since it loads
+    OpenSSL, which only the twin's writer and reader need."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def _file_sha256(path: Path) -> bytes:
-    digest = hashlib.sha256()
+    digest = _sha256()
     with path.open("rb") as fh:
         while chunk := fh.read(1 << 16):
             digest.update(chunk)
@@ -508,7 +515,7 @@ def _load_twin(path: Path) -> EmbeddingMatrix | None:
             if fh.readinto(vectors) != size:
                 return None
             tail = fh.read()
-        digest = hashlib.sha256(vectors)
+        digest = _sha256(vectors)
         digest.update(tail)
         *tokens, rest = tail.decode("utf-8").split("\n")
         if digest.digest() != payload_digest or rest or len(tokens) != rows or _file_sha256(path) != text_digest:

@@ -257,6 +257,29 @@ def test_neighbors_reordered_vocab_is_usage_error(pipeline, tmp_path, capsys):
     assert "different tokens or a different order" in captured.err
 
 
+def test_neighbors_token_mismatch_names_both_files_and_where(pipeline, tmp_path, capsys):
+    emb, vocab = pipeline["emb"], tmp_path / "vocab.tsv"
+    rows = [line.split("\t") for line in (pipeline["pre"] / "vocab.tsv").read_text().splitlines(keepends=True)]
+    tokens = [row[0] for row in rows]
+    phrase = "error: embedding file and vocabulary list different tokens or a different order"
+    # other counts are no mismatch: neighbors reads only the tokens
+    vocab.write_text("".join(f"{t}\t{i}\t{i + 11}\n" for i, t in enumerate(tokens)))
+    assert _neighbors(pipeline, "--word", "bagyo") == 0
+    counted = capsys.readouterr().out
+    assert (pipeline["pre"] / "vocab.tsv").read_text() != vocab.read_text()
+    assert _neighbors(pipeline, "--word", "bagyo") == 0 and capsys.readouterr().out == counted
+    cases = [
+        (tokens[:3] + [tokens[4], tokens[3]] + tokens[5:], f"index 3 is {tokens[3]!r} in {emb} and {tokens[4]!r} in {vocab}"),
+        (tokens[:-1], f"{emb} holds {len(tokens)} tokens, {vocab} {len(tokens) - 1}"),
+        (tokens + ["zzzz"], f"{emb} holds {len(tokens)} tokens, {vocab} {len(tokens) + 1}"),
+    ]
+    for listed, where in cases:
+        vocab.write_text("".join(f"{t}\t{i}\t1\n" for i, t in enumerate(listed)))
+        rc = main(["neighbors", "--embeddings", str(emb), "--vocab", str(vocab), "--word", "bagyo"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"{phrase}: {where}\n")
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 # ---------------------------------------------------------------------------

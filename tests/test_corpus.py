@@ -558,6 +558,67 @@ def test_load_vocabulary_arbitrary_bytes_fail_typed_naming_the_file(tmp_path_fac
         assert str(exc).startswith(f"{path}: ")
 
 
+@st.composite
+def vocab_rows(draw):
+    """vocab.tsv bytes close to valid: mostly indices in order, with spellings
+    of an integer that int() reads, bad counts and tokens, repeated tokens,
+    blank lines, and every line end that text mode reads as one."""
+    lines = []
+    for i in range(draw(st.integers(0, 8))):
+        token = draw(st.one_of(st.sampled_from(["storm", "water", "bagyo"]), st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)))
+        index = draw(st.sampled_from([str(i)] * 6 + [f"+{i}", f" {i}", f"0{i}", f"{i}_0", str(i + 1), "x"]))
+        count = draw(st.one_of(st.integers(-2, 12).map(str), st.sampled_from([" 5", "5 ", "1_0", "\u0663", "", "-0", "9" * 4400])))
+        lines.append(draw(st.sampled_from(["\t".join([token, index, count])] * 8 + [f"{token}\t{index}", f"{token}\t{index}\t{count}\t"])))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t\t", "\x1c", "\u2028"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (end.join(lines) + draw(st.sampled_from(["", end, end + end]))).encode("utf-8")
+
+
+def _vocabulary_or_error(read, path):
+    try:
+        return read(path)
+    except TweetFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.one_of(vocab_bytes, vocab_rows()))
+@example(content=b"")
+@example(content=b"storm\t0\t7\nstorm\t1\t5\n")
+@example(content=b"storm\t0\t7\nwater\t1\t5\xe2\x80")  # an incomplete UTF-8 sequence at the end
+@example(content=b"storm\t0\n7\twater\t1\t5\n")  # six fields, but not three a line
+def test_vocabulary_block_reader_matches_the_line_reader(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("vocab") / "vocab.tsv"
+    path.write_bytes(content)
+    expected = _vocabulary_or_error(corpus._vocabulary_lines, path)
+    got = _vocabulary_or_error(load_vocabulary, path)
+    assert got == expected
+    if isinstance(got, Vocabulary):
+        assert got.token_to_index == expected.token_to_index
+
+
+def test_a_saved_vocabulary_is_read_in_one_pass(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    vocab = Vocabulary([f"w{i}" for i in range(500)], range(1000, 500, -1))
+    save_vocabulary(vocab, path)
+    with mock.patch.object(corpus, "_vocabulary_lines", side_effect=AssertionError("read line by line")):
+        assert load_vocabulary(path) == vocab
+    # CRLF line ends and the spellings of an integer that int() reads take the same pass
+    path.write_bytes(b"storm\t0\t7\r\nwater\t+1\t 0\r\nfood\t02\t1_0\r\n")
+    with mock.patch.object(corpus, "_vocabulary_lines", side_effect=AssertionError("read line by line")):
+        assert load_vocabulary(path) == Vocabulary(["storm", "water", "food"], [7, 0, 10])
+
+
+def test_repeated_vocabulary_token_names_both_lines(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("storm\t0\t7\nwater\t1\t5\n\nstorm\t2\t3\nx y\t3\t1\n")
+    with pytest.raises(TweetFormatError) as info:
+        load_vocabulary(path)
+    # the first bad line is named, though a later line is malformed as well
+    assert str(info.value) == f"{path}: duplicate tokens in vocabulary: line 4 repeats the token 'storm' of line 1"
+
+
 # a token is any nonempty text without whitespace, which separates the fields of a
 # vocabulary file and a token from its values in an embedding file
 tokens = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(lambda t: t.split() == [t])

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -344,6 +348,25 @@ def test_nearest_neighbors_tie_broken_by_index():
     assert got[0][1] == got[1][1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_nearest_neighbors_planted_ties_rank_by_index():
+    # integer vectors whose norms are whole, so every cosine is computed exactly
+    # and the planted ties are exact in any summation order
+    vocab = Vocabulary(["far", "b1", "query", "top2", "a1", "zero", "c1", "top"])
+    vecs = np.array([
+        [0.0, 1.0, 0.0],  # cosine 0
+        [3.0, 4.0, 0.0],  # 3/5
+        [1.0, 0.0, 0.0],
+        [5.0, 0.0, 0.0],  # 1
+        [6.0, 8.0, 0.0],  # 6/10
+        [0.0, 0.0, 0.0],  # no direction: ranks below every other word
+        [3.0, 0.0, 4.0],  # 3/5
+        [2.0, 0.0, 0.0],  # 1
+    ])
+    got = nearest_neighbors(EmbeddingMatrix(vocab, vecs), "query", 6)
+    assert [t for t, _ in got] == ["top2", "top", "b1", "a1", "c1", "far"]
+    assert [s for _, s in got] == [1.0, 1.0, 0.6, 0.6, 0.6, 0.0]
+
+
 def test_nearest_neighbors_planted_clusters():
     tweets, vocab = synthdata.two_cluster_corpus(words_per_cluster=5, sentences=200, seed=8)
     params = EmbeddingParams(dim=10, window=3, negative_samples=4, epochs=6, subsample_threshold=0.0)
@@ -528,3 +551,15 @@ def test_same_seed_writes_the_same_twin(tmp_path):
     save_embeddings(_trained_small(), b)
     assert a.read_bytes() == b.read_bytes()
     assert embedding_twin(a).read_bytes() == embedding_twin(b).read_bytes()
+
+
+def test_importing_the_cli_loads_no_openssl():
+    # hashlib loads OpenSSL's libcrypto, which only the twin's writer and reader need
+    code = (
+        "import sys, numpy; before = set(sys.modules); import rnnsent.cli; "
+        "print(sorted(m for m in set(sys.modules) - before if 'hashlib' in m))"
+    )
+    src = str(Path(embedding.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
