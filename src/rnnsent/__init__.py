@@ -15,7 +15,7 @@ from .analysis import (
     temporal_buckets,
 )
 from .corpus import (
-    CleanTweet,
+    Corpus,
     CorpusStats,
     PreprocessConfig,
     RawTweet,
@@ -65,7 +65,7 @@ __all__ = [
     "classify_corpus",
     "sentiment_distribution",
     "temporal_buckets",
-    "CleanTweet",
+    "Corpus",
     "CorpusStats",
     "PreprocessConfig",
     "RawTweet",

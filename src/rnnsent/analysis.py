@@ -11,11 +11,10 @@ from dataclasses import dataclass
 from datetime import date
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, _ensure_utc, _isoformat_all, _write_jsonl, atomic_writer
+from .corpus import Corpus, _write_jsonl, atomic_writer
 from .embedding import EmbeddingMatrix
 from .evaluation import FINE_CLASSES
 from .model import ModelConfig, predict_many
@@ -56,7 +55,7 @@ def classify_corpus(
     params: dict[str, FloatArray],
     model_cfg: ModelConfig,
     emb: EmbeddingMatrix,
-    corpus: Sequence[CleanTweet],
+    corpus: Corpus,
 ) -> tuple[np.ndarray, FloatArray, np.ndarray]:
     """Predict every tweet: (labels, confidences, oov), three columns in
     corpus order. A label is an index into FINE_CLASSES, whose first
@@ -69,7 +68,7 @@ def classify_corpus(
     """
     if len(corpus) == 0:
         raise ValueError("cannot classify an empty corpus")
-    probabilities, known = predict_many(params, model_cfg, emb, [tweet.tokens for tweet in corpus])
+    probabilities, known = predict_many(params, model_cfg, emb, corpus)
     # argmax takes the first maximum, so ties go to the lowest class index
     winners = probabilities.argmax(axis=1)
     labels = np.where(known, winners, FINE_CLASSES.index(NEUTRAL))
@@ -87,44 +86,17 @@ def sentiment_distribution(labels: np.ndarray) -> SentimentDistribution:
     return SentimentDistribution(counts=counts, percentages=percentages, total=total)
 
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
-def _period_indices(days: np.ndarray, granularity: str) -> np.ndarray:
-    """The period of each proleptic Gregorian day ordinal in `days`, numbered
-    so that consecutive periods have consecutive numbers: months since
-    1970-01, weeks since the Monday of ordinal 1, or the day ordinal itself."""
-    if granularity == "month":
-        return (days - _EPOCH_ORDINAL).astype("M8[D]").astype("M8[M]").astype(np.int64)
-    if granularity == "week":
-        return (days - 1) // 7  # ordinal 1, 0001-01-01, is a Monday
-    return days
-
-
-def _period_start(period: int, granularity: str) -> date:
-    if granularity == "month":
-        year, month = divmod(period, 12)
-        return date(1970 + year, month + 1, 1)
-    if granularity == "week":
-        return date.fromordinal(7 * period + 1)
-    return date.fromordinal(period)
-
-
-def _period_label(start: date, granularity: str) -> str:
-    if granularity == "month":
-        return f"{start.year:04d}-{start.month:02d}"
-    return start.isoformat()
+_DAY_MICROS = 86_400_000_000
 
 
 def temporal_buckets(
-    corpus: Sequence[CleanTweet],
+    corpus: Corpus,
     labels: np.ndarray,
     granularity: str = "month",
 ) -> TemporalBuckets:
     """Group each tweet of `corpus`, counted under its class in `labels`
     (indices into FINE_CLASSES), by UTC calendar period (month, ISO week
-    starting Monday, or day); a naive timestamp is read as UTC, as
-    parse_timestamp reads one.
+    starting Monday, or day).
 
     Buckets are chronological and contiguous: periods inside the observed span
     with no tweets are emitted with zero counts.
@@ -134,16 +106,30 @@ def temporal_buckets(
     if len(corpus) == 0:
         raise ValueError("cannot bucket an empty classification")
 
-    days = np.fromiter((_ensure_utc(tweet.timestamp).toordinal() for tweet in corpus), np.int64, len(corpus))
-    periods = _period_indices(days, granularity)
-    first, last = int(periods.min()), int(periods.max())
+    # floor division, so an instant before 1970 falls on its own day
+    days = (corpus.micros // _DAY_MICROS).astype("M8[D]")
+    # each tweet's period as the datetime64 it starts at: its month, its week's
+    # Monday (1970-01-01 is a Thursday), or its day
+    if granularity == "month":
+        periods = days.astype("M8[M]")
+    elif granularity == "week":
+        periods = days - (days.astype(np.int64) + 3) % 7
+    else:
+        periods = days
+    step = 7 if granularity == "week" else 1
+    first = periods.min()
+    index = (periods - first).astype(np.int64) // step
     # one row per period from the first to the last, one column per class
-    rows = np.bincount((periods - first) * len(FINE_CLASSES) + labels, minlength=(last - first + 1) * len(FINE_CLASSES))
-    buckets = []
-    for period, counts in enumerate(rows.reshape(-1, len(FINE_CLASSES)).tolist(), first):
-        start = _period_start(period, granularity)
-        buckets.append(TemporalBucket(_period_label(start, granularity), start, dict(zip(FINE_CLASSES, counts))))
-    return TemporalBuckets(granularity=granularity, buckets=tuple(buckets))
+    rows = np.bincount(index * len(FINE_CLASSES) + labels, minlength=(index.max() + 1) * len(FINE_CLASSES))
+    starts = first + step * np.arange(index.max() + 1)
+    return TemporalBuckets(granularity=granularity, buckets=tuple(
+        TemporalBucket(label, start, dict(zip(FINE_CLASSES, counts)))
+        for label, start, counts in zip(
+            np.datetime_as_string(starts).tolist(),
+            starts.astype("M8[D]").astype(object),
+            rows.reshape(-1, len(FINE_CLASSES)).tolist(),
+        )
+    ))
 
 
 def export_report(
@@ -186,35 +172,25 @@ def export_report(
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _classified_lines(rows: list[tuple[CleanTweet, str, str, str]]) -> str:
-    # the bytes of JSONEncoder(sort_keys=True).encode(record), line by line;
-    # isoformat's text (digits and "T:.+-") needs no escape
-    stamps = _isoformat_all([row[0].timestamp for row in rows])
-    return "".join([
-        '{"confidence": %s, "id": %s, "label": %s, "oov": %s, "timestamp": "%s", "tokens": [%s]}\n'
-        % (
-            confidence,
-            encode_basestring_ascii(tweet.id),
-            label,
-            oov,
-            stamp,
-            ", ".join(map(encode_basestring_ascii, tweet.tokens)),
-        )
-        for (tweet, label, confidence, oov), stamp in zip(rows, stamps)
-    ])
-
-
 def save_classified(
-    corpus: Sequence[CleanTweet],
+    corpus: Corpus,
     labels: np.ndarray,
     confidences: FloatArray,
     oov: np.ndarray,
     path: str | Path,
 ) -> None:
     """Clean-corpus JSONL plus label, confidence, and oov fields per tweet,
-    keys sorted; the three columns are classify_corpus's."""
+    keys sorted: the bytes of JSONEncoder(sort_keys=True).encode(record),
+    line by line; the three columns are classify_corpus's."""
+    if not len(corpus) == len(labels) == len(confidences) == len(oov):
+        raise ValueError("the corpus and its label, confidence and oov columns differ in length")
     names = [encode_basestring_ascii(c) for c in FINE_CLASSES]
-    label_text = map(names.__getitem__, labels.tolist())
-    confidence_text = (_JSON_NON_FINITE.get(r, r) for r in map(float.__repr__, confidences.tolist()))
-    oov_text = map(("false", "true").__getitem__, oov.tolist())
-    _write_jsonl(path, zip(corpus, label_text, confidence_text, oov_text, strict=True), _classified_lines)
+    label_text = list(map(names.__getitem__, labels.tolist()))
+    confidence_text = [_JSON_NON_FINITE.get(r, r) for r in map(float.__repr__, confidences.tolist())]
+    oov_text = list(map(("false", "true").__getitem__, oov.tolist()))
+    line = '{"confidence": %s, "id": %s, "label": %s, "oov": %s, "timestamp": "%s", "tokens": [%s]}\n'.__mod__
+
+    def lines(lo: int, hi: int, ids, stamps, tokens) -> str:
+        return "".join(map(line, zip(confidence_text[lo:hi], ids, label_text[lo:hi], oov_text[lo:hi], stamps, tokens)))
+
+    _write_jsonl(path, corpus, encode_basestring_ascii, lines)

@@ -273,13 +273,13 @@ def _prepare_dataset(args: argparse.Namespace, task: str):
     """Shared by train and grid: load, join, optionally balance, then split."""
     clean = load_clean_corpus(args.corpus)
     emb = load_embeddings(args.embeddings)
-    tweets, labels = load_annotations(args.annotations, clean)
+    rows, labels = load_annotations(args.annotations, clean)
     if task == TASK_BINARY:
-        tweets, labels = binary_subset(tweets, labels)
+        rows, labels = binary_subset(rows, labels)
     root = RngState(seed=args.seed)
     if args.balance_per_class is not None:
-        tweets, labels = balance_classes(tweets, labels, args.balance_per_class, root.child(10))
-    data = split(tweets, labels, ratio=args.split_ratio, rng=root.child(11), stratified=args.split == "stratified")
+        rows, labels = balance_classes(rows, labels, args.balance_per_class, root.child(10))
+    data = split(clean, rows, labels, ratio=args.split_ratio, rng=root.child(11), stratified=args.split == "stratified")
     return emb, data
 
 
@@ -335,7 +335,7 @@ def cmd_train(args: argparse.Namespace) -> None:
 def cmd_eval(args: argparse.Namespace) -> None:
     params, model_cfg, emb = _load_classifier(args)
     clean = load_clean_corpus(args.corpus)
-    tweets, labels = load_annotations(args.annotations, clean)
+    rows, labels = load_annotations(args.annotations, clean)
     # the model's classes are the first num_classes of FINE_CLASSES
     kept = labels < model_cfg.num_classes
     dropped = len(labels) - int(kept.sum())
@@ -343,7 +343,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
         _warn(f"dropping {dropped} examples with labels outside {list(classes_for(model_cfg.num_classes))}")
     if not kept.any():
         raise ValueError("no evaluable examples: every annotation is outside the model's classes")
-    cm, metrics = evaluate(params, model_cfg, emb, [t for t, k in zip(tweets, kept) if k], labels[kept])
+    cm, metrics = evaluate(params, model_cfg, emb, clean.take(rows[kept]), labels[kept])
 
     metrics_path, confusion_path = _outputs(args)
     save_metrics(metrics, metrics_path)

@@ -154,11 +154,35 @@ class RawTweet:
     text: str
 
 
-@dataclass(frozen=True)
-class CleanTweet:
-    id: str
-    timestamp: datetime
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A clean corpus as one table, row i being tweet i: its id ids[i], its
+    instant micros[i] in UTC microseconds since the epoch (int64), and its
+    tokens tokens[offsets[i] : offsets[i + 1]] of one flat tuple."""
+
+    ids: tuple[str, ...]
+    micros: np.ndarray
     tokens: tuple[str, ...]
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, ids: Iterable[str], micros: Sequence[int], tokens: Iterable[str], sizes: Sequence[int]) -> "Corpus":
+        """The table of tweets ids[i] at micros[i], tweet i holding the next sizes[i] of `tokens`."""
+        return cls(tuple(ids), np.array(micros, dtype=np.int64), tuple(tokens), np.r_[0, np.cumsum(sizes, dtype=np.int64)])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, Corpus) and (self.ids, self.tokens) == (other.ids, other.tokens)
+        return same and np.array_equal(self.micros, other.micros) and np.array_equal(self.offsets, other.offsets)
+
+    def take(self, rows: np.ndarray) -> "Corpus":
+        """The table of rows `rows` (int64 indices), in that order."""
+        # a slice per row: a list of each token's position would hold an int per token
+        slices = map(slice, self.offsets[rows].tolist(), self.offsets[rows + 1].tolist())
+        tokens = chain.from_iterable(map(self.tokens.__getitem__, slices))
+        return Corpus.of(map(self.ids.__getitem__, rows.tolist()), self.micros[rows], tokens, np.diff(self.offsets)[rows])
 
 
 @dataclass(frozen=True)
@@ -309,19 +333,16 @@ class Vocabulary:
         return self.counts[self.token_to_index[token]]
 
 
-def token_ids(
-    vocab: Vocabulary, token_lists: Sequence[Sequence[str]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, starts, lengths) for N token lists: the vocabulary index of each
-    list's in-vocabulary tokens in order, OOV tokens skipped, so a list with
-    no such token has length 0; list i's ids are ids[starts[i] : starts[i] +
-    lengths[i]]."""
-    sizes = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
-    every = chain.from_iterable(token_lists)
-    ids = np.fromiter(map(vocab.token_to_index.get, every, repeat(-1)), dtype=np.int64, count=int(sizes.sum()))
+def token_ids(vocab: Vocabulary, corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, starts, lengths) for the N tweets of `corpus`: the vocabulary
+    index of each tweet's in-vocabulary tokens in order, OOV tokens skipped,
+    so a tweet with no such token has length 0; tweet i's ids are
+    ids[starts[i] : starts[i] + lengths[i]]."""
+    ids = np.fromiter(map(vocab.token_to_index.get, corpus.tokens, repeat(-1)), dtype=np.int64, count=len(corpus.tokens))
     known = ids >= 0
-    lengths = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[known], minlength=len(sizes))
-    return ids[known], np.cumsum(lengths) - lengths, lengths
+    # the known tokens before each offset, so each tweet's count is a difference
+    before = np.r_[0, known.cumsum()][corpus.offsets]
+    return ids[known], before[:-1], np.diff(before)
 
 
 def _ensure_utc(dt: datetime) -> datetime:
@@ -344,25 +365,18 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def _in_utc(stamps: Iterable[datetime]) -> bool:
-    """True when every one of `stamps` is in UTC (none naive or at another offset)."""
-    return {timezone.utc}.issuperset(map(attrgetter("tzinfo"), stamps))
+def _micros(stamps: Iterable[datetime]) -> list[int]:
+    """The UTC microseconds since the epoch of each aware datetime of `stamps`,
+    divided as integers: the float of datetime.timestamp() can land an
+    instant of about 1.4e15 microseconds one microsecond off."""
+    return list(map(floordiv, map(sub, stamps, repeat(_EPOCH)), repeat(_MICROSECOND)))
 
 
-def _isoformat_all(stamps: Sequence[datetime]) -> list[str]:
-    """datetime.isoformat of each of `stamps`.
-
-    When all are in UTC, they become one int64 column of microseconds since
-    the epoch, which numpy formats in one pass: to the second, or to the
-    microsecond where that is not 0, plus "+00:00", which is isoformat's text
-    for a UTC instant. The differences from the epoch are divided as
-    integers; the float of datetime.timestamp() can land an instant of about
-    1.4e15 microseconds one microsecond off. Any other block is formatted one
-    timestamp at a time.
-    """
-    if not _in_utc(stamps):
-        return list(map(datetime.isoformat, stamps))
-    micros = np.fromiter(map(floordiv, map(sub, stamps, repeat(_EPOCH)), repeat(_MICROSECOND)), np.int64, len(stamps))
+def _isoformat_all(micros: np.ndarray) -> list[str]:
+    """The isoformat of the UTC datetime of each of `micros`, microseconds
+    since the epoch. numpy formats the column in one pass: to the second, or
+    to the microsecond where that is not 0, plus "+00:00", which is
+    isoformat's text for a UTC instant."""
     instants = micros.view("M8[us]")
     text = np.datetime_as_string(instants, unit="s")
     fraction = micros % 1_000_000 != 0
@@ -415,7 +429,7 @@ def load_tweets(path: str | Path) -> list[RawTweet]:
     with open_artifact(path, TweetFormatError, newline="" if format == "csv" else None) as fh:
         try:
             if format == "jsonl":
-                return _read_jsonl(fh, _raw_tweet_block, _raw_tweet_line)
+                return [tweet for _, tweets in _read_jsonl(fh, _raw_tweet_block, _raw_tweet_line) for tweet in tweets]
             return _read_csv_tweets(fh)
         except TweetFormatError as exc:
             raise TweetFormatError(f"{path}: {exc}") from exc
@@ -494,7 +508,7 @@ def _clean_block(texts: Sequence[str]) -> list[list[str]]:
 def preprocess_corpus(
     raw: Sequence[RawTweet],
     config: PreprocessConfig,
-) -> tuple[list[CleanTweet], Vocabulary, CorpusStats]:
+) -> tuple[Corpus, Vocabulary, CorpusStats]:
     """Run the full cleaning pipeline and build the vocabulary.
 
     Global frequencies are counted on the deduplicated, stopword- and
@@ -518,11 +532,15 @@ def preprocess_corpus(
     surviving = {tok: n for tok, n in counts.items() if n >= config.min_global_frequency}
     vocab = Vocabulary.from_counts(surviving)
 
-    clean: list[CleanTweet] = []
-    for tweet, tokens in filtered:
-        kept = tuple([tok for tok in tokens if tok in surviving])
+    ids, stamps, tokens, sizes = [], [], [], []
+    for tweet, candidates in filtered:
+        kept = [tok for tok in candidates if tok in surviving]
         if kept:
-            clean.append(CleanTweet(id=tweet.id, timestamp=tweet.timestamp, tokens=kept))
+            ids.append(tweet.id)
+            stamps.append(_ensure_utc(tweet.timestamp))
+            tokens += kept
+            sizes.append(len(kept))
+    clean = Corpus.of(ids, _micros(stamps), tokens, sizes)
 
     stats = CorpusStats(
         raw_count=len(raw),
@@ -560,32 +578,34 @@ _escape = json.encoder.encode_basestring
 
 def _read_jsonl(
     fh: TextIO,
-    read_block: Callable[[list[str]], tuple[Sequence[str], list] | None],
-    read_line: Callable[[str, int], RawTweet | CleanTweet | None],
-) -> list:
-    """The records of the JSONL text `fh`, in file order; ids must be unique.
+    read_block: Callable[[list[str]], tuple[Sequence, ...] | None],
+    read_line: Callable[[str, int], tuple | None],
+) -> Iterator[tuple[Sequence, ...]]:
+    """The records of the JSONL text `fh`, in file order, as a tuple of
+    columns per block that holds one; ids, the first column, must be unique.
 
-    `read_block(lines)` gives a block's ids and records, or None when a line
-    is blank or any record is malformed. Such a block, or one holding a
-    duplicate id, is read again by `read_line(line, line_no)`, which gives
-    a line's record, or None for a blank line, or raises its TweetFormatError.
+    `read_block(lines)` gives a block's columns, or None when a line is blank
+    or any record is malformed. Such a block, or one holding a duplicate id,
+    is read again by `read_line(line, line_no)`, which gives a line's row, or
+    None for a blank line, or raises its TweetFormatError.
     """
-    records: list = []
     seen: dict[str, int] = {}  # id -> the line it was first read from
     start = 1
     while lines := list(islice(fh, JSONL_BLOCK)):
-        block = read_block(lines)
-        if block is not None and len(set(block[0])) == len(lines) and seen.keys().isdisjoint(block[0]):
-            seen.update(zip(block[0], range(start, start + len(lines))))
-            records.extend(block[1])
+        columns = read_block(lines)
+        if columns is not None and len(set(columns[0])) == len(lines) and seen.keys().isdisjoint(columns[0]):
+            seen.update(zip(columns[0], range(start, start + len(lines))))
         else:
+            rows = []
             for line_no, line in enumerate(lines, start):
-                record = read_line(line, line_no)
-                if record is not None:
-                    _check_duplicate(record.id, line_no, seen)
-                    records.append(record)
+                row = read_line(line, line_no)
+                if row is not None:
+                    _check_duplicate(row[0], line_no, seen)
+                    rows.append(row)
+            columns = tuple(zip(*rows))
         start += len(lines)
-    return records
+        if columns:
+            yield columns
 
 
 def _decode_block(lines: list[str], fields: tuple[str, ...]) -> list[tuple] | None:
@@ -626,7 +646,7 @@ def _parsed_timestamps(stamps: Sequence[str]) -> list[datetime] | None:
         if not any(map(methodcaller("endswith", ("Z", "z")), stamps)):
             parsed = list(map(datetime.fromisoformat, stamps))
             # as parse_timestamp gives them, when all are in UTC already
-            if _in_utc(parsed):
+            if {timezone.utc}.issuperset(map(attrgetter("tzinfo"), parsed)):
                 return parsed
         return list(map(parse_timestamp, stamps))
     except ValueError:
@@ -654,7 +674,7 @@ def _raw_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[RawTweet]] |
     return ids, list(map(RawTweet, ids, timestamps, texts))
 
 
-def _raw_tweet_line(line: str, line_no: int) -> RawTweet | None:
+def _raw_tweet_line(line: str, line_no: int) -> tuple[str, RawTweet] | None:
     if not line.strip():
         return None
     try:
@@ -666,10 +686,10 @@ def _raw_tweet_line(line: str, line_no: int) -> RawTweet | None:
     tweet = _record_to_tweet(record, line_no)
     _check_unicode(line_no, "id", [tweet.id])
     _check_unicode(line_no, "text", [tweet.text])
-    return tweet
+    return tweet.id, tweet
 
 
-def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[CleanTweet]] | None:
+def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[int], Sequence[list[str]]] | None:
     columns = _decode_block(lines, ("id", "timestamp", "tokens"))
     if columns is None:
         return None
@@ -684,10 +704,10 @@ def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[CleanTweet
     timestamps = _parsed_timestamps(stamps)
     if timestamps is None or not _is_unicode(lines, chain(ids, chain.from_iterable(token_lists))):
         return None
-    return ids, list(map(CleanTweet, ids, timestamps, map(tuple, token_lists)))
+    return ids, _micros(timestamps), token_lists
 
 
-def _clean_tweet_line(line: str, line_no: int) -> CleanTweet | None:
+def _clean_tweet_line(line: str, line_no: int) -> tuple[str, int, list[str]] | None:
     text = line.strip(_JSON_SPACE)
     if not text or text.isspace():
         return None
@@ -714,40 +734,42 @@ def _clean_tweet_line(line: str, line_no: int) -> CleanTweet | None:
         timestamp = parse_timestamp(record["timestamp"])
     except ValueError as exc:
         raise TweetFormatError(f"line {line_no}: bad timestamp {record['timestamp']!r}: {exc}") from exc
-    return CleanTweet(id=record["id"], timestamp=timestamp, tokens=tuple(tokens))
+    return record["id"], (timestamp - _EPOCH) // _MICROSECOND, tokens
 
 
-def _write_jsonl(path: str | Path, records: Iterable, format_block: Callable[[list], str]) -> None:
-    """Write `records` atomically, one fh.write of format_block's text per block."""
-    records = iter(records)
+def _write_jsonl(path: str | Path, corpus: Corpus, escape: Callable[[str], str], format_block: Callable[..., str]) -> None:
+    """Write `corpus` atomically, one fh.write per JSONL_BLOCK tweets of format_block(lo, hi, ids, stamps,
+    tokens): their escaped ids, isoformat timestamps (digits and "T:.+-" need no escape) and joined tokens."""
     with atomic_writer(path) as fh:
-        while block := list(islice(records, JSONL_BLOCK)):
-            fh.write(format_block(block))
+        for lo in range(0, len(corpus), JSONL_BLOCK):
+            hi = min(lo + JSONL_BLOCK, len(corpus))
+            offsets = corpus.offsets[lo : hi + 1].tolist()
+            tokens = [", ".join(map(escape, corpus.tokens[a:b])) for a, b in zip(offsets, offsets[1:])]
+            fh.write(format_block(lo, hi, map(escape, corpus.ids[lo:hi]), _isoformat_all(corpus.micros[lo:hi]), tokens))
 
 
-def _clean_tweet_lines(tweets: list[CleanTweet]) -> str:
-    # the bytes of json.dumps({"id": ..., "timestamp": ..., "tokens": [...]}, ensure_ascii=False);
-    # isoformat's text (digits and "T:.+-") needs no escape
-    stamps = _isoformat_all(list(map(attrgetter("timestamp"), tweets)))
-    return "".join([
-        '{"id": %s, "timestamp": "%s", "tokens": [%s]}\n' % (_escape(t.id), stamp, ", ".join(map(_escape, t.tokens)))
-        for t, stamp in zip(tweets, stamps)
-    ])
+def save_clean_corpus(corpus: Corpus, path: str | Path) -> None:
+    """One line per tweet, the bytes of json.dumps({"id": ..., "timestamp": ..., "tokens": [...]}, ensure_ascii=False)."""
+    line = '{"id": %s, "timestamp": "%s", "tokens": [%s]}\n'.__mod__
+    _write_jsonl(path, corpus, _escape, lambda lo, hi, *columns: "".join(map(line, zip(*columns))))
 
 
-def save_clean_corpus(tweets: Iterable[CleanTweet], path: str | Path) -> None:
-    _write_jsonl(path, tweets, _clean_tweet_lines)
-
-
-def load_clean_corpus(path: str | Path) -> list[CleanTweet]:
+def load_clean_corpus(path: str | Path) -> Corpus:
     """Read a clean corpus written by save_clean_corpus; a malformed record,
     a duplicate id or a string holding a lone surrogate raises
     TweetFormatError naming the file and line."""
+    ids, micros, tokens, sizes = [], [], [], []
     with open_artifact(Path(path), TweetFormatError) as fh:
         try:
-            return _read_jsonl(fh, _clean_tweet_block, _clean_tweet_line)
+            # each block's token lists are flattened as it is read, so they are freed a block at a time
+            for block_ids, block_micros, token_lists in _read_jsonl(fh, _clean_tweet_block, _clean_tweet_line):
+                ids += block_ids
+                micros += block_micros
+                tokens += chain.from_iterable(token_lists)
+                sizes += map(len, token_lists)
         except TweetFormatError as exc:
             raise TweetFormatError(f"{path}: {exc}") from exc
+    return Corpus.of(ids, micros, tokens, sizes)
 
 
 def _check_tokens(tokens: Iterable[str], path: str | Path) -> None:

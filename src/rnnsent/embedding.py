@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import CleanTweet, Vocabulary, _check_tokens, atomic_writer, open_artifact, read_header, read_rows, token_ids
+from .corpus import Corpus, Vocabulary, _check_tokens, atomic_writer, open_artifact, read_header, read_rows, token_ids
 from .numeric import FloatArray, RngState
 
 EMBEDDING_MAGIC = "SGNS-EMB"
@@ -329,7 +329,7 @@ def _apply_step(step: _Step, in_vecs: FloatArray, out_vecs: FloatArray, lr: floa
 
 
 def train_embeddings(
-    corpus: Sequence[CleanTweet],
+    corpus: Corpus,
     vocab: Vocabulary,
     params: EmbeddingParams,
     rng: RngState,
@@ -346,11 +346,10 @@ def train_embeddings(
     The tweets are planned PLAN_PAIRS pairs at a time (see _Planner), so the
     per-tweet loop does only the work that reads the vectors.
     """
-    token_lists = [tweet.tokens for tweet in corpus]
-    ids, _, lengths = token_ids(vocab, token_lists)
+    ids, _, _ = token_ids(vocab, corpus)
     # token_ids skips the tokens the vocabulary lacks
-    if len(ids) < sum(map(len, token_lists)):
-        unknown = {t for tweet in corpus for t in tweet.tokens if t not in vocab}
+    if len(ids) < len(corpus.tokens):
+        unknown = {t for t in corpus.tokens if t not in vocab}
         raise ValueError(f"corpus tokens missing from vocabulary: {sorted(unknown)[:5]}")
     if min(vocab.counts, default=0) < 0 or not any(vocab.counts):
         raise ValueError("vocabulary counts must be >= 0, and not all 0: negatives are drawn by count")
@@ -363,7 +362,7 @@ def train_embeddings(
 
     planner = _Planner(
         ids,
-        [0, *np.cumsum(lengths).tolist()],
+        corpus.offsets.tolist(),  # every token is known, so the corpus's own offsets
         noise_cdf,
         keep_prob,
         params.window,
@@ -405,7 +404,9 @@ def nearest_neighbors(emb: EmbeddingMatrix, word: str, k: int) -> list[tuple[str
     """Top-k words of the embedding's vocabulary by cosine similarity over
     input vectors, query excluded.
 
-    Descending similarity; exact ties broken by vocabulary index.
+    Descending similarity; exact ties broken by vocabulary index. A word
+    with a zero vector has no direction: its similarity reads -inf, and it
+    ranks after every word that has one.
     """
     vocab = emb.vocab
     if word not in vocab:
@@ -422,9 +423,9 @@ def nearest_neighbors(emb: EmbeddingMatrix, word: str, k: int) -> list[tuple[str
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = (emb.input_vectors @ q) / (norms * qnorm)
     sims[norms == 0.0] = -np.inf
-    sims[query_idx] = -np.inf
 
-    order = np.argsort(-sims, kind="stable")[:k]
+    others = np.delete(np.arange(len(vocab)), query_idx)
+    order = others[np.argsort(-sims[others], kind="stable")[:k]]
     return [(vocab.token(int(i)), float(sims[i])) for i in order]
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import atomic_writer
+from .corpus import Corpus, atomic_writer
 from .embedding import EmbeddingMatrix
 from .model import ModelConfig, predict_many
 from .numeric import FloatArray
@@ -159,11 +159,11 @@ def evaluate(
     params: dict[str, FloatArray],
     model_cfg: ModelConfig,
     emb: EmbeddingMatrix,
-    tweets: Sequence,
+    corpus: Corpus,
     golds: Sequence[int],
 ) -> tuple[ConfusionMatrix, Metrics]:
-    """Score tweets (anything with .tokens) against their gold labels, indices
-    into the model's classes, FINE_CLASSES[:num_classes].
+    """Score the tweets of `corpus` against their gold labels, indices into
+    the model's classes, FINE_CLASSES[:num_classes].
 
     An example whose tokens are all out-of-vocabulary cannot be classified; it
     is charged as an error by recording a prediction of the first class that
@@ -171,12 +171,12 @@ def evaluate(
     otherwise), and counted in Metrics.oov_examples. This keeps Metrics an
     exact function of the returned confusion matrix.
     """
-    if len(tweets) == 0:
+    if len(corpus) == 0:
         raise ValueError("cannot evaluate an empty test set")
-    if len(golds) != len(tweets):
-        raise ValueError(f"length mismatch: {len(tweets)} tweets vs {len(golds)} gold labels")
+    if len(golds) != len(corpus):
+        raise ValueError(f"length mismatch: {len(corpus)} tweets vs {len(golds)} gold labels")
     golds = np.asarray(golds, dtype=np.int64)
-    probabilities, known = predict_many(params, model_cfg, emb, [tweet.tokens for tweet in tweets])
+    probabilities, known = predict_many(params, model_cfg, emb, corpus)
     # argmax takes the first maximum, so ties go to the lowest class index
     preds = np.where(known, probabilities.argmax(axis=1), golds == 0)
     cm = confusion_matrix(golds, preds, classes_for(model_cfg.num_classes))

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import atomic_writer, open_artifact, read_header, read_rows, token_ids
+from .corpus import Corpus, atomic_writer, open_artifact, read_header, read_rows, token_ids
 from .embedding import EmbeddingMatrix
 from .numeric import FloatArray, RngState, dropout_mask, softmax
 
@@ -531,23 +531,23 @@ def predict_many(
     params: dict[str, FloatArray],
     config: ModelConfig,
     emb: EmbeddingMatrix,
-    token_lists: Sequence[Sequence[str]],
+    corpus: Corpus,
 ) -> tuple[FloatArray, np.ndarray]:
-    """Class probabilities (N, C) of N token lists, and a boolean mask of the
-    lists with at least one token in the embedding's vocabulary (the other
-    rows are 0).
+    """Class probabilities (N, C) of the N tweets of `corpus`, and a boolean
+    mask of the tweets with at least one token in the embedding's vocabulary
+    (the other rows are 0).
 
-    The lists with such a token are run longest first, INFER_CHUNK at a time,
-    so each chunk holds lists of similar length; the kernel gathers their
+    The tweets with such a token are run longest first, INFER_CHUNK at a
+    time, so each chunk holds tweets of similar length; the kernel gathers their
     embedding rows by id and runs in inference mode on one workspace, so
     memory is bounded by one chunk's running states. The results are
     scattered back to the caller's order.
     """
     _check_params(params, config)
     check_embedding_dim(emb, config)
-    ids, starts, lengths = token_ids(emb.vocab, token_lists)
+    ids, starts, lengths = token_ids(emb.vocab, corpus)
     known = lengths > 0
-    probabilities = np.zeros((len(token_lists), config.num_classes))
+    probabilities = np.zeros((len(corpus), config.num_classes))
     live = np.flatnonzero(known)
     live = live[np.argsort(-lengths[live], kind="stable")]
     workspace = Workspace()

@@ -12,11 +12,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 
-from .corpus import CleanTweet, atomic_writer, open_artifact, token_ids
+from .corpus import Corpus, atomic_writer, open_artifact, token_ids
 from .embedding import EmbeddingMatrix
 from .evaluation import (
     BINARY_CLASSES,
@@ -53,12 +51,12 @@ class TrainingDivergedError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DatasetSplit:
-    """Train and test tweets, each side with its label column of indices into
-    FINE_CLASSES."""
+    """Train and test tweets, each side a table with its label column of
+    indices into FINE_CLASSES."""
 
-    train: tuple[CleanTweet, ...]
+    train: Corpus
     train_labels: np.ndarray
-    test: tuple[CleanTweet, ...]
+    test: Corpus
     test_labels: np.ndarray
 
     def __post_init__(self) -> None:
@@ -66,7 +64,7 @@ class DatasetSplit:
             raise ValueError("both sides of a split must be nonempty")
         if len(self.train_labels) != len(self.train) or len(self.test_labels) != len(self.test):
             raise ValueError("each side of a split needs one label per tweet")
-        overlap = {t.id for t in self.train} & {t.id for t in self.test}
+        overlap = set(self.train.ids).intersection(self.test.ids)
         if overlap:
             raise ValueError(f"train/test leakage: ids {sorted(overlap)[:5]} appear on both sides")
 
@@ -90,16 +88,18 @@ class TrainConfig:
         return asdict(self)
 
 
-def load_annotations(path: str | Path, corpus: Sequence[CleanTweet]) -> tuple[list[CleanTweet], np.ndarray]:
-    """Join an id,label CSV against the clean corpus: the annotated tweets in
-    file order, and their labels as an int64 column of indices into FINE_CLASSES.
+def load_annotations(path: str | Path, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Join an id,label CSV against the clean corpus: the annotated tweets'
+    rows in file order and their labels, int64 indices into `corpus` and
+    into FINE_CLASSES.
 
     Rejects labels outside the three classes, ids absent from the corpus, ids
     annotated twice, and tweets without tokens.
     """
-    by_id = {t.id: t for t in corpus}
+    by_id = dict(zip(corpus.ids, range(len(corpus))))
+    sizes = np.diff(corpus.offsets)
     path = Path(path)
-    tweets: list[CleanTweet] = []
+    rows: list[int] = []
     labels: list[int] = []
     seen: set[str] = set()
     with open_artifact(path, ValueError, newline="") as fh:
@@ -116,54 +116,51 @@ def load_annotations(path: str | Path, corpus: Sequence[CleanTweet]) -> tuple[li
                 raise ValueError(f"{path}:{line}: id {tweet_id!r} does not exist in the corpus")
             if tweet_id in seen:
                 raise ValueError(f"{path}:{line}: id {tweet_id!r} is annotated more than once")
-            if not by_id[tweet_id].tokens:
+            if not sizes[by_id[tweet_id]]:
                 raise ValueError(f"{path}:{line}: tweet {tweet_id!r} has no tokens")
             seen.add(tweet_id)
-            tweets.append(by_id[tweet_id])
+            rows.append(by_id[tweet_id])
             labels.append(FINE_CLASSES.index(label))
-    return tweets, np.array(labels, dtype=np.int64)
-
-
-def _take(
-    tweets: Sequence[CleanTweet], labels: np.ndarray, rows: np.ndarray
-) -> tuple[tuple[CleanTweet, ...], np.ndarray]:
-    return tuple(tweets[i] for i in rows), labels[rows]
+    return np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
 def balance_classes(
-    tweets: Sequence[CleanTweet],
+    rows: np.ndarray,
     labels: np.ndarray,
     per_class: int,
     rng: RngState,
-) -> tuple[tuple[CleanTweet, ...], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Uniform sample without replacement of per_class examples from every class
-    present in the data, returned in the original corpus order."""
+    present in the data: their rows and labels, in the order given."""
     gen = rng.generator()
     keep = np.zeros(len(labels), dtype=bool)
     for j, name in enumerate(FINE_CLASSES):
-        rows = np.flatnonzero(labels == j)
-        if len(rows) == 0:
+        members = np.flatnonzero(labels == j)
+        if len(members) == 0:
             continue
-        if len(rows) < per_class:
-            raise ValueError(f"class {name!r} has only {len(rows)} examples, cannot sample {per_class}")
-        keep[rows[gen.choice(len(rows), size=per_class, replace=False)]] = True
-    return _take(tweets, labels, np.flatnonzero(keep))
+        if len(members) < per_class:
+            raise ValueError(f"class {name!r} has only {len(members)} examples, cannot sample {per_class}")
+        keep[members[gen.choice(len(members), size=per_class, replace=False)]] = True
+    return rows[keep], labels[keep]
 
 
-def binary_subset(tweets: Sequence[CleanTweet], labels: np.ndarray) -> tuple[tuple[CleanTweet, ...], np.ndarray]:
-    """Positive and negative examples only; neutral dropped."""
-    return _take(tweets, labels, np.flatnonzero(labels < len(BINARY_CLASSES)))
+def binary_subset(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative examples only, as rows and labels; neutral dropped."""
+    keep = labels < len(BINARY_CLASSES)
+    return rows[keep], labels[keep]
 
 
 def split(
-    tweets: Sequence[CleanTweet],
+    corpus: Corpus,
+    rows: np.ndarray,
     labels: np.ndarray,
     ratio: float = 0.8,
     *,
     rng: RngState,
     stratified: bool = True,
 ) -> DatasetSplit:
-    """Shuffled train/test partition; floor(ratio*n) to train per stratum.
+    """Shuffled train/test partition of the rows `rows` of `corpus`, labeled
+    `labels`, each side in the order given; floor(ratio*n) to train per stratum.
 
     Stratified mode applies the formula within each class; global mode applies
     it once over the whole set. A stratum that would leave either side empty
@@ -171,7 +168,7 @@ def split(
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
-    if len(tweets) < 2:
+    if len(rows) < 2:
         raise ValueError("need at least 2 examples to split")
     gen = rng.generator()
 
@@ -188,10 +185,10 @@ def split(
     if stratified:
         strata = [(np.flatnonzero(labels == j), f"class {name!r}") for j, name in enumerate(FINE_CLASSES)]
     else:
-        strata = [(np.arange(len(tweets)), "the dataset")]
-    sides = [cut(rows, stratum) for rows, stratum in strata if len(rows)]
-    train_rows, test_rows = (np.sort(np.concatenate(side)) for side in zip(*sides))
-    return DatasetSplit(*_take(tweets, labels, train_rows), *_take(tweets, labels, test_rows))
+        strata = [(np.arange(len(rows)), "the dataset")]
+    sides = [cut(members, stratum) for members, stratum in strata if len(members)]
+    train, test = (np.sort(np.concatenate(side)) for side in zip(*sides))
+    return DatasetSplit(corpus.take(rows[train]), labels[train], corpus.take(rows[test]), labels[test])
 
 
 @dataclass
@@ -229,7 +226,7 @@ def _check_labels(data: DatasetSplit, num_classes: int) -> None:
         if len(bad):
             i = bad[0]
             raise ValueError(
-                f"config mismatch: {side_name} example {side[i].id!r} has label {labels[i]}, "
+                f"config mismatch: {side_name} example {side.ids[i]!r} has label {labels[i]}, "
                 f"task classes are 0..{num_classes - 1}: {list(classes_for(num_classes))}"
             )
 
@@ -252,10 +249,10 @@ def train(
     _check_labels(data, model_cfg.num_classes)
 
     # every example's embedding-row ids; the kernel gathers a batch's rows by id
-    ids, starts, lengths = token_ids(emb.vocab, [ex.tokens for ex in data.train])
+    ids, starts, lengths = token_ids(emb.vocab, data.train)
     if not lengths.all():
-        ex = data.train[int(np.argmin(lengths))]
-        raise ValueError(f"train example {ex.id!r} has no in-vocabulary tokens and cannot be embedded")
+        example = data.train.ids[int(np.argmin(lengths))]
+        raise ValueError(f"train example {example!r} has no in-vocabulary tokens and cannot be embedded")
 
     root = RngState(seed=train_cfg.seed)
     params = init_params(model_cfg, root.child(0))
@@ -396,7 +393,9 @@ def run_grid(
     For the binary task, neutral examples are dropped from both sides first.
     """
     if task == TASK_BINARY:
-        data = DatasetSplit(*binary_subset(data.train, data.train_labels), *binary_subset(data.test, data.test_labels))
+        train_rows, train_labels = binary_subset(np.arange(len(data.train)), data.train_labels)
+        test_rows, test_labels = binary_subset(np.arange(len(data.test)), data.test_labels)
+        data = DatasetSplit(data.train.take(train_rows), train_labels, data.test.take(test_rows), test_labels)
     num_classes = 2 if task == TASK_BINARY else 3
 
     rows: list[GridRow] = []

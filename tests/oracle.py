@@ -28,13 +28,14 @@ from datetime import date, timedelta, timezone
 import numpy as np
 
 from rnnsent.analysis import SentimentDistribution, TemporalBucket, TemporalBuckets
-from rnnsent.corpus import CleanTweet, CorpusStats, Vocabulary
+from rnnsent.corpus import CorpusStats, Vocabulary
 from rnnsent import embedding
 from rnnsent.embedding import LEARNING_RATE, EmbeddingMatrix, _sampling_tables
 from rnnsent.evaluation import FINE_CLASSES
 from rnnsent.model import BPTT_FULL, STANDARD, init_params
 from rnnsent.numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
 from rnnsent.training import CLIP_NORM
+from synthdata import Tweet, table, tweets_of
 
 
 def run_cell(arrays, prefix, inputs):
@@ -183,7 +184,7 @@ def sgns_train(corpus, vocab, params, rng):
     out_vecs = np.zeros_like(in_vecs)
     emb = EmbeddingMatrix(vocab, in_vecs, out_vecs)
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
-    sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in corpus]
+    sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in tweets_of(corpus)]
     start_lr = LEARNING_RATE
     total_steps = max(1, params.epochs * len(sentences))
     step = 0
@@ -274,7 +275,7 @@ def sgns_train_per_tweet(corpus, vocab, params, rng):
     out_vecs = np.zeros_like(in_vecs)
     emb = EmbeddingMatrix(vocab, in_vecs, out_vecs)
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
-    sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in corpus]
+    sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in tweets_of(corpus)]
     longest = max((len(s) for s in sentences), default=0)
     batch = SgnsPairBatch(len(sgns_pair_positions(longest, params.window)[0]), params.negative_samples, params.dim)
     min_lr = LEARNING_RATE * 1e-4
@@ -329,7 +330,7 @@ def normalize_text(text, rules=tuple(STRIP_RULES)):
 
 
 def preprocess_corpus(raw, config, rules=tuple(STRIP_RULES)):
-    """(clean tweets, Vocabulary, CorpusStats) of `raw`, one tweet at a time,
+    """(clean Corpus, Vocabulary, CorpusStats) of `raw`, one tweet at a time,
     stripped by the named rules in the order given."""
     seen, deduped = set(), []
     for tweet in raw:
@@ -354,8 +355,8 @@ def preprocess_corpus(raw, config, rules=tuple(STRIP_RULES)):
     for tweet, tokens in filtered:
         kept = tuple(tok for tok in tokens if tok in surviving)
         if kept:
-            clean.append(CleanTweet(id=tweet.id, timestamp=tweet.timestamp, tokens=kept))
-    return clean, vocab, CorpusStats(len(raw), len(deduped), len(clean), len(vocab))
+            clean.append(Tweet(id=tweet.id, timestamp=tweet.timestamp, tokens=kept))
+    return table(clean), vocab, CorpusStats(len(raw), len(deduped), len(clean), len(vocab))
 
 
 def _period_start(day, granularity):
@@ -392,7 +393,9 @@ def temporal_buckets(corpus, labels, granularity):
     """TemporalBuckets of `corpus`, each tweet counted under its class in
     `labels` (indices into FINE_CLASSES), by UTC month, Monday week or day,
     contiguous from the first period to the last, one tweet at a time."""
-    pairs = Counter((_utc(t.timestamp).date(), FINE_CLASSES[label]) for t, label in zip(corpus, labels, strict=True))
+    pairs = Counter(
+        (_utc(t.timestamp).date(), FINE_CLASSES[label]) for t, label in zip(tweets_of(corpus), labels, strict=True)
+    )
     tallies = {}
     for (day, label), n in pairs.items():
         bucket = tallies.setdefault(_period_start(day, granularity), {c: 0 for c in FINE_CLASSES})

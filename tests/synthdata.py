@@ -1,5 +1,7 @@
 """Shared synthetic fixtures: separable sentiment corpora, planted embedding
-clusters, raw-tweet files for the CLI, and the hand-traced preprocessing case.
+clusters, raw-tweet files for the CLI, and the hand-traced preprocessing case;
+and the tests' own row form of a clean corpus, Tweet, with the conversions
+between a list of them and the Corpus table.
 """
 
 from __future__ import annotations
@@ -7,12 +9,13 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from rnnsent.corpus import CleanTweet, Vocabulary
+from rnnsent.corpus import Corpus, Vocabulary
 from rnnsent.embedding import EmbeddingMatrix
 from rnnsent.evaluation import FINE_CLASSES
 from rnnsent.numeric import RngState
@@ -24,13 +27,53 @@ CLASS_WORDS = {
 }
 FILLER_WORDS = ("bagyo", "yolanda", "tacloban", "leyte", "gamit", "tubig")
 
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
-def synthetic_labeled(n_per_class: int, seed: int) -> tuple[list[CleanTweet], np.ndarray]:
+
+class Tweet(NamedTuple):
+    """One row of a clean corpus, as a test writes one down."""
+
+    id: str
+    timestamp: datetime
+    tokens: tuple[str, ...]
+
+
+def micros(stamp: datetime) -> int:
+    """UTC microseconds since the epoch of `stamp`; a naive one is read as UTC."""
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return (stamp - EPOCH) // timedelta(microseconds=1)
+
+
+def table(tweets: Iterable[Tweet]) -> Corpus:
+    """The Corpus of `tweets`, in order; a naive timestamp is read as UTC."""
+    tweets = list(tweets)
+    return Corpus.of(
+        [t.id for t in tweets], [micros(t.timestamp) for t in tweets],
+        [token for t in tweets for token in t.tokens], [len(t.tokens) for t in tweets],
+    )
+
+
+def lists_table(token_lists: Iterable[Iterable[str]]) -> Corpus:
+    """The Corpus of one tweet per token list, with ids "0", "1", ..., all at the epoch."""
+    return table(Tweet(str(i), EPOCH, tuple(tokens)) for i, tokens in enumerate(token_lists))
+
+
+def tweets_of(corpus: Corpus) -> list[Tweet]:
+    """The rows of `corpus`, each timestamp an aware UTC datetime."""
+    offsets = corpus.offsets.tolist()
+    return [
+        Tweet(tid, EPOCH + timedelta(microseconds=m), corpus.tokens[a:b])
+        for tid, m, a, b in zip(corpus.ids, corpus.micros.tolist(), offsets, offsets[1:])
+    ]
+
+
+def synthetic_labeled(n_per_class: int, seed: int) -> tuple[Corpus, np.ndarray]:
     """Class-indicative tweets: 4-6 class keywords plus 2-3 shared fillers,
     timestamps cycling over Nov 2013 - Jan 2014; and their labels, indices
     into FINE_CLASSES (n_per_class of each, in class order)."""
     gen = RngState(seed=seed).generator()
-    out: list[CleanTweet] = []
+    out: list[Tweet] = []
     i = 0
     for label in FINE_CLASSES:
         words = CLASS_WORDS[label]
@@ -41,13 +84,13 @@ def synthetic_labeled(n_per_class: int, seed: int) -> tuple[list[CleanTweet], np
             tokens = [tokens[j] for j in gen.permutation(len(tokens))]
             month = (11, 12, 1)[i % 3]
             ts = datetime(2014 if month == 1 else 2013, month, 1 + i % 28, 10, 0, tzinfo=timezone.utc)
-            out.append(CleanTweet(id=f"s{i:05d}", timestamp=ts, tokens=tuple(tokens)))
+            out.append(Tweet(id=f"s{i:05d}", timestamp=ts, tokens=tuple(tokens)))
             i += 1
-    return out, np.repeat(np.arange(len(FINE_CLASSES)), n_per_class)
+    return table(out), np.repeat(np.arange(len(FINE_CLASSES)), n_per_class)
 
 
-def vocabulary_of(tweets: list[CleanTweet]) -> Vocabulary:
-    return Vocabulary.from_counts(Counter(t for tweet in tweets for t in tweet.tokens))
+def vocabulary_of(corpus: Corpus) -> Vocabulary:
+    return Vocabulary.from_counts(Counter(corpus.tokens))
 
 
 def separable_embeddings(
@@ -72,7 +115,7 @@ def two_cluster_corpus(
     words_per_cluster: int = 8,
     sentences: int = 300,
     seed: int = 0,
-) -> tuple[list[CleanTweet], Vocabulary]:
+) -> tuple[Corpus, Vocabulary]:
     """Planted co-occurrence structure: every sentence draws from one cluster."""
     gen = RngState(seed=seed).generator()
     clusters = (
@@ -84,9 +127,9 @@ def two_cluster_corpus(
         words = clusters[s % 2]
         tokens = tuple(words[j] for j in gen.integers(len(words), size=6))
         ts = datetime(2013, 11, 1 + s % 28, tzinfo=timezone.utc)
-        tweets.append(CleanTweet(id=f"c{s:04d}", timestamp=ts, tokens=tokens))
+        tweets.append(Tweet(id=f"c{s:04d}", timestamp=ts, tokens=tokens))
     counts = Counter(t for tw in tweets for t in tw.tokens)
-    return tweets, Vocabulary.from_counts(counts)
+    return table(tweets), Vocabulary.from_counts(counts)
 
 
 def write_raw_corpus(
@@ -98,7 +141,8 @@ def write_raw_corpus(
     examples exactly: noise (retweet marker, mentions, hashtag, url, emoji) is
     stripped by preprocessing and a unique low-frequency marker token defeats
     text-level deduplication without surviving the frequency filter."""
-    tweets, labels = synthetic_labeled(n_per_class, seed)
+    corpus, labels = synthetic_labeled(n_per_class, seed)
+    tweets = tweets_of(corpus)
     raw_path = directory / "raw.jsonl"
     ann_path = directory / "annotations.csv"
     with raw_path.open("w", encoding="utf-8") as fh:

@@ -19,7 +19,6 @@ import pytest
 import synthdata
 from rnnsent.cli import main
 from rnnsent.corpus import (
-    CleanTweet,
     PreprocessConfig,
     Vocabulary,
     default_stopwords,
@@ -64,6 +63,7 @@ from rnnsent.training import (
     train,
 )
 from rnnsent.analysis import sentiment_distribution, temporal_buckets
+from synthdata import Tweet, table, tweets_of
 
 
 def _check(failures, ok, message):
@@ -83,7 +83,7 @@ def separable_world():
     tweets, labels = synthdata.synthetic_labeled(1300, seed=41)
     vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=41)
-    data = split(tweets, labels, ratio=0.8, rng=RngState(seed=41).child(11))
+    data = split(tweets, np.arange(len(tweets)), labels, ratio=0.8, rng=RngState(seed=41).child(11))
     return (tweets, labels), emb, data
 
 
@@ -153,7 +153,7 @@ def test_criterion_03_overfit_oracle():
     tweets, labels = synthdata.synthetic_labeled(12, seed=40)
     vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=40)
-    data = split(tweets, labels, ratio=5 / 6, rng=RngState(seed=40).child(11))
+    data = split(tweets, np.arange(len(tweets)), labels, ratio=5 / 6, rng=RngState(seed=40).child(11))
     _check(failures, len(data.train) == 30, f"expected 30 training examples, got {len(data.train)}")
 
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=16)
@@ -197,7 +197,7 @@ def test_criterion_04_separable_generalization(separable_world):
     acc = fine_report.test_metrics.accuracy
     _check(failures, acc >= 0.95, f"fine-grained test accuracy {acc:.4f} < 0.95")
 
-    bin_data = split(*binary_subset(tweets, labels), ratio=0.8, rng=RngState(seed=41).child(12))
+    bin_data = split(tweets, *binary_subset(np.arange(len(tweets)), labels), ratio=0.8, rng=RngState(seed=41).child(12))
     bin_cfg = ModelConfig(
         embedding_dim=emb.dim,
         hidden_size=64,
@@ -313,6 +313,7 @@ def test_criterion_07_preprocessing(tmp_path):
     raw_path = tmp_path / "trace.jsonl"
     _write_jsonl(raw_path, synthdata.HAND_TRACE_RAW)
     clean, vocab, stats = preprocess_corpus(load_tweets(raw_path), PreprocessConfig(stopwords=default_stopwords()))
+    clean = tweets_of(clean)
 
     _check(
         failures,
@@ -339,6 +340,7 @@ def test_criterion_07_preprocessing(tmp_path):
         [(t.id, t.timestamp.isoformat(), " ".join(t.tokens)) for t in clean],
     )
     again, _, _ = preprocess_corpus(load_tweets(again_path), PreprocessConfig(stopwords=default_stopwords()))
+    again = tweets_of(again)
     _check(
         failures,
         [(t.id, t.tokens) for t in again] == [(t.id, t.tokens) for t in clean],
@@ -355,6 +357,7 @@ def test_criterion_07_preprocessing(tmp_path):
         rows.append((f"b{i}", "2013-11-09T08:00:00Z", f"{word} anchor xyz xy c{i}"))
     _write_jsonl(boundary_path, rows)
     bclean, bvocab, _ = preprocess_corpus(load_tweets(boundary_path), PreprocessConfig(stopwords=default_stopwords()))
+    bclean = tweets_of(bclean)
     _check(failures, tuple(bvocab.tokens) == ("anchor", "xyz", "fivetimes"), f"vocab {bvocab.tokens}")
     _check(failures, bvocab.count("fivetimes") == 5, "five-occurrence token miscounted")
     _check(failures, "fourtimes" not in bvocab, "four-occurrence token survived the frequency rule")
@@ -468,10 +471,10 @@ def test_criterion_10_analysis_consistency():
         ("positive", "2014-01-02"), ("negative", "2014-01-10"), ("negative", "2014-01-15"),
         ("neutral", "2014-01-30"),
     ]
-    corpus = [
-        CleanTweet(id=f"t{i}", timestamp=datetime.fromisoformat(ts).replace(tzinfo=timezone.utc), tokens=("tok",))
+    corpus = table(
+        Tweet(id=f"t{i}", timestamp=datetime.fromisoformat(ts).replace(tzinfo=timezone.utc), tokens=("tok",))
         for i, (_, ts) in enumerate(spec)
-    ]
+    )
     labels = np.array([FINE_CLASSES.index(label) for label, _ in spec])
     dist = sentiment_distribution(labels)
     buckets = temporal_buckets(corpus, labels, "month")

@@ -18,14 +18,15 @@ from rnnsent.analysis import (
     sentiment_distribution,
     temporal_buckets,
 )
-from rnnsent.corpus import CleanTweet, load_clean_corpus, save_clean_corpus
+from rnnsent.corpus import Corpus, load_clean_corpus, save_clean_corpus
 from rnnsent.evaluation import FINE_CLASSES
 from rnnsent.model import ModelConfig, init_params, param_shapes, predict_many
 from rnnsent.numeric import RngState
+from synthdata import Tweet, table, tweets_of
 
 
 def _tweet(i, ts):
-    return CleanTweet(id=f"t{i}", timestamp=ts, tokens=("tok",))
+    return Tweet(id=f"t{i}", timestamp=ts, tokens=("tok",))
 
 
 def _labels(names):
@@ -40,7 +41,7 @@ def _classified(spec):
         if stamp.tzinfo is None:
             stamp = stamp.replace(tzinfo=timezone.utc)
         corpus.append(_tweet(i, stamp))
-    return corpus, _labels([label for label, _ in spec])
+    return table(corpus), _labels([label for label, _ in spec])
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +71,9 @@ def test_classify_corpus_covers_every_tweet():
 
 def test_classify_corpus_flags_oov_as_neutral():
     corpus, emb, cfg, params = _model_world()
-    ghost = CleanTweet(id="ghost", timestamp=corpus[0].timestamp, tokens=("zzzz", "qqqq"))
-    labels, confidences, oov = classify_corpus(params, cfg, emb, corpus + [ghost])
+    tweets = tweets_of(corpus)
+    ghost = Tweet(id="ghost", timestamp=tweets[0].timestamp, tokens=("zzzz", "qqqq"))
+    labels, confidences, oov = classify_corpus(params, cfg, emb, table([*tweets, ghost]))
     assert FINE_CLASSES[labels[-1]] == "neutral"
     assert confidences[-1] == 0.0
     assert oov[-1]
@@ -88,7 +90,7 @@ def test_classify_corpus_deterministic():
 def test_classify_corpus_rejects_empty():
     _, emb, cfg, params = _model_world()
     with pytest.raises(ValueError, match="empty"):
-        classify_corpus(params, cfg, emb, [])
+        classify_corpus(params, cfg, emb, table([]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +181,7 @@ def test_buckets_interior_gap_zero_filled():
 
 def test_buckets_use_utc_calendar():
     # 07:00+08:00 on Dec 1 is still Nov 30 in UTC
-    corpus = [_tweet(0, datetime(2013, 12, 1, 7, 0, tzinfo=timezone(timedelta(hours=8))))]
+    corpus = table([_tweet(0, datetime(2013, 12, 1, 7, 0, tzinfo=timezone(timedelta(hours=8))))])
     buckets = temporal_buckets(corpus, _labels(["positive"]), "month")
     assert [b.label for b in buckets.buckets] == ["2013-11"]
 
@@ -225,7 +227,7 @@ def _bucket_spec(draw):
 @settings(max_examples=200, deadline=None)
 @given(spec=_bucket_spec(), granularity=st.sampled_from(GRANULARITIES))
 def test_buckets_equal_per_tweet_reference(spec, granularity):
-    corpus = [_tweet(i, ts) for i, (_, ts) in enumerate(spec)]
+    corpus = table(_tweet(i, ts) for i, (_, ts) in enumerate(spec))
     labels = _labels([label for label, _ in spec])
     assert temporal_buckets(corpus, labels, granularity) == oracle.temporal_buckets(corpus, labels, granularity)
 
@@ -244,14 +246,56 @@ def local_time_utc_plus_8(monkeypatch):
 def test_buckets_read_naive_timestamp_as_utc_in_any_local_zone(local_time_utc_plus_8, tmp_path):
     # 03:00 naive is 03:00 UTC, as parse_timestamp and a save-load round trip read it,
     # not 03:00 local time, which is 19:00 UTC on the day before
-    naive = CleanTweet(id="t0", timestamp=datetime(2013, 11, 8, 3), tokens=("tok",))
+    naive = table([Tweet(id="t0", timestamp=datetime(2013, 11, 8, 3), tokens=("tok",))])
     path = tmp_path / "corpus.jsonl"
-    save_clean_corpus([naive], path)
-    for tweet in (naive, *load_clean_corpus(path)):
+    save_clean_corpus(naive, path)
+    for corpus in (naive, load_clean_corpus(path)):
         labels = _labels(["positive"])
-        buckets = temporal_buckets([tweet], labels, "day")
+        buckets = temporal_buckets(corpus, labels, "day")
         assert [b.label for b in buckets.buckets] == ["2013-11-08"]
-        assert buckets == oracle.temporal_buckets([tweet], labels, "day")
+        assert buckets == oracle.temporal_buckets(corpus, labels, "day")
+
+
+DAY = 86_400_000_000  # microseconds
+P, N, U = "positive", "negative", "neutral"
+# (UTC microseconds, label) of each tweet, by hand: the first microsecond of a
+# day is positive, its last one negative
+EDGE_CORPORA = {
+    "epoch": [
+        (-3 * DAY, P),  # 1969-12-29, a Monday
+        (-DAY, P), (-1, N),  # 1969-12-31
+        (0, P), (DAY - 1, N),  # 1970-01-01
+        (59 * DAY, U),  # 1970-03-01, a Sunday, after an empty February
+    ],
+    "year 1": [(-62_135_596_800_000_000, P), (-62_135_596_800_000_000 + DAY - 1, N), (-62_135_596_800_000_000 + 2 * DAY, U)],
+    "year 9999": [(253_402_300_800_000_000 - 3 * DAY, P), (253_402_300_800_000_000 - 1, N)],
+}
+# the number of buckets and the nonempty ones, {label: (positive, negative, neutral)}, by hand
+EDGE_BUCKETS = {
+    ("epoch", "day"): (63, {"1969-12-29": (1, 0, 0), "1969-12-31": (1, 1, 0), "1970-01-01": (1, 1, 0), "1970-03-01": (0, 0, 1)}),
+    ("epoch", "week"): (9, {"1969-12-29": (3, 2, 0), "1970-02-23": (0, 0, 1)}),
+    ("epoch", "month"): (4, {"1969-12": (2, 1, 0), "1970-01": (1, 1, 0), "1970-03": (0, 0, 1)}),
+    ("year 1", "day"): (3, {"0001-01-01": (1, 1, 0), "0001-01-03": (0, 0, 1)}),
+    ("year 1", "week"): (1, {"0001-01-01": (1, 1, 1)}),
+    ("year 1", "month"): (1, {"0001-01": (1, 1, 1)}),
+    ("year 9999", "day"): (3, {"9999-12-29": (1, 0, 0), "9999-12-31": (0, 1, 0)}),
+    ("year 9999", "week"): (1, {"9999-12-27": (1, 1, 0)}),
+    ("year 9999", "month"): (1, {"9999-12": (1, 1, 0)}),
+}
+
+
+@pytest.mark.parametrize("name, granularity", list(EDGE_BUCKETS))
+def test_buckets_of_the_micro_column_at_day_edges_equal_hand_and_per_tweet_dates(name, granularity):
+    stamps, names = zip(*EDGE_CORPORA[name])
+    corpus = Corpus.of([f"t{i}" for i in range(len(stamps))], stamps, ["tok"] * len(stamps), [1] * len(stamps))
+    labels = _labels(names)
+    buckets = temporal_buckets(corpus, labels, granularity)
+    # oracle.temporal_buckets takes each tweet's date from its datetime, one tweet at a time
+    assert buckets == oracle.temporal_buckets(corpus, labels, granularity)
+    count, nonempty = EDGE_BUCKETS[name, granularity]
+    assert len(buckets.buckets) == count
+    got = {b.label: tuple(b.counts.values()) for b in buckets.buckets if any(b.counts.values())}
+    assert got == nonempty
 
 
 @pytest.mark.parametrize("granularity, label", [("month", "9999-12"), ("week", "9999-12-27"), ("day", "9999-12-31")])
@@ -321,16 +365,17 @@ def test_export_unknown_format(tmp_path):
 
 def test_save_classified_jsonl(tmp_path):
     corpus, emb, cfg, params = _model_world()
-    columns = classify_corpus(params, cfg, emb, corpus[:3])
+    first3 = corpus.take(np.arange(3))
+    columns = classify_corpus(params, cfg, emb, first3)
     path = tmp_path / "classified.jsonl"
-    save_classified(corpus[:3], *columns, path)
+    save_classified(first3, *columns, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     first = json.loads(lines[0])
     assert set(first) == {"id", "timestamp", "tokens", "label", "confidence", "oov"}
     assert first["label"] == "positive"
     # records stay loadable as a clean corpus (extra fields ignored)
-    assert [t.id for t in load_clean_corpus(path)] == [t.id for t in corpus[:3]]
+    assert load_clean_corpus(path).ids == corpus.ids[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +412,11 @@ def _columns(draw):
 def test_columns_equal_per_tweet_reference(tmp_path_factory, drawn):
     stamps, labels, confidences, oov, seed, binary_columns = drawn
     world, emb, _, _ = _model_world()
-    corpus = [
-        CleanTweet(f"t{i}", stamp, GHOST if o else world[i % len(world)].tokens)
+    world = tweets_of(world)
+    corpus = table(
+        Tweet(f"t{i}", stamp, GHOST if o else world[i % len(world)].tokens)
         for i, (stamp, o) in enumerate(zip(stamps, oov))
-    ]
+    )
 
     # a two-class model scores positive or negative, and neutral only where it cannot score
     cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=4, num_classes=2)
@@ -380,7 +426,7 @@ def test_columns_equal_per_tweet_reference(tmp_path_factory, drawn):
     assert np.array_equal(binary_oov, oov)
     assert set(binary_labels[~oov].tolist()) <= {POSITIVE, NEGATIVE}
     assert (binary_labels[oov] == NEUTRAL).all() and (binary_confidences[oov] == 0.0).all()
-    probabilities, _ = predict_many(params, cfg, emb, [t.tokens for t in corpus])
+    probabilities, _ = predict_many(params, cfg, emb, corpus)
     winners = probabilities.argmax(axis=1)
     assert binary_labels[~oov].tolist() == [(POSITIVE, NEGATIVE)[i] for i in winners[~oov]]
 
@@ -402,6 +448,6 @@ def test_columns_equal_per_tweet_reference(tmp_path_factory, drawn):
             "confidence": confidence,
             "oov": flagged,
         }) + "\n"
-        for tweet, label, confidence, flagged in zip(corpus, labels.tolist(), confidences.tolist(), oov.tolist())
+        for tweet, label, confidence, flagged in zip(tweets_of(corpus), labels.tolist(), confidences.tolist(), oov.tolist())
     )
     assert path.read_bytes() == expected.encode("ascii")

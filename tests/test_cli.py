@@ -6,7 +6,8 @@ import pytest
 
 import synthdata
 from rnnsent.cli import main
-from rnnsent.corpus import load_clean_corpus
+from rnnsent.corpus import Vocabulary, load_clean_corpus
+from rnnsent.embedding import EmbeddingMatrix, save_embeddings
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +72,8 @@ def test_preprocess_stopwords_file_replaces_default_list(pipeline, tmp_path):
 
 
 def test_preprocess_cleans_planted_noise(pipeline):
-    clean = load_clean_corpus(pipeline["pre"] / "corpus.jsonl")
-    tweets, _ = synthdata.synthetic_labeled(12, 90)
+    clean = synthdata.tweets_of(load_clean_corpus(pipeline["pre"] / "corpus.jsonl"))
+    tweets = synthdata.tweets_of(synthdata.synthetic_labeled(12, 90)[0])
     assert [t.id for t in clean] == [t.id for t in tweets]
     assert [t.tokens for t in clean] == [t.tokens for t in tweets]
 
@@ -97,7 +98,7 @@ def test_preprocess_date_window(tmp_path, capsys):
         "--min-freq", "1", "--from", "2013-12-01", "--to", "2013-12-31",
     ])
     assert rc == 0
-    clean = load_clean_corpus(tmp_path / "o" / "corpus.jsonl")
+    clean = synthdata.tweets_of(load_clean_corpus(tmp_path / "o" / "corpus.jsonl"))
     assert clean
     assert all(t.timestamp.month == 12 for t in clean)
     with pytest.raises(SystemExit) as exc:
@@ -206,6 +207,15 @@ def test_neighbors_unknown_word_is_usage_error(pipeline, capsys):
     ])
     assert rc == 2
     assert "zzzz" in capsys.readouterr().err
+
+
+def test_neighbors_never_lists_the_query_and_ranks_zero_vectors_last(tmp_path, capsys):
+    # aa (1, 0), bb (0, 0), cc (1, 1): cc has cosine 0.707 to aa, and bb no direction at all
+    emb, vocab = tmp_path / "emb.txt", tmp_path / "vocab.tsv"
+    save_embeddings(EmbeddingMatrix(Vocabulary(["aa", "bb", "cc"]), [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), emb)
+    vocab.write_text("aa\t0\t1\nbb\t1\t1\ncc\t2\t1\n")
+    assert main(["neighbors", "--embeddings", str(emb), "--vocab", str(vocab), "--word", "aa", "--k", "2"]) == 0
+    assert capsys.readouterr().out == "cc\t0.707107\nbb\t-inf\n"
 
 
 def _neighbors(pipeline, *word_args):

@@ -12,7 +12,6 @@ import oracle
 import synthdata
 from rnnsent import corpus
 from rnnsent.corpus import (
-    CleanTweet,
     PreprocessConfig,
     RawTweet,
     TweetFormatError,
@@ -29,6 +28,7 @@ from rnnsent.corpus import (
     save_clean_corpus,
     save_vocabulary,
 )
+from synthdata import Tweet, table, tweets_of
 
 
 def _raw(tid, ts, text):
@@ -392,8 +392,8 @@ def _default_config():
 
 def test_pipeline_hand_trace_exact():
     clean, vocab, stats = preprocess_corpus(_hand_trace_raw(), _default_config())
-    assert tuple(t.id for t in clean) == synthdata.HAND_TRACE_EXPECTED_ORDER
-    for tweet in clean:
+    assert tuple(t.id for t in tweets_of(clean)) == synthdata.HAND_TRACE_EXPECTED_ORDER
+    for tweet in tweets_of(clean):
         assert tweet.tokens == synthdata.HAND_TRACE_EXPECTED_TOKENS[tweet.id]
     assert tuple(zip(vocab.tokens, range(len(vocab)), vocab.counts)) == synthdata.HAND_TRACE_EXPECTED_VOCAB
     assert stats.to_dict() == synthdata.HAND_TRACE_EXPECTED_STATS
@@ -404,14 +404,14 @@ def test_pipeline_low_frequency_token_absent_everywhere():
     # "help" appears 3 times and "yolandaph" twice before the frequency cut
     for word in ("help", "yolandaph", "damage"):
         assert word not in vocab
-        assert all(word not in t.tokens for t in clean)
+        assert all(word not in t.tokens for t in tweets_of(clean))
 
 
 def test_pipeline_short_token_dropped():
     clean, vocab, _ = preprocess_corpus(_hand_trace_raw(), _default_config())
     # "ph" has length 2; even though it repeats it never reaches the vocabulary
     assert "ph" not in vocab
-    assert all("ph" not in t.tokens for t in clean)
+    assert all("ph" not in t.tokens for t in tweets_of(clean))
 
 
 def test_pipeline_frequency_boundary():
@@ -421,25 +421,25 @@ def test_pipeline_frequency_boundary():
     clean, vocab, _ = preprocess_corpus(raws, PreprocessConfig(stopwords=frozenset()))
     assert "boundary" in vocab and vocab.count("boundary") == 5
     assert "below" not in vocab  # 4 occurrences
-    assert all(t.tokens == ("boundary",) for t in clean)
+    assert all(t.tokens == ("boundary",) for t in tweets_of(clean))
 
 
 def test_pipeline_tokens_all_in_vocab_with_min_frequency():
     clean, vocab, _ = preprocess_corpus(_hand_trace_raw(), _default_config())
-    for tweet in clean:
+    for tweet in tweets_of(clean):
         for token in tweet.tokens:
             assert token in vocab
     for token, count in zip(vocab.tokens, vocab.counts):
         assert count >= 5
-        assert count == sum(t.tokens.count(token) for t in clean)
+        assert count == sum(t.tokens.count(token) for t in tweets_of(clean))
 
 
 def test_pipeline_idempotent():
     config = _default_config()
     clean1, vocab1, _ = preprocess_corpus(_hand_trace_raw(), config)
-    rejoined = [RawTweet(id=t.id, timestamp=t.timestamp, text=" ".join(t.tokens)) for t in clean1]
+    rejoined = [RawTweet(id=t.id, timestamp=t.timestamp, text=" ".join(t.tokens)) for t in tweets_of(clean1)]
     clean2, vocab2, stats2 = preprocess_corpus(rejoined, config)
-    assert [(t.id, t.tokens) for t in clean2] == [(t.id, t.tokens) for t in clean1]
+    assert [(t.id, t.tokens) for t in tweets_of(clean2)] == [(t.id, t.tokens) for t in tweets_of(clean1)]
     assert vocab2 == vocab1
     assert stats2.final_count == stats2.raw_count == len(clean1)
 
@@ -692,7 +692,7 @@ def test_load_clean_corpus_reads_records_as_json_loads_does(tmp_path):
     path = tmp_path / "clean.jsonl"
     # JSON whitespace around a record and whitespace-only lines are accepted
     path.write_text(f" \t{record}\t \n\x0c\n\n")
-    assert load_clean_corpus(path) == [CleanTweet("t1", datetime(2013, 11, 8, tzinfo=timezone.utc), ("bagyo",))]
+    assert load_clean_corpus(path) == table([Tweet("t1", datetime(2013, 11, 8, tzinfo=timezone.utc), ("bagyo",))])
     for trailing in (" x", " {}", "]"):
         path.write_text(record + "\n" + record.replace("t1", "t2") + trailing + "\n")
         with pytest.raises(TweetFormatError, match=r"clean\.jsonl: line 2: invalid JSON: Extra data"):

@@ -14,7 +14,8 @@ import oracle
 import synthdata
 from rnnsent import embedding
 from rnnsent.cli import main
-from rnnsent.corpus import CleanTweet, Vocabulary
+from rnnsent.corpus import Vocabulary
+from synthdata import Tweet, table, tweets_of
 from rnnsent.embedding import (
     EmbeddingFileError,
     EmbeddingMatrix,
@@ -36,7 +37,7 @@ TS = datetime(2013, 11, 9, tzinfo=timezone.utc)
 
 
 def _tweet(i, tokens):
-    return CleanTweet(id=f"t{i}", timestamp=TS, tokens=tuple(tokens))
+    return Tweet(id=f"t{i}", timestamp=TS, tokens=tuple(tokens))
 
 
 def _corpus_of(token_lists):
@@ -45,7 +46,7 @@ def _corpus_of(token_lists):
     for toks in token_lists:
         for t in toks:
             counts[t] = counts.get(t, 0) + 1
-    return tweets, Vocabulary.from_counts(counts)
+    return table(tweets), Vocabulary.from_counts(counts)
 
 
 SMALL_PARAMS = EmbeddingParams(dim=8, window=2, negative_samples=3, epochs=3, subsample_threshold=0.0)
@@ -81,14 +82,14 @@ def test_matrix_shape_checks():
 
 def test_train_rejects_unknown_token():
     tweets, vocab = _corpus_of([["aa", "bb"]])
-    bad = tweets + [_tweet(9, ["mystery"])]
+    bad = table([*tweets_of(tweets), _tweet(9, ["mystery"])])
     with pytest.raises(ValueError, match="mystery"):
         train_embeddings(bad, vocab, SMALL_PARAMS, RngState(seed=0))
 
 
 @pytest.mark.parametrize("counts", [[0, 0], [3, -1]])
 def test_train_rejects_counts_with_no_noise_distribution(counts):
-    tweets = [_tweet(0, ["aa", "bb"])]
+    tweets = table([_tweet(0, ["aa", "bb"])])
     with pytest.raises(ValueError, match="not all 0"):
         train_embeddings(tweets, Vocabulary(["aa", "bb"], counts), SMALL_PARAMS, RngState(seed=0))
 
@@ -247,7 +248,7 @@ def test_training_is_bit_identical_to_per_tweet_oracle(
     extra = data.draw(st.lists(st.integers(0, 3), min_size=vocab_size, max_size=vocab_size), label="extra counts")
     counts = [sum(toks.count(w) for toks in lists) + e for w, e in zip(words, extra)]
     counts[0] += not any(counts)
-    tweets = [_tweet(i, toks) for i, toks in enumerate(lists)]
+    tweets = table(_tweet(i, toks) for i, toks in enumerate(lists))
     vocab = Vocabulary(words, counts)
     params = EmbeddingParams(dim=dim, window=window, negative_samples=negatives, epochs=epochs,
                              subsample_threshold=subsample)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import synthdata
-from rnnsent.corpus import CleanTweet, Vocabulary
+from rnnsent.corpus import Vocabulary
+from synthdata import Tweet, table, tweets_of
 from rnnsent.embedding import EmbeddingMatrix
 from rnnsent.evaluation import (
     BINARY_CLASSES,
@@ -253,7 +254,7 @@ def test_evaluate_overfit_training_set():
 
     (tweets, golds), emb, cfg = _world(hidden=12)
     params = init_params(cfg, RngState(seed=31))
-    ids, starts, lengths = token_ids(emb.vocab, [t.tokens for t in tweets])
+    ids, starts, lengths = token_ids(emb.vocab, tweets)
     seqs = [list(emb.input_vectors[ids[s : s + n]]) for s, n in zip(starts, lengths)]
     targets = golds.tolist()
     for _ in range(150):
@@ -273,18 +274,18 @@ def test_evaluate_metrics_are_function_of_matrix():
 
 
 def _tweet(i, *tokens):
-    return CleanTweet(id=f"x{i}", timestamp=datetime(2013, 11, 9, tzinfo=timezone.utc), tokens=tokens)
+    return Tweet(id=f"x{i}", timestamp=datetime(2013, 11, 9, tzinfo=timezone.utc), tokens=tokens)
 
 
 def test_evaluate_oov_examples_counted_as_errors():
     for num_classes in (3, 2):
         (tweets, golds), emb, cfg = _world(num_classes=num_classes)
         keep = golds < num_classes
-        tweets, golds = [t for t, k in zip(tweets, keep) if k], golds[keep]
+        tweets, golds = tweets.take(np.flatnonzero(keep)), golds[keep]
         # zero weights predict class 0 for every in-vocabulary tweet
         scored = confusion_matrix(golds, [POS] * len(golds), classes_for(num_classes)).as_array()
         ghosts = [POS, NEG, NEU][:num_classes]
-        with_oov = tweets + [_tweet(i, "unseenzzz", "ghostqqq") for i in range(len(ghosts))]
+        with_oov = table([*tweets_of(tweets), *(_tweet(i, "unseenzzz", "ghostqqq") for i in range(len(ghosts)))])
         cm, metrics = evaluate(_zero_params(cfg), cfg, emb, with_oov, [*golds, *ghosts])
         assert metrics.oov_examples == len(ghosts)
         assert cm.total == len(with_oov)
@@ -303,7 +304,7 @@ def test_evaluate_oov_examples_counted_as_errors():
 
 def test_evaluate_scores_hand_built_tweets():
     _, emb, cfg = _world()
-    tweets = [_tweet(0, "salamat", "masaya"), _tweet(1, "wasak")]
+    tweets = table([_tweet(0, "salamat", "masaya"), _tweet(1, "wasak")])
     cm, metrics = evaluate(_zero_params(cfg), cfg, emb, tweets, [POS, NEG])
     assert cm.total == 2
 
@@ -311,11 +312,11 @@ def test_evaluate_scores_hand_built_tweets():
 def test_evaluate_rejects_empty_and_unknown_gold():
     _, emb, cfg = _world()
     with pytest.raises(ValueError, match="empty"):
-        evaluate(_zero_params(cfg), cfg, emb, [], [])
+        evaluate(_zero_params(cfg), cfg, emb, table([]), [])
     with pytest.raises(ValueError, match="gold label"):
-        evaluate(_zero_params(cfg), cfg, emb, [_tweet(0, "salamat")], [3])
+        evaluate(_zero_params(cfg), cfg, emb, table([_tweet(0, "salamat")]), [3])
     with pytest.raises(ValueError, match="length mismatch"):
-        evaluate(_zero_params(cfg), cfg, emb, [_tweet(0, "salamat")], [POS, NEG])
+        evaluate(_zero_params(cfg), cfg, emb, table([_tweet(0, "salamat")]), [POS, NEG])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from rnnsent import corpus
 from rnnsent.analysis import save_classified
 from rnnsent.cli import main
 from rnnsent.corpus import (
-    CleanTweet,
+    Corpus,
     TweetFormatError,
     load_clean_corpus,
     load_stopwords,
@@ -24,6 +24,7 @@ from rnnsent.corpus import (
     save_clean_corpus,
 )
 from rnnsent.evaluation import FINE_CLASSES
+from synthdata import Tweet, table, tweets_of
 
 NOV9 = "2013-11-09T08:00:00+00:00"
 BLOCKS = [1, 7, corpus.JSONL_BLOCK]
@@ -48,10 +49,9 @@ def _outcome(load, *args):
 # Writers: the bytes json.dumps wrote before the block writer
 # ---------------------------------------------------------------------------
 
-# a block all in UTC is formatted from its microsecond column: whole seconds
-# and not, the first and last years datetime holds; a block of 6 of these is
-# followed by one with a naive and a +08:30 timestamp, formatted one
-# timestamp at a time
+# the microsecond column is formatted a block at a time: whole seconds and
+# not, the first and last years datetime holds; a naive and a +08:30
+# timestamp enter the table as their UTC instants, and are written as those
 UTC_STAMPS = [
     datetime(2013, 11, 9, 8, tzinfo=timezone.utc),
     datetime(2013, 11, 9, 8, 0, 0, 1, tzinfo=timezone.utc),
@@ -71,13 +71,13 @@ MIXED_STAMPS = [datetime(2013, 11, 9, 8), datetime(2013, 11, 9, 8, 0, 0, 250, tz
 @example(records=[(f"t{i}", ts, ["bagyo"]) for i, ts in enumerate(UTC_STAMPS)], block=corpus.JSONL_BLOCK)
 @example(records=[(f"t{i}", ts, ["bagyo"]) for i, ts in enumerate(UTC_STAMPS + MIXED_STAMPS)], block=6)
 def test_clean_corpus_bytes_equal_json_dumps(tmp_path_factory, records, block):
-    tweets = [CleanTweet(tid, ts, tuple(tokens)) for tid, ts, tokens in records]
+    tweets = table(Tweet(tid, ts, tuple(tokens)) for tid, ts, tokens in records)
     path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
     with mock.patch.object(corpus, "JSONL_BLOCK", block):
         save_clean_corpus(tweets, path)
     expected = "".join(
         json.dumps({"id": t.id, "timestamp": t.timestamp.isoformat(), "tokens": list(t.tokens)}, ensure_ascii=False) + "\n"
-        for t in tweets
+        for t in tweets_of(tweets)
     )
     assert path.read_bytes() == expected.encode("utf-8")
 
@@ -110,7 +110,7 @@ def test_clean_corpus_bytes_equal_json_dumps(tmp_path_factory, records, block):
     block=6,
 )
 def test_classified_bytes_equal_json_encoder(tmp_path_factory, records, block):
-    tweets = [CleanTweet(tid, ts, tuple(tokens)) for tid, ts, tokens, *_ in records]
+    tweets = table(Tweet(tid, ts, tuple(tokens)) for tid, ts, tokens, *_ in records)
     labels = np.array([FINE_CLASSES.index(r[3]) for r in records], dtype=np.int64)
     confidences = np.array([r[4] for r in records], dtype=np.float64)
     oov = np.array([r[5] for r in records], dtype=bool)
@@ -128,7 +128,7 @@ def test_classified_bytes_equal_json_encoder(tmp_path_factory, records, block):
             "confidence": np.float64(conf) if as_numpy else conf,
             "oov": flagged,
         }) + "\n"
-        for tweet, (_, _, _, label, conf, flagged, as_numpy) in zip(tweets, records)
+        for tweet, (_, _, _, label, conf, flagged, as_numpy) in zip(tweets_of(tweets), records)
     )
     assert path.read_bytes() == expected.encode("ascii")
 
@@ -144,7 +144,7 @@ def test_classified_bytes_equal_json_encoder(tmp_path_factory, records, block):
     block=st.sampled_from(BLOCKS),
 )
 def test_clean_corpus_save_load_is_identity(tmp_path_factory, records, block):
-    tweets = [CleanTweet(tid, ts, tuple(tokens)) for tid, ts, tokens in records]
+    tweets = table(Tweet(tid, ts, tuple(tokens)) for tid, ts, tokens in records)
     path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
     with mock.patch.object(corpus, "JSONL_BLOCK", block):
         save_clean_corpus(tweets, path)
@@ -196,6 +196,94 @@ def test_clean_block_reader_agrees_with_line_reader(tmp_path_factory, lines, blo
         got = _outcome(load_clean_corpus, path)
         with mock.patch.object(corpus, "_clean_tweet_block", lambda lines: None):
             assert got == _outcome(load_clean_corpus, path)
+
+
+# Clean-corpus records in every form the column reader reads: ids and tokens
+# with non-ASCII text, \" and \\ escapes and lone surrogates (written as
+# escapes, the only way a UTF-8 file holds one); "Z", naive and offset
+# timestamps with and without fractional seconds, over all the years datetime
+# holds, so before 1970 too and past its range once an offset applies; ids
+# drawn from few, so they repeat; and blank and malformed lines between them.
+def _record_line(tid, stamp, tokens, ascii):
+    surrogate = any(0xD800 <= ord(c) <= 0xDFFF for c in tid + "".join(tokens))
+    return json.dumps({"id": tid, "timestamp": stamp, "tokens": tokens}, ensure_ascii=ascii or surrogate)
+
+
+COLUMN_TEXT = st.text(st.sampled_from('aé"\\ñ\U0001f600\ud800\udc00'), min_size=1, max_size=4)
+COLUMN_STAMPS = st.builds(
+    lambda moment, spec, suffix: moment.isoformat(timespec=spec) + suffix,
+    st.datetimes(),
+    st.sampled_from(["seconds", "milliseconds", "microseconds"]),
+    st.sampled_from(["", "Z", "z", "+00:00", "+08:00", "-05:30"]),
+)
+COLUMN_RECORDS = st.builds(
+    _record_line, st.one_of(st.sampled_from(["t1", "t2", "t3"]), COLUMN_TEXT), COLUMN_STAMPS,
+    st.lists(COLUMN_TEXT, max_size=4), st.booleans(),
+)
+COLUMN_LINES = st.one_of(
+    COLUMN_RECORDS,
+    st.sampled_from([
+        "", " \t", "{not json", "[]", "null", '{"id": "t9", "tokens": []}', f'{{"id": "t8", "timestamp": "{NOV9}", "tokens": "a"}}',
+        '{"id": "t7", "timestamp": "2013-13-01T00:00:00", "tokens": []}', f'{{"id": 7, "timestamp": "{NOV9}", "tokens": []}}',
+    ]),
+)
+# one of each timestamp form, all well formed, so the column reader takes the block
+GOOD_BLOCK = [
+    _record_line("t1", "1969-12-31T23:59:59.999999Z", ["niño", 'a"b'], False),
+    _record_line("t2", "1970-01-01T00:00:00", ["back\\slash"], True),
+    _record_line("é", "1970-01-01T08:00:00.000001+08:00", [], False),
+    _record_line("t3", "0001-01-01T00:00:00+00:00", ["\U0001f600"], True),
+    _record_line("t4", "9999-12-31T23:59:59.999999-00:00", ["ok"], True),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(COLUMN_LINES, max_size=10), block=st.sampled_from([1, 4, corpus.JSONL_BLOCK]))
+@example(lines=GOOD_BLOCK, block=corpus.JSONL_BLOCK)
+@example(lines=GOOD_BLOCK[:2] + ["", GOOD_BLOCK[0]], block=2)
+def test_column_reader_gives_the_line_readers_columns_or_error(tmp_path_factory, lines, block):
+    path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with mock.patch.object(corpus, "JSONL_BLOCK", block):
+        got = _outcome(load_clean_corpus, path)
+        with mock.patch.object(corpus, "_clean_tweet_block", lambda lines: None):
+            assert got == _outcome(load_clean_corpus, path)
+    # a block the column reader takes gives, column by column, the line reader's rows
+    with path.open(encoding="utf-8") as fh:
+        file_lines = list(fh)
+    columns = corpus._clean_tweet_block(file_lines)
+    if columns is not None:
+        rows = [corpus._clean_tweet_line(line, n) for n, line in enumerate(file_lines, 1)]
+        assert [list(column) for column in columns] == [list(column) for column in zip(*rows)]
+
+
+def test_column_reader_takes_a_well_formed_block_at_hand_computed_instants():
+    columns = corpus._clean_tweet_block([line + "\n" for line in GOOD_BLOCK])
+    assert columns is not None
+    ids, micros, token_lists = columns
+    assert list(ids) == ["t1", "t2", "é", "t3", "t4"]
+    # the last microsecond before the epoch, the epoch, one past it at +08:00,
+    # and the first and last microseconds datetime holds
+    assert micros == [-1, 0, 1, -62_135_596_800_000_000, 253_402_300_799_999_999]
+    assert list(token_lists) == [["niño", 'a"b'], ["back\\slash"], [], ["\U0001f600"], ["ok"]]
+
+
+def test_written_lines_equal_json_dumps_of_hand_written_records(tmp_path):
+    tweets = Corpus.of(["t1", 'é"\\'], [-1, 1_383_984_000_000_001], ["niño", 'a"b'], [2, 0])
+    records = [
+        {"id": "t1", "timestamp": "1969-12-31T23:59:59.999999+00:00", "tokens": ["niño", 'a"b']},
+        {"id": 'é"\\', "timestamp": "2013-11-09T08:00:00.000001+00:00", "tokens": []},
+    ]
+    save_clean_corpus(tweets, tmp_path / "corpus.jsonl")
+    lines = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(record, ensure_ascii=False) for record in records]
+
+    labels, confidences, oov = np.array([0, 2]), np.array([0.25, 0.0]), np.array([False, True])
+    save_classified(tweets, labels, confidences, oov, tmp_path / "classified.jsonl")
+    lines = (tmp_path / "classified.jsonl").read_text(encoding="ascii").splitlines()
+    records[0].update(label="positive", confidence=0.25, oov=False)
+    records[1].update(label="neutral", confidence=0.0, oov=True)
+    assert lines == [json.dumps(record, sort_keys=True) for record in records]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +341,7 @@ def test_records_split_across_lines_are_rejected_at_the_first_line(tmp_path):
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_duplicate_id_across_blocks_names_both_lines(tmp_path, block):
     path = tmp_path / "corpus.jsonl"
-    save_clean_corpus([CleanTweet(tid, datetime(2013, 11, 9, tzinfo=timezone.utc), ("bagyo",)) for tid in "abcb"], path)
+    save_clean_corpus(table(Tweet(tid, datetime(2013, 11, 9, tzinfo=timezone.utc), ("bagyo",)) for tid in "abcb"), path)
     with mock.patch.object(corpus, "JSONL_BLOCK", block):
         with pytest.raises(TweetFormatError, match=f"^{path}: line 4: duplicate id 'b' \\(first seen on line 2\\)"):
             load_clean_corpus(path)

@@ -11,7 +11,7 @@ import oracle
 import synthdata
 from rnnsent import model, training
 from rnnsent.analysis import classify_corpus
-from rnnsent.corpus import CleanTweet
+from synthdata import Tweet, lists_table, table, tweets_of
 from rnnsent.evaluation import FINE_CLASSES, evaluate
 from rnnsent.model import (
     BIDIRECTIONAL,
@@ -268,7 +268,7 @@ def test_predict_many_keeps_caller_order():
     data, emb = _run_world(seed=75)
     config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=BIDIRECTIONAL)
     params = init_params(config, RngState(seed=76))
-    tweets = data.train + data.test
+    tweets = tweets_of(data.train) + tweets_of(data.test)
     gen = RngState(seed=77).generator()
     token_lists = []
     for i in range(INFER_CHUNK + 40):
@@ -279,7 +279,7 @@ def test_predict_many_keeps_caller_order():
     lengths = [sum(t in emb.vocab for t in tokens) for tokens in token_lists]
     assert lengths != sorted(lengths) and lengths != sorted(lengths, reverse=True)
 
-    probabilities, known = predict_many(params, config, emb, token_lists)
+    probabilities, known = predict_many(params, config, emb, lists_table(token_lists))
     assert list(known) == [n > 0 for n in lengths]
     for tokens, probs, live in zip(token_lists, probabilities, known):
         single = _predict_one(params, config, emb, tokens)
@@ -294,7 +294,7 @@ def test_predict_many_skips_oov_tokens_inside_tweets(direction):
     data, emb = _run_world(seed=78)
     config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=direction)
     params = init_params(config, RngState(seed=79))
-    tweets = data.train + data.test
+    tweets = tweets_of(data.train) + tweets_of(data.test)
     gen = RngState(seed=80).generator()
     token_lists = []
     for i in range(INFER_CHUNK + 20):
@@ -304,7 +304,7 @@ def test_predict_many_skips_oov_tokens_inside_tweets(direction):
             tokens.insert(int(gen.integers(len(tokens) + 1)), f"unseen{int(gen.integers(3))}")
         token_lists.append(tokens)
 
-    probabilities, known = predict_many(params, config, emb, token_lists)
+    probabilities, known = predict_many(params, config, emb, lists_table(token_lists))
     assert known.all()
     for tokens, probs in zip(token_lists, probabilities):
         assert any(t not in emb.vocab for t in tokens)
@@ -357,7 +357,7 @@ def _run_world(seed=70):
     tweets, labels = synthdata.synthetic_labeled(10, seed=seed)
     vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=seed)
-    return split(tweets, labels, ratio=0.8, rng=RngState(seed=seed)), emb
+    return split(tweets, np.arange(len(tweets)), labels, ratio=0.8, rng=RngState(seed=seed)), emb
 
 
 @pytest.mark.parametrize(
@@ -366,7 +366,7 @@ def _run_world(seed=70):
 )
 def test_train_matches_per_example_trainer(direction, bptt_mode, k):
     data, emb = _run_world()
-    sequences = [np.array([emb.input_vectors[emb.vocab.index(t)] for t in ex.tokens]) for ex in data.train]
+    sequences = [np.array([emb.input_vectors[emb.vocab.index(t)] for t in ex.tokens]) for ex in tweets_of(data.train)]
     if bptt_mode == BPTT_TRUNCATED:
         assert k < max(len(s) for s in sequences)  # the window cuts
     model_cfg = ModelConfig(
@@ -454,7 +454,7 @@ def _inference_world(direction):
     data, emb = _run_world(seed=71)
     config = ModelConfig(embedding_dim=emb.dim, hidden_size=5, direction=direction)
     params = init_params(config, RngState(seed=72))
-    tweets = data.train + data.test
+    tweets = tweets_of(data.train) + tweets_of(data.test)
     gen = RngState(seed=73).generator()
     corpus = []
     for i in range(2 * INFER_CHUNK + 9):
@@ -464,14 +464,14 @@ def _inference_world(direction):
             tokens.insert(int(gen.integers(len(tokens) + 1)), "unseenword")
         if i in (INFER_CHUNK - 1, INFER_CHUNK, 2 * INFER_CHUNK + 4):
             tokens = ["ghostword", "zzzz"]  # nothing in vocabulary, on both sides of a chunk boundary
-        corpus.append(CleanTweet(id=f"c{i}", timestamp=base.timestamp, tokens=tuple(tokens)))
-    return params, config, emb, corpus
+        corpus.append(Tweet(id=f"c{i}", timestamp=base.timestamp, tokens=tuple(tokens)))
+    return params, config, emb, table(corpus)
 
 
 def _predict_one(params, config, emb, tokens):
     """(argmax class index, probabilities) of one token list on its own, or
     None when none of its tokens is in the vocabulary."""
-    probabilities, known = predict_many(params, config, emb, [tokens])
+    probabilities, known = predict_many(params, config, emb, lists_table([tokens]))
     return (int(np.argmax(probabilities[0])), probabilities[0]) if known[0] else None
 
 
@@ -480,7 +480,7 @@ def test_classify_corpus_matches_per_tweet_predict(direction):
     params, config, emb, corpus = _inference_world(direction)
     labels, confidences, oov = classify_corpus(params, config, emb, corpus)
     assert sum(oov) == 3
-    for label, confidence, flagged, tweet in zip(labels, confidences, oov, corpus, strict=True):
+    for label, confidence, flagged, tweet in zip(labels, confidences, oov, tweets_of(corpus), strict=True):
         single = _predict_one(params, config, emb, tweet.tokens)
         if single is None:
             assert flagged and FINE_CLASSES[label] == "neutral" and confidence == 0.0
@@ -499,7 +499,7 @@ def test_evaluate_matches_per_tweet_predict(direction):
     golds = [i % 3 for i in range(len(corpus))]
     cm, metrics = evaluate(params, config, emb, corpus, golds)
     counts = np.zeros((3, 3), dtype=np.int64)
-    for tweet, gold in zip(corpus, golds):
+    for tweet, gold in zip(tweets_of(corpus), golds):
         single = _predict_one(params, config, emb, tweet.tokens)
         pred = single[0] if single else next(c for c in range(3) if c != gold)
         counts[gold, pred] += 1
@@ -509,8 +509,8 @@ def test_evaluate_matches_per_tweet_predict(direction):
 
 def test_evaluate_all_oov_chunk():
     params, config, emb, corpus = _inference_world(STANDARD)
-    ghost = CleanTweet(id="ghost", timestamp=corpus[0].timestamp, tokens=("zzzz",))
-    cm, metrics = evaluate(params, config, emb, [ghost] * (INFER_CHUNK + 1), [1] * (INFER_CHUNK + 1))
+    ghost = Tweet(id="ghost", timestamp=tweets_of(corpus)[0].timestamp, tokens=("zzzz",))
+    cm, metrics = evaluate(params, config, emb, table([ghost] * (INFER_CHUNK + 1)), [1] * (INFER_CHUNK + 1))
     assert metrics.oov_examples == INFER_CHUNK + 1
     assert metrics.accuracy == 0.0
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rnnsent.corpus import Vocabulary, token_ids
+from synthdata import lists_table
 from rnnsent.embedding import EmbeddingMatrix
 from rnnsent.model import (
     BIDIRECTIONAL,
@@ -466,11 +467,11 @@ def _tiny_world():
 
 def test_token_ids_skip_unknown_tokens():
     emb, _ = _tiny_world()
-    ids, starts, lengths = token_ids(emb.vocab, [["badword", "zzz", "goodword"], [], ["zzz"], ["goodword", "goodword"]])
+    ids, starts, lengths = token_ids(emb.vocab, lists_table([["badword", "zzz", "goodword"], [], ["zzz"], ["goodword", "goodword"]]))
     assert ids.tolist() == [1, 0, 0, 0]
     assert starts.tolist() == [0, 2, 2, 2]
     assert lengths.tolist() == [2, 0, 0, 2]
-    ids, starts, lengths = token_ids(emb.vocab, [])
+    ids, starts, lengths = token_ids(emb.vocab, lists_table([]))
     assert ids.size == starts.size == lengths.size == 0
 
 
@@ -479,12 +480,12 @@ def test_predict_rejects_vocabulary_past_the_embedding():
     params = init_params(cfg, RngState(seed=803))
     with pytest.raises(ValueError, match="embedding has 1 rows but vocabulary has 2"):
         emb = EmbeddingMatrix(Vocabulary(["goodword", "badword"]), np.array([[1.0, 0.0]]))
-        predict_many(params, cfg, emb, [["badword"]])
+        predict_many(params, cfg, emb, lists_table([["badword"]]))
 
 
 def test_predict_zero_weights_tie_breaks_to_class_zero():
     emb, cfg = _tiny_world()
-    probs = predict_many(_zero_params(cfg), cfg, emb, [["goodword"]])[0][0]
+    probs = predict_many(_zero_params(cfg), cfg, emb, lists_table([["goodword"]]))[0][0]
     assert np.argmax(probs) == 0
     assert np.all(probs == 1.0 / 3.0)
 
@@ -492,13 +493,13 @@ def test_predict_zero_weights_tie_breaks_to_class_zero():
 def test_predict_overfit_single_word():
     emb, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=800))
-    ids, _, _ = token_ids(emb.vocab, [["goodword"]])
+    ids, _, _ = token_ids(emb.vocab, lists_table([["goodword"]]))
     seq = list(emb.input_vectors[ids])
     for _ in range(60):
         trace = forward(params, cfg, seq)
         grads = backward_full(params, cfg, trace, seq, 0)
         params = sgd_step(params, grads, 0.5)
-    probs = predict_many(params, cfg, emb, [["goodword"]])[0][0]
+    probs = predict_many(params, cfg, emb, lists_table([["goodword"]]))[0][0]
     assert np.argmax(probs) == 0
     assert probs[0] > 0.9
 
@@ -506,8 +507,8 @@ def test_predict_overfit_single_word():
 def test_predict_skips_unknown_tokens():
     emb, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=801))
-    probs_known, _ = predict_many(params, cfg, emb, [["goodword"]])
-    probs_mixed, known = predict_many(params, cfg, emb, [["zzz", "goodword", "qqq"]])
+    probs_known, _ = predict_many(params, cfg, emb, lists_table([["goodword"]]))
+    probs_mixed, known = predict_many(params, cfg, emb, lists_table([["zzz", "goodword", "qqq"]]))
     assert known[0]
     assert np.array_equal(probs_known, probs_mixed)
 
@@ -515,10 +516,10 @@ def test_predict_skips_unknown_tokens():
 def test_predict_all_unknown_is_flagged():
     emb, cfg = _tiny_world()
     params = init_params(cfg, RngState(seed=802))
-    probabilities, known = predict_many(params, cfg, emb, [["zzz", "qqq"]])
+    probabilities, known = predict_many(params, cfg, emb, lists_table([["zzz", "qqq"]]))
     assert not known[0]
     assert not probabilities[0].any()
-    ids, _, _ = token_ids(emb.vocab, [["zzz"]])
+    ids, _, _ = token_ids(emb.vocab, lists_table([["zzz"]]))
     assert list(emb.input_vectors[ids]) == []
 
 

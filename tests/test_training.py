@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthdata
-from rnnsent.corpus import CleanTweet
+from synthdata import Tweet, table
 from rnnsent.evaluation import FINE_CLASSES, evaluate
 from rnnsent.model import ModelConfig, init_params
 from rnnsent.numeric import RngState
@@ -34,13 +34,14 @@ TS = datetime(2013, 11, 9, tzinfo=timezone.utc)
 
 
 def _tweet(i, tokens=("tok",)):
-    return CleanTweet(id=f"t{i}", timestamp=TS, tokens=tuple(tokens))
+    return Tweet(id=f"t{i}", timestamp=TS, tokens=tuple(tokens))
 
 
 def _many(counts):
-    """(tweets, labels) with counts[name] examples of each class, in dict order."""
+    """(corpus, rows, labels) with counts[name] examples of each class, in dict
+    order, as rows 0 to n - 1 of a corpus of n tweets."""
     labels = np.array([FINE_CLASSES.index(name) for name, n in counts.items() for _ in range(n)], dtype=np.int64)
-    return [_tweet(i) for i in range(len(labels))], labels
+    return _corpus(len(labels)), np.arange(len(labels)), labels
 
 
 def _count(labels, name):
@@ -56,12 +57,12 @@ def test_dataset_split_validation():
     a, b = _tweet(0), _tweet(1)
     one, two = np.array([0]), np.array([1, 0])
     with pytest.raises(ValueError, match="nonempty"):
-        DatasetSplit(train=(), train_labels=one[:0], test=(a,), test_labels=one)
+        DatasetSplit(train=table([]), train_labels=one[:0], test=table([a]), test_labels=one)
     with pytest.raises(ValueError, match="leakage"):
-        DatasetSplit(train=(a,), train_labels=one, test=(a, b), test_labels=two)
+        DatasetSplit(train=table([a]), train_labels=one, test=table([a, b]), test_labels=two)
     with pytest.raises(ValueError, match="one label per tweet"):
-        DatasetSplit(train=(a,), train_labels=two, test=(b,), test_labels=one)
-    DatasetSplit(train=(a,), train_labels=one, test=(b,), test_labels=one)
+        DatasetSplit(train=table([a]), train_labels=two, test=table([b]), test_labels=one)
+    DatasetSplit(train=table([a]), train_labels=one, test=table([b]), test_labels=one)
 
 
 def test_train_config_validation():
@@ -80,19 +81,19 @@ def test_train_config_validation():
 
 
 def _corpus(n=4):
-    return [CleanTweet(id=f"t{i}", timestamp=TS, tokens=("tok",)) for i in range(n)]
+    return table(_tweet(i) for i in range(n))
 
 
 def test_load_annotations_joins_by_id(tmp_path):
     path = tmp_path / "ann.csv"
     path.write_text("id,label\nt0,positive\nt2,neutral\nt1,negative\n")
-    tweets, labels = load_annotations(path, _corpus())
-    assert [(t.id, FINE_CLASSES[label]) for t, label in zip(tweets, labels)] == [
+    rows, labels = load_annotations(path, _corpus())
+    assert [(_corpus().ids[r], FINE_CLASSES[label]) for r, label in zip(rows, labels)] == [
         ("t0", "positive"),
         ("t2", "neutral"),
         ("t1", "negative"),
     ]
-    assert labels.dtype == np.int64
+    assert labels.dtype == np.int64 and rows.dtype == np.int64
 
 
 def test_load_annotations_unknown_label(tmp_path):
@@ -119,7 +120,7 @@ def test_load_annotations_duplicate_id(tmp_path):
 def test_load_annotations_tweet_without_tokens_names_file_and_line(tmp_path):
     path = tmp_path / "ann.csv"
     path.write_text("id,label\nt0,positive\nt9,negative\n")
-    corpus = _corpus() + [CleanTweet(id="t9", timestamp=TS, tokens=())]
+    corpus = table([*(_tweet(i) for i in range(4)), Tweet(id="t9", timestamp=TS, tokens=())])
     with pytest.raises(ValueError) as exc:
         load_annotations(path, corpus)
     assert str(exc.value) == f"{path}:3: tweet 't9' has no tokens"
@@ -164,45 +165,45 @@ def test_load_annotations_arbitrary_bytes_fail_typed_naming_the_file(tmp_path_fa
 
 
 def test_balance_classes_exact_counts_and_order():
-    tweets, labels = _many({"positive": 5, "negative": 5, "neutral": 5})
-    balanced, balanced_labels = balance_classes(tweets, labels, 2, RngState(seed=40))
+    tweets, rows, labels = _many({"positive": 5, "negative": 5, "neutral": 5})
+    balanced, balanced_labels = balance_classes(rows, labels, 2, RngState(seed=40))
     assert len(balanced) == 6
     for label in ("positive", "negative", "neutral"):
         assert _count(balanced_labels, label) == 2
-    ids = [x.id for x in balanced]
+    ids = list(tweets.take(balanced).ids)
     assert ids == sorted(ids, key=lambda s: int(s[1:]))  # original corpus order
-    assert set(ids) <= {x.id for x in tweets}
+    assert set(ids) <= set(tweets.ids)
 
 
 def test_balance_classes_deterministic():
-    data = _many({"positive": 30, "negative": 30, "neutral": 30})
+    tweets, *data = _many({"positive": 30, "negative": 30, "neutral": 30})
     a, _ = balance_classes(*data, 10, RngState(seed=41))
     b, _ = balance_classes(*data, 10, RngState(seed=41))
     c, _ = balance_classes(*data, 10, RngState(seed=42))
-    assert [x.id for x in a] == [x.id for x in b]
-    assert [x.id for x in a] != [x.id for x in c]
+    assert tweets.take(a).ids == tweets.take(b).ids
+    assert tweets.take(a).ids != tweets.take(c).ids
 
 
 def test_balance_classes_insufficient_names_class():
-    data = _many({"positive": 10, "negative": 4, "neutral": 10})
+    _, *data = _many({"positive": 10, "negative": 4, "neutral": 10})
     with pytest.raises(ValueError, match="negative"):
         balance_classes(*data, 10, RngState(seed=43))
 
 
 def test_balance_classes_binary_data():
-    data = _many({"positive": 6, "negative": 6})
+    _, *data = _many({"positive": 6, "negative": 6})
     balanced, balanced_labels = balance_classes(*data, 3, RngState(seed=44))
     assert len(balanced) == 6
     assert all(FINE_CLASSES[label] in ("positive", "negative") for label in balanced_labels)
 
 
 def test_binary_subset():
-    data = _many({"positive": 10, "negative": 10, "neutral": 10})
+    _, *data = _many({"positive": 10, "negative": 10, "neutral": 10})
     sub, sub_labels = binary_subset(*data)
     assert len(sub) == 20
     assert _count(sub_labels, "neutral") == 0
     assert _count(sub_labels, "positive") == 10
-    assert binary_subset(*_many({"neutral": 5}))[0] == ()
+    assert len(binary_subset(*_many({"neutral": 5})[1:])[0]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def test_split_paper_counts():
     for label in ("positive", "negative", "neutral"):
         assert _count(ds.train_labels, label) == 1040
         assert _count(ds.test_labels, label) == 260
-    assert {x.id for x in ds.train} & {x.id for x in ds.test} == set()
+    assert set(ds.train.ids) & set(ds.test.ids) == set()
 
 
 def test_split_stratified_formula_on_uneven_classes():
@@ -242,8 +243,8 @@ def test_split_deterministic_and_seed_sensitive():
     a = split(*data, rng=RngState(seed=54))
     b = split(*data, rng=RngState(seed=54))
     c = split(*data, rng=RngState(seed=55))
-    assert [x.id for x in a.train] == [x.id for x in b.train]
-    assert [x.id for x in a.train] != [x.id for x in c.train]
+    assert a.train.ids == b.train.ids
+    assert a.train.ids != c.train.ids
 
 
 def test_split_global_mode():
@@ -253,11 +254,11 @@ def test_split_global_mode():
 
 
 def test_split_errors():
-    tweets, labels = _many({"positive": 10})
+    tweets, rows, labels = _many({"positive": 10})
     with pytest.raises(ValueError, match="ratio"):
-        split(tweets, labels, ratio=1.0, rng=RngState(seed=57))
+        split(tweets, rows, labels, ratio=1.0, rng=RngState(seed=57))
     with pytest.raises(ValueError, match="at least 2"):
-        split(tweets[:1], labels[:1], rng=RngState(seed=57))
+        split(tweets, rows[:1], labels[:1], rng=RngState(seed=57))
     with pytest.raises(ValueError, match="degenerate"):
         split(*_many({"positive": 10, "negative": 1}), ratio=0.8, rng=RngState(seed=57))
 
@@ -271,7 +272,7 @@ def _training_world(n_per_class=3, seed=60, hidden=8):
     tweets, labels = synthdata.synthetic_labeled(n_per_class, seed=seed)
     vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=seed)
-    ds = split(tweets, labels, ratio=2 / 3, rng=RngState(seed=seed))
+    ds = split(tweets, np.arange(len(tweets)), labels, ratio=2 / 3, rng=RngState(seed=seed))
     model_cfg = ModelConfig(embedding_dim=emb.dim, hidden_size=hidden)
     return ds, emb, model_cfg
 
@@ -343,15 +344,17 @@ def test_train_binary_task_rejects_neutral_examples():
     with pytest.raises(ValueError, match="config mismatch"):
         train(ds, emb, model_cfg, TrainConfig(epochs=1))
     # after dropping neutral it trains
-    binary = DatasetSplit(*binary_subset(ds.train, ds.train_labels), *binary_subset(ds.test, ds.test_labels))
+    train_rows, train_labels = binary_subset(np.arange(len(ds.train)), ds.train_labels)
+    test_rows, test_labels = binary_subset(np.arange(len(ds.test)), ds.test_labels)
+    binary = DatasetSplit(ds.train.take(train_rows), train_labels, ds.test.take(test_rows), test_labels)
     params, report = train(binary, emb, model_cfg, TrainConfig(epochs=1))
     assert report.test_confusion.classes == ("positive", "negative")
 
 
 def test_train_rejects_unembeddable_example():
     ds, emb, model_cfg = _training_world()
-    ghost = CleanTweet(id="ghost", timestamp=TS, tokens=("zzzz",))
-    bad = DatasetSplit(ds.train + (ghost,), np.append(ds.train_labels, 0), ds.test, ds.test_labels)
+    ghost = Tweet(id="ghost", timestamp=TS, tokens=("zzzz",))
+    bad = DatasetSplit(table([*synthdata.tweets_of(ds.train), ghost]), np.append(ds.train_labels, 0), ds.test, ds.test_labels)
     with pytest.raises(ValueError, match="ghost"):
         train(bad, emb, model_cfg, TrainConfig(epochs=1))
 
@@ -389,7 +392,7 @@ def _grid_world():
     tweets, labels = synthdata.synthetic_labeled(6, seed=70)
     vocab = synthdata.vocabulary_of(tweets)
     emb = synthdata.separable_embeddings(vocab, seed=70)
-    ds = split(tweets, labels, ratio=2 / 3, rng=RngState(seed=70))
+    ds = split(tweets, np.arange(len(tweets)), labels, ratio=2 / 3, rng=RngState(seed=70))
     return ds, emb
 
 
