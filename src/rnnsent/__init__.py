@@ -18,7 +18,7 @@ from .corpus import (
     Corpus,
     CorpusStats,
     PreprocessConfig,
-    RawTweet,
+    RawCorpus,
     Vocabulary,
     preprocess_corpus,
 )
@@ -68,7 +68,7 @@ __all__ = [
     "Corpus",
     "CorpusStats",
     "PreprocessConfig",
-    "RawTweet",
+    "RawCorpus",
     "Vocabulary",
     "preprocess_corpus",
     "EmbeddingMatrix",

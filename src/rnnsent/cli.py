@@ -219,18 +219,12 @@ def _write_manifest(args: argparse.Namespace, started: float, results: dict | No
 
 def cmd_preprocess(args: argparse.Namespace) -> None:
     raw = load_tweets(args.input)
-    keywords = [k.strip() for k in args.keywords.split(",") if k.strip()] if args.keywords else []
-    window_start = args.from_date
-    window_end = args.to_date
-    if window_end is not None:
-        window_end = window_end.replace(hour=23, minute=59, second=59, microsecond=999999)
-    if keywords or window_start is not None or window_end is not None:
-        raw = filter_by_collection_window(
-            raw,
-            keywords=keywords,
-            start=window_start or datetime.min.replace(tzinfo=timezone.utc),
-            end=window_end or datetime.max.replace(tzinfo=timezone.utc),
-        )
+    keywords = [k.strip() for k in args.keywords.split(",") if k.strip()]
+    if keywords or args.from_date or args.to_date:
+        first, last = datetime.min.replace(tzinfo=timezone.utc), datetime.max.replace(tzinfo=timezone.utc)
+        if args.to_date:  # the last day kept
+            last = args.to_date.replace(hour=23, minute=59, second=59, microsecond=999999)
+        raw = filter_by_collection_window(raw, keywords, args.from_date or first, last)
     config = PreprocessConfig(
         stopwords=load_stopwords(args.stopwords) if args.stopwords else default_stopwords(),
         min_token_length=args.min_len,

@@ -147,11 +147,31 @@ def read_rows(
     return values
 
 
-@dataclass(frozen=True)
-class RawTweet:
-    id: str
-    timestamp: datetime
-    text: str
+@dataclass(frozen=True, eq=False)
+class RawCorpus:
+    """Raw tweets as one table, row i being tweet i: its id ids[i], its
+    instant micros[i] in UTC microseconds since the epoch (int64), and its
+    text texts[i]."""
+
+    ids: tuple[str, ...]
+    micros: np.ndarray
+    texts: tuple[str, ...]
+
+    @classmethod
+    def of(cls, ids: Iterable[str], micros: Sequence[int], texts: Iterable[str]) -> "RawCorpus":
+        return cls(tuple(ids), np.array(micros, dtype=np.int64), tuple(texts))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, RawCorpus) and (self.ids, self.texts) == (other.ids, other.texts)
+        return same and np.array_equal(self.micros, other.micros)
+
+    def take(self, rows: np.ndarray) -> "RawCorpus":
+        """The table of rows `rows` (int64 indices), in that order."""
+        listed = rows.tolist()
+        return RawCorpus.of(map(self.ids.__getitem__, listed), self.micros[rows], map(self.texts.__getitem__, listed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +228,10 @@ _RETWEET_RE = re.compile(r"rt\b(?<!\wrt)")
 # dingbats) is dropped.
 _EMOJI_RE = re.compile(r"[^\x00-\x7f\w\s]")
 _SPECIAL_RE = re.compile(r"[^\w\s]")
+# special_chars as a table of UTF-8 bytes: "_" and each ASCII character that
+# _SPECIAL_RE matches become a space, and the bytes of a non-ASCII character
+# stay, so only text that still holds one needs the regex pass.
+_SPECIAL_TABLE = bytes(ord(" ") if chr(c) == "_" or (c < 128 and _SPECIAL_RE.match(chr(c))) else c for c in range(256))
 
 # Tweets joined into one text per strip pass; a whole corpus in one text
 # would hold several copies of it in memory at once.
@@ -237,8 +261,10 @@ def _strip_emoji(text: str) -> str:
 
 def _strip_special_chars(text: str) -> str:
     # Apostrophes vanish (don't -> dont); other punctuation and "_" split words.
-    text = text.replace("'", "").replace("’", "").replace("_", " ")
-    return _SPECIAL_RE.sub(" ", text)
+    # surrogatepass carries a lone surrogate through the bytes unchanged.
+    data = text.replace("’", "").encode("utf-8", "surrogatepass").translate(_SPECIAL_TABLE, b"'")
+    text = data.decode("utf-8", "surrogatepass")
+    return text if text.isascii() else _SPECIAL_RE.sub(" ", text)
 
 
 # The strip rules, applied in this order
@@ -372,6 +398,14 @@ def _micros(stamps: Iterable[datetime]) -> list[int]:
     return list(map(floordiv, map(sub, stamps, repeat(_EPOCH)), repeat(_MICROSECOND)))
 
 
+def _line_micros(value: str, line: int) -> int:
+    """The UTC microseconds of the timestamp `value` on line `line`, or its TweetFormatError."""
+    try:
+        return (parse_timestamp(value) - _EPOCH) // _MICROSECOND
+    except ValueError as exc:
+        raise TweetFormatError(f"line {line}: bad timestamp {value!r}: {exc}") from exc
+
+
 def _isoformat_all(micros: np.ndarray) -> list[str]:
     """The isoformat of the UTC datetime of each of `micros`, microseconds
     since the epoch. numpy formats the column in one pass: to the second, or
@@ -395,7 +429,8 @@ def _check_unicode(line: int, field: str, values: Iterable[str]) -> None:
             raise TweetFormatError(f"line {line}: {field!r} holds a lone surrogate: {value!r}") from None
 
 
-def _record_to_tweet(record: Mapping, line: int) -> RawTweet:
+def _record_row(record: Mapping, line: int) -> tuple[str, int, str]:
+    """The id, UTC microseconds and text of the raw record on line `line`."""
     for field in ("id", "timestamp", "text"):
         if field not in record or record[field] is None or record[field] == "":
             raise TweetFormatError(f"line {line}: missing field {field!r}")
@@ -406,14 +441,10 @@ def _record_to_tweet(record: Mapping, line: int) -> RawTweet:
     for field, value in (("timestamp", timestamp), ("text", text)):
         if not isinstance(value, str):
             raise TweetFormatError(f"line {line}: {field!r} must be a string, got {value!r}")
-    try:
-        ts = parse_timestamp(timestamp)
-    except ValueError as exc:
-        raise TweetFormatError(f"line {line}: bad timestamp {timestamp!r}: {exc}") from exc
-    return RawTweet(id=str(tweet_id), timestamp=ts, text=text)
+    return str(tweet_id), _line_micros(timestamp, line), text
 
 
-def load_tweets(path: str | Path) -> list[RawTweet]:
+def load_tweets(path: str | Path) -> RawCorpus:
     """Read raw tweets from JSONL or CSV (header id,timestamp,text).
 
     The format is the file's extension, .jsonl or .csv. Records are returned
@@ -428,24 +459,24 @@ def load_tweets(path: str | Path) -> list[RawTweet]:
         raise TweetFormatError(f"{path}: unsupported corpus format {format!r} (use jsonl or csv)")
     with open_artifact(path, TweetFormatError, newline="" if format == "csv" else None) as fh:
         try:
-            if format == "jsonl":
-                return [tweet for _, tweets in _read_jsonl(fh, _raw_tweet_block, _raw_tweet_line) for tweet in tweets]
-            return _read_csv_tweets(fh)
+            blocks = _read_jsonl(fh, _raw_tweet_block, _raw_tweet_line) if format == "jsonl" else _read_csv_tweets(fh)
+            columns = [list(chain.from_iterable(column)) for column in zip(*blocks)] or [(), (), ()]
         except TweetFormatError as exc:
             raise TweetFormatError(f"{path}: {exc}") from exc
+    return RawCorpus.of(*columns)
 
 
-def _read_csv_tweets(fh: TextIO) -> list[RawTweet]:
-    tweets: list[RawTweet] = []
+def _read_csv_tweets(fh: TextIO) -> list[tuple[Sequence, ...]]:
+    """The id, microseconds and text columns of a raw CSV text, as one block."""
+    rows = []
     seen: dict[str, int] = {}
     reader = csv.DictReader(fh)
     if reader.fieldnames is None or not {"id", "timestamp", "text"} <= set(reader.fieldnames):
         raise TweetFormatError("CSV header must contain id,timestamp,text")
     for record in reader:
-        line_no = reader.line_num
-        tweets.append(_record_to_tweet(record, line_no))
-        _check_duplicate(tweets[-1].id, line_no, seen)
-    return tweets
+        rows.append(_record_row(record, reader.line_num))
+        _check_duplicate(rows[-1][0], reader.line_num, seen)
+    return [tuple(zip(*rows))] if rows else []
 
 
 def _check_duplicate(tweet_id: str, line: int, seen: dict[str, int]) -> None:
@@ -454,12 +485,7 @@ def _check_duplicate(tweet_id: str, line: int, seen: dict[str, int]) -> None:
     seen[tweet_id] = line
 
 
-def filter_by_collection_window(
-    tweets: Sequence[RawTweet],
-    keywords: Iterable[str],
-    start: datetime,
-    end: datetime,
-) -> list[RawTweet]:
+def filter_by_collection_window(tweets: RawCorpus, keywords: Iterable[str], start: datetime, end: datetime) -> RawCorpus:
     """Keep tweets containing any keyword (case-insensitive) inside [start, end].
 
     An empty keyword list applies no keyword restriction (window check only).
@@ -468,27 +494,20 @@ def filter_by_collection_window(
     if start > end:
         raise ValueError(f"window start {start.isoformat()} is after end {end.isoformat()}")
     lowered = [k.lower() for k in keywords]
-    kept = []
-    for tweet in tweets:
-        text = tweet.text.lower()
-        if start <= _ensure_utc(tweet.timestamp) <= end and (
-            not lowered or any(k in text for k in lowered)
-        ):
-            kept.append(tweet)
-    return kept
+    first, last = _micros([start, end])
+    rows = np.flatnonzero((tweets.micros >= first) & (tweets.micros <= last))
+    if lowered:
+        rows = rows[[any(k in tweets.texts[row].lower() for k in lowered) for row in rows.tolist()]]
+    return tweets.take(rows)
 
 
-def deduplicate(tweets: Sequence[RawTweet]) -> list[RawTweet]:
+def deduplicate(tweets: RawCorpus) -> RawCorpus:
     """Drop later tweets whose normalized text (lowercased, whitespace-collapsed)
     repeats an earlier one; order preserved."""
-    seen: set[str] = set()
-    kept = []
-    for tweet in tweets:
-        key = " ".join(tweet.text.split()).lower()
-        if key not in seen:
-            seen.add(key)
-            kept.append(tweet)
-    return kept
+    first: dict[str, int] = {}  # normalized text -> the first row holding it
+    for row, text in enumerate(tweets.texts):
+        first.setdefault(" ".join(text.split()).lower(), row)
+    return tweets.take(np.fromiter(first.values(), dtype=np.int64, count=len(first)))
 
 
 def _clean_block(texts: Sequence[str]) -> list[list[str]]:
@@ -505,10 +524,7 @@ def _clean_block(texts: Sequence[str]) -> list[list[str]]:
     return [line.split() for line in text.split("\n")]
 
 
-def preprocess_corpus(
-    raw: Sequence[RawTweet],
-    config: PreprocessConfig,
-) -> tuple[Corpus, Vocabulary, CorpusStats]:
+def preprocess_corpus(raw: RawCorpus, config: PreprocessConfig) -> tuple[Corpus, Vocabulary, CorpusStats]:
     """Run the full cleaning pipeline and build the vocabulary.
 
     Global frequencies are counted on the deduplicated, stopword- and
@@ -518,37 +534,28 @@ def preprocess_corpus(
     deduped = deduplicate(raw)
 
     stopwords, min_length = config.stopwords, config.min_token_length
-    filtered: list[tuple[RawTweet, list[str]]] = []
+    filtered: list[list[str]] = []  # each deduplicated tweet's candidate tokens
     counts: Counter[str] = Counter()
     for lo in range(0, len(deduped), CLEAN_BLOCK):
-        block = deduped[lo : lo + CLEAN_BLOCK]
         block_tokens = [
             [tok for tok in tokens if tok not in stopwords and len(tok) >= min_length]
-            for tokens in _clean_block([t.text for t in block])
+            for tokens in _clean_block(deduped.texts[lo : lo + CLEAN_BLOCK])
         ]
-        filtered.extend(zip(block, block_tokens, strict=True))
+        filtered += block_tokens
         counts.update(chain.from_iterable(block_tokens))
 
     surviving = {tok: n for tok, n in counts.items() if n >= config.min_global_frequency}
     vocab = Vocabulary.from_counts(surviving)
 
-    ids, stamps, tokens, sizes = [], [], [], []
-    for tweet, candidates in filtered:
+    rows, tokens, sizes = [], [], []
+    for row, candidates in enumerate(filtered):
         kept = [tok for tok in candidates if tok in surviving]
         if kept:
-            ids.append(tweet.id)
-            stamps.append(_ensure_utc(tweet.timestamp))
+            rows.append(row)
             tokens += kept
             sizes.append(len(kept))
-    clean = Corpus.of(ids, _micros(stamps), tokens, sizes)
-
-    stats = CorpusStats(
-        raw_count=len(raw),
-        deduplicated_count=len(deduped),
-        final_count=len(clean),
-        vocab_size=len(vocab),
-    )
-    return clean, vocab, stats
+    clean = Corpus.of(map(deduped.ids.__getitem__, rows), deduped.micros[rows], tokens, sizes)
+    return clean, vocab, CorpusStats(len(raw), len(deduped), len(clean), len(vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -640,20 +647,21 @@ def _is_unicode(lines: list[str], strings: Iterable[str]) -> bool:
     return True
 
 
-def _parsed_timestamps(stamps: Sequence[str]) -> list[datetime] | None:
-    """parse_timestamp of each of `stamps`, or None when one is not a timestamp."""
+def _parsed_micros(stamps: Sequence[str]) -> list[int] | None:
+    """The UTC microseconds of each of `stamps` as parse_timestamp reads
+    them, or None when one is not a timestamp."""
     try:
         if not any(map(methodcaller("endswith", ("Z", "z")), stamps)):
             parsed = list(map(datetime.fromisoformat, stamps))
             # as parse_timestamp gives them, when all are in UTC already
             if {timezone.utc}.issuperset(map(attrgetter("tzinfo"), parsed)):
-                return parsed
-        return list(map(parse_timestamp, stamps))
+                return _micros(parsed)
+        return _micros(map(parse_timestamp, stamps))
     except ValueError:
         return None
 
 
-def _raw_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[RawTweet]] | None:
+def _raw_tweet_block(lines: list[str]) -> tuple[list[str], list[int], Sequence[str]] | None:
     columns = _decode_block(lines, ("id", "timestamp", "text"))
     if columns is None:
         return None
@@ -668,13 +676,13 @@ def _raw_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[RawTweet]] |
     ):
         return None
     ids = list(map(str, ids))
-    timestamps = _parsed_timestamps(stamps)
-    if timestamps is None or not _is_unicode(lines, chain(ids, texts)):
+    micros = _parsed_micros(stamps)
+    if micros is None or not _is_unicode(lines, chain(ids, texts)):
         return None
-    return ids, list(map(RawTweet, ids, timestamps, texts))
+    return ids, micros, texts
 
 
-def _raw_tweet_line(line: str, line_no: int) -> tuple[str, RawTweet] | None:
+def _raw_tweet_line(line: str, line_no: int) -> tuple[str, int, str] | None:
     if not line.strip():
         return None
     try:
@@ -683,10 +691,10 @@ def _raw_tweet_line(line: str, line_no: int) -> tuple[str, RawTweet] | None:
         raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise TweetFormatError(f"line {line_no}: expected a JSON object")
-    tweet = _record_to_tweet(record, line_no)
-    _check_unicode(line_no, "id", [tweet.id])
-    _check_unicode(line_no, "text", [tweet.text])
-    return tweet.id, tweet
+    row = _record_row(record, line_no)
+    _check_unicode(line_no, "id", row[:1])
+    _check_unicode(line_no, "text", row[2:])
+    return row
 
 
 def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[int], Sequence[list[str]]] | None:
@@ -701,10 +709,10 @@ def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[int], Sequ
         and {str}.issuperset(map(type, chain.from_iterable(token_lists)))
     ):
         return None
-    timestamps = _parsed_timestamps(stamps)
-    if timestamps is None or not _is_unicode(lines, chain(ids, chain.from_iterable(token_lists))):
+    micros = _parsed_micros(stamps)
+    if micros is None or not _is_unicode(lines, chain(ids, chain.from_iterable(token_lists))):
         return None
-    return ids, _micros(timestamps), token_lists
+    return ids, micros, token_lists
 
 
 def _clean_tweet_line(line: str, line_no: int) -> tuple[str, int, list[str]] | None:
@@ -730,11 +738,7 @@ def _clean_tweet_line(line: str, line_no: int) -> tuple[str, int, list[str]] | N
         raise TweetFormatError(f"line {line_no}: 'tokens' must be a list of strings")
     _check_unicode(line_no, "id", [record["id"]])
     _check_unicode(line_no, "tokens", tokens)
-    try:
-        timestamp = parse_timestamp(record["timestamp"])
-    except ValueError as exc:
-        raise TweetFormatError(f"line {line_no}: bad timestamp {record['timestamp']!r}: {exc}") from exc
-    return record["id"], (timestamp - _EPOCH) // _MICROSECOND, tokens
+    return record["id"], _line_micros(record["timestamp"], line_no), tokens
 
 
 def _write_jsonl(path: str | Path, corpus: Corpus, escape: Callable[[str], str], format_block: Callable[..., str]) -> None:

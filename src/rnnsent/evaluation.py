@@ -93,9 +93,6 @@ class Metrics:
     total: int
     oov_examples: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _ratio(num: float, den: float) -> float:
     """Division with the zero-denominator-yields-zero convention."""
@@ -185,7 +182,7 @@ def evaluate(
 
 def save_metrics(metrics: Metrics, path: str | Path) -> None:
     with atomic_writer(path) as fh:
-        json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(metrics), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -84,19 +84,19 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def load_annotations(path: str | Path, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """Join an id,label CSV against the clean corpus: the annotated tweets'
     rows in file order and their labels, int64 indices into `corpus` and
     into FINE_CLASSES.
 
-    Rejects labels outside the three classes, ids absent from the corpus, ids
-    annotated twice, and tweets without tokens.
+    Rejects a corpus that repeats an id, labels outside the three classes,
+    ids absent from the corpus, ids annotated twice, and tweets without tokens.
     """
     by_id = dict(zip(corpus.ids, range(len(corpus))))
+    if len(by_id) != len(corpus):
+        row, tweet_id = next((r, i) for r, i in enumerate(corpus.ids) if by_id[i] != r)
+        raise ValueError(f"the corpus repeats the id {tweet_id!r} in rows {row} and {by_id[tweet_id]}")
     sizes = np.diff(corpus.offsets)
     path = Path(path)
     rows: list[int] = []
@@ -204,13 +204,13 @@ class TrainReport:
         return {
             "epoch_losses": self.epoch_losses,
             "epoch_accuracies": self.epoch_accuracies,
-            "test_metrics": self.test_metrics.to_dict(),
+            "test_metrics": asdict(self.test_metrics),
             "test_confusion": {
                 "classes": list(self.test_confusion.classes),
                 "counts": [list(row) for row in self.test_confusion.counts],
             },
             "model_config": asdict(self.model_config),
-            "train_config": self.train_config.to_dict(),
+            "train_config": asdict(self.train_config),
         }
 
 
@@ -337,9 +337,6 @@ class GridRow:
     accuracy: float
     f1: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class GridResult:
@@ -347,7 +344,7 @@ class GridResult:
     rows: tuple[GridRow, ...]
 
     def to_dict(self) -> dict:
-        return {"task": self.task, "columns": list(GRID_COLUMNS), "rows": [r.to_dict() for r in self.rows]}
+        return {"task": self.task, "columns": list(GRID_COLUMNS), "rows": list(map(asdict, self.rows))}
 
     def format_table(self) -> str:
         """Aligned text table; the model name labels its block once."""

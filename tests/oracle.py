@@ -12,7 +12,8 @@ trainer that its plans replaced, which draws, pairs, negative-samples and
 scatters one tweet at a time with the same stream and arithmetic.
 
 Cleaning: the per-tweet pipeline that rnnsent.corpus's block pass replaced,
-each strip rule and the whitespace collapse run on one tweet at a time.
+each strip rule and the whitespace collapse run on one tweet at a time; and
+the regex special_chars rule that its translate table replaced.
 
 Time buckets: the per-tweet tally that rnnsent.analysis's counting pass
 replaced, each tweet's UTC date taken with astimezone, a naive timestamp
@@ -35,7 +36,7 @@ from rnnsent.evaluation import FINE_CLASSES
 from rnnsent.model import BPTT_FULL, STANDARD, init_params
 from rnnsent.numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
 from rnnsent.training import CLIP_NORM
-from synthdata import Tweet, table, tweets_of
+from synthdata import EPOCH, Tweet, table, tweets_of
 
 
 def run_cell(arrays, prefix, inputs):
@@ -307,6 +308,7 @@ _RETWEET_RE = re.compile(r"\brt\b")  # applied after lowercasing
 _APOSTROPHE_RE = re.compile(r"['’]")
 _SPECIAL_RE = re.compile(r"[^\w\s]|_")
 _WS_RE = re.compile(r"\s+")
+_SPECIAL_RULE_RE = re.compile(r"[^\w\s]")
 
 
 # in the order rnnsent.corpus applies them
@@ -330,33 +332,40 @@ def normalize_text(text, rules=tuple(STRIP_RULES)):
 
 
 def preprocess_corpus(raw, config, rules=tuple(STRIP_RULES)):
-    """(clean Corpus, Vocabulary, CorpusStats) of `raw`, one tweet at a time,
-    stripped by the named rules in the order given."""
+    """(clean Corpus, Vocabulary, CorpusStats) of the raw table `raw`, one
+    tweet at a time, stripped by the named rules in the order given."""
     seen, deduped = set(), []
-    for tweet in raw:
-        key = _WS_RE.sub(" ", tweet.text.strip()).lower()
+    for tweet_id, micros, text in zip(raw.ids, raw.micros.tolist(), raw.texts):
+        key = _WS_RE.sub(" ", text.strip()).lower()
         if key not in seen:
             seen.add(key)
-            deduped.append(tweet)
+            deduped.append((tweet_id, EPOCH + timedelta(microseconds=micros), text))
 
     filtered, counts = [], Counter()
-    for tweet in deduped:
+    for tweet_id, timestamp, text in deduped:
         tokens = [
             tok
-            for tok in normalize_text(tweet.text, rules).split()
+            for tok in normalize_text(text, rules).split()
             if tok not in config.stopwords and len(tok) >= config.min_token_length
         ]
-        filtered.append((tweet, tokens))
+        filtered.append((tweet_id, timestamp, tokens))
         counts.update(tokens)
 
     surviving = {tok: n for tok, n in counts.items() if n >= config.min_global_frequency}
     vocab = Vocabulary.from_counts(surviving)
     clean = []
-    for tweet, tokens in filtered:
+    for tweet_id, timestamp, tokens in filtered:
         kept = tuple(tok for tok in tokens if tok in surviving)
         if kept:
-            clean.append(Tweet(id=tweet.id, timestamp=tweet.timestamp, tokens=kept))
+            clean.append(Tweet(id=tweet_id, timestamp=timestamp, tokens=kept))
     return table(clean), vocab, CorpusStats(len(raw), len(deduped), len(clean), len(vocab))
+
+
+def strip_special_chars(text):
+    """The special_chars rule as rnnsent.corpus wrote it before its
+    translate table: three str.replace passes and one regex pass."""
+    text = text.replace("'", "").replace("’", "").replace("_", " ")
+    return _SPECIAL_RULE_RE.sub(" ", text)
 
 
 def _period_start(day, granularity):

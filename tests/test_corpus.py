@@ -13,7 +13,7 @@ import synthdata
 from rnnsent import corpus
 from rnnsent.corpus import (
     PreprocessConfig,
-    RawTweet,
+    RawCorpus,
     TweetFormatError,
     Vocabulary,
     deduplicate,
@@ -28,11 +28,12 @@ from rnnsent.corpus import (
     save_clean_corpus,
     save_vocabulary,
 )
-from synthdata import Tweet, table, tweets_of
+from synthdata import Tweet, micros, table, tweets_of
 
 
-def _raw(tid, ts, text):
-    return RawTweet(id=tid, timestamp=parse_timestamp(ts), text=text)
+def _raw(*rows):
+    """The raw table of (id, timestamp, text) rows."""
+    return RawCorpus.of([r[0] for r in rows], [micros(parse_timestamp(r[1])) for r in rows], [r[2] for r in rows])
 
 
 NOV9 = "2013-11-09T08:00:00Z"
@@ -52,19 +53,19 @@ def test_load_tweets_jsonl(tmp_path):
     ]
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     tweets = load_tweets(path)
-    assert [t.id for t in tweets] == ["t1", "t2", "t3"]
-    assert tweets[0].text == "hello world"
-    assert tweets[0].timestamp == datetime(2013, 11, 9, 8, tzinfo=timezone.utc)
+    assert tweets.ids == ("t1", "t2", "t3")
+    assert tweets.texts[0] == "hello world"
+    assert tweets.micros[0] == micros(datetime(2013, 11, 9, 8, tzinfo=timezone.utc))
     # +08:00 normalized to UTC
-    assert tweets[2].timestamp == datetime(2013, 11, 11, 0, tzinfo=timezone.utc)
+    assert tweets.micros[2] == micros(datetime(2013, 11, 11, 0, tzinfo=timezone.utc))
 
 
 def test_load_tweets_csv(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text('id,timestamp,text\nt1,2013-11-09T08:00:00Z,"hello, world"\nt2,2013-11-10T00:00:00Z,bye\n')
     tweets = load_tweets(path)
-    assert [t.id for t in tweets] == ["t1", "t2"]
-    assert tweets[0].text == "hello, world"
+    assert tweets.ids == ("t1", "t2")
+    assert tweets.texts[0] == "hello, world"
 
 
 def test_load_tweets_missing_field_names_line(tmp_path):
@@ -115,7 +116,7 @@ def test_load_tweets_accepts_integer_ids(tmp_path):
         {"id": "t2", "timestamp": NOV9, "text": "string id"},
     ]
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-    assert [t.id for t in load_tweets(path)] == ["398765432109876543", "t2"]
+    assert load_tweets(path).ids == ("398765432109876543", "t2")
 
 
 @pytest.mark.parametrize(
@@ -166,39 +167,39 @@ KEYWORDS = ("#YolandaPH", "#BangonPH", "#BangonPilipinas")
 
 
 def test_filter_keeps_keyword_inside_window():
-    tweet = _raw("t1", NOV9, "Pray for Leyte #YolandaPH")
-    assert filter_by_collection_window([tweet], KEYWORDS, WINDOW_START, WINDOW_END) == [tweet]
+    tweet = _raw(("t1", NOV9, "Pray for Leyte #YolandaPH"))
+    assert filter_by_collection_window(tweet, KEYWORDS, WINDOW_START, WINDOW_END) == tweet
 
 
 def test_filter_drops_no_keyword():
-    tweet = _raw("t1", NOV9, "Pray for Leyte")
-    assert filter_by_collection_window([tweet], KEYWORDS, WINDOW_START, WINDOW_END) == []
+    tweet = _raw(("t1", NOV9, "Pray for Leyte"))
+    assert filter_by_collection_window(tweet, KEYWORDS, WINDOW_START, WINDOW_END) == _raw()
 
 
 def test_filter_drops_outside_window():
-    tweet = _raw("t1", "2014-03-01T00:00:00Z", "rebuild #BangonPH")
-    assert filter_by_collection_window([tweet], KEYWORDS, WINDOW_START, WINDOW_END) == []
+    tweet = _raw(("t1", "2014-03-01T00:00:00Z", "rebuild #BangonPH"))
+    assert filter_by_collection_window(tweet, KEYWORDS, WINDOW_START, WINDOW_END) == _raw()
 
 
 def test_filter_keyword_match_is_case_insensitive_and_order_preserving():
-    tweets = [
-        _raw("t1", NOV9, "relief #yolandaph now"),
-        _raw("t2", NOV9, "nothing relevant"),
-        _raw("t3", NOV9, "bangon! #BANGONPILIPINAS"),
-    ]
+    tweets = _raw(
+        ("t1", NOV9, "relief #yolandaph now"),
+        ("t2", NOV9, "nothing relevant"),
+        ("t3", NOV9, "bangon! #BANGONPILIPINAS"),
+    )
     kept = filter_by_collection_window(tweets, KEYWORDS, WINDOW_START, WINDOW_END)
-    assert [t.id for t in kept] == ["t1", "t3"]
+    assert kept.ids == ("t1", "t3")
 
 
 def test_filter_empty_keywords_is_window_only():
-    tweets = [_raw("t1", NOV9, "anything"), _raw("t2", "2014-03-01T00:00:00Z", "late")]
+    tweets = _raw(("t1", NOV9, "anything"), ("t2", "2014-03-01T00:00:00Z", "late"))
     kept = filter_by_collection_window(tweets, (), WINDOW_START, WINDOW_END)
-    assert [t.id for t in kept] == ["t1"]
+    assert kept.ids == ("t1",)
 
 
 def test_filter_rejects_inverted_window():
     with pytest.raises(ValueError):
-        filter_by_collection_window([], KEYWORDS, WINDOW_END, WINDOW_START)
+        filter_by_collection_window(_raw(), KEYWORDS, WINDOW_END, WINDOW_START)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +208,13 @@ def test_filter_rejects_inverted_window():
 
 
 def test_deduplicate_whitespace_and_case_insensitive():
-    tweets = [_raw("t1", NOV9, "Pray for Leyte"), _raw("t2", NOV9, "pray  for leyte")]
-    assert [t.id for t in deduplicate(tweets)] == ["t1"]
+    tweets = _raw(("t1", NOV9, "Pray for Leyte"), ("t2", NOV9, "pray  for leyte"))
+    assert deduplicate(tweets).ids == ("t1",)
 
 
 def test_deduplicate_empty_and_distinct():
-    assert deduplicate([]) == []
-    tweets = [_raw("t1", NOV9, "a"), _raw("t2", NOV9, "b")]
+    assert deduplicate(_raw()) == _raw()
+    tweets = _raw(("t1", NOV9, "a"), ("t2", NOV9, "b"))
     assert deduplicate(tweets) == tweets
 
 
@@ -292,6 +293,34 @@ def test_rewritten_rule_matches_per_tweet_rule_beside_every_char(name, joiner):
     _assert_same_text(corpus._STRIP_RULES[name](text), oracle.STRIP_RULES[name](text))
 
 
+def test_special_chars_table_is_the_regex_on_ascii():
+    # the table turns exactly "_" and the ASCII characters the regex matches into
+    # a space, and keeps every byte of a multi-byte UTF-8 character
+    table = corpus._SPECIAL_TABLE
+    matched = {c for c in range(128) if re.fullmatch(r"[^\w\s]", chr(c))}
+    assert {c for c in range(256) if table[c] != c} == matched | {ord("_")}
+    assert {table[c] for c in matched} == {ord(" ")}
+
+
+# ASCII punctuation, the characters the rule deletes or splits at, control
+# characters, non-ASCII letters, combining marks, emoji and non-ASCII punctuation
+_SPECIAL_PIECES = st.one_of(
+    st.sampled_from(list("!\"#$%&()*+,-./:;<=>?@[\\]^`{|}~'’_ \t\n\x7f") + ["don't", "o’clock", "snake_case"]),
+    st.characters(max_codepoint=0x1F),
+    st.sampled_from(["ñ", "é", "e\u0301", "\u0301", "\u0489", "ß", "ΟΔΟΣ", "İ", "ſ", "\U0001f62d", "\u2764\ufe0f",
+                     "\U0001f1f5\U0001f1ed", "\xa0", "\u2028", "\u201c", "\u2014", "\xbf", "\xbd"]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_SPECIAL_PIECES, max_size=20).map("".join))
+@example("it's_a ‘test’ — ok?")
+@example("café's")
+def test_special_chars_translate_rule_equals_the_regex_rule(text):
+    assert corpus._strip_special_chars(text) == oracle.strip_special_chars(text)
+
+
 # Pieces that each probe a way the block pass could differ from cleaning one
 # tweet at a time: separators str.splitlines knows but the block split does
 # not, case mappings that depend on context (final sigma) or change length
@@ -337,7 +366,7 @@ _configs = st.builds(
 )
 def test_block_pass_matches_per_tweet_oracle(texts, repeats, config, rules, block):
     texts = texts + [change(texts[i % len(texts)]) for i, change in repeats if texts]
-    raw = [RawTweet(id=f"t{i}", timestamp=parse_timestamp(NOV9), text=text) for i, text in enumerate(texts)]
+    raw = _raw(*[(f"t{i}", NOV9, text) for i, text in enumerate(texts)])
     # the drawn rules, in the drawn order, stand in for the fixed table
     drawn = {name: corpus._STRIP_RULES[name] for name in rules}
     with mock.patch.object(corpus, "CLEAN_BLOCK", block), mock.patch.dict(corpus._STRIP_RULES, drawn, clear=True):
@@ -383,7 +412,7 @@ def test_preprocess_config_validation():
 
 
 def _hand_trace_raw():
-    return [_raw(tid, ts, text) for tid, ts, text in synthdata.HAND_TRACE_RAW]
+    return _raw(*synthdata.HAND_TRACE_RAW)
 
 
 def _default_config():
@@ -417,7 +446,7 @@ def test_pipeline_short_token_dropped():
 def test_pipeline_frequency_boundary():
     # "boundary" appears exactly min_global_frequency times, "below" once less;
     # the 2-char zN token defeats text-level dedup and then fails min length
-    raws = [_raw(f"t{i}", NOV9, f"boundary {'below ' if i < 4 else ''}z{i}") for i in range(5)]
+    raws = _raw(*[(f"t{i}", NOV9, f"boundary {'below ' if i < 4 else ''}z{i}") for i in range(5)])
     clean, vocab, _ = preprocess_corpus(raws, PreprocessConfig(stopwords=frozenset()))
     assert "boundary" in vocab and vocab.count("boundary") == 5
     assert "below" not in vocab  # 4 occurrences
@@ -437,7 +466,7 @@ def test_pipeline_tokens_all_in_vocab_with_min_frequency():
 def test_pipeline_idempotent():
     config = _default_config()
     clean1, vocab1, _ = preprocess_corpus(_hand_trace_raw(), config)
-    rejoined = [RawTweet(id=t.id, timestamp=t.timestamp, text=" ".join(t.tokens)) for t in tweets_of(clean1)]
+    rejoined = RawCorpus.of(clean1.ids, clean1.micros, [" ".join(t.tokens) for t in tweets_of(clean1)])
     clean2, vocab2, stats2 = preprocess_corpus(rejoined, config)
     assert [(t.id, t.tokens) for t in tweets_of(clean2)] == [(t.id, t.tokens) for t in tweets_of(clean1)]
     assert vocab2 == vocab1

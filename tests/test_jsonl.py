@@ -3,6 +3,7 @@ corpus and classified.jsonl: byte equality with json.dumps, round trips at
 several block sizes, agreement with the line-by-line reader, and the errors
 the command line reports."""
 
+import csv
 import json
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -185,6 +186,64 @@ def test_raw_block_reader_agrees_with_line_reader(tmp_path_factory, lines, block
         got = _outcome(load_tweets, path)
         with mock.patch.object(corpus, "_raw_tweet_block", lambda lines: None):
             assert got == _outcome(load_tweets, path)
+
+
+# one instant, 2013-11-09T08:00:00 UTC, written "Z", naive and at +08:00;
+# an integer id; non-ASCII text, one piece of it a JSON escape
+RAW_MIXED = [
+    json.dumps({"id": "t1", "timestamp": "2013-11-09T08:00:00Z", "text": "bagyo niño"}, ensure_ascii=False),
+    json.dumps({"id": 398765432109876543, "timestamp": "2013-11-09T08:00:00", "text": "naïve \U0001f62d"}),
+    json.dumps({"id": "t3", "timestamp": "2013-11-09T16:00:00+08:00", "text": "Tacloban ’ok’"}, ensure_ascii=False),
+]
+RAW_MIXED_TABLE = corpus.RawCorpus.of(
+    ["t1", "398765432109876543", "t3"], [1_383_984_000_000_000] * 3, ["bagyo niño", "naïve \U0001f62d", "Tacloban ’ok’"]
+)
+
+
+def _raw_csv(path, rows):
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "timestamp", "text"])
+        writer.writerows(rows)
+
+
+def _both_readers(path, block):
+    """load_tweets of `path`, or its error, by the block reader and by the line reader alone."""
+    with mock.patch.object(corpus, "JSONL_BLOCK", block):
+        got = _outcome(load_tweets, path)
+        with mock.patch.object(corpus, "_raw_tweet_block", lambda lines: None):
+            return got, _outcome(load_tweets, path)
+
+
+@pytest.mark.parametrize("block", [1, 2, corpus.JSONL_BLOCK])
+def test_raw_jsonl_block_reader_gives_the_line_readers_table(tmp_path, block):
+    path = tmp_path / "raw.jsonl"
+    path.write_text("".join(line + "\n" for line in RAW_MIXED), encoding="utf-8")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = [corpus._raw_tweet_line(line, n) for n, line in enumerate(lines, 1)]
+    assert [list(column) for column in corpus._raw_tweet_block(lines)] == [list(column) for column in zip(*rows)]
+    assert _both_readers(path, block) == (RAW_MIXED_TABLE, RAW_MIXED_TABLE)
+    # a malformed line: both give the line reader's error, naming its line
+    path.write_text("".join(line + "\n" for line in RAW_MIXED[:2] + ['{"id": "t4", "text": "x"}'] + RAW_MIXED[2:]))
+    error = ("error", f"{path}: line 3: missing field 'timestamp'")
+    assert _both_readers(path, block) == (error, error)
+
+
+def test_raw_csv_reader_gives_the_jsonl_readers_table(tmp_path):
+    # the same tweets as RAW_MIXED, the integer id written as digits
+    path = tmp_path / "raw.csv"
+    stamps = [json.loads(line)["timestamp"] for line in RAW_MIXED]
+    rows = list(zip(RAW_MIXED_TABLE.ids, stamps, RAW_MIXED_TABLE.texts))
+    _raw_csv(path, rows)
+    assert load_tweets(path) == RAW_MIXED_TABLE
+    # a text over two lines, so the record after it starts a line later, and a
+    # repeated id: the error names the line each record ends on
+    _raw_csv(path, [rows[0], ("t2", rows[1][1], "two\nlines"), rows[2], ("t2", rows[2][1], "again")])
+    assert _outcome(load_tweets, path) == ("error", f"{path}: line 6: duplicate id 't2' (first seen on line 4)")
+    # a malformed timestamp
+    _raw_csv(path, [rows[0], ("t2", "yesterday", "x"), rows[2]])
+    message = "line 3: bad timestamp 'yesterday': Invalid isoformat string: 'yesterday'"
+    assert _outcome(load_tweets, path) == ("error", f"{path}: {message}")
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,7 +437,8 @@ def test_surrogate_pairs_are_text(tmp_path):
     path = tmp_path / "raw.jsonl"
     path.write_text(json.dumps({"id": "t\U0001f600", "timestamp": NOV9, "text": "ok \U0001f600"}) + "\n")
     assert "\\ud83d\\ude00" in path.read_text()
-    assert [(t.id, t.text) for t in load_tweets(path)] == [("t\U0001f600", "ok \U0001f600")]
+    tweets = load_tweets(path)
+    assert (tweets.ids, tweets.texts) == (("t\U0001f600",), ("ok \U0001f600",))
 
 
 @pytest.mark.parametrize(

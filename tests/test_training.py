@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import synthdata
 from synthdata import Tweet, table
+from rnnsent.corpus import Corpus
 from rnnsent.evaluation import FINE_CLASSES, evaluate
 from rnnsent.model import ModelConfig, init_params
 from rnnsent.numeric import RngState
@@ -115,6 +116,17 @@ def test_load_annotations_duplicate_id(tmp_path):
     path.write_text("id,label\nt0,positive\nt0,negative\n")
     with pytest.raises(ValueError, match="more than once"):
         load_annotations(path, _corpus())
+
+
+def test_load_annotations_rejects_a_corpus_that_repeats_an_id(tmp_path):
+    # only the clean corpus reader rejects repeated ids; a table built in the
+    # package may hold one, and joining to its last row would drop the first
+    path = tmp_path / "ann.csv"
+    path.write_text("id,label\na,positive\nb,negative\n")
+    corpus = Corpus.of(["a", "b", "a"], [0, 0, 0], ["storm", "rain", "wind"], [1, 1, 1])
+    with pytest.raises(ValueError) as exc:
+        load_annotations(path, corpus)
+    assert str(exc.value) == "the corpus repeats the id 'a' in rows 0 and 2"
 
 
 def test_load_annotations_tweet_without_tokens_names_file_and_line(tmp_path):
