@@ -6,15 +6,14 @@ breakdown suitable for plotting.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, _write_jsonl, atomic_writer
+from .corpus import Corpus, _write_jsonl, atomic_writer, write_json
 from .embedding import EmbeddingMatrix
 from .evaluation import FINE_CLASSES
 from .model import ModelConfig, predict_many
@@ -135,36 +134,22 @@ def temporal_buckets(
 def export_report(
     distribution: SentimentDistribution,
     buckets: TemporalBuckets,
-    path: str | Path,
-    format: str = "json",
+    json_path: str | Path,
+    csv_path: str | Path,
 ) -> None:
-    """JSON carries both structures losslessly; CSV is the bucket table with
-    columns period,positive,negative,neutral (the distribution is its column
-    sums)."""
-    if format not in ("json", "csv"):
-        raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
-    if format == "json":
-        payload = {
-            "distribution": {
-                "counts": dict(distribution.counts),
-                "percentages": dict(distribution.percentages),
-                "total": distribution.total,
-            },
-            "granularity": buckets.granularity,
-            "buckets": [
-                {"period": b.label, **{c: b.counts[c] for c in FINE_CLASSES}}
-                for b in buckets.buckets
-            ],
-        }
-        with atomic_writer(path) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        with atomic_writer(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["period", *FINE_CLASSES])
-            for b in buckets.buckets:
-                writer.writerow([b.label] + [str(b.counts[c]) for c in FINE_CLASSES])
+    """Both report files: JSON carries both structures losslessly; CSV is the
+    bucket table with columns period,positive,negative,neutral (the
+    distribution is its column sums)."""
+    write_json(json_path, {
+        "distribution": asdict(distribution),
+        "granularity": buckets.granularity,
+        "buckets": [{"period": b.label, **b.counts} for b in buckets.buckets],
+    })
+    with atomic_writer(csv_path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["period", *FINE_CLASSES])
+        for b in buckets.buckets:
+            writer.writerow([b.label] + [str(b.counts[c]) for c in FINE_CLASSES])
 
 
 # JSONEncoder(sort_keys=True) writes a float with float.__repr__, also for a

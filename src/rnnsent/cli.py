@@ -14,7 +14,6 @@ failed gradient check, unexpected exceptions).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from datetime import date, datetime, timezone
@@ -32,7 +31,6 @@ from .analysis import (
 )
 from .corpus import (
     PreprocessConfig,
-    atomic_writer,
     default_stopwords,
     filter_by_collection_window,
     load_clean_corpus,
@@ -43,6 +41,7 @@ from .corpus import (
     save_clean_corpus,
     save_stats,
     save_vocabulary,
+    write_json,
 )
 from .embedding import (
     EmbeddingParams,
@@ -52,7 +51,7 @@ from .embedding import (
     save_embeddings,
     train_embeddings,
 )
-from .evaluation import classes_for, evaluate, save_confusion, save_metrics
+from .evaluation import FINE_CLASSES, classes_for, evaluate, save_confusion, save_metrics
 from .gradcheck import run_gradcheck
 from .model import (
     BIDIRECTIONAL,
@@ -206,9 +205,7 @@ def _write_manifest(args: argparse.Namespace, started: float, results: dict | No
     if results is not None:
         manifest["results"] = results
     path = target / MANIFEST_FILENAME if spec.names else Path(f"{target}.manifest.json")
-    with atomic_writer(path) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +362,8 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
     classified_path, json_path, csv_path = _outputs(args)
     save_classified(clean, labels, confidences, oov, classified_path)
-    export_report(distribution, buckets, json_path, format="json")
-    export_report(distribution, buckets, csv_path, format="csv")
-    for label in ("positive", "negative", "neutral"):
+    export_report(distribution, buckets, json_path, csv_path)
+    for label in FINE_CLASSES:
         print(f"{label} {distribution.counts[label]} ({distribution.percentages[label]}%)")
 
 

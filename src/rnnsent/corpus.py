@@ -61,6 +61,14 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+def write_json(path: str | Path, payload) -> None:
+    """`payload` as JSON indented by 2, keys sorted, with a final newline,
+    written atomically: the form of every JSON report and manifest."""
+    with atomic_writer(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def read_header(
     fh: TextIO, path: Path, magic: str, version: str, fields: int, error: type[ValueError], kind: str
 ) -> list[str]:
@@ -212,8 +220,6 @@ class CorpusStats:
     final_count: int
     vocab_size: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 # The rules run on lowercased text. There the url rule matches what it
 # matched under re.IGNORECASE, where "ſ" (U+017F) matches "s"; without the
@@ -871,5 +877,6 @@ def _vocabulary_lines(path: Path) -> Vocabulary:
 
 
 def save_stats(stats: CorpusStats, path: str | Path) -> None:
+    """The counts in field order, the one JSON artifact whose keys are not sorted."""
     with atomic_writer(path) as fh:
-        fh.write(json.dumps(stats.to_dict(), indent=2) + "\n")
+        fh.write(json.dumps(asdict(stats), indent=2) + "\n")

@@ -7,14 +7,13 @@ matrix is the canonical artifact and Metrics is a pure function of it.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, atomic_writer
+from .corpus import Corpus, atomic_writer, write_json
 from .embedding import EmbeddingMatrix
 from .model import ModelConfig, predict_many
 from .numeric import FloatArray
@@ -181,9 +180,7 @@ def evaluate(
 
 
 def save_metrics(metrics: Metrics, path: str | Path) -> None:
-    with atomic_writer(path) as fh:
-        json.dump(asdict(metrics), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, asdict(metrics))
 
 
 def save_confusion(cm: ConfusionMatrix, path: str | Path) -> None:

@@ -565,15 +565,16 @@ def predict_many(
 # Model file format
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = (
-    "direction",
-    "hidden_size",
-    "num_classes",
-    "embedding_dim",
-    "dropout_rate",
-    "bptt_mode",
-    "bptt_k",
-)
+# each line of a model file's config block, in file order, with the type it is read as
+_CONFIG_FIELDS = {
+    "direction": str,
+    "hidden_size": int,
+    "num_classes": int,
+    "embedding_dim": int,
+    "dropout_rate": float,
+    "bptt_mode": str,
+    "bptt_k": int,
+}
 
 
 def save_model(params: dict[str, FloatArray], config: ModelConfig, path: str | Path) -> None:
@@ -584,13 +585,9 @@ def save_model(params: dict[str, FloatArray], config: ModelConfig, path: str | P
     _check_params(params, config)
     with atomic_writer(path) as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
-        fh.write(f"direction {config.direction}\n")
-        fh.write(f"hidden_size {config.hidden_size}\n")
-        fh.write(f"num_classes {config.num_classes}\n")
-        fh.write(f"embedding_dim {config.embedding_dim}\n")
-        fh.write(f"dropout_rate {config.dropout_rate:.17g}\n")
-        fh.write(f"bptt_mode {config.bptt_mode}\n")
-        fh.write(f"bptt_k {config.bptt_k}\n")
+        for field, kind in _CONFIG_FIELDS.items():
+            value = getattr(config, field)
+            fh.write(f"{field} {value:.17g}\n" if kind is float else f"{field} {value}\n")
         for name, shape in param_shapes(config).items():
             arr = params[name]
             dims = " ".join(str(d) for d in shape)
@@ -613,15 +610,7 @@ def load_model(path: str | Path) -> tuple[dict[str, FloatArray], ModelConfig]:
                 raise ModelFileError(f"{path}: corrupt config block (expected {field!r} line)")
             raw[field] = line[1].strip()
         try:
-            config = ModelConfig(
-                direction=raw["direction"],
-                hidden_size=int(raw["hidden_size"]),
-                num_classes=int(raw["num_classes"]),
-                embedding_dim=int(raw["embedding_dim"]),
-                dropout_rate=float(raw["dropout_rate"]),
-                bptt_mode=raw["bptt_mode"],
-                bptt_k=int(raw["bptt_k"]),
-            )
+            config = ModelConfig(**{field: kind(raw[field]) for field, kind in _CONFIG_FIELDS.items()})
         except ValueError as exc:
             raise ModelFileError(f"{path}: invalid config: {exc}") from exc
 

@@ -8,13 +8,12 @@ grid over {architecture} x {batch size} x {dropout}.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 import numpy as np
 
-from .corpus import Corpus, atomic_writer, open_artifact, token_ids
+from .corpus import Corpus, atomic_writer, open_artifact, token_ids, write_json
 from .embedding import EmbeddingMatrix
 from .evaluation import (
     BINARY_CLASSES,
@@ -200,24 +199,9 @@ class TrainReport:
     model_config: ModelConfig
     train_config: TrainConfig
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch_losses": self.epoch_losses,
-            "epoch_accuracies": self.epoch_accuracies,
-            "test_metrics": asdict(self.test_metrics),
-            "test_confusion": {
-                "classes": list(self.test_confusion.classes),
-                "counts": [list(row) for row in self.test_confusion.counts],
-            },
-            "model_config": asdict(self.model_config),
-            "train_config": asdict(self.train_config),
-        }
-
 
 def save_report(report: TrainReport, path: str | Path) -> None:
-    with atomic_writer(path) as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, asdict(report))
 
 
 def _check_labels(data: DatasetSplit, num_classes: int) -> None:
@@ -343,9 +327,6 @@ class GridResult:
     task: str
     rows: tuple[GridRow, ...]
 
-    def to_dict(self) -> dict:
-        return {"task": self.task, "columns": list(GRID_COLUMNS), "rows": list(map(asdict, self.rows))}
-
     def format_table(self) -> str:
         """Aligned text table; the model name labels its block once."""
         cells = [list(GRID_COLUMNS)]
@@ -370,9 +351,7 @@ class GridResult:
 
 
 def save_grid(result: GridResult, json_path: str | Path, table_path: str | Path) -> None:
-    with atomic_writer(json_path) as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, {**asdict(result), "columns": GRID_COLUMNS})
     with atomic_writer(table_path) as fh:
         fh.write(result.format_table())
 

@@ -322,7 +322,7 @@ def test_export_json_round_trip(tmp_path):
     dist = sentiment_distribution(labels)
     buckets = temporal_buckets(corpus, labels, "month")
     path = tmp_path / "report.json"
-    export_report(dist, buckets, path, format="json")
+    export_report(dist, buckets, path, tmp_path / "report.csv")
     payload = json.loads(path.read_text())
     assert payload["distribution"] == {"counts": dist.counts, "percentages": dist.percentages, "total": dist.total}
     assert payload["granularity"] == buckets.granularity
@@ -332,7 +332,8 @@ def test_export_json_round_trip(tmp_path):
 def test_export_json_percentages_one_decimal(tmp_path):
     corpus, labels = _classified([("positive", "2013-11-09")] + [("negative", "2013-11-09")] * 2)
     path = tmp_path / "report.json"
-    export_report(sentiment_distribution(labels), temporal_buckets(corpus, labels, "month"), path)
+    dist, buckets = sentiment_distribution(labels), temporal_buckets(corpus, labels, "month")
+    export_report(dist, buckets, path, tmp_path / "report.csv")
     payload = json.loads(path.read_text())
     assert payload["distribution"]["percentages"] == {
         "positive": 33.3,
@@ -345,7 +346,8 @@ def test_export_json_percentages_one_decimal(tmp_path):
 def test_export_csv_exact_rows(tmp_path):
     corpus, labels = _classified(NINE_TWEETS)
     path = tmp_path / "report.csv"
-    export_report(sentiment_distribution(labels), temporal_buckets(corpus, labels, "month"), path, format="csv")
+    dist, buckets = sentiment_distribution(labels), temporal_buckets(corpus, labels, "month")
+    export_report(dist, buckets, tmp_path / "report.json", path)
     lines = path.read_text().splitlines()
     assert lines == [
         "period,positive,negative,neutral",
@@ -353,14 +355,6 @@ def test_export_csv_exact_rows(tmp_path):
         "2013-12,0,0,2",
         "2014-01,1,2,1",
     ]
-
-
-def test_export_unknown_format(tmp_path):
-    corpus, labels = _classified([("positive", "2013-11-09")])
-    dist = sentiment_distribution(labels)
-    buckets = temporal_buckets(corpus, labels, "month")
-    with pytest.raises(ValueError, match="format"):
-        export_report(dist, buckets, tmp_path / "x.xml", format="xml")
 
 
 def test_save_classified_jsonl(tmp_path):

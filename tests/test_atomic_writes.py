@@ -40,8 +40,9 @@ def world():
     }
 
 
-def _export(w, path, format):
-    export_report(sentiment_distribution(w["labels"]), temporal_buckets(w["corpus"], w["labels"]), path, format=format)
+def _export(w, d):
+    distribution, buckets = sentiment_distribution(w["labels"]), temporal_buckets(w["corpus"], w["labels"])
+    export_report(distribution, buckets, d / "report.json", d / "report.csv")
 
 
 def _manifest(path):
@@ -61,8 +62,8 @@ WRITERS = {
     "save_grid-table": ("grid.txt", lambda w, d: save_grid(w["grid"], d / "grid.json", d / "grid.txt")),
     "save_metrics": ("metrics.json", lambda w, d: save_metrics(w["metrics"], d / "metrics.json")),
     "save_confusion": ("confusion.csv", lambda w, d: save_confusion(w["cm"], d / "confusion.csv")),
-    "export_report-json": ("report.json", lambda w, d: _export(w, d / "report.json", "json")),
-    "export_report-csv": ("report.csv", lambda w, d: _export(w, d / "report.csv", "csv")),
+    "export_report-json": ("report.json", _export),
+    "export_report-csv": ("report.csv", _export),
     "save_classified": (
         "classified.jsonl",
         lambda w, d: save_classified(w["corpus"], w["labels"], w["confidences"], w["oov"], d / "classified.jsonl"),

@@ -582,6 +582,36 @@ def test_manifest_lists_inputs_outputs_and_seed(pipeline, tmp_path, case):
     assert sorted(path.name for path in out.iterdir()) == sorted(outputs + [manifest_name])
 
 
+# the JSON files each run writes besides stats.json
+JSON_WRITTEN = {
+    "preprocess": ["manifest.json"],
+    "embed": ["e.txt.manifest.json"],
+    "train": ["manifest.json", "report.json"],
+    "grid": ["grid.json", "manifest.json"],
+    "eval": ["manifest.json", "metrics.json"],
+    "analyze": ["manifest.json", "report.json"],
+}
+
+
+@pytest.mark.parametrize("case", list(JSON_WRITTEN))
+def test_json_reports_and_manifests_are_indented_with_sorted_keys(pipeline, tmp_path, case):
+    out = tmp_path / "out"
+    argv, *_ = _manifest_case(case, pipeline, out)
+    assert main([str(a) for a in argv]) == 0
+    names = JSON_WRITTEN[case]
+    assert sorted(path.name for path in out.glob("*.json") if path.name != "stats.json") == names
+    for name in names:
+        text = (out / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
+def test_stats_json_keeps_its_field_order(pipeline):
+    text = (pipeline["pre"] / "stats.json").read_text(encoding="utf-8")
+    stats = json.loads(text)
+    assert list(stats) == ["raw_count", "deduplicated_count", "final_count", "vocab_size"]
+    assert text == json.dumps(stats, indent=2) + "\n"
+
+
 def test_failed_run_leaves_no_output_directory(pipeline, tmp_path, capsys):
     ann = tmp_path / "annotations.csv"
     ann.write_text("id,label\nnot-a-tweet,positive\n", encoding="utf-8")

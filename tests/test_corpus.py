@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -425,7 +426,7 @@ def test_pipeline_hand_trace_exact():
     for tweet in tweets_of(clean):
         assert tweet.tokens == synthdata.HAND_TRACE_EXPECTED_TOKENS[tweet.id]
     assert tuple(zip(vocab.tokens, range(len(vocab)), vocab.counts)) == synthdata.HAND_TRACE_EXPECTED_VOCAB
-    assert stats.to_dict() == synthdata.HAND_TRACE_EXPECTED_STATS
+    assert asdict(stats) == synthdata.HAND_TRACE_EXPECTED_STATS
 
 
 def test_pipeline_low_frequency_token_absent_everywhere():

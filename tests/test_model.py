@@ -547,6 +547,53 @@ def test_save_load_round_trip(tmp_path, direction):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _bidirectional_full_config():
+    return ModelConfig(
+        embedding_dim=3, hidden_size=5, num_classes=3, dropout_rate=0.1,
+        direction=BIDIRECTIONAL, bptt_mode=BPTT_FULL, bptt_k=7,
+    )
+
+
+def test_config_block_lines(tmp_path):
+    cfg = _bidirectional_full_config()
+    path = tmp_path / "model.txt"
+    save_model(init_params(cfg, RngState(seed=904)), cfg, path)
+    lines = path.read_text().splitlines()
+    assert lines[:8] == [
+        "RNN-SENT v1",
+        "direction bidirectional",
+        "hidden_size 5",
+        "num_classes 3",
+        "embedding_dim 3",
+        # 17 significant digits, so the float reads back exactly
+        "dropout_rate 0.10000000000000001",
+        "bptt_mode full",
+        "bptt_k 7",
+    ]
+    assert lines[8].startswith("param ")
+    assert load_model(path)[1] == cfg
+
+
+@pytest.mark.parametrize("line, text, message", [
+    (2, "hidden 5", "corrupt config block (expected 'hidden_size' line)"),
+    (2, "hidden_size", "corrupt config block (expected 'hidden_size' line)"),
+    (7, "param w_xh 3 5", "corrupt config block (expected 'bptt_k' line)"),
+    (2, "hidden_size five", "invalid config: invalid literal for int() with base 10: 'five'"),
+    (5, "dropout_rate 1.5", "invalid config: dropout_rate must be in [0, 1), got 1.5"),
+    (1, "direction sideways", "invalid config: direction must be 'standard' or 'bidirectional'"),
+])
+def test_load_rejects_a_malformed_config_line(tmp_path, line, text, message):
+    cfg = _bidirectional_full_config()
+    path = tmp_path / "model.txt"
+    save_model(init_params(cfg, RngState(seed=905)), cfg, path)
+    lines = path.read_text().splitlines()
+    lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFileError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_save_rejects_shape_mismatch(tmp_path):
     cfg = _config(hidden=4)
     params = init_params(_config(hidden=5), RngState(seed=901))
