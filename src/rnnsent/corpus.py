@@ -23,12 +23,12 @@ import csv
 import json
 import os
 import re
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from importlib import resources
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, floordiv, itemgetter, methodcaller, sub
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -165,6 +165,10 @@ class RawCorpus:
     micros: np.ndarray
     texts: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if not len(self.ids) == len(self.micros) == len(self.texts):
+            raise ValueError(f"{len(self.ids)} ids, {len(self.micros)} micros and {len(self.texts)} texts differ in length")
+
     @classmethod
     def of(cls, ids: Iterable[str], micros: Sequence[int], texts: Iterable[str]) -> "RawCorpus":
         return cls(tuple(ids), np.array(micros, dtype=np.int64), tuple(texts))
@@ -182,35 +186,67 @@ class RawCorpus:
         return RawCorpus.of(map(self.ids.__getitem__, listed), self.micros[rows], map(self.texts.__getitem__, listed))
 
 
+class _WordIndex(dict):
+    """word -> its index; a word not yet here is given the next index when first looked up."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = index = len(self)
+        return index
+
+
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """A clean corpus as one table, row i being tweet i: its id ids[i], its
     instant micros[i] in UTC microseconds since the epoch (int64), and its
-    tokens tokens[offsets[i] : offsets[i + 1]] of one flat tuple."""
+    tokens words[j] for each j of word_ids[offsets[i] : offsets[i + 1]]: an
+    int32 column of indices into a tuple of distinct words, in no set order."""
 
     ids: tuple[str, ...]
     micros: np.ndarray
-    tokens: tuple[str, ...]
+    words: tuple[str, ...]
+    word_ids: np.ndarray
     offsets: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not len(self.ids) == len(self.micros) == len(self.offsets) - 1:
+            raise ValueError(f"{len(self.ids)} ids, {len(self.micros)} micros and {len(self.offsets) - 1} sizes differ in length")
+        if self.offsets[-1] != len(self.word_ids):
+            raise ValueError(f"the sizes add up to {self.offsets[-1]} tokens, but there are {len(self.word_ids)}")
 
     @classmethod
     def of(cls, ids: Iterable[str], micros: Sequence[int], tokens: Iterable[str], sizes: Sequence[int]) -> "Corpus":
         """The table of tweets ids[i] at micros[i], tweet i holding the next sizes[i] of `tokens`."""
-        return cls(tuple(ids), np.array(micros, dtype=np.int64), tuple(tokens), np.r_[0, np.cumsum(sizes, dtype=np.int64)])
+        return cls.of_blocks([(ids, micros, tokens, sizes)])
+
+    @classmethod
+    def of_blocks(cls, blocks: Iterable[tuple[Iterable[str], Iterable[int], Iterable[str], Iterable[int]]]) -> "Corpus":
+        """Corpus.of of each block's columns in turn; of a block's token strings, one per word outlives it."""
+        ids, micros, word_ids, sizes = [], [], [np.empty(0, np.int32)], [0]
+        index = _WordIndex()
+        for block_ids, block_micros, tokens, block_sizes in blocks:
+            ids.extend(block_ids)
+            micros.extend(block_micros)
+            word_ids.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int32))
+            sizes.extend(block_sizes)
+        return cls(tuple(ids), np.array(micros, np.int64), tuple(index), np.concatenate(word_ids), np.cumsum(sizes, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __eq__(self, other) -> bool:
-        same = isinstance(other, Corpus) and (self.ids, self.tokens) == (other.ids, other.tokens)
-        return same and np.array_equal(self.micros, other.micros) and np.array_equal(self.offsets, other.offsets)
+        """Equal when the rows are, whatever the order of either table's words."""
+        same = isinstance(other, Corpus) and self.ids == other.ids and np.array_equal(self.micros, other.micros)
+        # other's tokens as indices into these words; one that is not here is skipped, and so shortens them
+        theirs = token_ids(Vocabulary(self.words), other)[0] if same else None
+        return same and np.array_equal(self.offsets, other.offsets) and np.array_equal(theirs, self.word_ids)
 
     def take(self, rows: np.ndarray) -> "Corpus":
-        """The table of rows `rows` (int64 indices), in that order."""
-        # a slice per row: a list of each token's position would hold an int per token
-        slices = map(slice, self.offsets[rows].tolist(), self.offsets[rows + 1].tolist())
-        tokens = chain.from_iterable(map(self.tokens.__getitem__, slices))
-        return Corpus.of(map(self.ids.__getitem__, rows.tolist()), self.micros[rows], tokens, np.diff(self.offsets)[rows])
+        """The table of rows `rows` (int64 indices), in that order; it shares this table's words."""
+        sizes = np.diff(self.offsets)[rows]
+        offsets = np.r_[0, np.cumsum(sizes)]
+        # each taken token's position: its row's start, plus its place among the taken tokens less the row's first
+        positions = np.repeat(self.offsets[rows] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        return Corpus(tuple(map(self.ids.__getitem__, rows.tolist())), self.micros[rows], self.words, self.word_ids[positions], offsets)
 
 
 @dataclass(frozen=True)
@@ -244,27 +280,6 @@ _SPECIAL_TABLE = bytes(ord(" ") if chr(c) == "_" or (c < 128 and _SPECIAL_RE.mat
 CLEAN_BLOCK = 256
 
 
-def _strip_username(text: str) -> str:
-    return _USERNAME_RE.sub(" ", text)
-
-
-def _strip_url(text: str) -> str:
-    return _URL_RE.sub(" ", text)
-
-
-def _strip_retweet_marker(text: str) -> str:
-    return _RETWEET_RE.sub(" ", text)
-
-
-def _strip_hashtag_symbol(text: str) -> str:
-    # Keep the hashtag word itself; only the symbol goes.
-    return text.replace("#", "")
-
-
-def _strip_emoji(text: str) -> str:
-    return _EMOJI_RE.sub("", text)
-
-
 def _strip_special_chars(text: str) -> str:
     # Apostrophes vanish (don't -> dont); other punctuation and "_" split words.
     # surrogatepass carries a lone surrogate through the bytes unchanged.
@@ -275,11 +290,11 @@ def _strip_special_chars(text: str) -> str:
 
 # The strip rules, applied in this order
 _STRIP_RULES = {
-    "username": _strip_username,
-    "url": _strip_url,
-    "retweet_marker": _strip_retweet_marker,
-    "hashtag_symbol_only": _strip_hashtag_symbol,
-    "emoji": _strip_emoji,
+    "username": partial(_USERNAME_RE.sub, " "),
+    "url": partial(_URL_RE.sub, " "),
+    "retweet_marker": partial(_RETWEET_RE.sub, " "),
+    "hashtag_symbol_only": methodcaller("replace", "#", ""),  # the hashtag word itself stays
+    "emoji": partial(_EMOJI_RE.sub, ""),
     "special_chars": _strip_special_chars,
 }
 
@@ -349,11 +364,7 @@ class Vocabulary:
         return token in self.token_to_index
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Vocabulary)
-            and self.tokens == other.tokens
-            and self.counts == other.counts
-        )
+        return isinstance(other, Vocabulary) and (self.tokens, self.counts) == (other.tokens, other.counts)
 
     def index(self, token: str) -> int:
         return self.token_to_index[token]
@@ -369,8 +380,9 @@ def token_ids(vocab: Vocabulary, corpus: Corpus) -> tuple[np.ndarray, np.ndarray
     """(ids, starts, lengths) for the N tweets of `corpus`: the vocabulary
     index of each tweet's in-vocabulary tokens in order, OOV tokens skipped,
     so a tweet with no such token has length 0; tweet i's ids are
-    ids[starts[i] : starts[i] + lengths[i]]."""
-    ids = np.fromiter(map(vocab.token_to_index.get, corpus.tokens, repeat(-1)), dtype=np.int64, count=len(corpus.tokens))
+    ids[starts[i] : starts[i] + lengths[i]]. Each word is looked up once."""
+    lookup = np.fromiter(map(vocab.token_to_index.get, corpus.words, repeat(-1)), dtype=np.int64, count=len(corpus.words))
+    ids = lookup[corpus.word_ids]
     known = ids >= 0
     # the known tokens before each offset, so each tweet's count is a difference
     before = np.r_[0, known.cumsum()][corpus.offsets]
@@ -538,29 +550,21 @@ def preprocess_corpus(raw: RawCorpus, config: PreprocessConfig) -> tuple[Corpus,
     removed everywhere, and tweets left empty are dropped.
     """
     deduped = deduplicate(raw)
+    blocks = (slice(lo, lo + CLEAN_BLOCK) for lo in range(0, len(deduped), CLEAN_BLOCK))
+    cleaned = ((deduped.ids[b], deduped.micros[b].tolist(), _clean_block(deduped.texts[b])) for b in blocks)
+    table = Corpus.of_blocks((ids, micros, chain.from_iterable(t), map(len, t)) for ids, micros, t in cleaned)
 
-    stopwords, min_length = config.stopwords, config.min_token_length
-    filtered: list[list[str]] = []  # each deduplicated tweet's candidate tokens
-    counts: Counter[str] = Counter()
-    for lo in range(0, len(deduped), CLEAN_BLOCK):
-        block_tokens = [
-            [tok for tok in tokens if tok not in stopwords and len(tok) >= min_length]
-            for tokens in _clean_block(deduped.texts[lo : lo + CLEAN_BLOCK])
-        ]
-        filtered += block_tokens
-        counts.update(chain.from_iterable(block_tokens))
+    # stopword and length are decided once per word, then every word is counted at once
+    candidate = np.array([w not in config.stopwords and len(w) >= config.min_token_length for w in table.words], dtype=bool)
+    counts = np.bincount(table.word_ids[candidate[table.word_ids]], minlength=len(candidate))
+    surviving = counts >= config.min_global_frequency
+    vocab = Vocabulary.from_counts(dict(zip(compress(table.words, surviving), counts[surviving].tolist())))
 
-    surviving = {tok: n for tok, n in counts.items() if n >= config.min_global_frequency}
-    vocab = Vocabulary.from_counts(surviving)
-
-    rows, tokens, sizes = [], [], []
-    for row, candidates in enumerate(filtered):
-        kept = [tok for tok in candidates if tok in surviving]
-        if kept:
-            rows.append(row)
-            tokens += kept
-            sizes.append(len(kept))
-    clean = Corpus.of(map(deduped.ids.__getitem__, rows), deduped.micros[rows], tokens, sizes)
+    # the surviving tokens as vocabulary indices, and the rows that hold one, whose starts stay the same
+    ids, starts, lengths = token_ids(vocab, table)
+    rows = np.flatnonzero(lengths)
+    offsets = np.r_[starts[rows], len(ids)]
+    clean = Corpus(tuple(map(table.ids.__getitem__, rows.tolist())), table.micros[rows], vocab.tokens, ids.astype(np.int32), offsets)
     return clean, vocab, CorpusStats(len(raw), len(deduped), len(clean), len(vocab))
 
 
@@ -750,11 +754,13 @@ def _clean_tweet_line(line: str, line_no: int) -> tuple[str, int, list[str]] | N
 def _write_jsonl(path: str | Path, corpus: Corpus, escape: Callable[[str], str], format_block: Callable[..., str]) -> None:
     """Write `corpus` atomically, one fh.write per JSONL_BLOCK tweets of format_block(lo, hi, ids, stamps,
     tokens): their escaped ids, isoformat timestamps (digits and "T:.+-" need no escape) and joined tokens."""
+    escaped = np.array(list(map(escape, corpus.words)), dtype=object)  # each word escaped once
     with atomic_writer(path) as fh:
         for lo in range(0, len(corpus), JSONL_BLOCK):
             hi = min(lo + JSONL_BLOCK, len(corpus))
-            offsets = corpus.offsets[lo : hi + 1].tolist()
-            tokens = [", ".join(map(escape, corpus.tokens[a:b])) for a, b in zip(offsets, offsets[1:])]
+            offsets = corpus.offsets[lo : hi + 1]
+            block, bounds = escaped[corpus.word_ids[offsets[0] : offsets[-1]]].tolist(), (offsets - offsets[0]).tolist()
+            tokens = [", ".join(block[a:b]) for a, b in zip(bounds, bounds[1:])]
             fh.write(format_block(lo, hi, map(escape, corpus.ids[lo:hi]), _isoformat_all(corpus.micros[lo:hi]), tokens))
 
 
@@ -768,18 +774,12 @@ def load_clean_corpus(path: str | Path) -> Corpus:
     """Read a clean corpus written by save_clean_corpus; a malformed record,
     a duplicate id or a string holding a lone surrogate raises
     TweetFormatError naming the file and line."""
-    ids, micros, tokens, sizes = [], [], [], []
     with open_artifact(Path(path), TweetFormatError) as fh:
         try:
-            # each block's token lists are flattened as it is read, so they are freed a block at a time
-            for block_ids, block_micros, token_lists in _read_jsonl(fh, _clean_tweet_block, _clean_tweet_line):
-                ids += block_ids
-                micros += block_micros
-                tokens += chain.from_iterable(token_lists)
-                sizes += map(len, token_lists)
+            blocks = _read_jsonl(fh, _clean_tweet_block, _clean_tweet_line)
+            return Corpus.of_blocks((ids, micros, chain.from_iterable(t), map(len, t)) for ids, micros, t in blocks)
         except TweetFormatError as exc:
             raise TweetFormatError(f"{path}: {exc}") from exc
-    return Corpus.of(ids, micros, tokens, sizes)
 
 
 def _check_tokens(tokens: Iterable[str], path: str | Path) -> None:

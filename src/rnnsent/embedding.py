@@ -348,8 +348,8 @@ def train_embeddings(
     """
     ids, _, _ = token_ids(vocab, corpus)
     # token_ids skips the tokens the vocabulary lacks
-    if len(ids) < len(corpus.tokens):
-        unknown = {t for t in corpus.tokens if t not in vocab}
+    if len(ids) < len(corpus.word_ids):
+        unknown = {corpus.words[w] for w in np.unique(corpus.word_ids).tolist() if corpus.words[w] not in vocab}
         raise ValueError(f"corpus tokens missing from vocabulary: {sorted(unknown)[:5]}")
     if min(vocab.counts, default=0) < 0 or not any(vocab.counts):
         raise ValueError("vocabulary counts must be >= 0, and not all 0: negatives are drawn by count")

@@ -15,6 +15,9 @@ Cleaning: the per-tweet pipeline that rnnsent.corpus's block pass replaced,
 each strip rule and the whitespace collapse run on one tweet at a time; and
 the regex special_chars rule that its translate table replaced.
 
+Token ids: the per-occurrence lookup that rnnsent.corpus's word column
+replaced, one vocabulary lookup for each token of the corpus.
+
 Time buckets: the per-tweet tally that rnnsent.analysis's counting pass
 replaced, each tweet's UTC date taken with astimezone, a naive timestamp
 read as UTC, and each period stepped to the next one by one.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from datetime import date, timedelta, timezone
+from itertools import repeat
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from rnnsent.evaluation import FINE_CLASSES
 from rnnsent.model import BPTT_FULL, STANDARD, init_params
 from rnnsent.numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
 from rnnsent.training import CLIP_NORM
-from synthdata import EPOCH, Tweet, table, tweets_of
+from synthdata import EPOCH, Tweet, table, tokens_of, tweets_of
 
 
 def run_cell(arrays, prefix, inputs):
@@ -359,6 +363,17 @@ def preprocess_corpus(raw, config, rules=tuple(STRIP_RULES)):
         if kept:
             clean.append(Tweet(id=tweet_id, timestamp=timestamp, tokens=kept))
     return table(clean), vocab, CorpusStats(len(raw), len(deduped), len(clean), len(vocab))
+
+
+def token_ids(vocab, corpus):
+    """(ids, starts, lengths) as rnnsent.corpus.token_ids gives them, each
+    token of the corpus looked up in the vocabulary on its own."""
+    tokens = tokens_of(corpus)
+    ids = np.fromiter(map(vocab.token_to_index.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
+    known = ids >= 0
+    # the known tokens before each offset, so each tweet's count is a difference
+    before = np.r_[0, known.cumsum()][corpus.offsets]
+    return ids[known], before[:-1], np.diff(before)
 
 
 def strip_special_chars(text):

@@ -46,24 +46,39 @@ def micros(stamp: datetime) -> int:
 
 
 def table(tweets: Iterable[Tweet]) -> Corpus:
-    """The Corpus of `tweets`, in order; a naive timestamp is read as UTC."""
+    """The Corpus of `tweets`, in order; a naive timestamp is read as UTC.
+
+    Its words are sorted, not in the order first seen that the reader
+    builds, so the tests that use it also run on another word order.
+    """
     tweets = list(tweets)
-    return Corpus.of(
-        [t.id for t in tweets], [micros(t.timestamp) for t in tweets],
-        [token for t in tweets for token in t.tokens], [len(t.tokens) for t in tweets],
+    words = sorted({token for t in tweets for token in t.tokens})
+    index = {word: i for i, word in enumerate(words)}
+    return Corpus(
+        tuple(t.id for t in tweets),
+        np.array([micros(t.timestamp) for t in tweets], dtype=np.int64),
+        tuple(words),
+        np.array([index[token] for t in tweets for token in t.tokens], dtype=np.int32),
+        np.cumsum([0] + [len(t.tokens) for t in tweets], dtype=np.int64),
     )
 
 
 def lists_table(token_lists: Iterable[Iterable[str]]) -> Corpus:
-    """The Corpus of one tweet per token list, with ids "0", "1", ..., all at the epoch."""
+    """The Corpus of one tweet per token list, with ids "0", "1", ..., all at
+    the epoch, and its words sorted, as table builds them."""
     return table(Tweet(str(i), EPOCH, tuple(tokens)) for i, tokens in enumerate(token_lists))
+
+
+def tokens_of(corpus: Corpus) -> list[str]:
+    """Every token of `corpus` in order, read from its word column."""
+    return list(map(corpus.words.__getitem__, corpus.word_ids.tolist()))
 
 
 def tweets_of(corpus: Corpus) -> list[Tweet]:
     """The rows of `corpus`, each timestamp an aware UTC datetime."""
-    offsets = corpus.offsets.tolist()
+    tokens, offsets = tokens_of(corpus), corpus.offsets.tolist()
     return [
-        Tweet(tid, EPOCH + timedelta(microseconds=m), corpus.tokens[a:b])
+        Tweet(tid, EPOCH + timedelta(microseconds=m), tuple(tokens[a:b]))
         for tid, m, a, b in zip(corpus.ids, corpus.micros.tolist(), offsets, offsets[1:])
     ]
 
@@ -90,7 +105,7 @@ def synthetic_labeled(n_per_class: int, seed: int) -> tuple[Corpus, np.ndarray]:
 
 
 def vocabulary_of(corpus: Corpus) -> Vocabulary:
-    return Vocabulary.from_counts(Counter(corpus.tokens))
+    return Vocabulary.from_counts(Counter(tokens_of(corpus)))
 
 
 def separable_embeddings(

@@ -278,7 +278,7 @@ def test_re_whitespace_is_str_isspace():
 def test_emoji_rule_keeps_ascii_letters_digits_and_whitespace():
     every = _every_char()
     allowed = set(every[:128]) | set(filter(str.isalnum, every)) | set(filter(str.isspace, every))
-    _assert_same_text(corpus._strip_emoji(every), "".join(sorted(allowed)))
+    _assert_same_text(corpus._STRIP_RULES["emoji"](every), "".join(sorted(allowed)))
 
 
 def test_url_rule_spells_out_ignorecase_on_lowercased_text():
