@@ -489,11 +489,17 @@ def _read_csv_tweets(fh: TextIO) -> list[tuple[Sequence, ...]]:
     rows = []
     seen: dict[str, int] = {}
     reader = csv.DictReader(fh)
-    if reader.fieldnames is None or not {"id", "timestamp", "text"} <= set(reader.fieldnames):
-        raise TweetFormatError("CSV header must contain id,timestamp,text")
-    for record in reader:
-        rows.append(_record_row(record, reader.line_num))
-        _check_duplicate(rows[-1][0], reader.line_num, seen)
+    line = 0  # the line the last record (or the header) ends on
+    try:
+        if reader.fieldnames is None or not {"id", "timestamp", "text"} <= set(reader.fieldnames):
+            raise TweetFormatError("CSV header must contain id,timestamp,text")
+        line = reader.line_num
+        for record in reader:
+            line = reader.line_num
+            rows.append(_record_row(record, line))
+            _check_duplicate(rows[-1][0], line, seen)
+    except csv.Error as exc:
+        raise TweetFormatError(f"line {line + 1}: the CSV record that starts here cannot be parsed: {exc}") from None
     return [tuple(zip(*rows))] if rows else []
 
 

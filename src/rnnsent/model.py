@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -156,10 +157,6 @@ class Workspace:
         return buffer[:size].reshape(shape)
 
 
-def _buffer(workspace: Workspace | None, name: str, shape: tuple[int, ...]) -> FloatArray:
-    return np.empty(shape) if workspace is None else workspace.take(name, shape)
-
-
 @dataclass
 class BatchTrace:
     """Activations of one minibatch, kept for backward_batch.
@@ -188,30 +185,11 @@ class BatchTrace:
     readout: FloatArray             # (B, R), caller's order, dropout applied
     probabilities: FloatArray       # (B, C), caller's order
     dropout_masks: FloatArray | None  # (B, R)
-    workspace: Workspace | None
+    workspace: Workspace
 
     @property
     def steps(self) -> int:
         return len(self.active) - 1
-
-    def _hidden(self, cell: int) -> FloatArray | None:
-        """(T, B, H) states of one cell in the caller's order, 0 before a sequence starts."""
-        if self.states is None or cell >= self.states.shape[1]:
-            return None
-        steps, batch = self.steps, len(self.order)
-        hidden = np.zeros((steps, batch, self.states.shape[2]))
-        column, row = np.nonzero(np.arange(batch) < self.active[:steps, None])
-        hidden[column, self.order[row]] = self.states[self.offsets[column + 1] + row, cell]
-        return hidden
-
-    @property
-    def hidden_fwd(self) -> FloatArray | None:
-        return self._hidden(0)
-
-    @property
-    def hidden_bwd(self) -> FloatArray | None:
-        """In the backward cell's processing order (see BatchTrace)."""
-        return self._hidden(1)
 
 
 def pack_sequences(sequences: Sequence[FloatArray]) -> tuple[FloatArray, np.ndarray, np.ndarray, np.ndarray]:
@@ -278,8 +256,9 @@ def forward_batch(
     `dropout_masks` (B, R) multiplies the readout (train mode). With
     keep_states=False only the running state is kept (inference); such a
     trace cannot be passed to backward_batch. Buffers come from `workspace`
-    when given (see Workspace), else they are allocated for this call.
+    (see Workspace), a fresh one when none is given.
     """
+    workspace = Workspace() if workspace is None else workspace
     lengths = np.asarray(lengths)
     steps, batch, emb_dim = int(lengths.max()), len(lengths), table.shape[1]
     prefixes = _cells(config)
@@ -304,18 +283,18 @@ def forward_batch(
     w_hh_t = _stacked(params, prefixes, "w_hh", transpose=True)
     b_h = _stacked(params, prefixes, "b_h")
     blocks = _blocks(off, 0, steps)
-    projection = _buffer(workspace, "block", (_block_rows(batch) + batch, cells, hidden))
-    block_inputs = _buffer(workspace, "block_inputs", (_block_rows(batch), cells, emb_dim))
+    projection = workspace.take("block", (_block_rows(batch) + batch, cells, hidden))
+    block_inputs = workspace.take("block_inputs", (_block_rows(batch), cells, emb_dim))
     if keep_states:
         # sized for B sequences of T steps, so that batches of the same shape never
         # grow it; only the rows in use are ever touched
-        states = _buffer(workspace, "states", ((steps + 1) * batch, cells, hidden))[: rows + batch]
+        states = workspace.take("states", ((steps + 1) * batch, cells, hidden))[: rows + batch]
 
         def slot(t: int) -> FloatArray:
             return states[off[t] : off[t + 1]]
     else:
         states = None
-        running = _buffer(workspace, "running", (2, batch, cells, hidden))
+        running = workspace.take("running", (2, batch, cells, hidden))
 
         def slot(t: int) -> FloatArray:
             return running[t % 2, : act[t]]
@@ -343,14 +322,10 @@ def forward_batch(
     readout[order] = slot(steps).reshape(batch, cells * hidden)
     if dropout_masks is not None:
         readout *= dropout_masks
-    w_hy = params["w_hy"]
-    if config.direction == STANDARD:
-        logits = readout @ w_hy.T + params["b_y"]
-    else:
-        # per-direction half products: a bidirectional net whose backward cell
-        # and backward readout columns are zero then reproduces the standard
-        # net's output bit for bit
-        logits = readout[:, :hidden] @ w_hy[:, :hidden].T + readout[:, hidden:] @ w_hy[:, hidden:].T + params["b_y"]
+    # one product per cell over its readout columns, summed in cell order: the
+    # standard net's logits are the bidirectional net's one-cell case, bit for bit
+    cols = [slice(c * hidden, (c + 1) * hidden) for c in range(cells)]
+    logits = reduce(np.add, [readout[:, c] @ params["w_hy"][:, c].T for c in cols]) + params["b_y"]
     return BatchTrace(
         order=order,
         active=active,
@@ -400,10 +375,10 @@ def backward_batch(
     d_w_hh = np.zeros((cells, hidden, hidden))
     d_b_h = np.zeros((cells, hidden))
     blocks = _blocks(off, lo, steps)
-    errors = _buffer(trace.workspace, "errors", (_block_rows(batch), cells, hidden))
-    block_inputs = _buffer(trace.workspace, "block_inputs", (_block_rows(batch), cells, config.embedding_dim))
-    slopes = _buffer(trace.workspace, "block", (_block_rows(batch) + batch, cells, hidden))
-    dh = _buffer(trace.workspace, "dh", (batch, cells, hidden))
+    errors = trace.workspace.take("errors", (_block_rows(batch), cells, hidden))
+    block_inputs = trace.workspace.take("block_inputs", (_block_rows(batch), cells, config.embedding_dim))
+    slopes = trace.workspace.take("block", (_block_rows(batch) + batch, cells, hidden))
+    dh = trace.workspace.take("dh", (batch, cells, hidden))
     dh[:] = dr[trace.order].reshape(batch, cells, hidden)
     for first, hi in reversed(blocks):
         base = off[first]

@@ -103,23 +103,28 @@ def load_annotations(path: str | Path, corpus: Corpus) -> tuple[np.ndarray, np.n
     seen: set[str] = set()
     with open_artifact(path, ValueError, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: annotation CSV must have an 'id,label' header")
-        for line, row in enumerate(reader, start=2):
-            tweet_id, label = row["id"], row["label"]
-            if label not in FINE_CLASSES:
-                raise ValueError(
-                    f"{path}:{line}: unknown label {label!r}; expected one of {list(FINE_CLASSES)}"
-                )
-            if tweet_id not in by_id:
-                raise ValueError(f"{path}:{line}: id {tweet_id!r} does not exist in the corpus")
-            if tweet_id in seen:
-                raise ValueError(f"{path}:{line}: id {tweet_id!r} is annotated more than once")
-            if not sizes[by_id[tweet_id]]:
-                raise ValueError(f"{path}:{line}: tweet {tweet_id!r} has no tokens")
-            seen.add(tweet_id)
-            rows.append(by_id[tweet_id])
-            labels.append(FINE_CLASSES.index(label))
+        line = 0  # the line the last record (or the header) ends on
+        try:
+            if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
+                raise ValueError(f"{path}: annotation CSV must have an 'id,label' header")
+            line = reader.line_num
+            for row in reader:
+                line, tweet_id, label = reader.line_num, row["id"], row["label"]
+                if label not in FINE_CLASSES:
+                    raise ValueError(
+                        f"{path}:{line}: unknown label {label!r}; expected one of {list(FINE_CLASSES)}"
+                    )
+                if tweet_id not in by_id:
+                    raise ValueError(f"{path}:{line}: id {tweet_id!r} does not exist in the corpus")
+                if tweet_id in seen:
+                    raise ValueError(f"{path}:{line}: id {tweet_id!r} is annotated more than once")
+                if not sizes[by_id[tweet_id]]:
+                    raise ValueError(f"{path}:{line}: tweet {tweet_id!r} has no tokens")
+                seen.add(tweet_id)
+                rows.append(by_id[tweet_id])
+                labels.append(FINE_CLASSES.index(label))
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{line + 1}: the CSV record that starts here cannot be parsed: {exc}") from None
     return np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 

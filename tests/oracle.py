@@ -4,7 +4,8 @@ the batched code is tested against.
 RNN: the straightforward single-sequence implementation that the batched
 kernel in rnnsent.model replaced: forward, full and k-truncated BPTT, and a
 per-example SGD trainer. Parameters are the name -> array dicts of
-rnnsent.model.param_shapes.
+rnnsent.model.param_shapes. `hidden` reads one cell's states out of the
+kernel's packed trace, in the layout the oracle's forward returns them.
 
 SGNS: the per-pair skip-gram trainer that rnnsent.embedding's per-tweet
 update replaced, one SGD step per (center, context) pair; and the per-tweet
@@ -68,6 +69,20 @@ def forward(arrays, config, sequence, mask=None):
     logits = arrays["w_hy"] @ readout + arrays["b_y"]
     e = np.exp(logits - logits.max())
     return hidden_fwd, hidden_bwd, readout, e / e.sum()
+
+
+def hidden(trace, cell):
+    """(T, B, H) states of one cell of a model.BatchTrace in the caller's
+    order, 0 before a sequence starts; the backward cell (1) in its own
+    processing order. None for a trace run with keep_states=False or a cell
+    the net does not have."""
+    if trace.states is None or cell >= trace.states.shape[1]:
+        return None
+    steps, batch = trace.steps, len(trace.order)
+    states = np.zeros((steps, batch, trace.states.shape[2]))
+    column, row = np.nonzero(np.arange(batch) < trace.active[:steps, None])
+    states[column, trace.order[row]] = trace.states[trace.offsets[column + 1] + row, cell]
+    return states
 
 
 def cell_backward(w_hh, hidden, inputs, d_last, k):

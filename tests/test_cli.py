@@ -126,6 +126,26 @@ def test_input_that_is_not_utf8_is_usage_error_naming_the_file(pipeline, tmp_pat
     assert f"error: {path}: corrupt file: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["raw.csv", "annotations.csv"])
+def test_csv_record_the_csv_module_cannot_parse_is_usage_error_naming_its_line(pipeline, tmp_path, capsys, name):
+    # line 2 opens a quote that never closes, and the lines after it pass the csv module's field limit
+    path = tmp_path / name
+    if name == "annotations.csv":
+        header, good = "id,label", pipeline["ann"].read_text(encoding="utf-8").splitlines()[1]
+        argv = [
+            "train", "--corpus", str(pipeline["pre"] / "corpus.jsonl"), "--annotations", str(path),
+            "--embeddings", str(pipeline["emb"]), "--epochs", "1", "--output", str(tmp_path / "fit"),
+        ]
+        where = f"{path}:2: "
+    else:
+        header, good = "id,timestamp,text", "t1,2013-11-09T08:00:00Z,bagyo"
+        argv = ["preprocess", "--input", str(path), "--output-dir", str(tmp_path / "pre")]
+        where = f"{path}: line 2: "
+    path.write_text("\n".join([header, '"' + good, *[good] * 20000]) + "\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert f"error: {where}the CSV record that starts here cannot be parsed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # embed / neighbors
 # ---------------------------------------------------------------------------

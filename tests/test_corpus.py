@@ -69,6 +69,22 @@ def test_load_tweets_csv(tmp_path):
     assert tweets.texts[0] == "hello, world"
 
 
+@pytest.mark.parametrize("before, line", [(0, 2), (2, 4), (None, 1)])
+def test_load_tweets_csv_record_the_csv_module_cannot_parse_names_its_first_line(tmp_path, before, line):
+    # a quote that never closes swallows every later line, past the csv module's
+    # field limit; before=None puts it in the header
+    good = [f"t{i},2013-11-09T08:00:00Z,bagyo" for i in range(8000)]
+    header = 'id,timestamp,"text' if before is None else "id,timestamp,text"
+    bad = [] if before is None else ['tq,2013-11-09T08:00:00Z,"open']
+    path = tmp_path / "raw.csv"
+    path.write_text("\n".join([header, *good[: before or 0], *bad, *good]) + "\n")
+    with pytest.raises(TweetFormatError) as exc:
+        load_tweets(path)
+    assert str(exc.value).startswith(
+        f"{path}: line {line}: the CSV record that starts here cannot be parsed: field larger than field limit"
+    )
+
+
 def test_load_tweets_missing_field_names_line(tmp_path):
     path = tmp_path / "raw.jsonl"
     path.write_text(

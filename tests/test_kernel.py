@@ -1,6 +1,7 @@
 """The batched, length-masked kernel against the per-example oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,9 +97,9 @@ def test_batch_matches_per_example_oracle(case):
             expected[name] += g
         # the state is exactly 0 on padded steps
         pad = steps - len(seq)
-        assert not trace.hidden_fwd[:pad, b].any()
-        if trace.hidden_bwd is not None:
-            assert not trace.hidden_bwd[:pad, b].any()
+        assert not oracle.hidden(trace, 0)[:pad, b].any()
+        if oracle.hidden(trace, 1) is not None:
+            assert not oracle.hidden(trace, 1)[:pad, b].any()
     assert grads.keys() == expected.keys()
     for name in expected:
         # relative to the largest entry once sums exceed 1: both sides round at that scale
@@ -153,11 +154,11 @@ def test_batch_matches_oracle_in_any_length_order(case):
         # everything the kernel returns is in the caller's order
         assert _max_diff(trace.probabilities[b], probs) <= TOLERANCE
         assert _max_diff(trace.readout[b], readout) <= TOLERANCE
-        assert _max_diff(trace.hidden_fwd[steps - len(seq) :, b], hidden_fwd) <= TOLERANCE
-        assert not trace.hidden_fwd[: steps - len(seq), b].any()
+        assert _max_diff(oracle.hidden(trace, 0)[steps - len(seq) :, b], hidden_fwd) <= TOLERANCE
+        assert not oracle.hidden(trace, 0)[: steps - len(seq), b].any()
         if hidden_bwd is not None:
-            assert _max_diff(trace.hidden_bwd[steps - len(seq) :, b], hidden_bwd) <= TOLERANCE
-            assert not trace.hidden_bwd[: steps - len(seq), b].any()
+            assert _max_diff(oracle.hidden(trace, 1)[steps - len(seq) :, b], hidden_bwd) <= TOLERANCE
+            assert not oracle.hidden(trace, 1)[: steps - len(seq), b].any()
         for name, g in oracle.gradients(params, config, seq, targets[b], masks[b], case["k"])[1].items():
             expected[name] += g
     for name in expected:
@@ -218,9 +219,9 @@ def test_batch_gathers_shared_and_repeated_ids(case):
         hidden_fwd, hidden_bwd, readout, probs = oracle.forward(params, config, seq, masks[b])
         assert _max_diff(trace.probabilities[b], probs) <= TOLERANCE
         assert _max_diff(trace.readout[b], readout) <= TOLERANCE
-        assert _max_diff(trace.hidden_fwd[steps - len(seq) :, b], hidden_fwd) <= TOLERANCE
+        assert _max_diff(oracle.hidden(trace, 0)[steps - len(seq) :, b], hidden_fwd) <= TOLERANCE
         if hidden_bwd is not None:
-            assert _max_diff(trace.hidden_bwd[steps - len(seq) :, b], hidden_bwd) <= TOLERANCE
+            assert _max_diff(oracle.hidden(trace, 1)[steps - len(seq) :, b], hidden_bwd) <= TOLERANCE
         for name, g in oracle.gradients(params, config, seq, targets[b], masks[b], case["k"])[1].items():
             expected[name] += g
     for name in expected:
@@ -230,7 +231,7 @@ def test_batch_gathers_shared_and_repeated_ids(case):
 
 def _batch_arrays(trace, grads):
     arrays = {"probabilities": trace.probabilities, "readout": trace.readout,
-              "hidden_fwd": trace.hidden_fwd, "hidden_bwd": trace.hidden_bwd}
+              "hidden_fwd": oracle.hidden(trace, 0), "hidden_bwd": oracle.hidden(trace, 1)}
     arrays.update(grads or {})
     return arrays
 
@@ -262,6 +263,57 @@ def test_reused_workspace_matches_fresh_buffers(direction, keep_states):
                 assert reused[name] is None, name
             else:
                 assert np.array_equal(fresh[name], reused[name]), (number, name)
+
+
+@pytest.mark.parametrize("direction", [STANDARD, BIDIRECTIONAL])
+def test_call_without_workspace_matches_a_workspace_a_longer_batch_used(direction):
+    config = ModelConfig(embedding_dim=3, hidden_size=5, dropout_rate=0.5, direction=direction)
+    params = init_params(config, RngState(seed=32))
+    gen = RngState(seed=33).generator()
+    # a longer bidirectional batch first, so every buffer is larger than needed and holds its values
+    workspace = Workspace()
+    long_config = replace(config, direction=BIDIRECTIONAL)
+    long_params = init_params(long_config, RngState(seed=34))
+    long = pack_sequences([gen.normal(scale=0.8, size=(n, 3)) for n in (60, 41, 7, 60, 23)])
+    trace = forward_batch(long_params, long_config, *long, workspace=workspace)
+    backward_batch(long_params, long_config, trace, gen.integers(3, size=5))
+
+    packed = pack_sequences([gen.normal(scale=0.8, size=(n, 3)) for n in (9, 3, 9, 1, 6)])
+    targets = gen.integers(3, size=5)
+    masks = np.stack([dropout_mask(config.readout_size, 0.5, RngState(seed=35 + b)) for b in range(5)])
+    results = []
+    for ws in (None, workspace):
+        trace = forward_batch(params, config, *packed, masks, workspace=ws)
+        results.append(_batch_arrays(trace, backward_batch(params, config, trace, targets)))
+    fresh, reused = results
+    assert fresh.keys() == reused.keys()
+    for name in fresh:
+        # the standard net's hidden_bwd is None on both sides
+        assert np.array_equal(fresh[name], reused[name]), name
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_bidirectional_net_with_a_silent_backward_cell_gives_the_standard_probabilities(classes, dropout):
+    hidden = 5
+    std_config = ModelConfig(embedding_dim=3, hidden_size=hidden, num_classes=classes)
+    bi_config = replace(std_config, direction=BIDIRECTIONAL)
+    std = init_params(std_config, RngState(seed=36))
+    gen = RngState(seed=37).generator()
+    std["b_y"] = gen.normal(size=classes)
+    # the standard net's forward cell, a zero backward cell, zeros in the backward half of w_hy
+    bi = {"fwd." + name: std[name] for name in ("w_xh", "w_hh", "b_h")}
+    bi.update({"bwd." + name: np.zeros_like(std[name]) for name in ("w_xh", "w_hh", "b_h")})
+    bi["w_hy"] = np.concatenate([std["w_hy"], np.zeros_like(std["w_hy"])], axis=1)
+    bi["b_y"] = std["b_y"]
+    packed = pack_sequences([gen.normal(scale=0.8, size=(n, 3)) for n in (7, 1, 12, 3, 12, 5)])
+    std_masks = bi_masks = None
+    if dropout:
+        bi_masks = np.stack([dropout_mask(2 * hidden, 0.5, RngState(seed=38 + b)) for b in range(6)])
+        std_masks = bi_masks[:, :hidden]
+    p_std = forward_batch(std, std_config, *packed, std_masks).probabilities
+    p_bi = forward_batch(bi, bi_config, *packed, bi_masks).probabilities
+    assert np.array_equal(p_std, p_bi)
 
 
 def test_predict_many_keeps_caller_order():
@@ -520,6 +572,6 @@ def test_inference_trace_cannot_be_backpropagated():
     params = init_params(config, RngState(seed=74))
     packed = pack_sequences([np.ones((2, 2)), np.ones((1, 2))])
     trace = forward_batch(params, config, *packed, keep_states=False)
-    assert trace.hidden_fwd is None
+    assert oracle.hidden(trace, 0) is None
     with pytest.raises(ValueError, match="keep_states"):
         backward_batch(params, config, trace, np.array([0, 1]))

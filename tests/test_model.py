@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from rnnsent.corpus import Vocabulary, token_ids
 from synthdata import lists_table
 from rnnsent.embedding import EmbeddingMatrix
@@ -140,7 +141,7 @@ def test_forward_hand_traced_scalar_net():
     }
     trace = forward(params, cfg, [np.array([1.0])])
     t1 = np.tanh(1.0)
-    assert trace.hidden_fwd[0, 0, 0] == pytest.approx(t1, abs=1e-15)
+    assert oracle.hidden(trace, 0)[0, 0, 0] == pytest.approx(t1, abs=1e-15)
     expected = np.exp([t1, -t1]) / np.exp([t1, -t1]).sum()
     assert np.allclose(trace.probabilities[0], expected, atol=1e-12)
 
@@ -158,8 +159,8 @@ def test_forward_two_steps_uses_recurrence():
     h1 = np.tanh(0.5 * 1.0 + 0.1)
     h2 = np.tanh(0.5 * -2.0 + 0.7 * h1 + 0.1)
     trace = forward(params, cfg, seq)
-    assert trace.hidden_fwd[0, 0, 0] == pytest.approx(h1, abs=1e-15)
-    assert trace.hidden_fwd[1, 0, 0] == pytest.approx(h2, abs=1e-15)
+    assert oracle.hidden(trace, 0)[0, 0, 0] == pytest.approx(h1, abs=1e-15)
+    assert oracle.hidden(trace, 0)[1, 0, 0] == pytest.approx(h2, abs=1e-15)
     assert trace.steps == 2
 
 
@@ -196,9 +197,9 @@ def test_forward_probabilities_valid_and_trace_lengths():
             assert abs(trace.probabilities[0].sum() - 1.0) < 1e-9
             assert np.all(trace.probabilities[0] > 0)
             if direction == STANDARD:
-                assert trace.hidden_bwd is None
+                assert oracle.hidden(trace, 1) is None
             else:
-                assert len(trace.hidden_bwd) == length
+                assert len(oracle.hidden(trace, 1)) == length
 
 
 def test_forward_order_sensitivity():
@@ -232,7 +233,7 @@ def test_forward_dropout_applied_only_in_train_mode():
     assert np.array_equal(trace.dropout_masks[0], expected_mask)
     # masked readout reproduces the probabilities exactly
     plain = forward(params, cfg, seq, train=False)
-    masked = plain.hidden_fwd[-1, 0] * expected_mask
+    masked = oracle.hidden(plain, 0)[-1, 0] * expected_mask
     assert np.allclose(trace.probabilities[0], softmax(params["w_hy"] @ masked + params["b_y"]), atol=1e-15)
     assert plain.dropout_masks is None
 
@@ -387,12 +388,12 @@ def test_truncated_k1_matches_hand_unrolled_standard():
 
     dlogits = trace.probabilities[0].copy()
     dlogits[target] -= 1.0
-    h_last = trace.hidden_fwd[-1, 0]
+    h_last = oracle.hidden(trace, 0)[-1, 0]
     da = (params["w_hy"].T @ dlogits) * (1.0 - h_last * h_last)
     assert np.array_equal(got["w_hy"], np.outer(dlogits, h_last))
     assert np.array_equal(got["b_y"], dlogits)
     assert np.array_equal(got["w_xh"], np.outer(da, seq[-1]))
-    assert np.array_equal(got["w_hh"], np.outer(da, trace.hidden_fwd[-2, 0]))
+    assert np.array_equal(got["w_hh"], np.outer(da, oracle.hidden(trace, 0)[-2, 0]))
     assert np.array_equal(got["b_h"], da)
     # and it genuinely differs from the full gradient on a T=3 sequence
     full = backward_full(params, cfg, trace, seq, target)
@@ -411,15 +412,15 @@ def test_truncated_k1_matches_hand_unrolled_bidirectional():
     dlogits = trace.probabilities[0].copy()
     dlogits[target] -= 1.0
     dr = params["w_hy"].T @ dlogits
-    da_f = dr[:h] * (1.0 - trace.hidden_fwd[-1, 0] * trace.hidden_fwd[-1, 0])
-    da_b = dr[h:] * (1.0 - trace.hidden_bwd[-1, 0] * trace.hidden_bwd[-1, 0])
+    da_f = dr[:h] * (1.0 - oracle.hidden(trace, 0)[-1, 0] * oracle.hidden(trace, 0)[-1, 0])
+    da_b = dr[h:] * (1.0 - oracle.hidden(trace, 1)[-1, 0] * oracle.hidden(trace, 1)[-1, 0])
     assert np.array_equal(got["fwd.w_xh"], np.outer(da_f, seq[-1]))
-    assert np.array_equal(got["fwd.w_hh"], np.outer(da_f, trace.hidden_fwd[-2, 0]))
+    assert np.array_equal(got["fwd.w_hh"], np.outer(da_f, oracle.hidden(trace, 0)[-2, 0]))
     assert np.array_equal(got["fwd.b_h"], da_f)
     # the backward cell's last processed input is x_1, previous state is the
     # one it produced after consuming x_2
     assert np.array_equal(got["bwd.w_xh"], np.outer(da_b, seq[0]))
-    assert np.array_equal(got["bwd.w_hh"], np.outer(da_b, trace.hidden_bwd[-2, 0]))
+    assert np.array_equal(got["bwd.w_hh"], np.outer(da_b, oracle.hidden(trace, 1)[-2, 0]))
     assert np.array_equal(got["bwd.b_h"], da_b)
 
 

@@ -145,6 +145,31 @@ def test_load_annotations_requires_header(tmp_path):
         load_annotations(path, _corpus())
 
 
+def test_load_annotations_numbers_lines_after_a_multi_line_record(tmp_path):
+    path = tmp_path / "ann2.csv"
+    path.write_text('id,label\n"t1\nsecond line",positive\nt2,bogus\n')
+    corpus = table([Tweet(id="t1\nsecond line", timestamp=TS, tokens=("tok",)), _tweet(2)])
+    with pytest.raises(ValueError) as exc:
+        load_annotations(path, corpus)
+    assert str(exc.value) == f"{path}:4: unknown label 'bogus'; expected one of {list(FINE_CLASSES)}"
+
+
+@pytest.mark.parametrize("before, line", [(0, 2), (2, 4), (None, 1)])
+def test_load_annotations_record_the_csv_module_cannot_parse_names_its_first_line(tmp_path, before, line):
+    # a quote that never closes swallows every later line, past the csv module's
+    # field limit; before=None puts it in the header
+    good = [f"t{i % 4},positive" for i in range(20000)]
+    header = '"id,label' if before is None else "id,label"
+    bad = [] if before is None else ['"t0,positive']
+    path = tmp_path / "ann.csv"
+    path.write_text("\n".join([header, *good[: before or 0], *bad, *good]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_annotations(path, _corpus())
+    assert str(exc.value).startswith(
+        f"{path}:{line}: the CSV record that starts here cannot be parsed: field larger than field limit"
+    )
+
+
 # id,label CSV-ish bytes: header words, known ids and labels, quotes, line ends
 # and bytes that are not UTF-8 drawn often
 annotation_bytes = st.lists(
