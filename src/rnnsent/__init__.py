@@ -32,11 +32,8 @@ from .embedding import (
 from .evaluation import (
     ConfusionMatrix,
     Metrics,
-    accuracy,
     confusion_matrix,
     evaluate,
-    f1_scores,
-    false_negative_share,
 )
 from .model import (
     ModelConfig,
@@ -78,11 +75,8 @@ __all__ = [
     "train_embeddings",
     "ConfusionMatrix",
     "Metrics",
-    "accuracy",
     "confusion_matrix",
     "evaluate",
-    "f1_scores",
-    "false_negative_share",
     "ModelConfig",
     "init_params",
     "load_model",

@@ -65,6 +65,7 @@ from .model import (
 )
 from .numeric import RngState
 from .training import (
+    GRID_MODELS,
     TASK_BINARY,
     TASK_FINE,
     TrainConfig,
@@ -290,7 +291,7 @@ def cmd_train(args: argparse.Namespace) -> None:
     task = _TASKS[args.task]
     emb, data = _prepare_dataset(args, task)
     direction = _MODELS[args.model]
-    if (direction, args.bptt) not in ((STANDARD, BPTT_TRUNCATED), (BIDIRECTIONAL, BPTT_FULL)):
+    if (direction, args.bptt) not in GRID_MODELS:
         _warn(
             f"off-grid configuration: {args.model} with {args.bptt} BPTT is allowed "
             "but was not part of the reported grid"

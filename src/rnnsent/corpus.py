@@ -484,22 +484,35 @@ def load_tweets(path: str | Path) -> RawCorpus:
     return RawCorpus.of(*columns)
 
 
+def csv_records(
+    fh: TextIO, fields: Iterable[str], header_error: Exception, record_error: Callable[[int, str], Exception]
+) -> Iterator[tuple[int, dict[str, str | None]]]:
+    """Each record of the CSV text `fh` as csv.DictReader gives it, with the line it starts on. Raises
+    `header_error` when the header lacks one of `fields`, record_error(line, message) on a csv.Error."""
+    reader = csv.reader(fh)
+    start = 1  # the line the next record starts on
+    try:
+        header = next(reader, None)
+        if header is None or not set(fields) <= set(header):
+            raise header_error
+        start = reader.line_num + 1
+        for values in reader:
+            if values:
+                yield start, dict(zip(header, chain(values, repeat(None))))
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise record_error(start, f"the CSV record that starts here cannot be parsed: {exc}") from None
+
+
 def _read_csv_tweets(fh: TextIO) -> list[tuple[Sequence, ...]]:
     """The id, microseconds and text columns of a raw CSV text, as one block."""
     rows = []
     seen: dict[str, int] = {}
-    reader = csv.DictReader(fh)
-    line = 0  # the line the last record (or the header) ends on
-    try:
-        if reader.fieldnames is None or not {"id", "timestamp", "text"} <= set(reader.fieldnames):
-            raise TweetFormatError("CSV header must contain id,timestamp,text")
-        line = reader.line_num
-        for record in reader:
-            line = reader.line_num
-            rows.append(_record_row(record, line))
-            _check_duplicate(rows[-1][0], line, seen)
-    except csv.Error as exc:
-        raise TweetFormatError(f"line {line + 1}: the CSV record that starts here cannot be parsed: {exc}") from None
+    header_error = TweetFormatError("CSV header must contain id,timestamp,text")
+    records = csv_records(fh, ("id", "timestamp", "text"), header_error, lambda line, msg: TweetFormatError(f"line {line}: {msg}"))
+    for line, record in records:
+        rows.append(_record_row(record, line))
+        _check_duplicate(rows[-1][0], line, seen)
     return [tuple(zip(*rows))] if rows else []
 
 
@@ -698,15 +711,28 @@ def _raw_tweet_block(lines: list[str]) -> tuple[list[str], list[int], Sequence[s
     return ids, micros, texts
 
 
-def _raw_tweet_line(line: str, line_no: int) -> tuple[str, int, str] | None:
-    if not line.strip():
+def _json_object(line: str, line_no: int) -> dict | None:
+    """The JSON object of line `line_no`, decoded as _decode_block decodes
+    it, or None for a blank line."""
+    text = line.strip(_JSON_SPACE)
+    if not text or text.isspace():
         return None
     try:
-        record = json.loads(line)
+        if line.startswith("\ufeff"):  # worded as json.loads words it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        record, end = _decode_json(text)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
     except _JSON_ERRORS as exc:
         raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-    if not isinstance(record, dict):
+    if type(record) is not dict:
         raise TweetFormatError(f"line {line_no}: expected a JSON object")
+    return record
+
+
+def _raw_tweet_line(line: str, line_no: int) -> tuple[str, int, str] | None:
+    if (record := _json_object(line, line_no)) is None:
+        return None
     row = _record_row(record, line_no)
     _check_unicode(line_no, "id", row[:1])
     _check_unicode(line_no, "text", row[2:])
@@ -732,17 +758,8 @@ def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[int], Sequ
 
 
 def _clean_tweet_line(line: str, line_no: int) -> tuple[str, int, list[str]] | None:
-    text = line.strip(_JSON_SPACE)
-    if not text or text.isspace():
+    if (record := _json_object(line, line_no)) is None:
         return None
-    try:
-        record, end = _decode_json(text)
-        if end != len(text):
-            raise json.JSONDecodeError("Extra data", text, end)
-    except _JSON_ERRORS as exc:
-        raise TweetFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-    if type(record) is not dict:
-        raise TweetFormatError(f"line {line_no}: expected a JSON object")
     for field in ("id", "timestamp", "tokens"):
         if field not in record:
             raise TweetFormatError(f"line {line_no}: missing field {field!r}")

@@ -98,52 +98,25 @@ def _ratio(num: float, den: float) -> float:
     return float(num / den) if den > 0 else 0.0
 
 
-def _require_nonempty(matrix: ConfusionMatrix) -> None:
-    if matrix.total == 0:
+def metrics_from_confusion(cm: ConfusionMatrix, oov_examples: int = 0) -> Metrics:
+    """Accuracy, per-class and macro F1, and the false-negative share: the fraction of all examples
+    wrongly predicted as negative, 0.0 without a negative class. All are read from one array of `cm`."""
+    arr = cm.as_array()
+    total = float(arr.sum())
+    if total == 0:
         raise ValueError("confusion matrix is empty (no evaluated examples)")
-
-
-def accuracy(cm: ConfusionMatrix) -> float:
-    _require_nonempty(cm)
-    arr = cm.as_array()
-    return float(np.trace(arr)) / float(arr.sum())
-
-
-def per_class_scores(cm: ConfusionMatrix) -> dict[str, ClassScores]:
-    _require_nonempty(cm)
-    arr = cm.as_array()
     scores = {}
     for i, name in enumerate(cm.classes):
         p = _ratio(float(arr[i, i]), float(arr[:, i].sum()))
         r = _ratio(float(arr[i, i]), float(arr[i, :].sum()))
         scores[name] = ClassScores(precision=p, recall=r, f1=_ratio(2.0 * p * r, p + r))
-    return scores
-
-
-def f1_scores(cm: ConfusionMatrix) -> tuple[list[float], float]:
-    """(per-class F1 in class order, unweighted macro mean)."""
-    scores = per_class_scores(cm)
-    per_class = [scores[c].f1 for c in cm.classes]
-    return per_class, float(np.mean(per_class))
-
-
-def false_negative_share(cm: ConfusionMatrix) -> float:
-    """Fraction of all examples wrongly predicted as negative."""
-    if "negative" not in cm.classes:
-        raise ValueError(f"no 'negative' class; classes are {list(cm.classes)}")
-    arr = cm.as_array()
-    j = cm.classes.index("negative")
-    wrong_into_negative = float(arr[:, j].sum() - arr[j, j])
-    return _ratio(wrong_into_negative, float(arr.sum()))
-
-
-def metrics_from_confusion(cm: ConfusionMatrix, oov_examples: int = 0) -> Metrics:
-    scores = per_class_scores(cm)
-    _, macro = f1_scores(cm)
-    share = false_negative_share(cm) if "negative" in cm.classes else 0.0
+    share = 0.0
+    if "negative" in cm.classes:
+        j = cm.classes.index("negative")
+        share = _ratio(float(arr[:, j].sum() - arr[j, j]), total)
     return Metrics(
-        accuracy=accuracy(cm),
-        f1_macro=macro,
+        accuracy=float(np.trace(arr)) / total,
+        f1_macro=float(np.mean([s.f1 for s in scores.values()])),
         per_class=scores,
         false_negative_share=share,
         total=cm.total,

@@ -7,13 +7,12 @@ grid over {architecture} x {batch size} x {dropout}.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 import numpy as np
 
-from .corpus import Corpus, atomic_writer, open_artifact, token_ids, write_json
+from .corpus import Corpus, atomic_writer, csv_records, open_artifact, token_ids, write_json
 from .embedding import EmbeddingMatrix
 from .evaluation import (
     BINARY_CLASSES,
@@ -102,29 +101,21 @@ def load_annotations(path: str | Path, corpus: Corpus) -> tuple[np.ndarray, np.n
     labels: list[int] = []
     seen: set[str] = set()
     with open_artifact(path, ValueError, newline="") as fh:
-        reader = csv.DictReader(fh)
-        line = 0  # the line the last record (or the header) ends on
-        try:
-            if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
-                raise ValueError(f"{path}: annotation CSV must have an 'id,label' header")
-            line = reader.line_num
-            for row in reader:
-                line, tweet_id, label = reader.line_num, row["id"], row["label"]
-                if label not in FINE_CLASSES:
-                    raise ValueError(
-                        f"{path}:{line}: unknown label {label!r}; expected one of {list(FINE_CLASSES)}"
-                    )
-                if tweet_id not in by_id:
-                    raise ValueError(f"{path}:{line}: id {tweet_id!r} does not exist in the corpus")
-                if tweet_id in seen:
-                    raise ValueError(f"{path}:{line}: id {tweet_id!r} is annotated more than once")
-                if not sizes[by_id[tweet_id]]:
-                    raise ValueError(f"{path}:{line}: tweet {tweet_id!r} has no tokens")
-                seen.add(tweet_id)
-                rows.append(by_id[tweet_id])
-                labels.append(FINE_CLASSES.index(label))
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{line + 1}: the CSV record that starts here cannot be parsed: {exc}") from None
+        header_error = ValueError(f"{path}: annotation CSV must have an 'id,label' header")
+        records = csv_records(fh, ("id", "label"), header_error, lambda line, msg: ValueError(f"{path}:{line}: {msg}"))
+        for line, row in records:
+            tweet_id, label = row["id"], row["label"]
+            if label not in FINE_CLASSES:
+                raise ValueError(f"{path}:{line}: unknown label {label!r}; expected one of {list(FINE_CLASSES)}")
+            if tweet_id not in by_id:
+                raise ValueError(f"{path}:{line}: id {tweet_id!r} does not exist in the corpus")
+            if tweet_id in seen:
+                raise ValueError(f"{path}:{line}: id {tweet_id!r} is annotated more than once")
+            if not sizes[by_id[tweet_id]]:
+                raise ValueError(f"{path}:{line}: tweet {tweet_id!r} has no tokens")
+            seen.add(tweet_id)
+            rows.append(by_id[tweet_id])
+            labels.append(FINE_CLASSES.index(label))
     return np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
@@ -309,6 +300,7 @@ def train(
 # Hyperparameter grid
 # ---------------------------------------------------------------------------
 
+GRID_MODELS = ((STANDARD, BPTT_TRUNCATED), (BIDIRECTIONAL, BPTT_FULL))
 GRID_BATCH_SIZES = (64, 128)
 GRID_DROPOUTS = (None, 0.5)
 MODEL_NAMES = {STANDARD: "Standard RNN", BIDIRECTIONAL: "Bidirectional RNN"}
@@ -380,7 +372,7 @@ def run_grid(
     num_classes = 2 if task == TASK_BINARY else 3
 
     rows: list[GridRow] = []
-    for direction, bptt_mode in ((STANDARD, BPTT_TRUNCATED), (BIDIRECTIONAL, BPTT_FULL)):
+    for direction, bptt_mode in GRID_MODELS:
         for dropout in GRID_DROPOUTS:
             for batch_size in GRID_BATCH_SIZES:
                 model_cfg = ModelConfig(

@@ -36,9 +36,8 @@ from rnnsent.evaluation import (
     BINARY_CLASSES,
     FINE_CLASSES,
     ConfusionMatrix,
-    accuracy,
     confusion_matrix,
-    f1_scores,
+    metrics_from_confusion,
 )
 from rnnsent.gradcheck import run_gradcheck
 from rnnsent.model import (
@@ -287,13 +286,15 @@ def test_criterion_06_metric_oracles():
         preds = gen.integers(len(classes), size=n).tolist()
         cm = confusion_matrix(golds, preds, classes)
         want_acc, want_f1s, want_macro = _recount(golds, preds, classes)
-        got_f1s, got_macro = f1_scores(cm)
-        _check(failures, accuracy(cm) == want_acc, f"trial {trial}: accuracy mismatch")
+        metrics = metrics_from_confusion(cm)
+        got_f1s, got_macro = [metrics.per_class[c].f1 for c in classes], metrics.f1_macro
+        _check(failures, metrics.accuracy == want_acc, f"trial {trial}: accuracy mismatch")
         _check(failures, got_f1s == want_f1s, f"trial {trial}: per-class F1 mismatch")
         _check(failures, got_macro == want_macro, f"trial {trial}: macro F1 mismatch")
 
     fixture = ConfusionMatrix(BINARY_CLASSES, ((40, 10), (5, 45)))
-    _check(failures, accuracy(fixture) == 0.85, f"fixture accuracy {accuracy(fixture)} != 0.85")
+    fixture_accuracy = metrics_from_confusion(fixture).accuracy
+    _check(failures, fixture_accuracy == 0.85, f"fixture accuracy {fixture_accuracy} != 0.85")
     _verdict("criterion 6: metric oracles", failures)
 
 

@@ -85,6 +85,34 @@ def test_load_tweets_csv_record_the_csv_module_cannot_parse_names_its_first_line
     )
 
 
+# each bad record starts on line 4: after a record over lines 2-3, or after two blank lines
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            ['t1,2013-11-09T08:00:00Z,"two', 'lines"', 't2,notatime,"also', 'two"'],
+            "line 4: bad timestamp 'notatime': Invalid isoformat string: 'notatime'",
+        ),
+        (["", "", "t1,notatime,x"], "line 4: bad timestamp 'notatime': Invalid isoformat string: 'notatime'"),
+        (
+            ['t1,2013-11-09T08:00:00Z,"two', 'lines"', 't1,2013-11-09T08:00:00Z,"again', 'here"'],
+            "line 4: duplicate id 't1' (first seen on line 2)",
+        ),
+        (
+            ['t1,2013-11-09T08:00:00Z,"two', 'lines"', 'tq,2013-11-09T08:00:00Z,"open']
+            + [f"t{i},2013-11-09T08:00:00Z,bagyo" for i in range(8000)],
+            "line 4: the CSV record that starts here cannot be parsed: field larger than field limit (131072)",
+        ),
+    ],
+)
+def test_load_tweets_csv_error_names_the_first_line_of_its_record(tmp_path, lines, message):
+    path = tmp_path / "raw.csv"
+    path.write_text("\n".join(["id,timestamp,text", *lines]) + "\n")
+    with pytest.raises(TweetFormatError) as exc:
+        load_tweets(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_load_tweets_missing_field_names_line(tmp_path):
     path = tmp_path / "raw.jsonl"
     path.write_text(

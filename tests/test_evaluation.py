@@ -14,14 +14,10 @@ from rnnsent.evaluation import (
     FINE_CLASSES,
     ClassScores,
     ConfusionMatrix,
-    accuracy,
     classes_for,
     confusion_matrix,
     evaluate,
-    f1_scores,
-    false_negative_share,
     metrics_from_confusion,
-    per_class_scores,
     save_confusion,
     save_metrics,
 )
@@ -34,6 +30,11 @@ POS, NEG, NEU = range(3)  # label indices into FINE_CLASSES
 
 def _cm(counts, classes=POS_NEG):
     return ConfusionMatrix(tuple(classes), tuple(tuple(row) for row in counts))
+
+
+def _f1s(metrics):
+    """The per-class F1 scores of `metrics`, in class order."""
+    return [s.f1 for s in metrics.per_class.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -94,28 +95,28 @@ def test_confusion_matrix_type_validation():
 
 
 def test_accuracy_hand_values():
-    assert accuracy(_cm([[40, 10], [5, 45]])) == 0.85
-    assert accuracy(_cm([[7, 0], [0, 3]])) == 1.0
+    assert metrics_from_confusion(_cm([[40, 10], [5, 45]])).accuracy == 0.85
+    assert metrics_from_confusion(_cm([[7, 0], [0, 3]])).accuracy == 1.0
 
 
 def test_accuracy_empty_matrix_rejected():
     with pytest.raises(ValueError, match="empty"):
-        accuracy(_cm([[0, 0], [0, 0]]))
+        metrics_from_confusion(_cm([[0, 0], [0, 0]]))
     with pytest.raises(ValueError, match="empty"):
-        f1_scores(_cm([[0, 0], [0, 0]]))
+        metrics_from_confusion(_cm([[0, 0, 0], [0, 0, 0], [0, 0, 0]], FINE_CLASSES))
 
 
 def test_accuracy_random_coin_flip_near_half():
     gen = RngState(seed=21).generator()
     golds = [POS] * 5000 + [NEG] * 5000
     preds = gen.integers(2, size=10000).tolist()
-    acc = accuracy(confusion_matrix(golds, preds, POS_NEG))
+    acc = metrics_from_confusion(confusion_matrix(golds, preds, POS_NEG)).accuracy
     assert 0.48 <= acc <= 0.52
 
 
 def test_f1_hand_values():
-    per, macro = f1_scores(_cm([[40, 10], [5, 45]]))
-    scores = per_class_scores(_cm([[40, 10], [5, 45]]))
+    metrics = metrics_from_confusion(_cm([[40, 10], [5, 45]]))
+    per, macro, scores = _f1s(metrics), metrics.f1_macro, metrics.per_class
     assert scores["positive"].precision == pytest.approx(40 / 45, abs=1e-15)
     assert scores["positive"].recall == pytest.approx(40 / 50, abs=1e-15)
     assert per[0] == pytest.approx(16 / 19, abs=1e-12)
@@ -126,15 +127,17 @@ def test_f1_hand_values():
 
 
 def test_f1_perfect_predictions():
-    per, macro = f1_scores(_cm([[4, 0, 0], [0, 9, 0], [0, 0, 2]], FINE_CLASSES))
+    metrics = metrics_from_confusion(_cm([[4, 0, 0], [0, 9, 0], [0, 0, 2]], FINE_CLASSES))
+    per, macro = _f1s(metrics), metrics.f1_macro
     assert per == [1.0, 1.0, 1.0]
     assert macro == 1.0
 
 
 def test_f1_absent_class_is_zero_by_convention():
-    per, macro = f1_scores(_cm([[5, 1, 0], [2, 4, 0], [0, 0, 0]], FINE_CLASSES))
+    metrics = metrics_from_confusion(_cm([[5, 1, 0], [2, 4, 0], [0, 0, 0]], FINE_CLASSES))
+    per, macro = _f1s(metrics), metrics.f1_macro
     assert per[2] == 0.0
-    scores = per_class_scores(_cm([[5, 1, 0], [2, 4, 0], [0, 0, 0]], FINE_CLASSES))
+    scores = metrics.per_class
     assert scores["neutral"] == ClassScores(0.0, 0.0, 0.0)
     assert macro == pytest.approx((per[0] + per[1]) / 3, abs=1e-15)
 
@@ -167,10 +170,33 @@ def test_metrics_match_brute_force_recount_exactly():
         preds = gen.integers(len(classes), size=n).tolist()
         cm = confusion_matrix(golds, preds, classes)
         want_acc, want_f1s, want_macro = _recount(golds, preds, classes)
-        got_f1s, got_macro = f1_scores(cm)
-        assert accuracy(cm) == want_acc
+        metrics = metrics_from_confusion(cm)
+        got_f1s, got_macro = _f1s(metrics), metrics.f1_macro
+        assert metrics.accuracy == want_acc
         assert got_f1s == want_f1s
         assert got_macro == want_macro
+
+
+def test_precision_recall_and_negative_share_match_brute_force_recount_exactly():
+    gen = RngState(seed=26).generator()
+    for _ in range(100):
+        classes = FINE_CLASSES if gen.integers(2) else POS_NEG
+        # golds and predictions each drawn from a random subset of the classes,
+        # so a class is often absent from one side or from both
+        gold_from = gen.choice(len(classes), size=int(gen.integers(1, len(classes) + 1)), replace=False)
+        pred_from = gen.choice(len(classes), size=int(gen.integers(1, len(classes) + 1)), replace=False)
+        n = int(gen.integers(1, 50))
+        golds = gen.choice(gold_from, size=n).tolist()
+        preds = gen.choice(pred_from, size=n).tolist()
+        metrics = metrics_from_confusion(confusion_matrix(golds, preds, classes))
+        for c, name in enumerate(classes):
+            tp = sum(g == c and p == c for g, p in zip(golds, preds))
+            pred_c = sum(p == c for p in preds)
+            gold_c = sum(g == c for g in golds)
+            assert metrics.per_class[name].precision == (tp / pred_c if pred_c else 0.0)
+            assert metrics.per_class[name].recall == (tp / gold_c if gold_c else 0.0)
+        neg = classes.index("negative")
+        assert metrics.false_negative_share == sum(p == neg and g != neg for g, p in zip(golds, preds)) / n
 
 
 def test_macro_f1_invariant_under_class_permutation():
@@ -181,8 +207,9 @@ def test_macro_f1_invariant_under_class_permutation():
         cm = _cm(counts.tolist(), FINE_CLASSES)
         perm = gen.permutation(3)
         permuted = _cm(counts[np.ix_(perm, perm)].tolist(), tuple(FINE_CLASSES[i] for i in perm))
-        per_a, macro_a = f1_scores(cm)
-        per_b, macro_b = f1_scores(permuted)
+        metrics_a, metrics_b = metrics_from_confusion(cm), metrics_from_confusion(permuted)
+        per_a, macro_a = _f1s(metrics_a), metrics_a.f1_macro
+        per_b, macro_b = _f1s(metrics_b), metrics_b.f1_macro
         assert [per_a[i] for i in perm] == per_b
         assert macro_a == pytest.approx(macro_b, abs=1e-12)
 
@@ -193,13 +220,12 @@ def test_macro_f1_invariant_under_class_permutation():
 
 
 def test_false_negative_share_hand_values():
-    assert false_negative_share(_cm([[8, 2], [0, 10]])) == 0.10
-    assert false_negative_share(_cm([[8, 0], [0, 10]])) == 0.0
+    assert metrics_from_confusion(_cm([[8, 2], [0, 10]])).false_negative_share == 0.10
+    assert metrics_from_confusion(_cm([[8, 0], [0, 10]])).false_negative_share == 0.0
 
 
 def test_false_negative_share_needs_a_negative_class():
-    with pytest.raises(ValueError, match="no 'negative' class"):
-        false_negative_share(_cm([[1, 0], [0, 1]], ("yes", "no")))
+    assert metrics_from_confusion(_cm([[1, 3], [2, 1]], ("yes", "no"))).false_negative_share == 0.0
 
 
 def test_false_negative_share_bounded_by_error_rate():
@@ -208,8 +234,9 @@ def test_false_negative_share_bounded_by_error_rate():
         counts = gen.integers(0, 15, size=(3, 3))
         counts[1, 1] += 1
         cm = _cm(counts.tolist(), FINE_CLASSES)
-        share = false_negative_share(cm)
-        assert 0.0 <= share <= 1.0 - accuracy(cm) + 1e-15
+        metrics = metrics_from_confusion(cm)
+        share = metrics.false_negative_share
+        assert 0.0 <= share <= 1.0 - metrics.accuracy + 1e-15
 
 
 def test_matrix_total_is_example_count():

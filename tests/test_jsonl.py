@@ -229,6 +229,22 @@ def test_raw_jsonl_block_reader_gives_the_line_readers_table(tmp_path, block):
     assert _both_readers(path, block) == (error, error)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"id": "t1"} x', "Extra data: line 1 column 13 (char 12)"),
+        (' \t{"id": ', "Expecting value: line 1 column 7 (char 6)"),
+        ('\ufeff{"id": "t1"}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ],
+)
+def test_raw_and_clean_line_readers_word_invalid_json_alike(line, message):
+    # both decode the line stripped of JSON whitespace, so an offset counts from its first other character
+    for read_line in (corpus._raw_tweet_line, corpus._clean_tweet_line):
+        with pytest.raises(TweetFormatError) as exc:
+            read_line(line + "\n", 7)
+        assert str(exc.value) == f"line 7: invalid JSON: {message}"
+
+
 def test_raw_csv_reader_gives_the_jsonl_readers_table(tmp_path):
     # the same tweets as RAW_MIXED, the integer id written as digits
     path = tmp_path / "raw.csv"
@@ -237,9 +253,9 @@ def test_raw_csv_reader_gives_the_jsonl_readers_table(tmp_path):
     _raw_csv(path, rows)
     assert load_tweets(path) == RAW_MIXED_TABLE
     # a text over two lines, so the record after it starts a line later, and a
-    # repeated id: the error names the line each record ends on
+    # repeated id: the error names the line each record starts on
     _raw_csv(path, [rows[0], ("t2", rows[1][1], "two\nlines"), rows[2], ("t2", rows[2][1], "again")])
-    assert _outcome(load_tweets, path) == ("error", f"{path}: line 6: duplicate id 't2' (first seen on line 4)")
+    assert _outcome(load_tweets, path) == ("error", f"{path}: line 6: duplicate id 't2' (first seen on line 3)")
     # a malformed timestamp
     _raw_csv(path, [rows[0], ("t2", "yesterday", "x"), rows[2]])
     message = "line 3: bad timestamp 'yesterday': Invalid isoformat string: 'yesterday'"

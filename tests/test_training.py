@@ -154,6 +154,28 @@ def test_load_annotations_numbers_lines_after_a_multi_line_record(tmp_path):
     assert str(exc.value) == f"{path}:4: unknown label 'bogus'; expected one of {list(FINE_CLASSES)}"
 
 
+# each bad record starts on its own first line: after a record over lines 2-3, or after blank lines
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (['t1,"bogus', 'label"'], f"2: unknown label 'bogus\\nlabel'; expected one of {list(FINE_CLASSES)}"),
+        (["", "", "t1,bogus"], f"4: unknown label 'bogus'; expected one of {list(FINE_CLASSES)}"),
+        (['"t9', 'x",positive', '"t9', 'x",negative'], "4: id 't9\\nx' is annotated more than once"),
+        (
+            ['"t9', 'x",positive', '"t0,positive'] + [f"t{i % 4},positive" for i in range(20000)],
+            "4: the CSV record that starts here cannot be parsed: field larger than field limit (131072)",
+        ),
+    ],
+)
+def test_load_annotations_error_names_the_first_line_of_its_record(tmp_path, lines, message):
+    path = tmp_path / "ann.csv"
+    path.write_text("\n".join(["id,label", *lines]) + "\n")
+    corpus = table([*(_tweet(i) for i in range(4)), Tweet(id="t9\nx", timestamp=TS, tokens=("tok",))])
+    with pytest.raises(ValueError) as exc:
+        load_annotations(path, corpus)
+    assert str(exc.value) == f"{path}:{message}"
+
+
 @pytest.mark.parametrize("before, line", [(0, 2), (2, 4), (None, 1)])
 def test_load_annotations_record_the_csv_module_cannot_parse_names_its_first_line(tmp_path, before, line):
     # a quote that never closes swallows every later line, past the csv module's
