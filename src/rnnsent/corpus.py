@@ -86,13 +86,18 @@ def read_header(
 
 
 @contextmanager
-def open_artifact(path: Path, error: type[ValueError], newline: str | None = None) -> Iterator[TextIO]:
+def open_artifact(
+    path: Path, error: type[ValueError], newline: str | None = None, encoding: str = "utf-8-sig"
+) -> Iterator[TextIO]:
     """`path` opened as UTF-8 text; a byte that is not UTF-8 raises `error` naming `path`.
 
-    `newline` is passed to open ("" for the csv module).
+    With the default encoding a byte-order mark at the start of the file, as
+    spreadsheet programs save CSV files, is skipped; one anywhere else is
+    text. "utf-8" keeps it: a vocabulary file has no header, so a mark there
+    opens its first token. `newline` is passed to open ("" for the csv module).
     """
     try:
-        with path.open(encoding="utf-8", newline=newline) as fh:
+        with path.open(encoding=encoding, newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: corrupt file: not UTF-8 text: {exc}") from exc
@@ -155,6 +160,20 @@ def read_rows(
     return values
 
 
+# the UTC microseconds since the epoch of datetime's first and last instants,
+# 0001-01-01T00:00:00 and 9999-12-31T23:59:59.999999: the instants a table's
+# writers can format and its readers read back
+_MICROS_RANGE = (-62_135_596_800_000_000, 253_402_300_799_999_999)
+
+
+def _check_micros(micros: np.ndarray) -> None:
+    """Raise ValueError naming the first of `micros` outside _MICROS_RANGE."""
+    first, last = _MICROS_RANGE
+    if len(micros) and (micros.min() < first or micros.max() > last):
+        row = int(np.flatnonzero((micros < first) | (micros > last))[0])
+        raise ValueError(f"row {row}: {micros[row]} microseconds since the epoch lies outside datetime's range")
+
+
 @dataclass(frozen=True, eq=False)
 class RawCorpus:
     """Raw tweets as one table, row i being tweet i: its id ids[i], its
@@ -168,6 +187,7 @@ class RawCorpus:
     def __post_init__(self) -> None:
         if not len(self.ids) == len(self.micros) == len(self.texts):
             raise ValueError(f"{len(self.ids)} ids, {len(self.micros)} micros and {len(self.texts)} texts differ in length")
+        _check_micros(self.micros)
 
     @classmethod
     def of(cls, ids: Iterable[str], micros: Sequence[int], texts: Iterable[str]) -> "RawCorpus":
@@ -187,11 +207,19 @@ class RawCorpus:
 
 
 class _WordIndex(dict):
-    """word -> its index; a word not yet here is given the next index when first looked up."""
+    """word -> its index; a word not yet here is given the next index when
+    first looked up, so each word's type is checked once: a word that is not
+    a str raises TypeError, as an unhashable one does."""
 
     def __missing__(self, word: str) -> int:
+        if type(word) is not str:
+            raise TypeError(f"a word must be a str, got {word!r}")
         self[word] = index = len(self)
         return index
+
+    def ids(self, tokens: Iterable[str]) -> np.ndarray:
+        """The int32 index of each of `tokens`."""
+        return np.fromiter(map(self.__getitem__, tokens), dtype=np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +240,7 @@ class Corpus:
             raise ValueError(f"{len(self.ids)} ids, {len(self.micros)} micros and {len(self.offsets) - 1} sizes differ in length")
         if self.offsets[-1] != len(self.word_ids):
             raise ValueError(f"the sizes add up to {self.offsets[-1]} tokens, but there are {len(self.word_ids)}")
+        _check_micros(self.micros)
 
     @classmethod
     def of(cls, ids: Iterable[str], micros: Sequence[int], tokens: Iterable[str], sizes: Sequence[int]) -> "Corpus":
@@ -221,12 +250,19 @@ class Corpus:
     @classmethod
     def of_blocks(cls, blocks: Iterable[tuple[Iterable[str], Iterable[int], Iterable[str], Iterable[int]]]) -> "Corpus":
         """Corpus.of of each block's columns in turn; of a block's token strings, one per word outlives it."""
-        ids, micros, word_ids, sizes = [], [], [np.empty(0, np.int32)], [0]
         index = _WordIndex()
-        for block_ids, block_micros, tokens, block_sizes in blocks:
+        return cls._of_interned(((ids, micros, [index.ids(tokens)], sizes) for ids, micros, tokens, sizes in blocks), index)
+
+    @classmethod
+    def _of_interned(
+        cls, blocks: Iterable[tuple[Iterable[str], Iterable[int], Iterable[np.ndarray], Iterable[int]]], index: _WordIndex
+    ) -> "Corpus":
+        """The table of each block's ids, micros, arrays of word ids into `index` and sizes, in turn."""
+        ids, micros, word_ids, sizes = [], [], [np.empty(0, np.int32)], [0]
+        for block_ids, block_micros, block_word_ids, block_sizes in blocks:
             ids.extend(block_ids)
             micros.extend(block_micros)
-            word_ids.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int32))
+            word_ids.extend(block_word_ids)
             sizes.extend(block_sizes)
         return cls(tuple(ids), np.array(micros, np.int64), tuple(index), np.concatenate(word_ids), np.cumsum(sizes, dtype=np.int64))
 
@@ -671,7 +707,7 @@ def _is_unicode(lines: list[str], strings: Iterable[str]) -> bool:
         return True
     try:
         "".join(strings).encode("utf-8")
-    except UnicodeEncodeError:
+    except (UnicodeEncodeError, TypeError):  # TypeError: one is not a str
         return False
     return True
 
@@ -739,7 +775,10 @@ def _raw_tweet_line(line: str, line_no: int) -> tuple[str, int, str] | None:
     return row
 
 
-def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[int], Sequence[list[str]]] | None:
+def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[int], Sequence[list]] | None:
+    """A block's ids, micros and token lists. The tokens' own types are
+    left to the interning that follows (see load_clean_corpus), which sees
+    each word once."""
     columns = _decode_block(lines, ("id", "timestamp", "tokens"))
     if columns is None:
         return None
@@ -748,7 +787,6 @@ def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[int], Sequ
         {str}.issuperset(map(type, ids))
         and {str}.issuperset(map(type, stamps))
         and {list}.issuperset(map(type, token_lists))
-        and {str}.issuperset(map(type, chain.from_iterable(token_lists)))
     ):
         return None
     micros = _parsed_micros(stamps)
@@ -797,10 +835,28 @@ def load_clean_corpus(path: str | Path) -> Corpus:
     """Read a clean corpus written by save_clean_corpus; a malformed record,
     a duplicate id or a string holding a lone surrogate raises
     TweetFormatError naming the file and line."""
+    index = _WordIndex()
+
+    def read_block(lines: list[str]) -> tuple[Sequence[str], list[int], list[np.ndarray], list[int]] | None:
+        columns = _clean_tweet_block(lines)
+        if columns is None:
+            return None
+        ids, micros, token_lists = columns
+        try:
+            word_ids = index.ids(chain.from_iterable(token_lists))
+        except TypeError:
+            # a token that is not a str; the words taken in before it stay in
+            # the index, but the line reader then refuses the token, and the file
+            return None
+        return ids, micros, [word_ids], list(map(len, token_lists))
+
+    def read_line(line: str, line_no: int) -> tuple[str, int, np.ndarray, int] | None:
+        row = _clean_tweet_line(line, line_no)
+        return None if row is None else (row[0], row[1], index.ids(row[2]), len(row[2]))
+
     with open_artifact(Path(path), TweetFormatError) as fh:
         try:
-            blocks = _read_jsonl(fh, _clean_tweet_block, _clean_tweet_line)
-            return Corpus.of_blocks((ids, micros, chain.from_iterable(t), map(len, t)) for ids, micros, t in blocks)
+            return Corpus._of_interned(_read_jsonl(fh, read_block, read_line), index)
         except TweetFormatError as exc:
             raise TweetFormatError(f"{path}: {exc}") from exc
 
@@ -871,7 +927,7 @@ def _vocabulary_lines(path: Path) -> Vocabulary:
     tokens: list[str] = []
     counts: list[int] = []
     first: dict[str, int] = {}  # token -> the line it was first read from
-    with open_artifact(path, TweetFormatError) as fh:
+    with open_artifact(path, TweetFormatError, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -111,16 +111,19 @@ def _sampling_tables(counts: Sequence[int], subsample_threshold: float) -> tuple
 
 
 class _Block(NamedTuple):
-    """Pairs [lo, hi) of a step, scattered together. For each table the
-    update is `bincount(cells, weights)` as a (len(rows), hi - lo) matrix
-    times the block's (hi - lo, dim) vectors, subtracted from `rows`."""
+    """Pairs [lo, hi) of a step, scattered together into `rows`: the block's
+    sorted unique input rows (its centers), then its sorted unique output
+    rows (its contexts and negatives). The first `ins` rows take
+    `bincount(in_cells)` as an (ins, hi - lo) matrix times the pairs' center
+    gradients, the others `bincount(out_cells, coefficients)` as a
+    (len(rows) - ins, hi - lo) matrix times the pairs' center vectors."""
 
     lo: int
     hi: int
-    out_rows: np.ndarray  # sorted unique output rows: contexts and negatives
-    out_cells: np.ndarray  # one cell per entry of the step's rows[lo:hi]
-    in_rows: np.ndarray  # sorted unique input rows: the centers
+    rows: np.ndarray  # table rows: input rows, then output rows
+    ins: int
     in_cells: np.ndarray  # one cell per pair
+    out_cells: np.ndarray  # one cell per context and negative
 
 
 class _Step(NamedTuple):
@@ -128,47 +131,58 @@ class _Step(NamedTuple):
     everything that does not depend on the vectors drawn and indexed."""
 
     tweet: int  # index in the corpus, which sets the learning rate
-    centers: np.ndarray  # (pairs,)
-    rows: np.ndarray  # (pairs, negatives + 1): the context, then the negatives
+    first: int  # its first pair's index in the plan
+    gather: np.ndarray  # (pairs * (negatives + 2),) table rows: the centers, then each pair's context and negatives
     keep: np.ndarray  # (pairs, negatives): False where a negative is its context
     blocks: list[_Block]  # SCATTER_PAIRS pairs each, the last one shorter
 
 
 class _Workspace(NamedTuple):
-    """Buffers of a step's vector work, sized once to the longest tweet's
-    pair count and reused by every step; the (pairs, negatives + 1, dim)
-    gather is the largest array of a step."""
+    """Buffers of the vector work, sized once to the longest tweet's pair
+    count and reused by every step; the gather of a step's vectors is the
+    largest array of a step."""
 
-    out_rows: FloatArray
-    centers: FloatArray
-    scores: FloatArray
+    gathered: FloatArray  # a step's center vectors, then its context and negative vectors
+    scores: FloatArray  # every step of a plan writes its scores at its first pair (see _plan_loss)
     d_centers: FloatArray
+    update: FloatArray  # a scatter block's update, a row for each of its rows
+    current: FloatArray  # the block's rows as they stand, then less the update
 
     @classmethod
-    def sized(cls, max_pairs: int, negatives: int, dim: int) -> "_Workspace":
+    def sized(cls, max_pairs: int, negatives: int, vocab_size: int, dim: int) -> "_Workspace":
+        block = min(SCATTER_PAIRS, max_pairs)
+        block_rows = min(block, vocab_size) + min(block * (negatives + 1), vocab_size)
         return cls(
-            np.empty((max_pairs, negatives + 1, dim)),
-            np.empty((max_pairs, dim)),
-            np.empty((max_pairs, negatives + 1, 1)),
+            np.empty((max_pairs * (negatives + 2), dim)),
+            # a plan takes tweets while it holds fewer than PLAN_PAIRS pairs
+            np.empty((PLAN_PAIRS + max_pairs, negatives + 1, 1)),
             np.empty((max_pairs, 1, dim)),
+            np.empty((block_rows, dim)),
+            np.empty((block_rows, dim)),
         )
 
 
 def _scatter_cells(
     rows: np.ndarray, block: np.ndarray, slot: np.ndarray, size: np.ndarray, vocab_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For a (pairs, width) row array whose pair p sits in `block[p]` at
-    `slot[p]`, from one unique pass over (block, row) keys: every block's
-    sorted unique rows, concatenated; where each block's rows start, plus the
-    end; and each entry's bincount cell, its row's place among its block's
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For (pairs, negatives + 2) table rows, each pair's input row and then
+    its output rows, pair p sitting in `block[p]` at `slot[p]`, from one
+    unique pass over (block, row) keys: every block's sorted unique rows,
+    concatenated, input rows before output rows; where each block's rows
+    start, plus the end; where each block's output rows start; and each
+    entry's bincount cell, its row's place among its block's input or output
     rows times the block's size plus its pair's slot."""
-    uniq, cells = np.unique(rows + (block * vocab_size)[:, None], return_inverse=True)
-    starts = np.searchsorted(uniq, np.arange(block[-1] + 2) * vocab_size)
+    span = 2 * vocab_size
+    uniq, cells = np.unique(rows + (block * span)[:, None], return_inverse=True)
+    bases = np.arange(block[-1] + 2) * span
+    starts = np.searchsorted(uniq, bases)
+    splits = np.searchsorted(uniq, bases[:-1] + vocab_size)
     cells = cells.reshape(rows.shape)
-    cells -= starts[block][:, None]
+    cells[:, 0] -= starts[block]
+    cells[:, 1:] -= splits[block][:, None]
     cells *= size[block][:, None]
     cells += slot[:, None]
-    return uniq % vocab_size, starts, cells.reshape(-1)
+    return uniq % span, starts, splits, cells
 
 
 class _Planner:
@@ -216,18 +230,20 @@ class _Planner:
             late = late[self.bounds[found[late]] < draws[late]]
         return found
 
-    def plan(self, gen: np.random.Generator, start: int) -> tuple[list[_Step], int]:
+    def plan(self, gen: np.random.Generator, start: int) -> tuple[list[_Step], np.ndarray, int]:
         """The steps of the tweets from `start` until they hold PLAN_PAIRS
-        pairs or the corpus ends (tweets without pairs have none), and the
-        index of the first tweet left for the next plan.
+        pairs or the corpus ends (tweets without pairs have none), the
+        plan's (pairs, negatives) keep mask, whose rows are its steps' in
+        order, and the index of the first tweet left for the next plan.
 
         Per tweet in order it draws what one tweet at a time would: with
         subsampling, one uniform per token, keeping a token whose uniform is
         below its keep probability; then pairs x negatives uniforms, pair
         by pair, none for a tweet without pairs. Pairs, negatives, the keep
-        mask and the scatter cells are then built in passes over the plan.
+        mask, the gather indices and the scatter cells are then built in
+        passes over the plan.
         """
-        offsets, negatives = self.offsets, self.negatives
+        offsets, negatives, vocab_size = self.offsets, self.negatives, self.vocab_size
         kept: list[np.ndarray] = []
         lengths: list[int] = []
         draws: list[np.ndarray] = []
@@ -244,36 +260,46 @@ class _Planner:
             total += self.pair_counts[n]
             end += 1
         if not total:
-            return [], end
+            return [], np.empty((0, negatives), dtype=bool), end
 
         tokens = self.ids[offsets[start] : offsets[end]]
         if kept:
             tokens = tokens[np.concatenate(kept)]
         sizes = np.array(lengths)
-        # every (center, context) pair: center ascending, then context ascending
+        # every (center, context) pair: center ascending, then context
+        # ascending; the table holds input vectors in its first vocab_size
+        # rows and output vectors in the rest
         place = np.arange(len(tokens)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         context = place[:, None] + self.shifts
         valid = (context >= 0) & (context < np.repeat(sizes, sizes)[:, None])
         flat = np.arange(len(tokens))[:, None]
-        centers = tokens[np.broadcast_to(flat, valid.shape)[valid]]
-        rows = np.empty((total, negatives + 1), dtype=np.intp)
-        rows[:, 0] = tokens[(flat + self.shifts)[valid]]
-        rows[:, 1:] = self._negatives(np.concatenate(draws)).reshape(total, negatives)
-        keep = rows[:, 1:] != rows[:, :1]
+        width = negatives + 2
+        rows = np.empty((total, width), dtype=np.intp)  # the center, the context, the negatives
+        rows[:, 0] = tokens[np.broadcast_to(flat, valid.shape)[valid]]
+        rows[:, 1] = tokens[(flat + self.shifts)[valid]]
+        rows[:, 2:] = self._negatives(np.concatenate(draws)).reshape(total, negatives)
+        rows[:, 1:] += vocab_size
+        keep = rows[:, 2:] != rows[:, 1:2]
 
         pairs = np.array([self.pair_counts[n] for n in lengths])
         first = np.cumsum(pairs) - pairs
         slot = np.arange(total) - np.repeat(first, pairs)
+        # a step gathers its centers, then each pair's context and negatives
+        base = np.repeat(first * width, pairs) + slot
+        gather = np.empty(total * width, dtype=np.intp)
+        gather[base] = rows[:, 0]
+        gather[(base + np.repeat(pairs, pairs) + slot * (width - 2))[:, None] + np.arange(width - 1)] = rows[:, 1:]
+
         opens = slot % SCATTER_PAIRS == 0
         slot %= SCATTER_PAIRS
         block = np.cumsum(opens) - 1
         block_lo = np.flatnonzero(opens)
         size = np.diff(block_lo, append=total)
-        out_rows, out_starts, out_cells = _scatter_cells(rows, block, slot, size, self.vocab_size)
-        in_rows, in_starts, in_cells = _scatter_cells(centers[:, None], block, slot, size, self.vocab_size)
-        out_starts, in_starts = out_starts.tolist(), in_starts.tolist()
+        scatter_rows, starts, splits, cells = _scatter_cells(rows, block, slot, size, vocab_size)
+        in_cells, out_cells = cells[:, 0].copy(), cells[:, 1:].reshape(-1)
+        starts, splits = starts.tolist(), splits.tolist()
 
-        width = negatives + 1
+        outs = width - 1
         steps = []
         j = 0
         for tweet, a, p in zip(range(start, end), first.tolist(), pairs.tolist()):
@@ -283,31 +309,31 @@ class _Planner:
             for lo in range(0, p, SCATTER_PAIRS):
                 hi = min(lo + SCATTER_PAIRS, p)
                 blocks.append(_Block(
-                    lo, hi,
-                    out_rows[out_starts[j] : out_starts[j + 1]], out_cells[(a + lo) * width : (a + hi) * width],
-                    in_rows[in_starts[j] : in_starts[j + 1]], in_cells[a + lo : a + hi],
+                    lo, hi, scatter_rows[starts[j] : starts[j + 1]], splits[j] - starts[j],
+                    in_cells[a + lo : a + hi], out_cells[(a + lo) * outs : (a + hi) * outs],
                 ))
                 j += 1
-            steps.append(_Step(tweet, centers[a : a + p], rows[a : a + p], keep[a : a + p], blocks))
-        return steps, end
+            steps.append(_Step(tweet, a, gather[a * width : (a + p) * width], keep[a : a + p], blocks))
+        return steps, keep, end
 
 
-def _apply_step(step: _Step, in_vecs: FloatArray, out_vecs: FloatArray, lr: float, work: _Workspace) -> float:
-    """Apply the summed gradient of every pair of a step, each taken at the
-    vectors as they stand on entry; return the summed loss at those vectors.
+def _apply_step(step: _Step, table: FloatArray, lr: float, work: _Workspace) -> None:
+    """Apply the summed gradient of every pair of a step to the vector table,
+    each taken at the vectors as they stand on entry, and leave the pairs'
+    scores at those vectors in work.scores, from the step's first pair on.
 
     A negative equal to its pair's context is skipped, not resampled: it has
-    coefficient 0 and no loss term.
+    coefficient 0 (and no loss term, see _plan_loss).
     """
-    p = len(step.centers)
-    # indices are vocabulary rows by construction; mode="clip" lets take
-    # write straight into the buffer (mode="raise" buffers `out`)
-    u = out_vecs.take(step.rows, axis=0, out=work.out_rows[:p], mode="clip")
-    v = in_vecs.take(step.centers, axis=0, out=work.centers[:p], mode="clip")
-    scores = np.matmul(u, v[:, :, None], out=work.scores[:p])[:, :, 0]
-
-    # -log sigma(s_pos) - sum(log sigma(-s_neg)), computed stably
-    loss = np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:])[step.keep].sum()
+    p = len(step.keep)
+    # indices are table rows by construction; mode="clip" lets take write
+    # straight into the buffer (mode="raise" buffers `out`)
+    gathered = table.take(step.gather, axis=0, out=work.gathered[: len(step.gather)], mode="clip")
+    # both C-contiguous: with strided operands the products below rounded
+    # differently from the same products on separate arrays
+    v = gathered[:p]
+    u = gathered[p:].reshape(p, -1, table.shape[1])
+    scores = np.matmul(u, v[:, :, None], out=work.scores[step.first : step.first + p])[:, :, 0]
 
     # lr * (sigma(s) - label), with sigma(s) = (1 + tanh(s / 2)) / 2
     coeff = np.tanh(0.5 * scores)
@@ -317,15 +343,27 @@ def _apply_step(step: _Step, in_vecs: FloatArray, out_vecs: FloatArray, lr: floa
     coeff[:, 1:] *= step.keep
     d_v = np.matmul(coeff[:, None, :], u, out=work.d_centers[:p])[:, 0]
     # every pair's step is already computed, so scattering in blocks changes
-    # nothing but the size of each block's matrix, which grows with the
-    # square of its pair count
+    # nothing but the size of each block's matrices, which grow with the
+    # square of its pair count; a block's input and output rows are
+    # distinct table rows, so one subtraction and one store write both
+    update = work.update
     for b in step.blocks:
-        pairs = b.hi - b.lo
-        w = np.bincount(b.out_cells, coeff[b.lo : b.hi].reshape(-1), minlength=len(b.out_rows) * pairs)
-        out_vecs[b.out_rows] -= w.reshape(len(b.out_rows), pairs) @ v[b.lo : b.hi]
-        w = np.bincount(b.in_cells, None, minlength=len(b.in_rows) * pairs)
-        in_vecs[b.in_rows] -= w.reshape(len(b.in_rows), pairs) @ d_v[b.lo : b.hi]
-    return float(loss)
+        pairs, n = b.hi - b.lo, len(b.rows)
+        w = np.bincount(b.in_cells, None, minlength=b.ins * pairs)
+        np.matmul(w.reshape(b.ins, pairs), d_v[b.lo : b.hi], out=update[: b.ins])
+        w = np.bincount(b.out_cells, coeff[b.lo : b.hi].reshape(-1), minlength=(n - b.ins) * pairs)
+        np.matmul(w.reshape(n - b.ins, pairs), v[b.lo : b.hi], out=update[b.ins : n])
+        # table[b.rows] -= update[:n], without its temporary
+        current = table.take(b.rows, axis=0, out=work.current[:n], mode="clip")
+        current -= update[:n]
+        table[b.rows] = current
+
+
+def _plan_loss(scores: FloatArray, keep: np.ndarray) -> float:
+    """The summed loss of a plan's pairs from the (pairs, negatives + 1)
+    scores its steps left, without the negatives that `keep` drops:
+    -log sigma(s_pos) - sum(log sigma(-s_neg)), computed stably."""
+    return float(np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:])[keep].sum())
 
 
 def train_embeddings(
@@ -344,7 +382,10 @@ def train_embeddings(
     as ``epoch_losses``.
 
     The tweets are planned PLAN_PAIRS pairs at a time (see _Planner), so the
-    per-tweet loop does only the work that reads the vectors.
+    per-tweet loop does only the work that reads the vectors, and the loss is
+    summed once per plan. Input and output vectors are the two halves of one
+    table, so that a step reads its vectors with one gather and a scatter
+    block writes them back with one gather, subtraction and store.
     """
     ids, _, _ = token_ids(vocab, corpus)
     # token_ids skips the tokens the vocabulary lacks
@@ -355,9 +396,13 @@ def train_embeddings(
         raise ValueError("vocabulary counts must be >= 0, and not all 0: negatives are drawn by count")
 
     gen = rng.generator()
-    in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
-    out_vecs = np.zeros_like(in_vecs)
-    emb = EmbeddingMatrix(vocab, in_vecs, out_vecs)
+    size = len(vocab)
+    table = np.zeros((2 * size, params.dim))
+    # in place, the values of (gen.random((size, dim)) - 0.5) / dim
+    gen.random(out=table[:size])
+    table[:size] -= 0.5
+    table[:size] /= params.dim
+    emb = EmbeddingMatrix(vocab, table[:size], table[size:])
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
 
     planner = _Planner(
@@ -367,9 +412,9 @@ def train_embeddings(
         keep_prob,
         params.window,
         params.negative_samples,
-        len(vocab),
+        size,
     )
-    work = _Workspace.sized(planner.pair_counts[-1], params.negative_samples, params.dim)
+    work = _Workspace.sized(planner.pair_counts[-1], params.negative_samples, size, params.dim)
     min_lr = LEARNING_RATE * 1e-4
     total_steps = max(1, params.epochs * len(corpus))
 
@@ -378,13 +423,14 @@ def train_embeddings(
         pair_count = 0
         start = 0
         while start < len(corpus):
-            steps, start = planner.plan(gen, start)
+            steps, keep, start = planner.plan(gen, start)
             for step in steps:
                 lr = max(min_lr, LEARNING_RATE * (1.0 - (epoch * len(corpus) + step.tweet) / total_steps))
-                loss_sum += _apply_step(step, in_vecs, out_vecs, lr, work)
-                pair_count += len(step.centers)
+                _apply_step(step, table, lr, work)
+            loss_sum += _plan_loss(work.scores[: len(keep), :, 0], keep)
+            pair_count += len(keep)
             # drop this plan before the next one is built, so only one is held
-            steps = step = None
+            steps = step = keep = None
         emb.epoch_losses.append(loss_sum / pair_count if pair_count else 0.0)
     return emb
 

@@ -1,9 +1,14 @@
 """Fixtures shared by the test modules."""
 
 import pytest
+from hypothesis import settings
 
 from rnnsent.corpus import Vocabulary
 from rnnsent.embedding import EmbeddingMatrix, save_embeddings
+
+# CI runs the tests with --hypothesis-profile=ci: a failing draw then prints
+# the @reproduce_failure blob that replays it
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

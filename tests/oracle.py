@@ -254,7 +254,8 @@ class SgnsPairBatch:
     def update(self, in_vecs, out_vecs, centers, contexts, negs, lr):
         """Apply the summed gradient of every pair at the vectors as they
         stand on entry, scattered SCATTER_PAIRS pairs at a time; return the
-        summed loss at those vectors."""
+        (pairs, negatives + 1) scores at those vectors and the
+        (pairs, negatives) mask of negatives that are not their context."""
         p = len(centers)
         rows = self.rows[:p]
         rows[:, 0] = contexts
@@ -263,7 +264,6 @@ class SgnsPairBatch:
         v = np.take(in_vecs, centers, axis=0, out=self.centers[:p], mode="clip")
         scores = np.matmul(u, v[:, :, None], out=self.scores[:p])[:, :, 0]
         keep = negs != contexts[:, None]
-        loss = np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:])[keep].sum()
         coeff = np.tanh(0.5 * scores)
         coeff += 1.0
         coeff *= 0.5 * lr
@@ -275,7 +275,14 @@ class SgnsPairBatch:
             hi = lo + block
             sgns_subtract_rows(out_vecs, rows[lo:hi], coeff[lo:hi], v[lo:hi])
             sgns_subtract_rows(in_vecs, centers[lo:hi, None], None, d_v[lo:hi])
-        return float(loss)
+        return scores.copy(), keep
+
+
+def sgns_loss(scores, keep):
+    """-log sigma(s_pos) - sum(log sigma(-s_neg)) summed over the pairs of
+    (pairs, negatives + 1) scores, without the negatives `keep` drops,
+    computed stably."""
+    return float(np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:])[keep].sum())
 
 
 def sgns_pair_positions(n, window):
@@ -289,7 +296,10 @@ def sgns_pair_positions(n, window):
 def sgns_train_per_tweet(corpus, vocab, params, rng):
     """The per-tweet trainer that rnnsent.embedding's plans replaced: per
     tweet, its subsampling draw, its pairs, one draw of all its negatives and
-    one SgnsPairBatch update. Same stream, same arithmetic."""
+    one SgnsPairBatch update. Same stream, same arithmetic. The loss is
+    summed as rnnsent.embedding sums it, once per group of tweets that its
+    planner puts in one plan: a group closes once it holds PLAN_PAIRS pairs,
+    and at the end of an epoch."""
     gen = rng.generator()
     in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
     out_vecs = np.zeros_like(in_vecs)
@@ -304,6 +314,7 @@ def sgns_train_per_tweet(corpus, vocab, params, rng):
     for _epoch in range(params.epochs):
         loss_sum = 0.0
         pair_count = 0
+        plan = []
         for idxs in sentences:
             lr = max(min_lr, LEARNING_RATE * (1.0 - step / total_steps))
             step += 1
@@ -315,8 +326,13 @@ def sgns_train_per_tweet(corpus, vocab, params, rng):
                 continue
             draws = gen.random(pairs * params.negative_samples)
             negs = np.searchsorted(noise_cdf[:-1], draws).reshape(pairs, params.negative_samples)
-            loss_sum += batch.update(in_vecs, out_vecs, idxs[center_pos], idxs[context_pos], negs, lr)
+            plan.append(batch.update(in_vecs, out_vecs, idxs[center_pos], idxs[context_pos], negs, lr))
             pair_count += pairs
+            if sum(len(scores) for scores, _ in plan) >= embedding.PLAN_PAIRS:
+                loss_sum += sgns_loss(*map(np.concatenate, zip(*plan)))
+                plan = []
+        if plan:
+            loss_sum += sgns_loss(*map(np.concatenate, zip(*plan)))
         emb.epoch_losses.append(loss_sum / pair_count if pair_count else 0.0)
     return emb
 

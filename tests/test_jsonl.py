@@ -25,6 +25,7 @@ from rnnsent.corpus import (
     save_clean_corpus,
 )
 from rnnsent.evaluation import FINE_CLASSES
+from rnnsent.training import load_annotations
 from synthdata import Tweet, table, tweets_of
 
 NOV9 = "2013-11-09T08:00:00+00:00"
@@ -35,7 +36,12 @@ BLOCKS = [1, 7, corpus.JSONL_BLOCK]
 TRICKY = '"\\/\x00\x1f\x7f\r\n\t\u2028\u2029\x85\x1c\x1d\x1e\ufeff\U0001f600\U0010ffff'
 strings = st.text(st.one_of(st.sampled_from(TRICKY), st.characters(blacklist_categories=("Cs",))), max_size=8)
 utc_times = st.datetimes(timezones=st.just(timezone.utc))
-any_times = st.datetimes(timezones=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=8, minutes=30))]))
+# instants in datetime's range in UTC, the ones the readers give: at +08:30 the
+# first 8.5 hours of year 1 fall before it, and a table refuses them
+any_times = st.datetimes(
+    min_value=datetime(1, 1, 1, 8, 30),
+    timezones=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=8, minutes=30))]),
+)
 confidences = st.floats(allow_nan=True, allow_infinity=True)
 
 
@@ -495,3 +501,60 @@ def test_stopwords_that_are_not_utf8_name_the_file(tmp_path, capsys):
     raw.write_text(json.dumps({"id": "t1", "timestamp": NOV9, "text": "bagyo"}) + "\n")
     assert main(["preprocess", "--input", str(raw), "--output-dir", str(tmp_path / "pre"), "--stopwords", str(stopwords)]) == 2
     assert f"error: {stopwords}: corrupt file: not UTF-8 text" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Byte-order marks and tokens that are not strings
+# ---------------------------------------------------------------------------
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+def test_raw_corpus_may_open_with_a_byte_order_mark(tmp_path, suffix):
+    path = tmp_path / f"raw.{suffix}"
+    if suffix == "csv":
+        _raw_csv(path, [("t1", NOV9, "bagyo"), ("t2", NOV9, "baha")])
+    else:
+        path.write_text("".join(json.dumps({"id": i, "timestamp": NOV9, "text": t}) + "\n" for i, t in [("t1", "bagyo"), ("t2", "baha")]))
+    plain = load_tweets(path)
+    path.write_bytes(BOM + path.read_bytes())
+    assert load_tweets(path) == plain
+    assert plain.ids == ("t1", "t2")
+
+
+def test_a_byte_order_mark_after_the_first_byte_is_still_refused(tmp_path):
+    path = tmp_path / "raw.jsonl"
+    line = json.dumps({"id": "t1", "timestamp": NOV9, "text": "bagyo"})
+    path.write_bytes(BOM + line.encode() + b"\n" + BOM + line.replace("t1", "t2").encode() + b"\n")
+    with pytest.raises(TweetFormatError, match="line 2: invalid JSON: Unexpected UTF-8 BOM"):
+        load_tweets(path)
+    path = tmp_path / "raw.csv"
+    path.write_bytes(BOM + BOM + b"id,timestamp,text\nt1,2013-11-09T08:00:00Z,bagyo\n")
+    with pytest.raises(TweetFormatError, match="CSV header must contain id,timestamp,text"):
+        load_tweets(path)
+
+
+def test_annotations_and_stopwords_may_open_with_a_byte_order_mark(tmp_path):
+    annotations = tmp_path / "labels.csv"
+    annotations.write_bytes(BOM + b"id,label\nt2,negative\nt1,positive\n")
+    tweets = table(Tweet(f"t{i}", datetime(2013, 11, 9, tzinfo=timezone.utc), ("bagyo",)) for i in range(3))
+    rows, labels = load_annotations(annotations, tweets)
+    assert rows.tolist() == [2, 1]
+    assert [FINE_CLASSES[label] for label in labels] == ["negative", "positive"]
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_bytes(BOM + b"ang\nsa\n")
+    assert load_stopwords(stopwords) == frozenset({"ang", "sa"})
+
+
+@pytest.mark.parametrize("token", [7, None, True, ["x"], {"x": 1}])
+def test_a_token_that_is_not_a_string_in_a_block_names_its_line(tmp_path, token):
+    # line 64 of a 128-line block: the block's words are checked once each,
+    # as they are interned, and the line reader then names the line
+    path = tmp_path / "corpus.jsonl"
+    records = [{"id": f"t{i}", "timestamp": NOV9, "tokens": ["bagyo", "baha"]} for i in range(corpus.JSONL_BLOCK)]
+    records[63]["tokens"] = ["bagyo", token]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(TweetFormatError) as info:
+        load_clean_corpus(path)
+    assert str(info.value) == f"{path}: line 64: 'tokens' must be a list of strings"

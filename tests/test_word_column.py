@@ -34,6 +34,22 @@ def test_tables_refuse_columns_that_disagree(build, message):
         build()
 
 
+FIRST_MICROS, LAST_MICROS = -62_135_596_800_000_000, 253_402_300_799_999_999  # 0001-01-01, 9999-12-31T23:59:59.999999
+
+
+@pytest.mark.parametrize("build", [
+    lambda micros: Corpus.of(["a", "b", "c"], micros, [], [0, 0, 0]),
+    lambda micros: RawCorpus.of(["a", "b", "c"], micros, ["t", "u", "v"]),
+])
+def test_tables_refuse_an_instant_outside_datetimes_range(build):
+    # the instants datetime holds in UTC, the only ones the writers can format and the readers read back
+    assert np.array_equal(build([FIRST_MICROS, 0, LAST_MICROS]).micros, [FIRST_MICROS, 0, LAST_MICROS])
+    with pytest.raises(ValueError, match=f"^row 1: {FIRST_MICROS - 1} microseconds since the epoch lies outside"):
+        build([0, FIRST_MICROS - 1, LAST_MICROS + 1])
+    with pytest.raises(ValueError, match=f"^row 2: {LAST_MICROS + 1} microseconds since the epoch lies outside"):
+        build([0, LAST_MICROS, LAST_MICROS + 1])
+
+
 def test_of_interns_one_string_per_word():
     tokens = ["".join(["bag", "yo"]) for _ in range(3)] + ["baha"]  # three equal strings, three objects
     table = Corpus.of(["t1", "t2"], [0, 1], tokens, [2, 2])
