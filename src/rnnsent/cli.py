@@ -18,7 +18,7 @@ import sys
 import time
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import (
@@ -41,6 +41,7 @@ from .corpus import (
     save_clean_corpus,
     save_stats,
     save_vocabulary,
+    vocabulary_columns,
     write_json,
 )
 from .embedding import (
@@ -370,8 +371,10 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
     emb = load_embeddings(args.embeddings)
-    emb_tokens, vocab_tokens = emb.vocab.tokens, load_vocabulary(args.vocab).tokens
-    if emb_tokens != vocab_tokens:
+    emb_tokens = emb.vocab.tokens
+    # the counts of vocab.tsv are checked but not used, so no Vocabulary is built
+    vocab_tokens, _ = vocabulary_columns(args.vocab)
+    if list(emb_tokens) != vocab_tokens:
         row = next((r for r, (a, b) in enumerate(zip(emb_tokens, vocab_tokens)) if a != b), None)
         where = (
             f"{args.embeddings} holds {len(emb_tokens)} tokens, {args.vocab} {len(vocab_tokens)}" if row is None
@@ -406,15 +409,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rnnsent",
-        description="Tweet sentiment classification with from-scratch recurrent networks.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("preprocess", help="clean a raw tweet corpus and build the vocabulary")
+def _preprocess_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", type=Path, required=True, help="raw corpus (JSONL or CSV with id,timestamp,text)")
     p.add_argument("--output-dir", type=Path, required=True)
     p.add_argument("--stopwords", type=Path, default=None, help="stopword list (default: packaged list)")
@@ -423,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keywords", default="", help="comma-separated keyword filter (default: keep all)")
     p.add_argument("--from", dest="from_date", type=_date_arg, default=None, metavar="YYYY-MM-DD")
     p.add_argument("--to", dest="to_date", type=_date_arg, default=None, metavar="YYYY-MM-DD")
-    p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("embed", help="train skip-gram negative-sampling word embeddings")
+
+def _embed_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", type=Path, required=True, help="clean corpus JSONL")
     p.add_argument("--vocab", type=Path, required=True, help="vocabulary TSV")
     p.add_argument("--dim", type=_positive_int, default=100)
@@ -435,52 +430,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsample", type=_nonnegative_float, default=1e-3, help="frequency threshold; 0 disables")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=Path, required=True, help="embedding file to write")
-    p.set_defaults(func=cmd_embed)
 
-    def add_dataset_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--corpus", type=Path, required=True, help="clean corpus JSONL")
-        p.add_argument("--annotations", type=Path, required=True, help="id,label CSV")
-        p.add_argument("--embeddings", type=Path, required=True)
-        p.add_argument("--task", choices=sorted(_TASKS), default="fine")
-        p.add_argument("--balance-per-class", type=_positive_int, default=None)
-        p.add_argument("--split-ratio", type=_ratio, default=0.8)
-        p.add_argument("--split", choices=("stratified", "global"), default="stratified")
-        p.add_argument("--hidden", type=_positive_int, default=64)
-        p.add_argument("--epochs", type=_positive_int, default=30)
-        p.add_argument("--lr", type=_nonnegative_float, default=1.8e-3)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", type=Path, required=True, help="output directory")
 
-    p = sub.add_parser("train", help="train a sentiment classifier")
-    add_dataset_flags(p)
+def _dataset_arguments(p: argparse.ArgumentParser) -> None:
+    """The flags of grid, which train shares."""
+    p.add_argument("--corpus", type=Path, required=True, help="clean corpus JSONL")
+    p.add_argument("--annotations", type=Path, required=True, help="id,label CSV")
+    p.add_argument("--embeddings", type=Path, required=True)
+    p.add_argument("--task", choices=sorted(_TASKS), default="fine")
+    p.add_argument("--balance-per-class", type=_positive_int, default=None)
+    p.add_argument("--split-ratio", type=_ratio, default=0.8)
+    p.add_argument("--split", choices=("stratified", "global"), default="stratified")
+    p.add_argument("--hidden", type=_positive_int, default=64)
+    p.add_argument("--epochs", type=_positive_int, default=30)
+    p.add_argument("--lr", type=_nonnegative_float, default=1.8e-3)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", type=Path, required=True, help="output directory")
+
+
+def _train_arguments(p: argparse.ArgumentParser) -> None:
+    _dataset_arguments(p)
     p.add_argument("--model", choices=sorted(_MODELS), default="standard")
     p.add_argument("--batch", type=_positive_int, default=64)
     p.add_argument("--dropout", type=_dropout_rate, default=0.5)
     p.add_argument("--bptt", choices=(BPTT_FULL, BPTT_TRUNCATED), default=BPTT_TRUNCATED)
     p.add_argument("--k", type=_positive_int, default=50, help="truncated-BPTT window")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a trained model against annotations")
+
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--annotations", type=Path, required=True)
     p.add_argument("--embeddings", type=Path, required=True)
     p.add_argument("--output", type=Path, required=True, help="output directory")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("grid", help="run the 8-cell hyperparameter grid")
-    add_dataset_flags(p)
-    p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("analyze", help="classify the full corpus and bucket over time")
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--embeddings", type=Path, required=True)
     p.add_argument("--granularity", choices=GRANULARITIES, default="month")
     p.add_argument("--output", type=Path, required=True, help="output directory")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("neighbors", help="nearest neighbors of a word by cosine similarity")
+
+def _neighbors_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embeddings", type=Path, required=True)
     p.add_argument("--vocab", type=Path, required=True)
     p.add_argument(
@@ -488,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="query word; give several to answer them all from one load, one block per word",
     )
     p.add_argument("--k", type=_positive_int, default=5)
-    p.set_defaults(func=cmd_neighbors)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the BPTT gradients")
+
+def _gradcheck_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=_positive_int, default=4, help="largest hidden size to draw")
     p.add_argument("--seq-len", type=_positive_int, default=8, help="longest sequence to draw")
     p.add_argument("--trials", type=_positive_int, default=25)
@@ -500,14 +493,49 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="perturb one analytic gradient per trial; a healthy checker must then fail",
     )
-    p.set_defaults(func=cmd_gradcheck)
 
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of the rnnsent command line, for parsing `argv`.
+
+    Every subcommand is listed, with its help. When the first word of `argv`
+    names one, only that one gets its arguments, since no other subcommand's
+    parser reads any of `argv`: a process parses once, and this spares it
+    building the other seven. Otherwise, as for no argument, --help,
+    --version or an unknown subcommand, all of them get theirs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="rnnsent",
+        description="Tweet sentiment classification with from-scratch recurrent networks.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # name -> (help, the function that adds its arguments, the function that runs it),
+    # in help order; built per call, so a cmd_ function rebound since import is the one run
+    commands = {
+        "preprocess": ("clean a raw tweet corpus and build the vocabulary", _preprocess_arguments, cmd_preprocess),
+        "embed": ("train skip-gram negative-sampling word embeddings", _embed_arguments, cmd_embed),
+        "train": ("train a sentiment classifier", _train_arguments, cmd_train),
+        "eval": ("score a trained model against annotations", _eval_arguments, cmd_eval),
+        "grid": ("run the 8-cell hyperparameter grid", _dataset_arguments, cmd_grid),
+        "analyze": ("classify the full corpus and bucket over time", _analyze_arguments, cmd_analyze),
+        "neighbors": ("nearest neighbors of a word by cosine similarity", _neighbors_arguments, cmd_neighbors),
+        "gradcheck": ("finite-difference check of the BPTT gradients", _gradcheck_arguments, cmd_gradcheck),
+    }
+    named = argv[0] if argv and argv[0] in commands else None
+    for name, (help_text, add_arguments, run) in commands.items():
+        built = named in (None, name)
+        # -h is an argument too, which a parser that reads nothing need not have
+        p = sub.add_parser(name, help=help_text, add_help=built)
+        if built:
+            add_arguments(p)
+            p.set_defaults(func=run)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     started = time.perf_counter()
     try:
         if args.subcommand not in SUBCOMMANDS:

@@ -882,7 +882,16 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a vocabulary written by save_vocabulary; a malformed line raises
-    TweetFormatError naming the file and line.
+    TweetFormatError naming the file and line. See vocabulary_columns."""
+    return Vocabulary(*vocabulary_columns(path))
+
+
+def vocabulary_columns(path: str | Path) -> tuple[list[str], list[str]]:
+    """The checked columns of a file written by save_vocabulary: its tokens
+    in index order, and their counts as written, each the text of a
+    non-negative integer that int() reads. load_vocabulary builds its
+    Vocabulary from these; a malformed line raises TweetFormatError naming
+    the file and line.
 
     The file is read once and all of its rows are checked at once. Only a
     file that fails a check, or holds a blank line, which is skipped, is
@@ -891,14 +900,14 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     path = Path(path)
     try:
         with path.open(encoding="utf-8") as fh:
-            vocab = _vocabulary_block(fh.read())
+            columns = _vocabulary_block(fh.read())
     except UnicodeDecodeError:
-        vocab = None
-    return vocab if vocab is not None else _vocabulary_lines(path)
+        columns = None
+    return columns if columns is not None else _vocabulary_lines(path)
 
 
-def _vocabulary_block(text: str) -> Vocabulary | None:
-    """The vocabulary in the text of a vocab.tsv, or None when a line is
+def _vocabulary_block(text: str) -> tuple[list[str], list[str]] | None:
+    """vocabulary_columns of the text of a vocab.tsv, or None when a line is
     blank or malformed or a token repeats."""
     # each line end becomes a field of its own, so a file of n well-formed lines
     # splits into token, index, count, "\n", token, ..., count: 4n - 1 fields
@@ -906,26 +915,22 @@ def _vocabulary_block(text: str) -> Vocabulary | None:
     n = (len(fields) + 1) // 4
     if len(fields) != 4 * n - 1 or fields[3::4] != ["\n"] * (n - 1):
         return None
-    tokens = fields[0::4]
+    tokens, counts = fields[0::4], fields[2::4]
     try:
-        if list(map(int, fields[1::4])) != list(range(n)):
+        if list(map(int, fields[1::4])) != list(range(n)) or min(map(int, counts)) < 0:
             return None
-        counts = list(map(int, fields[2::4]))
     except ValueError:
         return None
     # every token is nonempty and free of whitespace exactly when they split back whole
-    if min(counts) < 0 or " ".join(tokens).split() != tokens:
+    if " ".join(tokens).split() != tokens or len(set(tokens)) < n:
         return None
-    try:
-        return Vocabulary(tokens, counts)
-    except ValueError:  # a token repeats
-        return None
+    return tokens, counts
 
 
-def _vocabulary_lines(path: Path) -> Vocabulary:
-    """load_vocabulary one line at a time, raising at the first bad line."""
+def _vocabulary_lines(path: Path) -> tuple[list[str], list[str]]:
+    """vocabulary_columns one line at a time, raising at the first bad line."""
     tokens: list[str] = []
-    counts: list[int] = []
+    counts: list[str] = []
     first: dict[str, int] = {}  # token -> the line it was first read from
     with open_artifact(path, TweetFormatError, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -951,8 +956,8 @@ def _vocabulary_lines(path: Path) -> Vocabulary:
                     f"{path}: duplicate tokens in vocabulary: line {line_no} repeats the token {token!r} of line {first[token]}"
                 )
             tokens.append(token)
-            counts.append(count)
-    return Vocabulary(tokens, counts)
+            counts.append(count_s)
+    return tokens, counts
 
 
 def save_stats(stats: CorpusStats, path: str | Path) -> None:

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import re
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synthdata
-from rnnsent.cli import main
+from rnnsent import cli, corpus
+from rnnsent.cli import build_parser, main
 from rnnsent.corpus import Vocabulary, load_clean_corpus
 from rnnsent.embedding import EmbeddingMatrix, save_embeddings
 
@@ -308,6 +315,120 @@ def test_neighbors_token_mismatch_names_both_files_and_where(pipeline, tmp_path,
         rc = main(["neighbors", "--embeddings", str(emb), "--vocab", str(vocab), "--word", "bagyo"])
         assert rc == 2
         assert capsys.readouterr() == ("", f"{phrase}: {where}\n")
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of main(argv), where an exit code argparse
+    raises as SystemExit counts as returned."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+NEAR_TOKENS = ("storm", "water", "bagyo", "baha")
+
+
+@st.composite
+def near_vocab(draw):
+    """vocab.tsv bytes for an embedding file of NEAR_TOKENS, mostly the same
+    tokens in the same order with plain indices and counts, but at times with
+    reordered, repeated or whitespace-holding tokens, indices out of order,
+    counts of other spellings, blank lines, CRLF line ends and a byte-order mark."""
+    lines = []
+    for i in range(draw(st.sampled_from([4] * 6 + [3, 5]))):
+        token = draw(st.sampled_from([NEAR_TOKENS[i % 4]] * 16 + [*NEAR_TOKENS, "two words", "", "baha\u00a0", "\ufeffstorm"]))
+        index = draw(st.sampled_from([str(i)] * 16 + [f"+{i}", f"0{i}", f" {i}", f"{i}_0", str(i + 1), str(i - 1), "x"]))
+        count = draw(st.sampled_from([str(3 * i)] * 16 + ["+5", "05", "1_0", "\u0665", "-3", "-0", " 5", "", "9" * 4400]))
+        lines.append("\t".join([token, index, count]))
+        if draw(st.integers(0, 15)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    end = draw(st.sampled_from(["\n"] * 3 + ["\r\n"]))
+    bom = draw(st.sampled_from([""] * 5 + ["\ufeff"]))
+    return (bom + end.join(lines) + end).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=near_vocab())
+@example(content=b"storm\t0\t0\nwater\t1\t3\nbagyo\t2\t6\nbaha\t3\t9\n")
+@example(content=b"storm\t0\t0\r\nwater\t+1\t05\r\nbagyo\t02\t1_0\r\nbaha\t3\t\xd9\xa5\r\n")
+@example(content=b"storm\t0\t0\nwater\t1\t3\n\nbagyo\t2\t6\nbaha\t3\t9\n")
+@example(content=b"storm\t0\t0\nwater\t1\t3\nstorm\t2\t6\nbaha\t3\t9\n")
+@example(content=b"storm\t0\t0\nbagyo\t1\t3\nwater\t2\t6\nbaha\t3\t9\n")
+@example(content=b"storm\t0\t0\nwater\t1\t-3\nbagyo\t2\t6\nbaha\t3\t9\n")
+@example(content=b"storm\t0\t0\nwater\t1\t" + b"9" * 4400 + b"\nbagyo\t2\t6\nbaha\t3\t9\n")
+@example(content=b"\xef\xbb\xbfstorm\t0\t0\nwater\t1\t3\nbagyo\t2\t6\nbaha\t3\t9\n")
+def test_neighbors_accepts_the_vocabularies_the_line_reader_accepts(tmp_path_factory, content):
+    # the line reader, which names a bad line, is the reference: neighbors checks
+    # its vocab.tsv in one pass as if it had read it line by line
+    root = tmp_path_factory.mktemp("near")
+    emb, vocab = root / "emb.txt", root / "vocab.tsv"
+    save_embeddings(EmbeddingMatrix(Vocabulary(NEAR_TOKENS), [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]), emb)
+    vocab.write_bytes(content)
+    argv = ["neighbors", "--embeddings", str(emb), "--vocab", str(vocab), "--word", "storm", "bagyo", "--k", "2"]
+    with mock.patch.object(cli, "vocabulary_columns", side_effect=lambda path: corpus._vocabulary_lines(Path(path))):
+        expected = _run(argv)
+    assert _run(argv) == expected
+    assert expected[0] in (0, 2)
+
+
+# every subcommand, and the arguments of a run of it
+SUBCOMMAND_ARGS = {
+    "preprocess": ["--input", "raw.csv", "--output-dir", "pre", "--min-freq", "2", "--keywords", "bagyo", "--from", "2013-11-08"],
+    "embed": ["--corpus", "c.jsonl", "--vocab", "v.tsv", "--dim", "8", "--subsample", "0", "--output", "e.txt"],
+    "train": ["--corpus", "c", "--annotations", "a", "--embeddings", "e", "--model", "bi", "--bptt", "full", "--output", "o"],
+    "eval": ["--model", "m", "--corpus", "c", "--annotations", "a", "--embeddings", "e", "--output", "o"],
+    "grid": ["--corpus", "c", "--annotations", "a", "--embeddings", "e", "--task", "binary", "--split-ratio", "0.5", "--output", "o"],
+    "analyze": ["--model", "m", "--corpus", "c", "--embeddings", "e", "--granularity", "day", "--output", "o"],
+    "neighbors": ["--embeddings", "e", "--vocab", "v", "--word", "a", "b", "--word", "c", "--k", "3"],
+    "gradcheck": ["--trials", "3", "--seq-len", "5", "--corrupt"],
+}
+
+
+def _parsed(parser, argv):
+    """(the parsed arguments, or argparse's exit code, stdout, stderr) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_ARGS)
+def test_parser_for_one_subcommand_parses_as_the_full_parser(name):
+    args = SUBCOMMAND_ARGS[name]
+    cases = [
+        [name, "-h"], [name, *args], [name], [name, *args, "--bogus"], [name, *args[:-1]],
+        [name, *args, "--output", "o", "--k", "0", "--trials", "x", "--split", "none", "--from", "13/11/2013"],
+        [name, *args, "--version"], ["--", name, *args],
+    ]
+    for argv in cases:
+        parsed = _parsed(build_parser(argv), argv)
+        assert parsed == _parsed(build_parser(), argv), argv
+    assert parsed[0] == 2
+    assert _parsed(build_parser([name]), [name, "-h"])[1].startswith(f"usage: rnnsent {name} [-h]")
+    assert isinstance(_parsed(build_parser([name]), [name, *args])[0], dict)
+    # the parser built for another subcommand gave this one no arguments
+    other = next(n for n in SUBCOMMAND_ARGS if n != name)
+    assert _parsed(build_parser([other]), [name, *args])[0] == 2
+
+
+def test_main_without_a_subcommand_prints_and_exits_as_the_full_parser():
+    outcomes = {}
+    for argv in ([], ["-h"], ["--help"], ["--version"], ["nosuch"], ["nosuch", "-h"], ["-h", "neighbors"]):
+        outcomes[argv[0] if argv else ""] = outcome = _run(argv)
+        assert outcome == _parsed(build_parser(), argv), argv
+    rc, out, _ = outcomes["-h"]
+    assert rc == 0
+    assert all(re.search(rf"^    {name} ", out, re.M) for name in SUBCOMMAND_ARGS)
+    assert outcomes[""][0] == 2 and "the following arguments are required: subcommand" in outcomes[""][2]
+    assert outcomes["--version"][:2] == (0, f"rnnsent {cli.__version__}\n")
+    assert outcomes["nosuch"][0] == 2 and "invalid choice: 'nosuch'" in outcomes["nosuch"][2]
 
 
 # ---------------------------------------------------------------------------
