@@ -272,7 +272,10 @@ def _prepare_dataset(args: argparse.Namespace, task: str):
     root = RngState(seed=args.seed)
     if args.balance_per_class is not None:
         rows, labels = balance_classes(rows, labels, args.balance_per_class, root.child(10))
-    data = split(clean, rows, labels, ratio=args.split_ratio, rng=root.child(11), stratified=args.split == "stratified")
+    try:
+        data = split(clean, rows, labels, ratio=args.split_ratio, rng=root.child(11), stratified=args.split == "stratified")
+    except ValueError as exc:  # too few annotated tweets, in all or in a class, to split
+        raise ValueError(f"{args.annotations}: {exc}") from exc
     return emb, data
 
 
@@ -329,6 +332,8 @@ def cmd_eval(args: argparse.Namespace) -> None:
     params, model_cfg, emb = _load_classifier(args)
     clean = load_clean_corpus(args.corpus)
     rows, labels = load_annotations(args.annotations, clean)
+    if not len(labels):
+        raise ValueError(f"{args.annotations}: holds no annotations")
     # the model's classes are the first num_classes of FINE_CLASSES
     kept = labels < model_cfg.num_classes
     dropped = len(labels) - int(kept.sum())
@@ -358,7 +363,10 @@ def cmd_grid(args: argparse.Namespace) -> None:
 def cmd_analyze(args: argparse.Namespace) -> None:
     params, model_cfg, emb = _load_classifier(args)
     clean = load_clean_corpus(args.corpus)
-    labels, confidences, oov = classify_corpus(params, model_cfg, emb, clean)
+    try:
+        labels, confidences, oov = classify_corpus(params, model_cfg, emb, clean)
+    except ValueError as exc:  # the corpus is empty
+        raise ValueError(f"{args.corpus}: {exc}") from exc
     distribution = sentiment_distribution(labels)
     buckets = temporal_buckets(clean, labels, args.granularity)
 

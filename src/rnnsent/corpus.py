@@ -245,13 +245,8 @@ class Corpus:
     @classmethod
     def of(cls, ids: Iterable[str], micros: Sequence[int], tokens: Iterable[str], sizes: Sequence[int]) -> "Corpus":
         """The table of tweets ids[i] at micros[i], tweet i holding the next sizes[i] of `tokens`."""
-        return cls.of_blocks([(ids, micros, tokens, sizes)])
-
-    @classmethod
-    def of_blocks(cls, blocks: Iterable[tuple[Iterable[str], Iterable[int], Iterable[str], Iterable[int]]]) -> "Corpus":
-        """Corpus.of of each block's columns in turn; of a block's token strings, one per word outlives it."""
         index = _WordIndex()
-        return cls._of_interned(((ids, micros, [index.ids(tokens)], sizes) for ids, micros, tokens, sizes in blocks), index)
+        return cls._of_interned([(ids, micros, [index.ids(tokens)], sizes)], index)
 
     @classmethod
     def _of_interned(
@@ -607,7 +602,10 @@ def preprocess_corpus(raw: RawCorpus, config: PreprocessConfig) -> tuple[Corpus,
     deduped = deduplicate(raw)
     blocks = (slice(lo, lo + CLEAN_BLOCK) for lo in range(0, len(deduped), CLEAN_BLOCK))
     cleaned = ((deduped.ids[b], deduped.micros[b].tolist(), _clean_block(deduped.texts[b])) for b in blocks)
-    table = Corpus.of_blocks((ids, micros, chain.from_iterable(t), map(len, t)) for ids, micros, t in cleaned)
+    # interned a block at a time, so of a block's token strings one per word outlives it
+    index = _WordIndex()
+    interned = ((ids, micros, [index.ids(chain.from_iterable(t))], map(len, t)) for ids, micros, t in cleaned)
+    table = Corpus._of_interned(interned, index)
 
     # stopword and length are decided once per word, then every word is counted at once
     candidate = np.array([w not in config.stopwords and len(w) >= config.min_token_length for w in table.words], dtype=bool)
@@ -680,9 +678,12 @@ def _read_jsonl(
             yield columns
 
 
-def _decode_block(lines: list[str], fields: tuple[str, ...]) -> list[tuple] | None:
-    """The `fields` of each line's JSON object, one tuple per field, or None
-    when a line is blank, is not one JSON object, or lacks a field."""
+def _decode_block(lines: list[str], types: Mapping[str, set[type]]) -> tuple[list[tuple], list[int]] | None:
+    """The fields that `types` names of each line's JSON object, one tuple
+    per field in that order, and the UTC microseconds of each "timestamp";
+    or None when a line is blank or is not one JSON object, or a record
+    lacks a field, holds a value of a type that `types` does not allow for
+    its field, or a timestamp that parse_timestamp refuses."""
     texts = list(map(str.strip, lines, repeat(_JSON_SPACE)))
     try:
         records, ends = zip(*map(_decode_json, texts))
@@ -691,9 +692,13 @@ def _decode_block(lines: list[str], fields: tuple[str, ...]) -> list[tuple] | No
     if list(ends) != list(map(len, texts)) or not {dict}.issuperset(map(type, records)):
         return None
     try:
-        return list(zip(*map(itemgetter(*fields), records)))
+        columns = list(zip(*map(itemgetter(*types), records)))
     except KeyError:
         return None
+    if not all(allowed.issuperset(map(type, column)) for allowed, column in zip(types.values(), columns)):
+        return None
+    micros = _parsed_micros(columns[list(types).index("timestamp")])
+    return None if micros is None else (columns, micros)
 
 
 def _is_unicode(lines: list[str], strings: Iterable[str]) -> bool:
@@ -727,24 +732,14 @@ def _parsed_micros(stamps: Sequence[str]) -> list[int] | None:
 
 
 def _raw_tweet_block(lines: list[str]) -> tuple[list[str], list[int], Sequence[str]] | None:
-    columns = _decode_block(lines, ("id", "timestamp", "text"))
-    if columns is None:
+    decoded = _decode_block(lines, {"id": {str, int}, "timestamp": {str}, "text": {str}})
+    if decoded is None:
         return None
-    ids, stamps, texts = columns
-    if not (
-        {str, int}.issuperset(map(type, ids))
-        and {str}.issuperset(map(type, stamps))
-        and {str}.issuperset(map(type, texts))
-        and "" not in ids
-        and "" not in stamps
-        and "" not in texts
-    ):
+    (ids, _, texts), micros = decoded
+    if "" in ids or "" in texts:
         return None
     ids = list(map(str, ids))
-    micros = _parsed_micros(stamps)
-    if micros is None or not _is_unicode(lines, chain(ids, texts)):
-        return None
-    return ids, micros, texts
+    return (ids, micros, texts) if _is_unicode(lines, chain(ids, texts)) else None
 
 
 def _json_object(line: str, line_no: int) -> dict | None:
@@ -775,27 +770,26 @@ def _raw_tweet_line(line: str, line_no: int) -> tuple[str, int, str] | None:
     return row
 
 
-def _clean_tweet_block(lines: list[str]) -> tuple[Sequence[str], list[int], Sequence[list]] | None:
-    """A block's ids, micros and token lists. The tokens' own types are
-    left to the interning that follows (see load_clean_corpus), which sees
-    each word once."""
-    columns = _decode_block(lines, ("id", "timestamp", "tokens"))
-    if columns is None:
+def _clean_tweet_block(lines: list[str], index: _WordIndex) -> tuple[Sequence, ...] | None:
+    """A block's ids, micros, [its tokens as ids into `index`] and token
+    counts. Interning checks each word's type once: a token that is not a
+    str gives None, and the words taken in before it stay in `index`, but
+    the line reader then refuses the token, and the file."""
+    decoded = _decode_block(lines, {"id": {str}, "timestamp": {str}, "tokens": {list}})
+    if decoded is None:
         return None
-    ids, stamps, token_lists = columns
-    if not (
-        {str}.issuperset(map(type, ids))
-        and {str}.issuperset(map(type, stamps))
-        and {list}.issuperset(map(type, token_lists))
-    ):
+    (ids, _, token_lists), micros = decoded
+    if not _is_unicode(lines, chain(ids, chain.from_iterable(token_lists))):
         return None
-    micros = _parsed_micros(stamps)
-    if micros is None or not _is_unicode(lines, chain(ids, chain.from_iterable(token_lists))):
+    try:
+        word_ids = index.ids(chain.from_iterable(token_lists))
+    except TypeError:
         return None
-    return ids, micros, token_lists
+    return ids, micros, [word_ids], list(map(len, token_lists))
 
 
-def _clean_tweet_line(line: str, line_no: int) -> tuple[str, int, list[str]] | None:
+def _clean_tweet_line(line: str, line_no: int, index: _WordIndex) -> tuple[str, int, np.ndarray, int] | None:
+    """A line's id, micros, its tokens as ids into `index`, and their count."""
     if (record := _json_object(line, line_no)) is None:
         return None
     for field in ("id", "timestamp", "tokens"):
@@ -809,7 +803,7 @@ def _clean_tweet_line(line: str, line_no: int) -> tuple[str, int, list[str]] | N
         raise TweetFormatError(f"line {line_no}: 'tokens' must be a list of strings")
     _check_unicode(line_no, "id", [record["id"]])
     _check_unicode(line_no, "tokens", tokens)
-    return record["id"], _line_micros(record["timestamp"], line_no), tokens
+    return record["id"], _line_micros(record["timestamp"], line_no), index.ids(tokens), len(tokens)
 
 
 def _write_jsonl(path: str | Path, corpus: Corpus, escape: Callable[[str], str], format_block: Callable[..., str]) -> None:
@@ -836,27 +830,10 @@ def load_clean_corpus(path: str | Path) -> Corpus:
     a duplicate id or a string holding a lone surrogate raises
     TweetFormatError naming the file and line."""
     index = _WordIndex()
-
-    def read_block(lines: list[str]) -> tuple[Sequence[str], list[int], list[np.ndarray], list[int]] | None:
-        columns = _clean_tweet_block(lines)
-        if columns is None:
-            return None
-        ids, micros, token_lists = columns
-        try:
-            word_ids = index.ids(chain.from_iterable(token_lists))
-        except TypeError:
-            # a token that is not a str; the words taken in before it stay in
-            # the index, but the line reader then refuses the token, and the file
-            return None
-        return ids, micros, [word_ids], list(map(len, token_lists))
-
-    def read_line(line: str, line_no: int) -> tuple[str, int, np.ndarray, int] | None:
-        row = _clean_tweet_line(line, line_no)
-        return None if row is None else (row[0], row[1], index.ids(row[2]), len(row[2]))
-
     with open_artifact(Path(path), TweetFormatError) as fh:
         try:
-            return Corpus._of_interned(_read_jsonl(fh, read_block, read_line), index)
+            blocks = _read_jsonl(fh, partial(_clean_tweet_block, index=index), partial(_clean_tweet_line, index=index))
+            return Corpus._of_interned(blocks, index)
         except TweetFormatError as exc:
             raise TweetFormatError(f"{path}: {exc}") from exc
 

@@ -457,6 +457,8 @@ def nearest_neighbors(emb: EmbeddingMatrix, word: str, k: int) -> list[tuple[str
     vocab = emb.vocab
     if word not in vocab:
         raise UnknownWordError(f"word {word!r} is not in the vocabulary")
+    if len(vocab) == 1:
+        raise ValueError(f"the vocabulary holds no word besides {word!r}")
     if not 1 <= k < len(vocab):
         raise ValueError(f"k must be in [1, {len(vocab) - 1}], got {k}")
 

@@ -245,6 +245,14 @@ def test_neighbors_never_lists_the_query_and_ranks_zero_vectors_last(tmp_path, c
     assert capsys.readouterr().out == "cc\t0.707107\nbb\t-inf\n"
 
 
+def test_neighbors_one_word_vocabulary_says_there_is_no_other_word(tmp_path, capsys):
+    emb, vocab = tmp_path / "emb.txt", tmp_path / "vocab.tsv"
+    emb.write_text("SGNS-EMB v1 1 4\nbagyo 1 0 0.5 0\n")
+    vocab.write_text("bagyo\t0\t3\n")
+    assert main(["neighbors", "--embeddings", str(emb), "--vocab", str(vocab), "--word", "bagyo", "--k", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: the vocabulary holds no word besides 'bagyo'\n")
+
+
 def _neighbors(pipeline, *word_args):
     return main(["neighbors", "--embeddings", str(pipeline["emb"]), "--vocab", str(pipeline["pre"] / "vocab.tsv"),
                  "--k", "3", *word_args])
@@ -613,6 +621,33 @@ def test_eval_dimension_mismatch_is_usage_error(pipeline, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_annotations_with_only_a_header_name_the_file(pipeline, tmp_path, capsys):
+    ann = tmp_path / "annotations.csv"
+    ann.write_text("id,label\n")
+    rc = main([
+        "eval", "--model", str(pipeline["fit"] / "model.txt"), "--corpus", str(pipeline["pre"] / "corpus.jsonl"),
+        "--annotations", str(ann), "--embeddings", str(pipeline["emb"]), "--output", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {ann}: holds no annotations\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["train", "grid"])
+def test_one_annotated_tweet_names_the_annotations_file(pipeline, tmp_path, capsys, subcommand):
+    ann = tmp_path / "annotations.csv"
+    header, first = pipeline["ann"].read_text(encoding="utf-8").splitlines(keepends=True)[:2]
+    assert header == "id,label\n"
+    ann.write_text(header + first, encoding="utf-8")
+    rc = main([
+        subcommand, "--corpus", str(pipeline["pre"] / "corpus.jsonl"), "--annotations", str(ann),
+        "--embeddings", str(pipeline["emb"]), "--epochs", "1", "--output", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {ann}: need at least 2 examples to split\n"
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # grid / analyze / gradcheck
 # ---------------------------------------------------------------------------
@@ -651,6 +686,18 @@ def test_analyze_outputs_and_determinism(pipeline, tmp_path, capsys):
     assert main(args + ["--output", str(tmp_path / "a2")]) == 0
     for name in ("classified.jsonl", "report.json", "report.csv"):
         assert (tmp_path / "a1" / name).read_bytes() == (tmp_path / "a2" / name).read_bytes()
+
+
+def test_analyze_empty_corpus_names_the_file(pipeline, tmp_path, capsys):
+    empty = tmp_path / "corpus.jsonl"
+    empty.write_text("")
+    rc = main([
+        "analyze", "--model", str(pipeline["fit"] / "model.txt"), "--corpus", str(empty),
+        "--embeddings", str(pipeline["emb"]), "--output", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {empty}: cannot classify an empty corpus\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_gradcheck_pass_and_corrupt_fail(capsys):

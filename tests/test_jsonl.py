@@ -6,6 +6,7 @@ the command line reports."""
 import csv
 import json
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -245,7 +246,7 @@ def test_raw_jsonl_block_reader_gives_the_line_readers_table(tmp_path, block):
 )
 def test_raw_and_clean_line_readers_word_invalid_json_alike(line, message):
     # both decode the line stripped of JSON whitespace, so an offset counts from its first other character
-    for read_line in (corpus._raw_tweet_line, corpus._clean_tweet_line):
+    for read_line in (corpus._raw_tweet_line, partial(corpus._clean_tweet_line, index=corpus._WordIndex())):
         with pytest.raises(TweetFormatError) as exc:
             read_line(line + "\n", 7)
         assert str(exc.value) == f"line 7: invalid JSON: {message}"
@@ -275,7 +276,7 @@ def test_clean_block_reader_agrees_with_line_reader(tmp_path_factory, lines, blo
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with mock.patch.object(corpus, "JSONL_BLOCK", block):
         got = _outcome(load_clean_corpus, path)
-        with mock.patch.object(corpus, "_clean_tweet_block", lambda lines: None):
+        with mock.patch.object(corpus, "_clean_tweet_block", lambda lines, index: None):
             assert got == _outcome(load_clean_corpus, path)
 
 
@@ -327,26 +328,83 @@ def test_column_reader_gives_the_line_readers_columns_or_error(tmp_path_factory,
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with mock.patch.object(corpus, "JSONL_BLOCK", block):
         got = _outcome(load_clean_corpus, path)
-        with mock.patch.object(corpus, "_clean_tweet_block", lambda lines: None):
+        with mock.patch.object(corpus, "_clean_tweet_block", lambda lines, index: None):
             assert got == _outcome(load_clean_corpus, path)
-    # a block the column reader takes gives, column by column, the line reader's rows
+    # a block the column reader takes gives, column by column, the line reader's rows,
+    # and interns the same words in the same order
     with path.open(encoding="utf-8") as fh:
         file_lines = list(fh)
-    columns = corpus._clean_tweet_block(file_lines)
+    block_index, line_index = corpus._WordIndex(), corpus._WordIndex()
+    columns = corpus._clean_tweet_block(file_lines, block_index)
     if columns is not None:
-        rows = [corpus._clean_tweet_line(line, n) for n, line in enumerate(file_lines, 1)]
-        assert [list(column) for column in columns] == [list(column) for column in zip(*rows)]
+        rows = [corpus._clean_tweet_line(line, n, line_index) for n, line in enumerate(file_lines, 1)]
+        ids, micros, word_ids, sizes = columns
+        line_ids, line_micros, line_word_ids, line_sizes = zip(*rows)
+        assert [list(ids), list(micros), list(sizes)] == [list(line_ids), list(line_micros), list(line_sizes)]
+        assert np.concatenate(word_ids).tolist() == np.concatenate(line_word_ids).tolist()
+        assert list(block_index) == list(line_index)
 
 
 def test_column_reader_takes_a_well_formed_block_at_hand_computed_instants():
-    columns = corpus._clean_tweet_block([line + "\n" for line in GOOD_BLOCK])
+    index = corpus._WordIndex()
+    columns = corpus._clean_tweet_block([line + "\n" for line in GOOD_BLOCK], index)
     assert columns is not None
-    ids, micros, token_lists = columns
+    ids, micros, (word_ids,), sizes = columns
+    words = np.array(list(index), dtype=object)[word_ids].tolist()
+    token_lists = [words[end - size : end] for size, end in zip(sizes, np.cumsum(sizes).tolist())]
     assert list(ids) == ["t1", "t2", "é", "t3", "t4"]
     # the last microsecond before the epoch, the epoch, one past it at +08:00,
     # and the first and last microseconds datetime holds
     assert micros == [-1, 0, 1, -62_135_596_800_000_000, 253_402_300_799_999_999]
     assert list(token_lists) == [["niño", 'a"b'], ["back\\slash"], [], ["\U0001f600"], ["ok"]]
+
+
+# Well-formed records: integer and string ids, unique as the readers see them;
+# "Z", naive and offset timestamps, each with the instant it names in UTC
+# microseconds; nonempty texts and tokens of any characters but lone surrogates,
+# some written as JSON escapes; and empty token lists
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_ZONES = {"": timezone.utc, "Z": timezone.utc, "+00:00": timezone.utc, "+08:00": timezone(timedelta(hours=8)),
+          "-05:30": timezone(-timedelta(hours=5, minutes=30))}
+WELL_FORMED_STAMPS = st.builds(
+    lambda moment, suffix: (moment.isoformat() + suffix, (moment.replace(tzinfo=_ZONES[suffix]) - _EPOCH) // timedelta(microseconds=1)),
+    st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31)),
+    st.sampled_from(sorted(_ZONES)),
+)
+nonempty = st.text(st.one_of(st.sampled_from(TRICKY), st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    raw=st.lists(
+        st.tuples(st.one_of(st.integers(-(10**18), 10**18), nonempty), WELL_FORMED_STAMPS, nonempty, st.booleans()),
+        min_size=1, max_size=300, unique_by=lambda r: str(r[0]),
+    ),
+    clean=st.lists(
+        st.tuples(strings, WELL_FORMED_STAMPS, st.lists(nonempty, max_size=4), st.booleans()),
+        min_size=1, max_size=300, unique_by=lambda r: r[0],
+    ),
+)
+def test_well_formed_files_never_reach_the_line_readers(tmp_path_factory, raw, clean):
+    folder = tmp_path_factory.mktemp("jsonl")
+    raw_path, clean_path = folder / "raw.jsonl", folder / "corpus.jsonl"
+    raw_path.write_text("".join(
+        json.dumps({"id": tid, "timestamp": stamp, "text": text}, ensure_ascii=ascii) + "\n"
+        for tid, (stamp, _), text, ascii in raw
+    ), encoding="utf-8")
+    clean_path.write_text("".join(
+        json.dumps({"id": tid, "timestamp": stamp, "tokens": tokens}, ensure_ascii=ascii) + "\n"
+        for tid, (stamp, _), tokens, ascii in clean
+    ), encoding="utf-8")
+    raw_table = corpus.RawCorpus.of([str(r[0]) for r in raw], [r[1][1] for r in raw], [r[2] for r in raw])
+    clean_table = Corpus.of([r[0] for r in clean], [r[1][1] for r in clean], [t for r in clean for t in r[2]], [len(r[2]) for r in clean])
+    refuse = AssertionError("a well-formed block was read line by line")
+    with mock.patch.object(corpus, "_raw_tweet_line", side_effect=refuse), \
+            mock.patch.object(corpus, "_clean_tweet_line", side_effect=refuse):
+        for block in BLOCKS:
+            with mock.patch.object(corpus, "JSONL_BLOCK", block):
+                assert load_tweets(raw_path) == raw_table
+                assert load_clean_corpus(clean_path) == clean_table
 
 
 def test_written_lines_equal_json_dumps_of_hand_written_records(tmp_path):
