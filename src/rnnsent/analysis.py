@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass
-from datetime import date
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -39,8 +38,7 @@ class SentimentDistribution:
 
 @dataclass(frozen=True)
 class TemporalBucket:
-    label: str
-    start: date
+    label: str  # ISO text of the period's first day (2013-11-11), or of its month (2013-11)
     counts: dict[str, int]
 
 
@@ -120,15 +118,9 @@ def temporal_buckets(
     index = (periods - first).astype(np.int64) // step
     # one row per period from the first to the last, one column per class
     rows = np.bincount(index * len(FINE_CLASSES) + labels, minlength=(index.max() + 1) * len(FINE_CLASSES))
-    starts = first + step * np.arange(index.max() + 1)
-    return TemporalBuckets(granularity=granularity, buckets=tuple(
-        TemporalBucket(label, start, dict(zip(FINE_CLASSES, counts)))
-        for label, start, counts in zip(
-            np.datetime_as_string(starts).tolist(),
-            starts.astype("M8[D]").astype(object),
-            rows.reshape(-1, len(FINE_CLASSES)).tolist(),
-        )
-    ))
+    names = np.datetime_as_string(first + step * np.arange(index.max() + 1)).tolist()
+    counts = [dict(zip(FINE_CLASSES, row)) for row in rows.reshape(-1, len(FINE_CLASSES)).tolist()]
+    return TemporalBuckets(granularity, tuple(map(TemporalBucket, names, counts)))
 
 
 def export_report(

@@ -253,12 +253,12 @@ def cmd_embed(args: argparse.Namespace) -> dict:
     )
     try:
         emb = train_embeddings(clean, vocab, params, RngState(seed=args.seed))
-    except ValueError as exc:  # the vocabulary does not cover the corpus, or holds no counts
+    except ValueError as exc:  # the vocabulary does not cover the corpus, or holds no words or counts
         raise ValueError(f"{args.vocab}: {exc}") from exc
     output, _ = _outputs(args)
     save_embeddings(emb, output)
     losses = ", ".join(f"{loss:.4f}" for loss in emb.epoch_losses)
-    print(f"trained {emb.vocab_size} x {emb.dim} embeddings; epoch losses: {losses}")
+    print(f"trained {len(emb.vocab)} x {emb.dim} embeddings; epoch losses: {losses}")
     return {"epoch_losses": emb.epoch_losses}
 
 
@@ -400,6 +400,8 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.hidden < 2:  # each trial draws its hidden size from [2, --hidden]
+        raise ValueError(f"--hidden must be >= 2, got {args.hidden}")
     report = run_gradcheck(
         trials=args.trials,
         max_hidden=args.hidden,
@@ -492,7 +494,7 @@ def _neighbors_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _gradcheck_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=_positive_int, default=4, help="largest hidden size to draw")
+    p.add_argument("--hidden", type=_positive_int, default=4, help="largest hidden size to draw, >= 2")
     p.add_argument("--seq-len", type=_positive_int, default=8, help="longest sequence to draw")
     p.add_argument("--trials", type=_positive_int, default=25)
     p.add_argument("--seed", type=int, default=0)

@@ -400,12 +400,6 @@ class Vocabulary:
     def index(self, token: str) -> int:
         return self.token_to_index[token]
 
-    def token(self, index: int) -> str:
-        return self.tokens[index]
-
-    def count(self, token: str) -> int:
-        return self.counts[self.token_to_index[token]]
-
 
 def token_ids(vocab: Vocabulary, corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ids, starts, lengths) for the N tweets of `corpus`: the vocabulary

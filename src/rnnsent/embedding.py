@@ -63,29 +63,18 @@ class EmbeddingParams:
 
 
 class EmbeddingMatrix:
-    """A vocabulary's input and output vector tables: row i is the vector of
-    the vocabulary's token i."""
+    """A vocabulary's input vector table: row i is the vector of the
+    vocabulary's token i."""
 
-    def __init__(self, vocab: Vocabulary, input_vectors: FloatArray, output_vectors: FloatArray | None = None):
+    def __init__(self, vocab: Vocabulary, input_vectors: FloatArray):
         input_vectors = np.asarray(input_vectors, dtype=np.float64)
         if input_vectors.ndim != 2:
             raise ValueError("input_vectors must be a 2-D array")
         if len(vocab) != input_vectors.shape[0]:
             raise ValueError(f"embedding has {input_vectors.shape[0]} rows but vocabulary has {len(vocab)}")
-        if output_vectors is None:
-            # np.zeros, unlike zeros_like, can leave a table no caller writes untouched in memory
-            output_vectors = np.zeros(input_vectors.shape)
-        output_vectors = np.asarray(output_vectors, dtype=np.float64)
-        if output_vectors.shape != input_vectors.shape:
-            raise ValueError("input and output vector tables must share a shape")
         self.vocab = vocab
         self.input_vectors = input_vectors
-        self.output_vectors = output_vectors
         self.epoch_losses: list[float] = []
-
-    @property
-    def vocab_size(self) -> int:
-        return self.input_vectors.shape[0]
 
     @property
     def dim(self) -> int:
@@ -392,7 +381,9 @@ def train_embeddings(
     if len(ids) < len(corpus.word_ids):
         unknown = {corpus.words[w] for w in np.unique(corpus.word_ids).tolist() if corpus.words[w] not in vocab}
         raise ValueError(f"corpus tokens missing from vocabulary: {sorted(unknown)[:5]}")
-    if min(vocab.counts, default=0) < 0 or not any(vocab.counts):
+    if not len(vocab):
+        raise ValueError("the vocabulary holds no words")
+    if min(vocab.counts) < 0 or not any(vocab.counts):
         raise ValueError("vocabulary counts must be >= 0, and not all 0: negatives are drawn by count")
 
     gen = rng.generator()
@@ -402,7 +393,7 @@ def train_embeddings(
     gen.random(out=table[:size])
     table[:size] -= 0.5
     table[:size] /= params.dim
-    emb = EmbeddingMatrix(vocab, table[:size], table[size:])
+    emb = EmbeddingMatrix(vocab, table[:size])
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
 
     planner = _Planner(
@@ -474,7 +465,7 @@ def nearest_neighbors(emb: EmbeddingMatrix, word: str, k: int) -> list[tuple[str
 
     others = np.delete(np.arange(len(vocab)), query_idx)
     order = others[np.argsort(-sims[others], kind="stable")[:k]]
-    return [(vocab.token(int(i)), float(sims[i])) for i in order]
+    return [(vocab.tokens[i], float(sims[i])) for i in order.tolist()]
 
 
 def embedding_twin(path: str | Path) -> Path:
@@ -510,7 +501,7 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     with atomic_writer(path, binary=True) as fh, atomic_writer(embedding_twin(path), binary=True) as twin:
         # the twin's header is written last, once its digests are known
         twin.write(bytes(_TWIN_HEADER.size))
-        text = f"{EMBEDDING_MAGIC} {EMBEDDING_VERSION} {emb.vocab_size} {emb.dim}\n".encode()
+        text = f"{EMBEDDING_MAGIC} {EMBEDDING_VERSION} {len(tokens)} {emb.dim}\n".encode()
         fh.write(text)
         text_digest.update(text)
         for start in range(0, len(tokens), SAVE_ROWS):
@@ -532,7 +523,7 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
         twin.write(data)
         payload_digest.update(data)
         twin.seek(0)
-        twin.write(_TWIN_HEADER.pack(TWIN_MAGIC, text_digest.digest(), payload_digest.digest(), emb.vocab_size, emb.dim))
+        twin.write(_TWIN_HEADER.pack(TWIN_MAGIC, text_digest.digest(), payload_digest.digest(), len(tokens), emb.dim))
 
 
 def _sha256(data: bytes | np.ndarray = b""):
@@ -577,9 +568,6 @@ def _load_twin(path: Path) -> EmbeddingMatrix | None:
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read an embedding file back, with a vocabulary of the stored tokens in
     their stored order; it has no counts, which the file does not store.
-
-    Only input vectors are stored, so the loaded matrix has zero output
-    vectors (queries and classification use input vectors only).
 
     When the twin that save_embeddings wrote beside `path` records the sha256
     of `path`'s bytes and of its own payload, the tokens and vectors come from

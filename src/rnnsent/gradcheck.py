@@ -46,9 +46,8 @@ def numeric_gradients(
     batch: Batch,
     targets: np.ndarray,
     masks: FloatArray | None = None,
-    epsilon: float = EPSILON,
 ) -> dict[str, FloatArray]:
-    """Central-difference gradient of loss_for, entry by entry.
+    """Central-difference gradient of loss_for, entry by entry, with step EPSILON.
 
     Each entry is perturbed in place in a copy of `params`, so the caller's
     arrays are never touched."""
@@ -60,12 +59,12 @@ def numeric_gradients(
         flat_grad = grad.reshape(-1)
         for j in range(flat.size):
             original = flat[j]
-            flat[j] = original + epsilon
+            flat[j] = original + EPSILON
             plus = loss_for(perturbed, config, batch, targets, masks)
-            flat[j] = original - epsilon
+            flat[j] = original - EPSILON
             minus = loss_for(perturbed, config, batch, targets, masks)
             flat[j] = original
-            flat_grad[j] = (plus - minus) / (2.0 * epsilon)
+            flat_grad[j] = (plus - minus) / (2.0 * EPSILON)
         grads[name] = grad
     return grads
 
@@ -90,11 +89,10 @@ class GradCheckReport:
     trials: int
     per_group_max: dict[str, float]
     max_error: float
-    threshold: float = ERROR_THRESHOLD
 
     @property
     def passed(self) -> bool:
-        return self.max_error < self.threshold
+        return self.max_error < ERROR_THRESHOLD
 
     def format_lines(self) -> list[str]:
         lines = [f"gradient check: {self.trials} random instances, epsilon {EPSILON:g}"]
@@ -102,7 +100,7 @@ class GradCheckReport:
         for name, err in sorted(self.per_group_max.items()):
             lines.append(f"  {name.ljust(width)}  max relative error {err:.3e}")
         verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"overall max relative error {self.max_error:.3e} (threshold {self.threshold:g}): {verdict}")
+        lines.append(f"overall max relative error {self.max_error:.3e} (threshold {ERROR_THRESHOLD:g}): {verdict}")
         return lines
 
 

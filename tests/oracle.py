@@ -202,7 +202,7 @@ def sgns_train(corpus, vocab, params, rng):
     gen = rng.generator()
     in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
     out_vecs = np.zeros_like(in_vecs)
-    emb = EmbeddingMatrix(vocab, in_vecs, out_vecs)
+    emb = EmbeddingMatrix(vocab, in_vecs)
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
     sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in tweets_of(corpus)]
     start_lr = LEARNING_RATE
@@ -303,7 +303,7 @@ def sgns_train_per_tweet(corpus, vocab, params, rng):
     gen = rng.generator()
     in_vecs = (gen.random((len(vocab), params.dim)) - 0.5) / params.dim
     out_vecs = np.zeros_like(in_vecs)
-    emb = EmbeddingMatrix(vocab, in_vecs, out_vecs)
+    emb = EmbeddingMatrix(vocab, in_vecs)
     noise_cdf, keep_prob = _sampling_tables(vocab.counts, params.subsample_threshold)
     sentences = [np.array([vocab.index(t) for t in tweet.tokens], dtype=np.intp) for tweet in tweets_of(corpus)]
     longest = max((len(s) for s in sentences), default=0)
@@ -459,7 +459,7 @@ def temporal_buckets(corpus, labels, granularity):
     cursor, last = min(tallies), max(tallies)
     while True:
         label = f"{cursor.year:04d}-{cursor.month:02d}" if granularity == "month" else cursor.isoformat()
-        buckets.append(TemporalBucket(label, cursor, tallies.get(cursor, {c: 0 for c in FINE_CLASSES})))
+        buckets.append(TemporalBucket(label, tallies.get(cursor, {c: 0 for c in FINE_CLASSES})))
         if cursor == last:  # the period after the last may be past what date holds
             break
         cursor = _next_period(cursor, granularity)

@@ -324,7 +324,7 @@ def test_criterion_07_preprocessing(tmp_path):
     for t in clean:
         want = synthdata.HAND_TRACE_EXPECTED_TOKENS[t.id]
         _check(failures, t.tokens == want, f"{t.id}: {t.tokens} != {want}")
-    got_vocab = tuple((tok, vocab.index(tok), vocab.count(tok)) for tok in vocab.tokens)
+    got_vocab = tuple((tok, vocab.index(tok), vocab.counts[vocab.index(tok)]) for tok in vocab.tokens)
     _check(failures, got_vocab == synthdata.HAND_TRACE_EXPECTED_VOCAB, f"vocab {got_vocab}")
     got_stats = {
         "raw_count": stats.raw_count,
@@ -360,7 +360,7 @@ def test_criterion_07_preprocessing(tmp_path):
     bclean, bvocab, _ = preprocess_corpus(load_tweets(boundary_path), PreprocessConfig(stopwords=default_stopwords()))
     bclean = tweets_of(bclean)
     _check(failures, tuple(bvocab.tokens) == ("anchor", "xyz", "fivetimes"), f"vocab {bvocab.tokens}")
-    _check(failures, bvocab.count("fivetimes") == 5, "five-occurrence token miscounted")
+    _check(failures, bvocab.counts[bvocab.index("fivetimes")] == 5, "five-occurrence token miscounted")
     _check(failures, "fourtimes" not in bvocab, "four-occurrence token survived the frequency rule")
     _check(failures, "xy" not in bvocab, "two-character token survived the length rule")
     _check(failures, bclean[0].tokens == ("fivetimes", "anchor", "xyz"), f"tokens {bclean[0].tokens}")

@@ -184,6 +184,25 @@ def test_embed_rejects_vocabulary_counts_without_noise_distribution(pipeline, tm
     assert not out.exists()
 
 
+def test_embed_of_an_empty_preprocess_output_says_the_vocabulary_holds_no_words(tmp_path, capsys):
+    # no word of two tweets reaches --min-freq 9: preprocess writes an empty corpus and vocabulary
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(
+        '{"id": "t1", "timestamp": "2013-11-09T08:00:00+00:00", "text": "bagyo tacloban"}\n'
+        '{"id": "t2", "timestamp": "2013-11-10T08:00:00+00:00", "text": "bagyo leyte"}\n'
+    )
+    pre = tmp_path / "pre"
+    assert main(["preprocess", "--min-freq", "9", "--input", str(raw), "--output-dir", str(pre)]) == 0
+    assert (pre / "vocab.tsv").read_text() == ""
+    capsys.readouterr()
+    out = tmp_path / "e.txt"
+    rc = main(["embed", "--corpus", str(pre / "corpus.jsonl"), "--vocab", str(pre / "vocab.tsv"),
+               "--dim", "4", "--epochs", "1", "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {pre / 'vocab.tsv'}: the vocabulary holds no words\n"
+    assert not out.exists()
+
+
 def test_embed_same_seed_byte_identical(pipeline, tmp_path):
     pre = pipeline["pre"]
     base = [
@@ -708,6 +727,20 @@ def test_gradcheck_pass_and_corrupt_fail(capsys):
     rc = main(["gradcheck", "--trials", "2", "--hidden", "3", "--seq-len", "4", "--corrupt"])
     assert rc == 1
     assert capsys.readouterr().out.strip().endswith("FAIL")
+
+
+@pytest.mark.parametrize("hidden", ["1", "2"])
+def test_gradcheck_hidden_below_two_is_usage_error_before_any_trial(capsys, hidden):
+    # each trial draws its hidden size from [2, --hidden], so 1 leaves nothing to draw
+    with mock.patch.object(cli, "run_gradcheck", wraps=cli.run_gradcheck) as run:
+        rc = main(["gradcheck", "--trials", "2", "--hidden", hidden, "--seq-len", "3"])
+    captured = capsys.readouterr()
+    if hidden == "1":
+        assert (rc, run.call_count) == (2, 0)
+        assert captured == ("", "error: --hidden must be >= 2, got 1\n")
+    else:
+        assert (rc, run.call_count) == (0, 1)
+        assert captured.out.strip().endswith("PASS")
 
 
 def test_version_flag(capsys):

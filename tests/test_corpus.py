@@ -494,7 +494,7 @@ def test_pipeline_frequency_boundary():
     # the 2-char zN token defeats text-level dedup and then fails min length
     raws = _raw(*[(f"t{i}", NOV9, f"boundary {'below ' if i < 4 else ''}z{i}") for i in range(5)])
     clean, vocab, _ = preprocess_corpus(raws, PreprocessConfig(stopwords=frozenset()))
-    assert "boundary" in vocab and vocab.count("boundary") == 5
+    assert "boundary" in vocab and vocab.counts[vocab.index("boundary")] == 5
     assert "below" not in vocab  # 4 occurrences
     assert all(t.tokens == ("boundary",) for t in tweets_of(clean))
 
@@ -545,8 +545,7 @@ def test_vocabulary_ordering_and_lookups():
     vocab = Vocabulary.from_counts({"b": 5, "a": 5, "c": 9})
     assert vocab.tokens == ("c", "a", "b")
     assert [vocab.index(t) for t in vocab.tokens] == [0, 1, 2]
-    assert vocab.token(2) == "b"
-    assert vocab.count("c") == 9
+    assert vocab.counts == (9, 5, 5)
     assert "a" in vocab and "z" not in vocab
     assert len(vocab) == 3
 

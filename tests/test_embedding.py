@@ -69,16 +69,15 @@ def test_params_validation():
 def test_matrix_shape_checks():
     two, three = Vocabulary(["aa", "bb"]), Vocabulary(["aa", "bb", "cc"])
     cases = [
-        (two, np.zeros(4), None, "2-D"),
-        (two, np.zeros((2, 3)), np.zeros((2, 4)), "share a shape"),
+        (two, np.zeros(4), "2-D"),
         # a vocabulary past the rows, whose ids the kernel's gather would clamp
-        (three, np.eye(2), None, "2 rows but vocabulary has 3"),
+        (three, np.eye(2), "2 rows but vocabulary has 3"),
         # a vocabulary short of the rows, whose last rows no token would name
-        (two, np.eye(3), None, "3 rows but vocabulary has 2"),
+        (two, np.eye(3), "3 rows but vocabulary has 2"),
     ]
-    for vocab, input_vectors, output_vectors, message in cases:
+    for vocab, input_vectors, message in cases:
         with pytest.raises(ValueError, match=message):
-            EmbeddingMatrix(vocab, input_vectors, output_vectors)
+            EmbeddingMatrix(vocab, input_vectors)
 
 
 def test_train_rejects_unknown_token():
@@ -95,11 +94,18 @@ def test_train_rejects_counts_with_no_noise_distribution(counts):
         train_embeddings(tweets, Vocabulary(["aa", "bb"], counts), SMALL_PARAMS, RngState(seed=0))
 
 
+def test_train_rejects_empty_vocabulary_as_holding_no_words():
+    # an empty vocabulary has no counts at all, so no count is the fault
+    with pytest.raises(ValueError, match="^the vocabulary holds no words$"):
+        train_embeddings(table([]), Vocabulary([]), SMALL_PARAMS, RngState(seed=0))
+
+
 def test_one_word_corpus_has_no_updates():
     tweets, vocab = _corpus_of([["solo"]])
     emb = train_embeddings(tweets, vocab, SMALL_PARAMS, RngState(seed=1))
-    # no (center, context) pairs exist: output table untouched, zero loss
-    assert np.array_equal(emb.output_vectors, np.zeros_like(emb.output_vectors))
+    # no (center, context) pairs exist: input vectors as drawn, zero loss
+    drawn = (RngState(seed=1).generator().random((1, SMALL_PARAMS.dim)) - 0.5) / SMALL_PARAMS.dim
+    assert np.array_equal(emb.input_vectors, drawn)
     assert emb.epoch_losses == [0.0] * SMALL_PARAMS.epochs
     bound = 0.5 / SMALL_PARAMS.dim
     assert np.all(np.abs(emb.input_vectors) <= bound)
@@ -120,7 +126,6 @@ def test_training_is_deterministic():
     a = train_embeddings(tweets, vocab, SMALL_PARAMS, RngState(seed=3))
     b = train_embeddings(tweets, vocab, SMALL_PARAMS, RngState(seed=3))
     assert np.array_equal(a.input_vectors, b.input_vectors)
-    assert np.array_equal(a.output_vectors, b.output_vectors)
     assert a.epoch_losses == b.epoch_losses
     c = train_embeddings(tweets, vocab, SMALL_PARAMS, RngState(seed=4))
     assert not np.array_equal(a.input_vectors, c.input_vectors)
@@ -276,7 +281,6 @@ def test_training_is_bit_identical_to_per_tweet_oracle(
         got = train_embeddings(tweets, vocab, params, RngState(seed=seed))
         ref = oracle.sgns_train_per_tweet(tweets, vocab, params, RngState(seed=seed))
     assert np.array_equal(got.input_vectors, ref.input_vectors)
-    assert np.array_equal(got.output_vectors, ref.output_vectors)
     assert got.epoch_losses == ref.epoch_losses
 
 
@@ -424,7 +428,7 @@ def test_save_load_round_trip(tmp_path):
     save_embeddings(emb, path)
     loaded = load_embeddings(path)
     assert loaded.vocab.tokens == emb.vocab.tokens
-    assert loaded.vocab_size == emb.vocab_size and loaded.dim == emb.dim
+    assert loaded.dim == emb.dim
     # stored precision is 9 significant digits
     expected = np.array([[float(f"{x:.9g}") for x in row] for row in emb.input_vectors])
     assert np.array_equal(loaded.input_vectors, expected)
@@ -440,7 +444,7 @@ def test_save_rejects_row_count_mismatch(tmp_path):
     # so no file with rows that no token names is written
     with pytest.raises(ValueError, match="rows but vocabulary has"):
         save_embeddings(
-            EmbeddingMatrix(Vocabulary(emb.vocab.tokens[:-1]), emb.input_vectors, emb.output_vectors),
+            EmbeddingMatrix(Vocabulary(emb.vocab.tokens[:-1]), emb.input_vectors),
             tmp_path / "bad.txt",
         )
     assert not (tmp_path / "bad.txt").exists()
