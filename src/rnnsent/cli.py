@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import (
@@ -163,6 +164,17 @@ def _date_arg(value: str) -> datetime:
     return datetime(d.year, d.month, d.day, tzinfo=timezone.utc)
 
 
+@contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Put `path` in front of the message of an input error raised inside; a diverged run passes as it is."""
+    try:
+        yield
+    except TrainingDivergedError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _manifest_value(value):
     if isinstance(value, Path):
         return str(value)
@@ -251,10 +263,8 @@ def cmd_embed(args: argparse.Namespace) -> dict:
         epochs=args.epochs,
         subsample_threshold=args.subsample,
     )
-    try:
+    with _naming(args.vocab):  # the vocabulary does not cover the corpus, or holds no words or counts
         emb = train_embeddings(clean, vocab, params, RngState(seed=args.seed))
-    except ValueError as exc:  # the vocabulary does not cover the corpus, or holds no words or counts
-        raise ValueError(f"{args.vocab}: {exc}") from exc
     output, _ = _outputs(args)
     save_embeddings(emb, output)
     losses = ", ".join(f"{loss:.4f}" for loss in emb.epoch_losses)
@@ -270,12 +280,10 @@ def _prepare_dataset(args: argparse.Namespace, task: str):
     if task == TASK_BINARY:
         rows, labels = binary_subset(rows, labels)
     root = RngState(seed=args.seed)
-    if args.balance_per_class is not None:
-        rows, labels = balance_classes(rows, labels, args.balance_per_class, root.child(10))
-    try:
+    with _naming(args.annotations):  # too few annotated tweets, in all or in a class, to sample or split
+        if args.balance_per_class is not None:
+            rows, labels = balance_classes(rows, labels, args.balance_per_class, root.child(10))
         data = split(clean, rows, labels, ratio=args.split_ratio, rng=root.child(11), stratified=args.split == "stratified")
-    except ValueError as exc:  # too few annotated tweets, in all or in a class, to split
-        raise ValueError(f"{args.annotations}: {exc}") from exc
     return emb, data
 
 
@@ -317,7 +325,8 @@ def cmd_train(args: argparse.Namespace) -> None:
         epochs=args.epochs,
         seed=args.seed,
     )
-    params, report = train(data, emb, model_cfg, train_cfg)
+    with _naming(args.embeddings):  # a training tweet has no token in the embeddings' vocabulary
+        params, report = train(data, emb, model_cfg, train_cfg)
 
     model_path, report_path = _outputs(args)
     save_model(params, model_cfg, model_path)
@@ -340,7 +349,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
     if dropped:
         _warn(f"dropping {dropped} examples with labels outside {list(classes_for(model_cfg.num_classes))}")
     if not kept.any():
-        raise ValueError("no evaluable examples: every annotation is outside the model's classes")
+        raise ValueError(f"{args.annotations}: no evaluable examples: every annotation is outside the model's classes")
     cm, metrics = evaluate(params, model_cfg, emb, clean.take(rows[kept]), labels[kept])
 
     metrics_path, confusion_path = _outputs(args)
@@ -354,7 +363,8 @@ def cmd_grid(args: argparse.Namespace) -> None:
     task = _TASKS[args.task]
     emb, data = _prepare_dataset(args, task)
     base_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
-    result = run_grid(data, emb, task, base_cfg, hidden_size=args.hidden)
+    with _naming(args.embeddings):  # a training tweet has no token in the embeddings' vocabulary
+        result = run_grid(data, emb, task, base_cfg, hidden_size=args.hidden)
 
     save_grid(result, *_outputs(args))
     print(result.format_table(), end="")
@@ -363,10 +373,8 @@ def cmd_grid(args: argparse.Namespace) -> None:
 def cmd_analyze(args: argparse.Namespace) -> None:
     params, model_cfg, emb = _load_classifier(args)
     clean = load_clean_corpus(args.corpus)
-    try:
+    with _naming(args.corpus):  # the corpus is empty
         labels, confidences, oov = classify_corpus(params, model_cfg, emb, clean)
-    except ValueError as exc:  # the corpus is empty
-        raise ValueError(f"{args.corpus}: {exc}") from exc
     distribution = sentiment_distribution(labels)
     buckets = temporal_buckets(clean, labels, args.granularity)
 

@@ -667,6 +667,58 @@ def test_one_annotated_tweet_names_the_annotations_file(pipeline, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["train", "grid"])
+def test_balancing_above_a_class_count_names_the_annotations_file(pipeline, tmp_path, capsys, subcommand):
+    ann = pipeline["ann"]
+    rc = main([
+        subcommand, "--corpus", str(pipeline["pre"] / "corpus.jsonl"), "--annotations", str(ann),
+        "--embeddings", str(pipeline["emb"]), "--balance-per-class", "13", "--epochs", "1",
+        "--output", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {ann}: class 'positive' has only 12 examples, cannot sample 13\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["train", "grid"])
+def test_training_tweet_outside_the_embeddings_vocabulary_names_the_embeddings_file(
+    pipeline, tmp_path, capsys, subcommand
+):
+    emb = tmp_path / "emb.txt"  # three rows, none of them a word of the corpus
+    emb.write_text("SGNS-EMB v1 3 2\nzzzz 1 0\nqqqq 0 1\nxxxx 1 1\n", encoding="utf-8")
+    rc = main([
+        subcommand, "--corpus", str(pipeline["pre"] / "corpus.jsonl"), "--annotations", str(pipeline["ann"]),
+        "--embeddings", str(emb), "--epochs", "1", "--output", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    message = r"train example '\w+' has no in-vocabulary tokens and cannot be embedded"
+    assert re.fullmatch(rf"error: {re.escape(str(emb))}: {message}\n", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_eval_with_no_annotation_in_the_models_classes_names_the_annotations_file(pipeline, tmp_path, capsys):
+    pre, emb = pipeline["pre"], pipeline["emb"]
+    assert main([
+        "train", "--corpus", str(pre / "corpus.jsonl"), "--annotations", str(pipeline["ann"]),
+        "--embeddings", str(emb), "--hidden", "4", "--epochs", "1", "--seed", "4",
+        "--task", "binary", "--output", str(tmp_path / "fit"),
+    ]) == 0
+    ann = tmp_path / "neutral.csv"
+    rows = pipeline["ann"].read_text(encoding="utf-8").splitlines(keepends=True)
+    ann.write_text(rows[0] + "".join(row for row in rows[1:] if row.endswith(",neutral\n")), encoding="utf-8")
+    capsys.readouterr()
+    rc = main([
+        "eval", "--model", str(tmp_path / "fit" / "model.txt"), "--corpus", str(pre / "corpus.jsonl"),
+        "--annotations", str(ann), "--embeddings", str(emb), "--output", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "warning: dropping 12 examples with labels outside ['positive', 'negative']\n"
+        f"error: {ann}: no evaluable examples: every annotation is outside the model's classes\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # grid / analyze / gradcheck
 # ---------------------------------------------------------------------------

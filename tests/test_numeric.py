@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnnsent import numeric
 from rnnsent.numeric import (
     RngState,
     clip_gradients,
@@ -161,3 +167,15 @@ def test_clip_gradients_norm_never_exceeds_bound(seed, max_norm):
     grads = {"w": gen.normal(scale=5.0, size=(2, 3)), "b": gen.normal(scale=5.0, size=4)}
     clipped = clip_gradients(grads, max_norm)
     assert global_norm(clipped) <= max_norm * (1.0 + 1e-9)
+
+
+def test_importing_numeric_loads_no_other_package_module():
+    # the package's __init__ holds only __version__, so one module loads only what it imports
+    code = (
+        "import sys, rnnsent.numeric, rnnsent; "
+        "print(sorted(m for m in sys.modules if m.startswith('rnnsent')), rnnsent.__version__)"
+    )
+    src = str(Path(numeric.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "['rnnsent', 'rnnsent.numeric'] 0.1.0\n"
