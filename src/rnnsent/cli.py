@@ -31,6 +31,7 @@ from .analysis import (
     temporal_buckets,
 )
 from .corpus import (
+    Corpus,
     PreprocessConfig,
     default_stopwords,
     filter_by_collection_window,
@@ -53,7 +54,7 @@ from .embedding import (
     save_embeddings,
     train_embeddings,
 )
-from .evaluation import FINE_CLASSES, classes_for, evaluate, save_confusion, save_metrics
+from .evaluation import BINARY_CLASSES, FINE_CLASSES, evaluate, save_confusion, save_metrics
 from .gradcheck import run_gradcheck
 from .model import (
     BIDIRECTIONAL,
@@ -68,6 +69,7 @@ from .model import (
 from .numeric import RngState
 from .training import (
     GRID_MODELS,
+    NUM_CLASSES,
     TASK_BINARY,
     TASK_FINE,
     TrainConfig,
@@ -272,13 +274,27 @@ def cmd_embed(args: argparse.Namespace) -> dict:
     return {"epoch_losses": emb.epoch_losses}
 
 
+def _class_annotations(path: Path, corpus: Corpus, num_classes: int):
+    """Shared by train, grid and eval: the rows and labels of `path` among a model's classes,
+    FINE_CLASSES[:num_classes], with a warning if any are dropped; an input error if none is left."""
+    rows, labels = load_annotations(path, corpus)
+    total = len(labels)
+    if not total:
+        raise ValueError(f"{path}: holds no annotations")
+    if num_classes == len(BINARY_CLASSES):
+        rows, labels = binary_subset(rows, labels)
+    if len(labels) < total:
+        _warn(f"dropping {total - len(labels)} examples with labels outside {list(FINE_CLASSES[:num_classes])}")
+    if not len(labels):
+        raise ValueError(f"{path}: no evaluable examples: every annotation is outside the model's classes")
+    return rows, labels
+
+
 def _prepare_dataset(args: argparse.Namespace, task: str):
-    """Shared by train and grid: load, join, optionally balance, then split."""
+    """Shared by train and grid: load, join, keep the task's classes, optionally balance, then split."""
     clean = load_clean_corpus(args.corpus)
     emb = load_embeddings(args.embeddings)
-    rows, labels = load_annotations(args.annotations, clean)
-    if task == TASK_BINARY:
-        rows, labels = binary_subset(rows, labels)
+    rows, labels = _class_annotations(args.annotations, clean, NUM_CLASSES[task])
     root = RngState(seed=args.seed)
     with _naming(args.annotations):  # too few annotated tweets, in all or in a class, to sample or split
         if args.balance_per_class is not None:
@@ -313,7 +329,7 @@ def cmd_train(args: argparse.Namespace) -> None:
     model_cfg = ModelConfig(
         embedding_dim=emb.dim,
         hidden_size=args.hidden,
-        num_classes=2 if task == TASK_BINARY else 3,
+        num_classes=NUM_CLASSES[task],
         dropout_rate=args.dropout,
         direction=direction,
         bptt_mode=args.bptt,
@@ -340,17 +356,8 @@ def cmd_train(args: argparse.Namespace) -> None:
 def cmd_eval(args: argparse.Namespace) -> None:
     params, model_cfg, emb = _load_classifier(args)
     clean = load_clean_corpus(args.corpus)
-    rows, labels = load_annotations(args.annotations, clean)
-    if not len(labels):
-        raise ValueError(f"{args.annotations}: holds no annotations")
-    # the model's classes are the first num_classes of FINE_CLASSES
-    kept = labels < model_cfg.num_classes
-    dropped = len(labels) - int(kept.sum())
-    if dropped:
-        _warn(f"dropping {dropped} examples with labels outside {list(classes_for(model_cfg.num_classes))}")
-    if not kept.any():
-        raise ValueError(f"{args.annotations}: no evaluable examples: every annotation is outside the model's classes")
-    cm, metrics = evaluate(params, model_cfg, emb, clean.take(rows[kept]), labels[kept])
+    rows, labels = _class_annotations(args.annotations, clean, model_cfg.num_classes)
+    cm, metrics = evaluate(params, model_cfg, emb, clean.take(rows), labels)
 
     metrics_path, confusion_path = _outputs(args)
     save_metrics(metrics, metrics_path)

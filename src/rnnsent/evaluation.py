@@ -26,14 +26,6 @@ FINE_CLASSES = ("positive", "negative", "neutral")
 BINARY_CLASSES = FINE_CLASSES[:2]
 
 
-def classes_for(num_classes: int) -> tuple[str, ...]:
-    if num_classes == 3:
-        return FINE_CLASSES
-    if num_classes == 2:
-        return BINARY_CLASSES
-    raise ValueError(f"no label set defined for {num_classes} classes")
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """counts[i][j] = examples with gold class i predicted as class j."""
@@ -148,7 +140,7 @@ def evaluate(
     probabilities, known = predict_many(params, model_cfg, emb, corpus)
     # argmax takes the first maximum, so ties go to the lowest class index
     preds = np.where(known, probabilities.argmax(axis=1), golds == 0)
-    cm = confusion_matrix(golds, preds, classes_for(model_cfg.num_classes))
+    cm = confusion_matrix(golds, preds, FINE_CLASSES[: model_cfg.num_classes])
     return cm, metrics_from_confusion(cm, oov_examples=int(np.sum(~known)))
 
 

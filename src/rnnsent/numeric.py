@@ -70,8 +70,6 @@ def dropout_mask(shape: int | tuple[int, ...], rate: float, rng: RngState) -> Fl
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape)
     u = rng.generator().random(shape)
     return np.where(u < rate, 0.0, 1.0 / (1.0 - rate))
 
@@ -97,13 +95,11 @@ def global_norm(grads: dict[str, FloatArray]) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradients(grads: dict[str, FloatArray], max_norm: float, norm: float | None = None) -> dict[str, FloatArray]:
-    """Scale all gradients by max_norm/norm when the global L2 norm exceeds
-    max_norm. A caller that already has global_norm(grads) passes it as `norm`."""
+def clip_gradients(grads: dict[str, FloatArray], max_norm: float, norm: float) -> dict[str, FloatArray]:
+    """Scale all gradients by max_norm/norm when `norm`, their global L2 norm
+    (global_norm(grads)), exceeds max_norm."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    if norm is None:
-        norm = global_norm(grads)
     if norm <= max_norm:
         return dict(grads)
     scale = max_norm / norm

@@ -19,7 +19,6 @@ from .evaluation import (
     FINE_CLASSES,
     ConfusionMatrix,
     Metrics,
-    classes_for,
     evaluate,
 )
 from .model import (
@@ -38,6 +37,8 @@ from .numeric import FloatArray, RngState, clip_gradients, cross_entropy, dropou
 
 TASK_FINE = "fine_grained"
 TASK_BINARY = "binary"
+# A task's model has this many classes, the first of FINE_CLASSES
+NUM_CLASSES = {TASK_FINE: len(FINE_CLASSES), TASK_BINARY: len(BINARY_CLASSES)}
 
 # Each minibatch's mean gradient is rescaled to this global L2 norm when above it
 CLIP_NORM = 5.0
@@ -207,7 +208,7 @@ def _check_labels(data: DatasetSplit, num_classes: int) -> None:
             i = bad[0]
             raise ValueError(
                 f"config mismatch: {side_name} example {side.ids[i]!r} has label {labels[i]}, "
-                f"task classes are 0..{num_classes - 1}: {list(classes_for(num_classes))}"
+                f"task classes are 0..{num_classes - 1}: {list(FINE_CLASSES[:num_classes])}"
             )
 
 
@@ -369,7 +370,6 @@ def run_grid(
         train_rows, train_labels = binary_subset(np.arange(len(data.train)), data.train_labels)
         test_rows, test_labels = binary_subset(np.arange(len(data.test)), data.test_labels)
         data = DatasetSplit(data.train.take(train_rows), train_labels, data.test.take(test_rows), test_labels)
-    num_classes = 2 if task == TASK_BINARY else 3
 
     rows: list[GridRow] = []
     for direction, bptt_mode in GRID_MODELS:
@@ -378,7 +378,7 @@ def run_grid(
                 model_cfg = ModelConfig(
                     embedding_dim=emb.dim,
                     hidden_size=hidden_size,
-                    num_classes=num_classes,
+                    num_classes=NUM_CLASSES[task],
                     dropout_rate=0.0 if dropout is None else dropout,
                     direction=direction,
                     bptt_mode=bptt_mode,

@@ -39,7 +39,7 @@ from rnnsent import embedding
 from rnnsent.embedding import LEARNING_RATE, EmbeddingMatrix, _sampling_tables
 from rnnsent.evaluation import FINE_CLASSES
 from rnnsent.model import BPTT_FULL, STANDARD, init_params
-from rnnsent.numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, sgd_step
+from rnnsent.numeric import PROB_FLOOR, RngState, clip_gradients, dropout_mask, global_norm, sgd_step
 from rnnsent.training import CLIP_NORM
 from synthdata import EPOCH, Tweet, table, tokens_of, tweets_of
 
@@ -150,7 +150,7 @@ def train(sequences, targets, model_cfg, train_cfg):
                 loss_sum += -np.log(max(probs[targets[i]], PROB_FLOOR))
                 grad_sum = grads if grad_sum is None else {name: grad_sum[name] + g for name, g in grads.items()}
             mean = {name: g / len(batch) for name, g in grad_sum.items()}
-            arrays = sgd_step(arrays, clip_gradients(mean, CLIP_NORM), train_cfg.learning_rate)
+            arrays = sgd_step(arrays, clip_gradients(mean, CLIP_NORM, global_norm(mean)), train_cfg.learning_rate)
         epoch_losses.append(loss_sum / n)
     return arrays, epoch_losses
 

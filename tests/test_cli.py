@@ -719,6 +719,49 @@ def test_eval_with_no_annotation_in_the_models_classes_names_the_annotations_fil
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["train", "grid"])
+def test_binary_task_on_only_neutral_annotations_names_the_annotations_file(pipeline, tmp_path, capsys, subcommand):
+    ann = tmp_path / "neutral.csv"
+    rows = pipeline["ann"].read_text(encoding="utf-8").splitlines(keepends=True)
+    ann.write_text(rows[0] + "".join(row for row in rows[1:] if row.endswith(",neutral\n")), encoding="utf-8")
+    rc = main([
+        subcommand, "--corpus", str(pipeline["pre"] / "corpus.jsonl"), "--annotations", str(ann),
+        "--embeddings", str(pipeline["emb"]), "--task", "binary", "--epochs", "1", "--output", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    # the same warning and error as eval of a binary model on these annotations
+    assert capsys.readouterr().err == (
+        "warning: dropping 12 examples with labels outside ['positive', 'negative']\n"
+        f"error: {ann}: no evaluable examples: every annotation is outside the model's classes\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["train", "grid"])
+def test_annotations_with_only_a_header_name_the_file_in_train_and_grid(pipeline, tmp_path, capsys, subcommand):
+    ann = tmp_path / "annotations.csv"
+    ann.write_text("id,label\n")
+    rc = main([
+        subcommand, "--corpus", str(pipeline["pre"] / "corpus.jsonl"), "--annotations", str(ann),
+        "--embeddings", str(pipeline["emb"]), "--epochs", "1", "--output", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {ann}: holds no annotations\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_binary_warns_of_the_neutral_annotations_it_drops(pipeline, tmp_path, capsys):
+    pre, ann, emb = pipeline["pre"], pipeline["ann"], pipeline["emb"]
+    capsys.readouterr()
+    assert main([
+        "train", "--corpus", str(pre / "corpus.jsonl"), "--annotations", str(ann),
+        "--embeddings", str(emb), "--hidden", "4", "--epochs", "1", "--seed", "4",
+        "--task", "binary", "--output", str(tmp_path / "fit"),
+    ]) == 0
+    assert capsys.readouterr().err == "warning: dropping 12 examples with labels outside ['positive', 'negative']\n"
+    assert json.loads((tmp_path / "fit" / "report.json").read_text())["model_config"]["num_classes"] == 2
+
+
 # ---------------------------------------------------------------------------
 # grid / analyze / gradcheck
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from rnnsent.evaluation import (
     FINE_CLASSES,
     ClassScores,
     ConfusionMatrix,
-    classes_for,
     confusion_matrix,
     evaluate,
     metrics_from_confusion,
@@ -43,10 +42,11 @@ def _f1s(metrics):
 
 
 def test_classes_for():
-    assert classes_for(3) == FINE_CLASSES == ("positive", "negative", "neutral")
-    assert classes_for(2) == BINARY_CLASSES == ("positive", "negative")
-    with pytest.raises(ValueError):
-        classes_for(4)
+    # a model's classes are FINE_CLASSES[:num_classes], and no model has other than 2 or 3
+    assert FINE_CLASSES == ("positive", "negative", "neutral")
+    assert FINE_CLASSES[:2] == BINARY_CLASSES == ("positive", "negative")
+    with pytest.raises(ValueError, match="num_classes must be 2 or 3, got 4"):
+        ModelConfig(embedding_dim=4, num_classes=4)
 
 
 def test_confusion_matrix_diagonal_and_antidiagonal():
@@ -310,7 +310,7 @@ def test_evaluate_oov_examples_counted_as_errors():
         keep = golds < num_classes
         tweets, golds = tweets.take(np.flatnonzero(keep)), golds[keep]
         # zero weights predict class 0 for every in-vocabulary tweet
-        scored = confusion_matrix(golds, [POS] * len(golds), classes_for(num_classes)).as_array()
+        scored = confusion_matrix(golds, [POS] * len(golds), FINE_CLASSES[:num_classes]).as_array()
         ghosts = [POS, NEG, NEU][:num_classes]
         with_oov = table([*tweets_of(tweets), *(_tweet(i, "unseenzzz", "ghostqqq") for i in range(len(ghosts)))])
         cm, metrics = evaluate(_zero_params(cfg), cfg, emb, with_oov, [*golds, *ghosts])

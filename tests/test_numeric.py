@@ -146,18 +146,19 @@ def test_global_norm_hand_value():
 
 def test_clip_gradients_rescales_only_above_threshold():
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    clipped = clip_gradients(grads, 2.5)
+    clipped = clip_gradients(grads, 2.5, global_norm(grads))
     assert global_norm(clipped) == pytest.approx(2.5, abs=1e-12)
     # direction preserved
     assert clipped["a"][0] / clipped["b"][0] == pytest.approx(3.0 / 4.0, abs=1e-12)
-    untouched = clip_gradients(grads, 10.0)
+    untouched = clip_gradients(grads, 10.0, global_norm(grads))
     for name in grads:
         assert np.array_equal(untouched[name], grads[name])
 
 
 def test_clip_gradients_rejects_nonpositive_norm():
+    grads = {"a": np.ones(2)}
     with pytest.raises(ValueError):
-        clip_gradients({"a": np.ones(2)}, 0.0)
+        clip_gradients(grads, 0.0, global_norm(grads))
 
 
 @settings(max_examples=50, deadline=None)
@@ -165,7 +166,7 @@ def test_clip_gradients_rejects_nonpositive_norm():
 def test_clip_gradients_norm_never_exceeds_bound(seed, max_norm):
     gen = RngState(seed=seed).generator()
     grads = {"w": gen.normal(scale=5.0, size=(2, 3)), "b": gen.normal(scale=5.0, size=4)}
-    clipped = clip_gradients(grads, max_norm)
+    clipped = clip_gradients(grads, max_norm, global_norm(grads))
     assert global_norm(clipped) <= max_norm * (1.0 + 1e-9)
 
 
